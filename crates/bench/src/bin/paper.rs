@@ -23,7 +23,7 @@ use rce_bench::{
     figures::{base_sweep, TIMELINE_INTERVAL},
     profile, run_one_obs, Ablation, EvalParams, Experiment,
 };
-use rce_common::{json, ObsConfig};
+use rce_common::{json, ObsConfig, MAX_CORES};
 use rce_core::{find_variant, AccessType, EngineVariant, REGISTRY};
 use rce_trace::WorkloadSpec;
 use std::io::Write;
@@ -97,11 +97,19 @@ fn main() {
         let need_val = |i: usize| args.get(i + 1).unwrap_or_else(|| usage()).clone();
         match args[i].as_str() {
             "--cores" => {
-                params.cores = need_val(i).parse().unwrap_or_else(|_| usage());
+                params.cores = need_val(i)
+                    .parse()
+                    .ok()
+                    .filter(|c| (1..=MAX_CORES).contains(c))
+                    .unwrap_or_else(|| usage());
                 i += 2;
             }
             "--scale" => {
-                params.scale = need_val(i).parse().unwrap_or_else(|_| usage());
+                params.scale = need_val(i)
+                    .parse()
+                    .ok()
+                    .filter(|s| *s >= 1)
+                    .unwrap_or_else(|| usage());
                 i += 2;
             }
             "--seed" => {
@@ -594,7 +602,7 @@ fn run_bench_hot(smoke: bool) {
     }
     if m.fastpath_speedup_x < rce_bench::hotpath::MIN_FASTPATH_SPEEDUP_X {
         eprintln!(
-            "FAIL: the access-filter fast path is only {:.2}x end-to-end on the \
+            "FAIL: the repeat fast path is only {:.2}x end-to-end on the \
              repeat-heavy workload (floor {}x) — the fast path has regressed",
             m.fastpath_speedup_x,
             rce_bench::hotpath::MIN_FASTPATH_SPEEDUP_X

@@ -13,7 +13,7 @@
 //! replaying externally-produced traces through the engines: any tool
 //! that emits the same JSON shape can drive the simulator.
 
-use rce_common::{json, MachineConfig, ProtocolKind};
+use rce_common::{json, MachineConfig, ProtocolKind, MAX_CORES};
 use rce_core::Machine;
 use rce_trace::{characterize, inject_races, Program, WorkloadSpec};
 
@@ -49,8 +49,20 @@ fn parse_opts(args: &[String]) -> Opts {
     while i < args.len() {
         let val = |i: usize| args.get(i + 1).cloned().unwrap_or_else(|| usage());
         match args[i].as_str() {
-            "--cores" => o.cores = val(i).parse().unwrap_or_else(|_| usage()),
-            "--scale" => o.scale = val(i).parse().unwrap_or_else(|_| usage()),
+            "--cores" => {
+                o.cores = val(i)
+                    .parse()
+                    .ok()
+                    .filter(|c| (1..=MAX_CORES).contains(c))
+                    .unwrap_or_else(|| usage())
+            }
+            "--scale" => {
+                o.scale = val(i)
+                    .parse()
+                    .ok()
+                    .filter(|s| *s >= 1)
+                    .unwrap_or_else(|| usage())
+            }
             "--seed" => o.seed = val(i).parse().unwrap_or_else(|_| usage()),
             "--races" => o.races = val(i).parse().unwrap_or_else(|_| usage()),
             "--out" => o.out = Some(val(i)),

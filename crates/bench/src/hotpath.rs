@@ -23,7 +23,7 @@ use rce_common::{
     AimConfig, CoreId, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
     ProtocolKind, RegionId, Rng, SplitMix64, WordIdx, WordMask,
 };
-use rce_core::{AccessFilter, AccessType, AimMeta, Machine, ReadyQueue};
+use rce_core::{AccessType, AimMeta, Machine, ReadyQueue};
 use rce_trace::{Builder, Program, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
@@ -34,8 +34,8 @@ use std::time::Instant;
 /// trajectory baseline records it so it cannot be lowered silently.
 pub const MIN_SPEEDUP_X: f64 = 2.0;
 
-/// Hard floor for the end-to-end speedup the access-filter fast path
-/// buys on a repeat-heavy workload (filter on vs the same machine with
+/// Hard floor for the end-to-end speedup the repeat fast path buys on
+/// a repeat-heavy workload (fast path on vs the same machine with
 /// `with_fastpath(false)`). `paper bench-hot` fails below this.
 pub const MIN_FASTPATH_SPEEDUP_X: f64 = 1.5;
 
@@ -56,8 +56,8 @@ pub struct HotPathMeasurement {
     /// Raw access-table throughput of the interned flat path relative
     /// to the `HashMap` reference doing identical work.
     pub speedup_vs_hashmap: f64,
-    /// End-to-end speedup of the access-filter fast path on the
-    /// repeat-heavy pinned workload (filter on vs off, same machine).
+    /// End-to-end speedup of the repeat fast path on the repeat-heavy
+    /// pinned workload (on vs off, same machine).
     pub fastpath_speedup_x: f64,
 }
 
@@ -187,24 +187,24 @@ fn aim_spill_refill(stream: &[u64]) -> u64 {
 }
 
 /// Lines each core loops over in the repeat-heavy pinned workload.
-/// Small enough to stay resident in every core's L1 (and far under the
-/// access filter's slot count), so after the first pass every access
-/// is a same-region repeat — the fast path's target shape.
-const FILTER_LINES_PER_CORE: usize = 32;
+/// Small enough to stay resident in every core's L1, so after the
+/// first pass every access is a same-region repeat — the fast path's
+/// target shape.
+const REPEAT_LINES_PER_CORE: usize = 32;
 
 /// The pinned repeat-heavy program for the fast-path pair: each core
-/// sweeps its own [`FILTER_LINES_PER_CORE`]-line slice `iters` times
+/// sweeps its own [`REPEAT_LINES_PER_CORE`]-line slice `iters` times
 /// with a full-line write+read per line, no synchronization — one
-/// long region per core, so the filter is never epoch-invalidated.
+/// long region per core, so no boundary ends the repeats.
 /// Full-line masks make each covered repeat skip the full per-word
-/// detection and oracle work, the shape the filter is built for.
+/// detection and oracle work, the shape the fast path is built for.
 fn repeat_heavy_program(iters: usize) -> Program {
     let mut b = Builder::new("repeat-heavy", MIX_CORES);
-    let arena = b.shared((MIX_CORES * FILTER_LINES_PER_CORE * 64) as u64);
+    let arena = b.shared((MIX_CORES * REPEAT_LINES_PER_CORE * 64) as u64);
     for t in 0..MIX_CORES {
         for _ in 0..iters {
-            for l in 0..FILTER_LINES_PER_CORE {
-                let w = arena.word(((t * FILTER_LINES_PER_CORE + l) * 8) as u64);
+            for l in 0..REPEAT_LINES_PER_CORE {
+                let w = arena.word(((t * REPEAT_LINES_PER_CORE + l) * 8) as u64);
                 b.write_n(t, w, 64);
                 b.read_n(t, w, 64);
             }
@@ -224,27 +224,6 @@ fn repeat_heavy_run(p: &Program, fastpath: bool) -> u64 {
         .unwrap()
         .cycles
         .0
-}
-
-/// Drive the access filter directly with the repeat-heavy line stream:
-/// arm on miss, count hits. The returned count is the accumulator; the
-/// stream is all repeats after the first sweep, so the hit rate must
-/// approach 1.
-fn filter_hit_stream(ops: usize) -> u64 {
-    let mut f = AccessFilter::with_enabled(1, true);
-    let core = CoreId(0);
-    let region = RegionId(1);
-    let mask = WordMask::single(WordIdx(0));
-    let mut acc = 0u64;
-    for i in 0..ops {
-        let line = LineAddr((i % FILTER_LINES_PER_CORE) as u64);
-        if f.hit(core, line, region, AccessType::Write, mask) {
-            acc = acc.wrapping_add(1);
-        } else {
-            f.arm(core, line, region, AccessType::Write, mask);
-        }
-    }
-    acc
 }
 
 /// Cores in the scheduler microbench — the paper's largest sweep
@@ -319,7 +298,7 @@ pub fn measure(smoke: bool) -> HotPathMeasurement {
     let accesses = (r.mem_ops + r.sync_ops).max(1);
 
     // The fast-path pair: the identical repeat-heavy run with the
-    // access filter on and off.
+    // fast path on and off.
     let iters = if smoke { 60 } else { 300 };
     let program = repeat_heavy_program(iters);
     let t_on = median_secs(samples, || repeat_heavy_run(&program, true));
@@ -353,9 +332,6 @@ pub fn run(smoke: bool) -> HotPathMeasurement {
     b.case("aim-spill-refill/flat", elements, || {
         aim_spill_refill(&stream)
     });
-    b.case("access-filter/hit-stream", elements, || {
-        filter_hit_stream(ops)
-    });
     let sched_steps = ops;
     b.case(
         "scheduler-64c/linear-scan",
@@ -369,25 +345,12 @@ pub fn run(smoke: bool) -> HotPathMeasurement {
         run_one(WorkloadSpec::PingPong, ProtocolKind::CePlus, 4, 1, 42).cycles
     });
 
-    // Filter hit rate on the pinned stream, for the printed summary.
-    let mut f = AccessFilter::with_enabled(1, true);
-    let mask = WordMask::single(WordIdx(0));
-    for i in 0..ops {
-        let line = LineAddr((i % FILTER_LINES_PER_CORE) as u64);
-        if !f.hit(CoreId(0), line, RegionId(1), AccessType::Write, mask) {
-            f.arm(CoreId(0), line, RegionId(1), AccessType::Write, mask);
-        }
-    }
-
     let m = measure(smoke);
     println!(
         "hot-path summary: {:.1} ns per simulated access, flat raw-access path {:.2}x the \
-         HashMap reference (floor {MIN_SPEEDUP_X}x), access-filter fast path {:.2}x end-to-end \
-         (floor {MIN_FASTPATH_SPEEDUP_X}x) at {:.1}% filter hit rate",
-        m.ns_per_access,
-        m.speedup_vs_hashmap,
-        m.fastpath_speedup_x,
-        f.hit_rate() * 100.0
+         HashMap reference (floor {MIN_SPEEDUP_X}x), repeat fast path {:.2}x end-to-end \
+         (floor {MIN_FASTPATH_SPEEDUP_X}x)",
+        m.ns_per_access, m.speedup_vs_hashmap, m.fastpath_speedup_x
     );
     m
 }
@@ -435,16 +398,9 @@ mod tests {
     }
 
     #[test]
-    fn filter_stream_is_all_hits_after_first_sweep() {
-        let ops = 10_000;
-        let hits = filter_hit_stream(ops);
-        assert_eq!(hits, (ops - FILTER_LINES_PER_CORE) as u64);
-    }
-
-    #[test]
     fn repeat_heavy_pair_is_cycle_identical() {
         // The fast-path pair only makes sense if both runs simulate
-        // the same machine: identical end cycles, filter on or off.
+        // the same machine: identical end cycles, fast path on or off.
         let p = repeat_heavy_program(8);
         assert_eq!(repeat_heavy_run(&p, true), repeat_heavy_run(&p, false));
     }

@@ -6,7 +6,7 @@
 //! checks (`check_invariants`) run in debug tests to catch protocol
 //! bugs — e.g. an owner coexisting with sharers.
 
-use rce_common::{CoreId, LineAddr, LineMap, LineTable};
+use rce_common::{CoreId, LineAddr, LineMap, LineTable, MAX_CORES};
 
 /// Directory state for one line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,9 +60,12 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Build for `cores` cores (≤ 64).
+    /// Build for `cores` cores (at most [`MAX_CORES`]).
     pub fn new(cores: usize) -> Self {
-        assert!(cores <= 64, "full-map directory supports up to 64 cores");
+        assert!(
+            cores <= MAX_CORES,
+            "full-map directory supports up to {MAX_CORES} cores"
+        );
         Directory {
             table: LineTable::new(),
             entries: LineMap::new(),

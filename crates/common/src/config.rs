@@ -307,11 +307,15 @@ impl Default for AimConfig {
     }
 }
 
+/// The most cores a machine can have: the full-map directory keeps
+/// one sharer bit per core in a `u64`.
+pub const MAX_CORES: usize = 64;
+
 /// Full machine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
-    /// Number of cores (threads are pinned 1:1). Must be a positive
-    /// even number or 1 so a near-square mesh exists.
+    /// Number of cores (threads are pinned 1:1). Must be in
+    /// `1..=MAX_CORES`, and even or 1 so a near-square mesh exists.
     pub cores: usize,
     /// Private L1 data cache per core.
     pub l1: CacheGeometry,
@@ -449,6 +453,12 @@ impl MachineConfig {
         if self.cores == 0 {
             return Err("cores must be positive".into());
         }
+        if self.cores > MAX_CORES {
+            return Err(format!(
+                "at most {MAX_CORES} cores are supported (got {})",
+                self.cores
+            ));
+        }
         if !self
             .l1
             .capacity
@@ -532,6 +542,10 @@ mod tests {
             ..MachineConfig::default()
         };
         assert!(c.validate().is_err());
+
+        // One past the directory's sharer-vector width.
+        let c = MachineConfig::paper_default(MAX_CORES + 1, ProtocolKind::CePlus);
+        assert!(c.validate().unwrap_err().contains("at most 64 cores"));
 
         let mut c = MachineConfig::default();
         c.aim.entries = 3000; // not a power of two

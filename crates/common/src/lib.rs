@@ -38,7 +38,7 @@ pub mod units;
 pub use addr::{Addr, LineAddr, LineGeometry, WordIdx, WordMask};
 pub use config::{
     AimConfig, CacheGeometry, DetectionGranularity, DramConfig, MachineConfig, MetaPlacement,
-    NocConfig, ProtocolKind,
+    NocConfig, ProtocolKind, MAX_CORES,
 };
 pub use error::{RceError, RceResult};
 pub use ids::{BarrierId, CoreId, LockId, RegionId, ThreadId};

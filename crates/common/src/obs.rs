@@ -446,9 +446,6 @@ pub struct TraceConfig {
     pub capacity: usize,
     /// Event filter.
     pub filter: TraceFilter,
-    /// Also print each accepted event to stderr as it happens (the
-    /// behavior of the legacy `RCE_TRACE_WORD` hook).
-    pub echo: bool,
 }
 
 impl Default for TraceConfig {
@@ -456,23 +453,6 @@ impl Default for TraceConfig {
         TraceConfig {
             capacity: DEFAULT_TRACE_CAPACITY,
             filter: TraceFilter::default(),
-            echo: false,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// The `RCE_TRACE_WORD=<word-index>` compatibility alias: echo
-    /// every access to (and conflict on) one word.
-    pub fn word_alias(word: u64) -> TraceConfig {
-        TraceConfig {
-            capacity: DEFAULT_TRACE_CAPACITY,
-            filter: TraceFilter {
-                cores: None,
-                addr_range: Some((word * 8, word * 8 + 8)),
-                classes: Some(vec![EventClass::Access, EventClass::Conflict]),
-            },
-            echo: true,
         }
     }
 }
@@ -484,7 +464,6 @@ impl TraceConfig {
 pub struct Tracer {
     capacity: usize,
     filter: TraceFilter,
-    echo: bool,
     events: VecDeque<SimEvent>,
     emitted: u64,
     drops: u64,
@@ -496,7 +475,6 @@ impl Tracer {
         Tracer {
             capacity: cfg.capacity.max(1),
             filter: cfg.filter,
-            echo: cfg.echo,
             events: VecDeque::new(),
             emitted: 0,
             drops: 0,
@@ -516,9 +494,6 @@ impl Tracer {
             return;
         }
         self.emitted += 1;
-        if self.echo {
-            eprintln!("TRACE {}", json::to_string(&ev));
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.drops += 1;
@@ -996,7 +971,6 @@ mod tests {
                 addr_range: Some((64, 128)), // line 1 only
                 classes: Some(vec![EventClass::Aim]),
             },
-            echo: false,
         });
         t.emit(ev(0, 1, EventKind::AimHit { line: 1 })); // kept
         t.emit(ev(1, 0, EventKind::AimHit { line: 1 })); // wrong core
@@ -1012,35 +986,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.emitted(), 1, "filtered events are not 'accepted'");
         assert_eq!(t.drops(), 0);
-    }
-
-    #[test]
-    fn word_alias_matches_only_that_word() {
-        let cfg = TraceConfig::word_alias(100); // bytes [800, 808)
-        assert!(cfg.echo);
-        let f = &cfg.filter;
-        let hit = ev(
-            0,
-            0,
-            EventKind::MemAccess {
-                addr: 800,
-                write: true,
-                exceptions: 0,
-            },
-        );
-        let miss = ev(
-            0,
-            0,
-            EventKind::MemAccess {
-                addr: 808,
-                write: true,
-                exceptions: 0,
-            },
-        );
-        let other_class = ev(0, 0, EventKind::RegionBegin);
-        assert!(f.accepts(&hit));
-        assert!(!f.accepts(&miss));
-        assert!(!f.accepts(&other_class));
     }
 
     #[test]

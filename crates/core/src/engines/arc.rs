@@ -34,10 +34,9 @@
 
 use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictException, ConflictSide};
-use crate::fastpath::AccessFilter;
 use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::{backend_for, MetaBackend};
-use crate::protocol::{AccessResult, Engine, Substrate};
+use crate::protocol::{fastpath_default, AccessResult, Engine, Substrate};
 use rce_cache::L1Cache;
 use rce_common::obs::{EventClass, EventKind, SimEvent};
 use rce_common::{
@@ -67,6 +66,23 @@ pub struct ArcLine {
     pub written_words: WordMask,
 }
 
+impl ArcLine {
+    /// True if an access would change nothing on this resident copy:
+    /// the region masks already cover `dmask` for the access kind (so
+    /// no registration is due), and a write finds its words already
+    /// dirty. The slow hit path would then only charge the L1-hit
+    /// latency. A recall clears `dirty` and a region boundary clears
+    /// the masks, so neither needs a hook to switch this off.
+    fn repeats(&self, kind: AccessType, dmask: WordMask, mask: WordMask) -> bool {
+        match kind {
+            AccessType::Read => dmask.minus(self.read_words).is_empty(),
+            AccessType::Write => {
+                dmask.minus(self.written_words).is_empty() && mask.minus(self.dirty).is_empty()
+            }
+        }
+    }
+}
+
 /// LLC-side classification of a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
@@ -81,14 +97,8 @@ pub struct ArcEngine {
     meta: Box<dyn MetaBackend>,
     /// The conflict detector (shared logic with the MESI family).
     detect: Detector,
-    /// Fast-path filter over repeat accesses (see [`crate::fastpath`]).
-    /// A covered repeat implies `new_words` would be empty (no
-    /// registration) and the dirty bits are already set, so the whole
-    /// hit path is a no-op beyond the latency charge. Invalidated on
-    /// eviction and on recall — recall clears the owner's dirty mask,
-    /// which un-invalidated write coverage would otherwise never
-    /// repopulate.
-    filter: AccessFilter,
+    /// Short-circuit repeat accesses (see [`ArcLine::repeats`]).
+    fastpath: bool,
     /// Engine-local intern table: the flat per-line state below is
     /// indexed by the dense id, so classification and registration
     /// bookkeeping do no hashing after a line's first touch.
@@ -119,7 +129,7 @@ impl ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: backend_for(cfg),
             detect: Detector::new(),
-            filter: AccessFilter::new(cfg.cores),
+            fastpath: fastpath_default(),
             lines: LineTable::new(),
             class: LineMap::new(),
             written_ever: LineFlags::new(),
@@ -177,9 +187,6 @@ impl ArcEngine {
         t_at_bank: Cycles,
     ) -> Cycles {
         self.recalls.inc();
-        // The recall clears the owner's dirty words and reclassifies
-        // the copy: any armed coverage for the line is stale.
-        self.filter.invalidate(owner, line);
         let lid = self.lines.intern(line);
         let bank = sub.bank_node(line);
         let owner_node = sub.core_node(owner);
@@ -260,7 +267,6 @@ impl ArcEngine {
     ) {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
-            self.filter.invalidate(core, victim);
             sub.trace(EventClass::Cache, || SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
@@ -368,12 +374,12 @@ impl Engine for ArcEngine {
         let dmask = sub.cfg.detect_mask(mask);
 
         // L1 lookup.
-        let hit = self.l1[core.index()].access(line).is_some();
-        // Fast path: a covered repeat means the per-region masks,
-        // dirty words, and written-ever flag are all already set and
-        // `new_words` would be empty, so the slow hit path would do
-        // nothing but charge the L1 latency.
-        if hit && self.filter.hit(core, line, sub.region_of(core), kind, mask) {
+        let cached = self.l1[core.index()].access(line);
+        if self.fastpath
+            && cached
+                .as_deref()
+                .is_some_and(|st| st.repeats(kind, dmask, mask))
+        {
             return Ok(AccessResult {
                 done: Cycles(now.0 + l1_lat),
                 exceptions: Vec::new(),
@@ -381,25 +387,20 @@ impl Engine for ArcEngine {
                 fast: true,
             });
         }
-        if hit {
-            let (is_shared, new_words) = {
-                let st = self.l1[core.index()].probe_mut(line).ok_or_else(|| {
-                    RceError::InvariantViolated(format!("hit line vanished: {core} {line}"))
-                })?;
-                let new = match kind {
-                    AccessType::Read => dmask.minus(st.read_words),
-                    AccessType::Write => dmask.minus(st.written_words),
-                };
-                match kind {
-                    AccessType::Read => st.read_words |= dmask,
-                    AccessType::Write => {
-                        st.written_words |= dmask;
-                        st.dirty |= mask;
-                        st.ro = false;
-                    }
-                }
-                (st.shared, new)
+        if let Some(st) = cached {
+            let new_words = match kind {
+                AccessType::Read => dmask.minus(st.read_words),
+                AccessType::Write => dmask.minus(st.written_words),
             };
+            match kind {
+                AccessType::Read => st.read_words |= dmask,
+                AccessType::Write => {
+                    st.written_words |= dmask;
+                    st.dirty |= mask;
+                    st.ro = false;
+                }
+            }
+            let is_shared = st.shared;
             if kind == AccessType::Write {
                 let lid = self.lines.intern(line);
                 self.written_ever.insert(lid);
@@ -416,9 +417,6 @@ impl Engine for ArcEngine {
                     .send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Metadata, now);
                 let t2 = self.meta.ensure_at(sub, line, t1);
                 (exceptions, paths) = self.aim_check_record(sub, core, line, new_words, kind, t2);
-            }
-            if exceptions.is_empty() {
-                self.filter.arm(core, line, sub.region_of(core), kind, mask);
             }
             return Ok(AccessResult {
                 done,
@@ -500,9 +498,6 @@ impl Engine for ArcEngine {
         }
         self.fill_line(sub, core, line, st, t_data);
 
-        if exceptions.is_empty() {
-            self.filter.arm(core, line, sub.region_of(core), kind, mask);
-        }
         Ok(AccessResult {
             done: Cycles(t_data.0 + l1_lat),
             exceptions,
@@ -606,7 +601,7 @@ impl Engine for ArcEngine {
     }
 
     fn set_fastpath(&mut self, on: bool) {
-        self.filter.set_enabled(on);
+        self.fastpath = on;
     }
 
     fn l1_totals(&self) -> (u64, u64, u64) {

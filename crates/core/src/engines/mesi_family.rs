@@ -33,15 +33,14 @@
 use crate::access::MetaMap;
 use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictSide};
-use crate::fastpath::AccessFilter;
 use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::{backend_for, MetaBackend};
-use crate::protocol::{AccessResult, Engine, Substrate};
+use crate::protocol::{fastpath_default, AccessResult, Engine, Substrate};
 use rce_cache::{L1Cache, MesiState};
 use rce_common::obs::{EventClass, EventKind, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
-    ProtocolKind, RceError, RceResult, WordMask,
+    ProtocolKind, RceError, RceResult, RegionId, WordMask,
 };
 use rce_noc::MsgClass;
 
@@ -56,6 +55,36 @@ pub struct CeLine {
     pub meta: MetaMap,
 }
 
+impl CeLine {
+    /// True if an access by `core` in `region` would change nothing on
+    /// this resident copy: the core's own bits for this region already
+    /// cover `dmask` for the access kind, no other core holds live bits
+    /// that a re-check could conflict with, and a write finds the line
+    /// already `M` and dirty. The slow path would then only charge the
+    /// L1-hit latency. Evictions and remote downgrades remove or change
+    /// the line, and a region boundary retags the core's bits, so none
+    /// of them needs a hook to switch this off.
+    fn repeats(
+        &self,
+        core: CoreId,
+        region: RegionId,
+        kind: AccessType,
+        dmask: WordMask,
+        sub: &Substrate,
+    ) -> bool {
+        let covered = match self.meta.get(core) {
+            Some(e) if e.region == region => match kind {
+                AccessType::Read => e.read,
+                AccessType::Write => e.written,
+            },
+            _ => return false,
+        };
+        dmask.minus(covered).is_empty()
+            && (kind == AccessType::Read || (self.mesi == MesiState::M && self.dirty))
+            && !self.meta.any_live_other(core, |c, r| sub.is_live(c, r))
+    }
+}
+
 /// The engine.
 pub struct MesiFamilyEngine {
     mode: ProtocolKind,
@@ -67,10 +96,8 @@ pub struct MesiFamilyEngine {
     meta: Box<dyn MetaBackend>,
     /// The conflict detector (shared logic with ARC).
     detect: Detector,
-    /// Fast-path filter over repeat accesses (see [`crate::fastpath`]).
-    /// Armed only by conflict-free slow-path accesses; invalidated on
-    /// eviction and on every remote transition touching a core's copy.
-    filter: AccessFilter,
+    /// Short-circuit repeat accesses (see [`CeLine::repeats`]).
+    fastpath: bool,
     /// Access bits attached to LLC lines (CE extends the shared cache
     /// with access bits too): whenever metadata passes through the
     /// LLC/directory — owner downgrades, invalidation acks, displaced
@@ -120,7 +147,7 @@ impl MesiFamilyEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: backend_for(cfg),
             detect: Detector::new(),
-            filter: AccessFilter::new(cfg.cores),
+            fastpath: fastpath_default(),
             lines: LineTable::new(),
             llc_meta: LineMap::new(),
             displaced: LineFlags::new(),
@@ -243,7 +270,6 @@ impl MesiFamilyEngine {
     ) {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
-            self.filter.invalidate(core, victim);
             sub.trace(EventClass::Cache, || SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
@@ -315,7 +341,6 @@ impl MesiFamilyEngine {
                 t1,
             );
             for s in sharers {
-                self.filter.invalidate(s, line);
                 let st = self.l1[s.index()]
                     .invalidate(line)
                     .ok_or_else(|| not_resident("directory sharer", s, line))?;
@@ -389,9 +414,6 @@ impl MesiFamilyEngine {
                 MsgClass::Request,
                 t1,
             );
-            // The owner loses write permission (M/E -> S or O): its
-            // armed coverage for the line can no longer short-circuit.
-            self.filter.invalidate(owner, line);
             let (needs_writeback, owner_stays, meta_copy) = {
                 let st = self.l1[owner.index()]
                     .probe_mut(line)
@@ -497,7 +519,6 @@ impl MesiFamilyEngine {
                 MsgClass::Request,
                 t1,
             );
-            self.filter.invalidate(owner, line);
             let st = self.l1[owner.index()]
                 .invalidate(line)
                 .ok_or_else(|| not_resident("directory owner", owner, line))?;
@@ -530,7 +551,6 @@ impl MesiFamilyEngine {
                     t1,
                 );
                 for s in co_sharers {
-                    self.filter.invalidate(s, line);
                     let st = self.l1[s.index()]
                         .invalidate(line)
                         .ok_or_else(|| not_resident("directory sharer", s, line))?;
@@ -563,7 +583,6 @@ impl MesiFamilyEngine {
                     t1,
                 );
                 for s in sharers {
-                    self.filter.invalidate(s, line);
                     let st = self.l1[s.index()]
                         .invalidate(line)
                         .ok_or_else(|| not_resident("directory sharer", s, line))?;
@@ -681,16 +700,14 @@ impl Engine for MesiFamilyEngine {
         let region = sub.region_of(core);
         let l1_lat = sub.cfg.l1.latency;
 
-        let state = self.l1[core.index()].access(line).map(|l| l.mesi);
-        // Fast path: an L1 hit whose raw mask is covered by a
-        // conflict-free same-kind access in the same region repeats a
-        // fully determined outcome — state transition a no-op, bits
-        // already recorded, no conflict possible (a conflicting access
-        // never arms; remote transitions invalidate). Only the L1-hit
-        // latency charge remains. Write coverage implies the line is
-        // still M (every downgrade hooks the filter), so `can_write`
-        // held and the dirty/M bits are already set.
-        if state.is_some() && self.filter.hit(core, line, region, kind, mask) {
+        let dmask = sub.cfg.detect_mask(mask);
+
+        let cached = self.l1[core.index()].access(line);
+        if self.fastpath
+            && cached
+                .as_deref()
+                .is_some_and(|l| l.repeats(core, region, kind, dmask, sub))
+        {
             return Ok(AccessResult {
                 done: Cycles(now.0 + l1_lat),
                 exceptions: Vec::new(),
@@ -702,12 +719,9 @@ impl Engine for MesiFamilyEngine {
         // access, any conflict found involved bits fetched back from
         // the metadata backend rather than bits riding the L1 line.
         let lookups_before = self.meta_lookups.get();
-        let (done, incoming) = match (state, kind) {
+        let (done, incoming) = match (cached, kind) {
             (Some(_), AccessType::Read) => (Cycles(now.0 + l1_lat), MetaMap::new()),
-            (Some(s), AccessType::Write) if s.can_write() => {
-                let l = self.l1[core.index()]
-                    .probe_mut(line)
-                    .ok_or_else(|| not_resident("write hit", core, line))?;
+            (Some(l), AccessType::Write) if l.mesi.can_write() => {
                 l.mesi = MesiState::M;
                 l.dirty = true;
                 (Cycles(now.0 + l1_lat), MetaMap::new())
@@ -720,7 +734,6 @@ impl Engine for MesiFamilyEngine {
         let mut exceptions = Vec::new();
         let mut paths = Vec::new();
         if self.detection() {
-            let dmask = sub.cfg.detect_mask(mask);
             let lref = self.l1[core.index()]
                 .probe_mut(line)
                 .ok_or_else(|| not_resident("line after access", core, line))?;
@@ -748,9 +761,6 @@ impl Engine for MesiFamilyEngine {
                 };
                 paths = vec![path; exceptions.len()];
             }
-        }
-        if exceptions.is_empty() {
-            self.filter.arm(core, line, region, kind, mask);
         }
         Ok(AccessResult {
             done,
@@ -807,7 +817,7 @@ impl Engine for MesiFamilyEngine {
     }
 
     fn set_fastpath(&mut self, on: bool) {
-        self.filter.set_enabled(on);
+        self.fastpath = on;
     }
 
     fn l1_totals(&self) -> (u64, u64, u64) {

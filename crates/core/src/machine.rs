@@ -92,7 +92,7 @@ pub struct Machine {
     energy_model: EnergyModel,
     step_limit: Option<u64>,
     obs: ObsConfig,
-    /// Explicit fast-path override for the engine's access filter
+    /// Explicit override for the engine's repeat-access fast path
     /// (`None` = engine default: on unless `RCE_DISABLE_FASTPATH` is
     /// set). Reports are byte-identical either way.
     fastpath: Option<bool>,
@@ -137,7 +137,7 @@ impl Machine {
         })
     }
 
-    /// Force the engine's fast-path access filter on or off for
+    /// Force the engine's repeat-access fast path on or off for
     /// subsequent runs, overriding the `RCE_DISABLE_FASTPATH`
     /// environment default. The equivalence property tests run every
     /// workload both ways and require byte-identical reports.
@@ -222,20 +222,9 @@ impl Machine {
         let mut exceptions: Vec<ConflictException> = Vec::new();
         let mut seen = HashSet::new();
         let mut aborted = false;
-        // Observability: explicit config wins; otherwise the legacy
-        // RCE_TRACE_WORD=<word-index> env var acts as a filter alias
-        // (echoing accesses to that word, as the old eprintln did).
-        let mut obs = self.obs.clone();
-        if obs.trace.is_none() {
-            if let Some(w) = std::env::var("RCE_TRACE_WORD")
-                .ok()
-                .and_then(|w| w.parse().ok())
-            {
-                obs.trace = Some(TraceConfig::word_alias(w));
-            }
-        }
+        let obs = &self.obs;
         let trace_requested = obs.trace.is_some();
-        let mut tracer = obs.trace.map(|tc| shared_tracer(Tracer::new(tc)));
+        let mut tracer = obs.trace.clone().map(|tc| shared_tracer(Tracer::new(tc)));
         if tracer.is_none() && obs.forensics.is_some() {
             // Forensics wants recent-event windows even when the user
             // did not ask for a trace: run an internal ring that is

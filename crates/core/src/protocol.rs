@@ -33,10 +33,11 @@ pub struct AccessResult {
     /// unconditionally — exceptions are rare, so the cost is nil and
     /// the forensics layer needs no extra engine gating.
     pub paths: Vec<DetectPath>,
-    /// True iff the engine's access filter short-circuited this access
-    /// (see [`crate::fastpath`]): the outcome was fully determined by
-    /// a covered repeat, so the machine may also skip the per-word
-    /// oracle observation, which would be a no-op.
+    /// True iff the engine short-circuited this access as a repeat its
+    /// L1 line already covers (see [`Engine::set_fastpath`]): the core
+    /// already made the same-kind access to these words this region,
+    /// so the machine may also skip the per-word oracle observation,
+    /// which would be a no-op.
     pub fast: bool,
 }
 
@@ -236,6 +237,12 @@ impl Substrate {
     }
 }
 
+/// The fast path's initial state for a new engine: on, unless
+/// `RCE_DISABLE_FASTPATH` is set in the environment.
+pub(crate) fn fastpath_default() -> bool {
+    std::env::var_os("RCE_DISABLE_FASTPATH").is_none()
+}
+
 /// One conflict-detection design (or the baseline).
 ///
 /// `access` and `region_boundary` are fallible: a broken model
@@ -270,10 +277,12 @@ pub trait Engine {
     /// Engine display name.
     fn name(&self) -> &'static str;
 
-    /// Turn the fast-path access filter on or off (see
-    /// [`crate::fastpath::AccessFilter`]). Reports are byte-identical
-    /// either way; CI runs the golden gate with the filter disabled to
-    /// keep the slow path honest.
+    /// Turn the repeat-access fast path on or off. When on, an L1 hit
+    /// whose line state shows it would change nothing returns the
+    /// L1-hit latency at once, with `fast` set. Reports are
+    /// byte-identical either way; CI runs the golden gate with the
+    /// fast path off to keep the slow path honest. Engines start with
+    /// [`fastpath_default`].
     fn set_fastpath(&mut self, on: bool);
 
     /// Aggregate L1 statistics: `(hits, misses, evictions)` summed

@@ -1,6 +1,6 @@
 //! Targeted tests for less-traveled engine paths: upgrades meeting
-//! displaced metadata, recalls of evicted owners, AIM pressure, and
-//! cross-protocol cost orderings.
+//! displaced metadata, recalls of evicted owners, AIM pressure,
+//! cross-protocol cost orderings, and the repeat fast path.
 
 use rce_common::{Addr, CoreId, Cycles, MachineConfig, ProtocolKind, WordMask};
 use rce_core::{AccessType, ArcEngine, Engine, MesiFamilyEngine, Substrate};
@@ -174,4 +174,77 @@ fn scrub_cost_scales_with_displacement() {
         large_lat > small_lat,
         "more scrubs take longer even pipelined ({large_lat} vs {small_lat})"
     );
+}
+
+/// A line whose L1 set the eviction helper below thrashes.
+const REPEAT_BASE: u64 = 0x80_0000;
+
+/// Core 0 reads eight more lines of `REPEAT_BASE`'s L1 set (lines
+/// 4096 bytes apart share a set of the 8-way L1), evicting it.
+fn evict<E: Engine>(e: &mut E, s: &mut Substrate, mut t: u64) -> u64 {
+    for i in 1..=8u64 {
+        t = acc(e, s, 0, REPEAT_BASE + i * 4096, R, t).done.0;
+    }
+    t
+}
+
+/// Core 1 reads another word of the line: a downgrade of core 0's
+/// copy under CE+, a recall of core 0's private line under ARC.
+fn remote_read<E: Engine>(e: &mut E, s: &mut Substrate, t: u64) -> u64 {
+    acc(e, s, 1, REPEAT_BASE + 8, R, t).done.0
+}
+
+/// Core 1 writes another word of the line, invalidating core 0's copy.
+fn remote_write<E: Engine>(e: &mut E, s: &mut Substrate, t: u64) -> u64 {
+    acc(e, s, 1, REPEAT_BASE + 8, W, t).done.0
+}
+
+/// Core 0's region ends.
+fn boundary<E: Engine>(e: &mut E, s: &mut Substrate, t: u64) -> u64 {
+    let b = e.region_boundary(s, CoreId(0), Cycles(t)).unwrap();
+    s.advance_region(CoreId(0));
+    b.done.0
+}
+
+/// Core 0 writes one word twice: the repeat must take the fast path
+/// at the L1-hit latency. After `disrupt`, the same write must take
+/// the slow path again, with no hook beyond the line state itself.
+fn repeat_loses_fast_path_after<E: Engine>(
+    proto: ProtocolKind,
+    engine: fn(&MachineConfig) -> E,
+    disrupt: fn(&mut E, &mut Substrate, u64) -> u64,
+    what: &str,
+) {
+    let cfg = MachineConfig::paper_default(2, proto);
+    let mut e = engine(&cfg);
+    e.set_fastpath(true);
+    let mut s = Substrate::new(&cfg);
+    let t = acc(&mut e, &mut s, 0, REPEAT_BASE, W, 0).done.0;
+    let r = acc(&mut e, &mut s, 0, REPEAT_BASE, W, t);
+    assert!(r.fast, "{proto}: a private write repeat is fast");
+    assert_eq!(r.done.0 - t, s.cfg.l1.latency);
+    let t = disrupt(&mut e, &mut s, r.done.0);
+    let r = acc(&mut e, &mut s, 0, REPEAT_BASE, W, t);
+    assert!(!r.fast, "{proto}: the repeat after {what} is slow");
+}
+
+#[test]
+fn ceplus_repeat_fast_path_follows_line_state() {
+    let ce = |disrupt, what| {
+        repeat_loses_fast_path_after(ProtocolKind::CePlus, MesiFamilyEngine::new, disrupt, what)
+    };
+    ce(evict, "an L1 eviction");
+    ce(remote_read, "a remote read downgrade");
+    ce(remote_write, "a remote write invalidation");
+    ce(boundary, "a region boundary");
+}
+
+#[test]
+fn arc_repeat_fast_path_follows_line_state() {
+    let arc = |disrupt, what| {
+        repeat_loses_fast_path_after(ProtocolKind::Arc, ArcEngine::new, disrupt, what)
+    };
+    arc(evict, "an L1 eviction");
+    arc(remote_read, "a recall");
+    arc(boundary, "a region boundary");
 }

@@ -73,8 +73,8 @@ for engine in MESI CE CE+ ARC; do
 done
 
 echo "== fast-path-disabled goldens (RCE_DISABLE_FASTPATH=1) =="
-# The access-filter fast path is a pure acceleration: with the filter
-# forced off, the same four configurations must still match the same
+# The repeat fast path is a pure acceleration: with it forced off,
+# the same four configurations must still match the same
 # goldens byte for byte, and the forensics pipeline must still attach
 # provenance. This is the knob the equivalence property tests exercise
 # in-process; here it is checked through the real env-var switch.
@@ -95,6 +95,28 @@ if ! printf '%s' "$out" | grep -q "found via:"; then
     exit 1
 fi
 echo "ok: forensics smoke passes with the fast path disabled"
+
+echo "== simbench replay agreement (cargo test, simbench/) =="
+# simbench's replay of the machine loop observes every access in the
+# oracle; Machine::run skips the observe loop for fast-path accesses.
+# Its test checks the two agree for every REGISTRY variant.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+echo "ok: simbench replay agrees with Machine::run"
+
+echo "== bad CLI input (paper report) =="
+# Out-of-range --cores and --scale must print usage and exit 2, not
+# panic in a workload builder or the directory.
+for args in "--cores 0" "--cores 65" "--scale 0"; do
+    code=0
+    # shellcheck disable=SC2086 # $args is two words on purpose
+    cargo run -q --release --offline -p rce-bench --bin paper -- \
+        report canneal CE+ $args >/dev/null 2>"$obs_out/stderr.txt" || code=$?
+    if [ "$code" -ne 2 ] || grep -q panicked "$obs_out/stderr.txt"; then
+        echo "FAIL: paper report canneal CE+ $args exited $code (want 2, no panic)" >&2
+        exit 1
+    fi
+done
+echo "ok: bad --cores / --scale print usage and exit 2"
 
 echo "== ablation smoke (paper ablate-aim) =="
 # The AIM sensitivity study must run end to end and write R-A7.json
@@ -146,7 +168,7 @@ echo "ok: self-diff is clean, injected drift exits nonzero"
 
 echo "== hot-path gate (paper bench-hot --smoke) =="
 # Time the flat hot-path storage against std::collections references
-# doing identical work, plus the access-filter fast path end to end.
+# doing identical work, plus the repeat fast path end to end.
 # The binary exits nonzero if the flat raw-access path drops below its
 # pinned speedup floor (MIN_SPEEDUP_X) or the fast path drops below
 # MIN_FASTPATH_SPEEDUP_X — a throughput regression fails CI even when
