@@ -19,14 +19,13 @@
 
 use rce_bench::runner::run_one_cfg;
 use rce_bench::{
-    diff::diff_values,
+    diff::{diff_values, parse_tolerance},
     figures::{base_sweep, TIMELINE_INTERVAL},
-    profile, run_one_obs, Ablation, EvalParams, Experiment,
+    hotpath, profile, run_one_obs, Ablation, EvalParams, Experiment,
 };
 use rce_common::{json, ObsConfig, MAX_CORES};
 use rce_core::{find_variant, AccessType, EngineVariant, REGISTRY};
 use rce_trace::WorkloadSpec;
-use std::io::Write;
 
 fn engine_names() -> String {
     REGISTRY
@@ -51,7 +50,7 @@ fn usage() -> ! {
          [--seed N] [--out DIR]\n       paper report <workload> <engine> [--cores N] [--scale N] \
          [--seed N]\n       paper explain <workload> <engine> [--cores N] [--scale N] [--seed N] \
          [--top K]\n       paper diff <a.json> <b.json> [--tolerance PCT] [--ignore PATHSUBSTR]...\n       \
-         paper trajectory [--out DIR]\n       paper bench-hot [--smoke]\nexperiments: {}\n\
+         paper trajectory [--out DIR]\nexperiments: {}\n\
          ablations: {}\nengines: {}",
         Experiment::ALL
             .iter()
@@ -84,7 +83,6 @@ fn main() {
     let mut top = 5usize;
     let mut tolerance = 0.0f64;
     let mut ignores: Vec<String> = Vec::new();
-    let mut smoke = false;
     // `trace`, `report`, `explain` (workload + engine) and `diff`
     // (two report files) take two positional operands before the flags.
     let has_operands =
@@ -129,16 +127,12 @@ fn main() {
                 i += 2;
             }
             "--tolerance" => {
-                tolerance = need_val(i).parse().unwrap_or_else(|_| usage());
+                tolerance = parse_tolerance(&need_val(i)).unwrap_or_else(|| usage());
                 i += 2;
             }
             "--ignore" => {
                 ignores.push(need_val(i));
                 i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
             }
             _ => usage(),
         }
@@ -166,11 +160,6 @@ fn main() {
 
     if command == "trajectory" {
         run_trajectory(&out_dir);
-        return;
-    }
-
-    if command == "bench-hot" {
-        run_bench_hot(smoke);
         return;
     }
 
@@ -215,7 +204,7 @@ fn main() {
         parsed.into_iter().collect()
     };
     if !ablations.is_empty() {
-        std::fs::create_dir_all(&out_dir).expect("create results directory");
+        create_dir(&out_dir);
         profile::enable();
         for a in ablations {
             eprintln!("== {} ==", a.name());
@@ -239,7 +228,7 @@ fn main() {
         }
     };
 
-    std::fs::create_dir_all(&out_dir).expect("create results directory");
+    create_dir(&out_dir);
     profile::enable();
     // The four per-workload figures share one sweep.
     let needs_sweep = experiments.iter().any(|e| {
@@ -303,7 +292,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     let log = r.trace.as_ref().expect("tracing was requested");
     let timeline = r.timeline.as_ref().expect("sampling was requested");
 
-    std::fs::create_dir_all(out_dir).expect("create results directory");
+    create_dir(out_dir);
     let slug = v.cli_name.replace('+', "plus").to_lowercase();
     let base = format!("{out_dir}/trace-{}-{slug}", w.name());
 
@@ -311,11 +300,11 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     let chrome_text = json::to_string_pretty(&chrome);
     // Self-check: what we hand to Perfetto must at least be JSON.
     json::JsonValue::parse(&chrome_text).expect("emitted Chrome trace must parse");
-    std::fs::write(format!("{base}.json"), &chrome_text).expect("write Chrome trace");
+    write_file(&format!("{base}.json"), &chrome_text);
     // The NDJSON log ends with a summary footer so consumers can tell
     // a complete capture from one that overflowed the ring.
     let ndjson = format!("{}{}", log.to_ndjson(), log.ndjson_footer());
-    std::fs::write(format!("{base}.ndjson"), ndjson).expect("write NDJSON log");
+    write_file(&format!("{base}.ndjson"), &ndjson);
 
     eprintln!(
         "traced {} on {}: {} events emitted, {} kept (capacity {}), {} dropped; \
@@ -554,10 +543,16 @@ fn run_trajectory(out_dir: &str) {
         }
     }
     // Simulator throughput rides along in a `hot_path` section: the
-    // `pinned` half (the speedup floor) diffs exactly like any other
+    // `pinned` half (the fast-path floor) diffs exactly like any other
     // field, while the `measured` half is wall time — machine-dependent
     // by nature — so CI compares with `--ignore hot_path.measured`.
-    let m = rce_bench::hotpath::measure(true);
+    let m = hotpath::measure();
+    let ns_per_op = json::JsonValue::Object(
+        m.ns_per_op
+            .iter()
+            .map(|&(name, ns)| (name.to_string(), json::to_value(&ns)))
+            .collect(),
+    );
     let payload = json!({
         "id": "bench_trajectory",
         "cores": TRAJECTORY_CORES,
@@ -565,55 +560,60 @@ fn run_trajectory(out_dir: &str) {
         "seed": TRAJECTORY_SEED,
         "hot_path": json!({
             "pinned": json!({
-                "min_speedup_x": rce_bench::hotpath::MIN_SPEEDUP_X,
-                "min_fastpath_speedup_x": rce_bench::hotpath::MIN_FASTPATH_SPEEDUP_X,
+                "min_fastpath_speedup_x": hotpath::MIN_FASTPATH_SPEEDUP_X,
             }),
             "measured": json!({
                 "ns_per_access": m.ns_per_access,
-                "speedup_vs_hashmap": m.speedup_vs_hashmap,
                 "fastpath_speedup_x": m.fastpath_speedup_x,
+                "ns_per_op": ns_per_op,
             }),
         }),
         "rows": rows,
     });
-    std::fs::create_dir_all(out_dir).expect("create results directory");
+    create_dir(out_dir);
     let path = format!("{out_dir}/bench_trajectory.json");
-    let mut file = std::fs::File::create(&path).expect("write trajectory file");
-    writeln!(file, "{}", json::to_string_pretty(&payload)).unwrap();
+    write_file(&path, &format!("{}\n", json::to_string_pretty(&payload)));
     eprintln!("   wrote {path}");
-}
 
-/// `paper bench-hot [--smoke]`: time the simulator's hot-path storage
-/// against `std::collections` references doing identical work, plus
-/// the AIM spill/refill path and one end-to-end run. Exits 1 if the
-/// flat raw-access path falls below
-/// [`rce_bench::hotpath::MIN_SPEEDUP_X`] — the throughput-regression
-/// gate `scripts/ci.sh` runs in `--smoke` mode.
-fn run_bench_hot(smoke: bool) {
-    let m = rce_bench::hotpath::run(smoke);
-    if m.speedup_vs_hashmap < rce_bench::hotpath::MIN_SPEEDUP_X {
-        eprintln!(
-            "FAIL: flat raw-access path is only {:.2}x the HashMap reference \
-             (floor {}x) — the hot path has regressed",
-            m.speedup_vs_hashmap,
-            rce_bench::hotpath::MIN_SPEEDUP_X
-        );
-        std::process::exit(1);
+    for (name, ns) in m.ns_per_op {
+        eprintln!("   {name:<20} {ns:>8.1} ns/op");
     }
-    if m.fastpath_speedup_x < rce_bench::hotpath::MIN_FASTPATH_SPEEDUP_X {
+    eprintln!("   {:<20} {:>8.1} ns", "ns_per_access", m.ns_per_access);
+    eprintln!(
+        "   {:<20} {:>8.2}x (floor {}x)",
+        "fastpath_speedup_x",
+        m.fastpath_speedup_x,
+        hotpath::MIN_FASTPATH_SPEEDUP_X
+    );
+    if m.fastpath_speedup_x < hotpath::MIN_FASTPATH_SPEEDUP_X {
         eprintln!(
             "FAIL: the repeat fast path is only {:.2}x end-to-end on the \
              repeat-heavy workload (floor {}x) — the fast path has regressed",
             m.fastpath_speedup_x,
-            rce_bench::hotpath::MIN_FASTPATH_SPEEDUP_X
+            hotpath::MIN_FASTPATH_SPEEDUP_X
         );
         std::process::exit(1);
     }
 }
 
+/// Create `dir` (and its parents), or exit 2 naming it and the error.
+fn create_dir(dir: &str) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+        eprintln!("cannot create directory {dir}: {e}");
+        std::process::exit(2);
+    });
+}
+
+/// Write `contents` to `path`, or exit 2 naming it and the error.
+fn write_file(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2);
+    });
+}
+
 fn write_result(out_dir: &str, fig: &rce_bench::FigureOutput, params: &EvalParams) {
     let path = format!("{out_dir}/{}.json", fig.id);
-    let mut f = std::fs::File::create(&path).expect("write results file");
     let payload = json!({
         "id": fig.id,
         "title": fig.title,
@@ -622,7 +622,7 @@ fn write_result(out_dir: &str, fig: &rce_bench::FigureOutput, params: &EvalParam
         "seed": params.seed,
         "data": fig.json,
     });
-    writeln!(f, "{}", json::to_string_pretty(&payload)).unwrap();
+    write_file(&path, &format!("{}\n", json::to_string_pretty(&payload)));
     eprintln!("   wrote {path}");
 }
 

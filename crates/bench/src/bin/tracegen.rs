@@ -27,6 +27,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Print `msg` and exit 2: bad input, not a simulator bug.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 struct Opts {
     cores: usize,
     scale: u32,
@@ -133,7 +139,8 @@ fn main() {
             let o = parse_opts(&args[2..]);
             let p = build(&args[1], &o);
             let out = o.out.clone().unwrap_or_else(|| format!("{}.json", p.name));
-            std::fs::write(&out, json::to_string(&p)).expect("write trace file");
+            std::fs::write(&out, json::to_string(&p))
+                .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
             eprintln!(
                 "wrote {out}: {} threads, {} ops",
                 p.n_threads(),
@@ -145,11 +152,17 @@ fn main() {
                 usage();
             }
             let o = parse_opts(&args[2..]);
-            let text = std::fs::read_to_string(&args[1]).expect("read trace file");
-            let p: Program = json::from_str(&text).expect("parse trace file");
-            rce_trace::validate(&p).expect("trace must be structurally valid");
+            let path = &args[1];
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+            let p: Program = json::from_str(&text)
+                .unwrap_or_else(|e| fail(&format!("{path}: not a trace file: {e}")));
+            rce_trace::validate(&p)
+                .unwrap_or_else(|e| fail(&format!("{path}: invalid trace: {e}")));
             let cfg = MachineConfig::paper_default(p.n_threads(), o.protocol);
-            let r = Machine::new(&cfg).expect("config").run(&p).expect("run");
+            let r = Machine::new(&cfg)
+                .and_then(|m| m.run(&p))
+                .unwrap_or_else(|e| fail(&format!("{path}: cannot simulate: {e}")));
             println!("protocol:   {}", r.protocol.name());
             println!("cycles:     {}", r.cycles.0);
             println!("mem ops:    {}", r.mem_ops);

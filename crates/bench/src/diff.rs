@@ -35,6 +35,14 @@ pub fn diff_values(a: &JsonValue, b: &JsonValue, tolerance_pct: f64) -> Vec<Drif
     out
 }
 
+/// Parse a `--tolerance` percentage. Only finite, non-negative values
+/// are meaningful: a NaN or infinite tolerance would absorb every
+/// numeric drift (`rel > tol` is never true), and a negative one has no
+/// reading, so both are rejected.
+pub fn parse_tolerance(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|t| t.is_finite() && *t >= 0.0)
+}
+
 fn num(v: &JsonValue) -> Option<f64> {
     match v {
         JsonValue::Int(i) => Some(*i as f64),
@@ -184,6 +192,18 @@ mod tests {
         assert_eq!(diff_values(&b, &a, 1e6).len(), 1);
         // Both zero is equal, not a drift.
         assert!(diff_values(&a, &a, 0.0).is_empty());
+    }
+
+    #[test]
+    fn only_finite_non_negative_tolerances_parse() {
+        assert_eq!(parse_tolerance("0"), Some(0.0));
+        assert_eq!(parse_tolerance("2"), Some(2.0));
+        assert_eq!(parse_tolerance("0.5"), Some(0.5));
+        for bad in [
+            "nan", "NaN", "inf", "-inf", "infinity", "1e400", "-1", "-0.5", "", "x",
+        ] {
+            assert_eq!(parse_tolerance(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod bencher;
 pub mod diff;
 pub mod figures;
 pub mod hotpath;
@@ -26,7 +25,6 @@ pub mod runner;
 pub mod summary;
 
 pub use ablations::Ablation;
-pub use bencher::Bencher;
 pub use figures::{Experiment, FigureOutput};
 pub use runner::{
     run_one, run_one_obs, run_suite, run_suite_with, EvalParams, RunKey, SweepResults,

@@ -9,6 +9,7 @@
 use rce_common::{MachineConfig, ObsConfig, ProtocolKind, RceError, RceResult};
 use rce_core::{Machine, SimReport};
 use rce_trace::WorkloadSpec;
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -76,12 +77,14 @@ impl std::fmt::Display for RunKey {
 #[derive(Debug, Clone, Default)]
 pub struct SweepResults {
     entries: Vec<(RunKey, SimReport)>,
+    /// Position of each key in `entries`.
+    index: HashMap<RunKey, usize>,
 }
 
 impl SweepResults {
     /// The report for `key`, if the sweep ran it.
     pub fn get(&self, key: &RunKey) -> Option<&SimReport> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, r)| r)
+        self.index.get(key).map(|&i| &self.entries[i].1)
     }
 
     /// Number of runs.
@@ -199,15 +202,19 @@ pub fn run_suite(
             params.seed,
         ))
     });
-    SweepResults {
-        entries: outcomes
-            .into_iter()
-            .map(|(k, r)| match r {
-                Ok(report) => (k, report),
-                Err(e) => panic!("sweep run {k} failed: {e}"),
-            })
-            .collect(),
-    }
+    let entries: Vec<(RunKey, SimReport)> = outcomes
+        .into_iter()
+        .map(|(k, r)| match r {
+            Ok(report) => (k, report),
+            Err(e) => panic!("sweep run {k} failed: {e}"),
+        })
+        .collect();
+    let index = entries
+        .iter()
+        .enumerate()
+        .map(|(i, (k, _))| (*k, i))
+        .collect();
+    SweepResults { entries, index }
 }
 
 /// Fallible parallel sweep over an arbitrary per-key runner.
@@ -358,7 +365,16 @@ mod tests {
         assert_eq!(got, expected, "results must come back in enqueue order");
         for (k, r) in &out {
             assert_eq!(r.cores, k.cores);
+            assert!(
+                std::ptr::eq(out.get(k).unwrap(), r),
+                "get({k}) finds its entry"
+            );
         }
+        let absent = RunKey {
+            cores: 8,
+            ..expected[0]
+        };
+        assert!(out.get(&absent).is_none());
     }
 
     #[test]

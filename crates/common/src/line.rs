@@ -391,6 +391,91 @@ mod tests {
         );
     }
 
+    /// Property: on random op streams over interned addresses,
+    /// `LineFlags`, `LineMap` and `LineSet` answer every query exactly
+    /// as `HashSet`, `HashMap` and insertion-ordered `Vec` references
+    /// fed the same ops — the work an engine access and a region flush
+    /// do on them.
+    #[test]
+    fn prop_flat_stores_match_std_references() {
+        use std::collections::{HashMap, HashSet};
+        check_n(
+            "prop_flat_stores_match_std_references",
+            128,
+            |rng: &mut SplitMix64| {
+                let n = 1 + rng.gen_range(400) as usize;
+                // 300 lines span several 64-bit flag words.
+                (0..n)
+                    .map(|_| (rng.gen_range(8) as u8, rng.gen_range(300) * 64))
+                    .collect::<Vec<(u8, u64)>>()
+            },
+            |ops| {
+                let mut table = LineTable::new();
+                let mut flags = LineFlags::new();
+                let mut map: LineMap<u64> = LineMap::new();
+                let mut set = LineSet::new();
+                let mut ref_flags: HashSet<u64> = HashSet::new();
+                let mut ref_map: HashMap<u64, u64> = HashMap::new();
+                let mut ref_set: Vec<u64> = Vec::new();
+                let mut map_len = 0usize;
+                for (step, &(op, addr)) in ops.iter().enumerate() {
+                    let id = table.intern(LineAddr(addr));
+                    match op {
+                        0 => prop_assert_eq!(flags.insert(id), ref_flags.insert(addr)),
+                        1 => prop_assert_eq!(flags.remove(id), ref_flags.remove(&addr)),
+                        2 => prop_assert_eq!(flags.contains(id), ref_flags.contains(&addr)),
+                        3 => {
+                            let bit = 1u64 << (step % 64);
+                            *map.slot(id) |= bit;
+                            *ref_map.entry(addr).or_default() |= bit;
+                            map_len = map_len.max(id.index() + 1);
+                        }
+                        4 => {
+                            // Ids below the grown length read as the
+                            // default; beyond it, as absent.
+                            let want = ref_map.get(&addr).copied().unwrap_or(0);
+                            let got = map.get(id).copied();
+                            prop_assert_eq!(got.is_some(), id.index() < map_len);
+                            prop_assert_eq!(got.unwrap_or(0), want);
+                        }
+                        5 => {
+                            let fresh = !ref_set.contains(&addr);
+                            if fresh {
+                                ref_set.push(addr);
+                            }
+                            prop_assert_eq!(set.insert(id), fresh);
+                        }
+                        6 => prop_assert_eq!(set.contains(id), ref_set.contains(&addr)),
+                        _ => {
+                            // A region flush: drain, map back to
+                            // addresses, sort.
+                            let mut drained: Vec<u64> =
+                                set.take().into_iter().map(|i| table.addr(i).0).collect();
+                            let mut want = std::mem::take(&mut ref_set);
+                            prop_assert_eq!(&drained, &want, "drain in insertion order");
+                            drained.sort_unstable();
+                            want.sort_unstable();
+                            prop_assert_eq!(drained, want);
+                            prop_assert!(set.is_empty());
+                        }
+                    }
+                    prop_assert_eq!(set.len(), ref_set.len());
+                }
+                for (&addr, &bits) in &ref_map {
+                    let id = table.lookup(LineAddr(addr)).expect("interned above");
+                    prop_assert_eq!(map.get(id), Some(&bits));
+                }
+                for addr in (0..300).map(|l| l * 64) {
+                    if let Some(id) = table.lookup(LineAddr(addr)) {
+                        prop_assert_eq!(flags.contains(id), ref_flags.contains(&addr));
+                        prop_assert_eq!(set.contains(id), ref_set.contains(&addr));
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn line_map_grows_with_defaults() {
         let mut m: LineMap<u64> = LineMap::new();

@@ -103,20 +103,31 @@ echo "== simbench replay agreement (cargo test, simbench/) =="
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 echo "ok: simbench replay agrees with Machine::run"
 
-echo "== bad CLI input (paper report) =="
-# Out-of-range --cores and --scale must print usage and exit 2, not
-# panic in a workload builder or the directory.
-for args in "--cores 0" "--cores 65" "--scale 0"; do
+echo "== bad CLI input (paper, tracegen) =="
+# Out-of-range --cores and --scale, a meaningless diff tolerance, a
+# missing or non-JSON trace file and an unwritable output directory
+# must print a message and exit 2, not panic.
+expect_exit_2() {
     code=0
-    # shellcheck disable=SC2086 # $args is two words on purpose
-    cargo run -q --release --offline -p rce-bench --bin paper -- \
-        report canneal CE+ $args >/dev/null 2>"$obs_out/stderr.txt" || code=$?
+    "$@" >/dev/null 2>"$obs_out/stderr.txt" || code=$?
     if [ "$code" -ne 2 ] || grep -q panicked "$obs_out/stderr.txt"; then
-        echo "FAIL: paper report canneal CE+ $args exited $code (want 2, no panic)" >&2
+        echo "FAIL: $* exited $code (want 2, no panic)" >&2
         exit 1
     fi
+}
+paper=(cargo run -q --release --offline -p rce-bench --bin paper --)
+tracegen=(cargo run -q --release --offline -p rce-bench --bin tracegen --)
+for args in "--cores 0" "--cores 65" "--scale 0"; do
+    # shellcheck disable=SC2086 # $args is two words on purpose
+    expect_exit_2 "${paper[@]}" report canneal CE+ $args
 done
-echo "ok: bad --cores / --scale print usage and exit 2"
+expect_exit_2 "${paper[@]}" diff tests/goldens/canneal-4c-ce.json \
+    tests/goldens/canneal-4c-ce.json --tolerance nan
+echo "not json" >"$obs_out/not-json.txt"
+expect_exit_2 "${tracegen[@]}" run "$obs_out/missing.json"
+expect_exit_2 "${tracegen[@]}" run "$obs_out/not-json.txt"
+expect_exit_2 "${paper[@]}" table1 --out /proc/nope
+echo "ok: bad arguments, trace files and output dirs exit 2 without a panic"
 
 echo "== ablation smoke (paper ablate-aim) =="
 # The AIM sensitivity study must run end to end and write R-A7.json
@@ -166,30 +177,22 @@ if cargo run -q --release --offline -p rce-bench --bin paper -- \
 fi
 echo "ok: self-diff is clean, injected drift exits nonzero"
 
-echo "== hot-path gate (paper bench-hot --smoke) =="
-# Time the flat hot-path storage against std::collections references
-# doing identical work, plus the repeat fast path end to end.
-# The binary exits nonzero if the flat raw-access path drops below its
-# pinned speedup floor (MIN_SPEEDUP_X) or the fast path drops below
-# MIN_FASTPATH_SPEEDUP_X — a throughput regression fails CI even when
-# reports stay byte-identical.
+echo "== perf trajectory and fast-path gate (paper trajectory + diff) =="
+# paper trajectory times the hot-path microstreams and the repeat fast
+# path on vs off, and exits nonzero if the fast path drops below its
+# pinned floor (MIN_FASTPATH_SPEEDUP_X) — a throughput regression fails
+# CI even when reports stay byte-identical. Then the pinned micro-sweep
+# is compared against the committed baseline. The sweep is
+# deterministic; the tolerance only leaves room for deliberate,
+# reviewed model changes (which must regenerate
+# results/bench_trajectory.json). The hot_path.measured section is wall
+# time — machine-dependent — so it is excluded here; the floor itself
+# sits in the exactly-diffed hot_path.pinned section.
 if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
-    bench-hot --smoke; then
-    echo "FAIL: hot-path throughput regressed below the pinned speedup floor" >&2
+    trajectory --out "$obs_out"; then
+    echo "FAIL: paper trajectory failed (fast path below its pinned floor?)" >&2
     exit 1
 fi
-echo "ok: hot-path storage clears its speedup floor"
-
-echo "== perf trajectory gate (paper trajectory + diff) =="
-# Re-run the pinned micro-sweep and compare against the committed
-# baseline. The sweep is deterministic; the tolerance only leaves room
-# for deliberate, reviewed model changes (which must regenerate
-# results/bench_trajectory.json). The hot_path.measured section is wall
-# time — machine-dependent — so it is excluded here; its floor is
-# enforced by the bench-hot gate above and the exactly-diffed
-# hot_path.pinned section.
-cargo run -q --release --offline -p rce-bench --bin paper -- \
-    trajectory --out "$obs_out"
 if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
     diff results/bench_trajectory.json "$obs_out/bench_trajectory.json" \
     --tolerance 2 --ignore hot_path.measured; then
