@@ -1,10 +1,11 @@
 //! Hot-path measurement for `paper trajectory`.
 //!
 //! The simulator's per-access path is dominated by metadata and
-//! sharer-state lookups. This module times four pinned microstreams
+//! sharer-state lookups. This module times five pinned microstreams
 //! over the structures that carry that load — the interned flat
 //! access-bit tables, the region-boundary flush sets, the AIM
-//! spill/refill path and the scheduler's ready queue — plus one
+//! spill/refill path, the scheduler's ready queue and the golden
+//! oracle's observe/boundary path — plus one
 //! end-to-end simulation to anchor wall time per simulated access, and
 //! the repeat fast path on vs off on a repeat-heavy workload. That last
 //! ratio is the one gated number: [`MIN_FASTPATH_SPEEDUP_X`] pins its
@@ -18,10 +19,10 @@
 
 use crate::runner::run_one;
 use rce_common::{
-    AimConfig, CoreId, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
-    ProtocolKind, RegionId, Rng, SplitMix64, WordIdx, WordMask,
+    Addr, AimConfig, CoreId, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable,
+    MachineConfig, ProtocolKind, RegionId, Rng, SplitMix64, WordIdx, WordMask,
 };
-use rce_core::{AccessType, AimMeta, Machine, ReadyQueue};
+use rce_core::{AccessType, AimMeta, Machine, Oracle, ReadyQueue};
 use rce_trace::{Builder, Program, WorkloadSpec};
 use std::hint::black_box;
 use std::time::Instant;
@@ -58,7 +59,7 @@ pub struct HotPathMeasurement {
     /// pinned workload (on vs off, same machine).
     pub fastpath_speedup_x: f64,
     /// Nanoseconds per operation of each microstream, by name.
-    pub ns_per_op: [(&'static str, f64); 4],
+    pub ns_per_op: [(&'static str, f64); 5],
 }
 
 /// One deterministic pseudo-random line stream.
@@ -166,6 +167,41 @@ fn sched_heap(steps: usize) -> u64 {
     acc
 }
 
+/// Cores in the oracle microstream — the width of the 32-core
+/// simulator benchmarks.
+const ORACLE_CORES: usize = 32;
+
+/// Observes per core between its region boundaries in the oracle
+/// microstream.
+const ORACLE_REGION_OPS: usize = 64;
+
+/// The oracle under a run's observe pattern: cores take turns
+/// observing a random word of the working set (one in four a write),
+/// and each core ends its region every [`ORACLE_REGION_OPS`] of its
+/// observes.
+fn oracle_observe(ops: usize) -> u64 {
+    let mut rng = SplitMix64::new(STREAM_SEED);
+    let regions: Vec<_> = (0..ORACLE_CORES as u64).map(RegionId).collect();
+    let mut oracle = Oracle::new(&regions);
+    let mut next_region = ORACLE_CORES as u64;
+    let mut acc = 0u64;
+    for i in 0..ops {
+        let core = CoreId((i % ORACLE_CORES) as u16);
+        let word = Addr(rng.gen_range(WORKING_SET_LINES * 8) * 8);
+        let kind = if rng.gen_range(4) == 0 {
+            AccessType::Write
+        } else {
+            AccessType::Read
+        };
+        acc = acc.wrapping_add(oracle.observe(core, word, kind, Cycles(i as u64)).len() as u64);
+        if (i / ORACLE_CORES) % ORACLE_REGION_OPS == ORACLE_REGION_OPS - 1 {
+            oracle.region_boundary(core, RegionId(next_region));
+            next_region += 1;
+        }
+    }
+    acc.wrapping_add(oracle.count() as u64)
+}
+
 /// Lines each core loops over in the repeat-heavy pinned workload.
 /// Small enough to stay resident in every core's L1, so after the
 /// first pass every access is a same-region repeat — the fast path's
@@ -244,6 +280,10 @@ pub fn measure() -> HotPathMeasurement {
             "sched_heap",
             ns_per_op(median_secs(|| sched_heap(STREAM_OPS))),
         ),
+        (
+            "oracle_observe",
+            ns_per_op(median_secs(|| oracle_observe(STREAM_OPS))),
+        ),
     ];
 
     // One pinned end-to-end run anchors simulated-access wall cost.
@@ -279,6 +319,16 @@ mod tests {
     }
 
     #[test]
+    fn oracle_stream_finds_conflicts_across_boundaries() {
+        // The stream must load the opponent scan, not only the own-bit
+        // early return: it finds conflicts, and keeps finding new ones
+        // as regions end and fresh region identities begin.
+        let few = oracle_observe(ORACLE_CORES * ORACLE_REGION_OPS);
+        let many = oracle_observe(4 * ORACLE_CORES * ORACLE_REGION_OPS);
+        assert!(few > 0 && many > 2 * few, "{few} then {many} conflicts");
+    }
+
+    #[test]
     fn measure_reports_positive_numbers() {
         let m = measure();
         assert!(m.ns_per_access > 0.0);
@@ -290,7 +340,8 @@ mod tests {
                 "raw_access_flat",
                 "region_flush_flat",
                 "aim_spill_refill",
-                "sched_heap"
+                "sched_heap",
+                "oracle_observe"
             ]
         );
         for (name, ns) in m.ns_per_op {

@@ -7,8 +7,9 @@
 //! statistics ([`stats`]), deterministic random number generation
 //! ([`rng`]), ASCII table rendering for the benchmark harness
 //! ([`table`]), the error/exception taxonomy ([`error`]), in-tree JSON
-//! serialization ([`json`]), the property-test harness ([`check`]),
-//! and the observability layer — event tracing and interval metrics —
+//! serialization ([`json`]), the property-test harness ([`check`]), a
+//! fast non-cryptographic hasher for in-process sets ([`hash`]), and
+//! the observability layer — event tracing and interval metrics —
 //! ([`obs`]).
 //!
 //! The workspace builds fully offline with zero third-party crates;
@@ -26,6 +27,7 @@ pub mod addr;
 pub mod check;
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod line;
@@ -41,6 +43,7 @@ pub use config::{
     NocConfig, ProtocolKind, MAX_CORES,
 };
 pub use error::{RceError, RceResult};
+pub use hash::{FxBuildHasher, FxHasher};
 pub use ids::{BarrierId, CoreId, LockId, RegionId, ThreadId};
 pub use json::{FromJson, JsonValue, ToJson};
 pub use line::{LineFlags, LineId, LineMap, LineSet, LineTable};

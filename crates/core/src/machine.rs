@@ -21,7 +21,9 @@ use rce_common::obs::{
     shared_tracer, EventClass, EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SimEvent,
     TraceConfig, Tracer,
 };
-use rce_common::{BarrierId, CoreId, Cycles, LockId, MachineConfig, RceError, RceResult, WordMask};
+use rce_common::{
+    BarrierId, CoreId, Cycles, FxBuildHasher, LockId, MachineConfig, RceError, RceResult, WordMask,
+};
 use rce_energy::{EnergyModel, EventCounts};
 use rce_trace::{Op, Program};
 use std::collections::HashSet;
@@ -220,7 +222,9 @@ impl Machine {
         let mut region_ops = vec![0u64; n];
         let mut per_core = vec![crate::report::CoreStats::default(); n];
         let mut exceptions: Vec<ConflictException> = Vec::new();
-        let mut seen = HashSet::new();
+        // Membership only (exceptions keep delivery order), so the
+        // fast hasher never reaches a report.
+        let mut seen = HashSet::<_, FxBuildHasher>::default();
         let mut aborted = false;
         let obs = &self.obs;
         let trace_requested = obs.trace.is_some();

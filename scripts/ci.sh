@@ -146,6 +146,19 @@ for design in "CE+" "ARC"; do
 done
 echo "ok: ablate-aim wrote R-A7.json with CE+ and ARC curves"
 
+echo "== oracle agreement at 64 cores (paper table3) =="
+# At the widest machine every core owns a bit of the oracle's 64-bit
+# word masks. Every detecting engine must still match the oracle on
+# every R-T3 workload: a NO in the "all match" column fails CI.
+cargo run -q --release --offline -p rce-bench --bin paper -- \
+    table3 --cores 64 --scale 1 --out "$obs_out" >"$obs_out/table3.txt"
+if grep -qw NO "$obs_out/table3.txt" || ! grep -qw yes "$obs_out/table3.txt"; then
+    cat "$obs_out/table3.txt" >&2
+    echo "FAIL: an engine disagrees with the oracle at 64 cores" >&2
+    exit 1
+fi
+echo "ok: every engine matches the oracle at 64 cores"
+
 echo "== forensics smoke (paper explain) =="
 # A conflict-bearing workload must produce at least one provenance
 # record naming both endpoints and the detecting metadata path.

@@ -150,6 +150,31 @@ fn cross_composition_variants_match_oracle() {
     }
 }
 
+/// At the widest machine every core owns a bit of the oracle's 64-bit
+/// word masks, bit 63 included. Every registry variant must still
+/// agree with the oracle (the MESI baseline detects nothing by
+/// design), and canneal's conflicts must reach the top cores.
+#[test]
+fn registry_variants_match_oracle_at_64_cores() {
+    let cores = rce_common::MAX_CORES;
+    for w in [WorkloadSpec::RacyPair, WorkloadSpec::Canneal] {
+        let p = w.build(cores, 1, 42);
+        for v in &rce_core::REGISTRY {
+            let r = Machine::new(&v.config(cores)).unwrap().run(&p).unwrap();
+            assert!(!r.oracle_conflicts.is_empty(), "{} is racy", w.name());
+            if v.protocol == ProtocolKind::MesiBaseline {
+                assert!(r.exceptions.is_empty(), "{} under MESI", w.name());
+            } else {
+                assert!(r.matches_oracle(), "{} under {}", w.name(), v.cli_name);
+            }
+            if w == WorkloadSpec::Canneal {
+                let top = r.oracle_conflicts.iter().map(|x| x.b.core).max();
+                assert_eq!(top, Some(CoreId(cores as u16 - 1)), "{}", v.cli_name);
+            }
+        }
+    }
+}
+
 #[test]
 fn race_free_workloads_raise_nothing() {
     for w in WorkloadSpec::PARSEC {

@@ -1,5 +1,5 @@
 //! Fast-path equivalence gate: the engines' repeat fast path, the
-//! oracle's epoch-stamped early return, and the machine's oracle skip
+//! oracle's own-bit early return, and the machine's oracle skip
 //! are pure accelerations — with the fast path on or off, every engine
 //! must emit a byte-identical `SimReport` on every program.
 //!
