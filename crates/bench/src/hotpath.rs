@@ -1,11 +1,12 @@
 //! Hot-path measurement for `paper trajectory`.
 //!
 //! The simulator's per-access path is dominated by metadata and
-//! sharer-state lookups. This module times five pinned microstreams
+//! sharer-state lookups. This module times six pinned microstreams
 //! over the structures that carry that load — the interned flat
 //! access-bit tables, the region-boundary flush sets, the AIM
-//! spill/refill path, the scheduler's ready queue and the golden
-//! oracle's observe/boundary path — plus one
+//! spill/refill path, the scheduler's ready queue, the golden
+//! oracle's observe/boundary path and the CE/CE+ miss path's
+//! access-bit merges — plus one
 //! end-to-end simulation to anchor wall time per simulated access, and
 //! the repeat fast path on vs off on a repeat-heavy workload. That last
 //! ratio is the one gated number: [`MIN_FASTPATH_SPEEDUP_X`] pins its
@@ -22,7 +23,7 @@ use rce_common::{
     Addr, AimConfig, CoreId, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable,
     MachineConfig, ProtocolKind, RegionId, Rng, SplitMix64, WordIdx, WordMask,
 };
-use rce_core::{AccessType, AimMeta, Machine, Oracle, ReadyQueue};
+use rce_core::{AccessType, AimMeta, Machine, MetaMap, Oracle, ReadyQueue};
 use rce_trace::{Builder, Program, WorkloadSpec};
 use std::hint::black_box;
 use std::time::Instant;
@@ -59,7 +60,7 @@ pub struct HotPathMeasurement {
     /// pinned workload (on vs off, same machine).
     pub fastpath_speedup_x: f64,
     /// Nanoseconds per operation of each microstream, by name.
-    pub ns_per_op: [(&'static str, f64); 5],
+    pub ns_per_op: [(&'static str, f64); 6],
 }
 
 /// One deterministic pseudo-random line stream.
@@ -202,6 +203,61 @@ fn oracle_observe(ops: usize) -> u64 {
     acc.wrapping_add(oracle.count() as u64)
 }
 
+/// Cores in the merge microstream — the width of the 32-core simulator
+/// benchmarks.
+const MERGE_CORES: u64 = 32;
+
+/// Entries per map in the merge microstream: canneal's checked maps
+/// hold about 24 at 32 cores.
+const MERGE_ENTRIES: usize = 24;
+
+/// Distinct maps the merge microstream draws its inputs from.
+const MERGE_POOL: usize = 64;
+
+/// Misses per run of the merge microstream (each is five merges).
+const MERGE_MISSES: usize = STREAM_OPS / 8;
+
+/// [`MERGE_POOL`] maps of [`MERGE_ENTRIES`] entries each, cores in
+/// random order, region tags from a narrow range so merges meet older,
+/// equal and newer tags alike.
+fn merge_pool() -> Vec<MetaMap> {
+    let mut rng = SplitMix64::new(STREAM_SEED);
+    (0..MERGE_POOL)
+        .map(|_| {
+            let mut m = MetaMap::new();
+            while m.len() < MERGE_ENTRIES {
+                let kind = [AccessType::Read, AccessType::Write][rng.gen_range(2) as usize];
+                m.record(
+                    CoreId(rng.gen_range(MERGE_CORES) as u16),
+                    RegionId(rng.gen_range(3)),
+                    kind,
+                    WordMask::single(WordIdx(rng.gen_range(8) as u8)),
+                );
+            }
+            m
+        })
+        .collect()
+}
+
+/// The access-bit gather of a shared-line write miss: the owner's,
+/// two sharers' and the LLC copy's maps merge into one incoming map,
+/// which then merges into an L1 copy. Returns the summed map sizes.
+fn meta_merge_wide(pool: &[MetaMap], misses: usize) -> u64 {
+    let mut rng = SplitMix64::new(STREAM_SEED);
+    let mut l1 = pool.to_vec();
+    let mut acc = 0u64;
+    for _ in 0..misses {
+        let mut incoming = MetaMap::new();
+        for _ in 0..4 {
+            incoming.merge(&pool[rng.gen_range(MERGE_POOL as u64) as usize]);
+        }
+        let copy = &mut l1[rng.gen_range(MERGE_POOL as u64) as usize];
+        copy.merge(&incoming);
+        acc += (incoming.len() + copy.len()) as u64;
+    }
+    acc
+}
+
 /// Lines each core loops over in the repeat-heavy pinned workload.
 /// Small enough to stay resident in every core's L1, so after the
 /// first pass every access is a same-region repeat — the fast path's
@@ -262,6 +318,7 @@ fn median_secs<R>(mut f: impl FnMut() -> R) -> f64 {
 /// numbers in the baseline's `measured` section.
 pub fn measure() -> HotPathMeasurement {
     let stream = line_stream(STREAM_OPS);
+    let pool = merge_pool();
     let ns_per_op = |secs: f64| secs * 1e9 / STREAM_OPS as f64;
     let micro = [
         (
@@ -283,6 +340,10 @@ pub fn measure() -> HotPathMeasurement {
         (
             "oracle_observe",
             ns_per_op(median_secs(|| oracle_observe(STREAM_OPS))),
+        ),
+        (
+            "meta_merge_wide",
+            median_secs(|| meta_merge_wide(&pool, MERGE_MISSES)) * 1e9 / MERGE_MISSES as f64,
         ),
     ];
 
@@ -329,6 +390,21 @@ mod tests {
     }
 
     #[test]
+    fn merge_stream_gathers_wide_maps() {
+        // Every input is 24 entries wide, and a miss's union of four of
+        // them, plus the L1 copy it lands in, is wider still: the
+        // merges do real slot lookups, appends and updates.
+        let pool = merge_pool();
+        assert!(pool.iter().all(|m| m.len() == MERGE_ENTRIES));
+        let misses = 200;
+        let per_miss = meta_merge_wide(&pool, misses) / misses as u64;
+        assert!(
+            per_miss > 2 * MERGE_ENTRIES as u64,
+            "{per_miss} entries per miss"
+        );
+    }
+
+    #[test]
     fn measure_reports_positive_numbers() {
         let m = measure();
         assert!(m.ns_per_access > 0.0);
@@ -341,7 +417,8 @@ mod tests {
                 "region_flush_flat",
                 "aim_spill_refill",
                 "sched_heap",
-                "oracle_observe"
+                "oracle_observe",
+                "meta_merge_wide"
             ]
         );
         for (name, ns) in m.ns_per_op {

@@ -28,11 +28,17 @@ impl DirEntry {
         self.sharers.count_ones()
     }
 
-    /// Iterate sharer cores.
-    pub fn sharer_cores(&self) -> impl Iterator<Item = CoreId> + '_ {
-        (0..64u16)
-            .filter(|i| self.sharers & (1u64 << i) != 0)
-            .map(CoreId)
+    /// Iterate sharer cores in ascending order, straight off the
+    /// bitmask (one step per set bit).
+    pub fn sharer_cores(&self) -> impl Iterator<Item = CoreId> + Clone {
+        let mut bits = self.sharers;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = bits.trailing_zeros();
+                bits &= bits - 1;
+                CoreId(i as u16)
+            })
+        })
     }
 
     /// True if `c` is a sharer.
@@ -147,15 +153,6 @@ impl Directory {
         self.update(line, |e| e.owner = None);
     }
 
-    /// Sharers other than `except`, as a Vec (for invalidation
-    /// multicasts).
-    pub fn sharers_except(&self, line: LineAddr, except: CoreId) -> Vec<CoreId> {
-        self.entry(line)
-            .sharer_cores()
-            .filter(|c| *c != except)
-            .collect()
-    }
-
     /// Number of tracked (non-idle) lines.
     pub fn tracked_lines(&self) -> usize {
         self.tracked
@@ -188,7 +185,7 @@ impl Directory {
                     return Err(format!("line {line:#x}: owner {o} without its bit"));
                 }
             }
-            if e.sharers >> self.cores != 0 {
+            if e.sharers.checked_shr(self.cores as u32).unwrap_or(0) != 0 {
                 return Err(format!("line {line:#x}: sharer bit beyond core count"));
             }
         }
@@ -238,9 +235,55 @@ mod tests {
         for c in 0..3 {
             d.add_sharer(l, CoreId(c));
         }
-        let mut v = d.sharers_except(l, CoreId(1));
-        v.sort();
+        let v: Vec<_> = d
+            .entry(l)
+            .sharer_cores()
+            .filter(|c| *c != CoreId(1))
+            .collect();
         assert_eq!(v, vec![CoreId(0), CoreId(2)]);
+    }
+
+    #[test]
+    fn sharer_cores_ascend_over_random_masks() {
+        use rce_common::{Rng, SplitMix64};
+        let mut rng = SplitMix64::new(63);
+        for i in 0..1000 {
+            // Every third mask forces the top bit on.
+            let sharers = rng.next_u64() | if i % 3 == 0 { 1 << 63 } else { 0 };
+            let e = DirEntry {
+                sharers,
+                owner: None,
+            };
+            let want: Vec<_> = (0..64u16)
+                .filter(|c| sharers & (1 << c) != 0)
+                .map(CoreId)
+                .collect();
+            let got: Vec<_> = e.sharer_cores().collect();
+            assert_eq!(got, want, "sharers {sharers:#x}");
+        }
+        let none = DirEntry::default();
+        assert_eq!(none.sharer_cores().count(), 0);
+    }
+
+    #[test]
+    fn invariants_hold_at_64_cores() {
+        let mut d = Directory::new(64);
+        let l = LineAddr(2);
+        d.set_owner(l, CoreId(63));
+        assert_eq!(d.check_invariants(), Ok(()));
+        d.downgrade_owner(l);
+        d.add_sharer(l, CoreId(5));
+        assert_eq!(d.check_invariants(), Ok(()));
+        assert_eq!(
+            d.entry(l).sharer_cores().collect::<Vec<_>>(),
+            [CoreId(5), CoreId(63)]
+        );
+        d.set_owner(LineAddr(3), CoreId(5));
+        assert_eq!(d.check_invariants(), Ok(()));
+        // A bit beyond the core count is still caught below 64 cores.
+        let mut small = Directory::new(63);
+        small.entries.slot(small.table.intern(l)).sharers = 1 << 63;
+        assert!(small.check_invariants().is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! see DESIGN.md).
 
 use crate::exception::{AccessType, ConflictSide};
-use rce_common::{CoreId, RegionId, WordMask};
+use rce_common::{CoreId, RegionId, WordMask, MAX_CORES};
 
 /// One core's access bits for one line within one region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,37 +30,31 @@ impl MetaEntry {
     pub fn is_empty(&self) -> bool {
         self.read.is_empty() && self.written.is_empty()
     }
+
+    /// Fold `e`, an entry of the same core, into this one: a newer
+    /// region replaces the bits, an equal one unions them, an older one
+    /// is dropped. Branch-free, because on a shared line which case
+    /// applies is close to random.
+    fn absorb(&mut self, e: &MetaEntry) {
+        let take = if e.region >= self.region { 0xff } else { 0 };
+        let keep = if e.region <= self.region { 0xff } else { 0 };
+        self.read = WordMask(self.read.0 & keep | e.read.0 & take);
+        self.written = WordMask(self.written.0 & keep | e.written.0 & take);
+        self.region = self.region.max(e.region);
+    }
 }
 
 /// All cores' access bits for one line.
 ///
-/// Stored as a small vector (cores touching one line concurrently are
-/// few); lookups are linear scans.
+/// Stored as a vector with at most one entry per core, in insertion
+/// order. Exceptions are discovered in entry order, so forensics
+/// records and `AbortOnFirst` depend on it. Maps on a conflict-heavy
+/// line are not small (canneal's checked maps hold about 24 entries at
+/// 32 cores): single-core lookups scan, but [`MetaMap::merge`] indexes
+/// by core so it stays linear.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetaMap {
     entries: Vec<MetaEntry>,
-}
-
-/// The result of checking an access against a [`MetaMap`]: the
-/// conflicting opposing sides and the overlapping words.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConflictCheck {
-    /// `(opposing side, overlapping words)` pairs.
-    pub conflicts: Vec<(ConflictSide, WordMask)>,
-}
-
-impl ConflictCheck {
-    /// No conflicts.
-    pub fn empty() -> Self {
-        ConflictCheck {
-            conflicts: Vec::new(),
-        }
-    }
-
-    /// True if any conflict was found.
-    pub fn any(&self) -> bool {
-        !self.conflicts.is_empty()
-    }
 }
 
 impl MetaMap {
@@ -116,16 +110,17 @@ impl MetaMap {
     }
 
     /// Check an access (`core`, `kind`, `mask`) against every *live*
-    /// opposing entry. `live` decides whether an entry's region is
-    /// still the owning core's current region.
-    pub fn check(
+    /// opposing entry, calling `found(opposing side, overlapping words)`
+    /// for each conflict in entry order. `live` decides whether an
+    /// entry's region is still the owning core's current region.
+    pub fn each_conflict(
         &self,
         core: CoreId,
         kind: AccessType,
         mask: WordMask,
         live: impl Fn(CoreId, RegionId) -> bool,
-    ) -> ConflictCheck {
-        let mut conflicts = Vec::new();
+        mut found: impl FnMut(ConflictSide, WordMask),
+    ) {
         for e in &self.entries {
             if e.core == core || !live(e.core, e.region) {
                 continue;
@@ -143,48 +138,58 @@ impl MetaMap {
                 AccessType::Write => (mask.intersect(e.written), mask.intersect(e.read)),
                 AccessType::Read => (mask.intersect(e.written), WordMask::EMPTY),
             };
-            if !write_part.is_empty() {
-                conflicts.push((
-                    ConflictSide {
+            for (kind, words) in [
+                (AccessType::Write, write_part),
+                (AccessType::Read, read_part),
+            ] {
+                if !words.is_empty() {
+                    let side = ConflictSide {
                         core: e.core,
                         region: e.region,
-                        kind: AccessType::Write,
-                    },
-                    write_part,
-                ));
-            }
-            if !read_part.is_empty() {
-                conflicts.push((
-                    ConflictSide {
-                        core: e.core,
-                        region: e.region,
-                        kind: AccessType::Read,
-                    },
-                    read_part,
-                ));
+                        kind,
+                    };
+                    found(side, words);
+                }
             }
         }
-        ConflictCheck { conflicts }
     }
 
     /// Merge another map into this one (entry-wise union; newer region
-    /// wins within a core).
+    /// wins within a core). Cores new to this map are appended in
+    /// `other`'s order. A per-call slot table indexed by core makes
+    /// this O(n + m) rather than a scan per incoming entry.
     pub fn merge(&mut self, other: &MetaMap) {
+        if other.entries.is_empty() {
+            return;
+        }
+        // slot[core] = 1 + index of core's entry, or 0 if absent.
+        let mut slot = [0u8; MAX_CORES];
+        for (i, m) in self.entries.iter().enumerate() {
+            slot[m.core.index()] = i as u8 + 1;
+        }
+        let fresh = other.entries.iter().filter(|e| slot[e.core.index()] == 0);
+        self.reserve_pushes(fresh.count());
+        // `other` holds at most one entry per core, so a core appended
+        // here is never looked up again in this merge.
         for e in &other.entries {
-            match self.entries.iter_mut().find(|m| m.core == e.core) {
-                Some(m) => {
-                    use std::cmp::Ordering;
-                    match m.region.cmp(&e.region) {
-                        Ordering::Less => *m = *e,
-                        Ordering::Equal => {
-                            m.read |= e.read;
-                            m.written |= e.written;
-                        }
-                        Ordering::Greater => {}
-                    }
-                }
-                None => self.entries.push(*e),
+            match slot[e.core.index()] {
+                0 => self.entries.push(*e),
+                s => self.entries[usize::from(s) - 1].absorb(e),
             }
+        }
+    }
+
+    /// Make room for `extra` more entries in one step, at the capacity
+    /// one-at-a-time pushes would reach (doubling from 4): a merge
+    /// reallocates at most once, and the heap footprint is unchanged.
+    fn reserve_pushes(&mut self, extra: usize) {
+        let need = self.entries.len() + extra;
+        let mut cap = self.entries.capacity();
+        if need > cap {
+            while cap < need {
+                cap = (cap * 2).max(4);
+            }
+            self.entries.reserve_exact(cap - self.entries.len());
         }
     }
 
@@ -232,6 +237,19 @@ mod tests {
     fn live_all(_: CoreId, _: RegionId) -> bool {
         true
     }
+    fn check(
+        m: &MetaMap,
+        core: CoreId,
+        kind: AccessType,
+        mask: WordMask,
+        live: impl Fn(CoreId, RegionId) -> bool,
+    ) -> Vec<(ConflictSide, WordMask)> {
+        let mut found = Vec::new();
+        m.each_conflict(core, kind, mask, live, |side, words| {
+            found.push((side, words))
+        });
+        found
+    }
 
     #[test]
     fn record_and_get() {
@@ -259,43 +277,43 @@ mod tests {
     fn write_read_conflict_detected() {
         let mut m = MetaMap::new();
         m.record(c(0), r(1), AccessType::Read, w(4));
-        let chk = m.check(c(1), AccessType::Write, w(4), live_all);
-        assert!(chk.any());
-        assert_eq!(chk.conflicts[0].0.core, c(0));
-        assert_eq!(chk.conflicts[0].0.kind, AccessType::Read);
+        let chk = check(&m, c(1), AccessType::Write, w(4), live_all);
+        assert!(!chk.is_empty());
+        assert_eq!(chk[0].0.core, c(0));
+        assert_eq!(chk[0].0.kind, AccessType::Read);
     }
 
     #[test]
     fn read_read_is_not_a_conflict() {
         let mut m = MetaMap::new();
         m.record(c(0), r(1), AccessType::Read, w(4));
-        let chk = m.check(c(1), AccessType::Read, w(4), live_all);
-        assert!(!chk.any());
+        let chk = check(&m, c(1), AccessType::Read, w(4), live_all);
+        assert!(chk.is_empty());
     }
 
     #[test]
     fn write_write_conflict_detected() {
         let mut m = MetaMap::new();
         m.record(c(0), r(1), AccessType::Write, w(7));
-        let chk = m.check(c(1), AccessType::Write, w(7), live_all);
-        assert!(chk.any());
-        assert_eq!(chk.conflicts[0].0.kind, AccessType::Write);
+        let chk = check(&m, c(1), AccessType::Write, w(7), live_all);
+        assert!(!chk.is_empty());
+        assert_eq!(chk[0].0.kind, AccessType::Write);
     }
 
     #[test]
     fn disjoint_words_do_not_conflict() {
         let mut m = MetaMap::new();
         m.record(c(0), r(1), AccessType::Write, w(0));
-        let chk = m.check(c(1), AccessType::Write, w(1), live_all);
-        assert!(!chk.any());
+        let chk = check(&m, c(1), AccessType::Write, w(1), live_all);
+        assert!(chk.is_empty());
     }
 
     #[test]
     fn own_bits_never_conflict() {
         let mut m = MetaMap::new();
         m.record(c(0), r(1), AccessType::Write, w(0));
-        let chk = m.check(c(0), AccessType::Write, w(0), live_all);
-        assert!(!chk.any());
+        let chk = check(&m, c(0), AccessType::Write, w(0), live_all);
+        assert!(chk.is_empty());
     }
 
     #[test]
@@ -303,8 +321,8 @@ mod tests {
         let mut m = MetaMap::new();
         m.record(c(0), r(1), AccessType::Write, w(0));
         let live = |core: CoreId, region: RegionId| !(core == c(0) && region == r(1));
-        let chk = m.check(c(1), AccessType::Write, w(0), live);
-        assert!(!chk.any());
+        let chk = check(&m, c(1), AccessType::Write, w(0), live);
+        assert!(chk.is_empty());
     }
 
     #[test]
@@ -315,15 +333,15 @@ mod tests {
         let mut m = MetaMap::new();
         m.record(c(0), r(1), AccessType::Read, w(5));
         m.record(c(0), r(1), AccessType::Write, w(5));
-        let chk = m.check(c(1), AccessType::Write, w(5), live_all);
-        assert_eq!(chk.conflicts.len(), 2);
-        let kinds: Vec<_> = chk.conflicts.iter().map(|(s, _)| s.kind).collect();
+        let chk = check(&m, c(1), AccessType::Write, w(5), live_all);
+        assert_eq!(chk.len(), 2);
+        let kinds: Vec<_> = chk.iter().map(|(s, _)| s.kind).collect();
         assert!(kinds.contains(&AccessType::Write));
         assert!(kinds.contains(&AccessType::Read));
         // A read against the same map conflicts only with the write.
-        let chk = m.check(c(1), AccessType::Read, w(5), live_all);
-        assert_eq!(chk.conflicts.len(), 1);
-        assert_eq!(chk.conflicts[0].0.kind, AccessType::Write);
+        let chk = check(&m, c(1), AccessType::Read, w(5), live_all);
+        assert_eq!(chk.len(), 1);
+        assert_eq!(chk[0].0.kind, AccessType::Write);
     }
 
     #[test]
@@ -355,6 +373,81 @@ mod tests {
         old.record(c(0), r(1), AccessType::Read, w(3));
         a.merge(&old);
         assert_eq!(a.get(c(0)).unwrap().region, r(2));
+    }
+
+    /// The find-per-entry merge `MetaMap::merge` replaced: the
+    /// reference for its order and union semantics.
+    fn merge_linear(into: &mut Vec<MetaEntry>, other: &[MetaEntry]) {
+        for e in other {
+            match into.iter_mut().find(|m| m.core == e.core) {
+                Some(m) if m.region < e.region => *m = *e,
+                Some(m) if m.region == e.region => {
+                    m.read |= e.read;
+                    m.written |= e.written;
+                }
+                Some(_) => {}
+                None => into.push(*e),
+            }
+        }
+    }
+
+    /// A map over `cores` cores, at most one entry per core, in random
+    /// core order. The top core is favoured, and regions span a narrow
+    /// range so merges meet older, equal and newer tags alike.
+    fn gen_entries(rng: &mut rce_common::SplitMix64, cores: usize) -> Vec<MetaEntry> {
+        use rce_common::Rng;
+        let mut used = 0u64;
+        let mut entries = Vec::new();
+        for _ in 0..rng.gen_range(cores as u64 + 1) {
+            let core = if rng.gen_bool(0.2) {
+                cores - 1
+            } else {
+                rng.gen_range(cores as u64) as usize
+            };
+            if used & (1 << core) != 0 {
+                continue;
+            }
+            used |= 1 << core;
+            entries.push(MetaEntry {
+                core: c(core as u16),
+                region: r(rng.gen_range(4)),
+                read: WordMask(rng.gen_range(256) as u8),
+                written: WordMask(rng.gen_range(256) as u8),
+            });
+        }
+        entries
+    }
+
+    #[test]
+    fn prop_merge_matches_linear_reference() {
+        use rce_common::check::{check, Unshrunk};
+        use rce_common::Rng;
+        check(
+            "meta merge matches the linear reference",
+            |rng| {
+                let cores = if rng.gen_bool(0.5) {
+                    MAX_CORES
+                } else {
+                    1 + rng.gen_range(MAX_CORES as u64) as usize
+                };
+                let maps: Vec<_> = (0..1 + rng.gen_range(8))
+                    .map(|_| gen_entries(rng, cores))
+                    .collect();
+                (Unshrunk(cores), maps)
+            },
+            |(_, maps)| {
+                let mut fast = MetaMap::new();
+                let mut reference = Vec::new();
+                for (i, entries) in maps.iter().enumerate() {
+                    fast.merge(&MetaMap {
+                        entries: entries.clone(),
+                    });
+                    merge_linear(&mut reference, entries);
+                    rce_common::prop_assert_eq!(fast.entries, reference, "after merge {i}");
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

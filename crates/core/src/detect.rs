@@ -15,22 +15,6 @@ use crate::access::MetaMap;
 use crate::exception::{ConflictException, ConflictSide};
 use rce_common::{CoreId, Counter, Cycles, LineAddr, RegionId, WordMask};
 
-/// Materialize per-word exceptions from a conflict check result.
-pub(crate) fn exceptions_from(
-    check: &crate::access::ConflictCheck,
-    me: ConflictSide,
-    line: LineAddr,
-    at: Cycles,
-) -> Vec<ConflictException> {
-    let mut out = Vec::new();
-    for (side, words) in &check.conflicts {
-        for w in words.iter() {
-            out.push(ConflictException::new(me, *side, line.word_addr(w), at));
-        }
-    }
-    out
-}
-
 /// The conflict detector shared by every engine family.
 ///
 /// Stateless apart from its exception counter: the access bits
@@ -48,10 +32,12 @@ impl Detector {
     }
 
     /// Check `me`'s access against the opposing bits in `entry`,
-    /// record the access, and return the exceptions raised (empty when
-    /// no live opposing bits overlap `dmask`). `live` is the region
-    /// liveness oracle — entries of ended regions are treated as
-    /// absent, which is what makes lazy scrubbing harmless.
+    /// append one exception per overlapping word to `out` (none when
+    /// no live opposing bits overlap `dmask`), and record the access.
+    /// `live` is the region liveness oracle — entries of ended regions
+    /// are treated as absent, which is what makes lazy scrubbing
+    /// harmless.
+    #[allow(clippy::too_many_arguments)]
     pub fn check_and_record(
         &mut self,
         entry: &mut MetaMap,
@@ -60,15 +46,16 @@ impl Detector {
         line: LineAddr,
         at: Cycles,
         live: impl Fn(CoreId, RegionId) -> bool,
-    ) -> Vec<ConflictException> {
-        let chk = entry.check(me.core, me.kind, dmask, live);
-        let mut exceptions = Vec::new();
-        if chk.any() {
-            exceptions = exceptions_from(&chk, me, line, at);
-            self.conflicts.add(exceptions.len() as u64);
-        }
+        out: &mut Vec<ConflictException>,
+    ) {
+        let before = out.len();
+        entry.each_conflict(me.core, me.kind, dmask, live, |side, words| {
+            for w in words.iter() {
+                out.push(ConflictException::new(me, side, line.word_addr(w), at));
+            }
+        });
+        self.conflicts.add((out.len() - before) as u64);
         entry.record(me.core, me.region, me.kind, dmask);
-        exceptions
     }
 
     /// Exceptions raised so far (the `conflict_checks_hit` counter).
@@ -96,22 +83,26 @@ mod tests {
         let mut d = Detector::new();
         let mut m = MetaMap::new();
         let w = WordMask::single(WordIdx(3));
-        let none = d.check_and_record(
+        let mut none = Vec::new();
+        d.check_and_record(
             &mut m,
             side(0, 1, AccessType::Write),
             w,
             LineAddr(7),
             Cycles(5),
             |_, _| true,
+            &mut none,
         );
         assert!(none.is_empty(), "first access conflicts with nothing");
-        let ex = d.check_and_record(
+        let mut ex = Vec::new();
+        d.check_and_record(
             &mut m,
             side(1, 2, AccessType::Write),
             w,
             LineAddr(7),
             Cycles(9),
             |_, _| true,
+            &mut ex,
         );
         assert_eq!(ex.len(), 1);
         assert_eq!(ex[0].word_addr, LineAddr(7).word_addr(WordIdx(3)));
@@ -123,22 +114,26 @@ mod tests {
         let mut d = Detector::new();
         let mut m = MetaMap::new();
         let w = WordMask::single(WordIdx(0));
-        let _ = d.check_and_record(
+        let mut _ex = Vec::new();
+        d.check_and_record(
             &mut m,
             side(0, 1, AccessType::Write),
             w,
             LineAddr(1),
             Cycles(0),
             |_, _| true,
+            &mut _ex,
         );
         // Core 0's region 1 has ended by the time core 1 accesses.
-        let ex = d.check_and_record(
+        let mut ex = Vec::new();
+        d.check_and_record(
             &mut m,
             side(1, 5, AccessType::Write),
             w,
             LineAddr(1),
             Cycles(1),
             |c, r| !(c == CoreId(0) && r == RegionId(1)),
+            &mut ex,
         );
         assert!(ex.is_empty());
         assert_eq!(d.conflicts(), 0);
@@ -149,23 +144,27 @@ mod tests {
         let mut d = Detector::new();
         let mut m = MetaMap::new();
         let w = WordMask::single(WordIdx(2));
-        let _ = d.check_and_record(
+        let mut _ex = Vec::new();
+        d.check_and_record(
             &mut m,
             side(0, 1, AccessType::Read),
             w,
             LineAddr(3),
             Cycles(0),
             |_, _| true,
+            &mut _ex,
         );
         assert!(!m.is_empty(), "the access was recorded");
         // A second same-core access never self-conflicts.
-        let ex = d.check_and_record(
+        let mut ex = Vec::new();
+        d.check_and_record(
             &mut m,
             side(0, 1, AccessType::Write),
             w,
             LineAddr(3),
             Cycles(1),
             |_, _| true,
+            &mut ex,
         );
         assert!(ex.is_empty());
     }

@@ -159,11 +159,16 @@ impl ArcEngine {
     ) -> (Vec<ConflictException>, Vec<DetectPath>) {
         let region = sub.region_of(core);
         let me = ConflictSide { core, region, kind };
-        let ex =
-            self.detect
-                .check_and_record(self.meta.entry_mut(line), me, mask, line, at, |c, r| {
-                    sub.is_live(c, r)
-                });
+        let mut ex = Vec::new();
+        self.detect.check_and_record(
+            self.meta.entry_mut(line),
+            me,
+            mask,
+            line,
+            at,
+            |c, r| sub.is_live(c, r),
+            &mut ex,
+        );
         let lid = self.lines.intern(line);
         self.touched[core.index()].insert(lid);
         let path = DetectPath {

@@ -39,10 +39,10 @@ use crate::protocol::{fastpath_default, AccessResult, Engine, Substrate};
 use rce_cache::{L1Cache, MesiState};
 use rce_common::obs::{EventClass, EventKind, SimEvent};
 use rce_common::{
-    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
-    ProtocolKind, RceError, RceResult, RegionId, WordMask,
+    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, LineTable,
+    MachineConfig, ProtocolKind, RceError, RceResult, RegionId, WordMask,
 };
-use rce_noc::MsgClass;
+use rce_noc::{MsgClass, NodeId};
 
 /// Per-line L1 state for the MESI family.
 #[derive(Debug, Clone, Default)]
@@ -177,45 +177,44 @@ impl MesiFamilyEngine {
         }
     }
 
-    /// Fold `meta` into the LLC-side copy for `line`, pruning dead
-    /// entries so the map stays bounded by the live footprint.
-    fn llc_meta_merge(&mut self, sub: &Substrate, line: LineAddr, meta: &MetaMap) {
-        if !self.detection() || meta.is_empty() {
-            return;
+    /// Gather the bits a miss on `line` collects at the home bank into
+    /// `incoming`: the displaced bits, fetched from the metadata layer
+    /// at `t` (lines never displaced skip the lookup — the hardware's
+    /// displaced filter), then the LLC-side copy served with the fill.
+    /// The result folds back into the LLC copy, pruned of dead entries
+    /// so the copy stays bounded by the live footprint. Returns when
+    /// the fetch completes.
+    fn gather_meta(
+        &mut self,
+        sub: &mut Substrate,
+        line: LineAddr,
+        t: Cycles,
+        incoming: &mut MetaMap,
+    ) -> Cycles {
+        let id = self.lines.lookup(line);
+        let mut t_meta = t;
+        if id.is_some_and(|id| self.displaced.remove(id)) {
+            self.meta_lookups.inc();
+            let (at, displaced) = self.meta.fetch(sub, line, t);
+            incoming.merge(&displaced);
+            t_meta = at;
         }
-        let id = self.lines.intern(line);
-        let e = self.llc_meta.slot(id);
-        e.merge(meta);
-        e.prune(|c, r| sub.is_live(c, r));
-    }
-
-    /// The LLC-side metadata copy served with a fill.
-    fn llc_meta_copy(&self, line: LineAddr) -> MetaMap {
-        self.lines
-            .lookup(line)
-            .and_then(|id| self.llc_meta.get(id))
-            .cloned()
-            .unwrap_or_default()
+        if let Some(llc) = id.and_then(|id| self.llc_meta.get(id)) {
+            incoming.merge(llc);
+        }
+        if self.detection() && !incoming.is_empty() {
+            let id = id.unwrap_or_else(|| self.lines.intern(line));
+            let llc = self.llc_meta.slot(id);
+            llc.merge(incoming);
+            llc.prune(|c, r| sub.is_live(c, r));
+        }
+        t_meta
     }
 
     /// True if `meta` holds nonempty bits of `core`'s current region.
     fn has_live_own(meta: &MetaMap, core: CoreId, sub: &Substrate) -> bool {
         meta.get(core)
             .is_some_and(|e| !e.is_empty() && sub.is_live(core, e.region))
-    }
-
-    /// Consult the metadata layer for displaced bits of `line`; the
-    /// request is at the line's home bank at `t`. Lines never
-    /// displaced skip the lookup entirely (the hardware's displaced
-    /// filter).
-    fn fetch_meta(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> (Cycles, MetaMap) {
-        match self.lines.lookup(line) {
-            Some(id) if self.displaced.remove(id) => {
-                self.meta_lookups.inc();
-                self.meta.fetch(sub, line, t)
-            }
-            _ => (t, MetaMap::new()),
-        }
     }
 
     /// Push displaced metadata (from an evicted/invalidated copy) to
@@ -306,19 +305,79 @@ impl MesiFamilyEngine {
         }
     }
 
-    /// Upgrade an S copy to M (write hit in S).
+    /// Invalidate line `lid` in every core of `sharers`. The home bank
+    /// sends all the invalidations at `t1`, in ascending core order;
+    /// then each sharer drops its copy, hands its access bits to
+    /// `incoming` and acks the requester at `me`, in the same order.
+    /// Returns the latest ack arrival (`t1` if there are no sharers).
+    fn invalidate_sharers(
+        &mut self,
+        sub: &mut Substrate,
+        lid: LineId,
+        sharers: impl Iterator<Item = CoreId> + Clone,
+        me: NodeId,
+        t1: Cycles,
+        incoming: &mut MetaMap,
+    ) -> RceResult<Cycles> {
+        let line = self.lines.addr(lid);
+        let bank = sub.bank_node(line);
+        let ctrl = sub.cfg.noc.ctrl_bytes;
+        let mut inv_at = t1;
+        for s in sharers.clone() {
+            self.invalidations.inc();
+            let at = sub
+                .noc
+                .send(bank, sub.core_node(s), ctrl, MsgClass::Invalidation, t1);
+            inv_at = inv_at.max(at);
+        }
+        let ack_bytes = ctrl + self.piggy(sub);
+        let mut t_done = t1;
+        for s in sharers {
+            self.drop_copy(sub, s, lid, "directory sharer", incoming)?;
+            let ack = sub
+                .noc
+                .send(sub.core_node(s), me, ack_bytes, MsgClass::Ack, inv_at);
+            t_done = t_done.max(ack);
+        }
+        Ok(t_done)
+    }
+
+    /// Invalidate `core`'s copy of line `lid`, which the directory says
+    /// it holds as `what`, handing the copy's access bits to `incoming`.
+    fn drop_copy(
+        &mut self,
+        sub: &Substrate,
+        core: CoreId,
+        lid: LineId,
+        what: &str,
+        incoming: &mut MetaMap,
+    ) -> RceResult<()> {
+        let line = self.lines.addr(lid);
+        let st = self.l1[core.index()]
+            .invalidate(line)
+            .ok_or_else(|| not_resident(what, core, line))?;
+        if self.detection() {
+            if Self::has_live_own(&st.meta, core, sub) {
+                self.foreign[core.index()].insert(lid);
+            }
+            incoming.merge(&st.meta);
+        }
+        Ok(())
+    }
+
+    /// Upgrade an S copy to M (write hit in S). The bits collected on
+    /// the way merge into the core's copy.
     fn upgrade(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
         line: LineAddr,
         now: Cycles,
-    ) -> RceResult<(Cycles, MetaMap)> {
+    ) -> RceResult<Cycles> {
         self.upgrades.inc();
         let lid = self.lines.intern(line);
         let me = sub.core_node(core);
         let bank = sub.bank_node(line);
-        let piggy = self.piggy(sub);
         let t1 = sub.noc.send(
             me,
             bank,
@@ -328,42 +387,13 @@ impl MesiFamilyEngine {
         );
         sub.dir_access();
         let mut incoming = MetaMap::new();
-        let mut t_done = t1;
-        let sharers = sub.dir.sharers_except(line, core);
-        if !sharers.is_empty() {
-            self.invalidations.add(sharers.len() as u64);
-            let nodes: Vec<_> = sharers.iter().map(|s| sub.core_node(*s)).collect();
-            let inv_at = sub.noc.multicast(
-                bank,
-                &nodes,
-                sub.cfg.noc.ctrl_bytes,
-                MsgClass::Invalidation,
-                t1,
-            );
-            for s in sharers {
-                let st = self.l1[s.index()]
-                    .invalidate(line)
-                    .ok_or_else(|| not_resident("directory sharer", s, line))?;
-                if self.detection() {
-                    if Self::has_live_own(&st.meta, s, sub) {
-                        self.foreign[s.index()].insert(lid);
-                    }
-                    incoming.merge(&st.meta);
-                }
-                let ack = sub.noc.send(
-                    sub.core_node(s),
-                    me,
-                    sub.cfg.noc.ctrl_bytes + piggy,
-                    MsgClass::Ack,
-                    inv_at,
-                );
-                t_done = t_done.max(ack);
-            }
-        }
-        let (t_meta, m) = self.fetch_meta(sub, line, t1);
-        incoming.merge(&m);
-        incoming.merge(&self.llc_meta_copy(line));
-        self.llc_meta_merge(sub, line, &incoming);
+        let others = sub
+            .dir
+            .entry(line)
+            .sharer_cores()
+            .filter(move |s| *s != core);
+        let mut t_done = self.invalidate_sharers(sub, lid, others, me, t1, &mut incoming)?;
+        let t_meta = self.gather_meta(sub, line, t1, &mut incoming);
         let grant = sub.noc.send(
             bank,
             me,
@@ -378,17 +408,18 @@ impl MesiFamilyEngine {
             .ok_or_else(|| not_resident("upgrading line", core, line))?;
         l.mesi = MesiState::M;
         l.dirty = true;
-        Ok((t_done, incoming))
+        l.meta.merge(&incoming);
+        Ok(t_done)
     }
 
-    /// Read miss.
+    /// Read miss. The bits collected on the way fill in with the line.
     fn fetch_read(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
         line: LineAddr,
         now: Cycles,
-    ) -> RceResult<(Cycles, MetaMap)> {
+    ) -> RceResult<Cycles> {
         let me = sub.core_node(core);
         let bank = sub.bank_node(line);
         let piggy = self.piggy(sub);
@@ -414,25 +445,26 @@ impl MesiFamilyEngine {
                 MsgClass::Request,
                 t1,
             );
-            let (needs_writeback, owner_stays, meta_copy) = {
+            let detection = self.detection();
+            let (needs_writeback, owner_stays) = {
                 let st = self.l1[owner.index()]
                     .probe_mut(line)
                     .ok_or_else(|| not_resident("directory owner", owner, line))?;
+                if detection {
+                    incoming.merge(&st.meta);
+                }
                 if self.moesi && st.dirty {
                     // MOESI: the dirty owner downgrades to O, keeps its
                     // dirty data, and skips the LLC writeback.
                     st.mesi = MesiState::O;
-                    (false, true, st.meta.clone())
+                    (false, true)
                 } else {
                     st.mesi = MesiState::S;
                     let d = st.dirty;
                     st.dirty = false;
-                    (d, false, st.meta.clone())
+                    (d, false)
                 }
             };
-            if self.detection() {
-                incoming.merge(&meta_copy);
-            }
             let owner_node = sub.core_node(owner);
             if needs_writeback {
                 let wb = sub.noc.send(
@@ -462,10 +494,7 @@ impl MesiFamilyEngine {
                 sub.dir.add_sharer(line, core);
             }
         }
-        let (t_meta, m) = self.fetch_meta(sub, line, t1);
-        incoming.merge(&m);
-        incoming.merge(&self.llc_meta_copy(line));
-        self.llc_meta_merge(sub, line, &incoming);
+        let t_meta = self.gather_meta(sub, line, t1, &mut incoming);
         let mesi = if was_idle && entry.owner.is_none() {
             MesiState::E
         } else {
@@ -479,21 +508,21 @@ impl MesiFamilyEngine {
             CeLine {
                 mesi,
                 dirty: false,
-                meta: MetaMap::new(),
+                meta: incoming,
             },
             done,
         );
-        Ok((Cycles(done.0 + sub.cfg.l1.latency), incoming))
+        Ok(Cycles(done.0 + sub.cfg.l1.latency))
     }
 
-    /// Write miss.
+    /// Write miss. The bits collected on the way fill in with the line.
     fn fetch_write(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
         line: LineAddr,
         now: Cycles,
-    ) -> RceResult<(Cycles, MetaMap)> {
+    ) -> RceResult<Cycles> {
         let lid = self.lines.intern(line);
         let me = sub.core_node(core);
         let bank = sub.bank_node(line);
@@ -509,8 +538,7 @@ impl MesiFamilyEngine {
         sub.dir_access();
         let entry = sub.dir.entry(line);
         let mut incoming = MetaMap::new();
-        let mut t_done = t1;
-        if let Some(owner) = entry.owner.filter(|o| *o != core) {
+        let mut t_done = if let Some(owner) = entry.owner.filter(|o| *o != core) {
             self.c2c_transfers.inc();
             let t2 = sub.noc.send(
                 bank,
@@ -519,97 +547,26 @@ impl MesiFamilyEngine {
                 MsgClass::Request,
                 t1,
             );
-            let st = self.l1[owner.index()]
-                .invalidate(line)
-                .ok_or_else(|| not_resident("directory owner", owner, line))?;
-            if self.detection() {
-                if Self::has_live_own(&st.meta, owner, sub) {
-                    self.foreign[owner.index()].insert(lid);
-                }
-                incoming.merge(&st.meta);
-            }
+            self.drop_copy(sub, owner, lid, "directory owner", &mut incoming)?;
             // Dirty ownership transfers cache-to-cache.
-            t_done = sub
+            let t_data = sub
                 .noc
                 .send(sub.core_node(owner), me, data_bytes, MsgClass::Data, t2);
             // Under MOESI the Owned line may have clean co-sharers;
             // they must be invalidated too.
-            let co_sharers: Vec<CoreId> = sub
-                .dir
-                .sharers_except(line, core)
-                .into_iter()
-                .filter(|s| *s != owner)
-                .collect();
-            if !co_sharers.is_empty() {
-                self.invalidations.add(co_sharers.len() as u64);
-                let nodes: Vec<_> = co_sharers.iter().map(|s| sub.core_node(*s)).collect();
-                let inv_at = sub.noc.multicast(
-                    bank,
-                    &nodes,
-                    sub.cfg.noc.ctrl_bytes,
-                    MsgClass::Invalidation,
-                    t1,
-                );
-                for s in co_sharers {
-                    let st = self.l1[s.index()]
-                        .invalidate(line)
-                        .ok_or_else(|| not_resident("directory sharer", s, line))?;
-                    if self.detection() {
-                        if Self::has_live_own(&st.meta, s, sub) {
-                            self.foreign[s.index()].insert(lid);
-                        }
-                        incoming.merge(&st.meta);
-                    }
-                    let ack = sub.noc.send(
-                        sub.core_node(s),
-                        me,
-                        sub.cfg.noc.ctrl_bytes + piggy,
-                        MsgClass::Ack,
-                        inv_at,
-                    );
-                    t_done = t_done.max(ack);
-                }
-            }
+            let co_sharers = entry
+                .sharer_cores()
+                .filter(move |s| *s != core && *s != owner);
+            let t_acks = self.invalidate_sharers(sub, lid, co_sharers, me, t1, &mut incoming)?;
+            t_data.max(t_acks)
         } else {
-            let sharers = sub.dir.sharers_except(line, core);
-            if !sharers.is_empty() {
-                self.invalidations.add(sharers.len() as u64);
-                let nodes: Vec<_> = sharers.iter().map(|s| sub.core_node(*s)).collect();
-                let inv_at = sub.noc.multicast(
-                    bank,
-                    &nodes,
-                    sub.cfg.noc.ctrl_bytes,
-                    MsgClass::Invalidation,
-                    t1,
-                );
-                for s in sharers {
-                    let st = self.l1[s.index()]
-                        .invalidate(line)
-                        .ok_or_else(|| not_resident("directory sharer", s, line))?;
-                    if self.detection() {
-                        if Self::has_live_own(&st.meta, s, sub) {
-                            self.foreign[s.index()].insert(lid);
-                        }
-                        incoming.merge(&st.meta);
-                    }
-                    let ack = sub.noc.send(
-                        sub.core_node(s),
-                        me,
-                        sub.cfg.noc.ctrl_bytes + piggy,
-                        MsgClass::Ack,
-                        inv_at,
-                    );
-                    t_done = t_done.max(ack);
-                }
-            }
+            let others = entry.sharer_cores().filter(move |s| *s != core);
+            let t_acks = self.invalidate_sharers(sub, lid, others, me, t1, &mut incoming)?;
             let t_llc = sub.llc_data(line, t1);
             let t_data = sub.noc.send(bank, me, data_bytes, MsgClass::Data, t_llc);
-            t_done = t_done.max(t_data);
-        }
-        let (t_meta, m) = self.fetch_meta(sub, line, t1);
-        incoming.merge(&m);
-        incoming.merge(&self.llc_meta_copy(line));
-        self.llc_meta_merge(sub, line, &incoming);
+            t_acks.max(t_data)
+        };
+        let t_meta = self.gather_meta(sub, line, t1, &mut incoming);
         t_done = t_done.max(t_meta);
         sub.dir.set_owner(line, core);
         self.fill_line(
@@ -619,11 +576,11 @@ impl MesiFamilyEngine {
             CeLine {
                 mesi: MesiState::M,
                 dirty: true,
-                meta: MetaMap::new(),
+                meta: incoming,
             },
             t_done,
         );
-        Ok((Cycles(t_done.0 + sub.cfg.l1.latency), incoming))
+        Ok(Cycles(t_done.0 + sub.cfg.l1.latency))
     }
 
     /// Directory/L1 consistency check (tests and debugging).
@@ -719,12 +676,12 @@ impl Engine for MesiFamilyEngine {
         // access, any conflict found involved bits fetched back from
         // the metadata backend rather than bits riding the L1 line.
         let lookups_before = self.meta_lookups.get();
-        let (done, incoming) = match (cached, kind) {
-            (Some(_), AccessType::Read) => (Cycles(now.0 + l1_lat), MetaMap::new()),
+        let done = match (cached, kind) {
+            (Some(_), AccessType::Read) => Cycles(now.0 + l1_lat),
             (Some(l), AccessType::Write) if l.mesi.can_write() => {
                 l.mesi = MesiState::M;
                 l.dirty = true;
-                (Cycles(now.0 + l1_lat), MetaMap::new())
+                Cycles(now.0 + l1_lat)
             }
             (Some(_), AccessType::Write) => self.upgrade(sub, core, line, now)?,
             (None, AccessType::Read) => self.fetch_read(sub, core, line, now)?,
@@ -737,13 +694,16 @@ impl Engine for MesiFamilyEngine {
             let lref = self.l1[core.index()]
                 .probe_mut(line)
                 .ok_or_else(|| not_resident("line after access", core, line))?;
-            lref.meta.merge(&incoming);
             let me = ConflictSide { core, region, kind };
-            exceptions =
-                self.detect
-                    .check_and_record(&mut lref.meta, me, dmask, line, done, |c, r| {
-                        sub.is_live(c, r)
-                    });
+            self.detect.check_and_record(
+                &mut lref.meta,
+                me,
+                dmask,
+                line,
+                done,
+                |c, r| sub.is_live(c, r),
+                &mut exceptions,
+            );
             if !exceptions.is_empty() {
                 let fetched = self.meta_lookups.get() > lookups_before;
                 let path = DetectPath {
@@ -1188,5 +1148,45 @@ mod tests {
             }
         }
         e.check_invariants(&s).unwrap();
+    }
+
+    #[test]
+    fn invariants_hold_at_64_cores() {
+        // At 64 cores the directory's sharer mask is full width: core
+        // 63 owns the top bit. Core 63 takes every fourth access so it
+        // owns, shares and gets invalidated throughout.
+        use rce_common::{Rng, SplitMix64};
+        for moesi in [false, true] {
+            let mut cfg = MachineConfig::paper_default(64, ProtocolKind::CePlus);
+            cfg.use_owned_state = moesi;
+            let mut e = MesiFamilyEngine::new(&cfg);
+            let mut s = Substrate::new(&cfg);
+            let mut rng = SplitMix64::new(64);
+            let mut t = 0u64;
+            let mut top_shared = false;
+            for i in 0..4000 {
+                let core = if i % 4 == 0 {
+                    63
+                } else {
+                    rng.gen_range(64) as u16
+                };
+                let addr = 0x8000 + rng.gen_range(64) * 8;
+                let kind = if rng.gen_bool(0.3) { W } else { R };
+                let r = acc(&mut e, &mut s, core, addr, kind, t);
+                t = r.done.0.max(t) + 1;
+                if i % 53 == 0 {
+                    let b = e.region_boundary(&mut s, CoreId(core), Cycles(t)).unwrap();
+                    s.advance_region(CoreId(core));
+                    t = b.done.0.max(t) + 1;
+                }
+                let sharers = s.dir.entry(Addr(addr).line()).sharers;
+                top_shared |= sharers & (1 << 63) != 0 && sharers.count_ones() > 1;
+                if i % 500 == 499 {
+                    e.check_invariants(&s).unwrap();
+                }
+            }
+            assert!(top_shared, "core 63 never shared a line (moesi={moesi})");
+            assert!(e.invalidations.get() > 0);
+        }
     }
 }

@@ -46,7 +46,7 @@ pub mod report;
 pub mod sched;
 pub mod sync;
 
-pub use access::{ConflictCheck, MetaMap};
+pub use access::MetaMap;
 pub use detect::Detector;
 pub use engines::{find_variant, ArcEngine, EngineVariant, MesiFamilyEngine, REGISTRY};
 pub use exception::{AccessType, ConflictException, ExceptionPolicy};

@@ -30,8 +30,10 @@ pub struct AccessResult {
     pub exceptions: Vec<ConflictException>,
     /// Detection provenance, aligned with `exceptions` (`paths[i]`
     /// explains how `exceptions[i]` was found). Engines fill this
-    /// unconditionally — exceptions are rare, so the cost is nil and
-    /// the forensics layer needs no extra engine gating.
+    /// unconditionally, so the forensics layer needs no extra engine
+    /// gating. That is not free: an access that raises exceptions
+    /// allocates this `Vec` as well, and conflict-heavy runs raise
+    /// them often (canneal under CE+ delivers about 1.5 per access).
     pub paths: Vec<DetectPath>,
     /// True iff the engine short-circuited this access as a repeat its
     /// L1 line already covers (see [`Engine::set_fastpath`]): the core

@@ -99,23 +99,29 @@ impl Mesh {
     }
 
     /// The directed links of the XY route from `a` to `b`, as link
-    /// indices (see [`Mesh::link_count`]). X first, then Y.
-    pub fn route(&self, a: NodeId, b: NodeId) -> Vec<usize> {
+    /// indices (see [`Mesh::link_count`]). X first, then Y; yields
+    /// [`Mesh::hops`] links without allocating.
+    pub fn route(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = usize> {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
-        let mut links = Vec::with_capacity(self.hops(a, b));
-        let (mut x, mut y) = (ax, ay);
-        while x != bx {
-            let nx = if bx > x { x + 1 } else { x - 1 };
-            links.push(self.link_index((x, y), (nx, y)));
-            x = nx;
-        }
-        while y != by {
-            let ny = if by > y { y + 1 } else { y - 1 };
-            links.push(self.link_index((x, y), (x, ny)));
-            y = ny;
-        }
-        links
+        let w = self.width as isize;
+        // One straight leg: `n` links leaving `tile`, `tile + step`, …
+        // in direction `dir`.
+        let leg = |tile: usize, step: isize, dir: usize, n: usize| {
+            (0..n as isize).map(move |i| (tile as isize + i * step) as usize * 4 + dir)
+        };
+        let x_leg = if bx >= ax {
+            leg(a.0, 1, 0, bx - ax) // east
+        } else {
+            leg(a.0, -1, 1, ax - bx) // west
+        };
+        let turn = ay * self.width + bx;
+        let y_leg = if by >= ay {
+            leg(turn, w, 2, by - ay) // south
+        } else {
+            leg(turn, -w, 3, ay - by) // north
+        };
+        x_leg.chain(y_leg)
     }
 
     /// Number of directed links (4 per tile, counting only existing
@@ -123,22 +129,6 @@ impl Mesh {
     /// index by (tile, direction)).
     pub fn link_count(&self) -> usize {
         self.tiles() * 4
-    }
-
-    /// Dense index of the directed link from `from` to the adjacent
-    /// tile `to`.
-    fn link_index(&self, from: (usize, usize), to: (usize, usize)) -> usize {
-        let tile = from.1 * self.width + from.0;
-        let dir = if to.0 == from.0 + 1 {
-            0 // east
-        } else if from.0 == to.0 + 1 {
-            1 // west
-        } else if to.1 == from.1 + 1 {
-            2 // south
-        } else {
-            3 // north
-        };
-        tile * 4 + dir
     }
 }
 
@@ -174,14 +164,53 @@ mod tests {
         assert_eq!(m.hops(NodeId(5), NodeId(10)), 2);
     }
 
+    /// Dense index of the directed link from `from` to the adjacent
+    /// tile `to`.
+    fn link_index(m: &Mesh, from: (usize, usize), to: (usize, usize)) -> usize {
+        let tile = from.1 * m.width() + from.0;
+        let dir = if to.0 == from.0 + 1 {
+            0 // east
+        } else if from.0 == to.0 + 1 {
+            1 // west
+        } else if to.1 == from.1 + 1 {
+            2 // south
+        } else {
+            3 // north
+        };
+        tile * 4 + dir
+    }
+
+    /// The step-by-step `Vec` XY route the iterator replaced.
+    fn route_vec(m: &Mesh, a: NodeId, b: NodeId) -> Vec<usize> {
+        let (ax, ay) = m.coords(a);
+        let (bx, by) = m.coords(b);
+        let mut links = Vec::new();
+        let (mut x, mut y) = (ax, ay);
+        while x != bx {
+            let nx = if bx > x { x + 1 } else { x - 1 };
+            links.push(link_index(m, (x, y), (nx, y)));
+            x = nx;
+        }
+        while y != by {
+            let ny = if by > y { y + 1 } else { y - 1 };
+            links.push(link_index(m, (x, y), (x, ny)));
+            y = ny;
+        }
+        links
+    }
+
     #[test]
-    fn route_length_equals_hops() {
-        let m = Mesh::for_tiles(16);
-        for a in 0..16 {
-            for b in 0..16 {
-                let r = m.route(NodeId(a), NodeId(b));
-                assert_eq!(r.len(), m.hops(NodeId(a), NodeId(b)));
-                assert!(r.iter().all(|&l| l < m.link_count()));
+    fn route_matches_stepwise_reference_on_every_mesh() {
+        for tiles in 1..=64 {
+            let m = Mesh::for_tiles(tiles);
+            for a in 0..m.tiles() {
+                for b in 0..m.tiles() {
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    let r: Vec<usize> = m.route(a, b).collect();
+                    assert_eq!(r, route_vec(&m, a, b), "{tiles} tiles, {a} -> {b}");
+                    assert_eq!(r.len(), m.hops(a, b));
+                    assert!(r.iter().all(|&l| l < m.link_count()));
+                }
             }
         }
     }
@@ -189,7 +218,7 @@ mod tests {
     #[test]
     fn route_links_are_distinct() {
         let m = Mesh::for_tiles(16);
-        let r = m.route(NodeId(0), NodeId(15));
+        let r: Vec<usize> = m.route(NodeId(0), NodeId(15)).collect();
         let set: std::collections::HashSet<_> = r.iter().collect();
         assert_eq!(set.len(), r.len());
     }

@@ -155,8 +155,7 @@ impl Noc {
             self.stats.local_msgs.inc();
             return now;
         }
-        let route = self.mesh.route(src, dst);
-        let hops = route.len() as u64;
+        let hops = self.mesh.hops(src, dst) as u64;
         // Pad to whole flits.
         let flits = bytes.div_ceil(self.cfg.flit_bytes).max(1);
         let wire_bytes = flits * self.cfg.flit_bytes;
@@ -164,7 +163,7 @@ impl Noc {
 
         let mut t = now.0;
         let mut queue_delay = 0u64;
-        for l in route {
+        for l in self.mesh.route(src, dst) {
             let link = &mut self.links[l];
             let start = t.max(link.busy_until);
             queue_delay += start - t;
@@ -196,24 +195,6 @@ impl Noc {
             }
         }
         Cycles(arrival)
-    }
-
-    /// Send the same control message to many destinations (e.g., an
-    /// invalidation multicast); returns the latest arrival.
-    pub fn multicast(
-        &mut self,
-        src: NodeId,
-        dsts: &[NodeId],
-        bytes: u64,
-        class: MsgClass,
-        now: Cycles,
-    ) -> Cycles {
-        let mut latest = now;
-        for &d in dsts {
-            let a = self.send(src, d, bytes, class, now);
-            latest = latest.max(a);
-        }
-        latest
     }
 
     /// Finalize utilization statistics given the simulation end time.
@@ -315,14 +296,13 @@ mod tests {
 
     #[test]
     fn multicast_returns_latest() {
+        // An invalidation fan-out: one send per destination, all at
+        // the same time, completing with the latest arrival.
         let mut n = noc16();
-        let t = n.multicast(
-            NodeId(0),
-            &[NodeId(1), NodeId(15)],
-            8,
-            MsgClass::Invalidation,
-            Cycles(0),
-        );
+        let t = [NodeId(1), NodeId(15)]
+            .into_iter()
+            .map(|d| n.send(NodeId(0), d, 8, MsgClass::Invalidation, Cycles(0)))
+            .fold(Cycles(0), Cycles::max);
         let mut n2 = noc16();
         let far = n2.send(NodeId(0), NodeId(15), 8, MsgClass::Invalidation, Cycles(0));
         assert!(t >= far);
