@@ -6,8 +6,9 @@
 //! piggyback, *what if* ARC skipped self-invalidating read-only data.
 
 use crate::figures::FigureOutput;
-use crate::runner::{run_one, run_one_cfg, EvalParams};
-use rce_common::{json, table::Table, DetectionGranularity, MachineConfig, ProtocolKind};
+use crate::runner::{EvalParams, RunKey, RunStore};
+use rce_common::{json, table::Table, Bytes, DetectionGranularity, MachineConfig, ProtocolKind};
+use rce_core::SimReport;
 use rce_trace::WorkloadSpec;
 
 /// The ablation catalog.
@@ -59,41 +60,68 @@ impl Ablation {
         Ablation::ALL.iter().copied().find(|a| a.name() == s)
     }
 
-    /// Run the ablation.
+    /// Run the ablation. Its reports come from a store that starts
+    /// empty and simulates each run the ablation reads once.
     pub fn run(self, params: &EvalParams) -> FigureOutput {
+        let runs = &mut RunStore::new(None, params.jobs);
         match self {
-            Ablation::Granularity => granularity(params),
-            Ablation::Readonly => readonly(params),
-            Ablation::Piggyback => piggyback(params),
-            Ablation::L1Size => l1_size(params),
-            Ablation::Signature => signature(params),
-            Ablation::Moesi => moesi(params),
-            Ablation::AimSweep => aim_sweep(params),
+            Ablation::Granularity => granularity(params, runs),
+            Ablation::Readonly => readonly(params, runs),
+            Ablation::Piggyback => piggyback(params, runs),
+            Ablation::L1Size => l1_size(params, runs),
+            Ablation::Signature => signature(params, runs),
+            Ablation::Moesi => moesi(params, runs),
+            Ablation::AimSweep => aim_sweep(params, runs),
         }
     }
 }
 
+/// `w` on `proto`'s paper configuration, changed by `edit`.
+fn tuned(
+    w: WorkloadSpec,
+    proto: ProtocolKind,
+    params: &EvalParams,
+    edit: impl FnOnce(&mut MachineConfig),
+) -> RunKey {
+    let mut cfg = MachineConfig::paper_default(params.cores, proto);
+    edit(&mut cfg);
+    RunKey::new(w, cfg, params)
+}
+
+/// `r`'s engine counter `name`, or 0.
+fn counter(r: &SimReport, name: &str) -> u64 {
+    r.engine_counters
+        .iter()
+        .find(|(k, _)| k == name)
+        .map_or(0, |(_, v)| *v)
+}
+
 /// Word vs line granularity: exception counts and run time.
-fn granularity(params: &EvalParams) -> FigureOutput {
+fn granularity(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "Detection granularity ablation (CE+, exceptions & runtime vs word-granularity)",
         &["workload", "word ex", "line ex", "word time", "line time"],
     );
-    let mut rows = Vec::new();
-    for w in [
+    let workloads = [
         WorkloadSpec::FalseSharing,
         WorkloadSpec::Fluidanimate,
         WorkloadSpec::Canneal,
         WorkloadSpec::X264,
-    ] {
-        let cores = params.cores.min(16);
+    ];
+    let grains = [DetectionGranularity::Word, DetectionGranularity::Line];
+    let small = EvalParams {
+        cores: params.cores.min(16),
+        ..*params
+    };
+    let key = |w, g| tuned(w, ProtocolKind::CePlus, &small, |c| c.granularity = g);
+    runs.ensure(workloads.iter().flat_map(|&w| grains.map(|g| key(w, g))));
+    let mut rows = Vec::new();
+    for w in workloads {
         let mut cells = vec![w.name().to_string()];
         let mut row = json!({ "workload": w.name() });
         let mut times = Vec::new();
-        for g in [DetectionGranularity::Word, DetectionGranularity::Line] {
-            let mut cfg = MachineConfig::paper_default(cores, ProtocolKind::CePlus);
-            cfg.granularity = g;
-            let r = run_one_cfg(w, &cfg, params.scale, params.seed);
+        for g in grains {
+            let r = runs.get(&key(w, g));
             cells.push(r.exceptions.len().to_string());
             times.push(r.cycles.0);
             row[format!("{g:?}")] = json!({
@@ -115,7 +143,7 @@ fn granularity(params: &EvalParams) -> FigureOutput {
 }
 
 /// ARC read-only sharing classification on/off.
-fn readonly(params: &EvalParams) -> FigureOutput {
+fn readonly(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "ARC read-only sharing ablation (normalized to MESI)",
         &[
@@ -127,55 +155,43 @@ fn readonly(params: &EvalParams) -> FigureOutput {
             "ro retained",
         ],
     );
-    let mut rows = Vec::new();
-    for w in [
+    let workloads = [
         WorkloadSpec::Raytrace,
         WorkloadSpec::Bodytrack,
         WorkloadSpec::Ferret,
         WorkloadSpec::Streamcluster,
         WorkloadSpec::Canneal,
-    ] {
-        let base = run_one(
-            w,
-            ProtocolKind::MesiBaseline,
-            params.cores,
-            params.scale,
-            params.seed,
-        );
-        let mut cells = vec![w.name().to_string()];
-        let mut row = json!({ "workload": w.name() });
-        let mut retained = 0;
-        for ro in [false, true] {
-            let mut cfg = MachineConfig::paper_default(params.cores, ProtocolKind::Arc);
-            cfg.arc_readonly_sharing = ro;
-            let r = run_one_cfg(w, &cfg, params.scale, params.seed);
-            let norm = r.cycles.0 as f64 / base.cycles.0 as f64;
-            cells.push(format!("{norm:.3}"));
-            row[if ro { "with_ro" } else { "without_ro" }] = json!({
-                "runtime": norm,
-                "l1_miss_rate": r.l1_miss_rate(),
-            });
-            if ro {
-                retained = r
-                    .engine_counters
-                    .iter()
-                    .find(|(k, _)| k == "ro_retained_lines")
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0);
-            }
-        }
-        // Re-run for the miss-rate columns (cheap; reports are cached
-        // in row JSON above for the curious).
-        let miss = |ro: bool| {
-            let mut cfg = MachineConfig::paper_default(params.cores, ProtocolKind::Arc);
-            cfg.arc_readonly_sharing = ro;
-            run_one_cfg(w, &cfg, params.scale, params.seed).l1_miss_rate() * 100.0
-        };
-        cells.push(format!("{:.1}", miss(false)));
-        cells.push(format!("{:.1}", miss(true)));
-        cells.push(retained.to_string());
-        t.row(cells);
-        rows.push(row);
+    ];
+    let base = |w| RunKey::paper(w, ProtocolKind::MesiBaseline, params.cores, params);
+    let arc = |w, ro| {
+        tuned(w, ProtocolKind::Arc, params, |c| {
+            c.arc_readonly_sharing = ro
+        })
+    };
+    runs.ensure(
+        workloads
+            .iter()
+            .flat_map(|&w| [base(w), arc(w, false), arc(w, true)]),
+    );
+    let mut rows = Vec::new();
+    for w in workloads {
+        let base = runs.get(&base(w));
+        let [without, with] = [false, true].map(|ro| runs.get(&arc(w, ro)));
+        let norm = |r: &SimReport| r.cycles.0 as f64 / base.cycles.0 as f64;
+        let stats = |r: &SimReport| json!({ "runtime": norm(r), "l1_miss_rate": r.l1_miss_rate() });
+        t.row(vec![
+            w.name().to_string(),
+            format!("{:.3}", norm(without)),
+            format!("{:.3}", norm(with)),
+            format!("{:.1}", without.l1_miss_rate() * 100.0),
+            format!("{:.1}", with.l1_miss_rate() * 100.0),
+            counter(with, "ro_retained_lines").to_string(),
+        ]);
+        rows.push(json!({
+            "workload": w.name(),
+            "without_ro": stats(without),
+            "with_ro": stats(with),
+        }));
     }
     FigureOutput {
         id: "R-A2",
@@ -186,7 +202,7 @@ fn readonly(params: &EvalParams) -> FigureOutput {
 }
 
 /// CE+ piggyback size sweep.
-fn piggyback(params: &EvalParams) -> FigureOutput {
+fn piggyback(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "CE+ metadata piggyback size (geomean over sharing-heavy workloads, vs MESI)",
         &["piggyback B", "runtime", "noc traffic"],
@@ -197,26 +213,25 @@ fn piggyback(params: &EvalParams) -> FigureOutput {
         WorkloadSpec::Bodytrack,
         WorkloadSpec::Streamcluster,
     ];
-    let bases: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            run_one(
-                *w,
-                ProtocolKind::MesiBaseline,
-                params.cores,
-                params.scale,
-                params.seed,
-            )
+    let sizes = [0u64, 8, 16, 32, 64];
+    let base = |w| RunKey::paper(w, ProtocolKind::MesiBaseline, params.cores, params);
+    let ceplus = |w, b| {
+        tuned(w, ProtocolKind::CePlus, params, |c| {
+            c.metadata_piggyback_bytes = b
         })
-        .collect();
+    };
+    let mut keys = workloads.map(base).to_vec();
+    for b in sizes {
+        keys.extend(workloads.map(|w| ceplus(w, b)));
+    }
+    runs.ensure(keys);
     let mut rows = Vec::new();
-    for bytes in [0u64, 8, 16, 32, 64] {
+    for bytes in sizes {
         let mut rt = Vec::new();
         let mut noc = Vec::new();
-        for (w, base) in workloads.iter().zip(&bases) {
-            let mut cfg = MachineConfig::paper_default(params.cores, ProtocolKind::CePlus);
-            cfg.metadata_piggyback_bytes = bytes;
-            let r = run_one_cfg(*w, &cfg, params.scale, params.seed);
+        for w in workloads {
+            let base = runs.get(&base(w));
+            let r = runs.get(&ceplus(w, bytes));
             rt.push((r.cycles.0 as f64 / base.cycles.0 as f64).max(1e-9));
             noc.push((r.noc_bytes().as_f64() / base.noc_bytes().as_f64()).max(1e-9));
         }
@@ -238,23 +253,27 @@ fn piggyback(params: &EvalParams) -> FigureOutput {
 }
 
 /// CE under L1 size sweep: smaller L1s displace more metadata.
-fn l1_size(params: &EvalParams) -> FigureOutput {
+fn l1_size(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "CE vs L1 capacity (canneal + swaptions, vs same-L1 MESI)",
         &["L1 KiB", "CE runtime", "CE meta DRAM KiB"],
     );
+    let sizes = [4u64, 8, 16, 32];
+    let workloads = [WorkloadSpec::Canneal, WorkloadSpec::Swaptions];
+    let key = |w, proto, kib| tuned(w, proto, params, |c| c.l1.capacity = Bytes::kib(kib));
+    let designs = [ProtocolKind::MesiBaseline, ProtocolKind::Ce];
+    runs.ensure(sizes.iter().flat_map(|&kib| {
+        workloads
+            .iter()
+            .flat_map(move |&w| designs.map(|proto| key(w, proto, kib)))
+    }));
     let mut rows = Vec::new();
-    for kib in [4u64, 8, 16, 32] {
+    for kib in sizes {
         let mut rt = Vec::new();
         let mut meta = 0u64;
-        for w in [WorkloadSpec::Canneal, WorkloadSpec::Swaptions] {
-            let mut base_cfg =
-                MachineConfig::paper_default(params.cores, ProtocolKind::MesiBaseline);
-            base_cfg.l1.capacity = rce_common::Bytes::kib(kib);
-            let base = run_one_cfg(w, &base_cfg, params.scale, params.seed);
-            let mut cfg = MachineConfig::paper_default(params.cores, ProtocolKind::Ce);
-            cfg.l1.capacity = rce_common::Bytes::kib(kib);
-            let r = run_one_cfg(w, &cfg, params.scale, params.seed);
+        for w in workloads {
+            let base = runs.get(&key(w, ProtocolKind::MesiBaseline, kib));
+            let r = runs.get(&key(w, ProtocolKind::Ce, kib));
             rt.push((r.cycles.0 as f64 / base.cycles.0 as f64).max(1e-9));
             meta += r.dram.metadata_bytes().0;
         }
@@ -275,7 +294,7 @@ fn l1_size(params: &EvalParams) -> FigureOutput {
 }
 
 /// ARC signature size sweep.
-fn signature(params: &EvalParams) -> FigureOutput {
+fn signature(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "ARC region-end signature size (sync-dense workloads, vs MESI)",
         &["sig B/line", "runtime", "metadata noc KiB"],
@@ -285,26 +304,25 @@ fn signature(params: &EvalParams) -> FigureOutput {
         WorkloadSpec::Dedup,
         WorkloadSpec::X264,
     ];
-    let bases: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            run_one(
-                *w,
-                ProtocolKind::MesiBaseline,
-                params.cores,
-                params.scale,
-                params.seed,
-            )
+    let sizes = [2u64, 4, 8, 16, 32];
+    let base = |w| RunKey::paper(w, ProtocolKind::MesiBaseline, params.cores, params);
+    let arc = |w, b| {
+        tuned(w, ProtocolKind::Arc, params, |c| {
+            c.signature_bytes_per_line = b
         })
-        .collect();
+    };
+    let mut keys = workloads.map(base).to_vec();
+    for b in sizes {
+        keys.extend(workloads.map(|w| arc(w, b)));
+    }
+    runs.ensure(keys);
     let mut rows = Vec::new();
-    for bytes in [2u64, 4, 8, 16, 32] {
+    for bytes in sizes {
         let mut rt = Vec::new();
         let mut meta = 0u64;
-        for (w, base) in workloads.iter().zip(&bases) {
-            let mut cfg = MachineConfig::paper_default(params.cores, ProtocolKind::Arc);
-            cfg.signature_bytes_per_line = bytes;
-            let r = run_one_cfg(*w, &cfg, params.scale, params.seed);
+        for w in workloads {
+            let base = runs.get(&base(w));
+            let r = runs.get(&arc(w, bytes));
             rt.push((r.cycles.0 as f64 / base.cycles.0 as f64).max(1e-9));
             meta += r.noc.metadata_bytes().0;
         }
@@ -333,7 +351,7 @@ fn signature(params: &EvalParams) -> FigureOutput {
 /// latency. ARC leans on the AIM for *every* LLC registration, so it
 /// should degrade faster than CE+ (which only touches the AIM on
 /// displacement and scrub).
-fn aim_sweep(params: &EvalParams) -> FigureOutput {
+fn aim_sweep(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "AIM capacity x latency (CE+/ARC, geomean runtime vs MESI)",
         &[
@@ -341,57 +359,57 @@ fn aim_sweep(params: &EvalParams) -> FigureOutput {
         ],
     );
     let workloads = [WorkloadSpec::Canneal, WorkloadSpec::Bodytrack];
-    let bases: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            run_one(
-                *w,
-                ProtocolKind::MesiBaseline,
-                params.cores,
-                params.scale,
-                params.seed,
-            )
-        })
-        .collect();
-    let mut rows = Vec::new();
+    let base = |w| RunKey::paper(w, ProtocolKind::MesiBaseline, params.cores, params);
+    let sized = |w, (proto, entries, latency): (ProtocolKind, u64, u64)| {
+        let cfg = MachineConfig::paper_default(params.cores, proto)
+            .with_aim_entries(entries)
+            .with_aim_latency(latency);
+        RunKey::new(w, cfg, params)
+    };
+    let mut points = Vec::new();
+    let mut keys = workloads.map(base).to_vec();
     for proto in [ProtocolKind::CePlus, ProtocolKind::Arc] {
         for entries in [256u64, 1024, 8192, 65536] {
             for latency in [2u64, 4, 8] {
-                let mut rt = Vec::new();
-                let (mut accesses, mut hits, mut spills) = (0u64, 0u64, 0u64);
-                for (w, base) in workloads.iter().zip(&bases) {
-                    let cfg = MachineConfig::paper_default(params.cores, proto)
-                        .with_aim_entries(entries)
-                        .with_aim_latency(latency);
-                    let r = run_one_cfg(*w, &cfg, params.scale, params.seed);
-                    rt.push((r.cycles.0 as f64 / base.cycles.0 as f64).max(1e-9));
-                    if let Some(a) = &r.aim {
-                        accesses += a.accesses;
-                        hits += a.hits;
-                        spills += a.spills;
-                    }
-                }
-                let g = rce_common::geomean(&rt);
-                let hit_pct = if accesses == 0 {
-                    0.0
-                } else {
-                    100.0 * hits as f64 / accesses as f64
-                };
-                t.row(vec![
-                    proto.name().to_string(),
-                    entries.to_string(),
-                    latency.to_string(),
-                    format!("{g:.3}"),
-                    format!("{hit_pct:.1}"),
-                    spills.to_string(),
-                ]);
-                rows.push(json!({
-                    "design": proto.name(), "entries": entries,
-                    "latency": latency, "runtime": g,
-                    "aim_hit_rate": hit_pct / 100.0, "spills": spills
-                }));
+                points.push((proto, entries, latency));
+                keys.extend(workloads.map(|w| sized(w, (proto, entries, latency))));
             }
         }
+    }
+    runs.ensure(keys);
+    let mut rows = Vec::new();
+    for (proto, entries, latency) in points {
+        let mut rt = Vec::new();
+        let (mut accesses, mut hits, mut spills) = (0u64, 0u64, 0u64);
+        for w in workloads {
+            let base = runs.get(&base(w));
+            let r = runs.get(&sized(w, (proto, entries, latency)));
+            rt.push((r.cycles.0 as f64 / base.cycles.0 as f64).max(1e-9));
+            if let Some(a) = &r.aim {
+                accesses += a.accesses;
+                hits += a.hits;
+                spills += a.spills;
+            }
+        }
+        let g = rce_common::geomean(&rt);
+        let hit_pct = if accesses == 0 {
+            0.0
+        } else {
+            100.0 * hits as f64 / accesses as f64
+        };
+        t.row(vec![
+            proto.name().to_string(),
+            entries.to_string(),
+            latency.to_string(),
+            format!("{g:.3}"),
+            format!("{hit_pct:.1}"),
+            spills.to_string(),
+        ]);
+        rows.push(json!({
+            "design": proto.name(), "entries": entries,
+            "latency": latency, "runtime": g,
+            "aim_hit_rate": hit_pct / 100.0, "spills": spills
+        }));
     }
     FigureOutput {
         id: "R-A7",
@@ -402,7 +420,7 @@ fn aim_sweep(params: &EvalParams) -> FigureOutput {
 }
 
 /// MESI vs MOESI: writeback elision on migratory sharing.
-fn moesi(params: &EvalParams) -> FigureOutput {
+fn moesi(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "MESI vs MOESI substrate (migratory-sharing workloads)",
         &[
@@ -413,32 +431,27 @@ fn moesi(params: &EvalParams) -> FigureOutput {
             "O downgrades",
         ],
     );
-    let mut rows = Vec::new();
-    for w in [
+    let workloads = [
         WorkloadSpec::Migratory,
         WorkloadSpec::Dedup,
         WorkloadSpec::Canneal,
         WorkloadSpec::PingPong,
-    ] {
-        for proto in [ProtocolKind::MesiBaseline, ProtocolKind::CePlus] {
-            let run = |owned: bool| {
-                let mut cfg = MachineConfig::paper_default(params.cores, proto);
-                cfg.use_owned_state = owned;
-                run_one_cfg(w, &cfg, params.scale, params.seed)
-            };
-            let mesi = run(false);
-            let moesi = run(true);
-            let wb = |r: &rce_core::SimReport| {
-                r.noc.bytes[rce_noc::MsgClass::Writeback.index()].0.max(1)
-            };
-            let downgrades = moesi
-                .engine_counters
-                .iter()
-                .find(|(k, _)| k == "owned_downgrades")
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
+    ];
+    let designs = [ProtocolKind::MesiBaseline, ProtocolKind::CePlus];
+    let key = |w, proto, owned| tuned(w, proto, params, |c| c.use_owned_state = owned);
+    runs.ensure(workloads.iter().flat_map(|&w| {
+        designs
+            .iter()
+            .flat_map(move |&proto| [false, true].map(|owned| key(w, proto, owned)))
+    }));
+    let mut rows = Vec::new();
+    for w in workloads {
+        for proto in designs {
+            let [mesi, moesi] = [false, true].map(|owned| runs.get(&key(w, proto, owned)));
+            let wb = |r: &SimReport| r.noc.bytes[rce_noc::MsgClass::Writeback.index()].0.max(1);
+            let downgrades = counter(moesi, "owned_downgrades");
             let rt = moesi.cycles.0 as f64 / mesi.cycles.0 as f64;
-            let wbr = wb(&moesi) as f64 / wb(&mesi) as f64;
+            let wbr = wb(moesi) as f64 / wb(mesi) as f64;
             t.row(vec![
                 w.name().to_string(),
                 proto.name().to_string(),
@@ -473,20 +486,36 @@ mod tests {
         assert_eq!(Ablation::parse("ablate-nothing"), None);
     }
 
+    const SMALL: EvalParams = EvalParams {
+        cores: 4,
+        scale: 1,
+        seed: 1,
+        jobs: 0,
+    };
+
     #[test]
     fn granularity_ablation_runs_small() {
-        let params = EvalParams {
-            cores: 4,
-            scale: 1,
-            seed: 1,
-            jobs: 0,
-        };
-        let f = granularity(&params);
+        let f = Ablation::Granularity.run(&SMALL);
         assert!(f.table.contains("false_sharing"));
         // Line granularity flags false sharing; word does not.
         let rows = f.json["rows"].as_array().unwrap();
         let fs = &rows[0];
         assert_eq!(fs["Word"]["exceptions"].as_u64(), Some(0));
         assert!(fs["Line"]["exceptions"].as_u64().unwrap() > 0);
+    }
+
+    #[test]
+    fn readonly_simulates_each_run_once() {
+        let mut store = RunStore::new(None, 0);
+        let first = readonly(&SMALL, &mut store);
+        assert_eq!(
+            store.len(),
+            15,
+            "5 workloads x (MESI, ARC, ARC+ro), once each"
+        );
+        let again = readonly(&SMALL, &mut store);
+        assert_eq!(store.len(), 15, "re-asking for present keys runs nothing");
+        assert_eq!(first.json, again.json);
+        assert_eq!(first.table, again.table);
     }
 }

@@ -17,11 +17,10 @@
 //! event log, then re-runs with observability off and fails loudly if
 //! instrumentation perturbed the simulation.
 
-use rce_bench::runner::run_one_cfg;
 use rce_bench::{
     diff::{diff_values, parse_tolerance},
     figures::{base_sweep, TIMELINE_INTERVAL},
-    hotpath, profile, run_one_obs, Ablation, EvalParams, Experiment,
+    hotpath, profile, Ablation, EvalParams, Experiment, RunKey,
 };
 use rce_common::{json, ObsConfig, MAX_CORES};
 use rce_core::{find_variant, AccessType, EngineVariant, REGISTRY};
@@ -181,7 +180,7 @@ fn main() {
 
     if command == "list" {
         for e in Experiment::ALL {
-            println!("{:<20} {}", e.name(), e.run_description());
+            println!("{:<20} {}", e.name(), describe(e));
         }
         for a in Ablation::ALL {
             println!("{:<20} ablation", a.name());
@@ -230,17 +229,8 @@ fn main() {
 
     create_dir(&out_dir);
     profile::enable();
-    // The four per-workload figures share one sweep.
-    let needs_sweep = experiments.iter().any(|e| {
-        matches!(
-            e,
-            Experiment::FigRuntime
-                | Experiment::FigEnergy
-                | Experiment::FigNoc
-                | Experiment::FigDram
-        )
-    });
-    let sweep = if needs_sweep && experiments.len() > 1 {
+    // `all` runs the base sweep once and seeds every experiment with it.
+    let sweep = if experiments.len() > 1 {
         eprintln!(
             "running base sweep: 13 workloads x 4 designs at {} cores, scale {} ...",
             params.cores, params.scale
@@ -252,7 +242,7 @@ fn main() {
     };
 
     for e in experiments {
-        eprintln!("== {} ({}) ==", e.name(), e.run_description());
+        eprintln!("== {} ({}) ==", e.name(), describe(e));
         profile::set_phase(e.name());
         let start = std::time::Instant::now();
         let fig = e.run(&params, sweep.as_ref());
@@ -281,14 +271,11 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     let v = engine_or_exit(engine);
     profile::enable();
     profile::set_phase("trace");
-    let cfg = v.config(params.cores);
-    let r = run_one_obs(
-        w,
-        &cfg,
-        params.scale,
-        params.seed,
-        ObsConfig::full(TIMELINE_INTERVAL),
-    );
+    let key = RunKey::new(w, v.config(params.cores), params);
+    let r = key
+        .clone()
+        .with_obs(ObsConfig::full(TIMELINE_INTERVAL))
+        .run();
     let log = r.trace.as_ref().expect("tracing was requested");
     let timeline = r.timeline.as_ref().expect("sampling was requested");
 
@@ -335,7 +322,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     stripped.timeline = None;
     stripped.trace = None;
     stripped.forensics = None;
-    let plain = run_one_cfg(w, &cfg, params.scale, params.seed);
+    let plain = key.run();
     if json::to_string(&stripped) != json::to_string(&plain) {
         eprintln!("ERROR: observability perturbed the simulation (reports differ)");
         std::process::exit(1);
@@ -359,8 +346,7 @@ fn run_report(workload: &str, engine: &str, params: &EvalParams) {
         }
     };
     let v = engine_or_exit(engine);
-    let cfg = v.config(params.cores);
-    let r = run_one_cfg(w, &cfg, params.scale, params.seed);
+    let r = RunKey::new(w, v.config(params.cores), params).run();
     println!("{}", json::to_string_pretty(&r));
 }
 
@@ -377,14 +363,9 @@ fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
         }
     };
     let v = engine_or_exit(engine);
-    let cfg = v.config(params.cores);
-    let r = run_one_obs(
-        w,
-        &cfg,
-        params.scale,
-        params.seed,
-        ObsConfig::forensics_only(),
-    );
+    let r = RunKey::new(w, v.config(params.cores), params)
+        .with_obs(ObsConfig::forensics_only())
+        .run();
     let f = r.forensics.expect("forensics was requested");
     println!(
         "{} on {} ({} cores, scale {}, seed {}):",
@@ -509,9 +490,12 @@ fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
 /// Pinned parameters for `paper trajectory`: small enough for a CI
 /// gate, fixed so the committed baseline stays comparable across
 /// machines and sessions.
-const TRAJECTORY_CORES: usize = 4;
-const TRAJECTORY_SCALE: u32 = 1;
-const TRAJECTORY_SEED: u64 = 42;
+const TRAJECTORY: EvalParams = EvalParams {
+    cores: 4,
+    scale: 1,
+    seed: 42,
+    jobs: 1,
+};
 const TRAJECTORY_WORKLOADS: [WorkloadSpec; 4] = [
     WorkloadSpec::PrivateOnly,
     WorkloadSpec::FalseSharing,
@@ -527,8 +511,7 @@ fn run_trajectory(out_dir: &str) {
     let mut rows = Vec::new();
     for w in TRAJECTORY_WORKLOADS {
         for v in REGISTRY.iter().filter(|v| v.is_paper_design()) {
-            let cfg = v.config(TRAJECTORY_CORES);
-            let r = run_one_cfg(w, &cfg, TRAJECTORY_SCALE, TRAJECTORY_SEED);
+            let r = RunKey::new(w, v.config(TRAJECTORY.cores), &TRAJECTORY).run();
             rows.push(json!({
                 "workload": w.name(),
                 "engine": v.cli_name,
@@ -555,9 +538,9 @@ fn run_trajectory(out_dir: &str) {
     );
     let payload = json!({
         "id": "bench_trajectory",
-        "cores": TRAJECTORY_CORES,
-        "scale": TRAJECTORY_SCALE,
-        "seed": TRAJECTORY_SEED,
+        "cores": TRAJECTORY.cores,
+        "scale": TRAJECTORY.scale,
+        "seed": TRAJECTORY.seed,
         "hot_path": json!({
             "pinned": json!({
                 "min_fastpath_speedup_x": hotpath::MIN_FASTPATH_SPEEDUP_X,
@@ -626,27 +609,21 @@ fn write_result(out_dir: &str, fig: &rce_bench::FigureOutput, params: &EvalParam
     eprintln!("   wrote {path}");
 }
 
-/// Human descriptions for `paper list`.
-trait Describe {
-    fn run_description(&self) -> &'static str;
-}
-
-impl Describe for Experiment {
-    fn run_description(&self) -> &'static str {
-        match self {
-            Experiment::Table1 => "simulated system configuration",
-            Experiment::Table2 => "workload characteristics",
-            Experiment::FigRuntime => "run time normalized to MESI",
-            Experiment::FigEnergy => "energy normalized to MESI + breakdown",
-            Experiment::FigNoc => "on-chip traffic normalized to MESI",
-            Experiment::FigDram => "off-chip traffic normalized to MESI",
-            Experiment::FigScaling => "geomean run time vs core count",
-            Experiment::FigAim => "AIM size sensitivity",
-            Experiment::Table3 => "conflicts detected vs oracle",
-            Experiment::FigSaturation => "NoC saturation vs core count",
-            Experiment::FigSeeds => "seed sensitivity of headline geomeans",
-            Experiment::FigSaturationTimeline => "per-interval NoC utilization, CE+ vs ARC",
-            Experiment::FigConflictHeatmap => "hottest conflict lines/core pairs, CE+ vs ARC",
-        }
+/// Human description of `e` for `paper list`.
+fn describe(e: Experiment) -> &'static str {
+    match e {
+        Experiment::Table1 => "simulated system configuration",
+        Experiment::Table2 => "workload characteristics",
+        Experiment::FigRuntime => "run time normalized to MESI",
+        Experiment::FigEnergy => "energy normalized to MESI + breakdown",
+        Experiment::FigNoc => "on-chip traffic normalized to MESI",
+        Experiment::FigDram => "off-chip traffic normalized to MESI",
+        Experiment::FigScaling => "geomean run time vs core count",
+        Experiment::FigAim => "AIM size sensitivity",
+        Experiment::Table3 => "conflicts detected vs oracle",
+        Experiment::FigSaturation => "NoC saturation vs core count",
+        Experiment::FigSeeds => "seed sensitivity of headline geomeans",
+        Experiment::FigSaturationTimeline => "per-interval NoC utilization, CE+ vs ARC",
+        Experiment::FigConflictHeatmap => "hottest conflict lines/core pairs, CE+ vs ARC",
     }
 }

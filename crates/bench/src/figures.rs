@@ -1,14 +1,12 @@
 //! Experiment implementations: one function per reconstructed table
 //! or figure (see DESIGN.md for the experiment index).
 
-use crate::runner::{
-    run_one, run_one_cfg, run_one_obs, run_suite, EvalParams, RunKey, SweepResults,
-};
+use crate::runner::{EvalParams, RunKey, RunStore, SweepResults};
 use rce_common::json;
 use rce_common::json::JsonValue as Value;
 use rce_common::{geomean, table::Table, Histogram, MachineConfig, ObsConfig, ProtocolKind};
 use rce_core::SimReport;
-use rce_trace::{characterize, inject_races, WorkloadSpec};
+use rce_trace::{characterize, WorkloadSpec};
 use std::collections::HashMap;
 
 /// A rendered experiment: the text table plus machine-readable rows.
@@ -98,47 +96,52 @@ impl Experiment {
         Experiment::ALL.iter().copied().find(|e| e.name() == s)
     }
 
-    /// Run the experiment. `sweep` is an optional pre-computed base
-    /// sweep (all PARSEC workloads × all protocols at `params.cores`),
-    /// reused by the four per-workload figures.
+    /// Run the experiment. Its reports come from a store over `sweep`,
+    /// an optional pre-computed base sweep (see [`base_sweep`]); the
+    /// experiment simulates only the runs the sweep lacks, each once.
     pub fn run(self, params: &EvalParams, sweep: Option<&SweepResults>) -> FigureOutput {
+        let runs = &mut RunStore::new(sweep, params.jobs);
         match self {
             Experiment::Table1 => table1(params),
             Experiment::Table2 => table2(params),
-            Experiment::FigRuntime
-            | Experiment::FigEnergy
-            | Experiment::FigNoc
-            | Experiment::FigDram => {
-                let owned;
-                let s = match sweep {
-                    Some(s) => s,
-                    None => {
-                        owned = base_sweep(params);
-                        &owned
-                    }
-                };
-                match self {
-                    Experiment::FigRuntime => fig_runtime(params, s),
-                    Experiment::FigEnergy => fig_energy(params, s),
-                    Experiment::FigNoc => fig_noc(params, s),
-                    Experiment::FigDram => fig_dram(params, s),
-                    _ => unreachable!(),
-                }
-            }
-            Experiment::FigScaling => fig_scaling(params),
-            Experiment::FigAim => fig_aim(params),
-            Experiment::Table3 => table3(params),
-            Experiment::FigSaturation => fig_saturation(params),
-            Experiment::FigSeeds => fig_seeds(params),
-            Experiment::FigSaturationTimeline => fig_saturation_timeline(params),
-            Experiment::FigConflictHeatmap => fig_conflict_heatmap(params),
+            Experiment::FigRuntime => fig_runtime(params, runs),
+            Experiment::FigEnergy => fig_energy(params, runs),
+            Experiment::FigNoc => fig_noc(params, runs),
+            Experiment::FigDram => fig_dram(params, runs),
+            Experiment::FigScaling => fig_scaling(params, runs),
+            Experiment::FigAim => fig_aim(params, runs),
+            Experiment::Table3 => table3(params, runs),
+            Experiment::FigSaturation => fig_saturation(params, runs),
+            Experiment::FigSeeds => fig_seeds(params, runs),
+            Experiment::FigSaturationTimeline => fig_saturation_timeline(params, runs),
+            Experiment::FigConflictHeatmap => fig_conflict_heatmap(params, runs),
         }
     }
 }
 
-/// The base sweep every per-workload figure consumes.
-pub fn base_sweep(params: &EvalParams) -> SweepResults {
-    run_suite(
+/// Paper-configuration keys for every (workload, design, core count),
+/// workload-major.
+fn grid(
+    workloads: &[WorkloadSpec],
+    protocols: &[ProtocolKind],
+    core_counts: &[usize],
+    params: &EvalParams,
+) -> Vec<RunKey> {
+    let mut keys = Vec::new();
+    for &w in workloads {
+        for &p in protocols {
+            for &c in core_counts {
+                keys.push(RunKey::paper(w, p, c, params));
+            }
+        }
+    }
+    keys
+}
+
+/// The base sweep's keys: every PARSEC workload on every design at
+/// `params.cores`.
+fn base_keys(params: &EvalParams) -> Vec<RunKey> {
+    grid(
         &WorkloadSpec::PARSEC,
         &ProtocolKind::ALL,
         &[params.cores],
@@ -146,14 +149,23 @@ pub fn base_sweep(params: &EvalParams) -> SweepResults {
     )
 }
 
-fn get(sweep: &SweepResults, w: WorkloadSpec, p: ProtocolKind, cores: usize) -> &SimReport {
+/// The base sweep, which most experiments read: `paper all` runs it
+/// once and seeds every experiment's store with it.
+pub fn base_sweep(params: &EvalParams) -> SweepResults {
+    let mut sweep = RunStore::new(None, params.jobs);
+    sweep.ensure(base_keys(params));
     sweep
-        .get(&RunKey {
-            workload: w,
-            protocol: p,
-            cores,
-        })
-        .expect("sweep must contain every (workload, protocol) pair")
+}
+
+/// The report of `w` on `p`'s paper configuration at `cores`.
+fn get<'r>(
+    runs: &'r RunStore,
+    params: &EvalParams,
+    w: WorkloadSpec,
+    p: ProtocolKind,
+    cores: usize,
+) -> &'r SimReport {
+    runs.get(&RunKey::paper(w, p, cores, params))
 }
 
 /// R-T1: the simulated system's parameters.
@@ -270,7 +282,7 @@ fn table2(params: &EvalParams) -> FigureOutput {
 /// Shared scaffolding for the four normalized-metric figures.
 fn normalized_figure(
     params: &EvalParams,
-    sweep: &SweepResults,
+    runs: &mut RunStore,
     id: &'static str,
     title: &'static str,
     metric_name: &str,
@@ -280,14 +292,16 @@ fn normalized_figure(
         format!("{title} (normalized to MESI, {} cores)", params.cores),
         &["workload", "CE", "CE+", "ARC"],
     );
+    runs.ensure(base_keys(params));
     let mut per_proto: HashMap<ProtocolKind, Vec<f64>> = HashMap::new();
     let mut rows = Vec::new();
     for w in WorkloadSpec::PARSEC {
-        let base = metric(get(sweep, w, ProtocolKind::MesiBaseline, params.cores));
+        let mesi = get(runs, params, w, ProtocolKind::MesiBaseline, params.cores);
+        let base = metric(mesi);
         let mut cells = vec![w.name().to_string()];
         let mut row = json!({ "workload": w.name() });
         for p in ProtocolKind::DETECTORS {
-            let v = metric(get(sweep, w, p, params.cores));
+            let v = metric(get(runs, params, w, p, params.cores));
             let norm = if base == 0.0 { 1.0 } else { v / base };
             per_proto.entry(p).or_default().push(norm.max(1e-9));
             cells.push(format!("{norm:.3}"));
@@ -314,15 +328,15 @@ fn normalized_figure(
 }
 
 /// R-F1: normalized run time.
-fn fig_runtime(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
-    normalized_figure(params, sweep, "R-F1", "Run time", "runtime", |r| {
+fn fig_runtime(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+    normalized_figure(params, runs, "R-F1", "Run time", "runtime", |r| {
         r.cycles.0 as f64
     })
 }
 
 /// R-F2: normalized energy, with component breakdown per design.
-fn fig_energy(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
-    let mut out = normalized_figure(params, sweep, "R-F2", "Energy", "energy", |r| {
+fn fig_energy(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+    let mut out = normalized_figure(params, runs, "R-F2", "Energy", "energy", |r| {
         r.energy_total().0
     });
     // Append a geomean component-share table.
@@ -335,7 +349,7 @@ fn fig_energy(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
         let mut shares = [0.0f64; 7];
         let mut n = 0;
         for w in WorkloadSpec::PARSEC {
-            let r = get(sweep, w, p, params.cores);
+            let r = get(runs, params, w, p, params.cores);
             let total = r.energy_total().0.max(1e-12);
             for (i, (_, v)) in r.energy.components().iter().enumerate() {
                 shares[i] += v.0 / total;
@@ -361,10 +375,10 @@ fn fig_energy(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
 
 /// R-F3: normalized on-chip traffic, plus the metadata/invalidation
 /// decomposition that explains it.
-fn fig_noc(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
+fn fig_noc(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut out = normalized_figure(
         params,
-        sweep,
+        runs,
         "R-F3",
         "On-chip network traffic",
         "noc_bytes",
@@ -378,7 +392,7 @@ fn fig_noc(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
     for p in ProtocolKind::ALL {
         let (mut total, mut data, mut inv, mut meta) = (0u64, 0u64, 0u64, 0u64);
         for w in WorkloadSpec::PARSEC {
-            let r = get(sweep, w, p, params.cores);
+            let r = get(runs, params, w, p, params.cores);
             total += r.noc.total_bytes().0;
             data += r.noc.bytes[rce_noc::MsgClass::Data.index()].0
                 + r.noc.bytes[rce_noc::MsgClass::Writeback.index()].0;
@@ -405,10 +419,10 @@ fn fig_noc(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
 }
 
 /// R-F4: normalized off-chip traffic, with the metadata share.
-fn fig_dram(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
+fn fig_dram(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut out = normalized_figure(
         params,
-        sweep,
+        runs,
         "R-F4",
         "Off-chip memory traffic",
         "dram_bytes",
@@ -422,7 +436,7 @@ fn fig_dram(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
     for p in ProtocolKind::ALL {
         let (mut data, mut meta) = (0u64, 0u64);
         for w in WorkloadSpec::PARSEC {
-            let r = get(sweep, w, p, params.cores);
+            let r = get(runs, params, w, p, params.cores);
             meta += r.dram.metadata_bytes().0;
             data += r.dram.total_bytes().0 - r.dram.metadata_bytes().0;
         }
@@ -444,13 +458,13 @@ fn fig_dram(params: &EvalParams, sweep: &SweepResults) -> FigureOutput {
 const SCALING_CORES: [usize; 4] = [8, 16, 32, 64];
 
 /// R-F5: geomean normalized run time vs core count.
-fn fig_scaling(params: &EvalParams) -> FigureOutput {
-    let sweep = run_suite(
+fn fig_scaling(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+    runs.ensure(grid(
         &WorkloadSpec::PARSEC,
         &ProtocolKind::ALL,
         &SCALING_CORES,
         params,
-    );
+    ));
     let mut t = Table::new(
         "Run time vs core count (geomean over PARSEC, normalized to MESI at each count)",
         &["cores", "CE", "CE+", "ARC"],
@@ -463,8 +477,10 @@ fn fig_scaling(params: &EvalParams) -> FigureOutput {
             let norms: Vec<f64> = WorkloadSpec::PARSEC
                 .iter()
                 .map(|w| {
-                    let base = get(&sweep, *w, ProtocolKind::MesiBaseline, c).cycles.0 as f64;
-                    let v = get(&sweep, *w, p, c).cycles.0 as f64;
+                    let base = get(runs, params, *w, ProtocolKind::MesiBaseline, c)
+                        .cycles
+                        .0 as f64;
+                    let v = get(runs, params, *w, p, c).cycles.0 as f64;
                     (v / base).max(1e-9)
                 })
                 .collect();
@@ -497,7 +513,7 @@ const AIM_WORKLOADS: [WorkloadSpec; 4] = [
 ];
 
 /// R-F6: AIM size sensitivity for CE+ and ARC.
-fn fig_aim(params: &EvalParams) -> FigureOutput {
+fn fig_aim(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "AIM sensitivity (geomean over metadata-heavy workloads)",
         &[
@@ -508,21 +524,21 @@ fn fig_aim(params: &EvalParams) -> FigureOutput {
             "ARC runtime",
         ],
     );
-    let mut rows = Vec::new();
     // Baselines (per workload, at default AIM) for normalization.
-    let base: HashMap<WorkloadSpec, f64> = AIM_WORKLOADS
-        .iter()
-        .map(|w| {
-            let r = run_one(
-                *w,
-                ProtocolKind::MesiBaseline,
-                params.cores,
-                params.scale,
-                params.seed,
-            );
-            (*w, r.cycles.0 as f64)
-        })
-        .collect();
+    let mut keys = AIM_WORKLOADS
+        .map(|w| RunKey::paper(w, ProtocolKind::MesiBaseline, params.cores, params))
+        .to_vec();
+    let sized = |w, p, entries| {
+        let cfg = MachineConfig::paper_default(params.cores, p).with_aim_entries(entries);
+        RunKey::new(w, cfg, params)
+    };
+    for entries in AIM_SIZES {
+        for p in [ProtocolKind::CePlus, ProtocolKind::Arc] {
+            keys.extend(AIM_WORKLOADS.map(|w| sized(w, p, entries)));
+        }
+    }
+    runs.ensure(keys);
+    let mut rows = Vec::new();
     for entries in AIM_SIZES {
         let mut cells = vec![entries.to_string()];
         let mut row = json!({ "entries": entries });
@@ -530,12 +546,12 @@ fn fig_aim(params: &EvalParams) -> FigureOutput {
             let mut hits = Vec::new();
             let mut norms = Vec::new();
             for w in AIM_WORKLOADS {
-                let cfg = MachineConfig::paper_default(params.cores, p).with_aim_entries(entries);
-                let r = run_one_cfg(w, &cfg, params.scale, params.seed);
-                if let Some(a) = r.aim {
+                let r = runs.get(&sized(w, p, entries));
+                if let Some(a) = &r.aim {
                     hits.push(a.hit_rate());
                 }
-                norms.push((r.cycles.0 as f64 / base[&w]).max(1e-9));
+                let base = get(runs, params, w, ProtocolKind::MesiBaseline, params.cores);
+                norms.push((r.cycles.0 as f64 / base.cycles.0 as f64).max(1e-9));
             }
             let hit = if hits.is_empty() {
                 0.0
@@ -559,45 +575,38 @@ fn fig_aim(params: &EvalParams) -> FigureOutput {
 }
 
 /// R-T3: exception delivery — every design must agree with the oracle.
-fn table3(params: &EvalParams) -> FigureOutput {
+fn table3(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     let mut t = Table::new(
         "Table III: region conflicts detected (vs oracle ground truth)",
         &["workload", "oracle", "CE", "CE+", "ARC", "all match"],
     );
-    let mut rows = Vec::new();
-    // Naturally racy workloads plus race-injected race-free ones.
-    let mut cases: Vec<(String, rce_trace::Program)> = vec![
-        (
-            "canneal".into(),
-            WorkloadSpec::Canneal.build(params.cores, params.scale.min(2), params.seed),
-        ),
-        (
-            "racy_pair".into(),
-            WorkloadSpec::RacyPair.build(params.cores, params.scale, params.seed),
-        ),
+    // Naturally racy workloads plus race-injected race-free ones, as
+    // (workload, scale, injected races).
+    let cases = [
+        (WorkloadSpec::Canneal, params.scale.min(2), 0),
+        (WorkloadSpec::RacyPair, params.scale, 0),
+        (WorkloadSpec::Blackscholes, 1, 4),
+        (WorkloadSpec::Streamcluster, 1, 8),
     ];
-    for (w, n) in [
-        (WorkloadSpec::Blackscholes, 4usize),
-        (WorkloadSpec::Streamcluster, 8),
-    ] {
-        let mut p = w.build(params.cores, 1, params.seed);
-        inject_races(&mut p, n, params.seed);
-        cases.push((p.name.clone(), p));
-    }
-    for (name, program) in &cases {
-        let mut counts = Vec::new();
-        let mut oracle_count = 0;
-        let mut all_match = true;
-        for proto in ProtocolKind::DETECTORS {
-            let cfg = MachineConfig::paper_default(params.cores, proto);
-            let r = rce_core::Machine::new(&cfg)
-                .expect("valid config")
-                .run(program)
-                .expect("valid program");
-            oracle_count = r.oracle_conflicts.len();
-            all_match &= r.matches_oracle();
-            counts.push(r.exceptions.len());
-        }
+    let key = |(w, scale, races): (WorkloadSpec, u32, usize), proto| {
+        RunKey::paper(w, proto, params.cores, params)
+            .with_scale(scale)
+            .with_races(races)
+    };
+    runs.ensure(
+        cases
+            .iter()
+            .flat_map(|&c| ProtocolKind::DETECTORS.map(|p| key(c, p))),
+    );
+    let mut rows = Vec::new();
+    for case in cases {
+        let reports = ProtocolKind::DETECTORS.map(|proto| runs.get(&key(case, proto)));
+        let name = &reports[0].workload;
+        let counts = reports.map(|r| r.exceptions.len());
+        // Each design runs its own schedule, so each has its own oracle
+        // count; the column shows the last design's.
+        let oracle_count = reports[reports.len() - 1].oracle_conflicts.len();
+        let all_match = reports.iter().all(|r| r.matches_oracle());
         t.row(vec![
             name.clone(),
             oracle_count.to_string(),
@@ -630,13 +639,13 @@ const SATURATION_WORKLOADS: [WorkloadSpec; 4] = [
 ];
 
 /// R-F7: NoC saturation vs core count.
-fn fig_saturation(params: &EvalParams) -> FigureOutput {
-    let sweep = run_suite(
+fn fig_saturation(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+    runs.ensure(grid(
         &SATURATION_WORKLOADS,
         &ProtocolKind::ALL,
         &SCALING_CORES,
         params,
-    );
+    ));
     let mut t = Table::new(
         "NoC load vs core count (totals over invalidation-heavy workloads)",
         &[
@@ -657,7 +666,7 @@ fn fig_saturation(params: &EvalParams) -> FigureOutput {
             // queue-delay histograms so the tail is visible too.
             let mut qhist = Histogram::new();
             for w in SATURATION_WORKLOADS {
-                let r = get(&sweep, w, p, c);
+                let r = get(runs, params, w, p, c);
                 util = util.max(r.noc.peak_link_utilization);
                 delay += r.noc.mean_queue_delay();
                 bytes += r.noc.total_bytes().0;
@@ -711,7 +720,7 @@ const TIMELINE_TABLE_ROWS: usize = 48;
 /// queue delay around conflicting phases, while ARC — which replaces
 /// invalidation traffic with self-invalidation at region boundaries —
 /// stays comparatively flat.
-fn fig_saturation_timeline(params: &EvalParams) -> FigureOutput {
+fn fig_saturation_timeline(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     const DESIGNS: [ProtocolKind; 2] = [ProtocolKind::CePlus, ProtocolKind::Arc];
     let w = WorkloadSpec::FalseSharing;
     let obs = ObsConfig {
@@ -719,12 +728,13 @@ fn fig_saturation_timeline(params: &EvalParams) -> FigureOutput {
         sample_interval: Some(TIMELINE_INTERVAL),
         forensics: None,
     };
-    let timelines: Vec<(ProtocolKind, rce_common::MetricsTimeline)> = DESIGNS
+    let keys = DESIGNS.map(|p| RunKey::paper(w, p, params.cores, params).with_obs(obs.clone()));
+    runs.ensure(keys.clone());
+    let timelines: Vec<(ProtocolKind, &rce_common::MetricsTimeline)> = keys
         .iter()
-        .map(|&p| {
-            let cfg = MachineConfig::paper_default(params.cores, p);
-            let r = run_one_obs(w, &cfg, params.scale, params.seed, obs.clone());
-            (p, r.timeline.expect("sampling was requested"))
+        .map(|k| {
+            let tl = runs.get(k).timeline.as_ref();
+            (k.protocol, tl.expect("sampling was requested"))
         })
         .collect();
 
@@ -797,7 +807,7 @@ const HEATMAP_TOP_K: usize = 5;
 /// and do CE+ (eager invalidation detection) and ARC (LLC-side
 /// registration) agree on where the heat is? The detection *sites*
 /// differ by design; the hot lines must not.
-fn fig_conflict_heatmap(params: &EvalParams) -> FigureOutput {
+fn fig_conflict_heatmap(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     const DESIGNS: [ProtocolKind; 2] = [ProtocolKind::CePlus, ProtocolKind::Arc];
     let mut t = Table::new(
         "Conflict heatmap (forensics): hottest lines and core pairs",
@@ -810,15 +820,22 @@ fn fig_conflict_heatmap(params: &EvalParams) -> FigureOutput {
             "hottest pairs (a-b:count)",
         ],
     );
-    let mut rows = Vec::new();
-    for (w, scale) in [
+    let cases = [
         (WorkloadSpec::RacyPair, params.scale),
         (WorkloadSpec::Canneal, params.scale.min(2)),
-    ] {
+    ];
+    let key = |(w, scale): (WorkloadSpec, u32), p| {
+        let obs = ObsConfig::forensics_only();
+        RunKey::paper(w, p, params.cores, params)
+            .with_scale(scale)
+            .with_obs(obs)
+    };
+    runs.ensure(cases.iter().flat_map(|&c| DESIGNS.map(|p| key(c, p))));
+    let mut rows = Vec::new();
+    for (w, scale) in cases {
         for p in DESIGNS {
-            let cfg = MachineConfig::paper_default(params.cores, p);
-            let r = run_one_obs(w, &cfg, scale, params.seed, ObsConfig::forensics_only());
-            let f = r.forensics.expect("forensics was requested");
+            let f = runs.get(&key((w, scale), p)).forensics.as_ref();
+            let f = f.expect("forensics was requested");
             let lines = f
                 .hottest_lines(HEATMAP_TOP_K)
                 .iter()
@@ -860,28 +877,27 @@ fn fig_conflict_heatmap(params: &EvalParams) -> FigureOutput {
 
 /// R-F8: are the headline geomeans artifacts of one seed? Re-run the
 /// runtime figure's geomean at several seeds and report the spread.
-fn fig_seeds(params: &EvalParams) -> FigureOutput {
+fn fig_seeds(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     const SEEDS: [u64; 3] = [42, 1337, 90210];
+    let seeded = SEEDS.map(|seed| EvalParams { seed, ..*params });
+    runs.ensure(seeded.iter().flat_map(base_keys));
     let mut t = Table::new(
         "Seed sensitivity (runtime geomean normalized to MESI)",
         &["seed", "CE", "CE+", "ARC"],
     );
     let mut rows = Vec::new();
     let mut per_design: HashMap<ProtocolKind, Vec<f64>> = HashMap::new();
-    for seed in SEEDS {
-        let mut p = *params;
-        p.seed = seed;
-        let sweep = base_sweep(&p);
+    for (seed, p) in SEEDS.into_iter().zip(&seeded) {
         let mut cells = vec![seed.to_string()];
         let mut row = json!({ "seed": seed });
         for proto in ProtocolKind::DETECTORS {
             let norms: Vec<f64> = WorkloadSpec::PARSEC
                 .iter()
                 .map(|w| {
-                    let base = get(&sweep, *w, ProtocolKind::MesiBaseline, p.cores)
+                    let base = get(runs, p, *w, ProtocolKind::MesiBaseline, p.cores)
                         .cycles
                         .0 as f64;
-                    let v = get(&sweep, *w, proto, p.cores).cycles.0 as f64;
+                    let v = get(runs, p, *w, proto, p.cores).cycles.0 as f64;
                     (v / base).max(1e-9)
                 })
                 .collect();
@@ -1092,6 +1108,28 @@ mod tests {
                 "{}: breakdown sums to {total}",
                 row["design"]
             );
+        }
+    }
+
+    #[test]
+    fn figures_over_the_base_sweep_match_and_skip_its_runs() {
+        // Seed 42 is one of fig-seeds' seeds, so every figure here
+        // reads some base-sweep runs.
+        let params = EvalParams {
+            seed: 42,
+            ..tiny_params()
+        };
+        let sweep = base_sweep(&params);
+        type Figure = fn(&EvalParams, &mut RunStore) -> FigureOutput;
+        let figures: [(Figure, usize); 3] = [(fig_aim, 4), (table3, 3), (fig_seeds, 52)];
+        for (figure, base_runs_read) in figures {
+            let mut alone = RunStore::new(None, 0);
+            let mut over_base = RunStore::new(Some(&sweep), 0);
+            let a = figure(&params, &mut alone);
+            let b = figure(&params, &mut over_base);
+            assert_eq!(a.table, b.table, "{}", a.id);
+            assert_eq!(a.json, b.json, "{}", a.id);
+            assert_eq!(alone.len() - over_base.len(), base_runs_read, "{}", a.id);
         }
     }
 }

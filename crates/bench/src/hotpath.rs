@@ -18,7 +18,7 @@
 //! why `results/bench_trajectory.json` keeps them in a `measured`
 //! section that the CI diff ignores.
 
-use crate::runner::run_one;
+use crate::runner::{EvalParams, RunKey};
 use rce_common::{
     Addr, AimConfig, CoreId, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable,
     MachineConfig, ProtocolKind, RegionId, Rng, SplitMix64, WordIdx, WordMask,
@@ -349,7 +349,11 @@ pub fn measure() -> HotPathMeasurement {
 
     // One pinned end-to-end run anchors simulated-access wall cost.
     let t0 = Instant::now();
-    let r = run_one(WorkloadSpec::PingPong, ProtocolKind::CePlus, 4, 1, 42);
+    let p = EvalParams {
+        scale: 1,
+        ..EvalParams::default()
+    };
+    let r = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::CePlus, 4, &p).run();
     let wall = t0.elapsed().as_secs_f64();
     let accesses = (r.mem_ops + r.sync_ops).max(1);
 

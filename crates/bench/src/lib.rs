@@ -8,11 +8,15 @@
 //! cargo run -p rce-bench --release --bin paper -- fig-runtime --cores 32 --scale 4
 //! ```
 //!
-//! [`runner`] executes (workload × protocol × core-count) sweeps in
-//! parallel across OS threads — each simulation is single-threaded and
-//! deterministic, so the sweep is embarrassingly parallel.
-//! [`figures`] renders each experiment as an aligned text table plus a
-//! machine-readable JSON row set (consumed by EXPERIMENTS.md).
+//! [`runner`] holds the keyed run store: a [`RunKey`] names one
+//! simulation completely, and each experiment or ablation asks its
+//! store for every run it reads before rendering, so the store runs
+//! each missing key once, in one batch parallel across OS threads —
+//! each simulation is single-threaded and deterministic, so a batch is
+//! embarrassingly parallel. `paper all` computes the base sweep once
+//! and seeds every experiment's store with it. [`figures`] and
+//! [`ablations`] render each experiment as an aligned text table plus
+//! a machine-readable JSON row set (consumed by EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 
@@ -26,6 +30,4 @@ pub mod summary;
 
 pub use ablations::Ablation;
 pub use figures::{Experiment, FigureOutput};
-pub use runner::{
-    run_one, run_one_obs, run_suite, run_suite_with, EvalParams, RunKey, SweepResults,
-};
+pub use runner::{EvalParams, RunKey, SweepResults};

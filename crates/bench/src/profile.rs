@@ -84,11 +84,6 @@ pub fn enable() {
     });
 }
 
-/// True once [`enable`] has been called.
-pub fn is_enabled() -> bool {
-    PROFILER.lock().expect("profiler lock poisoned").is_some()
-}
-
 /// Enter a named phase (find-or-create). No-op while disabled.
 pub fn set_phase(name: &str) {
     with(|p| match p.phases.iter().position(|ph| ph.name == name) {
@@ -167,7 +162,6 @@ mod tests {
     #[test]
     fn profile_lifecycle() {
         enable();
-        assert!(is_enabled());
         set_phase("alpha");
         record_run(Duration::from_millis(500), 1_000_000, 2_000_000);
         set_phase("beta");

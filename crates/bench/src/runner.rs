@@ -1,20 +1,25 @@
-//! Parallel sweep execution.
+//! The keyed run store and its parallel batch runner.
 //!
-//! Built on `std::thread::scope` and `std::sync::Mutex` only: workers
-//! claim work-queue indices through a shared counter (FIFO), and each
-//! finished report lands in its key's pre-assigned slot, so the
-//! returned [`SweepResults`] is always in cross-product order no
-//! matter how the OS schedules the workers.
+//! A [`RunKey`] names one simulation completely; [`RunKey::run`] is the
+//! one function that builds its program, simulates it and profiles it.
+//! A [`RunStore`] holds reports by key; every experiment asks its store
+//! for all the runs it reads before rendering, so no experiment
+//! simulates a key twice.
+//!
+//! A batch is built on `std::thread::scope` and `std::sync::Mutex`
+//! only: workers claim work-queue indices through a shared counter
+//! (FIFO), and each finished report lands in its key's pre-assigned
+//! slot, so a store's order never depends on how the OS schedules the
+//! workers.
 
 use rce_common::{MachineConfig, ObsConfig, ProtocolKind, RceError, RceResult};
 use rce_core::{Machine, SimReport};
-use rce_trace::WorkloadSpec;
-use std::collections::HashMap;
+use rce_trace::{inject_races, WorkloadSpec};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Lock acquisition that survives poisoning. Every mutex in the sweep
+/// Lock acquisition that survives poisoning. Every mutex in a batch
 /// guards plain data (a cursor integer, a result slot) that is valid
 /// at every sequence point, so a worker that panicked while holding
 /// one leaves nothing half-updated — recover the guard instead of
@@ -48,15 +53,86 @@ impl Default for EvalParams {
     }
 }
 
-/// Identifies one simulation run of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The full identity of one simulation: everything its report depends
+/// on. Two equal keys always produce byte-identical reports, so a store
+/// never needs to simulate a key twice.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunKey {
     /// Workload.
     pub workload: WorkloadSpec,
-    /// Design.
+    /// Design; the constructors set it to the configuration's.
     pub protocol: ProtocolKind,
-    /// Core count.
+    /// Core count; the constructors set it to the configuration's.
     pub cores: usize,
+    cfg: MachineConfig,
+    scale: u32,
+    seed: u64,
+    obs: ObsConfig,
+    /// Races injected into the program with `rce_trace::inject_races`.
+    races: usize,
+}
+
+impl RunKey {
+    /// `workload` on `cfg` at `params`' scale and seed, unobserved.
+    pub fn new(workload: WorkloadSpec, cfg: MachineConfig, params: &EvalParams) -> RunKey {
+        RunKey {
+            workload,
+            protocol: cfg.protocol,
+            cores: cfg.cores,
+            cfg,
+            scale: params.scale,
+            seed: params.seed,
+            obs: ObsConfig::default(),
+            races: 0,
+        }
+    }
+
+    /// `w` on the paper configuration of `p` at `cores`.
+    pub(crate) fn paper(
+        w: WorkloadSpec,
+        p: ProtocolKind,
+        cores: usize,
+        params: &EvalParams,
+    ) -> RunKey {
+        RunKey::new(w, MachineConfig::paper_default(cores, p), params)
+    }
+
+    /// The same run at another workload scale.
+    pub(crate) fn with_scale(self, scale: u32) -> RunKey {
+        RunKey { scale, ..self }
+    }
+
+    /// The same run with observability on (see `rce_common::obs`).
+    pub fn with_obs(self, obs: ObsConfig) -> RunKey {
+        RunKey { obs, ..self }
+    }
+
+    /// The same run on the program with `races` injected races.
+    pub(crate) fn with_races(self, races: usize) -> RunKey {
+        RunKey { races, ..self }
+    }
+
+    /// Build the program, simulate it and record the run into the
+    /// current [`crate::profile`] phase (a no-op unless profiling was
+    /// enabled). Every simulation the harness runs goes through here.
+    pub fn run(&self) -> SimReport {
+        let mut program = self.workload.build(self.cores, self.scale, self.seed);
+        if self.races > 0 {
+            inject_races(&mut program, self.races, self.seed);
+        }
+        let t0 = Instant::now();
+        let report = Machine::new(&self.cfg)
+            .expect("harness configs are valid")
+            .with_observability(self.obs.clone())
+            .run(&program)
+            .expect("generated workloads are valid programs");
+        crate::profile::record_run(
+            t0.elapsed(),
+            report.mem_ops + report.sync_ops,
+            report.cycles.0,
+        );
+        report
+    }
 }
 
 impl std::fmt::Display for RunKey {
@@ -71,188 +147,101 @@ impl std::fmt::Display for RunKey {
     }
 }
 
-/// Sweep reports in deterministic cross-product order
-/// (workload-major, then protocol, then core count) — the order
-/// [`run_suite`] enqueued them.
-#[derive(Debug, Clone, Default)]
-pub struct SweepResults {
+/// The keyed run store: simulation reports by [`RunKey`], in the order
+/// their keys were first ensured, over an optional borrowed base store
+/// whose reports it also serves. An experiment's store lives for that
+/// experiment only, so its reports are freed when it ends.
+#[derive(Debug, Clone)]
+pub struct RunStore<'a> {
+    base: Option<&'a SweepResults>,
     entries: Vec<(RunKey, SimReport)>,
-    /// Position of each key in `entries`.
-    index: HashMap<RunKey, usize>,
+    /// Sweep workers (0 = all available).
+    jobs: usize,
 }
 
-impl SweepResults {
-    /// The report for `key`, if the sweep ran it.
-    pub fn get(&self, key: &RunKey) -> Option<&SimReport> {
-        self.index.get(key).map(|&i| &self.entries[i].1)
+/// A store that owns all its reports, such as the base sweep `paper
+/// all` computes once and seeds every experiment's store with.
+pub type SweepResults = RunStore<'static>;
+
+impl<'a> RunStore<'a> {
+    /// An empty store over `base`, simulating on `jobs` workers.
+    pub(crate) fn new(base: Option<&'a SweepResults>, jobs: usize) -> RunStore<'a> {
+        RunStore {
+            base,
+            entries: Vec::new(),
+            jobs,
+        }
     }
 
-    /// Number of runs.
+    /// Simulate every key of `keys` the store (base included) lacks,
+    /// each once, in one parallel batch. Returns how many runs
+    /// executed. Panics if a run fails — paper workloads always
+    /// simulate cleanly, so a failure is a harness bug.
+    pub(crate) fn ensure(&mut self, keys: impl IntoIterator<Item = RunKey>) -> usize {
+        let mut missing: Vec<RunKey> = Vec::new();
+        for k in keys {
+            if self.find(&k).is_none() && !missing.contains(&k) {
+                missing.push(k);
+            }
+        }
+        let outcomes = run_suite_with(&missing, self.jobs, |k| Ok(k.run()));
+        let executed = missing.len();
+        for (k, r) in missing.into_iter().zip(outcomes) {
+            match r {
+                Ok(report) => self.entries.push((k, report)),
+                Err(e) => panic!("sweep run {k} failed: {e}"),
+            }
+        }
+        executed
+    }
+
+    /// The report for `key`, from this store or its base. A store
+    /// holds a few hundred runs at most, so a scan is fast enough.
+    fn find(&self, key: &RunKey) -> Option<&SimReport> {
+        let own = self.entries.iter().find(|(k, _)| k == key);
+        own.map(|(_, r)| r).or_else(|| self.base?.find(key))
+    }
+
+    /// The report for `key`. Panics if `key` was never ensured.
+    pub(crate) fn get(&self, key: &RunKey) -> &SimReport {
+        self.find(key)
+            .unwrap_or_else(|| panic!("run {key} was never ensured"))
+    }
+
+    /// Number of runs this store executed (its base's are not counted).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True if the sweep is empty.
+    /// True if this store executed no run.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Keys in sweep order.
-    pub fn keys(&self) -> impl Iterator<Item = &RunKey> {
-        self.entries.iter().map(|(k, _)| k)
-    }
-
-    /// Reports in sweep order.
-    pub fn values(&self) -> impl Iterator<Item = &SimReport> {
-        self.entries.iter().map(|(_, r)| r)
-    }
-
-    /// `(key, report)` pairs in sweep order.
+    /// The `(key, report)` pairs this store executed, in store order.
     pub fn iter(&self) -> impl Iterator<Item = &(RunKey, SimReport)> {
         self.entries.iter()
     }
 }
 
-impl IntoIterator for SweepResults {
-    type Item = (RunKey, SimReport);
-    type IntoIter = std::vec::IntoIter<(RunKey, SimReport)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a SweepResults {
-    type Item = &'a (RunKey, SimReport);
-    type IntoIter = std::slice::Iter<'a, (RunKey, SimReport)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
-    }
-}
-
-/// Run one simulation.
-pub fn run_one(
-    workload: WorkloadSpec,
-    protocol: ProtocolKind,
-    cores: usize,
-    scale: u32,
-    seed: u64,
-) -> SimReport {
-    run_one_cfg(
-        workload,
-        &MachineConfig::paper_default(cores, protocol),
-        scale,
-        seed,
-    )
-}
-
-/// Run one simulation with an explicit machine configuration.
-pub fn run_one_cfg(
-    workload: WorkloadSpec,
-    cfg: &MachineConfig,
-    scale: u32,
-    seed: u64,
-) -> SimReport {
-    run_one_obs(workload, cfg, scale, seed, ObsConfig::default())
-}
-
-/// Run one simulation with explicit configuration *and* observability
-/// (event trace and/or interval metrics timeline — see
-/// `rce_common::obs`). This is also the harness's profiling
-/// choke-point: every run's wall time and simulated work are recorded
-/// into the current [`crate::profile`] phase (a no-op unless profiling
-/// was enabled).
-pub fn run_one_obs(
-    workload: WorkloadSpec,
-    cfg: &MachineConfig,
-    scale: u32,
-    seed: u64,
-    obs: ObsConfig,
-) -> SimReport {
-    let program = workload.build(cfg.cores, scale, seed);
-    let t0 = Instant::now();
-    let report = Machine::new(cfg)
-        .expect("paper_default configs are valid")
-        .with_observability(obs)
-        .run(&program)
-        .expect("generated workloads are valid programs");
-    crate::profile::record_run(
-        t0.elapsed(),
-        report.mem_ops + report.sync_ops,
-        report.cycles.0,
-    );
-    report
-}
-
-/// Run a full sweep in parallel; returns reports in cross-product
-/// (FIFO) key order regardless of worker scheduling. Panics if any
-/// run fails — paper workloads always simulate cleanly, so a failure
-/// here is a harness bug (use [`run_suite_with`] for fallible runs).
-pub fn run_suite(
-    workloads: &[WorkloadSpec],
-    protocols: &[ProtocolKind],
-    core_counts: &[usize],
-    params: &EvalParams,
-) -> SweepResults {
-    let outcomes = run_suite_with(workloads, protocols, core_counts, params, |key| {
-        Ok(run_one(
-            key.workload,
-            key.protocol,
-            key.cores,
-            params.scale,
-            params.seed,
-        ))
-    });
-    let entries: Vec<(RunKey, SimReport)> = outcomes
-        .into_iter()
-        .map(|(k, r)| match r {
-            Ok(report) => (k, report),
-            Err(e) => panic!("sweep run {k} failed: {e}"),
-        })
-        .collect();
-    let index = entries
-        .iter()
-        .enumerate()
-        .map(|(i, (k, _))| (*k, i))
-        .collect();
-    SweepResults { entries, index }
-}
-
-/// Fallible parallel sweep over an arbitrary per-key runner.
+/// Fallible parallel batch over an arbitrary per-key runner.
 ///
-/// Each key's outcome comes back in enqueue (cross-product) order. One
-/// run failing — or even panicking — never takes down the rest of the
-/// sweep: a panic inside `run` is caught and surfaced as
-/// [`RceError::InvariantViolated`] naming the offending sweep key,
-/// poisoned queue/slot locks are recovered (see [`lock_unpoisoned`]),
-/// and every other queued run still executes and reports.
-pub fn run_suite_with<F>(
-    workloads: &[WorkloadSpec],
-    protocols: &[ProtocolKind],
-    core_counts: &[usize],
-    params: &EvalParams,
-    run: F,
-) -> Vec<(RunKey, RceResult<SimReport>)>
+/// Each key's outcome comes back in `keys` order. One run failing — or
+/// even panicking — never takes down the rest of the batch: a panic
+/// inside `run` is caught and surfaced as
+/// [`RceError::InvariantViolated`] naming the offending key, poisoned
+/// queue/slot locks are recovered (see [`lock_unpoisoned`]), and every
+/// other queued run still executes and reports.
+fn run_suite_with<F>(keys: &[RunKey], jobs: usize, run: F) -> Vec<RceResult<SimReport>>
 where
-    F: Fn(RunKey) -> RceResult<SimReport> + Sync,
+    F: Fn(&RunKey) -> RceResult<SimReport> + Sync,
 {
-    let mut keys = Vec::new();
-    for &w in workloads {
-        for &p in protocols {
-            for &c in core_counts {
-                keys.push(RunKey {
-                    workload: w,
-                    protocol: p,
-                    cores: c,
-                });
-            }
-        }
-    }
-    let jobs = if params.jobs == 0 {
+    let jobs = if jobs == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
     } else {
-        params.jobs
+        jobs
     }
     .min(keys.len().max(1));
 
@@ -273,7 +262,7 @@ where
                     *n += 1;
                     i
                 };
-                let key = keys[i];
+                let key = &keys[i];
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run(key)))
                     .unwrap_or_else(|payload| {
                         let msg = payload
@@ -289,18 +278,16 @@ where
             });
         }
     });
-    keys.into_iter()
+    keys.iter()
         .zip(slots)
         .map(|(k, slot)| {
-            let r = slot
-                .into_inner()
+            slot.into_inner()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .unwrap_or_else(|| {
                     Err(RceError::InvariantViolated(format!(
                         "sweep run {k} was claimed but never reported"
                     )))
-                });
-            (k, r)
+                })
         })
         .collect()
 }
@@ -309,79 +296,119 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn run_one_produces_report() {
-        let r = run_one(WorkloadSpec::PingPong, ProtocolKind::MesiBaseline, 2, 1, 1);
-        assert_eq!(r.cores, 2);
-        assert!(r.cycles.0 > 0);
-    }
+    const P: EvalParams = EvalParams {
+        cores: 2,
+        scale: 1,
+        seed: 1,
+        jobs: 0,
+    };
 
-    #[test]
-    fn suite_covers_cross_product() {
-        let params = EvalParams {
-            cores: 2,
-            scale: 1,
-            seed: 1,
-            jobs: 2,
-        };
-        let out = run_suite(
-            &[WorkloadSpec::PingPong, WorkloadSpec::PrivateOnly],
-            &[ProtocolKind::MesiBaseline, ProtocolKind::Arc],
-            &[2],
-            &params,
-        );
-        assert_eq!(out.len(), 4);
-        for (k, r) in &out {
-            assert_eq!(r.protocol, k.protocol);
-            assert_eq!(r.workload.as_str(), k.workload.name());
-        }
-    }
-
-    #[test]
-    fn suite_results_are_in_cross_product_order() {
-        let workloads = [WorkloadSpec::PingPong, WorkloadSpec::PrivateOnly];
-        let protocols = [ProtocolKind::MesiBaseline, ProtocolKind::Ce];
-        let core_counts = [2usize, 4];
-        let params = EvalParams {
-            cores: 2,
-            scale: 1,
-            seed: 1,
-            jobs: 3,
-        };
-        let out = run_suite(&workloads, &protocols, &core_counts, &params);
-        let mut expected = Vec::new();
-        for w in workloads {
-            for p in protocols {
-                for c in core_counts {
-                    expected.push(RunKey {
-                        workload: w,
-                        protocol: p,
-                        cores: c,
-                    });
+    fn grid(
+        workloads: &[WorkloadSpec],
+        protocols: &[ProtocolKind],
+        cores: &[usize],
+    ) -> Vec<RunKey> {
+        let mut keys = Vec::new();
+        for &w in workloads {
+            for &proto in protocols {
+                for &c in cores {
+                    keys.push(RunKey::paper(w, proto, c, &P));
                 }
             }
         }
-        let got: Vec<RunKey> = out.keys().copied().collect();
-        assert_eq!(got, expected, "results must come back in enqueue order");
-        for (k, r) in &out {
+        keys
+    }
+
+    #[test]
+    fn ensure_keeps_key_order_and_finds_every_key() {
+        let keys = grid(
+            &[WorkloadSpec::PingPong, WorkloadSpec::PrivateOnly],
+            &[ProtocolKind::MesiBaseline, ProtocolKind::Ce],
+            &[2, 4],
+        );
+        let mut store = RunStore::new(None, 3);
+        assert_eq!(store.ensure(keys.clone()), 8);
+        let got: Vec<&RunKey> = store.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            got,
+            keys.iter().collect::<Vec<_>>(),
+            "store keeps key order"
+        );
+        for (k, r) in store.iter() {
             assert_eq!(r.cores, k.cores);
-            assert!(
-                std::ptr::eq(out.get(k).unwrap(), r),
-                "get({k}) finds its entry"
-            );
+            assert_eq!(r.protocol, k.protocol);
+            assert_eq!(r.workload.as_str(), k.workload.name());
+            assert!(std::ptr::eq(store.get(k), r), "get({k}) finds it");
         }
-        let absent = RunKey {
-            cores: 8,
-            ..expected[0]
-        };
-        assert!(out.get(&absent).is_none());
+        let absent = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::Ce, 8, &P);
+        assert!(store.find(&absent).is_none());
+    }
+
+    #[test]
+    fn ensure_never_simulates_a_key_twice() {
+        let keys = grid(
+            &[WorkloadSpec::PingPong],
+            &[ProtocolKind::MesiBaseline, ProtocolKind::Arc],
+            &[2],
+        );
+        let mut base = RunStore::new(None, 2);
+        let twice = keys.iter().chain(&keys).cloned();
+        assert_eq!(base.ensure(twice), 2, "a repeated key runs once");
+        assert_eq!(
+            base.ensure(keys.clone()),
+            0,
+            "present keys do not run again"
+        );
+        assert_eq!(base.len(), 2);
+
+        // A store over a base runs only what both lack, and serves the
+        // base's reports without copying them.
+        let more = grid(
+            &[WorkloadSpec::PingPong],
+            &[
+                ProtocolKind::MesiBaseline,
+                ProtocolKind::Arc,
+                ProtocolKind::Ce,
+            ],
+            &[2],
+        );
+        let mut store = RunStore::new(Some(&base), 2);
+        assert_eq!(store.ensure(more.clone()), 1);
+        assert_eq!(store.ensure(more.clone()), 0);
+        assert_eq!(store.len(), 1);
+        assert!(std::ptr::eq(store.get(&keys[0]), base.get(&keys[0])));
+        assert_eq!(store.get(&more[2]).protocol, ProtocolKind::Ce);
+    }
+
+    #[test]
+    fn every_key_field_is_part_of_the_identity() {
+        let base = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::CePlus, 2, &P);
+        let mut cfg = MachineConfig::paper_default(2, ProtocolKind::CePlus);
+        cfg.metadata_piggyback_bytes = 8;
+        let variants = [
+            RunKey::new(WorkloadSpec::PingPong, cfg, &P),
+            base.clone().with_scale(2),
+            base.clone().with_obs(ObsConfig::forensics_only()),
+            base.clone().with_races(1),
+            RunKey::paper(
+                WorkloadSpec::PingPong,
+                ProtocolKind::CePlus,
+                2,
+                &EvalParams { seed: 2, ..P },
+            ),
+        ];
+        for v in &variants {
+            assert_ne!(&base, v);
+        }
+        let mut store = RunStore::new(None, 2);
+        assert_eq!(store.ensure(variants.into_iter().chain([base])), 6);
     }
 
     #[test]
     fn observability_does_not_perturb_the_simulation() {
-        let cfg = MachineConfig::paper_default(2, ProtocolKind::CePlus);
-        let plain = run_one_cfg(WorkloadSpec::PingPong, &cfg, 1, 3);
-        let obs = run_one_obs(WorkloadSpec::PingPong, &cfg, 1, 3, ObsConfig::full(256));
+        let key = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::CePlus, 2, &P);
+        let plain = key.run();
+        let obs = key.with_obs(ObsConfig::full(256)).run();
         assert_eq!(plain.cycles, obs.cycles);
         assert_eq!(plain.noc.total_bytes(), obs.noc.total_bytes());
         assert_eq!(plain.exceptions.len(), obs.exceptions.len());
@@ -390,38 +417,23 @@ mod tests {
     }
 
     #[test]
-    fn failed_run_does_not_sink_the_sweep() {
-        let workloads = [WorkloadSpec::PingPong, WorkloadSpec::PrivateOnly];
-        let protocols = [ProtocolKind::MesiBaseline, ProtocolKind::Ce];
-        let params = EvalParams {
-            cores: 2,
-            scale: 1,
-            seed: 1,
-            jobs: 2,
-        };
+    fn failed_run_does_not_sink_the_batch() {
+        let keys = grid(
+            &[WorkloadSpec::PingPong, WorkloadSpec::PrivateOnly],
+            &[ProtocolKind::MesiBaseline, ProtocolKind::Ce],
+            &[2],
+        );
         // The second enqueued run (PingPong/Ce) fails; the rest must
         // still execute and come back in enqueue order.
-        let out = run_suite_with(&workloads, &protocols, &[2], &params, |key| {
+        let out = run_suite_with(&keys, 2, |key| {
             if key.protocol == ProtocolKind::Ce && key.workload == WorkloadSpec::PingPong {
                 Err(RceError::LimitExceeded("injected mid-sweep failure".into()))
             } else {
-                Ok(run_one(key.workload, key.protocol, key.cores, 1, 1))
+                Ok(key.run())
             }
         });
-        assert_eq!(out.len(), 4);
-        let expected: Vec<RunKey> = workloads
-            .iter()
-            .flat_map(|&w| {
-                protocols.iter().map(move |&p| RunKey {
-                    workload: w,
-                    protocol: p,
-                    cores: 2,
-                })
-            })
-            .collect();
-        let got: Vec<RunKey> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(got, expected, "outcomes stay in enqueue order");
-        for (i, (key, r)) in out.iter().enumerate() {
+        assert_eq!(out.len(), keys.len());
+        for (i, (key, r)) in keys.iter().zip(&out).enumerate() {
             if i == 1 {
                 assert!(
                     matches!(r, Err(RceError::LimitExceeded(_))),
@@ -437,55 +449,39 @@ mod tests {
 
     #[test]
     fn panicking_run_surfaces_as_error_with_its_key() {
-        let params = EvalParams {
-            cores: 2,
-            scale: 1,
-            seed: 1,
-            jobs: 2,
-        };
-        // Keep the worker's caught panic out of the test log.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = run_suite_with(
+        let keys = grid(
             &[WorkloadSpec::PingPong, WorkloadSpec::PrivateOnly],
             &[ProtocolKind::MesiBaseline],
             &[2],
-            &params,
-            |key| {
-                if key.workload == WorkloadSpec::PingPong {
-                    panic!("worker died mid-run");
-                }
-                Ok(run_one(key.workload, key.protocol, key.cores, 1, 1))
-            },
         );
+        // Keep the worker's caught panic out of the test log.
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = run_suite_with(&keys, 2, |key| {
+            if key.workload == WorkloadSpec::PingPong {
+                panic!("worker died mid-run");
+            }
+            Ok(key.run())
+        });
         std::panic::set_hook(prev);
         assert_eq!(out.len(), 2);
-        match &out[0].1 {
+        match &out[0] {
             Err(RceError::InvariantViolated(m)) => {
                 assert!(m.contains("ping_pong"), "names the offending key: {m}");
                 assert!(m.contains("worker died mid-run"), "{m}");
             }
             other => panic!("expected InvariantViolated, got {other:?}"),
         }
-        assert!(out[1].1.is_ok(), "the other queued run still completes");
+        assert!(out[1].is_ok(), "the other queued run still completes");
     }
 
     #[test]
     fn parallel_equals_serial() {
-        let serial = run_one(WorkloadSpec::PingPong, ProtocolKind::Ce, 2, 1, 7);
-        let params = EvalParams {
-            cores: 2,
-            scale: 1,
-            seed: 7,
-            jobs: 4,
-        };
-        let out = run_suite(
-            &[WorkloadSpec::PingPong],
-            &[ProtocolKind::Ce],
-            &[2],
-            &params,
-        );
-        let parallel = out.values().next().unwrap();
+        let key = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::Ce, 2, &P);
+        let serial = key.run();
+        let mut store = RunStore::new(None, 4);
+        store.ensure([key.clone()]);
+        let parallel = store.get(&key);
         assert_eq!(serial.cycles, parallel.cycles);
         assert_eq!(serial.noc.total_bytes(), parallel.noc.total_bytes());
     }

@@ -146,6 +146,24 @@ for design in "CE+" "ARC"; do
 done
 echo "ok: ablate-aim wrote R-A7.json with CE+ and ARC curves"
 
+echo "== worker-order independence (paper all and ablations, --jobs 1 vs 2) =="
+# Each experiment simulates the runs it lacks in one parallel batch.
+# The results it writes and the tables it prints must not depend on how
+# many workers ran the batch or in which order they finished.
+for jobs in 1 2; do
+    mkdir -p "$obs_out/jobs$jobs"
+    for cmd in all ablations; do
+        cargo run -q --release --offline -p rce-bench --bin paper -- \
+            "$cmd" --cores 4 --scale 1 --jobs "$jobs" --out "$obs_out/jobs$jobs" \
+            >"$obs_out/jobs$jobs/$cmd.txt" 2>"$obs_out/$cmd-jobs$jobs.err"
+    done
+done
+if ! diff -r "$obs_out/jobs1" "$obs_out/jobs2"; then
+    echo "FAIL: paper output depends on the number of sweep workers" >&2
+    exit 1
+fi
+echo "ok: paper all and ablations write identical output with 1 and 2 workers"
+
 echo "== oracle agreement at 64 cores (paper table3) =="
 # At the widest machine every core owns a bit of the oracle's 64-bit
 # word masks. Every detecting engine must still match the oracle on
