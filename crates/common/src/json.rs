@@ -940,71 +940,69 @@ macro_rules! impl_json_unit_enum {
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::json::JsonValue::Null };
-    ([ $($tt:tt)* ]) => {{
-        #[allow(unused_mut)]
-        let mut items: Vec<$crate::json::JsonValue> = Vec::new();
-        $crate::json_array_items!(items, $($tt)*);
-        $crate::json::JsonValue::Array(items)
-    }};
-    ({ $($tt:tt)* }) => {{
-        #[allow(unused_mut)]
-        let mut pairs: Vec<(String, $crate::json::JsonValue)> = Vec::new();
-        $crate::json_object_pairs!(pairs, $($tt)*);
-        $crate::json::JsonValue::Object(pairs)
-    }};
+    ([ $($tt:tt)* ]) => {
+        $crate::json::JsonValue::Array($crate::json_array_items!([] $($tt)*))
+    };
+    ({ $($tt:tt)* }) => {
+        $crate::json::JsonValue::Object($crate::json_object_pairs!([] $($tt)*))
+    };
     ($other:expr) => { $crate::json::ToJson::to_json(&$other) };
 }
 
-/// Internal helper for [`json!`] array bodies.
+/// Internal helper for [`json!`] array bodies: converts one item at a
+/// time into the bracketed accumulator, then builds the `Vec`.
 #[macro_export]
 #[doc(hidden)]
 macro_rules! json_array_items {
-    ($items:ident $(,)?) => {};
-    ($items:ident, null $(, $($rest:tt)*)?) => {
-        $items.push($crate::json::JsonValue::Null);
-        $($crate::json_array_items!($items, $($rest)*);)?
+    ([$($done:expr,)*] $(,)?) => { ::std::vec![$($done),*] };
+    ([$($done:expr,)*] null $(, $($rest:tt)*)?) => {
+        $crate::json_array_items!([$($done,)* $crate::json::JsonValue::Null,] $($($rest)*)?)
     };
-    ($items:ident, { $($inner:tt)* } $(, $($rest:tt)*)?) => {
-        $items.push($crate::json!({ $($inner)* }));
-        $($crate::json_array_items!($items, $($rest)*);)?
+    ([$($done:expr,)*] { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        $crate::json_array_items!([$($done,)* $crate::json!({ $($inner)* }),] $($($rest)*)?)
     };
-    ($items:ident, [ $($inner:tt)* ] $(, $($rest:tt)*)?) => {
-        $items.push($crate::json!([ $($inner)* ]));
-        $($crate::json_array_items!($items, $($rest)*);)?
+    ([$($done:expr,)*] [ $($inner:tt)* ] $(, $($rest:tt)*)?) => {
+        $crate::json_array_items!([$($done,)* $crate::json!([ $($inner)* ]),] $($($rest)*)?)
     };
-    ($items:ident, $value:expr $(, $($rest:tt)*)?) => {
-        $items.push($crate::json::ToJson::to_json(&$value));
-        $($crate::json_array_items!($items, $($rest)*);)?
+    ([$($done:expr,)*] $value:expr $(, $($rest:tt)*)?) => {
+        $crate::json_array_items!(
+            [$($done,)* $crate::json::ToJson::to_json(&$value),] $($($rest)*)?
+        )
     };
 }
 
-/// Internal helper for [`json!`] object bodies.
+/// Internal helper for [`json!`] object bodies: converts one pair at a
+/// time into the bracketed accumulator, then builds the `Vec`.
 #[macro_export]
 #[doc(hidden)]
 macro_rules! json_object_pairs {
-    ($pairs:ident $(,)?) => {};
-    ($pairs:ident, $key:literal : null $(, $($rest:tt)*)?) => {
-        $pairs.push(($key.to_string(), $crate::json::JsonValue::Null));
-        $($crate::json_object_pairs!($pairs, $($rest)*);)?
+    ([$($done:expr,)*] $(,)?) => { ::std::vec![$($done),*] };
+    ([$($done:expr,)*] $key:literal : null $(, $($rest:tt)*)?) => {
+        $crate::json_object_pairs!(
+            [$($done,)* ($key.to_string(), $crate::json::JsonValue::Null),] $($($rest)*)?
+        )
     };
-    ($pairs:ident, $key:literal : { $($inner:tt)* } $(, $($rest:tt)*)?) => {
-        $pairs.push(($key.to_string(), $crate::json!({ $($inner)* })));
-        $($crate::json_object_pairs!($pairs, $($rest)*);)?
+    ([$($done:expr,)*] $key:literal : { $($inner:tt)* } $(, $($rest:tt)*)?) => {
+        $crate::json_object_pairs!(
+            [$($done,)* ($key.to_string(), $crate::json!({ $($inner)* })),] $($($rest)*)?
+        )
     };
-    ($pairs:ident, $key:literal : [ $($inner:tt)* ] $(, $($rest:tt)*)?) => {
-        $pairs.push(($key.to_string(), $crate::json!([ $($inner)* ])));
-        $($crate::json_object_pairs!($pairs, $($rest)*);)?
+    ([$($done:expr,)*] $key:literal : [ $($inner:tt)* ] $(, $($rest:tt)*)?) => {
+        $crate::json_object_pairs!(
+            [$($done,)* ($key.to_string(), $crate::json!([ $($inner)* ])),] $($($rest)*)?
+        )
     };
-    ($pairs:ident, $key:literal : $value:expr $(, $($rest:tt)*)?) => {
-        $pairs.push(($key.to_string(), $crate::json::ToJson::to_json(&$value)));
-        $($crate::json_object_pairs!($pairs, $($rest)*);)?
+    ([$($done:expr,)*] $key:literal : $value:expr $(, $($rest:tt)*)?) => {
+        $crate::json_object_pairs!(
+            [$($done,)* ($key.to_string(), $crate::json::ToJson::to_json(&$value)),]
+            $($($rest)*)?
+        )
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn literals_and_display() {

@@ -49,7 +49,7 @@ pub use json::{FromJson, JsonValue, ToJson};
 pub use line::{LineFlags, LineId, LineMap, LineSet, LineTable};
 pub use obs::{
     EventClass, EventKind, ForensicsConfig, GaugeSnapshot, IntervalSample, MetricsSampler,
-    MetricsTimeline, ObsConfig, SharedTracer, SimEvent, TraceConfig, TraceFilter, TraceLog, Tracer,
+    MetricsTimeline, ObsConfig, SharedTracer, SimEvent, TraceConfig, TraceLog, Tracer,
 };
 pub use rng::{Rng, SplitMix64};
 pub use stats::{geomean, Counter, Histogram, Summary};

@@ -7,8 +7,7 @@
 //!    typed [`SimEvent`]s (region boundaries, coherence messages,
 //!    cache evictions, AIM activity, DRAM accesses, self-invalidation,
 //!    conflict exceptions) with cycle timestamps and
-//!    core/region/address provenance, filterable by core, address
-//!    range, and event class. The finished [`TraceLog`] exports as
+//!    core/region/address provenance. The finished [`TraceLog`] exports as
 //!    NDJSON or as Chrome `trace_event` JSON (loadable in
 //!    `chrome://tracing` / Perfetto).
 //! 2. **Interval metrics** — a [`MetricsSampler`] turns cumulative
@@ -20,7 +19,7 @@
 //!    is fully off; a simulation run with observability off must be
 //!    *byte-identical* to one that never linked this module (the
 //!    zero-overhead contract — hooks are `Option` checks only, and no
-//!    event is even constructed unless a tracer wants its class).
+//!    event is even constructed unless a tracer is attached).
 //!
 //! Everything here is deterministic: the same simulated execution
 //! produces the same events and the same timeline, byte for byte.
@@ -48,7 +47,7 @@ pub fn shared_tracer(t: Tracer) -> SharedTracer {
 // Event taxonomy
 // ---------------------------------------------------------------------------
 
-/// Coarse event classes, the unit of filtering.
+/// Coarse event classes (the `cat` field of a Chrome trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventClass {
     /// Region begin/end.
@@ -232,7 +231,7 @@ impl EventKind {
     }
 
     /// Byte-address span `[lo, hi)` this event touches, if it has one
-    /// (used by address-range filters).
+    /// (forensics windows select events by it).
     pub fn addr_span(&self) -> Option<(u64, u64)> {
         let line_span = |l: u64| Some((l * 64, l * 64 + 64));
         match self {
@@ -394,76 +393,31 @@ impl json::FromJson for SimEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer: filter + bounded ring buffer
+// Tracer: bounded ring buffer
 // ---------------------------------------------------------------------------
-
-/// Which events a tracer keeps. `None` dimensions accept everything.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceFilter {
-    /// Keep only events from these cores (events without a core
-    /// provenance are rejected when set).
-    pub cores: Option<Vec<u16>>,
-    /// Keep only events whose address span overlaps `[lo, hi)` (events
-    /// without an address are rejected when set).
-    pub addr_range: Option<(u64, u64)>,
-    /// Keep only these event classes.
-    pub classes: Option<Vec<EventClass>>,
-}
-
-impl TraceFilter {
-    /// Would an event of class `c` pass the class dimension? Cheap
-    /// pre-check so call sites can skip building rejected events.
-    pub fn wants_class(&self, c: EventClass) -> bool {
-        self.classes.as_ref().map_or(true, |v| v.contains(&c))
-    }
-
-    /// Full filter decision for a built event.
-    pub fn accepts(&self, ev: &SimEvent) -> bool {
-        if !self.wants_class(ev.kind.class()) {
-            return false;
-        }
-        if let Some(cores) = &self.cores {
-            match ev.core {
-                Some(c) if cores.contains(&c) => {}
-                _ => return false,
-            }
-        }
-        if let Some((lo, hi)) = self.addr_range {
-            match ev.kind.addr_span() {
-                Some((a, b)) if a < hi && b > lo => {}
-                _ => return false,
-            }
-        }
-        true
-    }
-}
 
 /// Tracer configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
-    /// Ring-buffer capacity: the newest `capacity` accepted events are
-    /// kept; older ones are dropped (and counted).
+    /// Ring-buffer capacity: the newest `capacity` events are kept;
+    /// older ones are dropped (and counted).
     pub capacity: usize,
-    /// Event filter.
-    pub filter: TraceFilter,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             capacity: DEFAULT_TRACE_CAPACITY,
-            filter: TraceFilter::default(),
         }
     }
 }
 
-/// A bounded ring buffer of accepted events. When full, the *oldest*
+/// A bounded ring buffer of events. When full, the *oldest*
 /// event is dropped and `drops` is incremented — overflow is always
 /// surfaced, never silent.
 #[derive(Debug)]
 pub struct Tracer {
     capacity: usize,
-    filter: TraceFilter,
     events: VecDeque<SimEvent>,
     emitted: u64,
     drops: u64,
@@ -474,25 +428,14 @@ impl Tracer {
     pub fn new(cfg: TraceConfig) -> Self {
         Tracer {
             capacity: cfg.capacity.max(1),
-            filter: cfg.filter,
             events: VecDeque::new(),
             emitted: 0,
             drops: 0,
         }
     }
 
-    /// Cheap class pre-check: should the call site bother building an
-    /// event of this class?
-    #[inline]
-    pub fn wants(&self, class: EventClass) -> bool {
-        self.filter.wants_class(class)
-    }
-
-    /// Offer an event; it is kept if the filter accepts it.
+    /// Record an event, dropping the oldest one if the ring is full.
     pub fn emit(&mut self, ev: SimEvent) {
-        if !self.filter.accepts(&ev) {
-            return;
-        }
         self.emitted += 1;
         if self.events.len() == self.capacity {
             self.events.pop_front();
@@ -511,7 +454,7 @@ impl Tracer {
         self.events.is_empty()
     }
 
-    /// Accepted events that fell off the ring.
+    /// Events that fell off the ring.
     pub fn drops(&self) -> u64 {
         self.drops
     }
@@ -522,13 +465,13 @@ impl Tracer {
         self.events.iter()
     }
 
-    /// Total events accepted by the filter (kept + dropped).
+    /// Total events emitted (kept + dropped).
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
 
     /// Drain into an exportable log (the tracer is left empty but
-    /// keeps filtering, so shared holders stay valid).
+    /// keeps recording, so shared holders stay valid).
     pub fn take_log(&mut self) -> TraceLog {
         TraceLog {
             capacity: self.capacity as u64,
@@ -545,9 +488,9 @@ impl Tracer {
 pub struct TraceLog {
     /// Ring capacity the trace ran with.
     pub capacity: u64,
-    /// Events accepted by the filter (kept + dropped).
+    /// Events emitted (kept + dropped).
     pub emitted: u64,
-    /// Accepted events dropped to overflow (oldest-first).
+    /// Events dropped to overflow (oldest-first).
     pub drops: u64,
     /// Retained events, oldest first.
     pub events: Vec<SimEvent>,
@@ -906,7 +849,7 @@ impl ObsConfig {
         self.trace.is_some() || self.sample_interval.is_some() || self.forensics.is_some()
     }
 
-    /// Everything on: unfiltered tracing at the default capacity,
+    /// Everything on: tracing at the default capacity,
     /// sampling at `interval`, and default-bounded forensics.
     pub fn full(interval: u64) -> ObsConfig {
         ObsConfig {
@@ -941,10 +884,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_oldest_and_is_surfaced() {
-        let mut t = Tracer::new(TraceConfig {
-            capacity: 4,
-            ..TraceConfig::default()
-        });
+        let mut t = Tracer::new(TraceConfig { capacity: 4 });
         for i in 0..10u64 {
             t.emit(ev(i, 0, EventKind::AimHit { line: i }));
         }
@@ -960,32 +900,6 @@ mod tests {
         // And the accounting survives export.
         let chrome = log.to_chrome_trace();
         assert_eq!(chrome["otherData"]["drops"], JsonValue::UInt(6));
-    }
-
-    #[test]
-    fn filters_by_core_class_and_addr() {
-        let mut t = Tracer::new(TraceConfig {
-            capacity: 64,
-            filter: TraceFilter {
-                cores: Some(vec![1]),
-                addr_range: Some((64, 128)), // line 1 only
-                classes: Some(vec![EventClass::Aim]),
-            },
-        });
-        t.emit(ev(0, 1, EventKind::AimHit { line: 1 })); // kept
-        t.emit(ev(1, 0, EventKind::AimHit { line: 1 })); // wrong core
-        t.emit(ev(2, 1, EventKind::AimHit { line: 9 })); // wrong addr
-        t.emit(ev(
-            3,
-            1,
-            EventKind::L1Evict {
-                line: 1,
-                dirty: false,
-            },
-        )); // wrong class
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.emitted(), 1, "filtered events are not 'accepted'");
-        assert_eq!(t.drops(), 0);
     }
 
     #[test]
@@ -1126,10 +1040,7 @@ mod tests {
 
     #[test]
     fn ndjson_footer_surfaces_drops() {
-        let mut t = Tracer::new(TraceConfig {
-            capacity: 2,
-            ..TraceConfig::default()
-        });
+        let mut t = Tracer::new(TraceConfig { capacity: 2 });
         for i in 0..5u64 {
             t.emit(ev(i, 0, EventKind::AimHit { line: i }));
         }

@@ -36,9 +36,10 @@ use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictException, ConflictSide};
 use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::{backend_for, MetaBackend};
-use crate::protocol::{fastpath_default, AccessResult, Engine, Substrate};
+use crate::protocol::{AccessResult, Engine, Substrate};
+use crate::report::AimSummary;
 use rce_cache::L1Cache;
-use rce_common::obs::{EventClass, EventKind, SimEvent};
+use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
     RceError, RceResult, WordMask,
@@ -129,7 +130,7 @@ impl ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: backend_for(cfg),
             detect: Detector::new(),
-            fastpath: fastpath_default(),
+            fastpath: true,
             lines: LineTable::new(),
             class: LineMap::new(),
             written_ever: LineFlags::new(),
@@ -143,41 +144,37 @@ impl ArcEngine {
         }
     }
 
-    /// Register `mask` bits of `kind` for `core` at the line's
-    /// metadata entry (already ensured), checking for conflicts first.
-    /// Returns the exceptions plus one aligned provenance path per
-    /// exception (all registrations, with the backend's AIM state from
-    /// the `ensure` that preceded this call).
+    /// Register `mask` bits for `side` at the line's metadata entry
+    /// (already ensured), checking for conflicts first. Appends the
+    /// exceptions to `out` and, if there were any, returns how they
+    /// were found: a registration, with the backend's AIM state from
+    /// the `ensure` that preceded this call.
     fn aim_check_record(
         &mut self,
         sub: &Substrate,
-        core: CoreId,
+        side: ConflictSide,
         line: LineAddr,
         mask: WordMask,
-        kind: AccessType,
         at: Cycles,
-    ) -> (Vec<ConflictException>, Vec<DetectPath>) {
-        let region = sub.region_of(core);
-        let me = ConflictSide { core, region, kind };
-        let mut ex = Vec::new();
+        out: &mut Vec<ConflictException>,
+    ) -> Option<DetectPath> {
+        let before = out.len();
         self.detect.check_and_record(
             self.meta.entry_mut(line),
-            me,
+            side,
             mask,
             line,
             at,
             |c, r| sub.is_live(c, r),
-            &mut ex,
+            out,
         );
         let lid = self.lines.intern(line);
-        self.touched[core.index()].insert(lid);
-        let path = DetectPath {
+        self.touched[side.core.index()].insert(lid);
+        (out.len() > before).then(|| DetectPath {
             placement: self.meta.placement(),
             site: DetectSite::Registration,
             aim: self.meta.last_outcome(),
-        };
-        let paths = vec![path; ex.len()];
-        (ex, paths)
+        })
     }
 
     /// Recall a private owner's in-flight state when a second core
@@ -272,7 +269,7 @@ impl ArcEngine {
     ) {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
-            sub.trace(EventClass::Cache, || SimEvent {
+            sub.trace(|| SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
                 region: Some(sub.region_of(core).0),
@@ -372,6 +369,11 @@ impl Engine for ArcEngine {
         let l1_lat = sub.cfg.l1.latency;
         let me = sub.core_node(core);
         let bank = sub.bank_node(line);
+        let side = ConflictSide {
+            core,
+            region: sub.region_of(core),
+            kind,
+        };
 
         // Metadata mask (may be widened to the whole line by the
         // granularity ablation); dirty tracking always uses the real
@@ -386,10 +388,8 @@ impl Engine for ArcEngine {
                 .is_some_and(|st| st.repeats(kind, dmask, mask))
         {
             return Ok(AccessResult {
-                done: Cycles(now.0 + l1_lat),
-                exceptions: Vec::new(),
-                paths: Vec::new(),
                 fast: true,
+                ..AccessResult::new(Cycles(now.0 + l1_lat))
             });
         }
         if let Some(st) = cached {
@@ -410,9 +410,7 @@ impl Engine for ArcEngine {
                 let lid = self.lines.intern(line);
                 self.written_ever.insert(lid);
             }
-            let done = Cycles(now.0 + l1_lat);
-            let mut exceptions = Vec::new();
-            let mut paths = Vec::new();
+            let mut res = AccessResult::new(Cycles(now.0 + l1_lat));
             if is_shared && !new_words.is_empty() {
                 // First touch of these words this region: register at
                 // the AIM (asynchronously; the core does not stall).
@@ -421,14 +419,10 @@ impl Engine for ArcEngine {
                     .noc
                     .send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Metadata, now);
                 let t2 = self.meta.ensure_at(sub, line, t1);
-                (exceptions, paths) = self.aim_check_record(sub, core, line, new_words, kind, t2);
+                res.path =
+                    self.aim_check_record(sub, side, line, new_words, t2, &mut res.exceptions);
             }
-            return Ok(AccessResult {
-                done,
-                exceptions,
-                paths,
-                fast: false,
-            });
+            return Ok(res);
         }
 
         // Miss: request to the home bank.
@@ -470,10 +464,10 @@ impl Engine for ArcEngine {
         // Conflict check + registration for shared lines (the
         // registration rides the miss request).
         let mut exceptions = Vec::new();
-        let mut paths = Vec::new();
+        let mut path = None;
         if is_shared {
             self.registrations.inc();
-            (exceptions, paths) = self.aim_check_record(sub, core, line, dmask, kind, t_ready);
+            path = self.aim_check_record(sub, side, line, dmask, t_ready, &mut exceptions);
         }
 
         // Data from the LLC (DRAM beneath it if needed).
@@ -506,7 +500,7 @@ impl Engine for ArcEngine {
         Ok(AccessResult {
             done: Cycles(t_data.0 + l1_lat),
             exceptions,
-            paths,
+            path,
             fast: false,
         })
     }
@@ -572,7 +566,7 @@ impl Engine for ArcEngine {
         let dropped = self.l1[core.index()].drain_filter(|_, st| st.shared && !st.ro);
         self.self_invalidated.add(dropped.len() as u64);
         if !dropped.is_empty() {
-            sub.trace(EventClass::SelfInv, || SimEvent {
+            sub.trace(|| SimEvent {
                 cycle: now.0,
                 core: Some(core.0),
                 region: Some(sub.region_of(core).0),
@@ -593,16 +587,7 @@ impl Engine for ArcEngine {
             st.written_words = WordMask::EMPTY;
         }
 
-        Ok(AccessResult {
-            done,
-            exceptions: Vec::new(),
-            paths: Vec::new(),
-            fast: false,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "ARC"
+        Ok(AccessResult::new(done))
     }
 
     fn set_fastpath(&mut self, on: bool) {
@@ -615,7 +600,7 @@ impl Engine for ArcEngine {
         })
     }
 
-    fn aim_totals(&self) -> Option<(u64, u64, u64, u64)> {
+    fn aim_totals(&self) -> Option<AimSummary> {
         self.meta.totals()
     }
 

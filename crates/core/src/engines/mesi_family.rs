@@ -35,9 +35,10 @@ use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictSide};
 use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::{backend_for, MetaBackend};
-use crate::protocol::{fastpath_default, AccessResult, Engine, Substrate};
+use crate::protocol::{AccessResult, Engine, Substrate};
+use crate::report::AimSummary;
 use rce_cache::{L1Cache, MesiState};
-use rce_common::obs::{EventClass, EventKind, SimEvent};
+use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, LineTable,
     MachineConfig, ProtocolKind, RceError, RceResult, RegionId, WordMask,
@@ -147,7 +148,7 @@ impl MesiFamilyEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: backend_for(cfg),
             detect: Detector::new(),
-            fastpath: fastpath_default(),
+            fastpath: true,
             lines: LineTable::new(),
             llc_meta: LineMap::new(),
             displaced: LineFlags::new(),
@@ -269,7 +270,7 @@ impl MesiFamilyEngine {
     ) {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
-            sub.trace(EventClass::Cache, || SimEvent {
+            sub.trace(|| SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
                 region: Some(sub.region_of(core).0),
@@ -666,10 +667,8 @@ impl Engine for MesiFamilyEngine {
                 .is_some_and(|l| l.repeats(core, region, kind, dmask, sub))
         {
             return Ok(AccessResult {
-                done: Cycles(now.0 + l1_lat),
-                exceptions: Vec::new(),
-                paths: Vec::new(),
                 fast: true,
+                ..AccessResult::new(Cycles(now.0 + l1_lat))
             });
         }
         // Snapshot the displaced-fetch counter: if it moves during this
@@ -688,8 +687,7 @@ impl Engine for MesiFamilyEngine {
             (None, AccessType::Write) => self.fetch_write(sub, core, line, now)?,
         };
 
-        let mut exceptions = Vec::new();
-        let mut paths = Vec::new();
+        let mut res = AccessResult::new(done);
         if self.detection() {
             let lref = self.l1[core.index()]
                 .probe_mut(line)
@@ -702,11 +700,11 @@ impl Engine for MesiFamilyEngine {
                 line,
                 done,
                 |c, r| sub.is_live(c, r),
-                &mut exceptions,
+                &mut res.exceptions,
             );
-            if !exceptions.is_empty() {
+            if !res.exceptions.is_empty() {
                 let fetched = self.meta_lookups.get() > lookups_before;
-                let path = DetectPath {
+                res.path = Some(DetectPath {
                     placement: self.meta.placement(),
                     site: if fetched {
                         DetectSite::DisplacedFetch
@@ -718,16 +716,10 @@ impl Engine for MesiFamilyEngine {
                     } else {
                         None
                     },
-                };
-                paths = vec![path; exceptions.len()];
+                });
             }
         }
-        Ok(AccessResult {
-            done,
-            exceptions,
-            paths,
-            fast: false,
-        })
+        Ok(res)
     }
 
     fn region_boundary(
@@ -737,12 +729,7 @@ impl Engine for MesiFamilyEngine {
         now: Cycles,
     ) -> RceResult<AccessResult> {
         if !self.detection() {
-            return Ok(AccessResult {
-                done: now,
-                exceptions: Vec::new(),
-                paths: Vec::new(),
-                fast: false,
-            });
+            return Ok(AccessResult::new(now));
         }
         // Local flash-clear of this core's bits (and opportunistic
         // pruning of dead remote bits riding our lines).
@@ -764,16 +751,7 @@ impl Engine for MesiFamilyEngine {
             let t = self.backend_scrub(sub, core, LineAddr(l), now);
             done = done.max(t);
         }
-        Ok(AccessResult {
-            done,
-            exceptions: Vec::new(),
-            paths: Vec::new(),
-            fast: false,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        self.mode.name()
+        Ok(AccessResult::new(done))
     }
 
     fn set_fastpath(&mut self, on: bool) {
@@ -786,7 +764,7 @@ impl Engine for MesiFamilyEngine {
         })
     }
 
-    fn aim_totals(&self) -> Option<(u64, u64, u64, u64)> {
+    fn aim_totals(&self) -> Option<AimSummary> {
         self.meta.totals()
     }
 
@@ -991,7 +969,7 @@ mod tests {
             let meta_dram = s.dram.stats().metadata_bytes().0;
             if expect_aim {
                 assert_eq!(meta_dram, 0, "CE+ spills stay on-chip");
-                assert!(e.aim_totals().unwrap().0 >= 1);
+                assert!(e.aim_totals().unwrap().accesses >= 1);
             } else {
                 assert!(meta_dram > 0, "CE metadata goes off-chip");
                 assert!(e.aim_totals().is_none());

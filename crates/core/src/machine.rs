@@ -10,19 +10,20 @@
 //! functional lock/barrier managers. The oracle observes the identical
 //! committed stream, giving ground truth for differential testing.
 
-use crate::exception::{AccessType, ConflictException, ExceptionPolicy};
+use crate::exception::{AccessType, ConflictException, ConflictSide, ExceptionPolicy};
 use crate::forensics::Forensics;
 use crate::oracle::Oracle;
 use crate::protocol::{Engine, Substrate};
-use crate::report::{AimSummary, SimReport};
+use crate::report::{CoreStats, SimReport};
 use crate::sched::ReadyQueue;
 use crate::sync::{AcquireOutcome, BarrierManager, BarrierOutcome, LockManager};
 use rce_common::obs::{
-    shared_tracer, EventClass, EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SimEvent,
+    shared_tracer, EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SharedTracer, SimEvent,
     TraceConfig, Tracer,
 };
 use rce_common::{
-    BarrierId, CoreId, Cycles, FxBuildHasher, LockId, MachineConfig, RceError, RceResult, WordMask,
+    Addr, BarrierId, CoreId, Cycles, FxBuildHasher, Histogram, LockId, MachineConfig, RceError,
+    RceResult, WordMask,
 };
 use rce_energy::{EnergyModel, EventCounts};
 use rce_trace::{Op, Program};
@@ -91,23 +92,18 @@ pub fn default_step_limit(total_ops: u64) -> u64 {
 /// The simulator.
 pub struct Machine {
     cfg: MachineConfig,
-    energy_model: EnergyModel,
     step_limit: Option<u64>,
     obs: ObsConfig,
-    /// Explicit override for the engine's repeat-access fast path
-    /// (`None` = engine default: on unless `RCE_DISABLE_FASTPATH` is
-    /// set). Reports are byte-identical either way.
-    fastpath: Option<bool>,
+    /// The engine's repeat-access fast path (on by default). Reports
+    /// are byte-identical either way.
+    fastpath: bool,
 }
 
 /// Read every cumulative gauge the interval sampler differences.
 fn gauges(sub: &Substrate, engine: &dyn Engine, exceptions: u64) -> GaugeSnapshot {
     let noc = sub.noc.stats();
     let dram = sub.dram.stats();
-    let (aim_hits, aim_misses) = engine
-        .aim_totals()
-        .map(|(_, h, m, _)| (h, m))
-        .unwrap_or((0, 0));
+    let (aim_hits, aim_misses) = engine.aim_totals().map_or((0, 0), |a| (a.hits, a.misses));
     let (_, llc_misses, _) = sub.llc.gauges();
     let (_, _, l1_evictions) = engine.l1_totals();
     GaugeSnapshot {
@@ -132,19 +128,17 @@ impl Machine {
         cfg.validate().map_err(RceError::InvalidConfig)?;
         Ok(Machine {
             cfg: cfg.clone(),
-            energy_model: EnergyModel::default(),
             step_limit: None,
             obs: ObsConfig::default(),
-            fastpath: None,
+            fastpath: true,
         })
     }
 
-    /// Force the engine's repeat-access fast path on or off for
-    /// subsequent runs, overriding the `RCE_DISABLE_FASTPATH`
-    /// environment default. The equivalence property tests run every
-    /// workload both ways and require byte-identical reports.
+    /// Turn the engine's repeat-access fast path on (the default) or
+    /// off for subsequent runs. The equivalence and golden tests run
+    /// workloads both ways and require byte-identical reports.
     pub fn with_fastpath(mut self, on: bool) -> Self {
-        self.fastpath = Some(on);
+        self.fastpath = on;
         self
     }
 
@@ -153,12 +147,6 @@ impl Machine {
     /// reports are byte-identical to builds without the subsystem.
     pub fn with_observability(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Override the energy model.
-    pub fn with_energy_model(mut self, m: EnergyModel) -> Self {
-        self.energy_model = m;
         self
     }
 
@@ -189,60 +177,79 @@ impl Machine {
                 self.cfg.cores
             )));
         }
+        let limit = self
+            .step_limit
+            .unwrap_or_else(|| default_step_limit(program.total_ops() as u64));
+        let mut run = Run::new(self, program);
+        run.drive(program, policy, limit)?;
+        Ok(run.finish(program))
+    }
+}
 
-        let mut engine = crate::engine_for(&self.cfg);
-        if let Some(on) = self.fastpath {
-            engine.set_fastpath(on);
-        }
-        let mut sub = Substrate::new(&self.cfg);
-        let mut oracle = Oracle::new(&sub.regions);
-        let mut locks = LockManager::new(program.n_locks);
-        let mut barriers = BarrierManager::new(self.cfg.cores, program.n_barriers);
+/// One run's driver state: the simulated machine, the functional
+/// lock/barrier managers, the scheduler, the oracle, the
+/// observability layers and every counter the report reads.
+struct Run<'m> {
+    cfg: &'m MachineConfig,
+    /// Whether the caller asked for the event trace (forensics alone
+    /// runs an internal ring that never reaches the report).
+    export_trace: bool,
+    engine: Box<dyn Engine>,
+    sub: Substrate,
+    oracle: Oracle,
+    locks: LockManager,
+    barriers: BarrierManager,
+    /// Index of each core's next operation in its thread.
+    cursor: Vec<usize>,
+    clock: Vec<Cycles>,
+    status: Vec<Status>,
+    /// Index-min scheduler: every Ready core has exactly one queued
+    /// entry carrying its current clock. Pop order — smallest clock,
+    /// lowest core ID on ties — matches the old linear scan exactly
+    /// (pinned by `sched::tests` and the golden gate) in O(log n).
+    ready: ReadyQueue,
+    mem_ops: u64,
+    sync_ops: u64,
+    regions: u64,
+    access_latency: Histogram,
+    region_len: Histogram,
+    boundary_cost: Histogram,
+    /// Memory ops committed in each core's current region.
+    region_ops: Vec<u64>,
+    per_core: Vec<CoreStats>,
+    /// Delivered exceptions, in delivery order.
+    exceptions: Vec<ConflictException>,
+    /// Keys of the delivered exceptions. Membership only, so the fast
+    /// hasher never reaches a report.
+    seen: HashSet<(ConflictSide, ConflictSide, Addr), FxBuildHasher>,
+    aborted: bool,
+    tracer: Option<SharedTracer>,
+    forensics: Option<Forensics>,
+    /// When each core's current region began.
+    region_start: Vec<Cycles>,
+    sampler: Option<MetricsSampler>,
+}
 
-        let n = self.cfg.cores;
-        let mut cursor = vec![0usize; n];
-        let mut clock = vec![Cycles::ZERO; n];
-        let mut status = vec![Status::Ready; n];
-        // Index-min scheduler: every Ready core has exactly one queued
-        // entry carrying its current clock. Pop order — smallest clock,
-        // lowest core ID on ties — matches the old linear scan exactly
-        // (pinned by `sched::tests` and the golden gate) in O(log n).
-        let mut ready = ReadyQueue::with_capacity(n);
-        for c in 0..n {
-            ready.push(Cycles::ZERO, c);
-        }
-
-        let mut mem_ops = 0u64;
-        let mut sync_ops = 0u64;
-        let mut regions = 0u64;
-        let mut access_latency = rce_common::Histogram::new();
-        let mut region_len = rce_common::Histogram::new();
-        let mut boundary_cost = rce_common::Histogram::new();
-        // Memory ops committed in each core's current region.
-        let mut region_ops = vec![0u64; n];
-        let mut per_core = vec![crate::report::CoreStats::default(); n];
-        let mut exceptions: Vec<ConflictException> = Vec::new();
-        // Membership only (exceptions keep delivery order), so the
-        // fast hasher never reaches a report.
-        let mut seen = HashSet::<_, FxBuildHasher>::default();
-        let mut aborted = false;
-        let obs = &self.obs;
-        let trace_requested = obs.trace.is_some();
-        let mut tracer = obs.trace.clone().map(|tc| shared_tracer(Tracer::new(tc)));
-        if tracer.is_none() && obs.forensics.is_some() {
+impl<'m> Run<'m> {
+    fn new(m: &'m Machine, program: &Program) -> Self {
+        let cfg = &m.cfg;
+        let n = cfg.cores;
+        let mut engine = crate::engine_for(cfg);
+        engine.set_fastpath(m.fastpath);
+        let mut sub = Substrate::new(cfg);
+        let mut tracer = m.obs.trace.clone().map(|tc| shared_tracer(Tracer::new(tc)));
+        if tracer.is_none() && m.obs.forensics.is_some() {
             // Forensics wants recent-event windows even when the user
             // did not ask for a trace: run an internal ring that is
             // never exported in the report.
             tracer = Some(shared_tracer(Tracer::new(TraceConfig::default())));
         }
-        let mut forensics = obs.forensics.clone().map(Forensics::new);
-        let mut region_start = vec![Cycles::ZERO; n];
         if let Some(t) = &tracer {
             sub.attach_tracer(t.clone());
             // Every core's first region opens at t=0.
             for c in 0..n {
                 let core = CoreId(c as u16);
-                sub.trace(EventClass::Region, || SimEvent {
+                sub.trace(|| SimEvent {
                     cycle: 0,
                     core: Some(core.0),
                     region: Some(sub.region_of(core).0),
@@ -250,293 +257,309 @@ impl Machine {
                 });
             }
         }
-        let mut sampler = obs.sample_interval.map(MetricsSampler::new);
-
-        let limit = self
-            .step_limit
-            .unwrap_or_else(|| default_step_limit(program.total_ops() as u64));
-        let mut steps = 0u64;
-
-        // End the core's current region: engine boundary work, region
-        // clock advance, oracle clear, statistics.
-        #[allow(clippy::too_many_arguments)]
-        fn boundary(
-            engine: &mut Box<dyn Engine>,
-            sub: &mut Substrate,
-            oracle: &mut Oracle,
-            core: CoreId,
-            now: Cycles,
-            regions: &mut u64,
-            region_ops: &mut [u64],
-            region_len: &mut rce_common::Histogram,
-            boundary_cost: &mut rce_common::Histogram,
-            region_start: &mut [Cycles],
-            forensics: &mut Option<Forensics>,
-        ) -> RceResult<Cycles> {
-            let old_region = sub.region_of(core);
-            let b = engine.region_boundary(sub, core, now)?;
-            let new_region = sub.advance_region(core);
-            oracle.region_boundary(core, new_region);
-            *regions += 1;
-            let ops = std::mem::take(&mut region_ops[core.index()]);
-            if ops > 0 {
-                region_len.record(ops);
-            }
-            let done = b.done.max(now);
-            boundary_cost.record(done.0 - now.0);
-            if let Some(f) = forensics.as_mut() {
-                f.region_ended(done.0.saturating_sub(region_start[core.index()].0));
-            }
-            region_start[core.index()] = done;
-            sub.trace(EventClass::Region, || SimEvent {
-                cycle: done.0,
-                core: Some(core.0),
-                region: Some(old_region.0),
-                kind: EventKind::RegionEnd {
-                    cost: done.0 - now.0,
-                },
-            });
-            sub.trace(EventClass::Region, || SimEvent {
-                cycle: done.0,
-                core: Some(core.0),
-                region: Some(new_region.0),
-                kind: EventKind::RegionBegin,
-            });
-            Ok(done)
+        let mut ready = ReadyQueue::with_capacity(n);
+        for c in 0..n {
+            ready.push(Cycles::ZERO, c);
         }
+        Run {
+            cfg,
+            export_trace: m.obs.trace.is_some(),
+            engine,
+            oracle: Oracle::new(&sub.regions),
+            sub,
+            locks: LockManager::new(program.n_locks),
+            barriers: BarrierManager::new(n, program.n_barriers),
+            cursor: vec![0; n],
+            clock: vec![Cycles::ZERO; n],
+            status: vec![Status::Ready; n],
+            ready,
+            mem_ops: 0,
+            sync_ops: 0,
+            regions: 0,
+            access_latency: Histogram::new(),
+            region_len: Histogram::new(),
+            boundary_cost: Histogram::new(),
+            region_ops: vec![0; n],
+            per_core: vec![CoreStats::default(); n],
+            exceptions: Vec::new(),
+            seen: HashSet::default(),
+            aborted: false,
+            tracer,
+            forensics: m.obs.forensics.clone().map(Forensics::new),
+            region_start: vec![Cycles::ZERO; n],
+            sampler: m.obs.sample_interval.map(MetricsSampler::new),
+        }
+    }
 
-        'run: loop {
+    /// Step the runnable core with the smallest clock (lowest ID on
+    /// ties) until every core is done or the policy aborts the run.
+    fn drive(&mut self, program: &Program, policy: ExceptionPolicy, limit: u64) -> RceResult<()> {
+        let mut steps = 0u64;
+        while !self.aborted {
             steps += 1;
             if steps > limit {
                 return Err(RceError::StepLimitExceeded {
                     steps,
                     limit,
-                    cursors: cursor.iter().map(|&c| c as u64).collect(),
-                    mem_ops,
+                    cursors: self.cursor.iter().map(|&c| c as u64).collect(),
+                    mem_ops: self.mem_ops,
                 });
             }
-            // Pop the runnable core with the smallest clock (lowest ID
-            // on ties).
-            let Some((popped_clock, c)) = ready.pop() else {
-                if status.iter().all(|s| *s == Status::Done) {
-                    break 'run;
+            let Some((popped_clock, c)) = self.ready.pop() else {
+                if self.status.iter().all(|s| *s == Status::Done) {
+                    return Ok(());
                 }
-                return Err(deadlock_error(&status, &locks, &barriers));
+                return Err(deadlock_error(&self.status, &self.locks, &self.barriers));
             };
-            debug_assert_eq!(status[c], Status::Ready);
-            debug_assert_eq!(popped_clock, clock[c], "queued entry went stale");
+            debug_assert_eq!(self.status[c], Status::Ready);
+            debug_assert_eq!(popped_clock, self.clock[c], "queued entry went stale");
             let core = CoreId(c as u16);
-            let now = clock[c];
+            let now = self.clock[c];
 
-            if let Some(s) = &mut sampler {
+            if let Some(s) = &mut self.sampler {
                 if s.due(now.0) {
-                    s.tick(now.0, gauges(&sub, &*engine, exceptions.len() as u64));
+                    let exceptions = self.exceptions.len() as u64;
+                    s.tick(now.0, gauges(&self.sub, &*self.engine, exceptions));
                 }
             }
 
-            // Thread finished?
-            if cursor[c] >= program.threads[c].len() {
-                // Final region ends at thread end.
-                let done = boundary(
-                    &mut engine,
-                    &mut sub,
-                    &mut oracle,
-                    core,
-                    now,
-                    &mut regions,
-                    &mut region_ops,
-                    &mut region_len,
-                    &mut boundary_cost,
-                    &mut region_start,
-                    &mut forensics,
-                )?;
-                clock[c] = done;
-                status[c] = Status::Done;
-                per_core[c].finish = done;
+            // Thread finished? Its final region ends at thread end.
+            if self.cursor[c] >= program.threads[c].len() {
+                let done = self.boundary(core, now)?;
+                self.clock[c] = done;
+                self.status[c] = Status::Done;
+                self.per_core[c].finish = done;
                 continue;
             }
 
-            let op = program.threads[c][cursor[c]];
-            cursor[c] += 1;
+            let op = program.threads[c][self.cursor[c]];
+            self.cursor[c] += 1;
             match op {
                 Op::Work { cycles } => {
                     let scaled = (cycles as f64 * self.cfg.ipc_scale).round() as u64;
-                    clock[c] = Cycles(now.0 + scaled.max(1));
+                    self.clock[c] = Cycles(now.0 + scaled.max(1));
                 }
                 Op::Read { addr, len } | Op::Write { addr, len } => {
-                    let kind = if matches!(op, Op::Write { .. }) {
+                    let kind = if op.is_write() {
                         AccessType::Write
                     } else {
                         AccessType::Read
                     };
-                    mem_ops += 1;
-                    let mask = WordMask::span(addr, len as u64);
-                    let res = engine.access(&mut sub, core, addr, mask, kind, now)?;
-                    let dmask = self.cfg.detect_mask(mask);
-                    sub.trace(EventClass::Access, || SimEvent {
-                        cycle: now.0,
-                        core: Some(core.0),
-                        region: Some(sub.region_of(core).0),
-                        kind: EventKind::MemAccess {
-                            addr: addr.0,
-                            write: kind == AccessType::Write,
-                            exceptions: res.exceptions.len() as u64,
-                        },
-                    });
-                    // Oracle sees the same committed access, word by
-                    // word, at the configured detection granularity.
-                    // A fast-path access repeats words this core+kind
-                    // already observed this region, so every observe
-                    // would take the oracle's own early-return; skip
-                    // the loop entirely.
-                    let line = addr.line();
-                    if !res.fast {
-                        for w in dmask.iter() {
-                            let _ = oracle.observe(core, line.word_addr(w), kind, now);
-                        }
-                    }
-                    for (i, ex) in res.exceptions.into_iter().enumerate() {
-                        if let Some(f) = &mut forensics {
-                            f.observe(&ex);
-                        }
-                        if seen.insert(ex.key()) {
-                            sub.trace(EventClass::Conflict, || {
-                                let letter =
-                                    |k: AccessType| if k == AccessType::Write { "W" } else { "R" };
-                                let other = if ex.a.core == core {
-                                    ex.b.core
-                                } else {
-                                    ex.a.core
-                                };
-                                SimEvent {
-                                    cycle: now.0,
-                                    core: Some(core.0),
-                                    region: Some(sub.region_of(core).0),
-                                    kind: EventKind::Conflict {
-                                        word: ex.word_addr.0 / 8,
-                                        other_core: other.0 as u64,
-                                        kinds: format!(
-                                            "{}/{}",
-                                            letter(ex.a.kind),
-                                            letter(ex.b.kind)
-                                        ),
-                                    },
-                                }
-                            });
-                            if let Some(f) = &mut forensics {
-                                if let Some(path) = res.paths.get(i).copied() {
-                                    let recent = tracer
-                                        .as_ref()
-                                        .map(|t| f.window(&t.borrow(), line.0))
-                                        .unwrap_or_default();
-                                    f.deliver(ex.clone(), path, recent);
-                                }
-                            }
-                            exceptions.push(ex);
-                            if policy == ExceptionPolicy::AbortOnFirst {
-                                clock[c] = res.done.max(Cycles(now.0 + 1));
-                                aborted = true;
-                                break 'run;
-                            }
-                        }
-                    }
-                    clock[c] = res.done.max(Cycles(now.0 + 1));
-                    access_latency.record(clock[c].0 - now.0);
-                    region_ops[c] += 1;
-                    per_core[c].mem_ops += 1;
+                    self.access(core, addr, len, kind, now, policy)?
                 }
-                Op::Acquire { lock } => {
-                    sync_ops += 1;
-                    per_core[c].sync_ops += 1;
-                    let done = boundary(
-                        &mut engine,
-                        &mut sub,
-                        &mut oracle,
-                        core,
-                        now,
-                        &mut regions,
-                        &mut region_ops,
-                        &mut region_len,
-                        &mut boundary_cost,
-                        &mut region_start,
-                        &mut forensics,
-                    )?;
-                    match locks.acquire(lock, core, done) {
-                        AcquireOutcome::Granted(t) => clock[c] = t,
-                        AcquireOutcome::Blocked => {
-                            clock[c] = done;
-                            status[c] = Status::BlockedLock(lock);
-                        }
-                    }
-                }
-                Op::Release { lock } => {
-                    sync_ops += 1;
-                    per_core[c].sync_ops += 1;
-                    let done = boundary(
-                        &mut engine,
-                        &mut sub,
-                        &mut oracle,
-                        core,
-                        now,
-                        &mut regions,
-                        &mut region_ops,
-                        &mut region_len,
-                        &mut boundary_cost,
-                        &mut region_start,
-                        &mut forensics,
-                    )?;
-                    if let Some((next, t)) = locks.release(lock, core, done) {
-                        let ni = next.index();
-                        debug_assert_eq!(status[ni], Status::BlockedLock(lock));
-                        status[ni] = Status::Ready;
-                        clock[ni] = clock[ni].max(t);
-                        ready.push(clock[ni], ni);
-                    }
-                    clock[c] = done;
-                }
-                Op::Barrier { bar } => {
-                    sync_ops += 1;
-                    per_core[c].sync_ops += 1;
-                    let done = boundary(
-                        &mut engine,
-                        &mut sub,
-                        &mut oracle,
-                        core,
-                        now,
-                        &mut regions,
-                        &mut region_ops,
-                        &mut region_len,
-                        &mut boundary_cost,
-                        &mut region_start,
-                        &mut forensics,
-                    )?;
-                    clock[c] = done;
-                    match barriers.arrive(bar, core, done) {
-                        BarrierOutcome::Blocked => status[c] = Status::BlockedBarrier(bar),
-                        BarrierOutcome::Released(cores, t) => {
-                            for rc in cores {
-                                let ri = rc.index();
-                                status[ri] = Status::Ready;
-                                clock[ri] = clock[ri].max(t);
-                                // The arriving core is re-queued by the
-                                // generic end-of-step push below.
-                                if ri != c {
-                                    ready.push(clock[ri], ri);
-                                }
-                            }
-                        }
-                    }
+                Op::Acquire { .. } | Op::Release { .. } | Op::Barrier { .. } => {
+                    self.sync(core, op, now)?
                 }
             }
 
             // Re-queue the stepped core at its new clock unless it
             // blocked (or finished, which `continue`s above). Blocked
             // cores are pushed by whoever wakes them.
-            if status[c] == Status::Ready {
-                ready.push(clock[c], c);
+            if self.status[c] == Status::Ready {
+                self.ready.push(self.clock[c], c);
             }
         }
+        Ok(())
+    }
 
+    /// Commit one memory access, then deliver the exceptions it raised.
+    fn access(
+        &mut self,
+        core: CoreId,
+        addr: Addr,
+        len: u32,
+        kind: AccessType,
+        now: Cycles,
+        policy: ExceptionPolicy,
+    ) -> RceResult<()> {
+        let c = core.index();
+        self.mem_ops += 1;
+        let mask = WordMask::span(addr, len as u64);
+        let res = self
+            .engine
+            .access(&mut self.sub, core, addr, mask, kind, now)?;
+        let sub = &self.sub;
+        sub.trace(|| SimEvent {
+            cycle: now.0,
+            core: Some(core.0),
+            region: Some(sub.region_of(core).0),
+            kind: EventKind::MemAccess {
+                addr: addr.0,
+                write: kind == AccessType::Write,
+                exceptions: res.exceptions.len() as u64,
+            },
+        });
+        // Oracle sees the same committed access, word by word, at the
+        // configured detection granularity. A fast-path access repeats
+        // words this core+kind already observed this region, so every
+        // observe would take the oracle's own early-return; skip the
+        // loop entirely.
+        let line = addr.line();
+        if !res.fast {
+            for w in self.cfg.detect_mask(mask).iter() {
+                let _ = self.oracle.observe(core, line.word_addr(w), kind, now);
+            }
+        }
+        // The access completes before its exceptions are delivered, so
+        // a run that aborts on one still counts it.
+        self.clock[c] = res.done.max(Cycles(now.0 + 1));
+        self.access_latency.record(self.clock[c].0 - now.0);
+        self.region_ops[c] += 1;
+        self.per_core[c].mem_ops += 1;
+
+        for ex in res.exceptions {
+            if let Some(f) = &mut self.forensics {
+                f.observe(&ex);
+            }
+            if !self.seen.insert(ex.key()) {
+                continue;
+            }
+            let sub = &self.sub;
+            sub.trace(|| {
+                let letter = |k: AccessType| if k == AccessType::Write { "W" } else { "R" };
+                let other = if ex.a.core == core {
+                    ex.b.core
+                } else {
+                    ex.a.core
+                };
+                SimEvent {
+                    cycle: now.0,
+                    core: Some(core.0),
+                    region: Some(sub.region_of(core).0),
+                    kind: EventKind::Conflict {
+                        word: ex.word_addr.0 / 8,
+                        other_core: other.0 as u64,
+                        kinds: format!("{}/{}", letter(ex.a.kind), letter(ex.b.kind)),
+                    },
+                }
+            });
+            if let (Some(f), Some(path)) = (&mut self.forensics, res.path) {
+                let recent = self
+                    .tracer
+                    .as_ref()
+                    .map(|t| f.window(&t.borrow(), line.0))
+                    .unwrap_or_default();
+                f.deliver(ex, path, recent);
+            }
+            self.exceptions.push(ex);
+            if policy == ExceptionPolicy::AbortOnFirst {
+                self.aborted = true;
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Execute a lock or barrier operation: it ends the core's region
+    /// first, then goes through the functional sync managers.
+    fn sync(&mut self, core: CoreId, op: Op, now: Cycles) -> RceResult<()> {
+        let c = core.index();
+        self.sync_ops += 1;
+        self.per_core[c].sync_ops += 1;
+        let done = self.boundary(core, now)?;
+        match op {
+            Op::Acquire { lock } => match self.locks.acquire(lock, core, done) {
+                AcquireOutcome::Granted(t) => self.clock[c] = t,
+                AcquireOutcome::Blocked => {
+                    self.clock[c] = done;
+                    self.status[c] = Status::BlockedLock(lock);
+                }
+            },
+            Op::Release { lock } => {
+                if let Some((next, t)) = self.locks.release(lock, core, done) {
+                    let ni = next.index();
+                    debug_assert_eq!(self.status[ni], Status::BlockedLock(lock));
+                    self.status[ni] = Status::Ready;
+                    self.clock[ni] = self.clock[ni].max(t);
+                    self.ready.push(self.clock[ni], ni);
+                }
+                self.clock[c] = done;
+            }
+            Op::Barrier { bar } => {
+                self.clock[c] = done;
+                match self.barriers.arrive(bar, core, done) {
+                    BarrierOutcome::Blocked => self.status[c] = Status::BlockedBarrier(bar),
+                    BarrierOutcome::Released(cores, t) => {
+                        for rc in cores {
+                            let ri = rc.index();
+                            self.status[ri] = Status::Ready;
+                            self.clock[ri] = self.clock[ri].max(t);
+                            // The arriving core is re-queued by the
+                            // generic end-of-step push.
+                            if ri != c {
+                                self.ready.push(self.clock[ri], ri);
+                            }
+                        }
+                    }
+                }
+            }
+            Op::Work { .. } | Op::Read { .. } | Op::Write { .. } => {
+                unreachable!("not a sync operation: {op:?}")
+            }
+        }
+        Ok(())
+    }
+
+    /// End the core's current region: engine boundary work, region
+    /// clock advance, oracle clear, statistics. Returns when the
+    /// boundary work completes.
+    fn boundary(&mut self, core: CoreId, now: Cycles) -> RceResult<Cycles> {
+        let c = core.index();
+        let old_region = self.sub.region_of(core);
+        let b = self.engine.region_boundary(&mut self.sub, core, now)?;
+        let new_region = self.sub.advance_region(core);
+        self.oracle.region_boundary(core, new_region);
+        self.regions += 1;
+        let ops = std::mem::take(&mut self.region_ops[c]);
+        if ops > 0 {
+            self.region_len.record(ops);
+        }
+        let done = b.done.max(now);
+        self.boundary_cost.record(done.0 - now.0);
+        if let Some(f) = self.forensics.as_mut() {
+            f.region_ended(done.0.saturating_sub(self.region_start[c].0));
+        }
+        self.region_start[c] = done;
+        self.sub.trace(|| SimEvent {
+            cycle: done.0,
+            core: Some(core.0),
+            region: Some(old_region.0),
+            kind: EventKind::RegionEnd {
+                cost: done.0 - now.0,
+            },
+        });
+        self.sub.trace(|| SimEvent {
+            cycle: done.0,
+            core: Some(core.0),
+            region: Some(new_region.0),
+            kind: EventKind::RegionBegin,
+        });
+        Ok(done)
+    }
+
+    /// Close out the run and assemble its report.
+    fn finish(self, program: &Program) -> SimReport {
+        let Run {
+            cfg,
+            export_trace,
+            engine,
+            mut sub,
+            oracle,
+            clock,
+            mem_ops,
+            sync_ops,
+            regions,
+            access_latency,
+            region_len,
+            boundary_cost,
+            per_core,
+            mut exceptions,
+            aborted,
+            tracer,
+            forensics,
+            sampler,
+            ..
+        } = self;
         let end = clock.iter().copied().max().unwrap_or(Cycles::ZERO);
         sub.noc.finalize(end);
         sub.dram.finalize(end);
@@ -545,23 +568,16 @@ impl Machine {
         // (not unwrapped) because the NoC and DRAM still hold clones.
         let timeline =
             sampler.map(|s| s.finish(end.0, gauges(&sub, &*engine, exceptions.len() as u64)));
-        // The internal forensics-only ring never reaches the report.
-        let trace = if trace_requested {
+        let trace = if export_trace {
             tracer.map(|t| t.borrow_mut().take_log())
         } else {
             None
         };
-        let forensics = forensics.map(Forensics::finish);
 
         let (l1_hits, l1_misses, l1_evictions) = engine.l1_totals();
-        let aim = engine.aim_totals().map(|(a, h, m, s)| AimSummary {
-            accesses: a,
-            hits: h,
-            misses: m,
-            spills: s,
-        });
-        let counts = EventCounts {
-            l1_accesses: engine.l1_accesses(),
+        let aim = engine.aim_totals();
+        let energy = EnergyModel::default().evaluate(&EventCounts {
+            l1_accesses: l1_hits + l1_misses,
             llc_accesses: sub.llc_accesses.get(),
             aim_accesses: aim.map_or(0, |a| a.accesses),
             dir_accesses: sub.dir_accesses.get(),
@@ -569,15 +585,14 @@ impl Machine {
             dram_bytes: sub.dram.total_bytes().0,
             dram_accesses: sub.dram.stats().total_accesses(),
             cycles: end.0,
-            cores: self.cfg.cores as u64,
-        };
-        let energy = self.energy_model.evaluate(&counts);
+            cores: cfg.cores as u64,
+        });
 
         exceptions.sort();
-        Ok(SimReport {
-            protocol: self.cfg.protocol,
+        SimReport {
+            protocol: cfg.protocol,
             workload: program.name.clone(),
-            cores: self.cfg.cores,
+            cores: cfg.cores,
             cycles: end,
             mem_ops,
             sync_ops,
@@ -605,8 +620,8 @@ impl Machine {
             aborted,
             timeline,
             trace,
-            forensics,
-        })
+            forensics: forensics.map(Forensics::finish),
+        }
     }
 }
 
@@ -676,16 +691,23 @@ mod tests {
 
     #[test]
     fn abort_policy_stops_early() {
-        let cfg = MachineConfig::paper_default(4, ProtocolKind::Ce);
         let p = WorkloadSpec::RacyPair.build(4, 1, 42);
-        let m = Machine::new(&cfg).unwrap();
-        let r = m
-            .run_with_policy(&p, ExceptionPolicy::AbortOnFirst)
-            .unwrap();
-        assert!(r.aborted);
-        assert_eq!(r.exceptions.len(), 1);
-        let full = m.run(&p).unwrap();
-        assert!(full.mem_ops >= r.mem_ops);
+        for proto in ProtocolKind::DETECTORS {
+            let cfg = MachineConfig::paper_default(4, proto);
+            let m = Machine::new(&cfg).unwrap();
+            let r = m
+                .run_with_policy(&p, ExceptionPolicy::AbortOnFirst)
+                .unwrap();
+            assert!(r.aborted, "{proto}");
+            assert_eq!(r.exceptions.len(), 1, "{proto}");
+            let full = m.run(&p).unwrap();
+            assert!(full.mem_ops > r.mem_ops, "{proto}: the run stopped early");
+            // The aborting access is committed: every count sees it.
+            assert_eq!(r.l1_hits + r.l1_misses, r.mem_ops, "{proto}");
+            let per_core: u64 = r.per_core.iter().map(|s| s.mem_ops).sum();
+            assert_eq!(per_core, r.mem_ops, "{proto}");
+            assert_eq!(r.access_latency.count(), r.mem_ops, "{proto}");
+        }
     }
 
     #[test]
@@ -869,10 +891,7 @@ mod tests {
     fn tracer_overflow_is_surfaced_in_the_report() {
         let cfg = MachineConfig::paper_default(4, ProtocolKind::Ce);
         let obs = ObsConfig {
-            trace: Some(TraceConfig {
-                capacity: 8,
-                ..TraceConfig::default()
-            }),
+            trace: Some(TraceConfig { capacity: 8 }),
             sample_interval: None,
             forensics: None,
         };
@@ -922,11 +941,15 @@ mod tests {
 
     #[test]
     fn forensics_records_provenance_for_every_delivered_exception() {
-        for proto in ProtocolKind::DETECTORS {
+        for (proto, fastpath) in ProtocolKind::DETECTORS
+            .into_iter()
+            .flat_map(|p| [(p, true), (p, false)])
+        {
             let cfg = MachineConfig::paper_default(4, proto);
             let p = WorkloadSpec::RacyPair.build(4, 1, 42);
             let r = Machine::new(&cfg)
                 .unwrap()
+                .with_fastpath(fastpath)
                 .with_observability(ObsConfig::forensics_only())
                 .run(&p)
                 .unwrap();

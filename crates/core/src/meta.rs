@@ -10,7 +10,7 @@
 //! the MESI family's displaced-bits protocol, ensure/entry/clear for
 //! ARC's LLC-side registration protocol — and each implementation owns
 //! its full cost model: NoC messages, DRAM metadata accesses,
-//! [`EventClass::Aim`] trace events, and hit/miss/spill accounting.
+//! AIM trace events, and hit/miss/spill accounting.
 //!
 //! Placements ([`rce_common::MetaPlacement`]):
 //! - [`DramMeta`] — CE's table; every touch is an off-chip round trip.
@@ -25,8 +25,9 @@
 
 use crate::access::MetaMap;
 use crate::protocol::Substrate;
+use crate::report::AimSummary;
 use rce_cache::SetAssoc;
-use rce_common::obs::{EventClass, EventKind, SimEvent};
+use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
     impl_json_struct, AimConfig, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap,
     LineTable, MachineConfig, MetaPlacement,
@@ -110,10 +111,12 @@ pub trait MetaBackend {
         t: Cycles,
     ) -> Cycles;
 
-    /// `(accesses, hits, misses, spills)` when the placement has a
-    /// meaningful cache behind it; `None` otherwise (the report's AIM
-    /// section is omitted).
-    fn totals(&self) -> Option<(u64, u64, u64, u64)>;
+    /// Hit/miss/spill statistics when the placement has a meaningful
+    /// cache behind it; `None` otherwise (the report's AIM section is
+    /// omitted).
+    fn totals(&self) -> Option<AimSummary> {
+        None
+    }
 
     /// The outcome of the most recent AIM `ensure`, for forensics
     /// provenance: what the metadata cache had to do the last time an
@@ -134,6 +137,32 @@ pub fn backend_for(cfg: &MachineConfig) -> Box<dyn MetaBackend> {
         MetaPlacement::Dram => Box::new(DramMeta::new()),
         MetaPlacement::Aim => Box::new(AimMeta::new(&cfg.aim)),
         MetaPlacement::Ideal => Box::new(IdealMeta::new()),
+    }
+}
+
+/// One off-chip metadata trip: a request from `from` to `line`'s
+/// memory controller at `t`, a DRAM metadata access of `bytes`, and,
+/// if `reply`, the response back to `from`. Returns when the reply
+/// arrives, or when the DRAM access completes if there is none.
+fn offchip(
+    sub: &mut Substrate,
+    from: NodeId,
+    line: LineAddr,
+    bytes: u64,
+    kind: DramKind,
+    t: Cycles,
+    reply: bool,
+) -> Cycles {
+    let mem = sub.noc.mem_node(line);
+    let t1 = sub
+        .noc
+        .send(from, mem, META_MSG_BYTES, MsgClass::Metadata, t);
+    let t2 = sub.dram.access(line, bytes, kind, t1);
+    if reply {
+        sub.noc
+            .send(mem, from, META_MSG_BYTES, MsgClass::Metadata, t2)
+    } else {
+        t2
     }
 }
 
@@ -274,10 +303,6 @@ impl MetaBackend for NoMeta {
         unreachable!("no registrations in baseline mode")
     }
 
-    fn totals(&self) -> Option<(u64, u64, u64, u64)> {
-        None
-    }
-
     fn placement(&self) -> MetaPlacement {
         MetaPlacement::None
     }
@@ -308,18 +333,11 @@ impl DramMeta {
 impl MetaBackend for DramMeta {
     fn fetch(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> (Cycles, MetaMap) {
         let (m, _) = self.table.take(line);
-        let bank = sub.bank_node(line);
-        let mem = sub.noc.mem_node(line);
-        let t1 = sub
-            .noc
-            .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-        let t2 = sub
-            .dram
-            .access(line, sub.cfg.aim.entry_bytes, DramKind::MetaRead, t1);
-        let t3 = sub
-            .noc
-            .send(mem, bank, META_MSG_BYTES, MsgClass::Metadata, t2);
-        (t3, m)
+        let (bank, bytes) = (sub.bank_node(line), sub.cfg.aim.entry_bytes);
+        (
+            offchip(sub, bank, line, bytes, DramKind::MetaRead, t, true),
+            m,
+        )
     }
 
     fn push(
@@ -330,13 +348,8 @@ impl MetaBackend for DramMeta {
         meta: MetaMap,
         at: Cycles,
     ) {
-        let mem = sub.noc.mem_node(line);
-        let t1 = sub
-            .noc
-            .send(src, mem, META_MSG_BYTES, MsgClass::Metadata, at);
-        let _ = sub
-            .dram
-            .access(line, sub.cfg.aim.entry_bytes, DramKind::MetaWrite, t1);
+        let bytes = sub.cfg.aim.entry_bytes;
+        offchip(sub, src, line, bytes, DramKind::MetaWrite, at, false);
         self.table.entry(line).merge(&meta);
     }
 
@@ -349,30 +362,19 @@ impl MetaBackend for DramMeta {
         at: Cycles,
     ) -> (Cycles, bool) {
         let (_, gone) = self.table.clear_core(line, core);
-        let mem = sub.noc.mem_node(line);
-        let t1 = sub
-            .noc
-            .send(src, mem, META_MSG_BYTES, MsgClass::Metadata, at);
-        let done = sub
-            .dram
-            .access(line, sub.cfg.aim.entry_bytes, DramKind::MetaWrite, t1);
-        (done, gone)
+        let bytes = sub.cfg.aim.entry_bytes;
+        (
+            offchip(sub, src, line, bytes, DramKind::MetaWrite, at, false),
+            gone,
+        )
     }
 
     fn ensure_at(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles {
         // The registration must consult the off-chip table: bank ->
         // memory controller -> DRAM -> back.
         self.table.entry(line);
-        let bank = sub.bank_node(line);
-        let mem = sub.noc.mem_node(line);
-        let t1 = sub
-            .noc
-            .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-        let t2 = sub
-            .dram
-            .access(line, sub.cfg.aim.entry_bytes, DramKind::MetaRead, t1);
-        sub.noc
-            .send(mem, bank, META_MSG_BYTES, MsgClass::Metadata, t2)
+        let (bank, bytes) = (sub.bank_node(line), sub.cfg.aim.entry_bytes);
+        offchip(sub, bank, line, bytes, DramKind::MetaRead, t, true)
     }
 
     fn entry_mut(&mut self, line: LineAddr) -> &mut MetaMap {
@@ -388,17 +390,8 @@ impl MetaBackend for DramMeta {
     ) -> Cycles {
         self.table.clear_core(line, core);
         // The clear is forwarded to the off-chip table.
-        let bank = sub.bank_node(line);
-        let mem = sub.noc.mem_node(line);
-        let t1 = sub
-            .noc
-            .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-        sub.dram
-            .access(line, sub.cfg.aim.entry_bytes, DramKind::MetaWrite, t1)
-    }
-
-    fn totals(&self) -> Option<(u64, u64, u64, u64)> {
-        None
+        let (bank, bytes) = (sub.bank_node(line), sub.cfg.aim.entry_bytes);
+        offchip(sub, bank, line, bytes, DramKind::MetaWrite, t, false)
     }
 
     fn placement(&self) -> MetaPlacement {
@@ -544,7 +537,7 @@ impl AimMeta {
 
     /// Emit the hit/miss (and spill) trace events for one `ensure`.
     fn trace_outcome(&self, sub: &Substrate, line: LineAddr, o: AimOutcome, t: Cycles) {
-        sub.trace(EventClass::Aim, || SimEvent {
+        sub.trace(|| SimEvent {
             cycle: t.0,
             core: None,
             region: None,
@@ -558,7 +551,7 @@ impl AimMeta {
             },
         });
         if o.spilled {
-            sub.trace(EventClass::Aim, || SimEvent {
+            sub.trace(|| SimEvent {
                 cycle: t.0,
                 core: None,
                 region: None,
@@ -570,34 +563,8 @@ impl AimMeta {
 
 impl MetaBackend for AimMeta {
     fn fetch(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> (Cycles, MetaMap) {
-        let o = self.ensure(line);
-        self.trace_outcome(sub, line, o, t);
-        let bank = sub.bank_node(line);
-        let mem = sub.noc.mem_node(line);
-        let mut ready = Cycles(t.0 + self.latency);
-        if o.refilled {
-            // The entry itself had spilled to DRAM: fetch it.
-            let t1 = sub
-                .noc
-                .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-            let t2 = sub
-                .dram
-                .access(line, self.entry_bytes, DramKind::MetaRead, t1);
-            ready = sub
-                .noc
-                .send(mem, bank, META_MSG_BYTES, MsgClass::Metadata, t2);
-        }
-        if o.spilled {
-            // Victim spill: traffic only, off the critical path.
-            let t1 = sub
-                .noc
-                .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-            let _ = sub
-                .dram
-                .access(line, self.entry_bytes, DramKind::MetaWrite, t1);
-        }
-        let m = std::mem::take(self.entry(line));
-        (ready, m)
+        let ready = self.ensure_at(sub, line, t);
+        (ready, std::mem::take(self.entry(line)))
     }
 
     fn push(
@@ -614,23 +581,12 @@ impl MetaBackend for AimMeta {
             .send(src, bank, META_MSG_BYTES, MsgClass::Metadata, at);
         let o = self.ensure(line);
         self.trace_outcome(sub, line, o, at);
+        let bytes = self.entry_bytes;
         if o.spilled {
-            let mem = sub.noc.mem_node(line);
-            let t2 = sub
-                .noc
-                .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t1);
-            let _ = sub
-                .dram
-                .access(line, self.entry_bytes, DramKind::MetaWrite, t2);
+            offchip(sub, bank, line, bytes, DramKind::MetaWrite, t1, false);
         }
         if o.refilled {
-            let mem = sub.noc.mem_node(line);
-            let t2 = sub
-                .noc
-                .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t1);
-            let _ = sub
-                .dram
-                .access(line, self.entry_bytes, DramKind::MetaRead, t2);
+            offchip(sub, bank, line, bytes, DramKind::MetaRead, t1, false);
         }
         self.entry(line).merge(&meta);
     }
@@ -654,27 +610,15 @@ impl MetaBackend for AimMeta {
     fn ensure_at(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles {
         let o = self.ensure(line);
         self.trace_outcome(sub, line, o, t);
-        let bank = sub.bank_node(line);
-        let mem = sub.noc.mem_node(line);
+        let (bank, bytes) = (sub.bank_node(line), self.entry_bytes);
         let mut ready = Cycles(t.0 + self.latency);
         if o.refilled {
-            let t1 = sub
-                .noc
-                .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-            let t2 = sub
-                .dram
-                .access(line, self.entry_bytes, DramKind::MetaRead, t1);
-            ready = sub
-                .noc
-                .send(mem, bank, META_MSG_BYTES, MsgClass::Metadata, t2);
+            // The entry itself had spilled to DRAM: fetch it.
+            ready = offchip(sub, bank, line, bytes, DramKind::MetaRead, t, true);
         }
         if o.spilled {
-            let t1 = sub
-                .noc
-                .send(bank, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-            let _ = sub
-                .dram
-                .access(line, self.entry_bytes, DramKind::MetaWrite, t1);
+            // Victim spill: traffic only, off the critical path.
+            offchip(sub, bank, line, bytes, DramKind::MetaWrite, t, false);
         }
         ready
     }
@@ -694,13 +638,13 @@ impl MetaBackend for AimMeta {
         Cycles(t.0 + self.latency)
     }
 
-    fn totals(&self) -> Option<(u64, u64, u64, u64)> {
-        Some((
-            self.accesses.get(),
-            self.hits.get(),
-            self.misses.get(),
-            self.spills.get(),
-        ))
+    fn totals(&self) -> Option<AimSummary> {
+        Some(AimSummary {
+            accesses: self.accesses.get(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            spills: self.spills.get(),
+        })
     }
 
     fn last_outcome(&self) -> Option<AimOutcome> {
@@ -781,10 +725,6 @@ impl MetaBackend for IdealMeta {
     ) -> Cycles {
         self.table.clear_core(line, core);
         t
-    }
-
-    fn totals(&self) -> Option<(u64, u64, u64, u64)> {
-        None
     }
 
     fn placement(&self) -> MetaPlacement {
@@ -998,8 +938,8 @@ mod tests {
                             ideal.boundary_clear(&mut s, line, core, at);
                         }
                     }
-                    if let Some((_, _, _, spills)) = aim.totals() {
-                        prop_assert_eq!(spills, 0, "unbounded AIM must never spill");
+                    if let Some(a) = aim.totals() {
+                        prop_assert_eq!(a.spills, 0, "unbounded AIM must never spill");
                     }
                 }
                 // Final sweep: every line's surviving metadata matches.
@@ -1098,8 +1038,8 @@ mod tests {
         assert_eq!(ready, Cycles(30 + b.latency), "resident: latency only");
         assert_eq!(m, meta_with_bits(2, 4));
         assert!(b.entry(line).is_empty(), "fetch drains the entry");
-        let (a, h, miss, sp) = b.totals().unwrap();
-        assert_eq!((a, h, miss, sp), (2, 1, 1, 0));
+        let a = b.totals().unwrap();
+        assert_eq!((a.accesses, a.hits, a.misses, a.spills), (2, 1, 1, 0));
         assert_eq!(
             s.dram.stats().metadata_bytes().0,
             0,

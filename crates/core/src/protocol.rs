@@ -9,8 +9,9 @@
 
 use crate::exception::ConflictException;
 use crate::forensics::DetectPath;
+use crate::report::AimSummary;
 use rce_cache::{Directory, Llc};
-use rce_common::obs::{EventClass, SharedTracer, SimEvent};
+use rce_common::obs::{SharedTracer, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, MachineConfig, RceResult, RegionId, WordMask,
 };
@@ -28,19 +29,28 @@ pub struct AccessResult {
     pub done: Cycles,
     /// Conflicts detected while performing it.
     pub exceptions: Vec<ConflictException>,
-    /// Detection provenance, aligned with `exceptions` (`paths[i]`
-    /// explains how `exceptions[i]` was found). Engines fill this
-    /// unconditionally, so the forensics layer needs no extra engine
-    /// gating. That is not free: an access that raises exceptions
-    /// allocates this `Vec` as well, and conflict-heavy runs raise
-    /// them often (canneal under CE+ delivers about 1.5 per access).
-    pub paths: Vec<DetectPath>,
+    /// How the engine found `exceptions`: one provenance path for the
+    /// whole access, since every exception of one access is found by
+    /// the same check. `Some` exactly when `exceptions` is non-empty.
+    pub path: Option<DetectPath>,
     /// True iff the engine short-circuited this access as a repeat its
     /// L1 line already covers (see [`Engine::set_fastpath`]): the core
     /// already made the same-kind access to these words this region,
     /// so the machine may also skip the per-word oracle observation,
     /// which would be a no-op.
     pub fast: bool,
+}
+
+impl AccessResult {
+    /// A slow-path completion at `done` that raised nothing.
+    pub fn new(done: Cycles) -> Self {
+        AccessResult {
+            done,
+            exceptions: Vec::new(),
+            path: None,
+            fast: false,
+        }
+    }
 }
 
 /// Everything shared between designs.
@@ -99,14 +109,11 @@ impl Substrate {
     }
 
     /// Emit a trace event; the event is only *built* (the closure only
-    /// runs) if a tracer is attached and wants `class`.
+    /// runs) if a tracer is attached.
     #[inline]
-    pub fn trace(&self, class: EventClass, build: impl FnOnce() -> SimEvent) {
+    pub fn trace(&self, build: impl FnOnce() -> SimEvent) {
         if let Some(tr) = &self.tracer {
-            let mut tr = tr.borrow_mut();
-            if tr.wants(class) {
-                tr.emit(build());
-            }
+            tr.borrow_mut().emit(build());
         }
     }
 
@@ -186,7 +193,7 @@ impl Substrate {
                 );
                 let _ = self.dram.access(victim, 64, DramKind::DataWrite, at);
             }
-            self.trace(EventClass::Cache, || SimEvent {
+            self.trace(|| SimEvent {
                 cycle: back.0,
                 core: None,
                 region: None,
@@ -219,7 +226,7 @@ impl Substrate {
                 );
                 let _ = self.dram.access(victim, 64, DramKind::DataWrite, at);
             }
-            self.trace(EventClass::Cache, || SimEvent {
+            self.trace(|| SimEvent {
                 cycle: now.0,
                 core: None,
                 region: None,
@@ -237,12 +244,6 @@ impl Substrate {
     pub fn dir_access(&mut self) {
         self.dir_accesses.inc();
     }
-}
-
-/// The fast path's initial state for a new engine: on, unless
-/// `RCE_DISABLE_FASTPATH` is set in the environment.
-pub(crate) fn fastpath_default() -> bool {
-    std::env::var_os("RCE_DISABLE_FASTPATH").is_none()
 }
 
 /// One conflict-detection design (or the baseline).
@@ -276,30 +277,20 @@ pub trait Engine {
         now: Cycles,
     ) -> RceResult<AccessResult>;
 
-    /// Engine display name.
-    fn name(&self) -> &'static str;
-
     /// Turn the repeat-access fast path on or off. When on, an L1 hit
     /// whose line state shows it would change nothing returns the
     /// L1-hit latency at once, with `fast` set. Reports are
-    /// byte-identical either way; CI runs the golden gate with the
-    /// fast path off to keep the slow path honest. Engines start with
-    /// [`fastpath_default`].
+    /// byte-identical either way; the golden and equivalence tests run
+    /// with the fast path off to keep the slow path honest. Engines
+    /// start with it on.
     fn set_fastpath(&mut self, on: bool);
 
     /// Aggregate L1 statistics: `(hits, misses, evictions)` summed
     /// over cores.
     fn l1_totals(&self) -> (u64, u64, u64);
 
-    /// Total L1 data-array accesses (for energy): hits + misses.
-    fn l1_accesses(&self) -> u64 {
-        let (h, m, _) = self.l1_totals();
-        h + m
-    }
-
-    /// AIM statistics if this design has one:
-    /// `(accesses, hits, misses, spills_to_dram)`.
-    fn aim_totals(&self) -> Option<(u64, u64, u64, u64)> {
+    /// AIM statistics if this design's metadata lives in one.
+    fn aim_totals(&self) -> Option<AimSummary> {
         None
     }
 

@@ -3,7 +3,7 @@
 //! cross-protocol cost orderings, and the repeat fast path.
 
 use rce_common::{Addr, CoreId, Cycles, MachineConfig, ProtocolKind, WordMask};
-use rce_core::{AccessType, ArcEngine, Engine, MesiFamilyEngine, Substrate};
+use rce_core::{AccessType, ArcEngine, Engine, MesiFamilyEngine, Substrate, REGISTRY};
 
 const R: AccessType = AccessType::Read;
 const W: AccessType = AccessType::Write;
@@ -247,4 +247,44 @@ fn arc_repeat_fast_path_follows_line_state() {
     arc(evict, "an L1 eviction");
     arc(remote_read, "a recall");
     arc(boundary, "a region boundary");
+}
+
+/// Every detecting composition reports one provenance path exactly
+/// when an access raises exceptions, both for an access to a line the
+/// core already holds (an upgrade, or an ARC hit-path registration)
+/// and for a miss.
+#[test]
+fn path_is_set_exactly_when_exceptions_are_raised() {
+    for v in REGISTRY
+        .iter()
+        .filter(|v| v.protocol != ProtocolKind::MesiBaseline)
+    {
+        let cfg = v.config(2);
+        let mut e = rce_core::engine_for(&cfg);
+        let mut s = Substrate::new(&cfg);
+        let (x, y) = (0x90_0000u64, 0xA0_0000u64);
+        let mut t = 0;
+        let mut step = |core, addr, kind, what: &str| {
+            let hits_before = e.l1_totals().0;
+            let r = acc(&mut *e, &mut s, core, addr, kind, t);
+            t = r.done.0;
+            assert_eq!(
+                r.path.is_some(),
+                !r.exceptions.is_empty(),
+                "{}: {what}",
+                v.cli_name
+            );
+            (r.exceptions.len(), e.l1_totals().0 > hits_before)
+        };
+        // Two readers of different words of `x` share the line.
+        assert_eq!(step(0, x + 8, R, "first read").0, 0);
+        assert_eq!(step(1, x, R, "second read").0, 0);
+        // Core 0 writes the word core 1 read, in the line it holds.
+        let (raised, hit) = step(0, x, W, "write to a held line");
+        assert_eq!((raised, hit), (1, true), "{}", v.cli_name);
+        // Core 1 writes a word core 0 wrote, in a line it never held.
+        assert_eq!(step(0, y, W, "private write").0, 0);
+        let (raised, hit) = step(1, y, W, "write miss");
+        assert_eq!((raised, hit), (1, false), "{}", v.cli_name);
+    }
 }

@@ -1,7 +1,7 @@
 //! The memory controller: channels, banks, row buffers, service.
 
 use crate::stats::DramStats;
-use rce_common::obs::{EventClass, EventKind, SharedTracer, SimEvent};
+use rce_common::obs::{EventKind, SharedTracer, SimEvent};
 use rce_common::{impl_json_unit_enum, Bytes, Cycles, DramConfig, LineAddr};
 
 /// What an access is for — program data or conflict metadata.
@@ -43,11 +43,6 @@ impl AccessKind {
             AccessKind::MetaRead => 2,
             AccessKind::MetaWrite => 3,
         }
-    }
-
-    /// True for metadata accesses.
-    pub fn is_meta(self) -> bool {
-        matches!(self, AccessKind::MetaRead | AccessKind::MetaWrite)
     }
 
     /// Display name.
@@ -152,19 +147,16 @@ impl Dram {
 
         self.stats.record(kind, bytes, row_hit, queue_delay);
         if let Some(tr) = &self.trace {
-            let mut tr = tr.borrow_mut();
-            if tr.wants(EventClass::Dram) {
-                tr.emit(SimEvent {
-                    cycle: now.0,
-                    core: None,
-                    region: None,
-                    kind: EventKind::DramAccess {
-                        kind: kind.name().to_string(),
-                        line: line.0,
-                        bytes,
-                    },
-                });
-            }
+            tr.borrow_mut().emit(SimEvent {
+                cycle: now.0,
+                core: None,
+                region: None,
+                kind: EventKind::DramAccess {
+                    kind: kind.name().to_string(),
+                    line: line.0,
+                    bytes,
+                },
+            });
         }
         Cycles(done)
     }

@@ -2,7 +2,7 @@
 
 use crate::mesh::{Mesh, NodeId};
 use crate::stats::NocStats;
-use rce_common::obs::{EventClass, EventKind, SharedTracer, SimEvent};
+use rce_common::obs::{EventKind, SharedTracer, SimEvent};
 use rce_common::{impl_json_unit_enum, Bytes, CoreId, Cycles, LineAddr, NocConfig};
 
 /// Message classes, accounted separately.
@@ -179,20 +179,17 @@ impl Noc {
         self.stats
             .record_msg(class, wire_bytes, flits * hops, hops, queue_delay);
         if let Some(tr) = &self.trace {
-            let mut tr = tr.borrow_mut();
-            if tr.wants(EventClass::Coherence) {
-                tr.emit(SimEvent {
-                    cycle: now.0,
-                    core: None,
-                    region: None,
-                    kind: EventKind::CohMsg {
-                        class: class.name().to_string(),
-                        src: src.0 as u64,
-                        dst: dst.0 as u64,
-                        bytes: wire_bytes,
-                    },
-                });
-            }
+            tr.borrow_mut().emit(SimEvent {
+                cycle: now.0,
+                core: None,
+                region: None,
+                kind: EventKind::CohMsg {
+                    class: class.name().to_string(),
+                    src: src.0 as u64,
+                    dst: dst.0 as u64,
+                    bytes: wire_bytes,
+                },
+            });
         }
         Cycles(arrival)
     }

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# Hermetic CI: format, build, test — all offline — plus a dependency
-# hygiene gate that fails if any non-workspace (non rce-*) dependency
-# reappears in a Cargo.toml.
+# Hermetic CI: format, lint, build, test — all offline — plus a
+# dependency hygiene gate that fails if any non-workspace (non rce-*)
+# dependency reappears in a Cargo.toml. The fast-path-off golden and
+# forensics checks run in-process under `cargo test`
+# (tests/golden_reports.rs, crates/core/src/machine.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== cargo clippy (warnings are errors) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --workspace --release --offline =="
 cargo build --workspace --release --offline
@@ -71,30 +76,6 @@ for engine in MESI CE CE+ ARC; do
     fi
     echo "ok: $engine report is byte-identical to its golden"
 done
-
-echo "== fast-path-disabled goldens (RCE_DISABLE_FASTPATH=1) =="
-# The repeat fast path is a pure acceleration: with it forced off,
-# the same four configurations must still match the same
-# goldens byte for byte, and the forensics pipeline must still attach
-# provenance. This is the knob the equivalence property tests exercise
-# in-process; here it is checked through the real env-var switch.
-for engine in MESI CE CE+ ARC; do
-    slug=$(printf '%s' "$engine" | sed 's/+/plus/' | tr '[:upper:]' '[:lower:]')
-    if ! RCE_DISABLE_FASTPATH=1 cargo run -q --release --offline -p rce-bench --bin paper -- \
-        report canneal "$engine" --cores 4 --scale 3 --seed 42 |
-        diff -q - "tests/goldens/canneal-4c-$slug.json" >/dev/null; then
-        echo "FAIL: $engine report drifted with the fast path disabled" >&2
-        exit 1
-    fi
-    echo "ok: $engine report is byte-identical with the fast path disabled"
-done
-out=$(RCE_DISABLE_FASTPATH=1 cargo run -q --release --offline -p rce-bench --bin paper -- \
-    explain racy_pair CE+ --cores 4 --scale 1 --seed 42)
-if ! printf '%s' "$out" | grep -q "found via:"; then
-    echo "FAIL: paper explain printed no provenance record with the fast path disabled" >&2
-    exit 1
-fi
-echo "ok: forensics smoke passes with the fast path disabled"
 
 echo "== simbench replay agreement (cargo test, simbench/) =="
 # simbench's replay of the machine loop observes every access in the

@@ -19,7 +19,7 @@ use rce_core::REGISTRY;
 use rce_trace::Builder;
 
 /// Render the report of one run with forensics on, the fast path
-/// forced on or off (`None` leaves the engine default).
+/// forced on or off (`None` leaves the machine default).
 fn render(cfg: &MachineConfig, program: &Program, fastpath: Option<bool>) -> String {
     let mut machine = Machine::new(cfg)
         .unwrap()
@@ -39,11 +39,14 @@ fn assert_equivalent(cfg: &MachineConfig, program: &Program, label: &str) {
     );
 }
 
+/// A named change to the paper-default configuration.
+type Mode = (&'static str, fn(MachineConfig) -> MachineConfig);
+
 /// The modes that change what an L1 line holds, and so what the fast
 /// path reads: line-granularity detection masks, MOESI's dirty `O`
 /// state, ARC's read-only lines that survive boundaries, and an AIM
 /// small enough to spill constantly. `paper` is the unmodified default.
-const MODES: [(&str, fn(MachineConfig) -> MachineConfig); 5] = [
+const MODES: [Mode; 5] = [
     ("paper", |c| c),
     ("line-granularity", |mut c| {
         c.granularity = DetectionGranularity::Line;
@@ -172,8 +175,8 @@ fn random_programs_match_with_fastpath_off() {
     );
 }
 
-/// The env knob and the builder agree: a machine with no explicit
-/// override still produces the same report as both forced modes.
+/// A machine left at its default (fast path on) produces the same
+/// report as both forced modes.
 #[test]
 fn default_mode_matches_forced_modes() {
     let program = WorkloadSpec::RacyPair.build(2, 1, 7);

@@ -1,6 +1,7 @@
 //! Golden-report gate: the four seed engine configurations (plus two
 //! small-AIM variants that force the spill/refill paths) must produce
-//! byte-identical `SimReport` JSON, forever.
+//! byte-identical `SimReport` JSON, forever, with the repeat fast path
+//! on and off.
 //!
 //! The files in `tests/goldens/` were pinned before the engines were
 //! split into coherence/detection/metadata layers; this test is what
@@ -16,8 +17,12 @@ fn golden_path(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
-fn render(cfg: &MachineConfig, program: &Program) -> String {
-    let report = Machine::new(cfg).unwrap().run(program).unwrap();
+fn render(cfg: &MachineConfig, program: &Program, fastpath: bool) -> String {
+    let report = Machine::new(cfg)
+        .unwrap()
+        .with_fastpath(fastpath)
+        .run(program)
+        .unwrap();
     let mut text = rce_common::json::to_string_pretty(&report);
     text.push('\n');
     text
@@ -46,13 +51,18 @@ fn seed_engine_reports_are_byte_identical() {
     for (name, cfg) in cases {
         let want = std::fs::read_to_string(golden_path(&name))
             .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
-        let got = render(&cfg, &program);
-        assert!(
-            got == want,
-            "{name}: report drifted from the pinned golden \
-             (run `cargo run --release --example dump_goldens` and diff \
-             tests/goldens/ if the change is intended)"
-        );
+        // The repeat fast path is a pure acceleration: with it off, the
+        // slow path must reproduce the same bytes.
+        for fastpath in [true, false] {
+            let got = render(&cfg, &program, fastpath);
+            assert!(
+                got == want,
+                "{name} (fast path {}): report drifted from the pinned golden \
+                 (run `cargo run --release --example dump_goldens` and diff \
+                 tests/goldens/ if the change is intended)",
+                if fastpath { "on" } else { "off" }
+            );
+        }
     }
 }
 
