@@ -10,7 +10,7 @@
 //! functional lock/barrier managers. The oracle observes the identical
 //! committed stream, giving ground truth for differential testing.
 
-use crate::exception::{AccessType, ConflictException, ConflictSide, ExceptionPolicy};
+use crate::exception::{AccessType, ConflictException, ExceptionPolicy};
 use crate::forensics::Forensics;
 use crate::oracle::Oracle;
 use crate::protocol::{Engine, Substrate};
@@ -87,6 +87,46 @@ pub const STEP_LIMIT_BASE: u64 = 100_000;
 /// `(total_ops + 1) * STEP_LIMIT_FACTOR + STEP_LIMIT_BASE`.
 pub fn default_step_limit(total_ops: u64) -> u64 {
     (total_ops + 1) * STEP_LIMIT_FACTOR + STEP_LIMIT_BASE
+}
+
+/// An engine may raise a conflict only while both of its regions are
+/// live: that is what a region conflict is, and the driver's
+/// region-scoped dedup relies on it.
+fn check_live(sub: &Substrate, ex: &ConflictException) -> RceResult<()> {
+    if sub.is_live(ex.a.core, ex.a.region) && sub.is_live(ex.b.core, ex.b.region) {
+        Ok(())
+    } else {
+        Err(RceError::InvariantViolated(format!(
+            "exception names an ended region: {ex}"
+        )))
+    }
+}
+
+/// One core's delivered exceptions, kept region-scoped: every identity
+/// is filed under its lower core, `a.core`.
+#[derive(Default)]
+struct CoreExceptions {
+    /// Identities whose `a` side is the core's current region. Asked
+    /// for membership and flushed sorted, so the fast hasher's order
+    /// never reaches a report.
+    live: HashSet<ConflictException, FxBuildHasher>,
+    /// Identities whose `a` side is an ended region, sorted: a core's
+    /// regions end in ID order.
+    done: Vec<ConflictException>,
+}
+
+impl CoreExceptions {
+    /// The core's region ended: move its identities, sorted, to `done`.
+    fn flush(&mut self) {
+        // Draining walks the whole table, which keeps the capacity of
+        // the core's busiest region: skip it when there is nothing.
+        if self.live.is_empty() {
+            return;
+        }
+        let start = self.done.len();
+        self.done.extend(self.live.drain());
+        self.done[start..].sort_unstable();
+    }
 }
 
 /// The simulator.
@@ -217,11 +257,11 @@ struct Run<'m> {
     /// Memory ops committed in each core's current region.
     region_ops: Vec<u64>,
     per_core: Vec<CoreStats>,
-    /// Delivered exceptions, in delivery order.
-    exceptions: Vec<ConflictException>,
-    /// Keys of the delivered exceptions. Membership only, so the fast
-    /// hasher never reaches a report.
-    seen: HashSet<(ConflictSide, ConflictSide, Addr), FxBuildHasher>,
+    /// Delivered exceptions, per lower core. An identity is delivered
+    /// once, the first time an engine raises it.
+    exceptions: Vec<CoreExceptions>,
+    /// Number of exceptions delivered so far.
+    delivered: u64,
     aborted: bool,
     tracer: Option<SharedTracer>,
     forensics: Option<Forensics>,
@@ -281,8 +321,8 @@ impl<'m> Run<'m> {
             boundary_cost: Histogram::new(),
             region_ops: vec![0; n],
             per_core: vec![CoreStats::default(); n],
-            exceptions: Vec::new(),
-            seen: HashSet::default(),
+            exceptions: (0..n).map(|_| CoreExceptions::default()).collect(),
+            delivered: 0,
             aborted: false,
             tracer,
             forensics: m.obs.forensics.clone().map(Forensics::new),
@@ -318,8 +358,7 @@ impl<'m> Run<'m> {
 
             if let Some(s) = &mut self.sampler {
                 if s.due(now.0) {
-                    let exceptions = self.exceptions.len() as u64;
-                    s.tick(now.0, gauges(&self.sub, &*self.engine, exceptions));
+                    s.tick(now.0, gauges(&self.sub, &*self.engine, self.delivered));
                 }
             }
 
@@ -408,12 +447,14 @@ impl<'m> Run<'m> {
         self.per_core[c].mem_ops += 1;
 
         for ex in res.exceptions {
+            check_live(&self.sub, &ex)?;
             if let Some(f) = &mut self.forensics {
                 f.observe(&ex);
             }
-            if !self.seen.insert(ex.key()) {
+            if !self.exceptions[ex.a.core.index()].live.insert(ex) {
                 continue;
             }
+            self.delivered += 1;
             let sub = &self.sub;
             sub.trace(|| {
                 let letter = |k: AccessType| if k == AccessType::Write { "W" } else { "R" };
@@ -441,7 +482,6 @@ impl<'m> Run<'m> {
                     .unwrap_or_default();
                 f.deliver(ex, path, recent);
             }
-            self.exceptions.push(ex);
             if policy == ExceptionPolicy::AbortOnFirst {
                 self.aborted = true;
                 break;
@@ -501,14 +541,15 @@ impl<'m> Run<'m> {
     }
 
     /// End the core's current region: engine boundary work, region
-    /// clock advance, oracle clear, statistics. Returns when the
-    /// boundary work completes.
+    /// clock advance, oracle clear, exception flush, statistics.
+    /// Returns when the boundary work completes.
     fn boundary(&mut self, core: CoreId, now: Cycles) -> RceResult<Cycles> {
         let c = core.index();
         let old_region = self.sub.region_of(core);
         let b = self.engine.region_boundary(&mut self.sub, core, now)?;
         let new_region = self.sub.advance_region(core);
         self.oracle.region_boundary(core, new_region);
+        self.exceptions[c].flush();
         self.regions += 1;
         let ops = std::mem::take(&mut self.region_ops[c]);
         if ops > 0 {
@@ -553,7 +594,8 @@ impl<'m> Run<'m> {
             region_len,
             boundary_cost,
             per_core,
-            mut exceptions,
+            exceptions: per_core_exceptions,
+            delivered,
             aborted,
             tracer,
             forensics,
@@ -566,8 +608,7 @@ impl<'m> Run<'m> {
 
         // Close out the observability layers. The tracer is drained
         // (not unwrapped) because the NoC and DRAM still hold clones.
-        let timeline =
-            sampler.map(|s| s.finish(end.0, gauges(&sub, &*engine, exceptions.len() as u64)));
+        let timeline = sampler.map(|s| s.finish(end.0, gauges(&sub, &*engine, delivered)));
         let trace = if export_trace {
             tracer.map(|t| t.borrow_mut().take_log())
         } else {
@@ -588,7 +629,13 @@ impl<'m> Run<'m> {
             cores: cfg.cores as u64,
         });
 
-        exceptions.sort();
+        // An aborted run ends with regions still open: flush them too.
+        // Core order then gives the sorted list.
+        let mut exceptions = Vec::with_capacity(delivered as usize);
+        for mut e in per_core_exceptions {
+            e.flush();
+            exceptions.append(&mut e.done);
+        }
         SimReport {
             protocol: cfg.protocol,
             workload: program.name.clone(),
@@ -616,7 +663,7 @@ impl<'m> Run<'m> {
             boundary_cost,
             per_core,
             exceptions,
-            oracle_conflicts: oracle.conflicts(),
+            oracle_conflicts: oracle.into_conflicts(),
             aborted,
             timeline,
             trace,
@@ -796,6 +843,36 @@ mod tests {
             default_step_limit(100),
             101 * STEP_LIMIT_FACTOR + STEP_LIMIT_BASE
         );
+    }
+
+    #[test]
+    fn exceptions_naming_an_ended_region_are_rejected() {
+        use crate::exception::ConflictSide;
+        use rce_common::RegionId;
+        let mut sub = Substrate::new(&MachineConfig::paper_default(4, ProtocolKind::Ce));
+        let side = |c: u16, region: RegionId| ConflictSide {
+            core: CoreId(c),
+            region,
+            kind: AccessType::Write,
+        };
+        let ex =
+            |a: ConflictSide, b: ConflictSide| ConflictException::new(a, b, Addr(8), Cycles(5));
+        let (r1, r2) = (sub.region_of(CoreId(1)), sub.region_of(CoreId(2)));
+        assert!(check_live(&sub, &ex(side(1, r1), side(2, r2))).is_ok());
+        let new_r1 = sub.advance_region(CoreId(1));
+        // The ended region on the `a` side, then on the `b` side.
+        for bad in [
+            ex(side(1, r1), side(2, r2)),
+            ex(side(0, RegionId(0)), side(1, r1)),
+        ] {
+            match check_live(&sub, &bad) {
+                Err(RceError::InvariantViolated(msg)) => {
+                    assert!(msg.contains(&bad.to_string()), "{msg}")
+                }
+                other => panic!("{bad}: expected InvariantViolated, got {other:?}"),
+            }
+        }
+        assert!(check_live(&sub, &ex(side(0, RegionId(0)), side(1, new_r1))).is_ok());
     }
 
     #[test]

@@ -22,15 +22,22 @@
 //!
 //! If the observing core's own same-kind bit is already set, the
 //! observe returns at once: every conflict identity the access could
-//! discover pairs that bit with a live opponent bit, and was inserted
+//! discover pairs that bit with a live opponent bit, and was recorded
 //! when the later of the two was first set. That early return is what
-//! makes the machine's fast-path oracle skip exact.
+//! makes the machine's fast-path oracle skip exact, and it also means
+//! the oracle discovers each identity exactly once, so it needs no
+//! conflict set to deduplicate.
+//!
+//! Conflicts are kept region-scoped. Both sides of a new conflict are
+//! live, so it joins the pending list of its lower core (`a.core`),
+//! whose every entry names that core's current region. At the core's
+//! boundary the list is sorted and appended to the core's done list.
+//! A core's regions end in ID order, so the done lists concatenated
+//! in core order are already in `Ord` order: no run-wide sort.
 
 use crate::exception::{AccessType, ConflictException, ConflictSide};
-use rce_common::{
-    Addr, CoreId, Cycles, FxBuildHasher, LineAddr, LineId, LineMap, LineTable, RegionId, MAX_CORES,
-};
-use std::collections::{HashMap, HashSet};
+use rce_common::{Addr, CoreId, Cycles, LineAddr, LineId, LineMap, LineTable, RegionId, MAX_CORES};
+use std::collections::HashMap;
 
 // One bit per core in a `u64` mask: a larger machine would silently
 // lose the cores above bit 63.
@@ -43,12 +50,17 @@ struct WordBits {
     writers: u64,
 }
 
-/// One core's current region and the words it set bits on in it.
+/// One core's current region, the words it set bits on in it, and the
+/// conflicts whose lower side is this core.
 #[derive(Debug, Clone)]
 struct CoreRegion {
     region: RegionId,
     read: Vec<LineId>,
     written: Vec<LineId>,
+    /// Conflicts whose `a` side is the current region, unsorted.
+    pending: Vec<ConflictException>,
+    /// Conflicts whose `a` side is an ended region, sorted.
+    done: Vec<ConflictException>,
 }
 
 /// The shadow detector.
@@ -59,9 +71,8 @@ pub struct Oracle {
     words: LineTable,
     bits: LineMap<WordBits>,
     cores: Vec<CoreRegion>,
-    /// Iterated only through `conflicts()`, which sorts, so the hasher
-    /// never reaches output.
-    conflicts: HashSet<ConflictException, FxBuildHasher>,
+    /// The conflicts the latest observe discovered.
+    found: Vec<ConflictException>,
 }
 
 impl Oracle {
@@ -83,21 +94,24 @@ impl Oracle {
                     region,
                     read: Vec::new(),
                     written: Vec::new(),
+                    pending: Vec::new(),
+                    done: Vec::new(),
                 })
                 .collect(),
-            conflicts: HashSet::default(),
+            found: Vec::new(),
         }
     }
 
     /// Observe one committed word access. `word_addr` must be
-    /// word-aligned. Returns conflicts newly discovered by this access.
+    /// word-aligned. Returns the conflicts newly discovered by this
+    /// access, valid until the next call.
     pub fn observe(
         &mut self,
         core: CoreId,
         word_addr: Addr,
         kind: AccessType,
         now: Cycles,
-    ) -> Vec<ConflictException> {
+    ) -> &[ConflictException] {
         debug_assert_eq!(word_addr.0 % 8, 0, "oracle expects word-aligned addresses");
         let id = self.words.intern(LineAddr(word_addr.0));
         let bits = self.bits.slot(id);
@@ -108,7 +122,7 @@ impl Oracle {
         // its current region (see the module docs).
         let own = if write { bits.writers } else { bits.readers };
         if own & me_bit != 0 {
-            return Vec::new();
+            return &[];
         }
 
         // Set-intersection semantics: every overlapping kind pair with
@@ -123,7 +137,7 @@ impl Oracle {
             region: self.cores[core.index()].region,
             kind,
         };
-        let mut found = Vec::new();
+        self.found.clear();
         let mut opponents = opp_writers | opp_readers;
         while opponents != 0 {
             let i = opponents.trailing_zeros() as usize;
@@ -142,9 +156,8 @@ impl Oracle {
                     kind: ok,
                 };
                 let ex = ConflictException::new(me, other, word_addr, now);
-                if self.conflicts.insert(ex) {
-                    found.push(ex);
-                }
+                self.cores[ex.a.core.index()].pending.push(ex);
+                self.found.push(ex);
             }
         }
 
@@ -156,7 +169,7 @@ impl Oracle {
             bits.readers |= me_bit;
             sets.read.push(id);
         }
-        found
+        &self.found
     }
 
     /// The core's region ended: its bits clear from every word it set
@@ -164,7 +177,10 @@ impl Oracle {
     pub fn region_boundary(&mut self, core: CoreId, new_region: RegionId) {
         let keep = !(1u64 << core.index());
         let sets = &mut self.cores[core.index()];
+        debug_assert!(new_region > sets.region, "regions end in ID order");
         sets.region = new_region;
+        sets.pending.sort_unstable();
+        sets.done.append(&mut sets.pending);
         for id in sets.read.drain(..) {
             self.bits.slot(id).readers &= keep;
         }
@@ -173,17 +189,24 @@ impl Oracle {
         }
     }
 
-    /// All conflicts observed so far, sorted for deterministic
-    /// comparison.
-    pub fn conflicts(&self) -> Vec<ConflictException> {
-        let mut v: Vec<_> = self.conflicts.iter().copied().collect();
-        v.sort();
-        v
+    /// Every conflict observed, sorted: each core's done list, then its
+    /// pending list sorted, in core order.
+    pub fn into_conflicts(self) -> Vec<ConflictException> {
+        let mut all = Vec::with_capacity(self.count());
+        for mut c in self.cores {
+            c.pending.sort_unstable();
+            all.append(&mut c.done);
+            all.append(&mut c.pending);
+        }
+        all
     }
 
     /// Number of distinct conflicts.
     pub fn count(&self) -> usize {
-        self.conflicts.len()
+        self.cores
+            .iter()
+            .map(|c| c.pending.len() + c.done.len())
+            .sum()
     }
 
     /// Live word-set sizes per core (diagnostics).
@@ -199,6 +222,7 @@ impl Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn oracle(n: usize) -> Oracle {
         let regions: Vec<_> = (0..n as u64).map(RegionId).collect();
@@ -483,7 +507,7 @@ mod tests {
                             let keys = |v: &[ConflictException]| {
                                 v.iter().map(|e| e.key()).collect::<Vec<_>>()
                             };
-                            prop_assert_eq!(keys(&got), keys(&want), "step {t}: new conflicts");
+                            prop_assert_eq!(keys(got), keys(&want), "step {t}: new conflicts");
                         }
                         Step::Boundary { core } => {
                             o.region_boundary(CoreId(core as u16), RegionId(next_region));
@@ -494,7 +518,7 @@ mod tests {
                     prop_assert_eq!(o.count(), r.conflicts.len(), "step {t}: count");
                     let mut want: Vec<_> = r.conflicts.iter().copied().collect();
                     want.sort();
-                    prop_assert_eq!(o.conflicts(), want, "step {t}: conflicts");
+                    prop_assert_eq!(o.clone().into_conflicts(), want, "step {t}: conflicts");
                     prop_assert_eq!(o.live_set_sizes(), r.live_set_sizes(), "step {t}: sizes");
                 }
                 Ok(())

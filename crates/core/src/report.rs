@@ -107,9 +107,10 @@ pub struct SimReport {
     /// Per-core finish time and committed memory operations (load
     /// imbalance diagnostics).
     pub per_core: Vec<CoreStats>,
-    /// Deduplicated conflict exceptions the engine delivered.
+    /// Deduplicated conflict exceptions the engine delivered, sorted.
     pub exceptions: Vec<ConflictException>,
-    /// Ground-truth conflicts from the oracle on the same schedule.
+    /// Ground-truth conflicts from the oracle on the same schedule,
+    /// sorted.
     pub oracle_conflicts: Vec<ConflictException>,
     /// True if the run stopped at the first exception
     /// (`ExceptionPolicy::AbortOnFirst`).
@@ -257,12 +258,15 @@ impl SimReport {
     }
 
     /// True if the engine's exception set matches the oracle's
-    /// (identity comparison; detection times may differ).
+    /// (identity comparison; detection times may differ). Both lists
+    /// are sorted and unique, so this is one pairwise pass.
     pub fn matches_oracle(&self) -> bool {
-        use std::collections::HashSet;
-        let e: HashSet<_> = self.exceptions.iter().map(|x| x.key()).collect();
-        let o: HashSet<_> = self.oracle_conflicts.iter().map(|x| x.key()).collect();
-        e == o
+        let increasing = |v: &[ConflictException]| v.windows(2).all(|w| w[0] < w[1]);
+        debug_assert!(increasing(&self.exceptions), "exceptions not sorted");
+        debug_assert!(increasing(&self.oracle_conflicts), "oracle not sorted");
+        // `ConflictException` equality is identity: it ignores the
+        // detection time.
+        self.exceptions == self.oracle_conflicts
     }
 
     /// Normalize the headline metrics to a baseline run (same
@@ -404,6 +408,36 @@ mod tests {
     fn oracle_match_on_empty() {
         let r = dummy(ProtocolKind::Ce, 1);
         assert!(r.matches_oracle());
+    }
+
+    #[test]
+    fn oracle_match_compares_identities_pairwise() {
+        use crate::exception::{AccessType, ConflictSide};
+        use rce_common::{Addr, CoreId, RegionId};
+        let ex = |core: u16, word: u64, at: u64| {
+            let side = |c: u16, kind| ConflictSide {
+                core: CoreId(c),
+                region: RegionId(c as u64),
+                kind,
+            };
+            ConflictException::new(
+                side(core, AccessType::Write),
+                side(core + 1, AccessType::Read),
+                Addr(word),
+                Cycles(at),
+            )
+        };
+        let mut r = dummy(ProtocolKind::Ce, 1);
+        r.oracle_conflicts = vec![ex(0, 8, 1), ex(0, 16, 2), ex(1, 8, 3)];
+        // Detection times differ from the oracle's: still a match.
+        r.exceptions = vec![ex(0, 8, 9), ex(0, 16, 9), ex(1, 8, 9)];
+        assert!(r.matches_oracle());
+        // One identity swapped for another: no match.
+        r.exceptions[1] = ex(0, 24, 2);
+        assert!(!r.matches_oracle());
+        // One identity missing: no match.
+        r.exceptions.truncate(2);
+        assert!(!r.matches_oracle());
     }
 
     #[test]

@@ -84,6 +84,20 @@ echo "== simbench replay agreement (cargo test, simbench/) =="
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 echo "ok: simbench replay agrees with Machine::run"
 
+echo "== 32-core byte identity (simbench canneal-ceplus digests) =="
+# The goldens are 4-core. At the default seed, simbench's warm-up
+# digests four 32-core canneal CE+ reports (~190k exceptions each,
+# both lists entry by entry) against simbench/digests.txt; a mismatch
+# makes the run incorrect. Its last line must report "correct":true.
+sb_last=$(cargo run -q --release --offline --manifest-path simbench/Cargo.toml -- \
+    --workload canneal-ceplus --seconds 1 | tail -n 1)
+if ! printf '%s' "$sb_last" | grep -q '"correct":true'; then
+    echo "FAIL: 32-core canneal CE+ reports drifted from simbench/digests.txt" >&2
+    echo "      $sb_last" >&2
+    exit 1
+fi
+echo "ok: four 32-core canneal CE+ reports match their digests"
+
 echo "== bad CLI input (paper, tracegen) =="
 # Out-of-range --cores and --scale, a meaningless diff tolerance, a
 # missing or non-JSON trace file and an unwritable output directory

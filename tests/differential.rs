@@ -175,6 +175,61 @@ fn registry_variants_match_oracle_at_64_cores() {
     }
 }
 
+/// Both report lists are sorted and unique by identity, and every entry
+/// is a real conflict in canonical form. The driver and the oracle
+/// build them region by region, so whole-machine runs check it; an
+/// `AbortOnFirst` run's single exception is one the full run delivers.
+#[test]
+fn report_lists_are_sorted_canonical_conflicts() {
+    for cores in [8, rce_common::MAX_CORES] {
+        for w in [
+            WorkloadSpec::RacyPair,
+            WorkloadSpec::Canneal,
+            WorkloadSpec::Streamcluster,
+        ] {
+            let p = w.build(cores, 1, 42);
+            for v in &rce_core::REGISTRY {
+                let m = Machine::new(&v.config(cores)).unwrap();
+                let r = m.run(&p).unwrap();
+                let ctx = format!("{} under {} at {cores} cores", w.name(), v.cli_name);
+                for (list, name) in [
+                    (&r.exceptions, "exceptions"),
+                    (&r.oracle_conflicts, "oracle"),
+                ] {
+                    for pair in list.windows(2) {
+                        assert!(
+                            pair[0].key() < pair[1].key(),
+                            "{ctx}: {name} out of order at {}",
+                            pair[1]
+                        );
+                    }
+                    for ex in list {
+                        assert!(
+                            ex.a.core < ex.b.core,
+                            "{ctx}: {name} sides not canonical: {ex}"
+                        );
+                        assert!(ex.involves_write(), "{ctx}: {name} read-read entry: {ex}");
+                    }
+                }
+                if v.protocol == ProtocolKind::MesiBaseline {
+                    continue;
+                }
+                let first = m
+                    .run_with_policy(&p, ExceptionPolicy::AbortOnFirst)
+                    .unwrap();
+                assert_eq!(first.aborted, !r.exceptions.is_empty(), "{ctx}");
+                for ex in &first.exceptions {
+                    assert!(
+                        r.exceptions.binary_search(ex).is_ok(),
+                        "{ctx}: {ex} not in the full run"
+                    );
+                }
+                assert_eq!(first.exceptions.len(), usize::from(first.aborted), "{ctx}");
+            }
+        }
+    }
+}
+
 #[test]
 fn race_free_workloads_raise_nothing() {
     for w in WorkloadSpec::PARSEC {
