@@ -19,7 +19,7 @@
 
 use rce_bench::{
     diff::{diff_values, parse_tolerance},
-    figures::{base_sweep, TIMELINE_INTERVAL},
+    figures::base_sweep,
     hotpath, profile, Ablation, EvalParams, Experiment, RunKey,
 };
 use rce_common::{json, ObsConfig, MAX_CORES};
@@ -272,10 +272,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     profile::enable();
     profile::set_phase("trace");
     let key = RunKey::new(w, v.config(params.cores), params);
-    let r = key
-        .clone()
-        .with_obs(ObsConfig::full(TIMELINE_INTERVAL))
-        .run();
+    let r = key.clone().with_obs(ObsConfig::FULL).run();
     let log = r.trace.as_ref().expect("tracing was requested");
     let timeline = r.timeline.as_ref().expect("sampling was requested");
 
@@ -307,9 +304,9 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     );
     if log.drops > 0 {
         eprintln!(
-            "WARNING: ring overflow dropped {} of {} events — the exports are incomplete; \
-             raise the trace capacity to keep them all",
-            log.drops, log.emitted
+            "WARNING: ring overflow dropped the oldest {} of {} events — the exports keep \
+             only the newest {}; a smaller --scale or --cores fits the whole run",
+            log.drops, log.emitted, log.capacity
         );
     }
     eprintln!("   wrote {base}.json (Chrome trace_event; open in Perfetto)");
@@ -364,7 +361,7 @@ fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
     };
     let v = engine_or_exit(engine);
     let r = RunKey::new(w, v.config(params.cores), params)
-        .with_obs(ObsConfig::forensics_only())
+        .with_obs(ObsConfig::FORENSICS)
         .run();
     let f = r.forensics.expect("forensics was requested");
     println!(
@@ -546,7 +543,6 @@ fn run_trajectory(out_dir: &str) {
                 "min_fastpath_speedup_x": hotpath::MIN_FASTPATH_SPEEDUP_X,
             }),
             "measured": json!({
-                "ns_per_access": m.ns_per_access,
                 "fastpath_speedup_x": m.fastpath_speedup_x,
                 "ns_per_op": ns_per_op,
             }),
@@ -561,7 +557,6 @@ fn run_trajectory(out_dir: &str) {
     for (name, ns) in m.ns_per_op {
         eprintln!("   {name:<20} {ns:>8.1} ns/op");
     }
-    eprintln!("   {:<20} {:>8.1} ns", "ns_per_access", m.ns_per_access);
     eprintln!(
         "   {:<20} {:>8.2}x (floor {}x)",
         "fastpath_speedup_x",

@@ -4,6 +4,7 @@
 use crate::runner::{EvalParams, RunKey, RunStore, SweepResults};
 use rce_common::json;
 use rce_common::json::JsonValue as Value;
+use rce_common::obs::TIMELINE_INTERVAL;
 use rce_common::{geomean, table::Table, Histogram, MachineConfig, ObsConfig, ProtocolKind};
 use rce_core::SimReport;
 use rce_trace::{characterize, WorkloadSpec};
@@ -706,10 +707,6 @@ fn fig_saturation(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     }
 }
 
-/// Metrics-sampling interval (cycles) for the R-F9 timeline and the
-/// `paper trace` subcommand.
-pub const TIMELINE_INTERVAL: u64 = 4096;
-
 /// At most this many timeline rows in the rendered text table (the
 /// JSON keeps every sample; long runs are strided for display).
 const TIMELINE_TABLE_ROWS: usize = 48;
@@ -724,11 +721,10 @@ fn fig_saturation_timeline(params: &EvalParams, runs: &mut RunStore) -> FigureOu
     const DESIGNS: [ProtocolKind; 2] = [ProtocolKind::CePlus, ProtocolKind::Arc];
     let w = WorkloadSpec::FalseSharing;
     let obs = ObsConfig {
-        trace: None,
-        sample_interval: Some(TIMELINE_INTERVAL),
-        forensics: None,
+        timeline: true,
+        ..ObsConfig::default()
     };
-    let keys = DESIGNS.map(|p| RunKey::paper(w, p, params.cores, params).with_obs(obs.clone()));
+    let keys = DESIGNS.map(|p| RunKey::paper(w, p, params.cores, params).with_obs(obs));
     runs.ensure(keys.clone());
     let timelines: Vec<(ProtocolKind, &rce_common::MetricsTimeline)> = keys
         .iter()
@@ -825,10 +821,9 @@ fn fig_conflict_heatmap(params: &EvalParams, runs: &mut RunStore) -> FigureOutpu
         (WorkloadSpec::Canneal, params.scale.min(2)),
     ];
     let key = |(w, scale): (WorkloadSpec, u32), p| {
-        let obs = ObsConfig::forensics_only();
         RunKey::paper(w, p, params.cores, params)
             .with_scale(scale)
-            .with_obs(obs)
+            .with_obs(ObsConfig::FORENSICS)
     };
     runs.ensure(cases.iter().flat_map(|&c| DESIGNS.map(|p| key(c, p))));
     let mut rows = Vec::new();

@@ -6,25 +6,23 @@
 //! access-bit tables, the region-boundary flush sets, the AIM
 //! spill/refill path, the scheduler's ready queue, the golden
 //! oracle's observe/boundary path and the CE/CE+ miss path's
-//! access-bit merges — plus one
-//! end-to-end simulation to anchor wall time per simulated access, and
-//! the repeat fast path on vs off on a repeat-heavy workload. That last
-//! ratio is the one gated number: [`MIN_FASTPATH_SPEEDUP_X`] pins its
-//! floor and `paper trajectory` exits nonzero below it, so a fast-path
-//! regression fails CI even when reports stay byte-identical.
+//! access-bit merges — plus the repeat fast path on vs off on a
+//! repeat-heavy workload. That ratio is the one gated number:
+//! [`MIN_FASTPATH_SPEEDUP_X`] pins its floor and `paper trajectory`
+//! exits nonzero below it, so a fast-path regression fails CI even
+//! when reports stay byte-identical.
 //!
 //! Everything here is deterministic in *work* (fixed seeds, fixed op
 //! streams); only the measured wall times vary by machine, which is
 //! why `results/bench_trajectory.json` keeps them in a `measured`
 //! section that the CI diff ignores.
 
-use crate::runner::{EvalParams, RunKey};
 use rce_common::{
     Addr, AimConfig, CoreId, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable,
     MachineConfig, ProtocolKind, RegionId, Rng, SplitMix64, WordIdx, WordMask,
 };
 use rce_core::{AccessType, AimMeta, Machine, MetaMap, Oracle, ReadyQueue};
-use rce_trace::{Builder, Program, WorkloadSpec};
+use rce_trace::{Builder, Program};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -53,9 +51,6 @@ const REPEAT_ITERS: usize = 60;
 /// never diffed exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct HotPathMeasurement {
-    /// Simulator wall time per simulated memory access (nanoseconds),
-    /// from one pinned end-to-end run.
-    pub ns_per_access: f64,
     /// End-to-end speedup of the repeat fast path on the repeat-heavy
     /// pinned workload (on vs off, same machine).
     pub fastpath_speedup_x: f64,
@@ -347,16 +342,6 @@ pub fn measure() -> HotPathMeasurement {
         ),
     ];
 
-    // One pinned end-to-end run anchors simulated-access wall cost.
-    let t0 = Instant::now();
-    let p = EvalParams {
-        scale: 1,
-        ..EvalParams::default()
-    };
-    let r = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::CePlus, 4, &p).run();
-    let wall = t0.elapsed().as_secs_f64();
-    let accesses = (r.mem_ops + r.sync_ops).max(1);
-
     // The fast-path pair: the identical repeat-heavy run with the
     // fast path on and off.
     let program = repeat_heavy_program(REPEAT_ITERS);
@@ -364,7 +349,6 @@ pub fn measure() -> HotPathMeasurement {
     let t_off = median_secs(|| repeat_heavy_run(&program, false));
 
     HotPathMeasurement {
-        ns_per_access: wall * 1e9 / accesses as f64,
         fastpath_speedup_x: t_off / t_on.max(f64::MIN_POSITIVE),
         ns_per_op: micro,
     }
@@ -411,7 +395,6 @@ mod tests {
     #[test]
     fn measure_reports_positive_numbers() {
         let m = measure();
-        assert!(m.ns_per_access > 0.0);
         assert!(m.fastpath_speedup_x > 0.0);
         let names: Vec<&str> = m.ns_per_op.iter().map(|&(n, _)| n).collect();
         assert_eq!(

@@ -123,7 +123,7 @@ impl RunKey {
         let t0 = Instant::now();
         let report = Machine::new(&self.cfg)
             .expect("harness configs are valid")
-            .with_observability(self.obs.clone())
+            .with_observability(self.obs)
             .run(&program)
             .expect("generated workloads are valid programs");
         crate::profile::record_run(
@@ -388,7 +388,7 @@ mod tests {
         let variants = [
             RunKey::new(WorkloadSpec::PingPong, cfg, &P),
             base.clone().with_scale(2),
-            base.clone().with_obs(ObsConfig::forensics_only()),
+            base.clone().with_obs(ObsConfig::FORENSICS),
             base.clone().with_races(1),
             RunKey::paper(
                 WorkloadSpec::PingPong,
@@ -408,7 +408,7 @@ mod tests {
     fn observability_does_not_perturb_the_simulation() {
         let key = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::CePlus, 2, &P);
         let plain = key.run();
-        let obs = key.with_obs(ObsConfig::full(256)).run();
+        let obs = key.with_obs(ObsConfig::FULL).run();
         assert_eq!(plain.cycles, obs.cycles);
         assert_eq!(plain.noc.total_bytes(), obs.noc.total_bytes());
         assert_eq!(plain.exceptions.len(), obs.exceptions.len());

@@ -53,8 +53,8 @@ impl DirEntry {
 /// entries live in a dense vector indexed by the interned id, so the
 /// per-coherence-event lookups the engines issue are array indexing
 /// rather than hashing. An idle entry is indistinguishable from an
-/// absent one (both are the default `DirEntry`), which preserves the
-/// reclaim semantics of the old map-backed version.
+/// absent one (both are the default `DirEntry`): an entry whose last
+/// holder leaves is reclaimed without any explicit removal.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
     table: LineTable,

@@ -16,6 +16,8 @@
 //!   same data-format conventions: newtype structs serialize as their
 //!   inner value, unit enum variants as strings, and data-carrying enum
 //!   variants externally tagged (`{"Acquire": {"lock": 0}}`).
+//!   Simulation reports are write-only ([`ToJson`] alone); [`FromJson`]
+//!   serves trace interchange, where `tracegen run` reads programs back.
 //! * [`to_string`], [`to_string_pretty`], and [`from_str`] are drop-in
 //!   call-site replacements; pretty output uses 2-space indentation.
 //!
@@ -856,10 +858,11 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 
 /// Implement [`ToJson`]/[`FromJson`] for a struct as an object with one
 /// entry per named field — the replacement for
-/// `#[derive(Serialize, Deserialize)]` on plain structs.
+/// `#[derive(Serialize, Deserialize)]` on plain structs. The
+/// `to_json` arm implements [`ToJson`] only, for write-only reports.
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    (to_json $ty:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
                 $crate::json::JsonValue::Object(vec![
@@ -870,6 +873,9 @@ macro_rules! impl_json_struct {
                 ])
             }
         }
+    };
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        $crate::impl_json_struct!(to_json $ty { $($field),+ });
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::JsonValue) -> Result<Self, String> {
                 Ok($ty {
@@ -901,10 +907,11 @@ macro_rules! impl_json_newtype {
 }
 
 /// Implement [`ToJson`]/[`FromJson`] for a field-less enum as its
-/// variant name string (serde's unit-variant convention).
+/// variant name string (serde's unit-variant convention). The
+/// `to_json` arm implements [`ToJson`] only, for write-only reports.
 #[macro_export]
 macro_rules! impl_json_unit_enum {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
+    (to_json $ty:ident { $($variant:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
                 let name = match self {
@@ -913,6 +920,9 @@ macro_rules! impl_json_unit_enum {
                 $crate::json::JsonValue::Str(name.to_string())
             }
         }
+    };
+    ($ty:ident { $($variant:ident),+ $(,)? }) => {
+        $crate::impl_json_unit_enum!(to_json $ty { $($variant),+ });
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::JsonValue) -> Result<Self, String> {
                 let s = v

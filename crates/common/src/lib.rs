@@ -48,8 +48,8 @@ pub use ids::{BarrierId, CoreId, LockId, RegionId, ThreadId};
 pub use json::{FromJson, JsonValue, ToJson};
 pub use line::{LineFlags, LineId, LineMap, LineSet, LineTable};
 pub use obs::{
-    EventClass, EventKind, ForensicsConfig, GaugeSnapshot, IntervalSample, MetricsSampler,
-    MetricsTimeline, ObsConfig, SharedTracer, SimEvent, TraceConfig, TraceLog, Tracer,
+    EventKind, GaugeSnapshot, IntervalSample, MetricsSampler, MetricsTimeline, ObsConfig,
+    SharedTracer, SimEvent, TraceLog, Tracer,
 };
 pub use rng::{Rng, SplitMix64};
 pub use stats::{geomean, Counter, Histogram, Summary};

@@ -15,21 +15,28 @@
 //!    time-series ([`MetricsTimeline`]): NoC link utilization and
 //!    queueing, AIM hit rate, DRAM bandwidth and queueing, exception
 //!    counts.
-//! 3. **Configuration** — [`ObsConfig`] gates both layers. The default
-//!    is fully off; a simulation run with observability off must be
-//!    *byte-identical* to one that never linked this module (the
+//! 3. **Configuration** — [`ObsConfig`] is three on/off switches:
+//!    trace, timeline and conflict forensics. Their bounds are fixed
+//!    constants ([`TRACE_CAPACITY`], [`TIMELINE_INTERVAL`] here, the
+//!    forensics window and record bound in `rce_core::forensics`). The
+//!    default is fully off; a simulation run with observability off must
+//!    be *byte-identical* to one that never linked this module (the
 //!    zero-overhead contract — hooks are `Option` checks only, and no
 //!    event is even constructed unless a tracer is attached).
 //!
 //! Everything here is deterministic: the same simulated execution
 //! produces the same events and the same timeline, byte for byte.
 
+use crate::impl_json_struct;
 use crate::json::{self, JsonValue, ToJson};
-use crate::{impl_json_struct, impl_json_unit_enum};
 use std::collections::VecDeque;
 
-/// Default ring-buffer capacity (events kept) when not specified.
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+/// Ring-buffer capacity of every tracer: the newest this many events
+/// are kept, older ones are dropped and counted.
+pub const TRACE_CAPACITY: usize = 65_536;
+
+/// Metrics-sampling interval, in simulated cycles.
+pub const TIMELINE_INTERVAL: u64 = 4096;
 
 /// A shared handle to one run's tracer. The simulator hands clones to
 /// the NoC, the DRAM controller, and the engine substrate so each can
@@ -46,66 +53,6 @@ pub fn shared_tracer(t: Tracer) -> SharedTracer {
 // ---------------------------------------------------------------------------
 // Event taxonomy
 // ---------------------------------------------------------------------------
-
-/// Coarse event classes (the `cat` field of a Chrome trace).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventClass {
-    /// Region begin/end.
-    Region,
-    /// Committed program memory accesses.
-    Access,
-    /// Coherence / NoC messages.
-    Coherence,
-    /// L1 and LLC evictions.
-    Cache,
-    /// AIM hits, misses, spills.
-    Aim,
-    /// Off-chip DRAM accesses.
-    Dram,
-    /// ARC self-invalidation at region boundaries.
-    SelfInv,
-    /// Conflict exceptions delivered to the program.
-    Conflict,
-}
-
-impl_json_unit_enum!(EventClass {
-    Region,
-    Access,
-    Coherence,
-    Cache,
-    Aim,
-    Dram,
-    SelfInv,
-    Conflict,
-});
-
-impl EventClass {
-    /// All classes, display order.
-    pub const ALL: [EventClass; 8] = [
-        EventClass::Region,
-        EventClass::Access,
-        EventClass::Coherence,
-        EventClass::Cache,
-        EventClass::Aim,
-        EventClass::Dram,
-        EventClass::SelfInv,
-        EventClass::Conflict,
-    ];
-
-    /// Short category name (used as `cat` in Chrome traces).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventClass::Region => "region",
-            EventClass::Access => "access",
-            EventClass::Coherence => "coh",
-            EventClass::Cache => "cache",
-            EventClass::Aim => "aim",
-            EventClass::Dram => "dram",
-            EventClass::SelfInv => "selfinv",
-            EventClass::Conflict => "conflict",
-        }
-    }
-}
 
 /// What happened. Addresses are byte addresses; `line` fields are
 /// line indices (64-byte lines); `word` fields are word indices
@@ -196,19 +143,19 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The class this kind belongs to.
-    pub fn class(&self) -> EventClass {
+    /// Coarse category name (the `cat` field of a Chrome trace).
+    pub fn category(&self) -> &'static str {
         match self {
-            EventKind::RegionBegin | EventKind::RegionEnd { .. } => EventClass::Region,
-            EventKind::MemAccess { .. } => EventClass::Access,
-            EventKind::CohMsg { .. } => EventClass::Coherence,
-            EventKind::L1Evict { .. } | EventKind::LlcEvict { .. } => EventClass::Cache,
+            EventKind::RegionBegin | EventKind::RegionEnd { .. } => "region",
+            EventKind::MemAccess { .. } => "access",
+            EventKind::CohMsg { .. } => "coh",
+            EventKind::L1Evict { .. } | EventKind::LlcEvict { .. } => "cache",
             EventKind::AimHit { .. } | EventKind::AimMiss { .. } | EventKind::AimSpill { .. } => {
-                EventClass::Aim
+                "aim"
             }
-            EventKind::DramAccess { .. } => EventClass::Dram,
-            EventKind::SelfInvalidate { .. } => EventClass::SelfInv,
-            EventKind::Conflict { .. } => EventClass::Conflict,
+            EventKind::DramAccess { .. } => "dram",
+            EventKind::SelfInvalidate { .. } => "selfinv",
+            EventKind::Conflict { .. } => "conflict",
         }
     }
 
@@ -297,61 +244,6 @@ impl EventKind {
             ],
         }
     }
-
-    fn from_name_and_fields(name: &str, v: &JsonValue) -> Result<EventKind, String> {
-        fn f<T: json::FromJson>(v: &JsonValue, k: &str) -> Result<T, String> {
-            T::from_json(v.field(k)?)
-        }
-        Ok(match name {
-            "region_begin" => EventKind::RegionBegin,
-            "region_end" => EventKind::RegionEnd {
-                cost: f(v, "cost")?,
-            },
-            "mem_access" => EventKind::MemAccess {
-                addr: f(v, "addr")?,
-                write: f(v, "write")?,
-                exceptions: f(v, "exceptions")?,
-            },
-            "coh_msg" => EventKind::CohMsg {
-                class: f(v, "class")?,
-                src: f(v, "src")?,
-                dst: f(v, "dst")?,
-                bytes: f(v, "bytes")?,
-            },
-            "l1_evict" => EventKind::L1Evict {
-                line: f(v, "line")?,
-                dirty: f(v, "dirty")?,
-            },
-            "llc_evict" => EventKind::LlcEvict {
-                line: f(v, "line")?,
-                dirty: f(v, "dirty")?,
-            },
-            "aim_hit" => EventKind::AimHit {
-                line: f(v, "line")?,
-            },
-            "aim_miss" => EventKind::AimMiss {
-                line: f(v, "line")?,
-                refilled: f(v, "refilled")?,
-            },
-            "aim_spill" => EventKind::AimSpill {
-                line: f(v, "line")?,
-            },
-            "dram_access" => EventKind::DramAccess {
-                kind: f(v, "kind")?,
-                line: f(v, "line")?,
-                bytes: f(v, "bytes")?,
-            },
-            "self_invalidate" => EventKind::SelfInvalidate {
-                lines: f(v, "lines")?,
-            },
-            "conflict" => EventKind::Conflict {
-                word: f(v, "word")?,
-                other_core: f(v, "other_core")?,
-                kinds: f(v, "kinds")?,
-            },
-            other => return Err(format!("unknown event kind '{other}'")),
-        })
-    }
 }
 
 /// One traced event: a timestamp, provenance, and what happened.
@@ -380,37 +272,9 @@ impl ToJson for SimEvent {
     }
 }
 
-impl json::FromJson for SimEvent {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let name = String::from_json(v.field("event")?)?;
-        Ok(SimEvent {
-            cycle: json::FromJson::from_json(v.field("cycle")?)?,
-            core: json::FromJson::from_json(v.field("core")?)?,
-            region: json::FromJson::from_json(v.field("region")?)?,
-            kind: EventKind::from_name_and_fields(&name, v)?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tracer: bounded ring buffer
 // ---------------------------------------------------------------------------
-
-/// Tracer configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceConfig {
-    /// Ring-buffer capacity: the newest `capacity` events are kept;
-    /// older ones are dropped (and counted).
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
-    }
-}
 
 /// A bounded ring buffer of events. When full, the *oldest*
 /// event is dropped and `drops` is incremented — overflow is always
@@ -423,11 +287,18 @@ pub struct Tracer {
     drops: u64,
 }
 
+impl Default for Tracer {
+    /// An empty ring of [`TRACE_CAPACITY`] events.
+    fn default() -> Self {
+        Tracer::with_capacity(TRACE_CAPACITY)
+    }
+}
+
 impl Tracer {
-    /// Build from configuration (capacity is clamped to at least 1).
-    pub fn new(cfg: TraceConfig) -> Self {
+    /// An empty ring of `capacity` events (unit tests use small ones).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Tracer {
-            capacity: cfg.capacity.max(1),
+            capacity,
             events: VecDeque::new(),
             emitted: 0,
             drops: 0,
@@ -496,7 +367,7 @@ pub struct TraceLog {
     pub events: Vec<SimEvent>,
 }
 
-impl_json_struct!(TraceLog {
+impl_json_struct!(to_json TraceLog {
     capacity,
     emitted,
     drops,
@@ -544,7 +415,7 @@ impl TraceLog {
                 k => (k.name().to_string(), "i"),
             };
             fields.push(("name".into(), JsonValue::Str(name)));
-            fields.push(("cat".into(), JsonValue::Str(ev.kind.class().name().into())));
+            fields.push(("cat".into(), JsonValue::Str(ev.kind.category().into())));
             fields.push(("ph".into(), JsonValue::Str(ph.into())));
             if ph == "i" {
                 fields.push(("s".into(), JsonValue::Str("t".into())));
@@ -644,7 +515,7 @@ pub struct IntervalSample {
     pub exceptions: u64,
 }
 
-impl_json_struct!(IntervalSample {
+impl_json_struct!(to_json IntervalSample {
     cycle,
     noc_msgs,
     noc_bytes,
@@ -672,7 +543,7 @@ pub struct MetricsTimeline {
     pub samples: Vec<IntervalSample>,
 }
 
-impl_json_struct!(MetricsTimeline { interval, samples });
+impl_json_struct!(to_json MetricsTimeline { interval, samples });
 
 /// Differences cumulative [`GaugeSnapshot`]s into a
 /// [`MetricsTimeline`] every `interval` cycles.
@@ -691,10 +562,16 @@ pub struct MetricsSampler {
     samples: Vec<IntervalSample>,
 }
 
+impl Default for MetricsSampler {
+    /// A sampler every [`TIMELINE_INTERVAL`] cycles.
+    fn default() -> Self {
+        MetricsSampler::with_interval(TIMELINE_INTERVAL)
+    }
+}
+
 impl MetricsSampler {
-    /// Build a sampler with the given interval (clamped to at least 1).
-    pub fn new(interval: u64) -> Self {
-        let interval = interval.max(1);
+    /// A sampler every `interval` cycles (unit tests use short ones).
+    pub(crate) fn with_interval(interval: u64) -> Self {
         MetricsSampler {
             interval,
             next_at: interval,
@@ -808,65 +685,35 @@ impl MetricsSampler {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Conflict-forensics capture configuration. The collector itself
-/// lives in `rce_core::forensics`; this gate lives here so `ObsConfig`
-/// stays the single switchboard for every observability layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForensicsConfig {
-    /// Recent trace events retained per provenance record (the window
-    /// of events touching the conflicting line, newest last).
-    pub recent_window: usize,
-    /// Full provenance records retained per run; later deliveries
-    /// still feed the heatmaps but are counted as truncated.
-    pub max_records: usize,
-}
-
-impl Default for ForensicsConfig {
-    fn default() -> Self {
-        ForensicsConfig {
-            recent_window: 8,
-            max_records: 1024,
-        }
-    }
-}
-
-/// Gate for the whole subsystem. The default is fully off; a run with
-/// the default config is byte-identical to one before this module
+/// The three observability switches. The default is fully off; a run
+/// with the default config is byte-identical to one before this module
 /// existed.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Event tracing, if enabled.
-    pub trace: Option<TraceConfig>,
-    /// Metrics sampling interval in cycles, if enabled.
-    pub sample_interval: Option<u64>,
-    /// Conflict forensics (provenance records + heatmaps), if enabled.
-    pub forensics: Option<ForensicsConfig>,
+    /// Event tracing into a [`TRACE_CAPACITY`]-event ring, exported in
+    /// the report.
+    pub trace: bool,
+    /// A metrics timeline sampled every [`TIMELINE_INTERVAL`] cycles.
+    pub timeline: bool,
+    /// Conflict forensics: provenance records and heatmaps.
+    pub forensics: bool,
 }
 
 impl ObsConfig {
-    /// True if any layer is on.
-    pub fn is_enabled(&self) -> bool {
-        self.trace.is_some() || self.sample_interval.is_some() || self.forensics.is_some()
-    }
-
-    /// Everything on: tracing at the default capacity,
-    /// sampling at `interval`, and default-bounded forensics.
-    pub fn full(interval: u64) -> ObsConfig {
-        ObsConfig {
-            trace: Some(TraceConfig::default()),
-            sample_interval: Some(interval),
-            forensics: Some(ForensicsConfig::default()),
-        }
-    }
+    /// Everything on.
+    pub const FULL: ObsConfig = ObsConfig {
+        trace: true,
+        timeline: true,
+        forensics: true,
+    };
 
     /// Forensics only: provenance records and heatmaps without an
     /// exported trace or timeline (what `paper explain` runs with).
-    pub fn forensics_only() -> ObsConfig {
-        ObsConfig {
-            forensics: Some(ForensicsConfig::default()),
-            ..ObsConfig::default()
-        }
-    }
+    pub const FORENSICS: ObsConfig = ObsConfig {
+        trace: false,
+        timeline: false,
+        forensics: true,
+    };
 }
 
 #[cfg(test)]
@@ -884,7 +731,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_oldest_and_is_surfaced() {
-        let mut t = Tracer::new(TraceConfig { capacity: 4 });
+        let mut t = Tracer::with_capacity(4);
         for i in 0..10u64 {
             t.emit(ev(i, 0, EventKind::AimHit { line: i }));
         }
@@ -904,7 +751,7 @@ mod tests {
 
     #[test]
     fn ndjson_lines_parse_back() {
-        let mut t = Tracer::new(TraceConfig::default());
+        let mut t = Tracer::default();
         t.emit(ev(5, 2, EventKind::RegionBegin));
         t.emit(ev(
             9,
@@ -924,14 +771,11 @@ mod tests {
             assert!(v.get("cycle").is_some());
             assert!(v.get("event").is_some());
         }
-        // Full struct round-trip, too.
-        let back: TraceLog = json::from_str(&json::to_string(&log)).unwrap();
-        assert_eq!(back, log);
     }
 
     #[test]
     fn chrome_trace_shape() {
-        let mut t = Tracer::new(TraceConfig::default());
+        let mut t = Tracer::default();
         t.emit(ev(0, 1, EventKind::RegionBegin));
         t.emit(ev(
             4,
@@ -952,6 +796,8 @@ mod tests {
         assert_eq!(evs[1]["ph"], JsonValue::Str("i".into()));
         assert_eq!(evs[2]["ph"], JsonValue::Str("E".into()));
         assert_eq!(evs[0]["tid"], JsonValue::UInt(1));
+        assert_eq!(evs[0]["cat"], JsonValue::Str("region".into()));
+        assert_eq!(evs[1]["cat"], JsonValue::Str("coh".into()));
         assert_eq!(evs[1]["args"]["bytes"], JsonValue::UInt(80));
         // The whole trace must re-parse from its serialized text.
         let text = json::to_string_pretty(&v);
@@ -971,7 +817,7 @@ mod tests {
 
     #[test]
     fn sampler_differences_snapshots() {
-        let mut s = MetricsSampler::new(100);
+        let mut s = MetricsSampler::with_interval(100);
         assert!(!s.due(99));
         assert!(s.due(100));
         s.tick(100, snap(10, 640, vec![50, 0], 8, 2));
@@ -996,7 +842,7 @@ mod tests {
 
     #[test]
     fn sampler_emits_idle_intervals_for_skipped_boundaries() {
-        let mut s = MetricsSampler::new(10);
+        let mut s = MetricsSampler::with_interval(10);
         s.tick(35, snap(5, 320, vec![7], 0, 0));
         let tl = s.finish(35, snap(5, 320, vec![7], 0, 0));
         let c: Vec<u64> = tl.samples.iter().map(|x| x.cycle).collect();
@@ -1010,7 +856,7 @@ mod tests {
     #[test]
     fn sampler_output_is_deterministic() {
         let run = || {
-            let mut s = MetricsSampler::new(64);
+            let mut s = MetricsSampler::with_interval(64);
             for i in 1..=20u64 {
                 s.tick(i * 40, snap(i * 3, i * 100, vec![i * 7, i * 2], i, i / 2));
             }
@@ -1023,24 +869,8 @@ mod tests {
     }
 
     #[test]
-    fn obs_config_gating() {
-        assert!(!ObsConfig::default().is_enabled());
-        assert!(ObsConfig::full(1000).is_enabled());
-        assert!(ObsConfig {
-            trace: None,
-            sample_interval: Some(5),
-            forensics: None,
-        }
-        .is_enabled());
-        let f = ObsConfig::forensics_only();
-        assert!(f.is_enabled());
-        assert!(f.trace.is_none() && f.sample_interval.is_none());
-        assert!(ObsConfig::full(1000).forensics.is_some());
-    }
-
-    #[test]
     fn ndjson_footer_surfaces_drops() {
-        let mut t = Tracer::new(TraceConfig { capacity: 2 });
+        let mut t = Tracer::with_capacity(2);
         for i in 0..5u64 {
             t.emit(ev(i, 0, EventKind::AimHit { line: i }));
         }

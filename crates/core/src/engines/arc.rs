@@ -128,7 +128,7 @@ impl ArcEngine {
     pub fn new(cfg: &MachineConfig) -> Self {
         ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
-            meta: backend_for(cfg),
+            meta: backend_for(cfg).expect("ARC has a metadata placement"),
             detect: Detector::new(),
             fastpath: true,
             lines: LineTable::new(),
@@ -537,9 +537,9 @@ impl Engine for ArcEngine {
                 .dirty = WordMask::EMPTY;
         }
 
-        // 2. Clear registrations (one signature message per line;
-        //    sorted by address for deterministic NoC contention, the
-        //    same order the old HashSet drain produced).
+        // 2. Clear registrations (one signature message per line, in
+        //    address order: the sends contend on the NoC, so the order
+        //    must not depend on the order lines were first touched).
         let mut lines: Vec<u64> = self.touched[core.index()]
             .take()
             .into_iter()

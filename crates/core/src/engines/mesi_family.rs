@@ -48,10 +48,9 @@ use rce_noc::{MsgClass, NodeId};
 /// Per-line L1 state for the MESI family.
 #[derive(Debug, Clone, Default)]
 pub struct CeLine {
-    /// Coherence state (never `I`: invalid lines are absent).
+    /// Coherence state (never `I`: invalid lines are absent). `M` and
+    /// `O` are the dirty states: the copy is newer than the LLC's.
     pub mesi: MesiState,
-    /// Dirty with respect to the LLC.
-    pub dirty: bool,
     /// Access bits riding with this copy (empty in baseline mode).
     pub meta: MetaMap,
 }
@@ -61,10 +60,10 @@ impl CeLine {
     /// this resident copy: the core's own bits for this region already
     /// cover `dmask` for the access kind, no other core holds live bits
     /// that a re-check could conflict with, and a write finds the line
-    /// already `M` and dirty. The slow path would then only charge the
-    /// L1-hit latency. Evictions and remote downgrades remove or change
-    /// the line, and a region boundary retags the core's bits, so none
-    /// of them needs a hook to switch this off.
+    /// already `M`. The slow path would then only charge the L1-hit
+    /// latency. Evictions and remote downgrades remove or change the
+    /// line, and a region boundary retags the core's bits, so none of
+    /// them needs a hook to switch this off.
     fn repeats(
         &self,
         core: CoreId,
@@ -81,20 +80,20 @@ impl CeLine {
             _ => return false,
         };
         dmask.minus(covered).is_empty()
-            && (kind == AccessType::Read || (self.mesi == MesiState::M && self.dirty))
+            && (kind == AccessType::Read || self.mesi == MesiState::M)
             && !self.meta.any_live_other(core, |c, r| sub.is_live(c, r))
     }
 }
 
 /// The engine.
 pub struct MesiFamilyEngine {
-    mode: ProtocolKind,
     /// MOESI extension: dirty lines downgrade to Owned instead of
     /// writing back (see `MachineConfig::use_owned_state`).
     moesi: bool,
     l1: Vec<L1Cache<CeLine>>,
-    /// Where displaced metadata lives (and what touching it costs).
-    meta: Box<dyn MetaBackend>,
+    /// Where displaced metadata lives (and what touching it costs);
+    /// `None` for the MESI baseline, which detects nothing.
+    meta: Option<Box<dyn MetaBackend>>,
     /// The conflict detector (shared logic with ARC).
     detect: Detector,
     /// Short-circuit repeat accesses (see [`CeLine::repeats`]).
@@ -143,7 +142,6 @@ impl MesiFamilyEngine {
             "ARC is a separate engine"
         );
         MesiFamilyEngine {
-            mode: cfg.protocol,
             moesi: cfg.use_owned_state,
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: backend_for(cfg),
@@ -165,7 +163,14 @@ impl MesiFamilyEngine {
 
     #[inline]
     fn detection(&self) -> bool {
-        !matches!(self.mode, ProtocolKind::MesiBaseline)
+        self.meta.is_some()
+    }
+
+    /// The metadata backend: only detection modes move metadata.
+    fn backend(&mut self) -> &mut dyn MetaBackend {
+        self.meta
+            .as_deref_mut()
+            .expect("only detection modes touch metadata")
     }
 
     /// Extra bytes each data/ack message carries for access bits.
@@ -196,7 +201,7 @@ impl MesiFamilyEngine {
         let mut t_meta = t;
         if id.is_some_and(|id| self.displaced.remove(id)) {
             self.meta_lookups.inc();
-            let (at, displaced) = self.meta.fetch(sub, line, t);
+            let (at, displaced) = self.backend().fetch(sub, line, t);
             incoming.merge(&displaced);
             t_meta = at;
         }
@@ -236,7 +241,7 @@ impl MesiFamilyEngine {
         self.meta_pushes.inc();
         let id = self.lines.intern(line);
         self.displaced.insert(id);
-        self.meta.push(sub, src, line, meta, at);
+        self.backend().push(sub, src, line, meta, at);
     }
 
     /// Region-end scrub of one displaced line.
@@ -249,7 +254,7 @@ impl MesiFamilyEngine {
     ) -> Cycles {
         self.scrubs.inc();
         let me = sub.core_node(core);
-        let (t, entry_gone) = self.meta.scrub(sub, me, core, line, at);
+        let (t, entry_gone) = self.backend().scrub(sub, me, core, line, at);
         if entry_gone {
             if let Some(id) = self.lines.lookup(line) {
                 self.displaced.remove(id);
@@ -276,7 +281,7 @@ impl MesiFamilyEngine {
                 region: Some(sub.region_of(core).0),
                 kind: EventKind::L1Evict {
                     line: victim.0,
-                    dirty: vstate.dirty,
+                    dirty: vstate.mesi.may_be_dirty(),
                 },
             });
             let vbank = sub.bank_node(victim);
@@ -286,7 +291,7 @@ impl MesiFamilyEngine {
                 .send(me, vbank, sub.cfg.noc.ctrl_bytes, MsgClass::Response, at);
             sub.dir_access();
             sub.dir.remove_sharer(victim, core);
-            if vstate.dirty {
+            if vstate.mesi.may_be_dirty() {
                 let wb = sub.noc.send(
                     me,
                     vbank,
@@ -408,7 +413,6 @@ impl MesiFamilyEngine {
             .probe_mut(line)
             .ok_or_else(|| not_resident("upgrading line", core, line))?;
         l.mesi = MesiState::M;
-        l.dirty = true;
         l.meta.merge(&incoming);
         Ok(t_done)
     }
@@ -454,16 +458,15 @@ impl MesiFamilyEngine {
                 if detection {
                     incoming.merge(&st.meta);
                 }
-                if self.moesi && st.dirty {
+                let dirty = st.mesi.may_be_dirty();
+                if self.moesi && dirty {
                     // MOESI: the dirty owner downgrades to O, keeps its
                     // dirty data, and skips the LLC writeback.
                     st.mesi = MesiState::O;
                     (false, true)
                 } else {
                     st.mesi = MesiState::S;
-                    let d = st.dirty;
-                    st.dirty = false;
-                    (d, false)
+                    (dirty, false)
                 }
             };
             let owner_node = sub.core_node(owner);
@@ -508,7 +511,6 @@ impl MesiFamilyEngine {
             line,
             CeLine {
                 mesi,
-                dirty: false,
                 meta: incoming,
             },
             done,
@@ -576,7 +578,6 @@ impl MesiFamilyEngine {
             line,
             CeLine {
                 mesi: MesiState::M,
-                dirty: true,
                 meta: incoming,
             },
             t_done,
@@ -615,9 +616,6 @@ impl MesiFamilyEngine {
                                 "{core} holds {line} in O but directory owner is {:?}",
                                 e.owner
                             ));
-                        }
-                        if !st.dirty {
-                            return Err(format!("{core} holds {line} in O but clean"));
                         }
                     }
                     MesiState::S => {
@@ -679,7 +677,6 @@ impl Engine for MesiFamilyEngine {
             (Some(_), AccessType::Read) => Cycles(now.0 + l1_lat),
             (Some(l), AccessType::Write) if l.mesi.can_write() => {
                 l.mesi = MesiState::M;
-                l.dirty = true;
                 Cycles(now.0 + l1_lat)
             }
             (Some(_), AccessType::Write) => self.upgrade(sub, core, line, now)?,
@@ -688,7 +685,7 @@ impl Engine for MesiFamilyEngine {
         };
 
         let mut res = AccessResult::new(done);
-        if self.detection() {
+        if let Some(meta) = &self.meta {
             let lref = self.l1[core.index()]
                 .probe_mut(line)
                 .ok_or_else(|| not_resident("line after access", core, line))?;
@@ -705,17 +702,13 @@ impl Engine for MesiFamilyEngine {
             if !res.exceptions.is_empty() {
                 let fetched = self.meta_lookups.get() > lookups_before;
                 res.path = Some(DetectPath {
-                    placement: self.meta.placement(),
+                    placement: meta.placement(),
                     site: if fetched {
                         DetectSite::DisplacedFetch
                     } else {
                         DetectSite::L1Bits
                     },
-                    aim: if fetched {
-                        self.meta.last_outcome()
-                    } else {
-                        None
-                    },
+                    aim: if fetched { meta.last_outcome() } else { None },
                 });
             }
         }
@@ -737,10 +730,9 @@ impl Engine for MesiFamilyEngine {
             st.meta.clear_core(core);
         }
         let mut done = Cycles(now.0 + 5);
-        // Scrub every line whose bits escaped the L1 this region
-        // (sorted by address: the old HashSet drain was sorted the
-        // same way, and an order change would perturb NoC contention
-        // between otherwise-identical runs).
+        // Scrub every line whose bits escaped the L1 this region, in
+        // address order: the scrubs contend on the NoC, so the order
+        // must not depend on the order lines were first touched.
         let mut lines: Vec<u64> = self.foreign[core.index()]
             .take()
             .into_iter()
@@ -765,7 +757,7 @@ impl Engine for MesiFamilyEngine {
     }
 
     fn aim_totals(&self) -> Option<AimSummary> {
-        self.meta.totals()
+        self.meta.as_ref().and_then(|m| m.totals())
     }
 
     fn extra_counters(&self) -> Vec<(&'static str, u64)> {
@@ -1041,11 +1033,8 @@ mod tests {
         let wb_after = s.noc.stats().bytes[MsgClass::Writeback.index()].0;
         assert_eq!(wb_before, wb_after, "O downgrade must not write back");
         let line = Addr(0x3000).line();
+        // O: the owner keeps the dirty data.
         assert_eq!(e.l1[0].peek(line).unwrap().mesi, MesiState::O);
-        assert!(
-            e.l1[0].peek(line).unwrap().dirty,
-            "owner keeps the dirty data"
-        );
         assert_eq!(e.l1[1].peek(line).unwrap().mesi, MesiState::S);
         assert_eq!(e.owned_downgrades.get(), 1);
         e.check_invariants(&s).unwrap();

@@ -28,7 +28,7 @@ impl AccessType {
     }
 }
 
-impl_json_unit_enum!(AccessType { Read, Write });
+impl_json_unit_enum!(to_json AccessType { Read, Write });
 
 /// One endpoint of a conflict: who accessed what, how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,8 +60,8 @@ pub struct ConflictException {
     pub detected_at: Cycles,
 }
 
-impl_json_struct!(ConflictSide { core, region, kind });
-impl_json_struct!(ConflictException {
+impl_json_struct!(to_json ConflictSide { core, region, kind });
+impl_json_struct!(to_json ConflictException {
     a,
     b,
     word_addr,

@@ -2,14 +2,15 @@
 //! exceptions.
 //!
 //! A counter tells you *that* conflicts happened; this layer tells you
-//! *where and why*. When [`rce_common::ForensicsConfig`] is on, the
-//! machine feeds every materialized exception (pre-dedup) into the
-//! heatmaps and captures a full [`ConflictRecord`] for every exception
-//! it actually delivers: both access endpoints, the engine's
-//! [`DetectPath`] (metadata placement, detection site, AIM state at
-//! detection time), and a bounded window of recent trace events that
-//! touched the conflicting line. Everything aggregates into a
-//! [`ForensicsReport`] that rides `SimReport.forensics` — omitted
+//! *where and why*. When `ObsConfig::forensics` is on, the machine
+//! feeds every materialized exception (pre-dedup) into the heatmaps
+//! and captures a full [`ConflictRecord`] for every exception it
+//! actually delivers, up to [`MAX_RECORDS`]: both access endpoints, the
+//! engine's [`DetectPath`] (metadata placement, detection site, AIM
+//! state at detection time), and the [`RECENT_WINDOW`] most recent
+//! trace events that touched the conflicting line. Everything
+//! aggregates into a [`ForensicsReport`] that rides
+//! `SimReport.forensics` — omitted
 //! byte-for-byte when the layer is off, like every other observability
 //! field.
 //!
@@ -20,11 +21,19 @@
 
 use crate::exception::ConflictException;
 use crate::meta::AimOutcome;
-use rce_common::obs::{ForensicsConfig, SimEvent, Tracer};
+use rce_common::obs::{SimEvent, Tracer};
 use rce_common::{
     impl_json_struct, impl_json_unit_enum, Histogram, LineMap, LineTable, MetaPlacement,
 };
 use std::collections::BTreeMap;
+
+/// Recent trace events kept per provenance record (the window of
+/// events touching the conflicting line, newest last).
+pub const RECENT_WINDOW: usize = 8;
+
+/// Full provenance records kept per run; later deliveries still feed
+/// the heatmaps but are counted as truncated.
+pub const MAX_RECORDS: usize = 1024;
 
 /// Where the opposing access bits lived when the conflict surfaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +49,7 @@ pub enum DetectSite {
     Registration,
 }
 
-impl_json_unit_enum!(DetectSite {
+impl_json_unit_enum!(to_json DetectSite {
     L1Bits,
     DisplacedFetch,
     Registration,
@@ -71,7 +80,7 @@ pub struct DetectPath {
     pub aim: Option<AimOutcome>,
 }
 
-impl_json_struct!(DetectPath {
+impl_json_struct!(to_json DetectPath {
     placement,
     site,
     aim,
@@ -103,11 +112,11 @@ pub struct ConflictRecord {
     /// How the engine found it.
     pub path: DetectPath,
     /// Recent trace events touching the conflicting line, oldest
-    /// first, bounded by `ForensicsConfig::recent_window`.
+    /// first, at most [`RECENT_WINDOW`] of them.
     pub recent: Vec<SimEvent>,
 }
 
-impl_json_struct!(ConflictRecord {
+impl_json_struct!(to_json ConflictRecord {
     exception,
     path,
     recent,
@@ -122,7 +131,7 @@ pub struct LineHeat {
     pub conflicts: u64,
 }
 
-impl_json_struct!(LineHeat { line, conflicts });
+impl_json_struct!(to_json LineHeat { line, conflicts });
 
 /// Conflict count for one pair of cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +144,7 @@ pub struct PairHeat {
     pub conflicts: u64,
 }
 
-impl_json_struct!(PairHeat {
+impl_json_struct!(to_json PairHeat {
     core_a,
     core_b,
     conflicts,
@@ -151,7 +160,7 @@ pub struct RegionHeat {
     pub conflicts: u64,
 }
 
-impl_json_struct!(RegionHeat { region, conflicts });
+impl_json_struct!(to_json RegionHeat { region, conflicts });
 
 /// The forensics section of a `SimReport`.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,7 +172,7 @@ pub struct ForensicsReport {
     /// `SimReport.exceptions.len()`).
     pub delivered: u64,
     /// Delivered exceptions whose full record was dropped to the
-    /// `max_records` bound (their heatmap contributions remain).
+    /// [`MAX_RECORDS`] bound (their heatmap contributions remain).
     pub truncated_records: u64,
     /// Full provenance records, delivery order.
     pub records: Vec<ConflictRecord>,
@@ -177,7 +186,7 @@ pub struct ForensicsReport {
     pub region_lifetime: Histogram,
 }
 
-impl_json_struct!(ForensicsReport {
+impl_json_struct!(to_json ForensicsReport {
     total_detections,
     delivered,
     truncated_records,
@@ -209,13 +218,11 @@ impl ForensicsReport {
 ///
 /// Line heat is on the hot path (charged once per materialized
 /// detection), so it accumulates in a flat [`LineMap`] keyed by
-/// interned line ids rather than an ordered map; `finish` re-sorts by
-/// (count, line), which is a total order over distinct lines, so the
-/// report is unchanged. Pair and region heat stay ordered maps — they
+/// interned line ids; `finish` sorts by (count, line), a total order
+/// over distinct lines. Pair and region heat are ordered maps — they
 /// are tiny and off the hot path.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Forensics {
-    cfg: ForensicsConfig,
     total: u64,
     delivered: u64,
     truncated: u64,
@@ -228,22 +235,6 @@ pub struct Forensics {
 }
 
 impl Forensics {
-    /// Fresh collector.
-    pub fn new(cfg: ForensicsConfig) -> Self {
-        Forensics {
-            cfg,
-            total: 0,
-            delivered: 0,
-            truncated: 0,
-            records: Vec::new(),
-            lines: LineTable::new(),
-            line_heat: LineMap::new(),
-            pair_heat: BTreeMap::new(),
-            region_heat: BTreeMap::new(),
-            region_lifetime: Histogram::new(),
-        }
-    }
-
     /// Feed one materialized detection (called for *every* exception an
     /// access raises, before the machine's delivery dedup, so heatmap
     /// totals match the detector's counter).
@@ -263,7 +254,7 @@ impl Forensics {
     /// `recent` is the caller-built event window for the line.
     pub fn deliver(&mut self, ex: ConflictException, path: DetectPath, recent: Vec<SimEvent>) {
         self.delivered += 1;
-        if self.records.len() < self.cfg.max_records {
+        if self.records.len() < MAX_RECORDS {
             self.records.push(ConflictRecord {
                 exception: ex,
                 path,
@@ -275,7 +266,7 @@ impl Forensics {
     }
 
     /// Build the recent-event window for a delivered exception: the
-    /// newest `recent_window` tracer events whose address span overlaps
+    /// newest [`RECENT_WINDOW`] tracer events whose address span overlaps
     /// the conflicting line, returned oldest first by cycle (engines
     /// emit substrate events mid-access, so ring order alone is not
     /// cycle order).
@@ -285,7 +276,7 @@ impl Forensics {
             .events()
             .rev()
             .filter(|e| matches!(e.kind.addr_span(), Some((a, b)) if a < hi && b > lo))
-            .take(self.cfg.recent_window)
+            .take(RECENT_WINDOW)
             .cloned()
             .collect();
         v.reverse();
@@ -308,7 +299,7 @@ impl Forensics {
         }
         // Flat accumulation stores lines in first-touch order; the
         // (count desc, line asc) sort is a total order over distinct
-        // lines, so the result matches the old ordered-map path.
+        // lines, so the report does not depend on first-touch order.
         let mut line_heat: Vec<(u64, u64)> = self
             .lines
             .ids()
@@ -347,8 +338,8 @@ impl Forensics {
 mod tests {
     use super::*;
     use crate::exception::{AccessType, ConflictSide};
-    use rce_common::obs::{EventKind, TraceConfig};
-    use rce_common::{Addr, CoreId, Cycles, RegionId};
+    use rce_common::obs::EventKind;
+    use rce_common::{Addr, CoreId, Cycles, JsonValue, RegionId};
 
     fn ex(a: u16, b: u16, word_addr: u64, at: u64) -> ConflictException {
         ConflictException::new(
@@ -381,7 +372,7 @@ mod tests {
 
     #[test]
     fn heatmaps_count_every_observation() {
-        let mut f = Forensics::new(ForensicsConfig::default());
+        let mut f = Forensics::default();
         // Same conflict observed twice (e.g. by two coherence actions),
         // plus one on another line.
         f.observe(&ex(0, 1, 64, 5));
@@ -415,30 +406,25 @@ mod tests {
 
     #[test]
     fn records_are_bounded_and_truncation_is_counted() {
-        let mut f = Forensics::new(ForensicsConfig {
-            recent_window: 4,
-            max_records: 2,
-        });
-        for i in 0..5u64 {
+        let mut f = Forensics::default();
+        let n = MAX_RECORDS as u64 + 3;
+        for i in 0..n {
             let e = ex(0, 1, i * 8, i);
             f.observe(&e);
             f.deliver(e, path(), vec![]);
         }
         let r = f.finish();
-        assert_eq!(r.records.len(), 2);
+        assert_eq!(r.records.len(), MAX_RECORDS);
         assert_eq!(r.truncated_records, 3);
-        assert_eq!(r.delivered, 5);
-        assert_eq!(r.heatmap_total(), 5, "truncation never drops heat");
+        assert_eq!(r.delivered, n);
+        assert_eq!(r.heatmap_total(), n, "truncation never drops heat");
     }
 
     #[test]
     fn window_filters_by_line_and_bounds_length() {
-        let f = Forensics::new(ForensicsConfig {
-            recent_window: 2,
-            max_records: 8,
-        });
-        let mut t = Tracer::new(TraceConfig::default());
-        for i in 0..6u64 {
+        let f = Forensics::default();
+        let mut t = Tracer::default();
+        for i in 0..4 * RECENT_WINDOW as u64 {
             t.emit(SimEvent {
                 cycle: i,
                 core: Some(0),
@@ -452,11 +438,13 @@ mod tests {
             });
         }
         let w = f.window(&t, 1);
-        assert_eq!(w.len(), 2, "window is bounded");
+        assert_eq!(w.len(), RECENT_WINDOW, "window is bounded");
         assert!(
             w.windows(2).all(|p| p[0].cycle < p[1].cycle),
             "oldest first"
         );
+        // The newest line-1 events are the ones kept.
+        assert_eq!(w.last().unwrap().cycle, 4 * RECENT_WINDOW as u64 - 2);
         for e in &w {
             let (a, b) = e.kind.addr_span().unwrap();
             assert!(a < 128 && b > 64, "only line-1 events");
@@ -465,8 +453,8 @@ mod tests {
     }
 
     #[test]
-    fn report_roundtrips_through_json() {
-        let mut f = Forensics::new(ForensicsConfig::default());
+    fn report_serializes_records_and_lifetimes() {
+        let mut f = Forensics::default();
         let e = ex(1, 3, 128, 42);
         f.observe(&e);
         f.deliver(
@@ -489,12 +477,15 @@ mod tests {
         );
         f.region_ended(777);
         let r = f.finish();
-        let text = rce_common::json::to_string(&r);
-        let back: ForensicsReport = rce_common::json::from_str(&text).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.records[0].path.site, DetectSite::DisplacedFetch);
-        assert!(back.records[0].path.aim.is_none());
-        assert_eq!(back.region_lifetime.count(), 1);
+        let v = JsonValue::parse(&rce_common::json::to_string(&r)).unwrap();
+        let rec = &v["records"][0];
+        assert_eq!(rec["path"]["site"], JsonValue::Str("DisplacedFetch".into()));
+        assert!(rec["path"]["aim"].is_null());
+        assert_eq!(
+            rec["recent"][0]["event"],
+            JsonValue::Str("mem_access".into())
+        );
+        assert_eq!(v["region_lifetime"]["count"], JsonValue::UInt(1));
     }
 
     #[test]

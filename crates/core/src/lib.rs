@@ -55,7 +55,7 @@ pub use forensics::{
     RegionHeat,
 };
 pub use machine::Machine;
-pub use meta::{backend_for, AimMeta, AimOutcome, DramMeta, IdealMeta, MetaBackend, NoMeta};
+pub use meta::{backend_for, AimMeta, AimOutcome, DramMeta, IdealMeta, MetaBackend};
 pub use oracle::Oracle;
 pub use protocol::{AccessResult, Engine, Substrate};
 pub use report::SimReport;

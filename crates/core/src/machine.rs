@@ -19,7 +19,6 @@ use crate::sched::ReadyQueue;
 use crate::sync::{AcquireOutcome, BarrierManager, BarrierOutcome, LockManager};
 use rce_common::obs::{
     shared_tracer, EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SharedTracer, SimEvent,
-    TraceConfig, Tracer,
 };
 use rce_common::{
     Addr, BarrierId, CoreId, Cycles, FxBuildHasher, Histogram, LockId, MachineConfig, RceError,
@@ -182,9 +181,10 @@ impl Machine {
         self
     }
 
-    /// Enable observability (event tracing and/or interval metrics)
-    /// for subsequent runs. The default is fully off, and off-mode
-    /// reports are byte-identical to builds without the subsystem.
+    /// Switch observability layers (event trace, metrics timeline,
+    /// conflict forensics) on for subsequent runs. The default is fully
+    /// off, and off-mode reports are byte-identical to builds without
+    /// the subsystem.
     pub fn with_observability(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
         self
@@ -244,9 +244,9 @@ struct Run<'m> {
     clock: Vec<Cycles>,
     status: Vec<Status>,
     /// Index-min scheduler: every Ready core has exactly one queued
-    /// entry carrying its current clock. Pop order — smallest clock,
-    /// lowest core ID on ties — matches the old linear scan exactly
-    /// (pinned by `sched::tests` and the golden gate) in O(log n).
+    /// entry carrying its current clock. Pop order is smallest clock,
+    /// lowest core ID on ties — the driver's deterministic interleaving
+    /// (pinned by `sched::tests` and the golden gate) — in O(log n).
     ready: ReadyQueue,
     mem_ops: u64,
     sync_ops: u64,
@@ -277,13 +277,9 @@ impl<'m> Run<'m> {
         let mut engine = crate::engine_for(cfg);
         engine.set_fastpath(m.fastpath);
         let mut sub = Substrate::new(cfg);
-        let mut tracer = m.obs.trace.clone().map(|tc| shared_tracer(Tracer::new(tc)));
-        if tracer.is_none() && m.obs.forensics.is_some() {
-            // Forensics wants recent-event windows even when the user
-            // did not ask for a trace: run an internal ring that is
-            // never exported in the report.
-            tracer = Some(shared_tracer(Tracer::new(TraceConfig::default())));
-        }
+        // Forensics wants recent-event windows even when the user did
+        // not ask for a trace: it runs the same ring, never exported.
+        let tracer = (m.obs.trace || m.obs.forensics).then(|| shared_tracer(Default::default()));
         if let Some(t) = &tracer {
             sub.attach_tracer(t.clone());
             // Every core's first region opens at t=0.
@@ -303,7 +299,7 @@ impl<'m> Run<'m> {
         }
         Run {
             cfg,
-            export_trace: m.obs.trace.is_some(),
+            export_trace: m.obs.trace,
             engine,
             oracle: Oracle::new(&sub.regions),
             sub,
@@ -325,9 +321,9 @@ impl<'m> Run<'m> {
             delivered: 0,
             aborted: false,
             tracer,
-            forensics: m.obs.forensics.clone().map(Forensics::new),
+            forensics: m.obs.forensics.then(Forensics::default),
             region_start: vec![Cycles::ZERO; n],
-            sampler: m.obs.sample_interval.map(MetricsSampler::new),
+            sampler: m.obs.timeline.then(MetricsSampler::default),
         }
     }
 
@@ -910,14 +906,15 @@ mod tests {
     #[test]
     fn observability_off_report_is_byte_identical() {
         let cfg = MachineConfig::paper_default(4, ProtocolKind::CePlus);
-        let p = WorkloadSpec::FalseSharing.build(4, 1, 42);
+        let p = WorkloadSpec::Canneal.build(4, 1, 42);
         let plain = Machine::new(&cfg).unwrap().run(&p).unwrap();
         let observed = Machine::new(&cfg)
             .unwrap()
-            .with_observability(ObsConfig::full(1000))
+            .with_observability(ObsConfig::FULL)
             .run(&p)
             .unwrap();
-        assert!(observed.timeline.is_some());
+        let t = observed.timeline.as_ref().expect("sampling was on");
+        assert!(t.samples.len() > 2, "the sampler ticks mid-run");
         assert!(observed.trace.is_some());
         assert!(observed.forensics.is_some());
         // Observability must not perturb the simulation: stripping the
@@ -942,9 +939,8 @@ mod tests {
         let cfg = MachineConfig::paper_default(4, ProtocolKind::Arc);
         let m = || {
             Machine::new(&cfg).unwrap().with_observability(ObsConfig {
-                trace: None,
-                sample_interval: Some(512),
-                forensics: None,
+                timeline: true,
+                ..ObsConfig::default()
             })
         };
         let p = WorkloadSpec::Canneal.build(4, 1, 7);
@@ -957,6 +953,7 @@ mod tests {
             rce_common::json::to_string(&tb),
             "same seed + config must give byte-identical timeline JSON"
         );
+        assert!(ta.samples.len() > 2, "the run spans several intervals");
         assert_eq!(ta.samples.last().unwrap().cycle, a.cycles.0);
         assert!(ta.samples.iter().any(|s| s.noc_msgs > 0));
         // Cumulative deltas reconstruct the end-of-run totals.
@@ -966,22 +963,27 @@ mod tests {
 
     #[test]
     fn tracer_overflow_is_surfaced_in_the_report() {
+        use rce_common::obs::TRACE_CAPACITY;
+        // canneal at scale 5 emits about 97k events on 4 CE cores.
         let cfg = MachineConfig::paper_default(4, ProtocolKind::Ce);
         let obs = ObsConfig {
-            trace: Some(TraceConfig { capacity: 8 }),
-            sample_interval: None,
-            forensics: None,
+            trace: true,
+            ..ObsConfig::default()
         };
-        let p = WorkloadSpec::Canneal.build(4, 1, 7);
+        let p = WorkloadSpec::Canneal.build(4, 5, 42);
         let r = Machine::new(&cfg)
             .unwrap()
             .with_observability(obs)
             .run(&p)
             .unwrap();
         let log = r.trace.expect("tracing was on");
-        assert_eq!(log.events.len(), 8, "ring keeps exactly its capacity");
-        assert!(log.emitted > 8);
-        assert_eq!(log.drops, log.emitted - 8, "drops are never silent");
+        let cap = TRACE_CAPACITY as u64;
+        assert_eq!(log.capacity, cap);
+        assert_eq!(log.events.len(), TRACE_CAPACITY, "ring keeps its capacity");
+        assert!(log.emitted > cap, "the run overflows the ring");
+        assert_eq!(log.drops, log.emitted - cap, "drops are never silent");
+        // The oldest events went: the run's cycle-0 region begins.
+        assert!(log.events[0].cycle > 0);
     }
 
     #[test]
@@ -990,7 +992,7 @@ mod tests {
         let p = WorkloadSpec::PingPong.build(4, 1, 3);
         let r = Machine::new(&cfg)
             .unwrap()
-            .with_observability(ObsConfig::full(4096))
+            .with_observability(ObsConfig::FULL)
             .run(&p)
             .unwrap();
         let log = r.trace.expect("tracing was on");
@@ -1027,7 +1029,7 @@ mod tests {
             let r = Machine::new(&cfg)
                 .unwrap()
                 .with_fastpath(fastpath)
-                .with_observability(ObsConfig::forensics_only())
+                .with_observability(ObsConfig::FORENSICS)
                 .run(&p)
                 .unwrap();
             let f = r.forensics.as_ref().expect("forensics was on");
@@ -1063,7 +1065,7 @@ mod tests {
         let m = || {
             Machine::new(&cfg)
                 .unwrap()
-                .with_observability(ObsConfig::forensics_only())
+                .with_observability(ObsConfig::FORENSICS)
         };
         let a = m().run(&p).unwrap().forensics.unwrap();
         let b = m().run(&p).unwrap().forensics.unwrap();
@@ -1076,18 +1078,23 @@ mod tests {
     #[test]
     fn exceptions_gauge_sums_to_delivered_total() {
         let cfg = MachineConfig::paper_default(4, ProtocolKind::Ce);
-        let p = WorkloadSpec::RacyPair.build(4, 1, 42);
+        let p = WorkloadSpec::Canneal.build(4, 1, 7);
         let r = Machine::new(&cfg)
             .unwrap()
             .with_observability(ObsConfig {
-                trace: None,
-                sample_interval: Some(256),
-                forensics: None,
+                timeline: true,
+                ..ObsConfig::default()
             })
             .run(&p)
             .unwrap();
         assert!(!r.exceptions.is_empty());
         let t = r.timeline.expect("sampling was on");
+        assert!(t.samples.len() > 2, "the run spans several intervals");
+        let racy = t.samples.iter().filter(|s| s.exceptions > 0).count();
+        assert!(
+            racy > 1,
+            "exceptions are delivered mid-run, not only at the end"
+        );
         let total: u64 = t.samples.iter().map(|s| s.exceptions).sum();
         assert_eq!(total, r.exceptions.len() as u64);
     }

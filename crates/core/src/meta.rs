@@ -14,11 +14,12 @@
 //!
 //! Placements ([`rce_common::MetaPlacement`]):
 //! - [`DramMeta`] — CE's table; every touch is an off-chip round trip.
-//! - [`AimMeta`] — the bounded set-associative AIM (subsumes the old
-//!   `aim` module); only victims with live bits spill to DRAM.
+//! - [`AimMeta`] — the bounded set-associative AIM; only victims with
+//!   live bits spill to DRAM.
 //! - [`IdealMeta`] — infinite capacity, zero latency, zero traffic:
 //!   the bound no real AIM geometry can beat.
-//! - [`NoMeta`] — the baseline's placeholder; using it is a bug.
+//!
+//! The MESI baseline has no placement and so no backend.
 //!
 //! The engines stay storage-agnostic: they decide *when* metadata
 //! moves, the backend decides *what that costs*.
@@ -29,8 +30,8 @@ use crate::report::AimSummary;
 use rce_cache::SetAssoc;
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
-    impl_json_struct, AimConfig, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap,
-    LineTable, MachineConfig, MetaPlacement,
+    impl_json_struct, AimConfig, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineTable,
+    MachineConfig, MetaPlacement,
 };
 use rce_dram::AccessKind as DramKind;
 use rce_noc::{MsgClass, NodeId};
@@ -52,7 +53,7 @@ pub struct AimOutcome {
     pub spilled: bool,
 }
 
-impl_json_struct!(AimOutcome {
+impl_json_struct!(to_json AimOutcome {
     hit,
     refilled,
     spilled,
@@ -130,14 +131,16 @@ pub trait MetaBackend {
     fn placement(&self) -> MetaPlacement;
 }
 
-/// Build the backend selected by `cfg.meta_placement`.
-pub fn backend_for(cfg: &MachineConfig) -> Box<dyn MetaBackend> {
-    match cfg.meta_placement {
-        MetaPlacement::None => Box::new(NoMeta),
+/// Build the backend selected by `cfg.meta_placement`; `None` for
+/// [`MetaPlacement::None`], which config validation pairs with the MESI
+/// baseline alone.
+pub fn backend_for(cfg: &MachineConfig) -> Option<Box<dyn MetaBackend>> {
+    Some(match cfg.meta_placement {
+        MetaPlacement::None => return None,
         MetaPlacement::Dram => Box::new(DramMeta::new()),
         MetaPlacement::Aim => Box::new(AimMeta::new(&cfg.aim)),
         MetaPlacement::Ideal => Box::new(IdealMeta::new()),
-    }
+    })
 }
 
 /// One off-chip metadata trip: a request from `from` to `line`'s
@@ -174,11 +177,10 @@ fn offchip(
 ///
 /// Lines are interned once into a [`LineTable`] and maps live in a
 /// dense vector, so the per-access path is a hash-free array index
-/// after the first touch of a line. Presence is tracked explicitly
-/// (the old `HashMap` versions distinguished "absent" from "present
-/// but empty" — `ensure_at` creates present-but-empty entries); a
-/// non-present slot always holds an empty map, which is what makes
-/// re-insertion equivalent to the old `entry().or_default()`.
+/// after the first touch of a line. Presence is tracked explicitly,
+/// because "absent" and "present but empty" differ (`ensure_at`
+/// creates present-but-empty entries); a non-present slot always holds
+/// an empty map, so re-inserting a line starts from an empty entry.
 #[derive(Debug, Clone, Default)]
 struct FlatMetaTable {
     table: LineTable,
@@ -232,79 +234,6 @@ impl FlatMetaTable {
             }
             _ => (false, false),
         }
-    }
-
-    /// Prune dead bits from every present entry, dropping the ones
-    /// that empty out.
-    fn prune(&mut self, live: impl Fn(CoreId, rce_common::RegionId) -> bool) {
-        for i in 0..self.table.len() as u32 {
-            let id = LineId(i);
-            if !self.present.contains(id) {
-                continue;
-            }
-            let m = self.maps.slot(id);
-            m.prune(&live);
-            if m.is_empty() {
-                self.present.remove(id);
-                self.count -= 1;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- NoMeta
-
-/// The baseline's placeholder: no metadata exists, so no operation is
-/// ever legal except the trivially-empty fetch.
-pub struct NoMeta;
-
-impl MetaBackend for NoMeta {
-    fn fetch(&mut self, _sub: &mut Substrate, _line: LineAddr, t: Cycles) -> (Cycles, MetaMap) {
-        (t, MetaMap::new())
-    }
-
-    fn push(
-        &mut self,
-        _sub: &mut Substrate,
-        _src: NodeId,
-        _line: LineAddr,
-        _meta: MetaMap,
-        _at: Cycles,
-    ) {
-        unreachable!("no pushes in baseline mode")
-    }
-
-    fn scrub(
-        &mut self,
-        _sub: &mut Substrate,
-        _src: NodeId,
-        _core: CoreId,
-        _line: LineAddr,
-        at: Cycles,
-    ) -> (Cycles, bool) {
-        (at, false)
-    }
-
-    fn ensure_at(&mut self, _sub: &mut Substrate, _line: LineAddr, _t: Cycles) -> Cycles {
-        unreachable!("no registrations in baseline mode")
-    }
-
-    fn entry_mut(&mut self, _line: LineAddr) -> &mut MetaMap {
-        unreachable!("no metadata entries in baseline mode")
-    }
-
-    fn boundary_clear(
-        &mut self,
-        _sub: &mut Substrate,
-        _line: LineAddr,
-        _core: CoreId,
-        _t: Cycles,
-    ) -> Cycles {
-        unreachable!("no registrations in baseline mode")
-    }
-
-    fn placement(&self) -> MetaPlacement {
-        MetaPlacement::None
     }
 }
 
@@ -418,16 +347,12 @@ pub struct AimMeta {
     pub entry_bytes: u64,
     /// Access latency in cycles.
     pub latency: u64,
-    /// Total AIM lookups.
-    pub accesses: Counter,
     /// Lookups that found the entry resident.
     pub hits: Counter,
     /// Lookups that did not.
     pub misses: Counter,
     /// Entries spilled to DRAM.
     pub spills: Counter,
-    /// Entries refilled from DRAM.
-    pub refills: Counter,
     /// Outcome of the most recent `ensure` (forensics provenance).
     last: Option<AimOutcome>,
 }
@@ -440,11 +365,9 @@ impl AimMeta {
             backing: FlatMetaTable::default(),
             entry_bytes: cfg.entry_bytes,
             latency: cfg.latency,
-            accesses: Counter::default(),
             hits: Counter::default(),
             misses: Counter::default(),
             spills: Counter::default(),
-            refills: Counter::default(),
             last: None,
         }
     }
@@ -452,7 +375,6 @@ impl AimMeta {
     /// Make `line`'s entry resident (allocating an empty one if truly
     /// new), possibly refilling from or spilling to the DRAM table.
     pub fn ensure(&mut self, line: LineAddr) -> AimOutcome {
-        self.accesses.inc();
         let outcome = if self.array.contains(line.0) {
             self.hits.inc();
             // Touch for recency.
@@ -464,9 +386,6 @@ impl AimMeta {
         } else {
             self.misses.inc();
             let (entry, refilled) = self.backing.take(line);
-            if refilled {
-                self.refills.inc();
-            }
             let mut spilled = false;
             if let Some((victim, vmeta)) = self.array.insert(line.0, entry) {
                 if !vmeta.is_empty() {
@@ -495,7 +414,6 @@ impl AimMeta {
     /// Scrub one core's bits for `line`, wherever the entry lives
     /// (resident or spilled). Returns true if bits were present.
     pub fn clear_core(&mut self, line: LineAddr, core: CoreId) -> bool {
-        self.accesses.inc();
         if let Some(m) = self.array.get_mut(line.0) {
             self.hits.inc();
             return m.clear_core(core);
@@ -505,34 +423,9 @@ impl AimMeta {
         had
     }
 
-    /// Drop dead entries everywhere (housekeeping; free of model cost
-    /// because region tags already neutralize stale bits — see
-    /// DESIGN.md).
-    pub fn prune(&mut self, live: impl Fn(CoreId, rce_common::RegionId) -> bool) {
-        for (_, m) in self.array.iter_mut() {
-            m.prune(&live);
-        }
-        self.backing.prune(live);
-    }
-
-    /// Resident entry count.
-    pub fn resident(&self) -> usize {
-        self.array.len()
-    }
-
     /// Spilled entry count.
     pub fn spilled_entries(&self) -> usize {
         self.backing.len()
-    }
-
-    /// Hit rate over all lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.get() + self.misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits.as_f64() / total as f64
-        }
     }
 
     /// Emit the hit/miss (and spill) trace events for one `ensure`.
@@ -639,8 +532,9 @@ impl MetaBackend for AimMeta {
     }
 
     fn totals(&self) -> Option<AimSummary> {
+        // Every lookup is a hit or a miss.
         Some(AimSummary {
-            accesses: self.accesses.get(),
+            accesses: self.hits.get() + self.misses.get(),
             hits: self.hits.get(),
             misses: self.misses.get(),
             spills: self.spills.get(),
@@ -760,7 +654,7 @@ mod tests {
         );
         let o = a.ensure(LineAddr(1));
         assert!(o.hit);
-        assert!(a.hit_rate() > 0.0);
+        assert_eq!((a.hits.get(), a.misses.get()), (1, 1));
     }
 
     #[test]
@@ -820,16 +714,6 @@ mod tests {
         assert_eq!(a.spilled_entries(), 1);
         assert!(a.clear_core(LineAddr(3), CoreId(1)));
         assert_eq!(a.spilled_entries(), 0, "empty spilled entries are dropped");
-    }
-
-    #[test]
-    fn prune_drops_dead_metadata() {
-        let mut a = small_aim();
-        a.ensure(LineAddr(1));
-        a.entry(LineAddr(1))
-            .record(CoreId(0), RegionId(1), AccessType::Write, WordMask::FULL);
-        a.prune(|_, _| false);
-        assert!(a.entry(LineAddr(1)).is_empty());
     }
 
     #[test]
@@ -960,18 +844,20 @@ mod tests {
 
     #[test]
     fn backend_for_matches_placement() {
-        for (proto, placement) in [
-            (ProtocolKind::MesiBaseline, MetaPlacement::None),
+        let placement = |cfg: &MachineConfig| backend_for(cfg).map(|b| b.placement());
+        let baseline = MachineConfig::paper_default(4, ProtocolKind::MesiBaseline);
+        assert_eq!(placement(&baseline), None, "the baseline has no backend");
+        for (proto, want) in [
             (ProtocolKind::Ce, MetaPlacement::Dram),
             (ProtocolKind::CePlus, MetaPlacement::Aim),
             (ProtocolKind::Arc, MetaPlacement::Aim),
         ] {
             let cfg = MachineConfig::paper_default(4, proto);
-            assert_eq!(backend_for(&cfg).placement(), placement);
+            assert_eq!(placement(&cfg), Some(want));
         }
         let cfg = MachineConfig::paper_default(4, ProtocolKind::CePlus)
             .with_meta_placement(MetaPlacement::Ideal);
-        assert_eq!(backend_for(&cfg).placement(), MetaPlacement::Ideal);
+        assert_eq!(placement(&cfg), Some(MetaPlacement::Ideal));
     }
 
     #[test]

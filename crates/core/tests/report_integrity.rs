@@ -1,4 +1,4 @@
-//! Report integrity: histograms, JSON round-trips, and
+//! Report integrity: histograms, JSON serialization, and
 //! cross-field consistency of `SimReport`.
 
 use rce_common::{json, MachineConfig, ProtocolKind};
@@ -47,16 +47,19 @@ fn access_latency_tracks_misses() {
 }
 
 #[test]
-fn report_json_roundtrip() {
+fn report_json_is_well_formed() {
     let r = report(WorkloadSpec::RacyPair, ProtocolKind::Arc);
-    let json = json::to_string(&r);
-    let back: rce_core::SimReport = json::from_str(&json).expect("deserialize");
-    assert_eq!(back.cycles, r.cycles);
-    assert_eq!(back.exceptions, r.exceptions);
-    assert_eq!(back.mem_ops, r.mem_ops);
-    assert_eq!(back.noc.total_bytes(), r.noc.total_bytes());
-    assert_eq!(back.energy.total(), r.energy.total());
-    assert_eq!(back.access_latency.count(), r.access_latency.count());
+    let v = json::JsonValue::parse(&json::to_string(&r)).expect("parse");
+    assert_eq!(v["cycles"].as_u64(), Some(r.cycles.0));
+    assert_eq!(v["mem_ops"].as_u64(), Some(r.mem_ops));
+    let exceptions = v["exceptions"].as_array().unwrap();
+    assert_eq!(exceptions.len(), r.exceptions.len());
+    assert!(!exceptions.is_empty(), "racy_pair must race");
+    assert_eq!(v["protocol"], json::JsonValue::Str("Arc".into()));
+    assert_eq!(
+        v["access_latency"]["count"].as_u64(),
+        Some(r.access_latency.count())
+    );
 }
 
 #[test]

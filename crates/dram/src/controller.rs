@@ -19,7 +19,7 @@ pub enum AccessKind {
     MetaWrite,
 }
 
-impl_json_unit_enum!(AccessKind {
+impl_json_unit_enum!(to_json AccessKind {
     DataRead,
     DataWrite,
     MetaRead,
@@ -257,9 +257,9 @@ mod tests {
 
     #[test]
     fn tracer_sees_accesses() {
-        use rce_common::obs::{shared_tracer, TraceConfig, Tracer};
+        use rce_common::obs::{shared_tracer, Tracer};
         let mut d = dram();
-        let tr = shared_tracer(Tracer::new(TraceConfig::default()));
+        let tr = shared_tracer(Tracer::default());
         d.attach_tracer(tr.clone());
         d.access(LineAddr(9), 64, AccessKind::DataRead, Cycles(3));
         d.access(LineAddr(9), 16, AccessKind::MetaWrite, Cycles(50));

@@ -22,7 +22,7 @@ pub struct DramStats {
     pub mean_channel_utilization: f64,
 }
 
-impl_json_struct!(DramStats {
+impl_json_struct!(to_json DramStats {
     accesses,
     bytes,
     row_hits,

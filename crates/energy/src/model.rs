@@ -39,7 +39,7 @@ impl Default for EnergyModel {
     }
 }
 
-impl_json_struct!(EnergyBreakdown {
+impl_json_struct!(to_json EnergyBreakdown {
     l1,
     llc,
     aim,

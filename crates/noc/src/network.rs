@@ -25,7 +25,7 @@ pub enum MsgClass {
     Writeback,
 }
 
-impl_json_unit_enum!(MsgClass {
+impl_json_unit_enum!(to_json MsgClass {
     Request,
     Response,
     Data,
@@ -332,9 +332,9 @@ mod tests {
 
     #[test]
     fn tracer_sees_routed_messages_only() {
-        use rce_common::obs::{shared_tracer, TraceConfig, Tracer};
+        use rce_common::obs::{shared_tracer, Tracer};
         let mut n = noc16();
-        let tr = shared_tracer(Tracer::new(TraceConfig::default()));
+        let tr = shared_tracer(Tracer::default());
         n.attach_tracer(tr.clone());
         n.send(NodeId(0), NodeId(0), 64, MsgClass::Data, Cycles(0)); // local: no event
         n.send(NodeId(0), NodeId(5), 64, MsgClass::Data, Cycles(7));

@@ -159,6 +159,31 @@ if ! diff -r "$obs_out/jobs1" "$obs_out/jobs2"; then
 fi
 echo "ok: paper all and ablations write identical output with 1 and 2 workers"
 
+echo "== committed results (paper all + ablations at EXPERIMENTS.md sizes vs results/) =="
+# The committed results/R-*.json must be exactly what the EXPERIMENTS.md
+# commands produce from this tree: rerun both at their sizes and diff
+# every committed file at tolerance 0. A deliberate model change must
+# regenerate results/ in the same change.
+res_out="$obs_out/results"
+cargo run -q --release --offline -p rce-bench --bin paper -- \
+    all --cores 32 --scale 4 --jobs 2 --out "$res_out" >/dev/null 2>&1
+cargo run -q --release --offline -p rce-bench --bin paper -- \
+    ablations --cores 16 --scale 3 --jobs 2 --out "$res_out" >/dev/null 2>&1
+n=0
+for committed in results/R-*.json; do
+    if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
+        diff "$committed" "$res_out/$(basename "$committed")" --tolerance 0 2>/dev/null; then
+        echo "FAIL: $committed differs from a fresh run (regenerate results/ if intended)" >&2
+        exit 1
+    fi
+    n=$((n + 1))
+done
+if [ "$n" -ne 20 ]; then
+    echo "FAIL: expected 20 committed results/R-*.json files, found $n" >&2
+    exit 1
+fi
+echo "ok: all $n committed result files match a fresh run exactly"
+
 echo "== oracle agreement at 64 cores (paper table3) =="
 # At the widest machine every core owns a bit of the oracle's 64-bit
 # word masks. Every detecting engine must still match the oracle on

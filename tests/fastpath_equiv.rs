@@ -23,7 +23,7 @@ use rce_trace::Builder;
 fn render(cfg: &MachineConfig, program: &Program, fastpath: Option<bool>) -> String {
     let mut machine = Machine::new(cfg)
         .unwrap()
-        .with_observability(ObsConfig::forensics_only());
+        .with_observability(ObsConfig::FORENSICS);
     if let Some(on) = fastpath {
         machine = machine.with_fastpath(on);
     }

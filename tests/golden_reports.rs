@@ -81,7 +81,7 @@ fn forensics_on_reports_strip_to_the_seed_goldens() {
         let cfg = MachineConfig::paper_default(4, p);
         let mut report = Machine::new(&cfg)
             .unwrap()
-            .with_observability(rce_common::ObsConfig::forensics_only())
+            .with_observability(rce_common::ObsConfig::FORENSICS)
             .run(&program)
             .unwrap();
         assert!(report.forensics.is_some(), "{name}: forensics was on");

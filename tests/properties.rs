@@ -177,7 +177,7 @@ fn forensics_heatmaps_match_detector_counters() {
                 let cfg = MachineConfig::paper_default(threads, proto);
                 let r = Machine::new(&cfg)
                     .unwrap()
-                    .with_observability(rce_common::ObsConfig::forensics_only())
+                    .with_observability(rce_common::ObsConfig::FORENSICS)
                     .run(&p)
                     .unwrap();
                 let f = r.forensics.as_ref().expect("forensics was on");
