@@ -526,13 +526,7 @@ fn run_trajectory(out_dir: &str) {
     // `pinned` half (the fast-path floor) diffs exactly like any other
     // field, while the `measured` half is wall time — machine-dependent
     // by nature — so CI compares with `--ignore hot_path.measured`.
-    let m = hotpath::measure();
-    let ns_per_op = json::JsonValue::Object(
-        m.ns_per_op
-            .iter()
-            .map(|&(name, ns)| (name.to_string(), json::to_value(&ns)))
-            .collect(),
-    );
+    let speedup_x = hotpath::measure();
     let payload = json!({
         "id": "bench_trajectory",
         "cores": TRAJECTORY.cores,
@@ -543,8 +537,7 @@ fn run_trajectory(out_dir: &str) {
                 "min_fastpath_speedup_x": hotpath::MIN_FASTPATH_SPEEDUP_X,
             }),
             "measured": json!({
-                "fastpath_speedup_x": m.fastpath_speedup_x,
-                "ns_per_op": ns_per_op,
+                "fastpath_speedup_x": speedup_x,
             }),
         }),
         "rows": rows,
@@ -554,20 +547,17 @@ fn run_trajectory(out_dir: &str) {
     write_file(&path, &format!("{}\n", json::to_string_pretty(&payload)));
     eprintln!("   wrote {path}");
 
-    for (name, ns) in m.ns_per_op {
-        eprintln!("   {name:<20} {ns:>8.1} ns/op");
-    }
     eprintln!(
         "   {:<20} {:>8.2}x (floor {}x)",
         "fastpath_speedup_x",
-        m.fastpath_speedup_x,
+        speedup_x,
         hotpath::MIN_FASTPATH_SPEEDUP_X
     );
-    if m.fastpath_speedup_x < hotpath::MIN_FASTPATH_SPEEDUP_X {
+    if speedup_x < hotpath::MIN_FASTPATH_SPEEDUP_X {
         eprintln!(
             "FAIL: the repeat fast path is only {:.2}x end-to-end on the \
              repeat-heavy workload (floor {}x) — the fast path has regressed",
-            m.fastpath_speedup_x,
+            speedup_x,
             hotpath::MIN_FASTPATH_SPEEDUP_X
         );
         std::process::exit(1);

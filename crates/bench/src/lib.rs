@@ -20,12 +20,12 @@
 
 #![warn(missing_docs)]
 
-pub mod ablations;
+mod ablations;
 pub mod diff;
 pub mod figures;
 pub mod hotpath;
 pub mod profile;
-pub mod runner;
+mod runner;
 pub mod summary;
 
 pub use ablations::Ablation;

@@ -37,7 +37,7 @@ pub struct PhaseProfile {
 
 impl PhaseProfile {
     /// Simulated operations per second of simulation time.
-    pub fn ops_per_sec(&self) -> f64 {
+    pub(crate) fn ops_per_sec(&self) -> f64 {
         let s = self.wall.as_secs_f64();
         if s <= 0.0 {
             0.0
@@ -47,7 +47,7 @@ impl PhaseProfile {
     }
 
     /// Simulated cycles per second of simulation time.
-    pub fn cycles_per_sec(&self) -> f64 {
+    pub(crate) fn cycles_per_sec(&self) -> f64 {
         let s = self.wall.as_secs_f64();
         if s <= 0.0 {
             0.0
@@ -100,7 +100,7 @@ pub fn set_phase(name: &str) {
 
 /// Record one finished simulation into the current phase. The runner
 /// calls this for every run; it is a no-op while profiling is off.
-pub fn record_run(wall: Duration, sim_ops: u64, sim_cycles: u64) {
+pub(crate) fn record_run(wall: Duration, sim_ops: u64, sim_cycles: u64) {
     with(|p| {
         let ph = &mut p.phases[p.current];
         ph.runs += 1;

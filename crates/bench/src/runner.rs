@@ -209,13 +209,9 @@ impl<'a> RunStore<'a> {
     }
 
     /// Number of runs this store executed (its base's are not counted).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True if this store executed no run.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The `(key, report)` pairs this store executed, in store order.

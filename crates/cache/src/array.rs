@@ -63,12 +63,14 @@ impl<T> SetAssoc<T> {
     }
 
     /// Total capacity in entries.
-    pub fn capacity(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> u64 {
         self.sets * self.ways as u64
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sets(&self) -> u64 {
         self.sets
     }
 
@@ -157,7 +159,7 @@ impl<T> SetAssoc<T> {
     }
 
     /// Iterate `(key, &mut value)` over all resident entries.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         self.slots
             .iter_mut()
             .flatten()
@@ -166,7 +168,7 @@ impl<T> SetAssoc<T> {
 
     /// Remove all entries for which `pred` returns true, returning
     /// them.
-    pub fn drain_filter(&mut self, mut pred: impl FnMut(u64, &T) -> bool) -> Vec<(u64, T)> {
+    pub(crate) fn drain_filter(&mut self, mut pred: impl FnMut(u64, &T) -> bool) -> Vec<(u64, T)> {
         let mut out = Vec::new();
         for set in &mut self.slots {
             let mut i = 0;

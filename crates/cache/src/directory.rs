@@ -154,12 +154,14 @@ impl Directory {
     }
 
     /// Number of tracked (non-idle) lines.
-    pub fn tracked_lines(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked_lines(&self) -> usize {
         self.tracked
     }
 
     /// Check protocol invariants assuming exclusive (MESI) ownership.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         self.check_invariants_mode(true)
     }
 

@@ -97,23 +97,9 @@ impl<S> L1Cache<S> {
     }
 
     /// Resident line count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.array.len()
-    }
-
-    /// True if no lines are resident.
-    pub fn is_empty(&self) -> bool {
-        self.array.is_empty()
-    }
-
-    /// Miss rate over all `access` calls.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits.get() + self.misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.misses.as_f64() / total as f64
-        }
     }
 }
 
@@ -138,7 +124,6 @@ mod tests {
         assert_eq!(c.access(LineAddr(1)), Some(&mut 7));
         assert_eq!(c.hits.get(), 1);
         assert_eq!(c.misses.get(), 1);
-        assert!((c.miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -21,14 +21,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod array;
-pub mod directory;
-pub mod l1;
-pub mod llc;
-pub mod mesi;
+mod array;
+mod directory;
+mod l1;
+mod llc;
+mod mesi;
 
 pub use array::SetAssoc;
-pub use directory::{DirEntry, Directory};
+pub use directory::Directory;
 pub use l1::L1Cache;
 pub use llc::Llc;
 pub use mesi::MesiState;

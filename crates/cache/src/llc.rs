@@ -77,21 +77,6 @@ impl Llc {
         ev.map(|(k, l)| (LineAddr(k), l))
     }
 
-    /// Remove a line (rare; used by tests and invariant checks).
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<LlcLine> {
-        self.array.remove(line.0)
-    }
-
-    /// Resident line count.
-    pub fn len(&self) -> usize {
-        self.array.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.array.is_empty()
-    }
-
     /// Samplable gauge for the metrics timeline:
     /// `(hits, misses, evictions)` so far.
     pub fn gauges(&self) -> (u64, u64, u64) {

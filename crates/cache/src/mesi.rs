@@ -24,12 +24,6 @@ pub enum MesiState {
 }
 
 impl MesiState {
-    /// Can a read be satisfied locally in this state?
-    #[inline]
-    pub fn can_read(self) -> bool {
-        !matches!(self, MesiState::I)
-    }
-
     /// Can a write be performed locally without coherence actions?
     #[inline]
     pub fn can_write(self) -> bool {
@@ -43,7 +37,7 @@ impl MesiState {
     }
 
     /// Display letter.
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             MesiState::M => 'M',
             MesiState::O => 'O',
@@ -66,11 +60,9 @@ mod tests {
 
     #[test]
     fn permissions() {
-        assert!(MesiState::M.can_read() && MesiState::M.can_write());
-        assert!(MesiState::E.can_read() && MesiState::E.can_write());
-        assert!(MesiState::S.can_read() && !MesiState::S.can_write());
-        assert!(MesiState::O.can_read() && !MesiState::O.can_write());
-        assert!(!MesiState::I.can_read() && !MesiState::I.can_write());
+        assert!(MesiState::M.can_write() && MesiState::E.can_write());
+        assert!(!MesiState::S.can_write() && !MesiState::O.can_write());
+        assert!(!MesiState::I.can_write());
     }
 
     #[test]

@@ -24,18 +24,19 @@ impl LineGeometry {
     /// Word size in bytes (the access-bit granularity).
     pub const WORD_BYTES: u64 = 8;
     /// Words per line.
-    pub const WORDS_PER_LINE: u32 = (Self::LINE_BYTES / Self::WORD_BYTES) as u32;
+    pub(crate) const WORDS_PER_LINE: u32 = (Self::LINE_BYTES / Self::WORD_BYTES) as u32;
     /// log2(line size).
     pub const LINE_SHIFT: u32 = Self::LINE_BYTES.trailing_zeros();
     /// log2(word size).
-    pub const WORD_SHIFT: u32 = Self::WORD_BYTES.trailing_zeros();
+    pub(crate) const WORD_SHIFT: u32 = Self::WORD_BYTES.trailing_zeros();
 }
 
 /// A byte-granularity physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
 
-impl_json_newtype!(Addr, LineAddr, WordIdx, WordMask);
+impl_json_newtype!(Addr);
+impl_json_newtype!(to_json LineAddr, WordIdx, WordMask);
 
 impl Addr {
     /// The cache line containing this address.
@@ -55,7 +56,7 @@ impl Addr {
 
     /// Byte offset within the line.
     #[inline]
-    pub fn line_offset(self) -> u64 {
+    pub(crate) fn line_offset(self) -> u64 {
         self.0 & (LineGeometry::LINE_BYTES - 1)
     }
 }
@@ -100,13 +101,6 @@ impl std::fmt::Display for LineAddr {
 /// Index of an 8-byte word within a 64-byte line (0..8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WordIdx(pub u8);
-
-impl WordIdx {
-    /// All word indices in a line, in order.
-    pub fn all() -> impl Iterator<Item = WordIdx> {
-        (0..LineGeometry::WORDS_PER_LINE as u8).map(WordIdx)
-    }
-}
 
 /// A bitmask over the words of one line: bit `i` set means word `i` is
 /// in the set. This is the unit of access metadata: CE keeps one read
@@ -153,15 +147,9 @@ impl WordMask {
         self.0.count_ones()
     }
 
-    /// True if the two masks share any word.
-    #[inline]
-    pub fn intersects(self, other: WordMask) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Union.
     #[inline]
-    pub fn union(self, other: WordMask) -> WordMask {
+    pub(crate) fn union(self, other: WordMask) -> WordMask {
         WordMask(self.0 | other.0)
     }
 
@@ -264,11 +252,11 @@ mod tests {
     fn word_mask_set_ops() {
         let a = WordMask(0b0011);
         let b = WordMask(0b0110);
-        assert!(a.intersects(b));
+        assert!(!a.intersect(b).is_empty());
         assert_eq!(a.union(b).0, 0b0111);
         assert_eq!(a.intersect(b).0, 0b0010);
         assert_eq!(a.minus(b).0, 0b0001);
-        assert!(!a.minus(b).intersects(b));
+        assert!(a.minus(b).intersect(b).is_empty());
     }
 
     #[test]
@@ -276,7 +264,7 @@ mod tests {
         let m = WordMask(0b1010_0001);
         let words: Vec<_> = m.iter().collect();
         assert_eq!(words, vec![WordIdx(0), WordIdx(5), WordIdx(7)]);
-        for w in WordIdx::all() {
+        for w in (0..LineGeometry::WORDS_PER_LINE as u8).map(WordIdx) {
             assert_eq!(m.contains(w), words.contains(&w));
         }
     }
@@ -285,6 +273,6 @@ mod tests {
     fn full_and_empty() {
         assert_eq!(WordMask::FULL.count(), 8);
         assert!(WordMask::EMPTY.is_empty());
-        assert!(!WordMask::FULL.intersects(WordMask::EMPTY));
+        assert!(WordMask::FULL.intersect(WordMask::EMPTY).is_empty());
     }
 }

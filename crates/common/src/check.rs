@@ -31,7 +31,7 @@
 use crate::rng::SplitMix64;
 
 /// Default number of generated cases per property.
-pub const DEFAULT_CASES: u32 = 64;
+pub(crate) const DEFAULT_CASES: u32 = 64;
 
 /// Upper bound on shrink iterations, to keep failing runs fast.
 const MAX_SHRINK_STEPS: usize = 1000;

@@ -97,16 +97,8 @@ pub enum MetaPlacement {
 }
 
 impl MetaPlacement {
-    /// All placements, in cost order.
-    pub const ALL: [MetaPlacement; 4] = [
-        MetaPlacement::None,
-        MetaPlacement::Dram,
-        MetaPlacement::Aim,
-        MetaPlacement::Ideal,
-    ];
-
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MetaPlacement::None => "none",
             MetaPlacement::Dram => "dram",
@@ -139,32 +131,32 @@ pub enum DetectionGranularity {
     Line,
 }
 
-impl_json_unit_enum!(ProtocolKind {
+impl_json_unit_enum!(to_json ProtocolKind {
     MesiBaseline,
     Ce,
     CePlus,
     Arc
 });
-impl_json_unit_enum!(DetectionGranularity { Word, Line });
-impl_json_unit_enum!(MetaPlacement {
+impl_json_unit_enum!(to_json DetectionGranularity { Word, Line });
+impl_json_unit_enum!(to_json MetaPlacement {
     None,
     Dram,
     Aim,
     Ideal
 });
-impl_json_struct!(CacheGeometry {
+impl_json_struct!(to_json CacheGeometry {
     capacity,
     ways,
     latency
 });
-impl_json_struct!(NocConfig {
+impl_json_struct!(to_json NocConfig {
     hop_latency,
     link_bandwidth,
     flit_bytes,
     ctrl_bytes,
     data_header_bytes,
 });
-impl_json_struct!(DramConfig {
+impl_json_struct!(to_json DramConfig {
     channels,
     banks_per_channel,
     row_hit_latency,
@@ -172,13 +164,13 @@ impl_json_struct!(DramConfig {
     channel_bandwidth,
     row_bytes,
 });
-impl_json_struct!(AimConfig {
+impl_json_struct!(to_json AimConfig {
     entries,
     ways,
     latency,
     entry_bytes
 });
-impl_json_struct!(MachineConfig {
+impl_json_struct!(to_json MachineConfig {
     cores,
     l1,
     llc,
@@ -213,11 +205,6 @@ impl CacheGeometry {
         let sets = lines / self.ways as u64;
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
         sets
-    }
-
-    /// Total number of lines.
-    pub fn lines(&self) -> u64 {
-        self.capacity.0 / crate::addr::LineGeometry::LINE_BYTES
     }
 }
 
@@ -331,7 +318,7 @@ pub struct MachineConfig {
     /// Protocol to simulate.
     pub protocol: ProtocolKind,
     /// Where the protocol's displaced/registered metadata lives (see
-    /// [`MetaPlacement`]). `paper_default` and `with_protocol` pick
+    /// [`MetaPlacement`]). `paper_default` picks
     /// the placement that recovers the published design; override it
     /// (via [`MachineConfig::with_meta_placement`]) for the placement
     /// sensitivity variants.
@@ -409,18 +396,6 @@ impl MachineConfig {
             DetectionGranularity::Word => mask,
             DetectionGranularity::Line => crate::addr::WordMask::FULL,
         }
-    }
-
-    /// Same configuration with a different protocol (for
-    /// apples-to-apples comparisons). The metadata placement is reset
-    /// to the new protocol's published default; apply
-    /// [`MachineConfig::with_meta_placement`] afterwards to keep an
-    /// override.
-    pub fn with_protocol(&self, protocol: ProtocolKind) -> Self {
-        let mut c = self.clone();
-        c.protocol = protocol;
-        c.meta_placement = protocol.default_meta_placement();
-        c
     }
 
     /// Same configuration with a different metadata placement (for
@@ -531,7 +506,6 @@ mod tests {
             ways: 8,
             latency: 2,
         };
-        assert_eq!(g.lines(), 512);
         assert_eq!(g.sets(), 64);
     }
 
@@ -554,17 +528,6 @@ mod tests {
         let mut c = MachineConfig::default();
         c.noc.link_bandwidth = 0.0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn with_protocol_changes_only_protocol() {
-        let base = MachineConfig::paper_default(16, ProtocolKind::MesiBaseline);
-        let ce = base.with_protocol(ProtocolKind::Ce);
-        assert_eq!(ce.protocol, ProtocolKind::Ce);
-        assert_eq!(ce.cores, base.cores);
-        assert_eq!(ce.l1, base.l1);
-        // ... and tracks the protocol's published metadata placement.
-        assert_eq!(ce.meta_placement, MetaPlacement::Dram);
     }
 
     #[test]

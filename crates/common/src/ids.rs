@@ -9,8 +9,6 @@ macro_rules! id_type {
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
 
-        $crate::impl_json_newtype!($name);
-
         impl $name {
             /// The raw index value.
             #[inline]
@@ -71,12 +69,9 @@ id_type!(
     "br"
 );
 
-impl CoreId {
-    /// Enumerate `n` cores.
-    pub fn first_n(n: usize) -> impl Iterator<Item = CoreId> {
-        (0..n as u16).map(CoreId)
-    }
-}
+// Only locks and barriers are read back, inside trace files.
+crate::impl_json_newtype!(to_json CoreId, ThreadId, RegionId);
+crate::impl_json_newtype!(LockId, BarrierId);
 
 #[cfg(test)]
 mod tests {
@@ -95,7 +90,5 @@ mod tests {
     fn ids_index_and_order() {
         assert_eq!(CoreId(5).index(), 5);
         assert!(RegionId(1) < RegionId(2));
-        let cores: Vec<_> = CoreId::first_n(3).collect();
-        assert_eq!(cores, vec![CoreId(0), CoreId(1), CoreId(2)]);
     }
 }

@@ -16,8 +16,9 @@
 //!   same data-format conventions: newtype structs serialize as their
 //!   inner value, unit enum variants as strings, and data-carrying enum
 //!   variants externally tagged (`{"Acquire": {"lock": 0}}`).
-//!   Simulation reports are write-only ([`ToJson`] alone); [`FromJson`]
-//!   serves trace interchange, where `tracegen run` reads programs back.
+//!   Reports, configs and results are write-only ([`ToJson`] alone);
+//!   [`FromJson`] serves only trace interchange, where `tracegen run`
+//!   reads programs back.
 //! * [`to_string`], [`to_string_pretty`], and [`from_str`] are drop-in
 //!   call-site replacements; pretty output uses 2-space indentation.
 //!
@@ -65,7 +66,7 @@ impl JsonValue {
 
     /// Look up an element in an array. Returns `None` out of bounds and
     /// for non-arrays.
-    pub fn get_idx(&self, idx: usize) -> Option<&JsonValue> {
+    pub(crate) fn get_idx(&self, idx: usize) -> Option<&JsonValue> {
         match self {
             JsonValue::Array(items) => items.get(idx),
             _ => None,
@@ -95,14 +96,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Numeric value as `f64` (any number flavor).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -118,15 +111,6 @@ impl JsonValue {
         match self {
             JsonValue::UInt(u) => Some(*u),
             JsonValue::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    /// Numeric value as `i64`, if it fits.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Int(i) => Some(*i),
-            JsonValue::UInt(u) => i64::try_from(*u).ok(),
             _ => None,
         }
     }
@@ -154,7 +138,7 @@ impl JsonValue {
 
     /// Serialize with 2-space indentation (matches
     /// `serde_json::to_string_pretty`).
-    pub fn pretty(&self) -> String {
+    pub(crate) fn pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);
         out
@@ -666,12 +650,6 @@ impl ToJson for JsonValue {
     }
 }
 
-impl FromJson for JsonValue {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        Ok(v.clone())
-    }
-}
-
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> JsonValue {
         (**self).to_json()
@@ -681,12 +659,6 @@ impl<T: ToJson + ?Sized> ToJson for &T {
 impl ToJson for bool {
     fn to_json(&self) -> JsonValue {
         JsonValue::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        v.as_bool().ok_or_else(|| format!("expected bool, got {v}"))
     }
 }
 
@@ -713,13 +685,6 @@ impl FromJson for String {
 impl ToJson for f64 {
     fn to_json(&self) -> JsonValue {
         JsonValue::Float(*self)
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        v.as_f64()
-            .ok_or_else(|| format!("expected number, got {v}"))
     }
 }
 
@@ -763,16 +728,6 @@ macro_rules! impl_json_int {
                 }
             }
         }
-        impl FromJson for $ty {
-            fn from_json(v: &JsonValue) -> Result<Self, String> {
-                let i = v
-                    .as_i64()
-                    .ok_or_else(|| format!("expected integer, got {v}"))?;
-                <$ty>::try_from(i).map_err(|_| {
-                    format!("{i} out of range for {}", stringify!($ty))
-                })
-            }
-        }
     )+};
 }
 
@@ -806,15 +761,6 @@ impl<T: ToJson, const N: usize> ToJson for [T; N] {
     }
 }
 
-impl<T: FromJson, const N: usize> FromJson for [T; N] {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let vec: Vec<T> = Vec::from_json(v)?;
-        let n = vec.len();
-        vec.try_into()
-            .map_err(|_| format!("expected array of length {N}, got {n}"))
-    }
-}
-
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> JsonValue {
         match self {
@@ -824,31 +770,9 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        if v.is_null() {
-            Ok(None)
-        } else {
-            T::from_json(v).map(Some)
-        }
-    }
-}
-
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> JsonValue {
         JsonValue::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| format!("expected 2-tuple array, got {v}"))?;
-        if items.len() != 2 {
-            return Err(format!("expected 2-tuple, got {} elements", items.len()));
-        }
-        Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
     }
 }
 
@@ -892,12 +816,15 @@ macro_rules! impl_json_struct {
 /// value (serde's newtype-struct convention).
 #[macro_export]
 macro_rules! impl_json_newtype {
-    ($($ty:ident),+ $(,)?) => {$(
+    (to_json $($ty:ident),+ $(,)?) => {$(
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
                 $crate::json::ToJson::to_json(&self.0)
             }
         }
+    )+};
+    ($($ty:ident),+ $(,)?) => {$(
+        $crate::impl_json_newtype!(to_json $ty);
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::JsonValue) -> Result<Self, String> {
                 Ok($ty($crate::json::FromJson::from_json(v)?))
@@ -906,9 +833,8 @@ macro_rules! impl_json_newtype {
     )+};
 }
 
-/// Implement [`ToJson`]/[`FromJson`] for a field-less enum as its
-/// variant name string (serde's unit-variant convention). The
-/// `to_json` arm implements [`ToJson`] only, for write-only reports.
+/// Implement [`ToJson`] for a field-less enum as its variant name
+/// string (serde's unit-variant convention). No enum is read back.
 #[macro_export]
 macro_rules! impl_json_unit_enum {
     (to_json $ty:ident { $($variant:ident),+ $(,)? }) => {
@@ -918,23 +844,6 @@ macro_rules! impl_json_unit_enum {
                     $($ty::$variant => stringify!($variant),)+
                 };
                 $crate::json::JsonValue::Str(name.to_string())
-            }
-        }
-    };
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        $crate::impl_json_unit_enum!(to_json $ty { $($variant),+ });
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::JsonValue) -> Result<Self, String> {
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| format!("expected variant string, got {v}"))?;
-                match s {
-                    $(stringify!($variant) => Ok($ty::$variant),)+
-                    other => Err(format!(
-                        "unknown {} variant `{other}`",
-                        stringify!($ty)
-                    )),
-                }
             }
         }
     };
@@ -1119,8 +1028,6 @@ mod tests {
         assert_eq!(none.to_json().to_string(), "null");
         let pair = ("scrubs".to_string(), 4u64);
         assert_eq!(pair.to_json().to_string(), r#"["scrubs",4]"#);
-        let back: (String, u64) = FromJson::from_json(&pair.to_json()).unwrap();
-        assert_eq!(back, pair);
     }
 
     #[test]
@@ -1128,7 +1035,6 @@ mod tests {
         assert!(u64::from_json(&json!(-1i64)).is_err());
         assert!(u16::from_json(&json!(70000u64)).is_err());
         assert!(String::from_json(&json!(1u64)).is_err());
-        assert!(<[u64; 2]>::from_json(&json!([1u64])).is_err());
         assert!(JsonValue::parse("{}").unwrap().field("x").is_err());
     }
 }

@@ -23,19 +23,19 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod addr;
+mod addr;
 pub mod check;
-pub mod config;
-pub mod error;
-pub mod hash;
-pub mod ids;
+mod config;
+mod error;
+mod hash;
+mod ids;
 pub mod json;
-pub mod line;
+mod line;
 pub mod obs;
-pub mod rng;
-pub mod stats;
+mod rng;
+mod stats;
 pub mod table;
-pub mod units;
+mod units;
 
 pub use addr::{Addr, LineAddr, LineGeometry, WordIdx, WordMask};
 pub use config::{
@@ -43,14 +43,14 @@ pub use config::{
     NocConfig, ProtocolKind, MAX_CORES,
 };
 pub use error::{RceError, RceResult};
-pub use hash::{FxBuildHasher, FxHasher};
+pub use hash::FxBuildHasher;
 pub use ids::{BarrierId, CoreId, LockId, RegionId, ThreadId};
 pub use json::{FromJson, JsonValue, ToJson};
 pub use line::{LineFlags, LineId, LineMap, LineSet, LineTable};
 pub use obs::{
-    EventKind, GaugeSnapshot, IntervalSample, MetricsSampler, MetricsTimeline, ObsConfig,
-    SharedTracer, SimEvent, TraceLog, Tracer,
+    EventKind, GaugeSnapshot, MetricsSampler, MetricsTimeline, ObsConfig, SharedTracer, SimEvent,
+    TraceLog, Tracer,
 };
 pub use rng::{Rng, SplitMix64};
-pub use stats::{geomean, Counter, Histogram, Summary};
+pub use stats::{geomean, Counter, Histogram};
 pub use units::{Bytes, Cycles, PicoJoules};

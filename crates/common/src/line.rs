@@ -29,7 +29,7 @@ pub struct LineId(pub u32);
 impl LineId {
     /// The id as a vector index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -124,13 +124,9 @@ impl LineTable {
     }
 
     /// Number of distinct lines interned.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.lines.len()
-    }
-
-    /// True when no line has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
     }
 
     /// All ids in interning (first-seen) order.
@@ -191,24 +187,10 @@ impl<T: Default> LineMap<T> {
         self.vals.get(id.index())
     }
 
-    /// Mutable value at `id` without growing.
-    #[inline]
-    pub fn get_mut(&mut self, id: LineId) -> Option<&mut T> {
-        self.vals.get_mut(id.index())
-    }
-
     /// All populated slots in id order.
     pub fn iter(&self) -> impl Iterator<Item = (LineId, &T)> {
         self.vals
             .iter()
-            .enumerate()
-            .map(|(i, v)| (LineId(i as u32), v))
-    }
-
-    /// All populated slots in id order, mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineId, &mut T)> {
-        self.vals
-            .iter_mut()
             .enumerate()
             .map(|(i, v)| (LineId(i as u32), v))
     }
@@ -257,6 +239,11 @@ impl LineFlags {
         let (w, b) = (id.index() / 64, id.index() % 64);
         self.words.get(w).is_some_and(|x| x & (1 << b) != 0)
     }
+
+    /// Number of set flags.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
 }
 
 /// Deduplicating set of [`LineId`]s that remembers its members for a
@@ -286,18 +273,21 @@ impl LineSet {
     }
 
     /// Whether `id` is in the set.
+    #[cfg(test)]
     #[inline]
-    pub fn contains(&self, id: LineId) -> bool {
+    pub(crate) fn contains(&self, id: LineId) -> bool {
         self.flags.contains(id)
     }
 
     /// Number of members.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
     }
 
     /// True when the set has no members.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
@@ -423,7 +413,10 @@ mod tests {
                     match op {
                         0 => prop_assert_eq!(flags.insert(id), ref_flags.insert(addr)),
                         1 => prop_assert_eq!(flags.remove(id), ref_flags.remove(&addr)),
-                        2 => prop_assert_eq!(flags.contains(id), ref_flags.contains(&addr)),
+                        2 => {
+                            prop_assert_eq!(flags.contains(id), ref_flags.contains(&addr));
+                            prop_assert_eq!(flags.count(), ref_flags.len());
+                        }
                         3 => {
                             let bit = 1u64 << (step % 64);
                             *map.slot(id) |= bit;

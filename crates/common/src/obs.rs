@@ -138,13 +138,13 @@ pub enum EventKind {
         /// The other side's core.
         other_core: u64,
         /// Access kinds, `<mine>/<other>` (e.g. `W/R`).
-        kinds: String,
+        kinds: &'static str,
     },
 }
 
 impl EventKind {
     /// Coarse category name (the `cat` field of a Chrome trace).
-    pub fn category(&self) -> &'static str {
+    pub(crate) fn category(&self) -> &'static str {
         match self {
             EventKind::RegionBegin | EventKind::RegionEnd { .. } => "region",
             EventKind::MemAccess { .. } => "access",
@@ -160,7 +160,7 @@ impl EventKind {
     }
 
     /// Export name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::RegionBegin => "region_begin",
             EventKind::RegionEnd { .. } => "region_end",
@@ -316,17 +316,14 @@ impl Tracer {
     }
 
     /// Events currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// True if nothing was kept.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events that fell off the ring.
-    pub fn drops(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn drops(&self) -> u64 {
         self.drops
     }
 
@@ -337,7 +334,8 @@ impl Tracer {
     }
 
     /// Total events emitted (kept + dropped).
-    pub fn emitted(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn emitted(&self) -> u64 {
         self.emitted
     }
 
@@ -759,7 +757,7 @@ mod tests {
             EventKind::Conflict {
                 word: 77,
                 other_core: 3,
-                kinds: "W/R".into(),
+                kinds: "W/R",
             },
         ));
         let log = t.take_log();

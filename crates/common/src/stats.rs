@@ -3,7 +3,6 @@
 //! Every model in the workspace reports through these types so the
 //! benchmark harness can aggregate uniformly. [`Counter`] is a named
 //! monotonic count; [`Histogram`] buckets values by powers of two;
-//! [`Summary`] accumulates mean/min/max without storing samples;
 //! [`geomean`] is the figure-of-merit aggregator used in the paper's
 //! cross-benchmark summaries.
 
@@ -13,17 +12,11 @@ use crate::{impl_json_newtype, impl_json_struct};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counter(pub u64);
 
-impl_json_newtype!(Counter);
-impl_json_struct!(Histogram {
+impl_json_newtype!(to_json Counter);
+impl_json_struct!(to_json Histogram {
     buckets,
     count,
     sum,
-    min,
-    max
-});
-impl_json_struct!(Summary {
-    count,
-    mean,
     min,
     max
 });
@@ -131,12 +124,14 @@ impl Histogram {
     }
 
     /// Minimum recorded value, or None if empty.
-    pub fn min(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Maximum recorded value, or None if empty.
-    pub fn max(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
@@ -170,65 +165,6 @@ impl Histogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-    }
-}
-
-/// Streaming summary of f64 samples: count, mean, min, max.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Summary {
-    fn default() -> Self {
-        Summary::new()
-    }
-}
-
-impl Summary {
-    /// New empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one sample (Welford's incremental mean).
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.mean += (v - self.mean) / self.count as f64;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Minimum, or None if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum, or None if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
     }
 }
 
@@ -331,18 +267,6 @@ mod tests {
         assert_eq!(a.sum(), 17);
         assert_eq!(a.min(), Some(2));
         assert_eq!(a.max(), Some(10));
-    }
-
-    #[test]
-    fn summary_welford() {
-        let mut s = Summary::new();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
     }
 
     #[test]

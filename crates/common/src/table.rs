@@ -36,12 +36,14 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -91,14 +93,6 @@ impl std::fmt::Display for Table {
     }
 }
 
-/// Render a normalized-value horizontal bar (used to sketch figures in
-/// terminal output). `value` of 1.0 produces `width` characters.
-pub fn bar(value: f64, width: usize) -> String {
-    let n = (value * width as f64).round().max(0.0) as usize;
-    let n = n.min(width * 4); // clamp runaway values to 4x scale
-    "#".repeat(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,15 +120,6 @@ mod tests {
     fn table_rejects_wrong_arity() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn bar_scales() {
-        assert_eq!(bar(1.0, 10).len(), 10);
-        assert_eq!(bar(0.5, 10).len(), 5);
-        assert_eq!(bar(0.0, 10).len(), 0);
-        // clamped at 4x
-        assert_eq!(bar(100.0, 10).len(), 40);
     }
 
     #[test]

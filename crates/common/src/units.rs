@@ -10,17 +10,11 @@ use crate::impl_json_newtype;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
-impl_json_newtype!(Cycles, Bytes, PicoJoules);
+impl_json_newtype!(to_json Cycles, Bytes, PicoJoules);
 
 impl Cycles {
     /// Zero cycles.
     pub const ZERO: Cycles = Cycles(0);
-
-    /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_add(rhs.0))
-    }
 }
 
 impl std::ops::Add for Cycles {
@@ -69,11 +63,6 @@ impl Bytes {
     /// Construct from a kibibyte count.
     pub const fn kib(k: u64) -> Bytes {
         Bytes(k * 1024)
-    }
-
-    /// Construct from a mebibyte count.
-    pub const fn mib(m: u64) -> Bytes {
-        Bytes(m * 1024 * 1024)
     }
 
     /// Value as f64 (for ratios).
@@ -129,13 +118,13 @@ impl PicoJoules {
 
     /// Value in microjoules.
     #[inline]
-    pub fn as_uj(self) -> f64 {
+    pub(crate) fn as_uj(self) -> f64 {
         self.0 / 1e6
     }
 
     /// Value in millijoules.
     #[inline]
-    pub fn as_mj(self) -> f64 {
+    pub(crate) fn as_mj(self) -> f64 {
         self.0 / 1e9
     }
 }
@@ -193,16 +182,14 @@ mod tests {
         let mut b = Cycles(1);
         b += Cycles(2);
         assert_eq!(b, Cycles(3));
-        assert_eq!(Cycles(u64::MAX).saturating_add(Cycles(1)), Cycles(u64::MAX));
     }
 
     #[test]
     fn bytes_constructors_and_display() {
         assert_eq!(Bytes::kib(2), Bytes(2048));
-        assert_eq!(Bytes::mib(1), Bytes(1 << 20));
         assert_eq!(Bytes(512).to_string(), "512B");
         assert_eq!(Bytes::kib(1).to_string(), "1.00KiB");
-        assert_eq!(Bytes::mib(3).to_string(), "3.00MiB");
+        assert_eq!(Bytes(3 << 20).to_string(), "3.00MiB");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rce_common::{CoreId, RegionId, WordMask, MAX_CORES};
 
 /// One core's access bits for one line within one region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetaEntry {
+pub(crate) struct MetaEntry {
     /// Which core.
     pub core: CoreId,
     /// The region the bits belong to. Bits are live only while this
@@ -27,7 +27,7 @@ pub struct MetaEntry {
 
 impl MetaEntry {
     /// True if no bits are set.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.read.is_empty() && self.written.is_empty()
     }
 
@@ -64,17 +64,18 @@ impl MetaMap {
     }
 
     /// True if there are no entries at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Number of entries (including possibly-stale ones).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// The entry for `core`, if present.
-    pub fn get(&self, core: CoreId) -> Option<&MetaEntry> {
+    pub(crate) fn get(&self, core: CoreId) -> Option<&MetaEntry> {
         self.entries.iter().find(|e| e.core == core)
     }
 
@@ -113,7 +114,7 @@ impl MetaMap {
     /// opposing entry, calling `found(opposing side, overlapping words)`
     /// for each conflict in entry order. `live` decides whether an
     /// entry's region is still the owning core's current region.
-    pub fn each_conflict(
+    pub(crate) fn each_conflict(
         &self,
         core: CoreId,
         kind: AccessType,
@@ -158,7 +159,7 @@ impl MetaMap {
     /// wins within a core). Cores new to this map are appended in
     /// `other`'s order. A per-call slot table indexed by core makes
     /// this O(n + m) rather than a scan per incoming entry.
-    pub fn merge(&mut self, other: &MetaMap) {
+    pub(crate) fn merge(&mut self, other: &MetaMap) {
         if other.entries.is_empty() {
             return;
         }
@@ -195,7 +196,7 @@ impl MetaMap {
 
     /// Remove `core`'s entry (explicit scrub), returning whether one
     /// was present.
-    pub fn clear_core(&mut self, core: CoreId) -> bool {
+    pub(crate) fn clear_core(&mut self, core: CoreId) -> bool {
         let before = self.entries.len();
         self.entries.retain(|e| e.core != core);
         self.entries.len() != before
@@ -203,17 +204,16 @@ impl MetaMap {
 
     /// Drop entries that are no longer live (housekeeping to bound
     /// growth in long simulations).
-    pub fn prune(&mut self, live: impl Fn(CoreId, RegionId) -> bool) {
+    pub(crate) fn prune(&mut self, live: impl Fn(CoreId, RegionId) -> bool) {
         self.entries.retain(|e| live(e.core, e.region));
     }
 
-    /// Iterate all entries (live or stale).
-    pub fn iter(&self) -> impl Iterator<Item = &MetaEntry> {
-        self.entries.iter()
-    }
-
     /// True if any *live* bits exist for a core other than `except`.
-    pub fn any_live_other(&self, except: CoreId, live: impl Fn(CoreId, RegionId) -> bool) -> bool {
+    pub(crate) fn any_live_other(
+        &self,
+        except: CoreId,
+        live: impl Fn(CoreId, RegionId) -> bool,
+    ) -> bool {
         self.entries
             .iter()
             .any(|e| e.core != except && !e.is_empty() && live(e.core, e.region))

@@ -21,13 +21,13 @@ use rce_common::{CoreId, Counter, Cycles, LineAddr, RegionId, WordMask};
 /// themselves live in the metadata layer (or ride L1 lines), and the
 /// liveness oracle is the substrate's region table.
 #[derive(Debug, Default)]
-pub struct Detector {
+pub(crate) struct Detector {
     conflicts: Counter,
 }
 
 impl Detector {
     /// Fresh detector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Detector::default()
     }
 
@@ -38,7 +38,7 @@ impl Detector {
     /// are treated as absent, which is what makes lazy scrubbing
     /// harmless.
     #[allow(clippy::too_many_arguments)]
-    pub fn check_and_record(
+    pub(crate) fn check_and_record(
         &mut self,
         entry: &mut MetaMap,
         me: ConflictSide,
@@ -59,7 +59,7 @@ impl Detector {
     }
 
     /// Exceptions raised so far (the `conflict_checks_hit` counter).
-    pub fn conflicts(&self) -> u64 {
+    pub(crate) fn conflicts(&self) -> u64 {
         self.conflicts.get()
     }
 }

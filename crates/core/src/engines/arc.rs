@@ -48,7 +48,7 @@ use rce_noc::MsgClass;
 
 /// Per-line L1 state for ARC.
 #[derive(Debug, Clone, Default)]
-pub struct ArcLine {
+pub(crate) struct ArcLine {
     /// Classification hint delivered with the fill (or flipped by a
     /// recall): shared lines self-invalidate at region boundaries.
     pub shared: bool,
@@ -313,7 +313,8 @@ impl ArcEngine {
 
     /// Diagnostic invariants: no dirty shared words survive a
     /// boundary; classification is consistent with residency.
-    pub fn check_invariants(&self, _sub: &Substrate) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self, _sub: &Substrate) -> Result<(), String> {
         for (c, cache) in self.l1.iter().enumerate() {
             for (line, st) in cache.iter() {
                 let cls = self

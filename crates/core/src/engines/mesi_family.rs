@@ -47,7 +47,7 @@ use rce_noc::{MsgClass, NodeId};
 
 /// Per-line L1 state for the MESI family.
 #[derive(Debug, Clone, Default)]
-pub struct CeLine {
+pub(crate) struct CeLine {
     /// Coherence state (never `I`: invalid lines are absent). `M` and
     /// `O` are the dirty states: the copy is newer than the LLC's.
     pub mesi: MesiState,

@@ -20,7 +20,7 @@ pub enum AccessType {
 
 impl AccessType {
     /// Display letter ("R"/"W").
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             AccessType::Read => 'R',
             AccessType::Write => 'W',
@@ -71,7 +71,12 @@ impl_json_struct!(to_json ConflictException {
 impl ConflictException {
     /// Build with canonical side ordering (lower core first). Panics
     /// if both sides are the same core (not a cross-thread conflict).
-    pub fn new(x: ConflictSide, y: ConflictSide, word_addr: Addr, detected_at: Cycles) -> Self {
+    pub(crate) fn new(
+        x: ConflictSide,
+        y: ConflictSide,
+        word_addr: Addr,
+        detected_at: Cycles,
+    ) -> Self {
         assert_ne!(x.core, y.core, "conflict requires two distinct cores");
         let (a, b) = if x.core < y.core { (x, y) } else { (y, x) };
         ConflictException {

@@ -29,11 +29,11 @@ use std::collections::BTreeMap;
 
 /// Recent trace events kept per provenance record (the window of
 /// events touching the conflicting line, newest last).
-pub const RECENT_WINDOW: usize = 8;
+pub(crate) const RECENT_WINDOW: usize = 8;
 
 /// Full provenance records kept per run; later deliveries still feed
 /// the heatmaps but are counted as truncated.
-pub const MAX_RECORDS: usize = 1024;
+pub(crate) const MAX_RECORDS: usize = 1024;
 
 /// Where the opposing access bits lived when the conflict surfaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +57,7 @@ impl_json_unit_enum!(to_json DetectSite {
 
 impl DetectSite {
     /// Human-readable phrase for `paper explain`.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             DetectSite::L1Bits => "bits riding the L1 line",
             DetectSite::DisplacedFetch => "displaced bits fetched from the metadata store",
@@ -238,7 +238,7 @@ impl Forensics {
     /// Feed one materialized detection (called for *every* exception an
     /// access raises, before the machine's delivery dedup, so heatmap
     /// totals match the detector's counter).
-    pub fn observe(&mut self, ex: &ConflictException) {
+    pub(crate) fn observe(&mut self, ex: &ConflictException) {
         self.total += 1;
         let id = self.lines.intern(ex.word_addr.line());
         *self.line_heat.slot(id) += 1;
@@ -250,48 +250,37 @@ impl Forensics {
         *self.region_heat.entry(ex.b.region.0).or_insert(0) += 1;
     }
 
-    /// Capture a delivered (deduplicated) exception's full record.
-    /// `recent` is the caller-built event window for the line.
-    pub fn deliver(&mut self, ex: ConflictException, path: DetectPath, recent: Vec<SimEvent>) {
+    /// Capture a delivered (deduplicated) exception's full record, with
+    /// the recent-event window for `line` from `tracer`. Only a kept
+    /// record (one of the first [`MAX_RECORDS`]) builds its window; a
+    /// later delivery is only counted as truncated.
+    pub(crate) fn deliver(
+        &mut self,
+        ex: ConflictException,
+        path: DetectPath,
+        tracer: Option<&Tracer>,
+        line: u64,
+    ) {
         self.delivered += 1;
         if self.records.len() < MAX_RECORDS {
             self.records.push(ConflictRecord {
                 exception: ex,
                 path,
-                recent,
+                recent: tracer.map(|t| window(t, line)).unwrap_or_default(),
             });
         } else {
             self.truncated += 1;
         }
     }
 
-    /// Build the recent-event window for a delivered exception: the
-    /// newest [`RECENT_WINDOW`] tracer events whose address span overlaps
-    /// the conflicting line, returned oldest first by cycle (engines
-    /// emit substrate events mid-access, so ring order alone is not
-    /// cycle order).
-    pub fn window(&self, tracer: &Tracer, line: u64) -> Vec<SimEvent> {
-        let (lo, hi) = (line * 64, line * 64 + 64);
-        let mut v: Vec<SimEvent> = tracer
-            .events()
-            .rev()
-            .filter(|e| matches!(e.kind.addr_span(), Some((a, b)) if a < hi && b > lo))
-            .take(RECENT_WINDOW)
-            .cloned()
-            .collect();
-        v.reverse();
-        v.sort_by_key(|e| e.cycle);
-        v
-    }
-
     /// Record one completed region's lifetime in cycles.
-    pub fn region_ended(&mut self, lifetime: u64) {
+    pub(crate) fn region_ended(&mut self, lifetime: u64) {
         self.region_lifetime.record(lifetime);
     }
 
     /// Finish: sort the heatmaps hottest-first (ties by key, so the
     /// output is deterministic) and assemble the report.
-    pub fn finish(self) -> ForensicsReport {
+    pub(crate) fn finish(self) -> ForensicsReport {
         fn sorted<K: Copy + Ord, T>(m: BTreeMap<K, u64>, build: impl Fn(K, u64) -> T) -> Vec<T> {
             let mut v: Vec<(K, u64)> = m.into_iter().collect();
             v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -332,6 +321,24 @@ impl Forensics {
             region_lifetime: self.region_lifetime,
         }
     }
+}
+
+/// The recent-event window for a delivered exception: the newest
+/// [`RECENT_WINDOW`] tracer events whose address span overlaps the
+/// conflicting line, returned oldest first by cycle (engines emit
+/// substrate events mid-access, so ring order alone is not cycle order).
+fn window(tracer: &Tracer, line: u64) -> Vec<SimEvent> {
+    let (lo, hi) = (line * 64, line * 64 + 64);
+    let mut v: Vec<SimEvent> = tracer
+        .events()
+        .rev()
+        .filter(|e| matches!(e.kind.addr_span(), Some((a, b)) if a < hi && b > lo))
+        .take(RECENT_WINDOW)
+        .cloned()
+        .collect();
+    v.reverse();
+    v.sort_by_key(|e| e.cycle);
+    v
 }
 
 #[cfg(test)]
@@ -378,8 +385,8 @@ mod tests {
         f.observe(&ex(0, 1, 64, 5));
         f.observe(&ex(0, 1, 64, 9));
         f.observe(&ex(2, 3, 256, 7));
-        f.deliver(ex(0, 1, 64, 5), path(), vec![]);
-        f.deliver(ex(2, 3, 256, 7), path(), vec![]);
+        f.deliver(ex(0, 1, 64, 5), path(), None, 0);
+        f.deliver(ex(2, 3, 256, 7), path(), None, 0);
         let r = f.finish();
         assert_eq!(r.total_detections, 3);
         assert_eq!(r.delivered, 2);
@@ -411,7 +418,7 @@ mod tests {
         for i in 0..n {
             let e = ex(0, 1, i * 8, i);
             f.observe(&e);
-            f.deliver(e, path(), vec![]);
+            f.deliver(e, path(), None, 0);
         }
         let r = f.finish();
         assert_eq!(r.records.len(), MAX_RECORDS);
@@ -422,7 +429,6 @@ mod tests {
 
     #[test]
     fn window_filters_by_line_and_bounds_length() {
-        let f = Forensics::default();
         let mut t = Tracer::default();
         for i in 0..4 * RECENT_WINDOW as u64 {
             t.emit(SimEvent {
@@ -437,7 +443,7 @@ mod tests {
                 },
             });
         }
-        let w = f.window(&t, 1);
+        let w = window(&t, 1);
         assert_eq!(w.len(), RECENT_WINDOW, "window is bounded");
         assert!(
             w.windows(2).all(|p| p[0].cycle < p[1].cycle),
@@ -449,7 +455,7 @@ mod tests {
             let (a, b) = e.kind.addr_span().unwrap();
             assert!(a < 128 && b > 64, "only line-1 events");
         }
-        assert!(f.window(&t, 500).is_empty());
+        assert!(window(&t, 500).is_empty());
     }
 
     #[test]
@@ -457,6 +463,17 @@ mod tests {
         let mut f = Forensics::default();
         let e = ex(1, 3, 128, 42);
         f.observe(&e);
+        let mut t = Tracer::default();
+        t.emit(SimEvent {
+            cycle: 40,
+            core: Some(1),
+            region: Some(11),
+            kind: EventKind::MemAccess {
+                addr: 128,
+                write: true,
+                exceptions: 0,
+            },
+        });
         f.deliver(
             e,
             DetectPath {
@@ -464,16 +481,8 @@ mod tests {
                 site: DetectSite::DisplacedFetch,
                 aim: None,
             },
-            vec![SimEvent {
-                cycle: 40,
-                core: Some(1),
-                region: Some(11),
-                kind: EventKind::MemAccess {
-                    addr: 128,
-                    write: true,
-                    exceptions: 0,
-                },
-            }],
+            Some(&t),
+            2,
         );
         f.region_ended(777);
         let r = f.finish();

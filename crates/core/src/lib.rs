@@ -33,29 +33,25 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod access;
-pub mod detect;
-pub mod engines;
-pub mod exception;
-pub mod forensics;
+mod access;
+mod detect;
+mod engines;
+mod exception;
+mod forensics;
 pub mod machine;
-pub mod meta;
-pub mod oracle;
+mod meta;
+mod oracle;
 pub mod protocol;
 pub mod report;
-pub mod sched;
+mod sched;
 pub mod sync;
 
 pub use access::MetaMap;
-pub use detect::Detector;
 pub use engines::{find_variant, ArcEngine, EngineVariant, MesiFamilyEngine, REGISTRY};
 pub use exception::{AccessType, ConflictException, ExceptionPolicy};
-pub use forensics::{
-    ConflictRecord, DetectPath, DetectSite, Forensics, ForensicsReport, LineHeat, PairHeat,
-    RegionHeat,
-};
+pub use forensics::Forensics;
 pub use machine::Machine;
-pub use meta::{backend_for, AimMeta, AimOutcome, DramMeta, IdealMeta, MetaBackend};
+pub use meta::{AimMeta, IdealMeta, MetaBackend};
 pub use oracle::Oracle;
 pub use protocol::{AccessResult, Engine, Substrate};
 pub use report::SimReport;

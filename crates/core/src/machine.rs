@@ -75,12 +75,12 @@ fn deadlock_error(status: &[Status], locks: &LockManager, barriers: &BarrierMana
 /// the worst legal interleaving (every core re-examined between each
 /// commit) with a wide margin while still catching a scheduler that
 /// stops making progress.
-pub const STEP_LIMIT_FACTOR: u64 = 8;
+pub(crate) const STEP_LIMIT_FACTOR: u64 = 8;
 
 /// Flat step allowance added on top of the per-op budget so that tiny
 /// programs (few ops, many cores) still get room for boundary and
 /// wake-up bookkeeping.
-pub const STEP_LIMIT_BASE: u64 = 100_000;
+pub(crate) const STEP_LIMIT_BASE: u64 = 100_000;
 
 /// The default scheduler-step budget for a program:
 /// `(total_ops + 1) * STEP_LIMIT_FACTOR + STEP_LIMIT_BASE`.
@@ -193,7 +193,8 @@ impl Machine {
     /// Override the scheduler-step budget (default:
     /// [`default_step_limit`] of the program's op count). Mostly for
     /// tests that want a livelock to trip quickly.
-    pub fn with_step_limit(mut self, limit: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_step_limit(mut self, limit: u64) -> Self {
         self.step_limit = Some(limit);
         self
     }
@@ -453,7 +454,6 @@ impl<'m> Run<'m> {
             self.delivered += 1;
             let sub = &self.sub;
             sub.trace(|| {
-                let letter = |k: AccessType| if k == AccessType::Write { "W" } else { "R" };
                 let other = if ex.a.core == core {
                     ex.b.core
                 } else {
@@ -466,17 +466,18 @@ impl<'m> Run<'m> {
                     kind: EventKind::Conflict {
                         word: ex.word_addr.0 / 8,
                         other_core: other.0 as u64,
-                        kinds: format!("{}/{}", letter(ex.a.kind), letter(ex.b.kind)),
+                        kinds: match (ex.a.kind, ex.b.kind) {
+                            (AccessType::Write, AccessType::Write) => "W/W",
+                            (AccessType::Write, AccessType::Read) => "W/R",
+                            (AccessType::Read, AccessType::Write) => "R/W",
+                            (AccessType::Read, AccessType::Read) => "R/R",
+                        },
                     },
                 }
             });
             if let (Some(f), Some(path)) = (&mut self.forensics, res.path) {
-                let recent = self
-                    .tracer
-                    .as_ref()
-                    .map(|t| f.window(&t.borrow(), line.0))
-                    .unwrap_or_default();
-                f.deliver(ex, path, recent);
+                let tracer = self.tracer.as_ref().map(|t| t.borrow());
+                f.deliver(ex, path, tracer.as_deref(), line.0);
             }
             if policy == ExceptionPolicy::AbortOnFirst {
                 self.aborted = true;
@@ -671,6 +672,7 @@ impl<'m> Run<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forensics::{MAX_RECORDS, RECENT_WINDOW};
     use rce_common::ProtocolKind;
     use rce_trace::WorkloadSpec;
 
@@ -1056,6 +1058,45 @@ mod tests {
             // Lifetimes were recorded for every completed region.
             assert_eq!(f.region_lifetime.count(), r.regions, "{proto}");
         }
+    }
+
+    #[test]
+    fn forensics_windows_hold_in_a_ring_overflowing_run() {
+        // Canneal on CE at 4 cores, scale 5 delivers about four times
+        // MAX_RECORDS exceptions and overflows the trace ring. Only the
+        // kept records carry windows, and each window holds at most
+        // RECENT_WINDOW events on the record's line, oldest first.
+        let cfg = MachineConfig::paper_default(4, ProtocolKind::Ce);
+        let p = WorkloadSpec::Canneal.build(4, 5, 42);
+        let r = Machine::new(&cfg)
+            .unwrap()
+            .with_observability(ObsConfig {
+                trace: true,
+                forensics: true,
+                ..ObsConfig::default()
+            })
+            .run(&p)
+            .unwrap();
+        assert!(r.trace.as_ref().expect("trace was on").drops > 0);
+        let f = r.forensics.as_ref().expect("forensics was on");
+        assert!(f.delivered > 2 * MAX_RECORDS as u64, "{}", f.delivered);
+        assert_eq!(f.records.len(), MAX_RECORDS);
+        assert_eq!(f.truncated_records, f.delivered - MAX_RECORDS as u64);
+        for rec in &f.records {
+            let lo = rec.exception.word_addr.line().0 * 64;
+            let w = &rec.recent;
+            assert!(w.len() <= RECENT_WINDOW, "{} events", w.len());
+            assert!(
+                w.iter()
+                    .all(|e| matches!(e.kind.addr_span(), Some((a, b)) if a < lo + 64 && b > lo)),
+                "a window event misses line {lo:#x}"
+            );
+            assert!(w.windows(2).all(|p| p[0].cycle <= p[1].cycle));
+        }
+        assert!(f
+            .records
+            .iter()
+            .any(|rec| rec.recent.len() == RECENT_WINDOW));
     }
 
     #[test]

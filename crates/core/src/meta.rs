@@ -134,7 +134,7 @@ pub trait MetaBackend {
 /// Build the backend selected by `cfg.meta_placement`; `None` for
 /// [`MetaPlacement::None`], which config validation pairs with the MESI
 /// baseline alone.
-pub fn backend_for(cfg: &MachineConfig) -> Option<Box<dyn MetaBackend>> {
+pub(crate) fn backend_for(cfg: &MachineConfig) -> Option<Box<dyn MetaBackend>> {
     Some(match cfg.meta_placement {
         MetaPlacement::None => return None,
         MetaPlacement::Dram => Box::new(DramMeta::new()),
@@ -186,22 +186,19 @@ struct FlatMetaTable {
     table: LineTable,
     maps: LineMap<MetaMap>,
     present: LineFlags,
-    count: usize,
 }
 
 impl FlatMetaTable {
     /// Number of present entries.
     fn len(&self) -> usize {
-        self.count
+        self.present.count()
     }
 
     /// The entry for `line`, creating an empty present entry if absent
     /// (the flat `entry().or_default()`).
     fn entry(&mut self, line: LineAddr) -> &mut MetaMap {
         let id = self.table.intern(line);
-        if self.present.insert(id) {
-            self.count += 1;
-        }
+        self.present.insert(id);
         self.maps.slot(id)
     }
 
@@ -210,7 +207,6 @@ impl FlatMetaTable {
         match self.table.lookup(line) {
             Some(id) if self.present.contains(id) => {
                 self.present.remove(id);
-                self.count -= 1;
                 (std::mem::take(self.maps.slot(id)), true)
             }
             _ => (MetaMap::new(), false),
@@ -228,7 +224,6 @@ impl FlatMetaTable {
                 let gone = m.is_empty();
                 if gone {
                     self.present.remove(id);
-                    self.count -= 1;
                 }
                 (had, gone)
             }
@@ -243,18 +238,19 @@ impl FlatMetaTable {
 /// the line's home bank and memory controller. Every touch is a full
 /// off-chip round trip — the metadata tax CE+ exists to remove.
 #[derive(Debug, Clone, Default)]
-pub struct DramMeta {
+pub(crate) struct DramMeta {
     table: FlatMetaTable,
 }
 
 impl DramMeta {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DramMeta::default()
     }
 
     /// Number of lines with displaced metadata.
-    pub fn entries(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> usize {
         self.table.len()
     }
 }
@@ -374,7 +370,7 @@ impl AimMeta {
 
     /// Make `line`'s entry resident (allocating an empty one if truly
     /// new), possibly refilling from or spilling to the DRAM table.
-    pub fn ensure(&mut self, line: LineAddr) -> AimOutcome {
+    pub(crate) fn ensure(&mut self, line: LineAddr) -> AimOutcome {
         let outcome = if self.array.contains(line.0) {
             self.hits.inc();
             // Touch for recency.
@@ -405,7 +401,7 @@ impl AimMeta {
     }
 
     /// The resident entry for `line`. Panics if not ensured first.
-    pub fn entry(&mut self, line: LineAddr) -> &mut MetaMap {
+    pub(crate) fn entry(&mut self, line: LineAddr) -> &mut MetaMap {
         self.array
             .get_mut(line.0)
             .expect("AIM entry must be ensured before use")
@@ -413,7 +409,7 @@ impl AimMeta {
 
     /// Scrub one core's bits for `line`, wherever the entry lives
     /// (resident or spilled). Returns true if bits were present.
-    pub fn clear_core(&mut self, line: LineAddr, core: CoreId) -> bool {
+    pub(crate) fn clear_core(&mut self, line: LineAddr, core: CoreId) -> bool {
         if let Some(m) = self.array.get_mut(line.0) {
             self.hits.inc();
             return m.clear_core(core);
@@ -565,11 +561,6 @@ impl IdealMeta {
     /// Empty store.
     pub fn new() -> Self {
         IdealMeta::default()
-    }
-
-    /// Number of lines with metadata.
-    pub fn entries(&self) -> usize {
-        self.table.len()
     }
 }
 

@@ -37,7 +37,6 @@
 
 use crate::exception::{AccessType, ConflictException, ConflictSide};
 use rce_common::{Addr, CoreId, Cycles, LineAddr, LineId, LineMap, LineTable, RegionId, MAX_CORES};
-use std::collections::HashMap;
 
 // One bit per core in a `u64` mask: a larger machine would silently
 // lose the cores above bit 63.
@@ -191,7 +190,7 @@ impl Oracle {
 
     /// Every conflict observed, sorted: each core's done list, then its
     /// pending list sorted, in core order.
-    pub fn into_conflicts(self) -> Vec<ConflictException> {
+    pub(crate) fn into_conflicts(self) -> Vec<ConflictException> {
         let mut all = Vec::with_capacity(self.count());
         for mut c in self.cores {
             c.pending.sort_unstable();
@@ -210,7 +209,8 @@ impl Oracle {
     }
 
     /// Live word-set sizes per core (diagnostics).
-    pub fn live_set_sizes(&self) -> HashMap<CoreId, (usize, usize)> {
+    #[cfg(test)]
+    pub(crate) fn live_set_sizes(&self) -> std::collections::HashMap<CoreId, (usize, usize)> {
         self.cores
             .iter()
             .enumerate()
@@ -222,7 +222,7 @@ impl Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn oracle(n: usize) -> Oracle {
         let regions: Vec<_> = (0..n as u64).map(RegionId).collect();

@@ -43,7 +43,7 @@ pub struct AccessResult {
 
 impl AccessResult {
     /// A slow-path completion at `done` that raised nothing.
-    pub fn new(done: Cycles) -> Self {
+    pub(crate) fn new(done: Cycles) -> Self {
         AccessResult {
             done,
             exceptions: Vec::new(),
@@ -102,7 +102,7 @@ impl Substrate {
 
     /// Attach an event tracer, shared with the NoC and DRAM so all
     /// layers feed one ring.
-    pub fn attach_tracer(&mut self, t: SharedTracer) {
+    pub(crate) fn attach_tracer(&mut self, t: SharedTracer) {
         self.noc.attach_tracer(t.clone());
         self.dram.attach_tracer(t.clone());
         self.tracer = Some(t);
@@ -111,7 +111,7 @@ impl Substrate {
     /// Emit a trace event; the event is only *built* (the closure only
     /// runs) if a tracer is attached.
     #[inline]
-    pub fn trace(&self, build: impl FnOnce() -> SimEvent) {
+    pub(crate) fn trace(&self, build: impl FnOnce() -> SimEvent) {
         if let Some(tr) = &self.tracer {
             tr.borrow_mut().emit(build());
         }
@@ -125,7 +125,7 @@ impl Substrate {
 
     /// Current region of a core.
     #[inline]
-    pub fn region_of(&self, c: CoreId) -> RegionId {
+    pub(crate) fn region_of(&self, c: CoreId) -> RegionId {
         self.regions[c.index()]
     }
 
@@ -139,7 +139,7 @@ impl Substrate {
     /// Liveness predicate for metadata entries: the entry's region is
     /// its core's current region.
     #[inline]
-    pub fn is_live(&self, core: CoreId, region: RegionId) -> bool {
+    pub(crate) fn is_live(&self, core: CoreId, region: RegionId) -> bool {
         self.regions[core.index()] == region
     }
 
@@ -151,7 +151,7 @@ impl Substrate {
 
     /// NoC node of the LLC bank (and AIM slice) holding `line`.
     #[inline]
-    pub fn bank_node(&self, line: LineAddr) -> NodeId {
+    pub(crate) fn bank_node(&self, line: LineAddr) -> NodeId {
         self.noc.bank_node(line)
     }
 
@@ -159,7 +159,7 @@ impl Substrate {
     /// already at the bank). On a miss the line is fetched from DRAM
     /// and filled (evicting dirty victims to DRAM off the critical
     /// path). Returns the time the data is ready at the bank.
-    pub fn llc_data(&mut self, line: LineAddr, now: Cycles) -> Cycles {
+    pub(crate) fn llc_data(&mut self, line: LineAddr, now: Cycles) -> Cycles {
         self.llc_accesses.inc();
         let t = Cycles(now.0 + self.cfg.llc.latency);
         if self.llc.access(line) {
@@ -210,7 +210,7 @@ impl Substrate {
     /// (the data is already at the bank). Marks the line dirty,
     /// allocating it if absent (without a DRAM fetch: full-line or
     /// partial writeback both overwrite).
-    pub fn llc_put(&mut self, line: LineAddr, now: Cycles) -> Cycles {
+    pub(crate) fn llc_put(&mut self, line: LineAddr, now: Cycles) -> Cycles {
         self.llc_accesses.inc();
         if self.llc.contains(line) {
             self.llc.mark_dirty(line);
@@ -241,7 +241,7 @@ impl Substrate {
 
     /// Charge a directory access.
     #[inline]
-    pub fn dir_access(&mut self) {
+    pub(crate) fn dir_access(&mut self) {
         self.dir_accesses.inc();
     }
 }

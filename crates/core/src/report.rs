@@ -274,7 +274,7 @@ pub struct NormalizedRow {
     pub dram_traffic: f64,
 }
 
-impl_json_struct!(NormalizedRow {
+impl_json_struct!(to_json NormalizedRow {
     protocol,
     workload,
     cores,

@@ -27,7 +27,8 @@ pub struct ReadyQueue {
 
 impl ReadyQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         ReadyQueue { heap: Vec::new() }
     }
 
@@ -39,12 +40,14 @@ impl ReadyQueue {
     }
 
     /// Number of queued cores.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True if no core is queued.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 

@@ -11,11 +11,11 @@
 use rce_common::{BarrierId, CoreId, Cycles, LockId};
 
 /// Cycles charged for an uncontended acquire (atomic RMW round trip).
-pub const ACQUIRE_LATENCY: u64 = 40;
+pub(crate) const ACQUIRE_LATENCY: u64 = 40;
 /// Cycles from a release to the next waiter resuming.
-pub const HANDOFF_LATENCY: u64 = 60;
+pub(crate) const HANDOFF_LATENCY: u64 = 60;
 /// Cycles from the last barrier arrival to every core resuming.
-pub const BARRIER_RELEASE_LATENCY: u64 = 100;
+pub(crate) const BARRIER_RELEASE_LATENCY: u64 = 100;
 
 /// FIFO mutexes.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ impl LockManager {
     }
 
     /// Current holder (diagnostics).
-    pub fn holder(&self, lock: LockId) -> Option<CoreId> {
+    pub(crate) fn holder(&self, lock: LockId) -> Option<CoreId> {
         self.holders[lock.index()]
     }
 }
@@ -136,7 +136,7 @@ impl BarrierManager {
     }
 
     /// How many cores are currently waiting at `bar`.
-    pub fn waiting(&self, bar: BarrierId) -> usize {
+    pub(crate) fn waiting(&self, bar: BarrierId) -> usize {
         self.arrived[bar.index()].len()
     }
 }

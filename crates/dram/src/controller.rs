@@ -27,14 +27,6 @@ impl_json_unit_enum!(to_json AccessKind {
 });
 
 impl AccessKind {
-    /// All kinds, display order.
-    pub const ALL: [AccessKind; 4] = [
-        AccessKind::DataRead,
-        AccessKind::DataWrite,
-        AccessKind::MetaRead,
-        AccessKind::MetaWrite,
-    ];
-
     /// Stable accounting index.
     pub fn index(self) -> usize {
         match self {
@@ -46,7 +38,7 @@ impl AccessKind {
     }
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AccessKind::DataRead => "data-rd",
             AccessKind::DataWrite => "data-wr",

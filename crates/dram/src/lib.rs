@@ -15,8 +15,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod controller;
-pub mod stats;
+mod controller;
+mod stats;
 
 pub use controller::{AccessKind, Dram};
 pub use stats::DramStats;

@@ -19,6 +19,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod model;
+mod model;
 
 pub use model::{EnergyBreakdown, EnergyModel, EventCounts};

@@ -19,10 +19,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod mesh;
-pub mod network;
-pub mod stats;
+mod mesh;
+mod network;
+mod stats;
 
-pub use mesh::{Mesh, NodeId};
+pub use mesh::NodeId;
 pub use network::{MsgClass, Noc};
 pub use stats::NocStats;

@@ -6,7 +6,7 @@ use rce_common::{impl_json_newtype, CoreId, LineAddr};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
-impl_json_newtype!(NodeId);
+impl_json_newtype!(to_json NodeId);
 
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -26,7 +26,7 @@ pub struct Mesh {
 impl Mesh {
     /// Build the smallest near-square mesh with at least `tiles` tiles.
     /// Memory controllers are placed on up to four corner tiles.
-    pub fn for_tiles(tiles: usize) -> Self {
+    pub(crate) fn for_tiles(tiles: usize) -> Self {
         assert!(tiles >= 1);
         let width = (tiles as f64).sqrt().ceil() as usize;
         let height = tiles.div_ceil(width);
@@ -46,49 +46,40 @@ impl Mesh {
     }
 
     /// Mesh width (columns).
-    pub fn width(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
-    /// Mesh height (rows).
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Total tiles.
-    pub fn tiles(&self) -> usize {
+    pub(crate) fn tiles(&self) -> usize {
         self.width * self.height
     }
 
     /// `(x, y)` coordinates of a tile.
-    pub fn coords(&self, n: NodeId) -> (usize, usize) {
+    pub(crate) fn coords(&self, n: NodeId) -> (usize, usize) {
         debug_assert!(n.0 < self.tiles());
         (n.0 % self.width, n.0 / self.width)
     }
 
     /// The tile hosting a core (identity mapping).
-    pub fn core_node(&self, c: CoreId) -> NodeId {
+    pub(crate) fn core_node(&self, c: CoreId) -> NodeId {
         debug_assert!(c.index() < self.tiles());
         NodeId(c.index())
     }
 
     /// The tile hosting the LLC bank for `line` (address-interleaved
     /// across all tiles).
-    pub fn bank_node(&self, line: LineAddr, banks: usize) -> NodeId {
+    pub(crate) fn bank_node(&self, line: LineAddr, banks: usize) -> NodeId {
         // Mix the line address so striding patterns spread across banks.
         let h = line.0.wrapping_mul(0x9e3779b97f4a7c15) >> 32;
         NodeId((h % banks as u64) as usize)
     }
 
     /// The memory-controller tile serving `line` (interleaved).
-    pub fn mem_node(&self, line: LineAddr) -> NodeId {
+    pub(crate) fn mem_node(&self, line: LineAddr) -> NodeId {
         let h = line.0.wrapping_mul(0xd1b54a32d192ed03) >> 32;
         self.mem_ctrls[(h % self.mem_ctrls.len() as u64) as usize]
-    }
-
-    /// All memory controller tiles.
-    pub fn mem_ctrls(&self) -> &[NodeId] {
-        &self.mem_ctrls
     }
 
     /// Manhattan hop count between two tiles.
@@ -101,7 +92,7 @@ impl Mesh {
     /// The directed links of the XY route from `a` to `b`, as link
     /// indices (see [`Mesh::link_count`]). X first, then Y; yields
     /// [`Mesh::hops`] links without allocating.
-    pub fn route(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = usize> {
+    pub(crate) fn route(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = usize> {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
         let w = self.width as isize;
@@ -127,7 +118,7 @@ impl Mesh {
     /// Number of directed links (4 per tile, counting only existing
     /// neighbors; we allocate the dense upper bound `tiles * 4` and
     /// index by (tile, direction)).
-    pub fn link_count(&self) -> usize {
+    pub(crate) fn link_count(&self) -> usize {
         self.tiles() * 4
     }
 }
@@ -139,12 +130,12 @@ mod tests {
     #[test]
     fn mesh_dimensions() {
         let m = Mesh::for_tiles(16);
-        assert_eq!((m.width(), m.height()), (4, 4));
+        assert_eq!((m.width(), m.tiles()), (4, 16));
         let m = Mesh::for_tiles(8);
         assert!(m.tiles() >= 8);
         let m = Mesh::for_tiles(1);
         assert_eq!(m.tiles(), 1);
-        assert_eq!(m.mem_ctrls().len(), 1);
+        assert_eq!(m.mem_ctrls.len(), 1);
     }
 
     #[test]
@@ -226,10 +217,7 @@ mod tests {
     #[test]
     fn four_mem_ctrls_on_corners() {
         let m = Mesh::for_tiles(16);
-        assert_eq!(
-            m.mem_ctrls(),
-            &[NodeId(0), NodeId(3), NodeId(12), NodeId(15)]
-        );
+        assert_eq!(m.mem_ctrls, [NodeId(0), NodeId(3), NodeId(12), NodeId(15)]);
     }
 
     #[test]

@@ -36,17 +36,6 @@ impl_json_unit_enum!(to_json MsgClass {
 });
 
 impl MsgClass {
-    /// All classes, in display order.
-    pub const ALL: [MsgClass; 7] = [
-        MsgClass::Request,
-        MsgClass::Response,
-        MsgClass::Data,
-        MsgClass::Invalidation,
-        MsgClass::Ack,
-        MsgClass::Metadata,
-        MsgClass::Writeback,
-    ];
-
     /// Stable index for accounting arrays.
     pub fn index(self) -> usize {
         match self {
@@ -61,7 +50,7 @@ impl MsgClass {
     }
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MsgClass::Request => "req",
             MsgClass::Response => "resp",

@@ -110,12 +110,6 @@ impl NocStats {
         Bytes(self.bytes[MsgClass::Invalidation.index()].0 + self.bytes[MsgClass::Ack.index()].0)
     }
 
-    /// Approximate queueing-delay percentile (cycles), `p` in
-    /// `[0, 100]` — tail latency beats the mean for saturation claims.
-    pub fn queue_delay_p(&self, p: f64) -> u64 {
-        self.queue_delay_hist.percentile(p)
-    }
-
     /// Mean queueing delay per routed message (cycles).
     pub fn mean_queue_delay(&self) -> f64 {
         let n = self.total_msgs();
@@ -154,19 +148,25 @@ mod tests {
             s.record_msg(MsgClass::Request, 16, 1, 1, 2);
         }
         s.record_msg(MsgClass::Request, 16, 1, 1, 4000);
-        assert!(s.queue_delay_p(50.0) <= 3);
+        assert!(s.queue_delay_hist.percentile(50.0) <= 3);
         assert!(
-            s.queue_delay_p(99.5) >= 2048,
+            s.queue_delay_hist.percentile(99.5) >= 2048,
             "p99.5={} must surface the straggler",
-            s.queue_delay_p(99.5)
+            s.queue_delay_hist.percentile(99.5)
         );
         // The ends of the range are well defined: p=0 lands in the
         // fast messages' bucket, p=100 covers the straggler, and
         // out-of-range p clamps to those ends instead of misbehaving.
-        assert!(s.queue_delay_p(0.0) <= 3);
-        assert!(s.queue_delay_p(100.0) >= 2048);
-        assert_eq!(s.queue_delay_p(-1.0), s.queue_delay_p(0.0));
-        assert_eq!(s.queue_delay_p(101.0), s.queue_delay_p(100.0));
+        assert!(s.queue_delay_hist.percentile(0.0) <= 3);
+        assert!(s.queue_delay_hist.percentile(100.0) >= 2048);
+        assert_eq!(
+            s.queue_delay_hist.percentile(-1.0),
+            s.queue_delay_hist.percentile(0.0)
+        );
+        assert_eq!(
+            s.queue_delay_hist.percentile(101.0),
+            s.queue_delay_hist.percentile(100.0)
+        );
         // The histogram stays out of the serialized form.
         let j = rce_common::json::to_string(&s);
         assert!(!j.contains("queue_delay_hist"));

@@ -31,12 +31,14 @@ pub struct Arena {
 
 impl Arena {
     /// First byte.
-    pub fn base(&self) -> Addr {
+    #[cfg(test)]
+    pub(crate) fn base(&self) -> Addr {
         self.base
     }
 
     /// Size in bytes.
-    pub fn bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
@@ -46,7 +48,7 @@ impl Arena {
     }
 
     /// Number of 64-byte lines.
-    pub fn lines(&self) -> u64 {
+    pub(crate) fn lines(&self) -> u64 {
         self.bytes / LineGeometry::LINE_BYTES
     }
 
@@ -57,14 +59,14 @@ impl Arena {
     }
 
     /// Byte address of the first word of line `i`.
-    pub fn line(&self, i: u64) -> Addr {
+    pub(crate) fn line(&self, i: u64) -> Addr {
         assert!(i < self.lines(), "line index {i} out of range");
         Addr(self.base.0 + i * LineGeometry::LINE_BYTES)
     }
 
     /// Split into `n` equal contiguous chunks (for per-thread slices of
     /// a shared array). `bytes` must divide evenly by `n` lines.
-    pub fn chunks(&self, n: usize) -> Vec<Arena> {
+    pub(crate) fn chunks(&self, n: usize) -> Vec<Arena> {
         let lines = self.lines();
         assert!(
             n > 0 && lines >= n as u64,
@@ -106,11 +108,6 @@ impl Builder {
             n_locks: 0,
             n_barriers: 0,
         }
-    }
-
-    /// Number of threads.
-    pub fn n_threads(&self) -> usize {
-        self.threads.len()
     }
 
     /// Allocate a fresh lock object.
@@ -210,12 +207,14 @@ impl Builder {
 
     /// Emit a barrier arrival on one thread (caller must ensure every
     /// thread eventually arrives the same number of times).
-    pub fn barrier_one(&mut self, t: usize, bar: BarrierId) {
+    #[cfg(test)]
+    pub(crate) fn barrier_one(&mut self, t: usize, bar: BarrierId) {
         self.threads[t].push(Op::Barrier { bar });
     }
 
     /// Raw op emission (escape hatch for tests).
-    pub fn push(&mut self, t: usize, op: Op) {
+    #[cfg(test)]
+    pub(crate) fn push(&mut self, t: usize, op: Op) {
         self.threads[t].push(op);
     }
 

@@ -36,7 +36,7 @@ pub struct WorkloadChar {
     pub write_frac: f64,
 }
 
-impl_json_struct!(WorkloadChar {
+impl_json_struct!(to_json WorkloadChar {
     name,
     threads,
     mem_ops,

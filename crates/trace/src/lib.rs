@@ -24,20 +24,19 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod builder;
-pub mod chars;
-pub mod op;
-pub mod program;
-pub mod racey;
-pub mod regions;
+mod builder;
+mod chars;
+mod op;
+mod program;
+mod racey;
+mod regions;
 pub mod validate;
-pub mod workloads;
+mod workloads;
 
-pub use builder::{Arena, Builder};
-pub use chars::{characterize, WorkloadChar};
+pub use builder::Builder;
+pub use chars::characterize;
 pub use op::Op;
 pub use program::Program;
 pub use racey::inject_races;
-pub use regions::{region_lengths, RegionStats};
 pub use validate::validate;
 pub use workloads::WorkloadSpec;

@@ -52,13 +52,13 @@ pub enum Op {
 impl Op {
     /// True for `Read`/`Write`.
     #[inline]
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         matches!(self, Op::Read { .. } | Op::Write { .. })
     }
 
     /// True for `Acquire`/`Release`/`Barrier` — the SFR boundaries.
     #[inline]
-    pub fn is_sync(&self) -> bool {
+    pub(crate) fn is_sync(&self) -> bool {
         matches!(
             self,
             Op::Acquire { .. } | Op::Release { .. } | Op::Barrier { .. }

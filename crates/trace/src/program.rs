@@ -66,12 +66,13 @@ impl Program {
     }
 
     /// True if `a` lies in the shared range.
-    pub fn is_shared_addr(&self, a: Addr) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_shared_addr(&self, a: Addr) -> bool {
         a >= self.shared_base && a < self.shared_end
     }
 
     /// Iterate `(thread_index, &op)` over every operation.
-    pub fn iter_ops(&self) -> impl Iterator<Item = (usize, &Op)> {
+    pub(crate) fn iter_ops(&self) -> impl Iterator<Item = (usize, &Op)> {
         self.threads
             .iter()
             .enumerate()

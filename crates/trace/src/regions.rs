@@ -12,7 +12,7 @@ use crate::program::Program;
 
 /// Per-program region statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RegionStats {
+pub(crate) struct RegionStats {
     /// Total number of (dynamic) regions across all threads, counting
     /// only regions containing at least one memory operation.
     pub regions: u64,
@@ -25,7 +25,7 @@ pub struct RegionStats {
 }
 
 /// Lengths (in memory ops) of every non-empty region of one thread.
-pub fn region_lengths(ops: &[Op]) -> Vec<u64> {
+pub(crate) fn region_lengths(ops: &[Op]) -> Vec<u64> {
     let mut lens = Vec::new();
     let mut cur = 0u64;
     for op in ops {
@@ -45,7 +45,7 @@ pub fn region_lengths(ops: &[Op]) -> Vec<u64> {
 }
 
 /// Compute region statistics over the whole program.
-pub fn region_stats(p: &Program) -> RegionStats {
+pub(crate) fn region_stats(p: &Program) -> RegionStats {
     let mut regions = 0u64;
     let mut mem_ops = 0u64;
     let mut max_len = 0u64;

@@ -18,7 +18,7 @@ const OPTIONS_PER_THREAD: u64 = 24;
 const ROUNDS: u32 = 4;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("blackscholes", cores);
     let root = SplitMix64::new(seed ^ 0xb1ac);
     let bar = b.barrier();

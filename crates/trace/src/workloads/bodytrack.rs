@@ -17,7 +17,7 @@ const PARTICLES: u64 = 16;
 const FRAMES: u32 = 3;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("bodytrack", cores);
     let root = SplitMix64::new(seed ^ 0xb0d7);
     let bar = b.barrier();

@@ -20,7 +20,7 @@ const MOVES: u64 = 24;
 const STEPS: u32 = 3;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("canneal", cores);
     let root = SplitMix64::new(seed ^ 0xca22);
     let bar = b.barrier();

@@ -19,7 +19,7 @@ const PASSES: u32 = 2;
 const CHUNK_WORDS: u64 = 16;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("dedup", cores);
     let root = SplitMix64::new(seed ^ 0xdedb);
     let bar = b.barrier();

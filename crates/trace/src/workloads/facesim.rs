@@ -18,7 +18,7 @@ const PART_LINES: u64 = 12;
 const ITERS: u32 = 4;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("facesim", cores);
     let root = SplitMix64::new(seed ^ 0xface);
     let bar = b.barrier();

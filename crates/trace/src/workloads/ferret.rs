@@ -20,7 +20,7 @@ const PASSES: u32 = 2;
 const QUERY_WORDS: u64 = 8;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("ferret", cores);
     let root = SplitMix64::new(seed ^ 0xfe44);
     let bar = b.barrier();

@@ -19,7 +19,7 @@ const CELLS_PER_THREAD: u64 = 12;
 const STEPS: u32 = 3;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("fluidanimate", cores);
     let root = SplitMix64::new(seed ^ 0xf1d0);
     let bar = b.barrier();

@@ -18,7 +18,7 @@ const ROUNDS: u32 = 3;
 const MERGE_EVERY: u64 = 16;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("freqmine", cores);
     let root = SplitMix64::new(seed ^ 0xf4e0);
     let bar = b.barrier();

@@ -8,7 +8,7 @@ use rce_common::{Rng, SplitMix64};
 
 /// Threads alternate lock-protected read-modify-writes of one shared
 /// line: pure migratory sharing, tiny regions, no conflicts.
-pub fn ping_pong(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn ping_pong(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("ping_pong", cores);
     let mut rng = SplitMix64::new(seed ^ 0x9199);
     let l = b.lock();
@@ -28,7 +28,7 @@ pub fn ping_pong(cores: usize, scale: u32, seed: u64) -> Program {
 
 /// Every access is private; the only sync is a final barrier. The
 /// zero-sharing control: all designs should match the MESI baseline.
-pub fn private_only(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn private_only(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("private_only", cores);
     let root = SplitMix64::new(seed ^ 0x9417);
     let bar = b.barrier();
@@ -50,7 +50,7 @@ pub fn private_only(cores: usize, scale: u32, seed: u64) -> Program {
 /// writes a shared word and thread 1 writes the same word, both in
 /// unbounded regions (no sync until the end), so the regions overlap
 /// in any interleaving. With one thread, degenerates to private use.
-pub fn racy_pair(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn racy_pair(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("racy_pair", cores);
     let mut rng = SplitMix64::new(seed ^ 0x4ace);
     let bar = b.barrier();
@@ -81,7 +81,7 @@ pub fn racy_pair(cores: usize, scale: u32, seed: u64) -> Program {
 /// line with no synchronization. At word granularity there is no
 /// conflict (disjoint words), but MESI-based designs ping-pong the
 /// line. Distinguishes word-granularity detection from line-granularity.
-pub fn false_sharing(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn false_sharing(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("false_sharing", cores);
     let mut rng = SplitMix64::new(seed ^ 0xfa15e);
     let bar = b.barrier();
@@ -107,7 +107,7 @@ pub fn false_sharing(cores: usize, scale: u32, seed: u64) -> Program {
 /// migrate core-to-core on every handoff. The sharpest migratory
 /// pattern we have; stresses cache-to-cache transfers (MESI family)
 /// and region-end flushes (ARC).
-pub fn migratory(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn migratory(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("migratory", cores);
     let mut rng = SplitMix64::new(seed ^ 0x3194);
     let l = b.lock();
@@ -131,7 +131,7 @@ pub fn migratory(cores: usize, scale: u32, seed: u64) -> Program {
 /// its phase, then all threads read it in the next phase, with
 /// barriers between. Models configuration/epoch data: single-writer,
 /// many-reader, never conflicting.
-pub fn reader_writer(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn reader_writer(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("reader_writer", cores);
     let root = SplitMix64::new(seed ^ 0x4ead);
     let bar = b.barrier();

@@ -18,7 +18,7 @@ const TILES: u64 = 12;
 const RAYS: u64 = 6;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("raytrace", cores);
     let root = SplitMix64::new(seed ^ 0x4a71);
     let bar = b.barrier();

@@ -17,7 +17,7 @@ const POINTS: u64 = 32;
 const PHASES: u32 = 4;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("streamcluster", cores);
     let root = SplitMix64::new(seed ^ 0x57c1);
     let bar = b.barrier();

@@ -14,7 +14,7 @@ use rce_common::{Rng, SplitMix64};
 const TRIALS: u64 = 64;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("swaptions", cores);
     let root = SplitMix64::new(seed ^ 0x5a9c);
     let bar = b.barrier();

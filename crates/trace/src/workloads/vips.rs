@@ -18,7 +18,7 @@ const BATCHES: u32 = 2;
 const TILE_LINES: u64 = 4;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("vips", cores);
     let root = SplitMix64::new(seed ^ 0x1995);
     let bar = b.barrier();

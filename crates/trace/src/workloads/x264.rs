@@ -21,7 +21,7 @@ const STEPS: u32 = 4;
 const FRAMES: u32 = 2;
 
 /// Build the workload.
-pub fn build(cores: usize, scale: u32, seed: u64) -> Program {
+pub(crate) fn build(cores: usize, scale: u32, seed: u64) -> Program {
     let mut b = Builder::new("x264", cores);
     let root = SplitMix64::new(seed ^ 0x2640);
     let bar = b.barrier();

@@ -44,6 +44,10 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "ok: all dependencies are in-tree rce-* crates"
 
+echo "== library size (information only) =="
+# Non-test lines and pub item declarations per crate; never fails.
+scripts/loc.sh
+
 echo "== observability smoke (paper trace) =="
 # One fully-observed run: must emit a parseable Chrome trace + NDJSON
 # log and pass its built-in zero-perturbation check (the binary exits
@@ -229,8 +233,8 @@ fi
 echo "ok: self-diff is clean, injected drift exits nonzero"
 
 echo "== perf trajectory and fast-path gate (paper trajectory + diff) =="
-# paper trajectory times the hot-path microstreams and the repeat fast
-# path on vs off, and exits nonzero if the fast path drops below its
+# paper trajectory times the repeat fast path on vs off on a pinned
+# repeat-heavy workload, and exits nonzero if the fast path drops below its
 # pinned floor (MIN_FASTPATH_SPEEDUP_X) — a throughput regression fails
 # CI even when reports stay byte-identical. Then the pinned micro-sweep
 # is compared against the committed baseline. The sweep is
