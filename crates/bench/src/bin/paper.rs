@@ -389,6 +389,7 @@ fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
     };
     for (i, rec) in f.records.iter().enumerate() {
         let ex = &rec.exception;
+        let (a, b) = (ex.a(), ex.b());
         println!(
             "#{}: word 0x{:x} (line {}) @ cycle {}",
             i + 1,
@@ -398,12 +399,12 @@ fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
         );
         println!(
             "    core {} {} in region {}  x  core {} {} in region {}",
-            ex.a.core.0,
-            rw(ex.a.kind),
-            ex.a.region.0,
-            ex.b.core.0,
-            rw(ex.b.kind),
-            ex.b.region.0
+            a.core.0,
+            rw(a.kind),
+            a.region.0,
+            b.core.0,
+            rw(b.kind),
+            b.region.0
         );
         println!("    found via: {}", rec.path.describe());
         if rec.recent.is_empty() {
@@ -523,10 +524,12 @@ fn run_trajectory(out_dir: &str) {
         }
     }
     // Simulator throughput rides along in a `hot_path` section: the
-    // `pinned` half (the fast-path floor) diffs exactly like any other
-    // field, while the `measured` half is wall time — machine-dependent
-    // by nature — so CI compares with `--ignore hot_path.measured`.
+    // `pinned` half (the fast-path floor and the forensics ceiling)
+    // diffs exactly like any other field, while the `measured` half is
+    // wall-time ratios — machine-dependent by nature — so CI compares
+    // with `--ignore hot_path.measured`.
     let speedup_x = hotpath::measure();
+    let forensics_x = hotpath::measure_forensics();
     let payload = json!({
         "id": "bench_trajectory",
         "cores": TRAJECTORY.cores,
@@ -535,9 +538,11 @@ fn run_trajectory(out_dir: &str) {
         "hot_path": json!({
             "pinned": json!({
                 "min_fastpath_speedup_x": hotpath::MIN_FASTPATH_SPEEDUP_X,
+                "max_forensics_slowdown_x": hotpath::MAX_FORENSICS_SLOWDOWN_X,
             }),
             "measured": json!({
                 "fastpath_speedup_x": speedup_x,
+                "forensics_slowdown_x": forensics_x,
             }),
         }),
         "rows": rows,
@@ -553,6 +558,13 @@ fn run_trajectory(out_dir: &str) {
         speedup_x,
         hotpath::MIN_FASTPATH_SPEEDUP_X
     );
+    eprintln!(
+        "   {:<20} {:>8.2}x (ceiling {}x)",
+        "forensics_slowdown_x",
+        forensics_x,
+        hotpath::MAX_FORENSICS_SLOWDOWN_X
+    );
+    let mut failed = false;
     if speedup_x < hotpath::MIN_FASTPATH_SPEEDUP_X {
         eprintln!(
             "FAIL: the repeat fast path is only {:.2}x end-to-end on the \
@@ -560,6 +572,18 @@ fn run_trajectory(out_dir: &str) {
             speedup_x,
             hotpath::MIN_FASTPATH_SPEEDUP_X
         );
+        failed = true;
+    }
+    if forensics_x > hotpath::MAX_FORENSICS_SLOWDOWN_X {
+        eprintln!(
+            "FAIL: conflict forensics makes the conflict-heavy canneal CE+ \
+             run {:.2}x slower (ceiling {}x) — forensics has regressed",
+            forensics_x,
+            hotpath::MAX_FORENSICS_SLOWDOWN_X
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

@@ -1,18 +1,24 @@
-//! The fast-path gate of `paper trajectory`.
+//! The two gates of `paper trajectory`.
 //!
-//! Times one repeat-heavy workload end to end with the repeat fast
-//! path on and off. That ratio is the one gated number:
-//! [`MIN_FASTPATH_SPEEDUP_X`] pins its floor and `paper trajectory`
-//! exits nonzero below it, so a fast-path regression fails CI even
-//! when reports stay byte-identical.
+//! Each times one pinned workload end to end twice, on the same
+//! machine, and gates the ratio, so the system is compared with its own
+//! plain run:
+//! - the repeat fast path on versus off on a repeat-heavy workload,
+//!   with a floor, [`MIN_FASTPATH_SPEEDUP_X`];
+//! - conflict forensics on versus off on a conflict-heavy canneal CE+
+//!   run, with a ceiling, [`MAX_FORENSICS_SLOWDOWN_X`].
 //!
-//! The work is deterministic (a fixed program); only the measured wall
-//! times vary by machine, which is why `results/bench_trajectory.json`
-//! keeps the ratio in a `measured` section that the CI diff ignores.
+//! `paper trajectory` exits nonzero when either ratio is past its
+//! bound, so a regression fails CI even when reports stay
+//! byte-identical. The work is deterministic (fixed programs); only
+//! the measured wall times vary by machine, which is why
+//! `results/bench_trajectory.json` keeps the ratios in a `measured`
+//! section that the CI diff ignores.
 
+use rce_common::obs::ObsConfig;
 use rce_common::{MachineConfig, ProtocolKind};
 use rce_core::Machine;
-use rce_trace::{Builder, Program};
+use rce_trace::{Builder, Program, WorkloadSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -20,6 +26,18 @@ use std::time::Instant;
 /// a repeat-heavy workload (fast path on vs the same machine with
 /// `with_fastpath(false)`). `paper trajectory` fails below this.
 pub const MIN_FASTPATH_SPEEDUP_X: f64 = 1.5;
+
+/// Hard ceiling for the end-to-end slowdown conflict forensics costs
+/// on a conflict-heavy run (forensics on vs the same machine with
+/// observability off). `paper trajectory` fails above this.
+pub const MAX_FORENSICS_SLOWDOWN_X: f64 = 2.0;
+
+/// The pinned conflict-heavy run for the forensics pair: canneal under
+/// CE+ at 32 cores and scale 4, about 190k delivered exceptions, each
+/// of which forensics observes.
+const FORENSICS_CORES: usize = 32;
+const FORENSICS_SCALE: u32 = 4;
+const FORENSICS_SEED: u64 = 42;
 
 /// Timed samples per run; the median is reported.
 const SAMPLES: usize = 3;
@@ -93,6 +111,30 @@ pub fn measure() -> f64 {
     let t_on = median_secs(|| repeat_heavy_run(&program, true));
     let t_off = median_secs(|| repeat_heavy_run(&program, false));
     t_off / t_on.max(f64::MIN_POSITIVE)
+}
+
+/// One end-to-end run of `p` on the conflict-heavy machine with the
+/// given observability. Returns the exceptions delivered (for
+/// `black_box`).
+fn conflict_heavy_run(p: &Program, obs: ObsConfig) -> usize {
+    let cfg = MachineConfig::paper_default(FORENSICS_CORES, ProtocolKind::CePlus);
+    Machine::new(&cfg)
+        .unwrap()
+        .with_observability(obs)
+        .run(p)
+        .unwrap()
+        .exceptions
+        .len()
+}
+
+/// End-to-end slowdown of conflict forensics on the pinned
+/// conflict-heavy run (the identical run with forensics on and with
+/// observability off, same machine).
+pub fn measure_forensics() -> f64 {
+    let program = WorkloadSpec::Canneal.build(FORENSICS_CORES, FORENSICS_SCALE, FORENSICS_SEED);
+    let t_off = median_secs(|| conflict_heavy_run(&program, ObsConfig::default()));
+    let t_on = median_secs(|| conflict_heavy_run(&program, ObsConfig::FORENSICS));
+    t_on / t_off.max(f64::MIN_POSITIVE)
 }
 
 #[cfg(test)]

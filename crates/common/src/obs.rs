@@ -78,7 +78,7 @@ pub enum EventKind {
     /// One routed NoC message.
     CohMsg {
         /// Message class short name (`req`, `data`, `inv`, ...).
-        class: String,
+        class: &'static str,
         /// Source tile.
         src: u64,
         /// Destination tile.
@@ -120,7 +120,7 @@ pub enum EventKind {
     /// One DRAM access.
     DramAccess {
         /// Access kind short name (`data-rd`, `meta-wr`, ...).
-        kind: String,
+        kind: &'static str,
         /// Target line index.
         line: u64,
         /// Bytes moved.
@@ -779,7 +779,7 @@ mod tests {
             4,
             1,
             EventKind::CohMsg {
-                class: "data".into(),
+                class: "data",
                 src: 0,
                 dst: 3,
                 bytes: 80,

@@ -718,7 +718,7 @@ mod tests {
         let r = acc(&mut e, &mut s, 0, 0x100, R, 0);
         let w = acc(&mut e, &mut s, 1, 0x100, W, r.done.0);
         assert_eq!(w.exceptions.len(), 1);
-        assert_eq!(w.exceptions[0].a.kind, R);
+        assert_eq!(w.exceptions[0].a().kind, R);
     }
 
     #[test]
@@ -748,7 +748,7 @@ mod tests {
         // registration must catch the conflict with core 1's read.
         let w = acc(&mut e, &mut s, 0, 0x200, W, b.done.0);
         assert_eq!(w.exceptions.len(), 1);
-        assert_eq!(w.exceptions[0].key().1.kind, R);
+        assert_eq!(w.exceptions[0].b().kind, R);
     }
 
     #[test]
@@ -838,7 +838,7 @@ mod tests {
         // catch the conflict with core 1's live write.
         let r = acc(&mut e, &mut s, 0, 0x3000, R, w.done.0);
         assert_eq!(r.exceptions.len(), 1, "stale ro hit must still detect");
-        assert_eq!(r.exceptions[0].key().1.kind, W);
+        assert_eq!(r.exceptions[0].b().kind, W);
     }
 
     #[test]

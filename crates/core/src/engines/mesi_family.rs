@@ -898,8 +898,8 @@ mod tests {
         let r = acc(&mut e, &mut s, 0, 0x100, R, 0);
         let w = acc(&mut e, &mut s, 1, 0x100, W, r.done.0);
         assert_eq!(w.exceptions.len(), 1);
-        assert_eq!(w.exceptions[0].a.kind, AccessType::Read);
-        assert_eq!(w.exceptions[0].b.kind, AccessType::Write);
+        assert_eq!(w.exceptions[0].a().kind, AccessType::Read);
+        assert_eq!(w.exceptions[0].b().kind, AccessType::Write);
     }
 
     #[test]

@@ -23,9 +23,8 @@ use crate::exception::ConflictException;
 use crate::meta::AimOutcome;
 use rce_common::obs::{SimEvent, Tracer};
 use rce_common::{
-    impl_json_struct, impl_json_unit_enum, Histogram, LineMap, LineTable, MetaPlacement,
+    impl_json_struct, impl_json_unit_enum, Histogram, LineMap, LineTable, MetaPlacement, MAX_CORES,
 };
-use std::collections::BTreeMap;
 
 /// Recent trace events kept per provenance record (the window of
 /// events touching the conflicting line, newest last).
@@ -216,11 +215,12 @@ impl ForensicsReport {
 
 /// The in-run collector the machine drives.
 ///
-/// Line heat is on the hot path (charged once per materialized
-/// detection), so it accumulates in a flat [`LineMap`] keyed by
-/// interned line ids; `finish` sorts by (count, line), a total order
-/// over distinct lines. Pair and region heat are ordered maps — they
-/// are tiny and off the hot path.
+/// Every heat table is charged once per materialized detection, so
+/// each accumulates in a flat array and `finish` sorts once, by (count
+/// desc, key asc), a total order over distinct keys. Line heat is a
+/// [`LineMap`] keyed by interned line ids; pair heat a count `Vec`
+/// indexed `a * MAX_CORES + b`; region heat one indexed by region ID,
+/// which is dense from 0 (one substrate counter).
 #[derive(Debug, Default)]
 pub struct Forensics {
     total: u64,
@@ -229,9 +229,17 @@ pub struct Forensics {
     records: Vec<ConflictRecord>,
     lines: LineTable,
     line_heat: LineMap<u64>,
-    pair_heat: BTreeMap<(u16, u16), u64>,
-    region_heat: BTreeMap<u64, u64>,
+    pair_heat: Vec<u64>,
+    region_heat: Vec<u64>,
     region_lifetime: Histogram,
+}
+
+/// Count one hit at `i`, growing the table to reach it.
+fn bump(counts: &mut Vec<u64>, i: usize) {
+    if i >= counts.len() {
+        counts.resize(i + 1, 0);
+    }
+    counts[i] += 1;
 }
 
 impl Forensics {
@@ -242,12 +250,13 @@ impl Forensics {
         self.total += 1;
         let id = self.lines.intern(ex.word_addr.line());
         *self.line_heat.slot(id) += 1;
-        *self
-            .pair_heat
-            .entry((ex.a.core.0, ex.b.core.0))
-            .or_insert(0) += 1;
-        *self.region_heat.entry(ex.a.region.0).or_insert(0) += 1;
-        *self.region_heat.entry(ex.b.region.0).or_insert(0) += 1;
+        let (a, b) = (ex.a(), ex.b());
+        bump(
+            &mut self.pair_heat,
+            a.core.index() * MAX_CORES + b.core.index(),
+        );
+        bump(&mut self.region_heat, a.region.0 as usize);
+        bump(&mut self.region_heat, b.region.0 as usize);
     }
 
     /// Capture a delivered (deduplicated) exception's full record, with
@@ -281,10 +290,16 @@ impl Forensics {
     /// Finish: sort the heatmaps hottest-first (ties by key, so the
     /// output is deterministic) and assemble the report.
     pub(crate) fn finish(self) -> ForensicsReport {
-        fn sorted<K: Copy + Ord, T>(m: BTreeMap<K, u64>, build: impl Fn(K, u64) -> T) -> Vec<T> {
-            let mut v: Vec<(K, u64)> = m.into_iter().collect();
-            v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            v.into_iter().map(|(k, n)| build(k, n)).collect()
+        // Nonzero slots of a flat table, hottest first (ties by index).
+        fn sorted<T>(counts: &[u64], build: impl Fn(usize, u64) -> T) -> Vec<T> {
+            let mut v: Vec<(usize, u64)> = counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(|(i, &n)| (i, n))
+                .collect();
+            v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            v.into_iter().map(|(i, n)| build(i, n)).collect()
         }
         // Flat accumulation stores lines in first-touch order; the
         // (count desc, line asc) sort is a total order over distinct
@@ -309,13 +324,13 @@ impl Forensics {
                 .into_iter()
                 .map(|(line, conflicts)| LineHeat { line, conflicts })
                 .collect(),
-            core_pair_heatmap: sorted(self.pair_heat, |(core_a, core_b), conflicts| PairHeat {
-                core_a,
-                core_b,
+            core_pair_heatmap: sorted(&self.pair_heat, |i, conflicts| PairHeat {
+                core_a: (i / MAX_CORES) as u16,
+                core_b: (i % MAX_CORES) as u16,
                 conflicts,
             }),
-            region_heatmap: sorted(self.region_heat, |region, conflicts| RegionHeat {
-                region,
+            region_heatmap: sorted(&self.region_heat, |region, conflicts| RegionHeat {
+                region: region as u64,
                 conflicts,
             }),
             region_lifetime: self.region_lifetime,

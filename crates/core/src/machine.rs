@@ -10,7 +10,7 @@
 //! functional lock/barrier managers. The oracle observes the identical
 //! committed stream, giving ground truth for differential testing.
 
-use crate::exception::{AccessType, ConflictException, ExceptionPolicy};
+use crate::exception::{sort_region_scoped, AccessType, ConflictException, ExceptionPolicy};
 use crate::forensics::Forensics;
 use crate::oracle::Oracle;
 use crate::protocol::{Engine, Substrate};
@@ -92,7 +92,8 @@ pub fn default_step_limit(total_ops: u64) -> u64 {
 /// live: that is what a region conflict is, and the driver's
 /// region-scoped dedup relies on it.
 fn check_live(sub: &Substrate, ex: &ConflictException) -> RceResult<()> {
-    if sub.is_live(ex.a.core, ex.a.region) && sub.is_live(ex.b.core, ex.b.region) {
+    let (a, b) = (ex.a(), ex.b());
+    if sub.is_live(a.core, a.region) && sub.is_live(b.core, b.region) {
         Ok(())
     } else {
         Err(RceError::InvariantViolated(format!(
@@ -124,7 +125,7 @@ impl CoreExceptions {
         }
         let start = self.done.len();
         self.done.extend(self.live.drain());
-        self.done[start..].sort_unstable();
+        sort_region_scoped(&mut self.done[start..]);
     }
 }
 
@@ -448,17 +449,14 @@ impl<'m> Run<'m> {
             if let Some(f) = &mut self.forensics {
                 f.observe(&ex);
             }
-            if !self.exceptions[ex.a.core.index()].live.insert(ex) {
+            let (a, b) = (ex.a(), ex.b());
+            if !self.exceptions[a.core.index()].live.insert(ex) {
                 continue;
             }
             self.delivered += 1;
             let sub = &self.sub;
             sub.trace(|| {
-                let other = if ex.a.core == core {
-                    ex.b.core
-                } else {
-                    ex.a.core
-                };
+                let other = if a.core == core { b.core } else { a.core };
                 SimEvent {
                     cycle: now.0,
                     core: Some(core.0),
@@ -466,7 +464,7 @@ impl<'m> Run<'m> {
                     kind: EventKind::Conflict {
                         word: ex.word_addr.0 / 8,
                         other_core: other.0 as u64,
-                        kinds: match (ex.a.kind, ex.b.kind) {
+                        kinds: match (a.kind, b.kind) {
                             (AccessType::Write, AccessType::Write) => "W/W",
                             (AccessType::Write, AccessType::Read) => "W/R",
                             (AccessType::Read, AccessType::Write) => "R/W",
@@ -1052,7 +1050,7 @@ mod tests {
             assert_eq!(f.total_detections, hits, "{proto}");
             // Every record names both endpoints and a detection path.
             for rec in &f.records {
-                assert_ne!(rec.exception.a.core, rec.exception.b.core, "{proto}");
+                assert_ne!(rec.exception.a().core, rec.exception.b().core, "{proto}");
                 assert!(!rec.path.describe().is_empty(), "{proto}");
             }
             // Lifetimes were recorded for every completed region.

@@ -35,7 +35,7 @@
 //! A core's regions end in ID order, so the done lists concatenated
 //! in core order are already in `Ord` order: no run-wide sort.
 
-use crate::exception::{AccessType, ConflictException, ConflictSide};
+use crate::exception::{sort_region_scoped, AccessType, ConflictException, ConflictSide};
 use rce_common::{Addr, CoreId, Cycles, LineAddr, LineId, LineMap, LineTable, RegionId, MAX_CORES};
 
 // One bit per core in a `u64` mask: a larger machine would silently
@@ -155,7 +155,7 @@ impl Oracle {
                     kind: ok,
                 };
                 let ex = ConflictException::new(me, other, word_addr, now);
-                self.cores[ex.a.core.index()].pending.push(ex);
+                self.cores[ex.a().core.index()].pending.push(ex);
                 self.found.push(ex);
             }
         }
@@ -178,7 +178,7 @@ impl Oracle {
         let sets = &mut self.cores[core.index()];
         debug_assert!(new_region > sets.region, "regions end in ID order");
         sets.region = new_region;
-        sets.pending.sort_unstable();
+        sort_region_scoped(&mut sets.pending);
         sets.done.append(&mut sets.pending);
         for id in sets.read.drain(..) {
             self.bits.slot(id).readers &= keep;
@@ -193,7 +193,7 @@ impl Oracle {
     pub(crate) fn into_conflicts(self) -> Vec<ConflictException> {
         let mut all = Vec::with_capacity(self.count());
         for mut c in self.cores {
-            c.pending.sort_unstable();
+            sort_region_scoped(&mut c.pending);
             all.append(&mut c.done);
             all.append(&mut c.pending);
         }
@@ -353,8 +353,8 @@ mod tests {
         o.observe(CoreId(63), Addr(8), W, Cycles(0));
         let c = o.observe(CoreId(0), Addr(8), R, Cycles(1));
         assert_eq!(c.len(), 1);
-        assert_eq!((c[0].a.core, c[0].b.core), (CoreId(0), CoreId(63)));
-        assert_eq!(c[0].b.kind, W);
+        assert_eq!((c[0].a().core, c[0].b().core), (CoreId(0), CoreId(63)));
+        assert_eq!(c[0].b().kind, W);
         assert!(o.observe(CoreId(63), Addr(8), W, Cycles(2)).is_empty());
         let c = o.observe(CoreId(63), Addr(8), R, Cycles(3));
         assert!(c.is_empty(), "read-read with core 0 is no conflict");
@@ -366,7 +366,7 @@ mod tests {
         // region conflicts with it.
         let c = o.observe(CoreId(63), Addr(8), R, Cycles(5));
         assert_eq!(c.len(), 1);
-        assert_eq!(c[0].b.region, RegionId(1000));
+        assert_eq!(c[0].b().region, RegionId(1000));
         assert_eq!(o.count(), 2);
     }
 

@@ -58,7 +58,7 @@ fn upgrade_sees_displaced_metadata() {
             1,
             "{proto}: displaced read bit must reach the upgrade"
         );
-        assert_eq!(w.exceptions[0].key().1.kind, R);
+        assert_eq!(w.exceptions[0].b().kind, R);
     }
 }
 

@@ -144,7 +144,7 @@ impl Dram {
                 core: None,
                 region: None,
                 kind: EventKind::DramAccess {
-                    kind: kind.name().to_string(),
+                    kind: kind.name(),
                     line: line.0,
                     bytes,
                 },
@@ -259,7 +259,7 @@ mod tests {
         assert_eq!(log.events.len(), 2);
         match &log.events[1].kind {
             EventKind::DramAccess { kind, line, bytes } => {
-                assert_eq!(kind, "meta-wr");
+                assert_eq!(*kind, "meta-wr");
                 assert_eq!((*line, *bytes), (9, 16));
             }
             other => panic!("unexpected event {other:?}"),

@@ -173,7 +173,7 @@ impl Noc {
                 core: None,
                 region: None,
                 kind: EventKind::CohMsg {
-                    class: class.name().to_string(),
+                    class: class.name(),
                     src: src.0 as u64,
                     dst: dst.0 as u64,
                     bytes: wire_bytes,
@@ -334,7 +334,7 @@ mod tests {
             EventKind::CohMsg {
                 class, src, dst, ..
             } => {
-                assert_eq!(class, "data");
+                assert_eq!(*class, "data");
                 assert_eq!((*src, *dst), (0, 5));
             }
             other => panic!("unexpected event {other:?}"),

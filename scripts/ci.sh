@@ -232,20 +232,23 @@ if cargo run -q --release --offline -p rce-bench --bin paper -- \
 fi
 echo "ok: self-diff is clean, injected drift exits nonzero"
 
-echo "== perf trajectory and fast-path gate (paper trajectory + diff) =="
-# paper trajectory times the repeat fast path on vs off on a pinned
-# repeat-heavy workload, and exits nonzero if the fast path drops below its
-# pinned floor (MIN_FASTPATH_SPEEDUP_X) — a throughput regression fails
-# CI even when reports stay byte-identical. Then the pinned micro-sweep
-# is compared against the committed baseline. The sweep is
-# deterministic; the tolerance only leaves room for deliberate,
-# reviewed model changes (which must regenerate
-# results/bench_trajectory.json). The hot_path.measured section is wall
-# time — machine-dependent — so it is excluded here; the floor itself
-# sits in the exactly-diffed hot_path.pinned section.
+echo "== perf trajectory, fast-path and forensics gates (paper trajectory + diff) =="
+# paper trajectory times two pinned pairs and exits nonzero if either
+# ratio passes its bound — a throughput regression fails CI even when
+# reports stay byte-identical:
+# - the repeat fast path on vs off on a repeat-heavy workload, with a
+#   floor (MIN_FASTPATH_SPEEDUP_X);
+# - conflict forensics on vs off on a 32-core, scale-4 canneal CE+ run
+#   (~190k exceptions), with a ceiling (MAX_FORENSICS_SLOWDOWN_X).
+# Then the pinned micro-sweep is compared against the committed
+# baseline. The sweep is deterministic; the tolerance only leaves room
+# for deliberate, reviewed model changes (which must regenerate
+# results/bench_trajectory.json). The hot_path.measured section holds
+# wall-time ratios — machine-dependent — so it is excluded here; the
+# floor and the ceiling sit in the exactly-diffed hot_path.pinned section.
 if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
     trajectory --out "$obs_out"; then
-    echo "FAIL: paper trajectory failed (fast path below its pinned floor?)" >&2
+    echo "FAIL: paper trajectory failed (fast path below its floor, or forensics above its ceiling?)" >&2
     exit 1
 fi
 if ! cargo run -q --release --offline -p rce-bench --bin paper -- \

@@ -99,11 +99,11 @@ fn line_granularity_is_superset_of_word() {
         let lines_l: HashSet<_> = rl
             .exceptions
             .iter()
-            .map(|x| (x.word_addr.line(), x.a.core, x.b.core))
+            .map(|x| (x.word_addr.line(), x.a().core, x.b().core))
             .collect();
         for x in &rw.exceptions {
             assert!(
-                lines_l.contains(&(x.word_addr.line(), x.a.core, x.b.core)),
+                lines_l.contains(&(x.word_addr.line(), x.a().core, x.b().core)),
                 "word conflict {x} missing at line granularity"
             );
         }

@@ -168,7 +168,7 @@ fn registry_variants_match_oracle_at_64_cores() {
                 assert!(r.matches_oracle(), "{} under {}", w.name(), v.cli_name);
             }
             if w == WorkloadSpec::Canneal {
-                let top = r.oracle_conflicts.iter().map(|x| x.b.core).max();
+                let top = r.oracle_conflicts.iter().map(|x| x.b().core).max();
                 assert_eq!(top, Some(CoreId(cores as u16 - 1)), "{}", v.cli_name);
             }
         }
@@ -205,7 +205,7 @@ fn report_lists_are_sorted_canonical_conflicts() {
                     }
                     for ex in list {
                         assert!(
-                            ex.a.core < ex.b.core,
+                            ex.a().core < ex.b().core,
                             "{ctx}: {name} sides not canonical: {ex}"
                         );
                         assert!(ex.involves_write(), "{ctx}: {name} read-read entry: {ex}");
@@ -269,7 +269,7 @@ fn detection_is_independent_of_detector() {
             let r = Machine::new(&cfg).unwrap().run(&p).unwrap();
             r.exceptions
                 .iter()
-                .map(|x| (x.word_addr, x.a.core, x.b.core))
+                .map(|x| (x.word_addr, x.a().core, x.b().core))
                 .collect()
         })
         .collect();

@@ -134,7 +134,7 @@ fn exception_reports_carry_precise_provenance() {
     assert!(!r.exceptions.is_empty());
     for ex in &r.exceptions {
         assert!(ex.involves_write());
-        assert_ne!(ex.a.core, ex.b.core);
+        assert_ne!(ex.a().core, ex.b().core);
         assert_eq!(ex.word_addr.0 % 8, 0, "word-aligned");
     }
 }

@@ -130,7 +130,7 @@ fn exceptions_are_well_formed() {
             let r = Machine::new(&cfg).unwrap().run(&p).unwrap();
             for ex in &r.exceptions {
                 prop_assert!(ex.involves_write());
-                prop_assert!(ex.a.core < ex.b.core);
+                prop_assert!(ex.a().core < ex.b().core);
                 prop_assert_eq!(ex.word_addr.0 % LineGeometry::WORD_BYTES, 0);
             }
             Ok(())
