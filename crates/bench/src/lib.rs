@@ -8,14 +8,14 @@
 //! cargo run -p rce-bench --release --bin paper -- fig-runtime --cores 32 --scale 4
 //! ```
 //!
-//! [`runner`] holds the keyed run store: a [`RunKey`] names one
+//! The `runner` module holds the keyed run store: a [`RunKey`] names one
 //! simulation completely, and each experiment or ablation asks its
 //! store for every run it reads before rendering, so the store runs
 //! each missing key once, in one batch parallel across OS threads —
 //! each simulation is single-threaded and deterministic, so a batch is
 //! embarrassingly parallel. `paper all` computes the base sweep once
-//! and seeds every experiment's store with it. [`figures`] and
-//! [`ablations`] render each experiment as an aligned text table plus
+//! and seeds every experiment's store with it. [`figures`] and the
+//! `ablations` module render each experiment as an aligned text table plus
 //! a machine-readable JSON row set (consumed by EXPERIMENTS.md).
 
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //! spend its wall time, and how fast was the simulator going while it
 //! was there (simulated events per second)?
 //!
-//! Off by default: [`record_run`] takes one uncontended mutex lock and
+//! Off by default: `record_run` takes one uncontended mutex lock and
 //! returns when profiling is disabled, so ordinary sweeps pay nothing
 //! measurable. Phases are set by the driving thread between sweeps;
 //! recording is safe from sweep worker threads, and per-run wall times

@@ -3,10 +3,10 @@
 //! A dependency-free replacement for the slice of `proptest` the test
 //! suites actually used: seeded random case generation, a fixed number
 //! of cases per property, and shrinking on failure. Generation is built
-//! on [`SplitMix64`](crate::rng::SplitMix64), so every run is
+//! on [`crate::SplitMix64`], so every run is
 //! deterministic; set `RCE_PROP_SEED` to explore a different stream and
 //! `RCE_PROP_CASES` to change the case count (default
-//! [`DEFAULT_CASES`]).
+//! 64).
 //!
 //! Shrinking is deliberately conservative: we shrink *structure*
 //! (vector lengths, by halving) but never *values*, because generators

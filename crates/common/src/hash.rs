@@ -71,7 +71,8 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`]: `HashSet::<T, FxBuildHasher>::default()`.
+/// `BuildHasher` for the crate's Fx hasher:
+/// `HashSet::<T, FxBuildHasher>::default()`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 #[cfg(test)]

@@ -2,18 +2,19 @@
 //!
 //! This crate holds the vocabulary types that every other crate in the
 //! workspace speaks: physical addresses and cache-line geometry
-//! ([`addr`]), identifiers for cores/threads/regions/locks ([`ids`]),
-//! the machine configuration tree ([`config`]), counters and summary
-//! statistics ([`stats`]), deterministic random number generation
-//! ([`rng`]), ASCII table rendering for the benchmark harness
-//! ([`table`]), the error/exception taxonomy ([`error`]), in-tree JSON
-//! serialization ([`json`]), the property-test harness ([`check`]), a
-//! fast non-cryptographic hasher for in-process sets ([`hash`]), and
-//! the observability layer — event tracing and interval metrics —
-//! ([`obs`]).
+//! ([`Addr`], [`LineAddr`], [`WordMask`]), identifiers for
+//! cores/threads/regions/locks ([`CoreId`], [`RegionId`], ...), the
+//! machine configuration tree ([`MachineConfig`]), counters and summary
+//! statistics ([`Counter`], [`Histogram`]), deterministic random number
+//! generation ([`SplitMix64`]), ASCII table rendering for the benchmark
+//! harness ([`table`]), the error taxonomy ([`RceError`]), in-tree JSON
+//! serialization ([`mod@json`]), the property-test harness ([`check`]),
+//! a fast non-cryptographic hasher for in-process sets
+//! ([`FxBuildHasher`]), and the observability layer — event tracing and
+//! interval metrics — ([`obs`]).
 //!
 //! The workspace builds fully offline with zero third-party crates;
-//! [`json`] and [`check`] exist to keep it that way.
+//! [`mod@json`] and [`check`] exist to keep it that way.
 //!
 //! Nothing in this crate models hardware behavior; it only provides the
 //! data types the models are built from. Keeping these in one leaf crate

@@ -50,7 +50,7 @@ impl MetaEntry {
 /// order. Exceptions are discovered in entry order, so forensics
 /// records and `AbortOnFirst` depend on it. Maps on a conflict-heavy
 /// line are not small (canneal's checked maps hold about 24 entries at
-/// 32 cores): single-core lookups scan, but [`MetaMap::merge`] indexes
+/// 32 cores): single-core lookups scan, but `MetaMap::merge` indexes
 /// by core so it stays linear.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetaMap {

@@ -37,11 +37,11 @@ use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::{backend_for, MetaBackend};
 use crate::protocol::{AccessResult, Engine, Substrate};
 use crate::report::AimSummary;
-use rce_cache::{L1Cache, MesiState};
+use rce_cache::{DirEntry, L1Cache, MesiState};
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, LineTable,
-    MachineConfig, ProtocolKind, RceError, RceResult, RegionId, WordMask,
+    MachineConfig, ProtocolKind, RceError, RceResult, RegionId, WordMask, MAX_CORES,
 };
 use rce_noc::{MsgClass, NodeId};
 
@@ -98,6 +98,14 @@ pub struct MesiFamilyEngine {
     detect: Detector,
     /// Short-circuit repeat accesses (see [`CeLine::repeats`]).
     fastpath: bool,
+    /// All per-line state below is flat, indexed by ids from this one
+    /// intern table. Every miss and upgrade interns its line once, and
+    /// an L1 victim (interned when it was filled) is found with one
+    /// lookup; nothing else on the access path hashes a line.
+    lines: LineTable,
+    /// The full-map sharer directory (an idle entry means no L1 holds
+    /// the line).
+    dir: LineMap<DirEntry>,
     /// Access bits attached to LLC lines (CE extends the shared cache
     /// with access bits too): whenever metadata passes through the
     /// LLC/directory — owner downgrades, invalidation acks, displaced
@@ -105,12 +113,7 @@ pub struct MesiFamilyEngine {
     /// This is what lets a read miss observe the write bits of a
     /// sharer that was earlier downgraded from M. On-chip; the
     /// piggyback bytes on the messages involved are already charged.
-    ///
-    /// All per-line state below is flat, indexed by ids from the
-    /// engine-local intern table `lines` — the per-access path does no
-    /// hashing after a line's first touch.
-    lines: LineTable,
-    /// LLC-side metadata copies (an empty map means "absent").
+    /// An empty map means "absent".
     llc_meta: LineMap<MetaMap>,
     /// Lines that (may) have displaced metadata in the backend.
     displaced: LineFlags,
@@ -141,6 +144,10 @@ impl MesiFamilyEngine {
             !matches!(cfg.protocol, ProtocolKind::Arc),
             "ARC is a separate engine"
         );
+        assert!(
+            cfg.cores <= MAX_CORES,
+            "full-map directory supports up to {MAX_CORES} cores"
+        );
         MesiFamilyEngine {
             moesi: cfg.use_owned_state,
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
@@ -148,6 +155,7 @@ impl MesiFamilyEngine {
             detect: Detector::new(),
             fastpath: true,
             lines: LineTable::new(),
+            dir: LineMap::new(),
             llc_meta: LineMap::new(),
             displaced: LineFlags::new(),
             foreign: vec![LineSet::new(); cfg.cores],
@@ -183,34 +191,33 @@ impl MesiFamilyEngine {
         }
     }
 
-    /// Gather the bits a miss on `line` collects at the home bank into
-    /// `incoming`: the displaced bits, fetched from the metadata layer
-    /// at `t` (lines never displaced skip the lookup — the hardware's
-    /// displaced filter), then the LLC-side copy served with the fill.
-    /// The result folds back into the LLC copy, pruned of dead entries
-    /// so the copy stays bounded by the live footprint. Returns when
-    /// the fetch completes.
+    /// Gather the bits a miss on line `lid` collects at the home bank
+    /// into `incoming`: the displaced bits, fetched from the metadata
+    /// layer at `t` (lines never displaced skip the lookup — the
+    /// hardware's displaced filter), then the LLC-side copy served with
+    /// the fill. The result folds back into the LLC copy, pruned of
+    /// dead entries so the copy stays bounded by the live footprint.
+    /// Returns when the fetch completes.
     fn gather_meta(
         &mut self,
         sub: &mut Substrate,
-        line: LineAddr,
+        lid: LineId,
         t: Cycles,
         incoming: &mut MetaMap,
     ) -> Cycles {
-        let id = self.lines.lookup(line);
         let mut t_meta = t;
-        if id.is_some_and(|id| self.displaced.remove(id)) {
+        if self.displaced.remove(lid) {
             self.meta_lookups.inc();
+            let line = self.lines.addr(lid);
             let (at, displaced) = self.backend().fetch(sub, line, t);
             incoming.merge(&displaced);
             t_meta = at;
         }
-        if let Some(llc) = id.and_then(|id| self.llc_meta.get(id)) {
+        if let Some(llc) = self.llc_meta.get(lid) {
             incoming.merge(llc);
         }
         if self.detection() && !incoming.is_empty() {
-            let id = id.unwrap_or_else(|| self.lines.intern(line));
-            let llc = self.llc_meta.slot(id);
+            let llc = self.llc_meta.slot(lid);
             llc.merge(incoming);
             llc.prune(|c, r| sub.is_live(c, r));
         }
@@ -230,7 +237,7 @@ impl MesiFamilyEngine {
         &mut self,
         sub: &mut Substrate,
         src: rce_noc::NodeId,
-        line: LineAddr,
+        lid: LineId,
         mut meta: MetaMap,
         at: Cycles,
     ) {
@@ -239,8 +246,8 @@ impl MesiFamilyEngine {
             return;
         }
         self.meta_pushes.inc();
-        let id = self.lines.intern(line);
-        self.displaced.insert(id);
+        self.displaced.insert(lid);
+        let line = self.lines.addr(lid);
         self.backend().push(sub, src, line, meta, at);
     }
 
@@ -249,16 +256,15 @@ impl MesiFamilyEngine {
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
-        line: LineAddr,
+        lid: LineId,
         at: Cycles,
     ) -> Cycles {
         self.scrubs.inc();
         let me = sub.core_node(core);
+        let line = self.lines.addr(lid);
         let (t, entry_gone) = self.backend().scrub(sub, me, core, line, at);
         if entry_gone {
-            if let Some(id) = self.lines.lookup(line) {
-                self.displaced.remove(id);
-            }
+            self.displaced.remove(lid);
         }
         t
     }
@@ -272,9 +278,13 @@ impl MesiFamilyEngine {
         line: LineAddr,
         state: CeLine,
         at: Cycles,
-    ) {
+    ) -> RceResult<()> {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
+            // The victim was interned when it was filled.
+            let vid = self.lines.lookup(victim).ok_or_else(|| {
+                RceError::InvariantViolated(format!("{core} evicted never-filled {victim}"))
+            })?;
             sub.trace(|| SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
@@ -290,7 +300,7 @@ impl MesiFamilyEngine {
                 .noc
                 .send(me, vbank, sub.cfg.noc.ctrl_bytes, MsgClass::Response, at);
             sub.dir_access();
-            sub.dir.remove_sharer(victim, core);
+            self.dir.slot(vid).remove_sharer(core);
             if vstate.mesi.may_be_dirty() {
                 let wb = sub.noc.send(
                     me,
@@ -303,12 +313,12 @@ impl MesiFamilyEngine {
             }
             if self.detection() {
                 if Self::has_live_own(&vstate.meta, core, sub) {
-                    let vid = self.lines.intern(victim);
                     self.foreign[core.index()].insert(vid);
                 }
-                self.backend_push(sub, me, victim, vstate.meta, notice_at);
+                self.backend_push(sub, me, vid, vstate.meta, notice_at);
             }
         }
+        Ok(())
     }
 
     /// Invalidate line `lid` in every core of `sharers`. The home bank
@@ -393,13 +403,10 @@ impl MesiFamilyEngine {
         );
         sub.dir_access();
         let mut incoming = MetaMap::new();
-        let others = sub
-            .dir
-            .entry(line)
-            .sharer_cores()
-            .filter(move |s| *s != core);
+        let entry = *self.dir.slot(lid);
+        let others = entry.sharer_cores().filter(move |s| *s != core);
         let mut t_done = self.invalidate_sharers(sub, lid, others, me, t1, &mut incoming)?;
-        let t_meta = self.gather_meta(sub, line, t1, &mut incoming);
+        let t_meta = self.gather_meta(sub, lid, t1, &mut incoming);
         let grant = sub.noc.send(
             bank,
             me,
@@ -408,7 +415,7 @@ impl MesiFamilyEngine {
             t1.max(t_meta),
         );
         t_done = t_done.max(grant);
-        sub.dir.set_owner(line, core);
+        self.dir.slot(lid).set_owner(core);
         let l = self.l1[core.index()]
             .probe_mut(line)
             .ok_or_else(|| not_resident("upgrading line", core, line))?;
@@ -425,6 +432,7 @@ impl MesiFamilyEngine {
         line: LineAddr,
         now: Cycles,
     ) -> RceResult<Cycles> {
+        let lid = self.lines.intern(line);
         let me = sub.core_node(core);
         let bank = sub.bank_node(line);
         let piggy = self.piggy(sub);
@@ -437,7 +445,7 @@ impl MesiFamilyEngine {
             Cycles(now.0 + sub.cfg.l1.latency),
         );
         sub.dir_access();
-        let entry = sub.dir.entry(line);
+        let entry = *self.dir.slot(lid);
         let mut incoming = MetaMap::new();
         let was_idle = entry.is_idle();
         let t_data;
@@ -481,24 +489,26 @@ impl MesiFamilyEngine {
                 sub.llc_put(line, wb);
             }
             t_data = sub.noc.send(owner_node, me, data_bytes, MsgClass::Data, t2);
+            let dir = self.dir.slot(lid);
             if owner_stays {
                 self.owned_downgrades.inc();
-                sub.dir.add_sharer_keep_owner(line, core);
+                dir.add_sharer_keep_owner(core);
             } else {
-                sub.dir.downgrade_owner(line);
-                sub.dir.add_sharer(line, core);
+                dir.downgrade_owner();
+                dir.add_sharer(core);
             }
         } else {
             let t_llc = sub.llc_data(line, t1);
             t_data = sub.noc.send(bank, me, data_bytes, MsgClass::Data, t_llc);
+            let dir = self.dir.slot(lid);
             if was_idle {
                 // Exclusive grant.
-                sub.dir.set_owner(line, core);
+                dir.set_owner(core);
             } else {
-                sub.dir.add_sharer(line, core);
+                dir.add_sharer(core);
             }
         }
-        let t_meta = self.gather_meta(sub, line, t1, &mut incoming);
+        let t_meta = self.gather_meta(sub, lid, t1, &mut incoming);
         let mesi = if was_idle && entry.owner.is_none() {
             MesiState::E
         } else {
@@ -514,7 +524,7 @@ impl MesiFamilyEngine {
                 meta: incoming,
             },
             done,
-        );
+        )?;
         Ok(Cycles(done.0 + sub.cfg.l1.latency))
     }
 
@@ -539,7 +549,7 @@ impl MesiFamilyEngine {
             Cycles(now.0 + sub.cfg.l1.latency),
         );
         sub.dir_access();
-        let entry = sub.dir.entry(line);
+        let entry = *self.dir.slot(lid);
         let mut incoming = MetaMap::new();
         let mut t_done = if let Some(owner) = entry.owner.filter(|o| *o != core) {
             self.c2c_transfers.inc();
@@ -569,9 +579,9 @@ impl MesiFamilyEngine {
             let t_data = sub.noc.send(bank, me, data_bytes, MsgClass::Data, t_llc);
             t_acks.max(t_data)
         };
-        let t_meta = self.gather_meta(sub, line, t1, &mut incoming);
+        let t_meta = self.gather_meta(sub, lid, t1, &mut incoming);
         t_done = t_done.max(t_meta);
-        sub.dir.set_owner(line, core);
+        self.dir.slot(lid).set_owner(core);
         self.fill_line(
             sub,
             core,
@@ -581,17 +591,41 @@ impl MesiFamilyEngine {
                 meta: incoming,
             },
             t_done,
-        );
+        )?;
         Ok(Cycles(t_done.0 + sub.cfg.l1.latency))
     }
 
-    /// Directory/L1 consistency check (tests and debugging).
-    pub fn check_invariants(&self, sub: &Substrate) -> Result<(), String> {
-        sub.dir.check_invariants_mode(!self.moesi)?;
+    /// The directory entry for `line` (idle if never seen).
+    fn dir_entry(&self, line: LineAddr) -> DirEntry {
+        self.lines
+            .lookup(line)
+            .and_then(|lid| self.dir.get(lid))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Directory/L1 consistency check, both ways (tests and
+    /// debugging): every directory entry is well formed and names only
+    /// sharers whose L1 holds the line, and every L1 copy's state
+    /// agrees with its directory entry.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (lid, e) in self.dir.iter() {
+            let line = self.lines.addr(lid);
+            e.check(self.l1.len(), !self.moesi)
+                .map_err(|err| format!("directory entry for {line}: {err}"))?;
+            if let Some(s) = e
+                .sharer_cores()
+                .find(|s| !self.l1[s.index()].contains(line))
+            {
+                return Err(format!(
+                    "directory names {s} for {line}, but its L1 lacks it"
+                ));
+            }
+        }
         for (c, cache) in self.l1.iter().enumerate() {
             let core = CoreId(c as u16);
             for (line, st) in cache.iter() {
-                let e = sub.dir.entry(line);
+                let e = self.dir_entry(line);
                 match st.mesi {
                     MesiState::M | MesiState::E => {
                         if e.owner != Some(core) {
@@ -733,14 +767,14 @@ impl Engine for MesiFamilyEngine {
         // Scrub every line whose bits escaped the L1 this region, in
         // address order: the scrubs contend on the NoC, so the order
         // must not depend on the order lines were first touched.
-        let mut lines: Vec<u64> = self.foreign[core.index()]
+        let mut lines: Vec<(LineAddr, LineId)> = self.foreign[core.index()]
             .take()
             .into_iter()
-            .map(|id| self.lines.addr(id).0)
+            .map(|id| (self.lines.addr(id), id))
             .collect();
         lines.sort_unstable();
-        for l in lines {
-            let t = self.backend_scrub(sub, core, LineAddr(l), now);
+        for (_, lid) in lines {
+            let t = self.backend_scrub(sub, core, lid, now);
             done = done.max(t);
         }
         Ok(AccessResult::new(done))
@@ -778,6 +812,7 @@ impl Engine for MesiFamilyEngine {
 mod tests {
     use super::*;
     use rce_common::MetaPlacement;
+    use rce_trace::{Op, WorkloadSpec};
 
     fn setup(protocol: ProtocolKind, cores: usize) -> (MesiFamilyEngine, Substrate) {
         let cfg = MachineConfig::paper_default(cores, protocol);
@@ -828,7 +863,7 @@ mod tests {
         // First reader got E; writing is a pure L1 hit.
         let w = acc(&mut e, &mut s, 0, 0x1000, W, r.done.0);
         assert_eq!(w.done.0 - r.done.0, s.cfg.l1.latency);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -843,7 +878,7 @@ mod tests {
         // Sharers lost their copies.
         assert!(!e.l1[0].contains(Addr(0x2000).line()));
         assert!(!e.l1[1].contains(Addr(0x2000).line()));
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -857,7 +892,7 @@ mod tests {
         let line = Addr(0x3000).line();
         assert_eq!(e.l1[0].peek(line).unwrap().mesi, MesiState::S);
         assert_eq!(e.l1[1].peek(line).unwrap().mesi, MesiState::S);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -1014,7 +1049,7 @@ mod tests {
                 t = b.done.0.max(t) + 1;
             }
         }
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     fn setup_moesi(protocol: ProtocolKind, cores: usize) -> (MesiFamilyEngine, Substrate) {
@@ -1037,7 +1072,7 @@ mod tests {
         assert_eq!(e.l1[0].peek(line).unwrap().mesi, MesiState::O);
         assert_eq!(e.l1[1].peek(line).unwrap().mesi, MesiState::S);
         assert_eq!(e.owned_downgrades.get(), 1);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -1061,7 +1096,7 @@ mod tests {
         assert!(!e.l1[0].contains(line), "O owner invalidated");
         assert!(!e.l1[1].contains(line), "co-sharer invalidated");
         assert_eq!(e.l1[2].peek(line).unwrap().mesi, MesiState::M);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -1080,7 +1115,7 @@ mod tests {
         assert!(s.llc.contains(Addr(base).line()));
         // Core 1's copy survives; a fresh reader gets LLC data.
         assert!(e.l1[1].contains(Addr(base).line()));
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
         let _ = t;
     }
 
@@ -1114,7 +1149,7 @@ mod tests {
                 t = b.done.0.max(t) + 1;
             }
         }
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -1146,14 +1181,111 @@ mod tests {
                     s.advance_region(CoreId(core));
                     t = b.done.0.max(t) + 1;
                 }
-                let sharers = s.dir.entry(Addr(addr).line()).sharers;
+                let sharers = e.dir_entry(Addr(addr).line()).sharers;
                 top_shared |= sharers & (1 << 63) != 0 && sharers.count_ones() > 1;
                 if i % 500 == 499 {
-                    e.check_invariants(&s).unwrap();
+                    e.check_invariants().unwrap();
                 }
             }
             assert!(top_shared, "core 63 never shared a line (moesi={moesi})");
             assert!(e.invalidations.get() > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "up to 64")]
+    fn too_many_cores_rejected() {
+        MesiFamilyEngine::new(&MachineConfig::paper_default(
+            MAX_CORES + 1,
+            ProtocolKind::CePlus,
+        ));
+    }
+
+    /// Drive the engine through a whole program, stepping the threads
+    /// round-robin one operation at a time: memory operations go to
+    /// `access`, synchronization operations to `region_boundary` and
+    /// then `advance_region`. The directory and the L1s are checked
+    /// against each other, both ways, at every boundary. Returns the
+    /// engine for its counters.
+    fn run_checked(spec: WorkloadSpec, cfg: &MachineConfig) -> MesiFamilyEngine {
+        let program = spec.build(cfg.cores, 2, 42);
+        let mut e = MesiFamilyEngine::new(cfg);
+        let mut s = Substrate::new(cfg);
+        let mut next = vec![0; cfg.cores];
+        let mut t = Cycles::ZERO;
+        let mut boundaries = 0;
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for (c, ops) in program.threads.iter().enumerate() {
+                let Some(op) = ops.get(next[c]) else {
+                    continue;
+                };
+                next[c] += 1;
+                progressed = true;
+                let core = CoreId(c as u16);
+                let (addr, len, kind) = match *op {
+                    Op::Read { addr, len } => (addr, len, R),
+                    Op::Write { addr, len } => (addr, len, W),
+                    Op::Work { .. } => continue,
+                    Op::Acquire { .. } | Op::Release { .. } | Op::Barrier { .. } => {
+                        t = t.max(e.region_boundary(&mut s, core, t).unwrap().done);
+                        s.advance_region(core);
+                        boundaries += 1;
+                        if let Err(err) = e.check_invariants() {
+                            panic!("{} at boundary {boundaries}: {err}", program.name);
+                        }
+                        continue;
+                    }
+                };
+                let mask = WordMask::span(addr, u64::from(len));
+                t = t.max(e.access(&mut s, core, addr, mask, kind, t).unwrap().done);
+            }
+        }
+        assert!(boundaries > 0, "{} has no region boundaries", program.name);
+        e.check_invariants().unwrap();
+        e
+    }
+
+    /// `run_checked` under CE+ at 8 and 64 cores, MOESI off and on;
+    /// returns the L1 evictions summed over the four runs.
+    fn run_checked_ceplus(spec: WorkloadSpec) -> u64 {
+        let mut evictions = 0;
+        for cores in [8, 64] {
+            for moesi in [false, true] {
+                let mut cfg = MachineConfig::paper_default(cores, ProtocolKind::CePlus);
+                cfg.use_owned_state = moesi;
+                let e = run_checked(spec, &cfg);
+                assert!(e.invalidations.get() > 0, "{spec:?} at {cores} cores");
+                assert_eq!(
+                    e.owned_downgrades.get() > 0,
+                    moesi,
+                    "{spec:?} at {cores} cores"
+                );
+                evictions += e.l1_totals().2;
+            }
+        }
+        evictions
+    }
+
+    #[test]
+    fn directory_matches_l1s_through_canneal() {
+        let evictions = run_checked_ceplus(WorkloadSpec::Canneal);
+        assert!(evictions > 0, "the L1 victim path must run");
+    }
+
+    #[test]
+    fn directory_matches_l1s_through_streamcluster() {
+        run_checked_ceplus(WorkloadSpec::Streamcluster);
+    }
+
+    #[test]
+    fn directory_matches_l1s_through_migratory_mesi() {
+        let cfg = MachineConfig::paper_default(8, ProtocolKind::MesiBaseline);
+        let e = run_checked(WorkloadSpec::Migratory, &cfg);
+        assert!(
+            e.c2c_transfers.get() > 0,
+            "migratory data moves cache to cache"
+        );
     }
 }

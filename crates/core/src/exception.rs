@@ -88,7 +88,7 @@ impl ConflictSide {
 }
 
 /// A precise region conflict exception, 32 bytes: both sides packed
-/// into one `u64` each (see [`ConflictSide`]'s packing above), the word
+/// into one `u64` each (see `ConflictSide`'s packing above), the word
 /// and the delivery time. Read the sides with [`a`](Self::a) and
 /// [`b`](Self::b).
 ///

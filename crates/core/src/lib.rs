@@ -1,7 +1,7 @@
 //! Region conflict exception engines — the paper's contribution.
 //!
 //! Four architectures share one machine driver and one substrate
-//! (NoC + DRAM + LLC + directory):
+//! (NoC + DRAM + LLC); the MESI family adds its own sharer directory:
 //!
 //! - [`engines::MesiFamilyEngine`] in *baseline* mode: plain MESI
 //!   write-invalidation coherence, no detection. Every figure
@@ -14,7 +14,7 @@
 //!   starts from.
 //! - *CE+* mode: identical coherence, but spills/scrubs go to the
 //!   **access information memory (AIM)** — an on-chip metadata cache at
-//!   the LLC banks ([`meta`]). Off-chip metadata traffic mostly
+//!   the LLC banks ([`AimMeta`]). Off-chip metadata traffic mostly
 //!   disappears (claim C1) while eager invalidation coherence plus
 //!   per-message metadata piggybacks keep stressing the NoC (claim C2).
 //! - [`engines::ArcEngine`]: the ARC design — coherence based on

@@ -434,7 +434,7 @@ impl<'m> Run<'m> {
         let line = addr.line();
         if !res.fast {
             for w in self.cfg.detect_mask(mask).iter() {
-                let _ = self.oracle.observe(core, line.word_addr(w), kind, now);
+                self.oracle.observe(core, line.word_addr(w), kind, now);
             }
         }
         // The access completes before its exceptions are delivered, so

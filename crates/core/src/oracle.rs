@@ -70,8 +70,6 @@ pub struct Oracle {
     words: LineTable,
     bits: LineMap<WordBits>,
     cores: Vec<CoreRegion>,
-    /// The conflicts the latest observe discovered.
-    found: Vec<ConflictException>,
 }
 
 impl Oracle {
@@ -97,20 +95,19 @@ impl Oracle {
                     done: Vec::new(),
                 })
                 .collect(),
-            found: Vec::new(),
         }
     }
 
     /// Observe one committed word access. `word_addr` must be
-    /// word-aligned. Returns the conflicts newly discovered by this
-    /// access, valid until the next call.
+    /// word-aligned. Returns the number of conflicts newly discovered
+    /// by this access.
     pub fn observe(
         &mut self,
         core: CoreId,
         word_addr: Addr,
         kind: AccessType,
         now: Cycles,
-    ) -> &[ConflictException] {
+    ) -> usize {
         debug_assert_eq!(word_addr.0 % 8, 0, "oracle expects word-aligned addresses");
         let id = self.words.intern(LineAddr(word_addr.0));
         let bits = self.bits.slot(id);
@@ -121,14 +118,13 @@ impl Oracle {
         // its current region (see the module docs).
         let own = if write { bits.writers } else { bits.readers };
         if own & me_bit != 0 {
-            return &[];
+            return 0;
         }
 
         // Set-intersection semantics: every overlapping kind pair with
         // at least one write is its own conflict identity (see
         // `MetaMap::check` for why both identities are emitted when
-        // the opponent both read and wrote). Discovery order is
-        // ascending core, Write before Read.
+        // the opponent both read and wrote).
         let opp_writers = bits.writers & !me_bit;
         let opp_readers = if write { bits.readers & !me_bit } else { 0 };
         let me = ConflictSide {
@@ -136,7 +132,7 @@ impl Oracle {
             region: self.cores[core.index()].region,
             kind,
         };
-        self.found.clear();
+        let mut found = 0;
         let mut opponents = opp_writers | opp_readers;
         while opponents != 0 {
             let i = opponents.trailing_zeros() as usize;
@@ -156,7 +152,7 @@ impl Oracle {
                 };
                 let ex = ConflictException::new(me, other, word_addr, now);
                 self.cores[ex.a().core.index()].pending.push(ex);
-                self.found.push(ex);
+                found += 1;
             }
         }
 
@@ -168,7 +164,7 @@ impl Oracle {
             bits.readers |= me_bit;
             sets.read.push(id);
         }
-        &self.found
+        found
     }
 
     /// The core's region ended: its bits clear from every word it set
@@ -232,11 +228,17 @@ mod tests {
     const W: AccessType = AccessType::Write;
     const R: AccessType = AccessType::Read;
 
+    /// Every conflict found so far, sorted, without ending the run.
+    fn conflicts(o: &Oracle) -> Vec<ConflictException> {
+        o.clone().into_conflicts()
+    }
+
     #[test]
     fn write_write_conflict() {
         let mut o = oracle(2);
-        assert!(o.observe(CoreId(0), Addr(8), W, Cycles(0)).is_empty());
-        let c = o.observe(CoreId(1), Addr(8), W, Cycles(1));
+        assert_eq!(o.observe(CoreId(0), Addr(8), W, Cycles(0)), 0);
+        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(1)), 1);
+        let c = conflicts(&o);
         assert_eq!(c.len(), 1);
         assert!(c[0].involves_write());
         assert_eq!(o.count(), 1);
@@ -246,18 +248,18 @@ mod tests {
     fn read_write_conflict_both_orders() {
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), R, Cycles(0));
-        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(1)).len(), 1);
+        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(1)), 1);
 
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), W, Cycles(0));
-        assert_eq!(o.observe(CoreId(1), Addr(8), R, Cycles(1)).len(), 1);
+        assert_eq!(o.observe(CoreId(1), Addr(8), R, Cycles(1)), 1);
     }
 
     #[test]
     fn read_read_no_conflict() {
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), R, Cycles(0));
-        assert!(o.observe(CoreId(1), Addr(8), R, Cycles(1)).is_empty());
+        assert_eq!(o.observe(CoreId(1), Addr(8), R, Cycles(1)), 0);
         assert_eq!(o.count(), 0);
     }
 
@@ -266,8 +268,9 @@ mod tests {
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), W, Cycles(0));
         o.region_boundary(CoreId(0), RegionId(100));
-        assert!(
-            o.observe(CoreId(1), Addr(8), W, Cycles(1)).is_empty(),
+        assert_eq!(
+            o.observe(CoreId(1), Addr(8), W, Cycles(1)),
+            0,
             "regions no longer concurrent"
         );
     }
@@ -276,13 +279,13 @@ mod tests {
     fn duplicate_conflicts_dedup() {
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), W, Cycles(0));
-        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(1)).len(), 1);
+        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(1)), 1);
         // Repeat in the same regions: same identity.
-        assert!(o.observe(CoreId(1), Addr(8), W, Cycles(2)).is_empty());
+        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(2)), 0);
         assert_eq!(o.count(), 1);
         // New region on core 1: new identity.
         o.region_boundary(CoreId(1), RegionId(50));
-        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(3)).len(), 1);
+        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(3)), 1);
         assert_eq!(o.count(), 2);
     }
 
@@ -292,7 +295,7 @@ mod tests {
         o.observe(CoreId(0), Addr(16), W, Cycles(0));
         o.observe(CoreId(1), Addr(16), R, Cycles(1)); // conflict 0-1
         let c = o.observe(CoreId(2), Addr(16), W, Cycles(2)); // conflicts 2-0, 2-1
-        assert_eq!(c.len(), 2);
+        assert_eq!(c, 2);
         assert_eq!(o.count(), 3);
     }
 
@@ -300,7 +303,7 @@ mod tests {
     fn different_words_independent() {
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), W, Cycles(0));
-        assert!(o.observe(CoreId(1), Addr(16), W, Cycles(1)).is_empty());
+        assert_eq!(o.observe(CoreId(1), Addr(16), W, Cycles(1)), 0);
     }
 
     #[test]
@@ -310,7 +313,8 @@ mod tests {
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), W, Cycles(0));
         o.observe(CoreId(0), Addr(8), R, Cycles(1));
-        let c = o.observe(CoreId(1), Addr(8), R, Cycles(2));
+        assert_eq!(o.observe(CoreId(1), Addr(8), R, Cycles(2)), 1);
+        let c = conflicts(&o);
         assert_eq!(c.len(), 1);
         assert!(c[0].involves_write());
     }
@@ -329,7 +333,7 @@ mod tests {
         o.observe(CoreId(0), Addr(8), W, Cycles(2));
         assert_eq!(o.live_set_sizes()[&CoreId(0)], (0, 1));
         // The new-region write is live: a remote write now conflicts.
-        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(3)).len(), 1);
+        assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(3)), 1);
     }
 
     #[test]
@@ -339,7 +343,7 @@ mod tests {
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), W, Cycles(0));
         for t in 1..5 {
-            assert!(o.observe(CoreId(0), Addr(8), W, Cycles(t)).is_empty());
+            assert_eq!(o.observe(CoreId(0), Addr(8), W, Cycles(t)), 0);
         }
         assert_eq!(o.live_set_sizes()[&CoreId(0)], (0, 1));
         assert_eq!(o.count(), 0);
@@ -351,23 +355,37 @@ mod tests {
         // repeat as a no-op, and clear at its boundary like any other.
         let mut o = oracle(64);
         o.observe(CoreId(63), Addr(8), W, Cycles(0));
-        let c = o.observe(CoreId(0), Addr(8), R, Cycles(1));
+        assert_eq!(o.observe(CoreId(0), Addr(8), R, Cycles(1)), 1);
+        let c = conflicts(&o);
         assert_eq!(c.len(), 1);
         assert_eq!((c[0].a().core, c[0].b().core), (CoreId(0), CoreId(63)));
         assert_eq!(c[0].b().kind, W);
-        assert!(o.observe(CoreId(63), Addr(8), W, Cycles(2)).is_empty());
+        assert_eq!(o.observe(CoreId(63), Addr(8), W, Cycles(2)), 0);
         let c = o.observe(CoreId(63), Addr(8), R, Cycles(3));
-        assert!(c.is_empty(), "read-read with core 0 is no conflict");
+        assert_eq!(c, 0, "read-read with core 0 is no conflict");
         assert_eq!(o.live_set_sizes()[&CoreId(63)], (1, 1));
         o.region_boundary(CoreId(63), RegionId(1000));
         assert_eq!(o.live_set_sizes()[&CoreId(63)], (0, 0));
-        assert!(o.observe(CoreId(0), Addr(8), W, Cycles(4)).is_empty());
+        assert_eq!(o.observe(CoreId(0), Addr(8), W, Cycles(4)), 0);
         // Core 0's write is now the only live bit; core 63's new
         // region conflicts with it.
-        let c = o.observe(CoreId(63), Addr(8), R, Cycles(5));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].b().region, RegionId(1000));
-        assert_eq!(o.count(), 2);
+        assert_eq!(o.observe(CoreId(63), Addr(8), R, Cycles(5)), 1);
+        let c = conflicts(&o);
+        assert_eq!(c.len(), 2);
+        assert!(c.contains(&ConflictException::new(
+            ConflictSide {
+                core: CoreId(63),
+                region: RegionId(1000),
+                kind: R,
+            },
+            ConflictSide {
+                core: CoreId(0),
+                region: RegionId(0),
+                kind: W,
+            },
+            Addr(8),
+            Cycles(5),
+        )));
     }
 
     #[test]
@@ -404,13 +422,14 @@ mod tests {
             }
         }
 
-        fn observe(&mut self, c: usize, word: u64, kind: AccessType) -> Vec<ConflictException> {
+        /// The number of new conflicts.
+        fn observe(&mut self, c: usize, word: u64, kind: AccessType) -> usize {
             let me = ConflictSide {
                 core: CoreId(c as u16),
                 region: self.regions[c],
                 kind,
             };
-            let mut found = Vec::new();
+            let mut found = 0;
             for o in (0..self.regions.len()).filter(|&o| o != c) {
                 let mut kinds = Vec::new();
                 if self.written[o].contains(&word) {
@@ -427,7 +446,7 @@ mod tests {
                     };
                     let ex = ConflictException::new(me, other, Addr(word), Cycles(0));
                     if self.conflicts.insert(ex) {
-                        found.push(ex);
+                        found += 1;
                     }
                 }
             }
@@ -504,10 +523,7 @@ mod tests {
                             let kind = if write { W } else { R };
                             let got = o.observe(CoreId(core as u16), Addr(word), kind, Cycles(0));
                             let want = r.observe(core, word, kind);
-                            let keys = |v: &[ConflictException]| {
-                                v.iter().map(|e| e.key()).collect::<Vec<_>>()
-                            };
-                            prop_assert_eq!(keys(got), keys(&want), "step {t}: new conflicts");
+                            prop_assert_eq!(got, want, "step {t}: new conflicts");
                         }
                         Step::Boundary { core } => {
                             o.region_boundary(CoreId(core as u16), RegionId(next_region));
@@ -518,7 +534,7 @@ mod tests {
                     prop_assert_eq!(o.count(), r.conflicts.len(), "step {t}: count");
                     let mut want: Vec<_> = r.conflicts.iter().copied().collect();
                     want.sort();
-                    prop_assert_eq!(o.clone().into_conflicts(), want, "step {t}: conflicts");
+                    prop_assert_eq!(conflicts(&o), want, "step {t}: conflicts");
                     prop_assert_eq!(o.live_set_sizes(), r.live_set_sizes(), "step {t}: sizes");
                 }
                 Ok(())

@@ -1,16 +1,18 @@
 //! The engine interface and the shared substrate.
 //!
 //! A [`Substrate`] bundles everything all four designs share: the NoC,
-//! the DRAM, the shared LLC + directory, the per-core region clocks,
-//! and the event counters the energy model consumes. An [`Engine`]
-//! implements one design's behavior for the three things designs
-//! differ on: memory accesses, region boundaries, and what state they
-//! attach to lines.
+//! the DRAM, the shared LLC, the per-core region clocks, and the event
+//! counters the energy model consumes. An [`Engine`] implements one
+//! design's behavior for the three things designs differ on: memory
+//! accesses, region boundaries, and what state they attach to lines.
+//! The sharer directory is such state: the MESI family keeps one
+//! beside its other per-line tables, while ARC has none (it only
+//! charges classification lookups at the bank to `dir_accesses`).
 
 use crate::exception::ConflictException;
 use crate::forensics::DetectPath;
 use crate::report::AimSummary;
-use rce_cache::{Directory, Llc};
+use rce_cache::Llc;
 use rce_common::obs::{SharedTracer, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, MachineConfig, RceResult, RegionId, WordMask,
@@ -53,7 +55,8 @@ impl AccessResult {
     }
 }
 
-/// Everything shared between designs.
+/// Everything shared between designs, and nothing that only some of
+/// them hold.
 pub struct Substrate {
     /// Machine configuration.
     pub cfg: MachineConfig,
@@ -63,14 +66,13 @@ pub struct Substrate {
     pub dram: Dram,
     /// Shared last-level cache.
     pub llc: Llc,
-    /// Full-map directory.
-    pub dir: Directory,
     /// Current region of each core. An access-bit entry is *live* iff
     /// its region equals the owning core's current region.
     pub regions: Vec<RegionId>,
     /// LLC bank accesses (energy).
     pub llc_accesses: Counter,
-    /// Directory accesses (energy).
+    /// Directory accesses (energy): sharer-directory lookups in the
+    /// MESI family, classification lookups in ARC.
     pub dir_accesses: Counter,
     /// Event tracer, when observability is on. `None` costs one branch
     /// per emission site (the zero-overhead-when-off contract).
@@ -86,7 +88,6 @@ impl Substrate {
             noc: Noc::new(cfg.cores, cfg.noc),
             dram: Dram::new(cfg.dram),
             llc: Llc::new(&cfg.llc),
-            dir: Directory::new(cfg.cores),
             regions: Vec::with_capacity(cfg.cores),
             llc_accesses: Counter::default(),
             dir_accesses: Counter::default(),
@@ -179,30 +180,7 @@ impl Substrate {
             MsgClass::Data,
             dram_done,
         );
-        if let Some((victim, state)) = self.llc.fill(line, false) {
-            if state.dirty {
-                // Victim writeback: traffic + DRAM time, but off the
-                // requester's critical path.
-                let vmem = self.noc.mem_node(victim);
-                let at = self.noc.send(
-                    self.bank_node(victim),
-                    vmem,
-                    self.cfg.noc.data_header_bytes + 64,
-                    MsgClass::Writeback,
-                    back,
-                );
-                let _ = self.dram.access(victim, 64, DramKind::DataWrite, at);
-            }
-            self.trace(|| SimEvent {
-                cycle: back.0,
-                core: None,
-                region: None,
-                kind: rce_common::obs::EventKind::LlcEvict {
-                    line: victim.0,
-                    dirty: state.dirty,
-                },
-            });
-        }
+        self.llc_fill(line, false, back);
         back
     }
 
@@ -214,29 +192,39 @@ impl Substrate {
         self.llc_accesses.inc();
         if self.llc.contains(line) {
             self.llc.mark_dirty(line);
-        } else if let Some((victim, state)) = self.llc.fill(line, true) {
-            if state.dirty {
-                let vmem = self.noc.mem_node(victim);
-                let at = self.noc.send(
-                    self.bank_node(victim),
-                    vmem,
-                    self.cfg.noc.data_header_bytes + 64,
-                    MsgClass::Writeback,
-                    now,
-                );
-                let _ = self.dram.access(victim, 64, DramKind::DataWrite, at);
-            }
-            self.trace(|| SimEvent {
-                cycle: now.0,
-                core: None,
-                region: None,
-                kind: rce_common::obs::EventKind::LlcEvict {
-                    line: victim.0,
-                    dirty: state.dirty,
-                },
-            });
+        } else {
+            self.llc_fill(line, true, now);
         }
         Cycles(now.0 + self.cfg.llc.latency)
+    }
+
+    /// Fill `line` into the LLC (dirty or clean) at `at` and retire the
+    /// victim, if any: a dirty victim is written back to DRAM, traffic
+    /// and DRAM time but off the requester's critical path.
+    fn llc_fill(&mut self, line: LineAddr, dirty: bool, at: Cycles) {
+        let Some((victim, state)) = self.llc.fill(line, dirty) else {
+            return;
+        };
+        if state.dirty {
+            let vmem = self.noc.mem_node(victim);
+            let sent = self.noc.send(
+                self.bank_node(victim),
+                vmem,
+                self.cfg.noc.data_header_bytes + 64,
+                MsgClass::Writeback,
+                at,
+            );
+            let _ = self.dram.access(victim, 64, DramKind::DataWrite, sent);
+        }
+        self.trace(|| SimEvent {
+            cycle: at.0,
+            core: None,
+            region: None,
+            kind: rce_common::obs::EventKind::LlcEvict {
+                line: victim.0,
+                dirty: state.dirty,
+            },
+        });
     }
 
     /// Charge a directory access.

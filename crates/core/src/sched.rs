@@ -4,11 +4,11 @@
 //! clock, ties broken by the lowest core ID. The original
 //! implementation rescanned every core on every step — O(cores) per
 //! committed operation, which starts to dominate the driver loop at
-//! high core counts. [`ReadyQueue`] is a binary min-heap keyed by
-//! `(clock, core)`: it pops exactly the core the linear scan would
-//! have picked, in O(log cores), with the identical deterministic
-//! tie-break (equal clocks resolve to the lowest core ID) at any core
-//! count.
+//! high core counts. [`ReadyQueue`] is the standard library's
+//! `BinaryHeap` over `Reverse((clock, core))`: it pops exactly the core
+//! the linear scan would have picked, in O(log cores), with the
+//! identical deterministic tie-break (equal clocks resolve to the
+//! lowest core ID) at any core count.
 //!
 //! Invariant maintained by the machine loop: every Ready core has
 //! exactly one queued entry carrying its current clock, and a core's
@@ -17,25 +17,29 @@
 //! raises a *blocked* core's clock immediately before its push.
 
 use rce_common::Cycles;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A binary min-heap of `(clock, core)` pairs with deterministic
-/// ordering: smallest clock first, lowest core ID on ties.
+/// ordering: smallest clock first, lowest core ID on ties. Every queued
+/// core has exactly one entry, so no two keys are equal and the pop
+/// sequence does not depend on the heap's internal layout.
 #[derive(Debug, Clone, Default)]
 pub struct ReadyQueue {
-    heap: Vec<(Cycles, usize)>,
+    heap: BinaryHeap<Reverse<(Cycles, usize)>>,
 }
 
 impl ReadyQueue {
     /// An empty queue.
     #[cfg(test)]
     pub(crate) fn new() -> Self {
-        ReadyQueue { heap: Vec::new() }
+        ReadyQueue::default()
     }
 
     /// An empty queue with room for `n` cores.
     pub fn with_capacity(n: usize) -> Self {
         ReadyQueue {
-            heap: Vec::with_capacity(n),
+            heap: BinaryHeap::with_capacity(n),
         }
     }
 
@@ -53,53 +57,13 @@ impl ReadyQueue {
 
     /// Queue `core` as runnable at `clock`.
     pub fn push(&mut self, clock: Cycles, core: usize) {
-        self.heap.push((clock, core));
-        self.sift_up(self.heap.len() - 1);
+        self.heap.push(Reverse((clock, core)));
     }
 
     /// Remove and return the `(clock, core)` pair with the smallest
     /// clock (lowest core ID on ties), or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycles, usize)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i] < self.heap[parent] {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut min = i;
-            if l < n && self.heap[l] < self.heap[min] {
-                min = l;
-            }
-            if r < n && self.heap[r] < self.heap[min] {
-                min = r;
-            }
-            if min == i {
-                break;
-            }
-            self.heap.swap(i, min);
-            i = min;
-        }
+        self.heap.pop().map(|Reverse(top)| top)
     }
 }
 

@@ -46,7 +46,7 @@ fn upgrade_sees_displaced_metadata() {
         for i in 1..=8u64 {
             t = acc(&mut e, &mut s, 2, base + i * 4096, R, t).done.0;
         }
-        assert!(e.check_invariants(&s).is_ok());
+        assert!(e.check_invariants().is_ok());
         // Core 0 reads the line (S)...
         let r = acc(&mut e, &mut s, 0, base, R, t);
         // ...then upgrades. The conflict with core 2's displaced read

@@ -13,6 +13,10 @@ cargo fmt --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (warnings are errors) =="
+# A doc link to a deleted or private item is a warning; fail on it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --workspace --release --offline =="
 cargo build --workspace --release --offline
 
