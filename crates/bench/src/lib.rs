@@ -19,6 +19,8 @@
 //! a machine-readable JSON row set (consumed by EXPERIMENTS.md).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod ablations;
 pub mod diff;

@@ -31,15 +31,17 @@ impl<S> L1Cache<S> {
     }
 
     /// Look up a line, counting hit/miss. Returns state on hit.
+    ///
+    /// One set walk: a miss still ticks the LRU clock, which leaves
+    /// every set's stamp order, and so every eviction, unchanged.
     pub fn access(&mut self, line: LineAddr) -> Option<&mut S> {
-        // Split borrow dance: probe first, then fetch mutably.
-        if self.array.contains(line.0) {
+        let hit = self.array.get_mut(line.0);
+        if hit.is_some() {
             self.hits.inc();
-            self.array.get_mut(line.0)
         } else {
             self.misses.inc();
-            None
         }
+        hit
     }
 
     /// Look up without counting (for region walks and invariants).

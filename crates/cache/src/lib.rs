@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod array;
 mod directory;

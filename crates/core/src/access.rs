@@ -8,8 +8,8 @@
 //! engines still pay the modeled cost of explicitly scrubbing it —
 //! see DESIGN.md).
 
-use crate::exception::{AccessType, ConflictSide};
-use rce_common::{CoreId, RegionId, WordMask, MAX_CORES};
+use crate::exception::{AccessType, ConflictException, ConflictSide};
+use rce_common::{CoreId, Cycles, LineAddr, RegionId, WordMask, MAX_CORES};
 
 /// One core's access bits for one line within one region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,13 +53,13 @@ impl MetaEntry {
 /// 32 cores): single-core lookups scan, but `MetaMap::merge` indexes
 /// by core so it stays linear.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetaMap {
+pub(crate) struct MetaMap {
     entries: Vec<MetaEntry>,
 }
 
 impl MetaMap {
     /// Empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetaMap::default()
     }
 
@@ -82,7 +82,13 @@ impl MetaMap {
     /// Record an access by `core` in `region`: set `mask` bits of the
     /// given kind. If the core's existing entry is from an older
     /// region it is replaced (its bits are dead by definition).
-    pub fn record(&mut self, core: CoreId, region: RegionId, kind: AccessType, mask: WordMask) {
+    pub(crate) fn record(
+        &mut self,
+        core: CoreId,
+        region: RegionId,
+        kind: AccessType,
+        mask: WordMask,
+    ) {
         match self.entries.iter_mut().find(|e| e.core == core) {
             Some(e) => {
                 if e.region != region {
@@ -153,6 +159,32 @@ impl MetaMap {
                 }
             }
         }
+    }
+
+    /// The conflict check both engine families run: check `me`'s
+    /// access to `dmask` against every live opposing entry, append one
+    /// exception per overlapping word to `out`, then record the access
+    /// so later accesses see it. Returns how many exceptions it
+    /// appended. `live` is the region liveness oracle: entries of ended
+    /// regions are treated as absent, which is what makes lazy
+    /// scrubbing harmless.
+    pub(crate) fn check_and_record(
+        &mut self,
+        me: ConflictSide,
+        dmask: WordMask,
+        line: LineAddr,
+        at: Cycles,
+        live: impl Fn(CoreId, RegionId) -> bool,
+        out: &mut Vec<ConflictException>,
+    ) -> usize {
+        let before = out.len();
+        self.each_conflict(me.core, me.kind, dmask, live, |side, words| {
+            for w in words.iter() {
+                out.push(ConflictException::new(me, side, line.word_addr(w), at));
+            }
+        });
+        self.record(me.core, me.region, me.kind, dmask);
+        out.len() - before
     }
 
     /// Merge another map into this one (entry-wise union; newer region
@@ -469,5 +501,97 @@ mod tests {
         assert!(m.any_live_other(c(1), live_all));
         assert!(!m.any_live_other(c(0), live_all));
         assert!(!m.any_live_other(c(1), |_, _| false));
+    }
+
+    fn side(core: u16, region: u64, kind: AccessType) -> ConflictSide {
+        ConflictSide {
+            core: c(core),
+            region: r(region),
+            kind,
+        }
+    }
+
+    #[test]
+    fn check_and_record_counts_live_overlaps() {
+        let mut m = MetaMap::new();
+        let mut none = Vec::new();
+        let n = m.check_and_record(
+            side(0, 1, AccessType::Write),
+            w(3),
+            LineAddr(7),
+            Cycles(5),
+            live_all,
+            &mut none,
+        );
+        assert_eq!(n, 0);
+        assert!(none.is_empty(), "first access conflicts with nothing");
+        let mut ex = vec![ConflictException::new(
+            side(2, 1, AccessType::Read),
+            side(3, 1, AccessType::Write),
+            LineAddr(1).word_addr(WordIdx(0)),
+            Cycles(0),
+        )];
+        let n = m.check_and_record(
+            side(1, 2, AccessType::Write),
+            w(3),
+            LineAddr(7),
+            Cycles(9),
+            live_all,
+            &mut ex,
+        );
+        assert_eq!(n, 1, "counts only what this check appended");
+        assert_eq!(ex.len(), 2);
+        assert_eq!(ex[1].word_addr, LineAddr(7).word_addr(WordIdx(3)));
+    }
+
+    #[test]
+    fn check_and_record_ignores_dead_regions() {
+        let mut m = MetaMap::new();
+        let mut ex = Vec::new();
+        m.check_and_record(
+            side(0, 1, AccessType::Write),
+            w(0),
+            LineAddr(1),
+            Cycles(0),
+            live_all,
+            &mut ex,
+        );
+        // Core 0's region 1 has ended by the time core 1 accesses.
+        let n = m.check_and_record(
+            side(1, 5, AccessType::Write),
+            w(0),
+            LineAddr(1),
+            Cycles(1),
+            |core, region| !(core == c(0) && region == r(1)),
+            &mut ex,
+        );
+        assert_eq!(n, 0);
+        assert!(ex.is_empty());
+    }
+
+    #[test]
+    fn check_and_record_records_without_conflict() {
+        let mut m = MetaMap::new();
+        let mut ex = Vec::new();
+        m.check_and_record(
+            side(0, 1, AccessType::Read),
+            w(2),
+            LineAddr(3),
+            Cycles(0),
+            live_all,
+            &mut ex,
+        );
+        assert!(!m.is_empty(), "the access was recorded");
+        // A second same-core access never self-conflicts.
+        let n = m.check_and_record(
+            side(0, 1, AccessType::Write),
+            w(2),
+            LineAddr(3),
+            Cycles(1),
+            live_all,
+            &mut ex,
+        );
+        assert_eq!(n, 0);
+        assert!(ex.is_empty());
     }
 }

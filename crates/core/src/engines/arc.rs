@@ -14,7 +14,8 @@
 //!   a shared line sends a small registration message to the line's
 //!   home LLC bank, where the metadata layer ([`crate::meta`] —
 //!   normally the **AIM**) holds every core's current-region access
-//!   bits and the shared [`Detector`] checks conflicts on the spot.
+//!   bits and the conflict check both families share
+//!   (`MetaMap::check_and_record`) runs on the spot.
 //!   Registration rides the miss request when the access misses (the
 //!   common case, thanks to self-invalidation).
 //! - **Region boundaries** (every synchronization operation): the core
@@ -27,15 +28,14 @@
 //! Compared with CE+: no invalidation/ack storms, no per-message
 //! metadata piggybacks, dirty-word (not whole-line) writebacks — at
 //! the cost of re-fetching shared data each region and paying
-//! registration messages. Because the metadata placement is pluggable,
-//! ARC can also register against CE's off-chip DRAM table
-//! ([`crate::meta::DramMeta`]) — measuring exactly what the AIM buys
-//! this family.
+//! registration messages. Because the metadata placement is a
+//! configuration knob, ARC can also register against CE's off-chip
+//! DRAM table (the `Dram` placement of [`crate::meta::MetaStore`]) —
+//! measuring exactly what the AIM buys this family.
 
-use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictException, ConflictSide};
 use crate::forensics::{DetectPath, DetectSite};
-use crate::meta::{backend_for, MetaBackend};
+use crate::meta::MetaStore;
 use crate::protocol::{AccessResult, Engine, Substrate};
 use crate::report::AimSummary;
 use rce_cache::L1Cache;
@@ -95,9 +95,7 @@ enum Class {
 pub struct ArcEngine {
     l1: Vec<L1Cache<ArcLine>>,
     /// Where registration metadata lives (normally the AIM).
-    meta: Box<dyn MetaBackend>,
-    /// The conflict detector (shared logic with the MESI family).
-    detect: Detector,
+    meta: MetaStore,
     /// Short-circuit repeat accesses (see [`ArcLine::repeats`]).
     fastpath: bool,
     /// Engine-local intern table: the flat per-line state below is
@@ -120,6 +118,8 @@ pub struct ArcEngine {
     ro_retained: Counter,
     flushed_words: Counter,
     private_spills: Counter,
+    /// Exceptions raised by the conflict checks.
+    conflict_checks_hit: Counter,
 }
 
 impl ArcEngine {
@@ -128,8 +128,7 @@ impl ArcEngine {
     pub fn new(cfg: &MachineConfig) -> Self {
         ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
-            meta: backend_for(cfg).expect("ARC has a metadata placement"),
-            detect: Detector::new(),
+            meta: MetaStore::new(cfg).expect("ARC has a metadata placement"),
             fastpath: true,
             lines: LineTable::new(),
             class: LineMap::new(),
@@ -141,13 +140,14 @@ impl ArcEngine {
             ro_retained: Counter::default(),
             flushed_words: Counter::default(),
             private_spills: Counter::default(),
+            conflict_checks_hit: Counter::default(),
         }
     }
 
     /// Register `mask` bits for `side` at the line's metadata entry
     /// (already ensured), checking for conflicts first. Appends the
     /// exceptions to `out` and, if there were any, returns how they
-    /// were found: a registration, with the backend's AIM state from
+    /// were found: a registration, with the store's AIM state from
     /// the `ensure` that preceded this call.
     fn aim_check_record(
         &mut self,
@@ -158,9 +158,7 @@ impl ArcEngine {
         at: Cycles,
         out: &mut Vec<ConflictException>,
     ) -> Option<DetectPath> {
-        let before = out.len();
-        self.detect.check_and_record(
-            self.meta.entry_mut(line),
+        let raised = self.meta.entry_mut(line).check_and_record(
             side,
             mask,
             line,
@@ -168,13 +166,10 @@ impl ArcEngine {
             |c, r| sub.is_live(c, r),
             out,
         );
+        self.conflict_checks_hit.add(raised as u64);
         let lid = self.lines.intern(line);
         self.touched[side.core.index()].insert(lid);
-        (out.len() > before).then(|| DetectPath {
-            placement: self.meta.placement(),
-            site: DetectSite::Registration,
-            aim: self.meta.last_outcome(),
-        })
+        (raised > 0).then(|| self.meta.path(DetectSite::Registration))
     }
 
     /// Recall a private owner's in-flight state when a second core
@@ -602,7 +597,7 @@ impl Engine for ArcEngine {
     }
 
     fn aim_totals(&self) -> Option<AimSummary> {
-        self.meta.totals()
+        self.meta.aim_totals()
     }
 
     fn extra_counters(&self) -> Vec<(&'static str, u64)> {
@@ -613,7 +608,7 @@ impl Engine for ArcEngine {
             ("ro_retained_lines", self.ro_retained.get()),
             ("flushed_words", self.flushed_words.get()),
             ("private_spills", self.private_spills.get()),
-            ("conflict_checks_hit", self.detect.conflicts()),
+            ("conflict_checks_hit", self.conflict_checks_hit.get()),
         ]
     }
 }
@@ -630,6 +625,12 @@ mod tests {
 
     const R: AccessType = AccessType::Read;
     const W: AccessType = AccessType::Write;
+
+    /// Bytes between consecutive lines of one L1 set (lines map to sets
+    /// by their low bits): 1 KiB for the 8 KiB, 8-way, 16-set L1.
+    fn set_stride(s: &Substrate) -> u64 {
+        s.cfg.l1.sets() * 64
+    }
 
     fn acc(
         e: &mut ArcEngine,
@@ -861,8 +862,9 @@ mod tests {
         let (mut e, mut s) = setup(2);
         let base = 0x10_0000u64;
         let mut t = acc(&mut e, &mut s, 0, base, W, 0).done.0;
+        let stride = set_stride(&s);
         for i in 1..=8u64 {
-            t = acc(&mut e, &mut s, 0, base + i * 4096, R, t).done.0;
+            t = acc(&mut e, &mut s, 0, base + i * stride, R, t).done.0;
         }
         assert!(!e.l1[0].contains(Addr(base).line()));
         assert!(e.private_spills.get() >= 1);

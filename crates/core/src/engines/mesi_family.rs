@@ -1,8 +1,8 @@
 //! The eager write-invalidation family: MESI baseline, CE, CE+.
 //!
-//! One coherence engine, composed with a pluggable metadata placement
-//! ([`crate::meta`]) and the shared conflict detector
-//! ([`crate::detect`]):
+//! One coherence engine, composed with a metadata placement
+//! ([`crate::meta`]) and the conflict check both families share
+//! (`MetaMap::check_and_record`):
 //! - **MESI**: directory-based MESI with cache-to-cache transfers.
 //!   No metadata, no checks — the normalization baseline.
 //! - **CE**: Conflict Exceptions. Every L1 line carries a [`MetaMap`]
@@ -11,17 +11,17 @@
 //!   messages) and are checked at every point the hardware would check
 //!   them: local accesses against line-resident bits, fetches against
 //!   the arriving owner/sharer bits, and misses against bits displaced
-//!   to the **in-memory metadata table** ([`crate::meta::DramMeta`])
-//!   by mid-region evictions. Region ends must scrub each line whose
-//!   bits were displaced — an off-chip round trip per line: CE's
-//!   defining cost.
-//! - **CE+**: identical, except displaced bits go to the on-chip
-//!   [`crate::meta::AimMeta`] colocated with the LLC banks; only AIM
+//!   to the **in-memory metadata table** (the `Dram` placement of
+//!   [`crate::meta::MetaStore`]) by mid-region evictions. Region ends
+//!   must scrub each line whose bits were displaced — an off-chip round
+//!   trip per line: CE's defining cost.
+//! - **CE+**: identical, except displaced bits go to the on-chip AIM
+//!   (the `Aim` placement) colocated with the LLC banks; only AIM
 //!   victims spill to DRAM. Region-end scrubs become on-chip AIM
 //!   accesses.
 //!
-//! Because the placement is orthogonal, CE+ can also run against
-//! [`crate::meta::IdealMeta`] (the infinite store) — the upper bound
+//! Because the placement is orthogonal, CE+ can also run against the
+//! `Ideal` placement (the infinite store) — the upper bound
 //! the AIM sensitivity study compares against.
 //!
 //! Correctness note (see DESIGN.md): metadata entries are tagged with
@@ -31,10 +31,9 @@
 //! hardware pays.
 
 use crate::access::MetaMap;
-use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictSide};
-use crate::forensics::{DetectPath, DetectSite};
-use crate::meta::{backend_for, MetaBackend};
+use crate::forensics::DetectSite;
+use crate::meta::MetaStore;
 use crate::protocol::{AccessResult, Engine, Substrate};
 use crate::report::AimSummary;
 use rce_cache::{DirEntry, L1Cache, MesiState};
@@ -93,9 +92,7 @@ pub struct MesiFamilyEngine {
     l1: Vec<L1Cache<CeLine>>,
     /// Where displaced metadata lives (and what touching it costs);
     /// `None` for the MESI baseline, which detects nothing.
-    meta: Option<Box<dyn MetaBackend>>,
-    /// The conflict detector (shared logic with ARC).
-    detect: Detector,
+    meta: Option<MetaStore>,
     /// Short-circuit repeat accesses (see [`CeLine::repeats`]).
     fastpath: bool,
     /// All per-line state below is flat, indexed by ids from this one
@@ -115,7 +112,7 @@ pub struct MesiFamilyEngine {
     /// piggyback bytes on the messages involved are already charged.
     /// An empty map means "absent".
     llc_meta: LineMap<MetaMap>,
-    /// Lines that (may) have displaced metadata in the backend.
+    /// Lines that (may) have displaced metadata in the store.
     displaced: LineFlags,
     /// Per core: lines whose bits for that core's current region left
     /// its L1 and must be scrubbed at the region boundary.
@@ -128,6 +125,8 @@ pub struct MesiFamilyEngine {
     meta_pushes: Counter,
     meta_lookups: Counter,
     scrubs: Counter,
+    /// Exceptions raised by the conflict checks.
+    conflict_checks_hit: Counter,
 }
 
 /// The invariant-violation error for a line the directory swears a
@@ -151,8 +150,7 @@ impl MesiFamilyEngine {
         MesiFamilyEngine {
             moesi: cfg.use_owned_state,
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
-            meta: backend_for(cfg),
-            detect: Detector::new(),
+            meta: MetaStore::new(cfg),
             fastpath: true,
             lines: LineTable::new(),
             dir: LineMap::new(),
@@ -166,6 +164,7 @@ impl MesiFamilyEngine {
             meta_pushes: Counter::default(),
             meta_lookups: Counter::default(),
             scrubs: Counter::default(),
+            conflict_checks_hit: Counter::default(),
         }
     }
 
@@ -174,10 +173,10 @@ impl MesiFamilyEngine {
         self.meta.is_some()
     }
 
-    /// The metadata backend: only detection modes move metadata.
-    fn backend(&mut self) -> &mut dyn MetaBackend {
+    /// The metadata store: only detection modes move metadata.
+    fn store(&mut self) -> &mut MetaStore {
         self.meta
-            .as_deref_mut()
+            .as_mut()
             .expect("only detection modes touch metadata")
     }
 
@@ -209,7 +208,7 @@ impl MesiFamilyEngine {
         if self.displaced.remove(lid) {
             self.meta_lookups.inc();
             let line = self.lines.addr(lid);
-            let (at, displaced) = self.backend().fetch(sub, line, t);
+            let (at, displaced) = self.store().fetch(sub, line, t);
             incoming.merge(&displaced);
             t_meta = at;
         }
@@ -232,8 +231,8 @@ impl MesiFamilyEngine {
 
     /// Push displaced metadata (from an evicted/invalidated copy) to
     /// the metadata layer. `src` is the node the bits leave from. Off
-    /// the critical path: traffic and backend occupancy only.
-    fn backend_push(
+    /// the critical path: traffic and store occupancy only.
+    fn push_displaced(
         &mut self,
         sub: &mut Substrate,
         src: rce_noc::NodeId,
@@ -248,11 +247,11 @@ impl MesiFamilyEngine {
         self.meta_pushes.inc();
         self.displaced.insert(lid);
         let line = self.lines.addr(lid);
-        self.backend().push(sub, src, line, meta, at);
+        self.store().push(sub, src, line, meta, at);
     }
 
     /// Region-end scrub of one displaced line.
-    fn backend_scrub(
+    fn scrub_displaced(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
@@ -262,7 +261,7 @@ impl MesiFamilyEngine {
         self.scrubs.inc();
         let me = sub.core_node(core);
         let line = self.lines.addr(lid);
-        let (t, entry_gone) = self.backend().scrub(sub, me, core, line, at);
+        let (t, entry_gone) = self.store().scrub(sub, me, core, line, at);
         if entry_gone {
             self.displaced.remove(lid);
         }
@@ -315,7 +314,7 @@ impl MesiFamilyEngine {
                 if Self::has_live_own(&vstate.meta, core, sub) {
                     self.foreign[core.index()].insert(vid);
                 }
-                self.backend_push(sub, me, vid, vstate.meta, notice_at);
+                self.push_displaced(sub, me, vid, vstate.meta, notice_at);
             }
         }
         Ok(())
@@ -705,7 +704,7 @@ impl Engine for MesiFamilyEngine {
         }
         // Snapshot the displaced-fetch counter: if it moves during this
         // access, any conflict found involved bits fetched back from
-        // the metadata backend rather than bits riding the L1 line.
+        // the metadata store rather than bits riding the L1 line.
         let lookups_before = self.meta_lookups.get();
         let done = match (cached, kind) {
             (Some(_), AccessType::Read) => Cycles(now.0 + l1_lat),
@@ -724,8 +723,7 @@ impl Engine for MesiFamilyEngine {
                 .probe_mut(line)
                 .ok_or_else(|| not_resident("line after access", core, line))?;
             let me = ConflictSide { core, region, kind };
-            self.detect.check_and_record(
-                &mut lref.meta,
+            let raised = lref.meta.check_and_record(
                 me,
                 dmask,
                 line,
@@ -733,17 +731,13 @@ impl Engine for MesiFamilyEngine {
                 |c, r| sub.is_live(c, r),
                 &mut res.exceptions,
             );
-            if !res.exceptions.is_empty() {
-                let fetched = self.meta_lookups.get() > lookups_before;
-                res.path = Some(DetectPath {
-                    placement: meta.placement(),
-                    site: if fetched {
-                        DetectSite::DisplacedFetch
-                    } else {
-                        DetectSite::L1Bits
-                    },
-                    aim: if fetched { meta.last_outcome() } else { None },
-                });
+            self.conflict_checks_hit.add(raised as u64);
+            if raised > 0 {
+                res.path = Some(meta.path(if self.meta_lookups.get() > lookups_before {
+                    DetectSite::DisplacedFetch
+                } else {
+                    DetectSite::L1Bits
+                }));
             }
         }
         Ok(res)
@@ -774,7 +768,7 @@ impl Engine for MesiFamilyEngine {
             .collect();
         lines.sort_unstable();
         for (_, lid) in lines {
-            let t = self.backend_scrub(sub, core, lid, now);
+            let t = self.scrub_displaced(sub, core, lid, now);
             done = done.max(t);
         }
         Ok(AccessResult::new(done))
@@ -791,7 +785,7 @@ impl Engine for MesiFamilyEngine {
     }
 
     fn aim_totals(&self) -> Option<AimSummary> {
-        self.meta.as_ref().and_then(|m| m.totals())
+        self.meta.as_ref().and_then(MetaStore::aim_totals)
     }
 
     fn extra_counters(&self) -> Vec<(&'static str, u64)> {
@@ -803,7 +797,7 @@ impl Engine for MesiFamilyEngine {
             ("meta_pushes", self.meta_pushes.get()),
             ("meta_lookups", self.meta_lookups.get()),
             ("scrubs", self.scrubs.get()),
-            ("conflict_checks_hit", self.detect.conflicts()),
+            ("conflict_checks_hit", self.conflict_checks_hit.get()),
         ]
     }
 }
@@ -821,6 +815,12 @@ mod tests {
 
     const R: AccessType = AccessType::Read;
     const W: AccessType = AccessType::Write;
+
+    /// Bytes between consecutive lines of one L1 set (lines map to sets
+    /// by their low bits): 1 KiB for the 8 KiB, 8-way, 16-set L1.
+    fn set_stride(s: &Substrate) -> u64 {
+        s.cfg.l1.sets() * 64
+    }
 
     fn acc(
         e: &mut MesiFamilyEngine,
@@ -963,11 +963,11 @@ mod tests {
         let (mut e, mut s) = setup(ProtocolKind::Ce, 2);
         let base = 0x10_0000u64;
         let w = acc(&mut e, &mut s, 0, base, W, 0);
-        // L1: 32KiB/8-way = 64 sets; lines mapping to the same set are
-        // 64*64 = 4096 bytes apart.
+        // Eight more lines of the same set evict it from the 8-way L1.
         let mut t = w.done.0;
+        let stride = set_stride(&s);
         for i in 1..=8u64 {
-            let r = acc(&mut e, &mut s, 0, base + i * 4096, R, t);
+            let r = acc(&mut e, &mut s, 0, base + i * stride, R, t);
             t = r.done.0;
         }
         assert!(
@@ -979,7 +979,7 @@ mod tests {
         assert_eq!(
             r.exceptions.len(),
             1,
-            "conflict survives eviction via backend"
+            "conflict survives eviction via the metadata store"
         );
         assert!(e.meta_lookups.get() >= 1);
     }
@@ -990,8 +990,9 @@ mod tests {
             let (mut e, mut s) = setup(proto, 2);
             let base = 0x10_0000u64;
             let mut t = acc(&mut e, &mut s, 0, base, W, 0).done.0;
+            let stride = set_stride(&s);
             for i in 1..=8u64 {
-                t = acc(&mut e, &mut s, 0, base + i * 4096, R, t).done.0;
+                t = acc(&mut e, &mut s, 0, base + i * stride, R, t).done.0;
             }
             let meta_dram = s.dram.stats().metadata_bytes().0;
             if expect_aim {
@@ -1009,8 +1010,9 @@ mod tests {
         let (mut e, mut s) = setup(ProtocolKind::Ce, 2);
         let base = 0x10_0000u64;
         let mut t = acc(&mut e, &mut s, 0, base, W, 0).done.0;
+        let stride = set_stride(&s);
         for i in 1..=8u64 {
-            t = acc(&mut e, &mut s, 0, base + i * 4096, R, t).done.0;
+            t = acc(&mut e, &mut s, 0, base + i * stride, R, t).done.0;
         }
         let before = s.dram.stats().metadata_bytes().0;
         let b = e.region_boundary(&mut s, CoreId(0), Cycles(t)).unwrap();
@@ -1107,8 +1109,9 @@ mod tests {
         let r = acc(&mut e, &mut s, 1, base, R, w.done.0); // core 0 -> O
                                                            // Thrash core 0's set so the O line evicts.
         let mut t = r.done.0;
+        let stride = set_stride(&s);
         for i in 1..=8u64 {
-            t = acc(&mut e, &mut s, 0, base + i * 4096, R, t).done.0;
+            t = acc(&mut e, &mut s, 0, base + i * stride, R, t).done.0;
         }
         assert!(!e.l1[0].contains(Addr(base).line()));
         // The dirty data reached the LLC on eviction.

@@ -41,7 +41,7 @@ pub enum DetectSite {
     /// acks / owner downgrades): the MESI family's common case.
     L1Bits,
     /// Bits displaced out of every L1 and fetched back from the
-    /// metadata backend during this access (CE/CE+ displaced path).
+    /// metadata store during this access (CE/CE+ displaced path).
     DisplacedFetch,
     /// ARC's LLC-side registration check against the line's metadata
     /// entry.

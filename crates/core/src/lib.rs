@@ -14,9 +14,11 @@
 //!   starts from.
 //! - *CE+* mode: identical coherence, but spills/scrubs go to the
 //!   **access information memory (AIM)** — an on-chip metadata cache at
-//!   the LLC banks ([`AimMeta`]). Off-chip metadata traffic mostly
-//!   disappears (claim C1) while eager invalidation coherence plus
-//!   per-message metadata piggybacks keep stressing the NoC (claim C2).
+//!   the LLC banks, one placement of the engines' metadata store
+//!   beside CE's DRAM table and an ideal, free bound. Off-chip
+//!   metadata traffic mostly disappears (claim C1) while eager
+//!   invalidation coherence plus per-message metadata piggybacks keep
+//!   stressing the NoC (claim C2).
 //! - [`engines::ArcEngine`]: the ARC design — coherence based on
 //!   release consistency + self-invalidation (DeNovo-flavored
 //!   private/shared classification, word registration at the LLC,
@@ -32,9 +34,9 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod access;
-mod detect;
 mod engines;
 mod exception;
 mod forensics;
@@ -46,12 +48,10 @@ pub mod report;
 mod sched;
 pub mod sync;
 
-pub use access::MetaMap;
 pub use engines::{find_variant, ArcEngine, EngineVariant, MesiFamilyEngine, REGISTRY};
 pub use exception::{AccessType, ConflictException, ExceptionPolicy};
 pub use forensics::Forensics;
 pub use machine::Machine;
-pub use meta::{AimMeta, IdealMeta, MetaBackend};
 pub use oracle::Oracle;
 pub use protocol::{AccessResult, Engine, Substrate};
 pub use report::SimReport;

@@ -1,36 +1,36 @@
-//! The metadata layer: pluggable backends for displaced/registered
-//! access bits.
+//! The metadata layer: the home of access bits that no longer ride a
+//! private cache line, and what touching it costs.
 //!
-//! Every detection design needs a home for access metadata that is no
-//! longer attached to a private cache line: CE keeps it in an off-chip
-//! DRAM table, CE+ and ARC in the on-chip **access information memory
-//! (AIM)** colocated with the LLC banks, spilling AIM victims to a
-//! DRAM overflow table. The [`MetaBackend`] trait captures everything
-//! the coherence layers need from that store — fetch/push/scrub for
-//! the MESI family's displaced-bits protocol, ensure/entry/clear for
-//! ARC's LLC-side registration protocol — and each implementation owns
-//! its full cost model: NoC messages, DRAM metadata accesses,
-//! AIM trace events, and hit/miss/spill accounting.
+//! Every detection design needs one. CE keeps displaced bits in an
+//! off-chip DRAM table; CE+ and ARC keep them in the on-chip **access
+//! information memory (AIM)** colocated with the LLC banks, which
+//! spills its victims to a DRAM overflow table. One [`MetaStore`]
+//! serves every placement ([`MetaPlacement`]), and each of its
+//! operations matches on the placement for its cost:
+//! - `Dram` — CE's table; every touch is an off-chip round trip.
+//! - `Aim` — the bounded set-associative AIM; only victims with live
+//!   bits spill to DRAM.
+//! - `Ideal` — infinite capacity, zero latency, zero traffic: the
+//!   bound no real AIM geometry can beat.
 //!
-//! Placements ([`rce_common::MetaPlacement`]):
-//! - [`DramMeta`] — CE's table; every touch is an off-chip round trip.
-//! - [`AimMeta`] — the bounded set-associative AIM; only victims with
-//!   live bits spill to DRAM.
-//! - [`IdealMeta`] — infinite capacity, zero latency, zero traffic:
-//!   the bound no real AIM geometry can beat.
+//! The MESI baseline has no placement and so no store.
 //!
-//! The MESI baseline has no placement and so no backend.
-//!
-//! The engines stay storage-agnostic: they decide *when* metadata
-//! moves, the backend decides *what that costs*.
+//! `fetch`, `push` and `scrub` serve the MESI family's displaced-bits
+//! protocol; `ensure_at`, `entry_mut` and `boundary_clear` serve ARC's
+//! LLC-side registration protocol. Either family runs with any
+//! placement. The engines decide *when* metadata moves, the store
+//! decides *what that costs*: NoC messages, DRAM metadata accesses,
+//! AIM trace events and hit/miss/spill accounting, charged through the
+//! substrate in a fixed order that the golden tests pin.
 
 use crate::access::MetaMap;
+use crate::forensics::{DetectPath, DetectSite};
 use crate::protocol::Substrate;
 use crate::report::AimSummary;
 use rce_cache::SetAssoc;
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
-    impl_json_struct, AimConfig, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineTable,
+    impl_json_struct, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineTable,
     MachineConfig, MetaPlacement,
 };
 use rce_dram::AccessKind as DramKind;
@@ -59,99 +59,14 @@ impl_json_struct!(to_json AimOutcome {
     spilled,
 });
 
-/// One home for not-in-L1 access metadata, with its cost model.
-///
-/// The first three methods implement the MESI family's displaced-bits
-/// protocol, the last three ARC's LLC-side registration protocol; both
-/// families may be composed with any placement. Implementations must
-/// charge their NoC/DRAM costs through `sub` in a fixed order — the
-/// byte-identity golden tests pin the resulting contention patterns.
-pub trait MetaBackend {
-    /// Consult the store for displaced metadata of `line`; the request
-    /// is at the line's home bank at `t`. Returns the ready time and
-    /// the *removed* metadata — bits ride back into the requesting L1,
-    /// matching CE's bits-travel-with-the-line design.
-    fn fetch(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> (Cycles, MetaMap);
-
-    /// Merge displaced metadata (from an evicted/invalidated copy)
-    /// into the store. `src` is the node the bits leave from. Off the
-    /// critical path: traffic and store occupancy only.
-    fn push(&mut self, sub: &mut Substrate, src: NodeId, line: LineAddr, meta: MetaMap, at: Cycles);
-
-    /// Region-end scrub of one displaced line: clear `core`'s bits
-    /// wherever they live, charging the round trip from `src`. Returns
-    /// the completion time and whether the line's entry emptied out
-    /// and was dropped (so the engine can forget the displacement).
-    fn scrub(
-        &mut self,
-        sub: &mut Substrate,
-        src: NodeId,
-        core: CoreId,
-        line: LineAddr,
-        at: Cycles,
-    ) -> (Cycles, bool);
-
-    /// Make `line`'s entry usable for [`MetaBackend::entry_mut`]; the
-    /// request is already at the line's home bank at `t`. Returns when
-    /// the entry is ready (after any spill/refill side effects).
-    fn ensure_at(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles;
-
-    /// The entry for `line`. For the AIM this requires a prior
-    /// [`MetaBackend::ensure_at`] (the entry must be resident);
-    /// unbounded placements allocate on demand.
-    fn entry_mut(&mut self, line: LineAddr) -> &mut MetaMap;
-
-    /// ARC region-end registration clear for one line: drop `core`'s
-    /// bits, with the clearing message already at the home bank at
-    /// `t`. Returns when the clear completes.
-    fn boundary_clear(
-        &mut self,
-        sub: &mut Substrate,
-        line: LineAddr,
-        core: CoreId,
-        t: Cycles,
-    ) -> Cycles;
-
-    /// Hit/miss/spill statistics when the placement has a meaningful
-    /// cache behind it; `None` otherwise (the report's AIM section is
-    /// omitted).
-    fn totals(&self) -> Option<AimSummary> {
-        None
-    }
-
-    /// The outcome of the most recent AIM `ensure`, for forensics
-    /// provenance: what the metadata cache had to do the last time an
-    /// entry was made resident. `None` for placements without a
-    /// bounded cache (DRAM/ideal never hit, miss, or spill).
-    fn last_outcome(&self) -> Option<AimOutcome> {
-        None
-    }
-
-    /// Which placement this backend implements.
-    fn placement(&self) -> MetaPlacement;
-}
-
-/// Build the backend selected by `cfg.meta_placement`; `None` for
-/// [`MetaPlacement::None`], which config validation pairs with the MESI
-/// baseline alone.
-pub(crate) fn backend_for(cfg: &MachineConfig) -> Option<Box<dyn MetaBackend>> {
-    Some(match cfg.meta_placement {
-        MetaPlacement::None => return None,
-        MetaPlacement::Dram => Box::new(DramMeta::new()),
-        MetaPlacement::Aim => Box::new(AimMeta::new(&cfg.aim)),
-        MetaPlacement::Ideal => Box::new(IdealMeta::new()),
-    })
-}
-
 /// One off-chip metadata trip: a request from `from` to `line`'s
-/// memory controller at `t`, a DRAM metadata access of `bytes`, and,
+/// memory controller at `t`, a DRAM metadata access of one entry, and,
 /// if `reply`, the response back to `from`. Returns when the reply
 /// arrives, or when the DRAM access completes if there is none.
 fn offchip(
     sub: &mut Substrate,
     from: NodeId,
     line: LineAddr,
-    bytes: u64,
     kind: DramKind,
     t: Cycles,
     reply: bool,
@@ -160,7 +75,7 @@ fn offchip(
     let t1 = sub
         .noc
         .send(from, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-    let t2 = sub.dram.access(line, bytes, kind, t1);
+    let t2 = sub.dram.access(line, sub.cfg.aim.entry_bytes, kind, t1);
     if reply {
         sub.noc
             .send(mem, from, META_MSG_BYTES, MsgClass::Metadata, t2)
@@ -171,9 +86,8 @@ fn offchip(
 
 // ---------------------------------------------------------- FlatMetaTable
 
-/// Flat line → [`MetaMap`] store shared by every unbounded table in
-/// this module (CE's DRAM table, the AIM overflow table, the ideal
-/// store).
+/// Flat line → [`MetaMap`] store: CE's DRAM table, the AIM's overflow
+/// table, or the ideal store, by placement.
 ///
 /// Lines are interned once into a [`LineTable`] and maps live in a
 /// dense vector, so the per-access path is a hash-free array index
@@ -190,6 +104,7 @@ struct FlatMetaTable {
 
 impl FlatMetaTable {
     /// Number of present entries.
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.present.count()
     }
@@ -214,117 +129,24 @@ impl FlatMetaTable {
     }
 
     /// Clear `core`'s bits in `line`'s entry, dropping the entry if it
-    /// empties out; `(had_bits, entry_gone)`. Absent lines are a
-    /// no-op.
-    fn clear_core(&mut self, line: LineAddr, core: CoreId) -> (bool, bool) {
+    /// empties out; returns whether it did. Absent lines are a no-op.
+    fn clear_core(&mut self, line: LineAddr, core: CoreId) -> bool {
         match self.table.lookup(line) {
             Some(id) if self.present.contains(id) => {
                 let m = self.maps.slot(id);
-                let had = m.clear_core(core);
+                m.clear_core(core);
                 let gone = m.is_empty();
                 if gone {
                     self.present.remove(id);
                 }
-                (had, gone)
+                gone
             }
-            _ => (false, false),
+            _ => false,
         }
     }
 }
 
-// --------------------------------------------------------------- DramMeta
-
-/// CE's off-chip metadata table: a DRAM-resident map, reached through
-/// the line's home bank and memory controller. Every touch is a full
-/// off-chip round trip — the metadata tax CE+ exists to remove.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DramMeta {
-    table: FlatMetaTable,
-}
-
-impl DramMeta {
-    /// Empty table.
-    pub(crate) fn new() -> Self {
-        DramMeta::default()
-    }
-
-    /// Number of lines with displaced metadata.
-    #[cfg(test)]
-    pub(crate) fn entries(&self) -> usize {
-        self.table.len()
-    }
-}
-
-impl MetaBackend for DramMeta {
-    fn fetch(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> (Cycles, MetaMap) {
-        let (m, _) = self.table.take(line);
-        let (bank, bytes) = (sub.bank_node(line), sub.cfg.aim.entry_bytes);
-        (
-            offchip(sub, bank, line, bytes, DramKind::MetaRead, t, true),
-            m,
-        )
-    }
-
-    fn push(
-        &mut self,
-        sub: &mut Substrate,
-        src: NodeId,
-        line: LineAddr,
-        meta: MetaMap,
-        at: Cycles,
-    ) {
-        let bytes = sub.cfg.aim.entry_bytes;
-        offchip(sub, src, line, bytes, DramKind::MetaWrite, at, false);
-        self.table.entry(line).merge(&meta);
-    }
-
-    fn scrub(
-        &mut self,
-        sub: &mut Substrate,
-        src: NodeId,
-        core: CoreId,
-        line: LineAddr,
-        at: Cycles,
-    ) -> (Cycles, bool) {
-        let (_, gone) = self.table.clear_core(line, core);
-        let bytes = sub.cfg.aim.entry_bytes;
-        (
-            offchip(sub, src, line, bytes, DramKind::MetaWrite, at, false),
-            gone,
-        )
-    }
-
-    fn ensure_at(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles {
-        // The registration must consult the off-chip table: bank ->
-        // memory controller -> DRAM -> back.
-        self.table.entry(line);
-        let (bank, bytes) = (sub.bank_node(line), sub.cfg.aim.entry_bytes);
-        offchip(sub, bank, line, bytes, DramKind::MetaRead, t, true)
-    }
-
-    fn entry_mut(&mut self, line: LineAddr) -> &mut MetaMap {
-        self.table.entry(line)
-    }
-
-    fn boundary_clear(
-        &mut self,
-        sub: &mut Substrate,
-        line: LineAddr,
-        core: CoreId,
-        t: Cycles,
-    ) -> Cycles {
-        self.table.clear_core(line, core);
-        // The clear is forwarded to the off-chip table.
-        let (bank, bytes) = (sub.bank_node(line), sub.cfg.aim.entry_bytes);
-        offchip(sub, bank, line, bytes, DramKind::MetaWrite, t, false)
-    }
-
-    fn placement(&self) -> MetaPlacement {
-        MetaPlacement::Dram
-    }
-}
-
-// ---------------------------------------------------------------- AimMeta
+// -------------------------------------------------------------------- Aim
 
 /// The access information memory — the on-chip metadata cache that
 /// turns CE into CE+ and backs ARC's LLC-side detection.
@@ -333,99 +155,56 @@ impl MetaBackend for DramMeta {
 /// physically distributed alongside the LLC banks (an AIM slice sits
 /// at each line's home bank, so reaching it costs the same NoC trip a
 /// coherence request already makes). Entries evicted from the AIM
-/// spill to a DRAM-backed table and are refilled on demand.
+/// spill to the store's DRAM table and are refilled on demand. Its
+/// latency and entry size are read from `cfg.aim` where they are
+/// charged.
 #[derive(Debug, Clone)]
-pub struct AimMeta {
+struct Aim {
     array: SetAssoc<MetaMap>,
-    /// DRAM-backed overflow table.
-    backing: FlatMetaTable,
-    /// Entry size in bytes when spilled / transferred.
-    pub entry_bytes: u64,
-    /// Access latency in cycles.
-    pub latency: u64,
     /// Lookups that found the entry resident.
-    pub hits: Counter,
+    hits: Counter,
     /// Lookups that did not.
-    pub misses: Counter,
+    misses: Counter,
     /// Entries spilled to DRAM.
-    pub spills: Counter,
+    spills: Counter,
     /// Outcome of the most recent `ensure` (forensics provenance).
     last: Option<AimOutcome>,
 }
 
-impl AimMeta {
-    /// Build from configuration.
-    pub fn new(cfg: &AimConfig) -> Self {
-        AimMeta {
-            array: SetAssoc::with_entries(cfg.entries, cfg.ways),
-            backing: FlatMetaTable::default(),
-            entry_bytes: cfg.entry_bytes,
-            latency: cfg.latency,
-            hits: Counter::default(),
-            misses: Counter::default(),
-            spills: Counter::default(),
-            last: None,
-        }
-    }
-
+impl Aim {
     /// Make `line`'s entry resident (allocating an empty one if truly
-    /// new), possibly refilling from or spilling to the DRAM table.
-    pub(crate) fn ensure(&mut self, line: LineAddr) -> AimOutcome {
-        let outcome = if self.array.contains(line.0) {
+    /// new), refilling it from or spilling a victim to `backing`, and
+    /// trace the outcome at `t`.
+    fn ensure(
+        &mut self,
+        backing: &mut FlatMetaTable,
+        sub: &Substrate,
+        line: LineAddr,
+        t: Cycles,
+    ) -> AimOutcome {
+        let hit = self.array.get_mut(line.0).is_some();
+        let (refilled, spilled) = if hit {
             self.hits.inc();
-            // Touch for recency.
-            let _ = self.array.get_mut(line.0);
-            AimOutcome {
-                hit: true,
-                ..Default::default()
-            }
+            (false, false)
         } else {
             self.misses.inc();
-            let (entry, refilled) = self.backing.take(line);
-            let mut spilled = false;
-            if let Some((victim, vmeta)) = self.array.insert(line.0, entry) {
-                if !vmeta.is_empty() {
-                    *self.backing.entry(LineAddr(victim)) = vmeta;
+            let (entry, refilled) = backing.take(line);
+            let spilled = match self.array.insert(line.0, entry) {
+                Some((victim, vmeta)) if !vmeta.is_empty() => {
+                    *backing.entry(LineAddr(victim)) = vmeta;
                     self.spills.inc();
-                    spilled = true;
+                    true
                 }
-            }
-            AimOutcome {
-                hit: false,
-                refilled,
-                spilled,
-            }
+                _ => false,
+            };
+            (refilled, spilled)
         };
-        self.last = Some(outcome);
-        outcome
-    }
-
-    /// The resident entry for `line`. Panics if not ensured first.
-    pub(crate) fn entry(&mut self, line: LineAddr) -> &mut MetaMap {
-        self.array
-            .get_mut(line.0)
-            .expect("AIM entry must be ensured before use")
-    }
-
-    /// Scrub one core's bits for `line`, wherever the entry lives
-    /// (resident or spilled). Returns true if bits were present.
-    pub(crate) fn clear_core(&mut self, line: LineAddr, core: CoreId) -> bool {
-        if let Some(m) = self.array.get_mut(line.0) {
-            self.hits.inc();
-            return m.clear_core(core);
-        }
-        self.misses.inc();
-        let (had, _) = self.backing.clear_core(line, core);
-        had
-    }
-
-    /// Spilled entry count.
-    pub fn spilled_entries(&self) -> usize {
-        self.backing.len()
-    }
-
-    /// Emit the hit/miss (and spill) trace events for one `ensure`.
-    fn trace_outcome(&self, sub: &Substrate, line: LineAddr, o: AimOutcome, t: Cycles) {
+        let o = AimOutcome {
+            hit,
+            refilled,
+            spilled,
+        };
+        self.last = Some(o);
         sub.trace(|| SimEvent {
             cycle: t.0,
             core: None,
@@ -447,173 +226,257 @@ impl AimMeta {
                 kind: EventKind::AimSpill { line: line.0 },
             });
         }
+        o
+    }
+
+    /// The resident entry for `line`. Panics if not ensured first.
+    fn entry(&mut self, line: LineAddr) -> &mut MetaMap {
+        self.array
+            .get_mut(line.0)
+            .expect("AIM entry must be ensured before use")
+    }
+
+    /// Clear `core`'s bits for `line`, wherever the entry lives
+    /// (resident, or spilled to `backing`).
+    fn clear_core(&mut self, backing: &mut FlatMetaTable, line: LineAddr, core: CoreId) {
+        if let Some(m) = self.array.get_mut(line.0) {
+            self.hits.inc();
+            m.clear_core(core);
+        } else {
+            self.misses.inc();
+            backing.clear_core(line, core);
+        }
     }
 }
 
-impl MetaBackend for AimMeta {
-    fn fetch(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> (Cycles, MetaMap) {
-        let ready = self.ensure_at(sub, line, t);
-        (ready, std::mem::take(self.entry(line)))
-    }
+// -------------------------------------------------------------- MetaStore
 
-    fn push(
-        &mut self,
-        sub: &mut Substrate,
-        src: NodeId,
-        line: LineAddr,
-        meta: MetaMap,
-        at: Cycles,
-    ) {
-        let bank = sub.bank_node(line);
-        let t1 = sub
-            .noc
-            .send(src, bank, META_MSG_BYTES, MsgClass::Metadata, at);
-        let o = self.ensure(line);
-        self.trace_outcome(sub, line, o, at);
-        let bytes = self.entry_bytes;
-        if o.spilled {
-            offchip(sub, bank, line, bytes, DramKind::MetaWrite, t1, false);
-        }
-        if o.refilled {
-            offchip(sub, bank, line, bytes, DramKind::MetaRead, t1, false);
-        }
-        self.entry(line).merge(&meta);
-    }
-
-    fn scrub(
-        &mut self,
-        sub: &mut Substrate,
-        src: NodeId,
-        core: CoreId,
-        line: LineAddr,
-        at: Cycles,
-    ) -> (Cycles, bool) {
-        let bank = sub.bank_node(line);
-        let t1 = sub
-            .noc
-            .send(src, bank, META_MSG_BYTES, MsgClass::Metadata, at);
-        self.clear_core(line, core);
-        (Cycles(t1.0 + self.latency), false)
-    }
-
-    fn ensure_at(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles {
-        let o = self.ensure(line);
-        self.trace_outcome(sub, line, o, t);
-        let (bank, bytes) = (sub.bank_node(line), self.entry_bytes);
-        let mut ready = Cycles(t.0 + self.latency);
-        if o.refilled {
-            // The entry itself had spilled to DRAM: fetch it.
-            ready = offchip(sub, bank, line, bytes, DramKind::MetaRead, t, true);
-        }
-        if o.spilled {
-            // Victim spill: traffic only, off the critical path.
-            offchip(sub, bank, line, bytes, DramKind::MetaWrite, t, false);
-        }
-        ready
-    }
-
-    fn entry_mut(&mut self, line: LineAddr) -> &mut MetaMap {
-        self.entry(line)
-    }
-
-    fn boundary_clear(
-        &mut self,
-        _sub: &mut Substrate,
-        line: LineAddr,
-        core: CoreId,
-        t: Cycles,
-    ) -> Cycles {
-        self.clear_core(line, core);
-        Cycles(t.0 + self.latency)
-    }
-
-    fn totals(&self) -> Option<AimSummary> {
-        // Every lookup is a hit or a miss.
-        Some(AimSummary {
-            accesses: self.hits.get() + self.misses.get(),
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            spills: self.spills.get(),
-        })
-    }
-
-    fn last_outcome(&self) -> Option<AimOutcome> {
-        self.last
-    }
-
-    fn placement(&self) -> MetaPlacement {
-        MetaPlacement::Aim
-    }
-}
-
-// -------------------------------------------------------------- IdealMeta
-
-/// An infinite zero-latency metadata store: never spills, never pays a
-/// cycle or a byte. Physically unbuildable; it bounds from below what
-/// any AIM geometry could achieve, which is exactly what the
-/// sensitivity study needs.
-#[derive(Debug, Clone, Default)]
-pub struct IdealMeta {
+/// One engine's home for not-in-L1 access bits, with its cost model.
+#[derive(Debug, Clone)]
+pub(crate) struct MetaStore {
+    placement: MetaPlacement,
+    /// The AIM array: `Some` exactly for [`MetaPlacement::Aim`].
+    aim: Option<Aim>,
+    /// The unbounded table: CE's off-chip table (`Dram`), the AIM's
+    /// spill table (`Aim`), or the whole store (`Ideal`).
     table: FlatMetaTable,
 }
 
-impl IdealMeta {
-    /// Empty store.
-    pub fn new() -> Self {
-        IdealMeta::default()
+impl MetaStore {
+    /// The store `cfg.meta_placement` selects; `None` for
+    /// [`MetaPlacement::None`], which config validation pairs with the
+    /// MESI baseline alone.
+    pub(crate) fn new(cfg: &MachineConfig) -> Option<Self> {
+        let aim = match cfg.meta_placement {
+            MetaPlacement::None => return None,
+            MetaPlacement::Aim => Some(Aim {
+                array: SetAssoc::with_entries(cfg.aim.entries, cfg.aim.ways),
+                hits: Counter::default(),
+                misses: Counter::default(),
+                spills: Counter::default(),
+                last: None,
+            }),
+            MetaPlacement::Dram | MetaPlacement::Ideal => None,
+        };
+        Some(MetaStore {
+            placement: cfg.meta_placement,
+            aim,
+            table: FlatMetaTable::default(),
+        })
     }
-}
 
-impl MetaBackend for IdealMeta {
-    fn fetch(&mut self, _sub: &mut Substrate, line: LineAddr, t: Cycles) -> (Cycles, MetaMap) {
-        (t, self.table.take(line).0)
+    /// What a touch of the unbounded table costs outside the AIM: one
+    /// off-chip trip from `from` for CE's DRAM table (see [`offchip`]),
+    /// nothing for the ideal store, which is done at `t`.
+    fn table_cost(
+        &self,
+        sub: &mut Substrate,
+        from: NodeId,
+        line: LineAddr,
+        kind: DramKind,
+        t: Cycles,
+        reply: bool,
+    ) -> Cycles {
+        if self.placement == MetaPlacement::Dram {
+            offchip(sub, from, line, kind, t, reply)
+        } else {
+            t
+        }
     }
 
-    fn push(
+    /// Consult the store for `line`'s displaced bits; the request is
+    /// at the line's home bank at `t`. Returns the ready time and the
+    /// *removed* bits, which ride back into the requesting L1, matching
+    /// CE's bits-travel-with-the-line design.
+    pub(crate) fn fetch(
         &mut self,
-        _sub: &mut Substrate,
-        _src: NodeId,
+        sub: &mut Substrate,
+        line: LineAddr,
+        t: Cycles,
+    ) -> (Cycles, MetaMap) {
+        if self.aim.is_some() {
+            let ready = self.ensure_at(sub, line, t);
+            return (ready, std::mem::take(self.entry_mut(line)));
+        }
+        let (m, _) = self.table.take(line);
+        let bank = sub.bank_node(line);
+        let ready = self.table_cost(sub, bank, line, DramKind::MetaRead, t, true);
+        (ready, m)
+    }
+
+    /// Merge displaced bits (from an evicted or invalidated copy) into
+    /// the store. `src` is the node the bits leave from. Off the
+    /// critical path: traffic and store occupancy only.
+    pub(crate) fn push(
+        &mut self,
+        sub: &mut Substrate,
+        src: NodeId,
         line: LineAddr,
         meta: MetaMap,
-        _at: Cycles,
+        at: Cycles,
     ) {
-        self.table.entry(line).merge(&meta);
+        match &mut self.aim {
+            Some(aim) => {
+                let bank = sub.bank_node(line);
+                let t1 = sub
+                    .noc
+                    .send(src, bank, META_MSG_BYTES, MsgClass::Metadata, at);
+                let o = aim.ensure(&mut self.table, sub, line, at);
+                if o.spilled {
+                    offchip(sub, bank, line, DramKind::MetaWrite, t1, false);
+                }
+                if o.refilled {
+                    offchip(sub, bank, line, DramKind::MetaRead, t1, false);
+                }
+                aim.entry(line).merge(&meta);
+            }
+            None => {
+                self.table_cost(sub, src, line, DramKind::MetaWrite, at, false);
+                self.table.entry(line).merge(&meta);
+            }
+        }
     }
 
-    fn scrub(
+    /// Region-end scrub of one displaced line: clear `core`'s bits
+    /// wherever they live, charging the trip from `src`. Returns the
+    /// completion time and whether the line's entry emptied out and
+    /// was dropped (so the engine can forget the displacement). The AIM
+    /// keeps scrubbed entries resident, so it never reports a drop.
+    pub(crate) fn scrub(
         &mut self,
-        _sub: &mut Substrate,
-        _src: NodeId,
+        sub: &mut Substrate,
+        src: NodeId,
         core: CoreId,
         line: LineAddr,
         at: Cycles,
     ) -> (Cycles, bool) {
-        let (_, gone) = self.table.clear_core(line, core);
-        (at, gone)
+        match &mut self.aim {
+            Some(aim) => {
+                let t1 = sub.noc.send(
+                    src,
+                    sub.bank_node(line),
+                    META_MSG_BYTES,
+                    MsgClass::Metadata,
+                    at,
+                );
+                aim.clear_core(&mut self.table, line, core);
+                (Cycles(t1.0 + sub.cfg.aim.latency), false)
+            }
+            None => {
+                let gone = self.table.clear_core(line, core);
+                let done = self.table_cost(sub, src, line, DramKind::MetaWrite, at, false);
+                (done, gone)
+            }
+        }
     }
 
-    fn ensure_at(&mut self, _sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles {
-        self.table.entry(line);
-        t
+    /// Make `line`'s entry usable for [`MetaStore::entry_mut`]; the
+    /// request is already at the line's home bank at `t`. Returns when
+    /// the entry is ready (after any spill/refill side effects).
+    pub(crate) fn ensure_at(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles {
+        let bank = sub.bank_node(line);
+        match &mut self.aim {
+            Some(aim) => {
+                let o = aim.ensure(&mut self.table, sub, line, t);
+                let mut ready = Cycles(t.0 + sub.cfg.aim.latency);
+                if o.refilled {
+                    // The entry itself had spilled to DRAM: fetch it.
+                    ready = offchip(sub, bank, line, DramKind::MetaRead, t, true);
+                }
+                if o.spilled {
+                    // Victim spill: traffic only, off the critical path.
+                    offchip(sub, bank, line, DramKind::MetaWrite, t, false);
+                }
+                ready
+            }
+            None => {
+                // The registration consults the table: for CE's, bank
+                // -> memory controller -> DRAM -> back.
+                self.table.entry(line);
+                self.table_cost(sub, bank, line, DramKind::MetaRead, t, true)
+            }
+        }
     }
 
-    fn entry_mut(&mut self, line: LineAddr) -> &mut MetaMap {
-        self.table.entry(line)
+    /// The entry for `line`. The AIM requires a prior
+    /// [`MetaStore::ensure_at`] (the entry must be resident); the
+    /// unbounded placements allocate on demand.
+    pub(crate) fn entry_mut(&mut self, line: LineAddr) -> &mut MetaMap {
+        match &mut self.aim {
+            Some(aim) => aim.entry(line),
+            None => self.table.entry(line),
+        }
     }
 
-    fn boundary_clear(
+    /// ARC region-end registration clear for one line: drop `core`'s
+    /// bits, with the clearing message already at the home bank at
+    /// `t`. Returns when the clear completes.
+    pub(crate) fn boundary_clear(
         &mut self,
-        _sub: &mut Substrate,
+        sub: &mut Substrate,
         line: LineAddr,
         core: CoreId,
         t: Cycles,
     ) -> Cycles {
-        self.table.clear_core(line, core);
-        t
+        match &mut self.aim {
+            Some(aim) => {
+                aim.clear_core(&mut self.table, line, core);
+                Cycles(t.0 + sub.cfg.aim.latency)
+            }
+            None => {
+                self.table.clear_core(line, core);
+                // CE's table: the clear is forwarded off chip.
+                let bank = sub.bank_node(line);
+                self.table_cost(sub, bank, line, DramKind::MetaWrite, t, false)
+            }
+        }
     }
 
-    fn placement(&self) -> MetaPlacement {
-        MetaPlacement::Ideal
+    /// The AIM's hit/miss/spill statistics; `None` for the placements
+    /// without one (the report's AIM section is omitted).
+    pub(crate) fn aim_totals(&self) -> Option<AimSummary> {
+        // Every lookup is a hit or a miss.
+        self.aim.as_ref().map(|a| AimSummary {
+            accesses: a.hits.get() + a.misses.get(),
+            hits: a.hits.get(),
+            misses: a.misses.get(),
+            spills: a.spills.get(),
+        })
+    }
+
+    /// How a conflict found at `site` was detected: this placement,
+    /// and the outcome of the most recent AIM `ensure` unless the bits
+    /// rode the L1 line, a path with no AIM lookup on it.
+    pub(crate) fn path(&self, site: DetectSite) -> DetectPath {
+        DetectPath {
+            placement: self.placement,
+            site,
+            aim: self
+                .aim
+                .as_ref()
+                .and_then(|a| a.last)
+                .filter(|_| site != DetectSite::L1Bits),
+        }
     }
 }
 
@@ -621,101 +484,35 @@ impl MetaBackend for IdealMeta {
 mod tests {
     use super::*;
     use crate::exception::AccessType;
-    use rce_common::{ProtocolKind, RegionId, WordIdx, WordMask};
+    use rce_common::check::check_n;
+    use rce_common::{prop_assert, prop_assert_eq, ProtocolKind, RegionId, Rng, WordIdx, WordMask};
 
-    fn small_aim() -> AimMeta {
-        AimMeta::new(&AimConfig {
-            entries: 8,
-            ways: 2,
-            latency: 4,
-            entry_bytes: 16,
-        })
+    /// A store and its substrate, both built from `cfg`.
+    fn setup(cfg: &MachineConfig) -> (MetaStore, Substrate) {
+        let store = MetaStore::new(cfg).expect("a detecting placement");
+        (store, Substrate::new(cfg))
     }
 
-    #[test]
-    fn ensure_then_entry() {
-        let mut a = small_aim();
-        let o = a.ensure(LineAddr(1));
-        assert!(!o.hit && !o.refilled && !o.spilled);
-        a.entry(LineAddr(1)).record(
-            CoreId(0),
-            RegionId(1),
-            AccessType::Write,
-            WordMask::single(WordIdx(0)),
-        );
-        let o = a.ensure(LineAddr(1));
-        assert!(o.hit);
-        assert_eq!((a.hits.get(), a.misses.get()), (1, 1));
+    /// CE+ at 4 cores with an AIM of `entries` entries in `ways` ways.
+    fn aim_cfg(entries: u64, ways: u32) -> MachineConfig {
+        let mut cfg = MachineConfig::paper_default(4, ProtocolKind::CePlus);
+        cfg.aim.entries = entries;
+        cfg.aim.ways = ways;
+        cfg
     }
 
-    #[test]
-    fn spill_and_refill_roundtrip() {
-        let mut a = small_aim(); // 4 sets x 2 ways
-                                 // Fill set 0 (lines 0, 4) with live metadata, then overflow it.
-        for l in [0u64, 4] {
-            a.ensure(LineAddr(l));
-            a.entry(LineAddr(l))
-                .record(CoreId(0), RegionId(1), AccessType::Read, WordMask::FULL);
-        }
-        let o = a.ensure(LineAddr(8)); // same set, evicts LRU (line 0)
-        assert!(o.spilled);
-        assert_eq!(a.spilled_entries(), 1);
-        // Touching line 0 again refills from backing.
-        let o = a.ensure(LineAddr(0));
-        assert!(o.refilled);
-        assert!(
-            !a.entry(LineAddr(0)).is_empty(),
-            "metadata survived the spill"
-        );
-        assert!(a.spilled_entries() <= 1);
+    fn ideal_cfg() -> MachineConfig {
+        MachineConfig::paper_default(4, ProtocolKind::CePlus)
+            .with_meta_placement(MetaPlacement::Ideal)
     }
 
-    #[test]
-    fn empty_victims_are_not_spilled() {
-        let mut a = small_aim();
-        for l in [0u64, 4, 8] {
-            a.ensure(LineAddr(l)); // all empty entries
-        }
-        assert_eq!(a.spills.get(), 0);
-        assert_eq!(a.spilled_entries(), 0);
+    /// A 4-set, 2-way AIM.
+    fn small_aim() -> (MetaStore, Substrate) {
+        setup(&aim_cfg(8, 2))
     }
 
-    #[test]
-    fn clear_core_resident_and_spilled() {
-        let mut a = small_aim();
-        a.ensure(LineAddr(3));
-        a.entry(LineAddr(3)).record(
-            CoreId(2),
-            RegionId(5),
-            AccessType::Write,
-            WordMask::single(WordIdx(1)),
-        );
-        assert!(a.clear_core(LineAddr(3), CoreId(2)));
-        assert!(!a.clear_core(LineAddr(3), CoreId(2)));
-
-        // Spilled path.
-        a.entry(LineAddr(3)).record(
-            CoreId(1),
-            RegionId(9),
-            AccessType::Read,
-            WordMask::single(WordIdx(0)),
-        );
-        a.ensure(LineAddr(7));
-        a.ensure(LineAddr(11)); // set 3: 3, 7, 11 -> spills line 3
-        assert_eq!(a.spilled_entries(), 1);
-        assert!(a.clear_core(LineAddr(3), CoreId(1)));
-        assert_eq!(a.spilled_entries(), 0, "empty spilled entries are dropped");
-    }
-
-    #[test]
-    #[should_panic(expected = "ensured")]
-    fn entry_requires_ensure() {
-        let mut a = small_aim();
-        let _ = a.entry(LineAddr(42));
-    }
-
-    fn sub() -> Substrate {
-        Substrate::new(&MachineConfig::paper_default(4, ProtocolKind::CePlus))
+    fn aim(store: &MetaStore) -> &Aim {
+        store.aim.as_ref().expect("an AIM placement")
     }
 
     fn meta_with_bits(core: u16, region: u64) -> MetaMap {
@@ -729,198 +526,327 @@ mod tests {
         m
     }
 
-    /// Property (interned-storage equivalence): an AIM big enough to
-    /// never evict holds exactly the metadata the ideal unbounded
-    /// store does, under any interleaving of the `MetaBackend` ops.
-    /// Timing differs (the AIM charges latency); contents must not.
     #[test]
-    fn prop_unbounded_aim_equals_ideal() {
-        use rce_common::check::check_n;
-        use rce_common::{prop_assert, prop_assert_eq, Rng, SplitMix64};
-        check_n(
-            "prop_unbounded_aim_equals_ideal",
-            64,
-            |rng: &mut SplitMix64| {
-                let n = 1 + rng.gen_range(120) as usize;
-                (0..n).map(|_| rng.next_u64()).collect::<Vec<u64>>()
-            },
-            |ops| {
-                let mut s = sub();
-                // 1024 entries / 16 distinct lines: no eviction, so no
-                // spill path — the AIM degenerates to an unbounded map.
-                let mut aim = AimMeta::new(&AimConfig {
-                    entries: 1024,
-                    ways: 4,
-                    latency: 4,
-                    entry_bytes: 16,
-                });
-                let mut ideal = IdealMeta::new();
-                let src = s.core_node(CoreId(0));
-                for (step, &raw) in ops.iter().enumerate() {
-                    let line = LineAddr((raw >> 8) % 16);
-                    let core = CoreId(((raw >> 16) % 4) as u16);
-                    let region = RegionId((raw >> 24) % 8);
-                    let at = Cycles(step as u64 * 10);
-                    match raw % 5 {
-                        0 => {
-                            // Displaced-bits push of one core's access.
-                            let mut m = MetaMap::new();
-                            m.record(
-                                core,
-                                region,
-                                if raw & 1 == 0 {
-                                    AccessType::Read
-                                } else {
-                                    AccessType::Write
-                                },
-                                WordMask::single(WordIdx(((raw >> 32) % 8) as u8)),
-                            );
-                            aim.push(&mut s, src, line, m.clone(), at);
-                            ideal.push(&mut s, src, line, m, at);
-                        }
-                        1 => {
-                            let (_, got_a) = aim.fetch(&mut s, line, at);
-                            let (_, got_i) = ideal.fetch(&mut s, line, at);
-                            prop_assert_eq!(got_a, got_i, "fetched bits diverge at op {step}");
-                        }
-                        2 => {
-                            // `gone` flags legitimately differ (the AIM
-                            // keeps scrubbed entries resident; the ideal
-                            // store drops them) — only contents must
-                            // agree, which the fetches below check.
-                            let _ = aim.scrub(&mut s, src, core, line, at);
-                            let _ = ideal.scrub(&mut s, src, core, line, at);
-                        }
-                        3 => {
-                            // ARC-style registration write-through.
-                            aim.ensure_at(&mut s, line, at);
-                            ideal.ensure_at(&mut s, line, at);
-                            aim.entry_mut(line).record(
-                                core,
-                                region,
-                                AccessType::Write,
-                                WordMask::single(WordIdx(0)),
-                            );
-                            ideal.entry_mut(line).record(
-                                core,
-                                region,
-                                AccessType::Write,
-                                WordMask::single(WordIdx(0)),
-                            );
-                        }
-                        _ => {
-                            aim.boundary_clear(&mut s, line, core, at);
-                            ideal.boundary_clear(&mut s, line, core, at);
-                        }
-                    }
-                    if let Some(a) = aim.totals() {
-                        prop_assert_eq!(a.spills, 0, "unbounded AIM must never spill");
-                    }
-                }
-                // Final sweep: every line's surviving metadata matches.
-                for l in 0..16u64 {
-                    let at = Cycles(1_000_000);
-                    let (_, got_a) = aim.fetch(&mut s, LineAddr(l), at);
-                    let (_, got_i) = ideal.fetch(&mut s, LineAddr(l), at);
-                    prop_assert_eq!(got_a, got_i, "line {l} diverges in the final sweep");
-                }
-                prop_assert!(
-                    aim.spilled_entries() == 0,
-                    "nothing may have reached the overflow table"
-                );
-                Ok(())
-            },
-        );
-    }
-
-    #[test]
-    fn backend_for_matches_placement() {
-        let placement = |cfg: &MachineConfig| backend_for(cfg).map(|b| b.placement());
+    fn new_matches_placement() {
+        let store =
+            |cfg: &MachineConfig| MetaStore::new(cfg).map(|s| (s.placement, s.aim.is_some()));
         let baseline = MachineConfig::paper_default(4, ProtocolKind::MesiBaseline);
-        assert_eq!(placement(&baseline), None, "the baseline has no backend");
+        assert_eq!(store(&baseline), None, "the baseline has no store");
         for (proto, want) in [
             (ProtocolKind::Ce, MetaPlacement::Dram),
             (ProtocolKind::CePlus, MetaPlacement::Aim),
             (ProtocolKind::Arc, MetaPlacement::Aim),
         ] {
             let cfg = MachineConfig::paper_default(4, proto);
-            assert_eq!(placement(&cfg), Some(want));
+            assert_eq!(store(&cfg), Some((want, want == MetaPlacement::Aim)));
         }
-        let cfg = MachineConfig::paper_default(4, ProtocolKind::CePlus)
-            .with_meta_placement(MetaPlacement::Ideal);
-        assert_eq!(placement(&cfg), Some(MetaPlacement::Ideal));
+        assert_eq!(store(&ideal_cfg()), Some((MetaPlacement::Ideal, false)));
+    }
+
+    #[test]
+    fn ensure_then_entry() {
+        let (mut m, mut s) = small_aim();
+        m.ensure_at(&mut s, LineAddr(1), Cycles(0));
+        assert_eq!(aim(&m).last, Some(AimOutcome::default()), "a cold miss");
+        m.entry_mut(LineAddr(1)).record(
+            CoreId(0),
+            RegionId(1),
+            AccessType::Write,
+            WordMask::single(WordIdx(0)),
+        );
+        m.ensure_at(&mut s, LineAddr(1), Cycles(1));
+        assert!(aim(&m).last.is_some_and(|o| o.hit));
+        assert_eq!((aim(&m).hits.get(), aim(&m).misses.get()), (1, 1));
+    }
+
+    #[test]
+    fn spill_and_refill_roundtrip() {
+        let (mut m, mut s) = small_aim();
+        // Fill set 0 (lines 0, 4) with live metadata, then overflow it.
+        for l in [0u64, 4] {
+            m.ensure_at(&mut s, LineAddr(l), Cycles(0));
+            m.entry_mut(LineAddr(l)).record(
+                CoreId(0),
+                RegionId(1),
+                AccessType::Read,
+                WordMask::FULL,
+            );
+        }
+        m.ensure_at(&mut s, LineAddr(8), Cycles(0)); // evicts LRU line 0
+        assert!(aim(&m).last.is_some_and(|o| o.spilled));
+        assert_eq!(m.table.len(), 1);
+        // Touching line 0 again refills it from the spill table.
+        m.ensure_at(&mut s, LineAddr(0), Cycles(0));
+        assert!(aim(&m).last.is_some_and(|o| o.refilled));
+        assert!(
+            !m.entry_mut(LineAddr(0)).is_empty(),
+            "metadata survived the spill"
+        );
+        assert!(m.table.len() <= 1);
+        assert!(
+            s.dram.stats().metadata_bytes().0 > 0,
+            "spill and refill go off chip"
+        );
+    }
+
+    #[test]
+    fn empty_victims_are_not_spilled() {
+        let (mut m, mut s) = small_aim();
+        for l in [0u64, 4, 8] {
+            m.ensure_at(&mut s, LineAddr(l), Cycles(0)); // all empty entries
+        }
+        assert_eq!(aim(&m).spills.get(), 0);
+        assert_eq!(m.table.len(), 0);
+    }
+
+    #[test]
+    fn boundary_clear_resident_and_spilled() {
+        let (mut m, mut s) = small_aim();
+        let line = LineAddr(3);
+        m.ensure_at(&mut s, line, Cycles(0));
+        m.entry_mut(line).record(
+            CoreId(2),
+            RegionId(5),
+            AccessType::Write,
+            WordMask::single(WordIdx(1)),
+        );
+        let t = m.boundary_clear(&mut s, line, CoreId(2), Cycles(10));
+        assert_eq!(t, Cycles(10 + s.cfg.aim.latency));
+        assert!(m.entry_mut(line).is_empty(), "resident bits cleared");
+
+        // Spilled path.
+        m.entry_mut(line).record(
+            CoreId(1),
+            RegionId(9),
+            AccessType::Read,
+            WordMask::single(WordIdx(0)),
+        );
+        m.ensure_at(&mut s, LineAddr(7), Cycles(20));
+        m.ensure_at(&mut s, LineAddr(11), Cycles(20)); // set 3: 3, 7, 11 -> spills line 3
+        assert_eq!(m.table.len(), 1);
+        m.boundary_clear(&mut s, line, CoreId(1), Cycles(30));
+        assert_eq!(m.table.len(), 0, "empty spilled entries are dropped");
+    }
+
+    #[test]
+    #[should_panic(expected = "ensured")]
+    fn entry_requires_ensure() {
+        let (mut m, _) = small_aim();
+        let _ = m.entry_mut(LineAddr(42));
     }
 
     #[test]
     fn dram_push_fetch_roundtrip_charges_offchip() {
-        let mut s = sub();
-        let mut b = DramMeta::new();
+        let (mut m, mut s) = setup(&MachineConfig::paper_default(4, ProtocolKind::Ce));
         let line = LineAddr(12);
         let src = s.core_node(CoreId(0));
-        b.push(&mut s, src, line, meta_with_bits(0, 0), Cycles(0));
-        assert_eq!(b.entries(), 1);
+        m.push(&mut s, src, line, meta_with_bits(0, 0), Cycles(0));
+        assert_eq!(m.table.len(), 1);
         assert!(s.dram.stats().metadata_bytes().0 > 0, "push writes DRAM");
         let before = s.dram.stats().metadata_bytes().0;
-        let (ready, m) = b.fetch(&mut s, line, Cycles(100));
+        let (ready, bits) = m.fetch(&mut s, line, Cycles(100));
         assert!(ready.0 > 100, "fetch is an off-chip round trip");
-        assert!(!m.is_empty(), "bits came back");
-        assert_eq!(b.entries(), 0, "fetch removes the entry");
+        assert!(!bits.is_empty(), "bits came back");
+        assert_eq!(m.table.len(), 0, "fetch removes the entry");
         assert!(s.dram.stats().metadata_bytes().0 > before);
     }
 
     #[test]
     fn dram_scrub_reports_emptied_entries() {
-        let mut s = sub();
-        let mut b = DramMeta::new();
+        let (mut m, mut s) = setup(&MachineConfig::paper_default(4, ProtocolKind::Ce));
         let line = LineAddr(5);
         let src = s.core_node(CoreId(1));
-        b.push(&mut s, src, line, meta_with_bits(1, 7), Cycles(0));
-        let (t, gone) = b.scrub(&mut s, src, CoreId(1), line, Cycles(50));
+        m.push(&mut s, src, line, meta_with_bits(1, 7), Cycles(0));
+        let (t, gone) = m.scrub(&mut s, src, CoreId(1), line, Cycles(50));
         assert!(gone, "the only core's bits were cleared");
         assert!(t.0 > 50, "scrub pays the off-chip write");
         // Scrubbing an absent line still charges (the hardware cannot
         // know the entry is gone without the round trip).
-        let (_, gone2) = b.scrub(&mut s, src, CoreId(1), line, t);
+        let (t2, gone2) = m.scrub(&mut s, src, CoreId(1), line, t);
         assert!(!gone2);
+        assert!(t2 > t);
     }
 
     #[test]
     fn ideal_is_free_and_lossless() {
-        let mut s = sub();
-        let mut b = IdealMeta::new();
+        let (mut m, mut s) = setup(&ideal_cfg());
         let line = LineAddr(3);
         let src = s.core_node(CoreId(0));
         let noc0 = s.noc.stats().total_bytes().0;
         let dram0 = s.dram.stats().total_bytes().0;
-        b.push(&mut s, src, line, meta_with_bits(0, 0), Cycles(0));
-        assert_eq!(b.ensure_at(&mut s, line, Cycles(9)), Cycles(9));
-        let t = b.boundary_clear(&mut s, line, CoreId(3), Cycles(11));
+        m.push(&mut s, src, line, meta_with_bits(0, 0), Cycles(0));
+        assert_eq!(m.ensure_at(&mut s, line, Cycles(9)), Cycles(9));
+        let t = m.boundary_clear(&mut s, line, CoreId(3), Cycles(11));
         assert_eq!(t, Cycles(11));
-        let (ready, m) = b.fetch(&mut s, line, Cycles(20));
+        let (ready, bits) = m.fetch(&mut s, line, Cycles(20));
         assert_eq!(ready, Cycles(20), "ideal fetch is instantaneous");
-        assert_eq!(m, meta_with_bits(0, 0), "ideal storage is lossless");
+        assert_eq!(bits, meta_with_bits(0, 0), "ideal storage is lossless");
         assert_eq!(s.noc.stats().total_bytes().0, noc0, "no NoC traffic");
         assert_eq!(s.dram.stats().total_bytes().0, dram0, "no DRAM traffic");
-        assert!(b.totals().is_none(), "no cache, no hit statistics");
+        assert!(m.aim_totals().is_none(), "no cache, no hit statistics");
+        let path = m.path(DetectSite::DisplacedFetch);
+        assert_eq!((path.placement, path.aim), (MetaPlacement::Ideal, None));
     }
 
     #[test]
-    fn aim_backend_fetch_removes_bits_and_counts() {
-        let mut s = sub();
-        let mut b = AimMeta::new(&s.cfg.aim.clone());
+    fn aim_fetch_removes_bits_and_counts() {
+        let (mut m, mut s) = setup(&MachineConfig::paper_default(4, ProtocolKind::CePlus));
         let line = LineAddr(9);
         let src = s.core_node(CoreId(2));
-        b.push(&mut s, src, line, meta_with_bits(2, 4), Cycles(0));
-        let (ready, m) = b.fetch(&mut s, line, Cycles(30));
-        assert_eq!(ready, Cycles(30 + b.latency), "resident: latency only");
-        assert_eq!(m, meta_with_bits(2, 4));
-        assert!(b.entry(line).is_empty(), "fetch drains the entry");
-        let a = b.totals().unwrap();
+        m.push(&mut s, src, line, meta_with_bits(2, 4), Cycles(0));
+        let (ready, bits) = m.fetch(&mut s, line, Cycles(30));
+        assert_eq!(
+            ready,
+            Cycles(30 + s.cfg.aim.latency),
+            "resident: latency only"
+        );
+        assert_eq!(bits, meta_with_bits(2, 4));
+        assert!(m.entry_mut(line).is_empty(), "fetch drains the entry");
+        let a = m.aim_totals().unwrap();
         assert_eq!((a.accesses, a.hits, a.misses, a.spills), (2, 1, 1, 0));
         assert_eq!(
             s.dram.stats().metadata_bytes().0,
             0,
             "no spill, no off-chip traffic"
+        );
+        // The last ensure was a hit: a displaced-fetch path reports it,
+        // an L1-bits path carries no AIM state.
+        assert!(m
+            .path(DetectSite::DisplacedFetch)
+            .aim
+            .is_some_and(|o| o.hit));
+        assert_eq!(m.path(DetectSite::L1Bits).aim, None);
+    }
+
+    // Property tests: every placement stores bits losslessly, whatever
+    // its cost model does. The ideal store *is* the specification (an
+    // infinite map with no cost model), so each property compares an
+    // AIM against it over random operation sequences. "Observably
+    // identical" means every `fetch` returns the same `MetaMap`; timing
+    // and traffic are allowed (required, even) to differ.
+
+    /// One packed metadata operation: `(opcode, line, bits)`, a plain
+    /// tuple so `Vec<Op>` shrinks through the stock `check` machinery.
+    type Op = (u8, u64, u64);
+
+    const LINES: u64 = 16;
+
+    fn decode_side(bits: u64) -> (CoreId, RegionId, AccessType, WordMask) {
+        let core = CoreId((bits % 4) as u16);
+        let region = RegionId((bits >> 2) % 4);
+        let kind = if bits & 0x10 != 0 {
+            AccessType::Write
+        } else {
+            AccessType::Read
+        };
+        let word = WordMask::single(WordIdx(((bits >> 5) % 8) as u8));
+        (core, region, kind, word)
+    }
+
+    fn gen_ops(rng: &mut impl Rng, max_len: u64) -> Vec<Op> {
+        let n = 1 + rng.gen_range(max_len) as usize;
+        (0..n)
+            .map(|_| (rng.gen_range(5) as u8, rng.gen_range(LINES), rng.next_u64()))
+            .collect()
+    }
+
+    /// Drive an AIM store built from `cfg` and the ideal reference
+    /// through the same ops, comparing every fetched map; then drain
+    /// both and compare the full final state. Returns the AIM store.
+    fn aim_matches_ideal(cfg: &MachineConfig, ops: &[Op]) -> Result<MetaStore, String> {
+        let (mut real, mut s_real) = setup(cfg);
+        let (mut ideal, mut s_ideal) = setup(&ideal_cfg());
+        let mut t = 0u64;
+        for &(op, line, bits) in ops {
+            let line = LineAddr(line);
+            let (core, region, kind, mask) = decode_side(bits);
+            t += 10;
+            let at = Cycles(t);
+            let src = s_real.core_node(core);
+            match op % 5 {
+                0 => {
+                    let mut m = MetaMap::new();
+                    m.record(core, region, kind, mask);
+                    real.push(&mut s_real, src, line, m.clone(), at);
+                    ideal.push(&mut s_ideal, src, line, m, at);
+                }
+                1 => {
+                    // `gone` flags legitimately differ (the AIM keeps
+                    // scrubbed entries resident; the ideal store drops
+                    // them): only contents must agree.
+                    real.scrub(&mut s_real, src, core, line, at);
+                    ideal.scrub(&mut s_ideal, src, core, line, at);
+                }
+                2 => {
+                    real.boundary_clear(&mut s_real, line, core, at);
+                    ideal.boundary_clear(&mut s_ideal, line, core, at);
+                }
+                3 => {
+                    // ARC-style registration: ensure, then record in place.
+                    real.ensure_at(&mut s_real, line, at);
+                    ideal.ensure_at(&mut s_ideal, line, at);
+                    real.entry_mut(line).record(core, region, kind, mask);
+                    ideal.entry_mut(line).record(core, region, kind, mask);
+                }
+                _ => {
+                    let (_, got) = real.fetch(&mut s_real, line, at);
+                    let (_, want) = ideal.fetch(&mut s_ideal, line, at);
+                    prop_assert_eq!(got, want, "fetch of {line:?} diverged mid-sequence");
+                }
+            }
+        }
+        // Drain everything: the final states must agree line for line.
+        for l in 0..LINES {
+            let line = LineAddr(l);
+            let at = Cycles(t + 10 + l);
+            let (_, got) = real.fetch(&mut s_real, line, at);
+            let (_, want) = ideal.fetch(&mut s_ideal, line, at);
+            prop_assert_eq!(got, want, "final state of {line:?} diverged");
+        }
+        Ok(real)
+    }
+
+    /// With capacity for every line, the AIM never spills and behaves
+    /// exactly like the infinite ideal store.
+    #[test]
+    fn unbounded_aim_is_observably_ideal() {
+        check_n(
+            "unbounded_aim_is_observably_ideal",
+            64,
+            |rng| gen_ops(rng, 120),
+            |ops| {
+                let aim = aim_matches_ideal(&aim_cfg(256, 16), ops)?;
+                prop_assert!(
+                    aim.aim_totals().unwrap().spills == 0,
+                    "capacity AIM must not spill"
+                );
+                prop_assert!(aim.table.len() == 0, "nothing may reach the spill table");
+                Ok(())
+            },
+        );
+    }
+
+    /// A thrashing AIM (4 entries, direct-mapped) spills and refills
+    /// constantly, yet no metadata is ever lost or corrupted on the way
+    /// through the DRAM spill table.
+    #[test]
+    fn spill_refill_roundtrip_is_lossless() {
+        let tiny = aim_cfg(4, 1);
+        check_n(
+            "spill_refill_roundtrip_is_lossless",
+            64,
+            |rng| gen_ops(rng, 64),
+            |ops| aim_matches_ideal(&tiny, ops).map(drop),
+        );
+        // The property is vacuous if nothing ever spilled; run one long
+        // deterministic sequence and insist the spill path was exercised.
+        let ops: Vec<Op> = (0..256)
+            .map(|i| (0u8, i % LINES, 0x17 + (i << 5)))
+            .collect();
+        let aim = aim_matches_ideal(&tiny, &ops).unwrap();
+        assert!(
+            aim.aim_totals().unwrap().spills > 0,
+            "the thrashing AIM never spilled"
         );
     }
 }

@@ -13,6 +13,12 @@ fn mesi_setup(proto: ProtocolKind, cores: usize) -> (MesiFamilyEngine, Substrate
     (MesiFamilyEngine::new(&cfg), Substrate::new(&cfg))
 }
 
+/// Bytes between consecutive lines of one L1 set (lines map to sets
+/// by their low bits): 1 KiB for the 8 KiB, 8-way, 16-set L1.
+fn set_stride(s: &Substrate) -> u64 {
+    s.cfg.l1.sets() * 64
+}
+
 fn acc<E: Engine + ?Sized>(
     e: &mut E,
     s: &mut Substrate,
@@ -33,18 +39,19 @@ fn acc<E: Engine + ?Sized>(
 }
 
 /// Upgrade (S→M) must consult displaced metadata: a third core's read
-/// bits were evicted to the backend; the upgrading writer still sees
-/// them.
+/// bits were evicted to the metadata store; the upgrading writer still
+/// sees them.
 #[test]
 fn upgrade_sees_displaced_metadata() {
     for proto in [ProtocolKind::Ce, ProtocolKind::CePlus] {
         let (mut e, mut s) = mesi_setup(proto, 3);
         let base = 0x20_0000u64;
         // Core 2 reads the word, then thrashes its set to evict the
-        // line (read bit displaced to the backend).
+        // line (read bit displaced to the metadata store).
         let mut t = acc(&mut e, &mut s, 2, base, R, 0).done.0;
+        let stride = set_stride(&s);
         for i in 1..=8u64 {
-            t = acc(&mut e, &mut s, 2, base + i * 4096, R, t).done.0;
+            t = acc(&mut e, &mut s, 2, base + i * stride, R, t).done.0;
         }
         assert!(e.check_invariants().is_ok());
         // Core 0 reads the line (S)...
@@ -72,8 +79,9 @@ fn arc_recall_of_evicted_owner_uses_spilled_masks() {
     let base = 0x30_0000u64;
     // Core 0 writes (private), then evicts the line.
     let mut t = acc(&mut e, &mut s, 0, base, W, 0).done.0;
+    let stride = set_stride(&s);
     for i in 1..=8u64 {
-        t = acc(&mut e, &mut s, 0, base + i * 4096, R, t).done.0;
+        t = acc(&mut e, &mut s, 0, base + i * stride, R, t).done.0;
     }
     // Core 1 reads: recall finds no resident copy; the AIM has the
     // spilled write bit.
@@ -123,8 +131,9 @@ fn detection_latency_ordering_on_displaced_path() {
         let (mut e, mut s) = mesi_setup(proto, 2);
         let base = 0x50_0000u64;
         let mut t = acc(&mut e, &mut s, 0, base, W, 0).done.0;
+        let stride = set_stride(&s);
         for i in 1..=8u64 {
-            t = acc(&mut e, &mut s, 0, base + i * 4096, R, t).done.0;
+            t = acc(&mut e, &mut s, 0, base + i * stride, R, t).done.0;
         }
         let r = acc(&mut e, &mut s, 1, base, R, t);
         r.done.0 - t
@@ -179,11 +188,11 @@ fn scrub_cost_scales_with_displacement() {
 /// A line whose L1 set the eviction helper below thrashes.
 const REPEAT_BASE: u64 = 0x80_0000;
 
-/// Core 0 reads eight more lines of `REPEAT_BASE`'s L1 set (lines
-/// 4096 bytes apart share a set of the 8-way L1), evicting it.
+/// Core 0 reads eight more lines of `REPEAT_BASE`'s set of the 8-way
+/// L1, evicting it.
 fn evict<E: Engine>(e: &mut E, s: &mut Substrate, mut t: u64) -> u64 {
     for i in 1..=8u64 {
-        t = acc(e, s, 0, REPEAT_BASE + i * 4096, R, t).done.0;
+        t = acc(e, s, 0, REPEAT_BASE + i * set_stride(s), R, t).done.0;
     }
     t
 }

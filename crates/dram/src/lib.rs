@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod controller;
 mod stats;

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod mesh;
 mod network;

@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod builder;
 mod chars;

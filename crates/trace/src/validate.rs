@@ -2,8 +2,8 @@
 //!
 //! Catches generator bugs before they turn into simulator deadlocks:
 //! unbalanced or recursive locking, barrier arity mismatches, memory
-//! accesses that straddle a cache line, and out-of-universe lock or
-//! barrier IDs.
+//! accesses that straddle a cache line, out-of-universe lock or
+//! barrier IDs, and declared universes too large for the program.
 
 use crate::op::Op;
 use crate::program::Program;
@@ -21,9 +21,22 @@ use std::collections::HashSet;
 /// 3. Memory accesses have `1 <= len <= 64` and do not cross a line
 ///    boundary (the simulator charges exactly one line per access).
 /// 4. Lock/barrier IDs are within the program's declared universe.
+/// 5. Neither universe is larger than the program's count of
+///    synchronization operations, which bounds how many IDs it can
+///    name. The check runs first: the per-ID tables here and in the
+///    simulator are sized by the declared counts, so a header
+///    declaring billions of IDs would otherwise allocate that many.
 pub fn validate(p: &Program) -> RceResult<()> {
     if p.threads.is_empty() {
         return Err(RceError::MalformedProgram("no threads".into()));
+    }
+    let sync_ops = p.total_sync_ops() as u64;
+    for (what, n) in [("locks", p.n_locks), ("barriers", p.n_barriers)] {
+        if u64::from(n) > sync_ops {
+            return Err(RceError::MalformedProgram(format!(
+                "declares {n} {what} but has only {sync_ops} synchronization operations"
+            )));
+        }
     }
 
     // Per-thread lock discipline and per-thread barrier counts.
@@ -174,6 +187,31 @@ mod tests {
         b.push(0, crate::op::Op::Barrier { bar: BarrierId(7) });
         let err = validate(&b.finish()).unwrap_err();
         assert!(err.to_string().contains("undeclared"));
+    }
+
+    #[test]
+    fn oversized_lock_universe_rejected() {
+        let mut b = Builder::new("bad", 1);
+        let l = b.lock();
+        b.critical(0, l, |b| b.write(0, Addr(0)));
+        let mut p = b.finish();
+        // Two sync ops (an acquire and a release) bound the universe.
+        p.n_locks = 2;
+        assert!(validate(&p).is_ok());
+        p.n_locks = 3;
+        let err = validate(&p).unwrap_err();
+        assert!(err.to_string().contains("declares 3 locks"), "{err}");
+    }
+
+    #[test]
+    fn oversized_barrier_universe_rejected() {
+        let mut b = Builder::new("bad", 1);
+        b.write(0, Addr(0));
+        let mut p = b.finish();
+        // One op and no sync at all: the header may declare nothing.
+        p.n_barriers = u32::MAX;
+        let err = validate(&p).unwrap_err();
+        assert!(err.to_string().contains("barriers"), "{err}");
     }
 
     #[test]

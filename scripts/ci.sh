@@ -108,8 +108,11 @@ echo "ok: four 32-core canneal CE+ reports match their digests"
 
 echo "== bad CLI input (paper, tracegen) =="
 # Out-of-range --cores and --scale, a meaningless diff tolerance, a
-# missing or non-JSON trace file and an unwritable output directory
-# must print a message and exit 2, not panic.
+# missing or non-JSON trace file, a trace file whose header declares
+# far more barriers than it has synchronization operations (sized by
+# the header, the simulator's tables would take tens of GiB) and an
+# unwritable output directory must print a message and exit 2, not
+# panic.
 expect_exit_2() {
     code=0
     "$@" >/dev/null 2>"$obs_out/stderr.txt" || code=$?
@@ -129,6 +132,9 @@ expect_exit_2 "${paper[@]}" diff tests/goldens/canneal-4c-ce.json \
 echo "not json" >"$obs_out/not-json.txt"
 expect_exit_2 "${tracegen[@]}" run "$obs_out/missing.json"
 expect_exit_2 "${tracegen[@]}" run "$obs_out/not-json.txt"
+printf '%s' '{"name":"huge","threads":[[{"Read":{"addr":0,"len":8}}]],"n_locks":0,' \
+    '"n_barriers":4294967295,"shared_base":0,"shared_end":64}' >"$obs_out/huge-universe.json"
+expect_exit_2 "${tracegen[@]}" run "$obs_out/huge-universe.json"
 expect_exit_2 "${paper[@]}" table1 --out /proc/nope
 echo "ok: bad arguments, trace files and output dirs exit 2 without a panic"
 

@@ -26,6 +26,9 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+#![warn(unreachable_pub)]
+
 pub use rce_cache as cache;
 pub use rce_common as common;
 pub use rce_core as core;
