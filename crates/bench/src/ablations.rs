@@ -4,77 +4,13 @@
 //! headline metrics against the default. These are the experiments a
 //! reviewer asks for: *why* word granularity, *why* a 16-byte
 //! piggyback, *what if* ARC skipped self-invalidating read-only data.
+//! Their rows are `Experiment::ABLATIONS`.
 
-use crate::figures::FigureOutput;
 use crate::runner::{EvalParams, RunKey, RunStore};
+use rce_common::json::JsonValue as Value;
 use rce_common::{json, table::Table, Bytes, DetectionGranularity, MachineConfig, ProtocolKind};
 use rce_core::SimReport;
 use rce_trace::WorkloadSpec;
-
-/// The ablation catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ablation {
-    /// Word- vs line-granularity detection: false-sharing exceptions.
-    Granularity,
-    /// ARC with/without read-only sharing classification.
-    Readonly,
-    /// CE+ metadata piggyback size sweep.
-    Piggyback,
-    /// CE under L1 capacity sweep (metadata displacement pressure).
-    L1Size,
-    /// ARC region-end signature size sweep.
-    Signature,
-    /// MESI vs MOESI substrate under the baseline and CE+.
-    Moesi,
-    /// AIM capacity x latency sensitivity for the AIM-backed designs.
-    AimSweep,
-}
-
-impl Ablation {
-    /// All ablations.
-    pub const ALL: [Ablation; 7] = [
-        Ablation::Granularity,
-        Ablation::Readonly,
-        Ablation::Piggyback,
-        Ablation::L1Size,
-        Ablation::Signature,
-        Ablation::Moesi,
-        Ablation::AimSweep,
-    ];
-
-    /// CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Ablation::Granularity => "ablate-granularity",
-            Ablation::Readonly => "ablate-readonly",
-            Ablation::Piggyback => "ablate-piggyback",
-            Ablation::L1Size => "ablate-l1",
-            Ablation::Signature => "ablate-signature",
-            Ablation::Moesi => "ablate-moesi",
-            Ablation::AimSweep => "ablate-aim",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<Ablation> {
-        Ablation::ALL.iter().copied().find(|a| a.name() == s)
-    }
-
-    /// Run the ablation. Its reports come from a store that starts
-    /// empty and simulates each run the ablation reads once.
-    pub fn run(self, params: &EvalParams) -> FigureOutput {
-        let runs = &mut RunStore::new(None, params.jobs);
-        match self {
-            Ablation::Granularity => granularity(params, runs),
-            Ablation::Readonly => readonly(params, runs),
-            Ablation::Piggyback => piggyback(params, runs),
-            Ablation::L1Size => l1_size(params, runs),
-            Ablation::Signature => signature(params, runs),
-            Ablation::Moesi => moesi(params, runs),
-            Ablation::AimSweep => aim_sweep(params, runs),
-        }
-    }
-}
 
 /// `w` on `proto`'s paper configuration, changed by `edit`.
 fn tuned(
@@ -97,7 +33,7 @@ fn counter(r: &SimReport, name: &str) -> u64 {
 }
 
 /// Word vs line granularity: exception counts and run time.
-fn granularity(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+pub(crate) fn granularity(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "Detection granularity ablation (CE+, exceptions & runtime vs word-granularity)",
         &["workload", "word ex", "line ex", "word time", "line time"],
@@ -134,16 +70,11 @@ fn granularity(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         t.row(cells);
         rows.push(row);
     }
-    FigureOutput {
-        id: "R-A1",
-        title: "Detection granularity",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// ARC read-only sharing classification on/off.
-fn readonly(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+pub(crate) fn readonly(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "ARC read-only sharing ablation (normalized to MESI)",
         &[
@@ -193,16 +124,11 @@ fn readonly(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
             "with_ro": stats(with),
         }));
     }
-    FigureOutput {
-        id: "R-A2",
-        title: "ARC read-only sharing",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// CE+ piggyback size sweep.
-fn piggyback(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+pub(crate) fn piggyback(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "CE+ metadata piggyback size (geomean over sharing-heavy workloads, vs MESI)",
         &["piggyback B", "runtime", "noc traffic"],
@@ -244,16 +170,11 @@ fn piggyback(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         ]);
         rows.push(json!({ "bytes": bytes, "runtime": g, "noc": gn }));
     }
-    FigureOutput {
-        id: "R-A3",
-        title: "CE+ piggyback size",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// CE under L1 size sweep: smaller L1s displace more metadata.
-fn l1_size(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+pub(crate) fn l1_size(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "CE vs L1 capacity (canneal + swaptions, vs same-L1 MESI)",
         &["L1 KiB", "CE runtime", "CE meta DRAM KiB"],
@@ -285,16 +206,11 @@ fn l1_size(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         ]);
         rows.push(json!({ "l1_kib": kib, "runtime": g, "meta_dram_bytes": meta }));
     }
-    FigureOutput {
-        id: "R-A4",
-        title: "CE vs L1 capacity",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// ARC signature size sweep.
-fn signature(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+pub(crate) fn signature(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "ARC region-end signature size (sync-dense workloads, vs MESI)",
         &["sig B/line", "runtime", "metadata noc KiB"],
@@ -334,12 +250,7 @@ fn signature(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         ]);
         rows.push(json!({ "sig_bytes": bytes, "runtime": g, "meta_noc_bytes": meta }));
     }
-    FigureOutput {
-        id: "R-A5",
-        title: "ARC signature size",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// AIM capacity x latency sweep over both AIM-backed designs.
@@ -351,7 +262,7 @@ fn signature(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
 /// latency. ARC leans on the AIM for *every* LLC registration, so it
 /// should degrade faster than CE+ (which only touches the AIM on
 /// displacement and scrub).
-fn aim_sweep(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+pub(crate) fn aim_sweep(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "AIM capacity x latency (CE+/ARC, geomean runtime vs MESI)",
         &[
@@ -411,16 +322,11 @@ fn aim_sweep(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
             "aim_hit_rate": hit_pct / 100.0, "spills": spills
         }));
     }
-    FigureOutput {
-        id: "R-A7",
-        title: "AIM capacity x latency sensitivity",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// MESI vs MOESI: writeback elision on migratory sharing.
-fn moesi(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+pub(crate) fn moesi(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "MESI vs MOESI substrate (migratory-sharing workloads)",
         &[
@@ -466,25 +372,12 @@ fn moesi(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
             }));
         }
     }
-    FigureOutput {
-        id: "R-A6",
-        title: "MESI vs MOESI",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_roundtrip() {
-        for a in Ablation::ALL {
-            assert_eq!(Ablation::parse(a.name()), Some(a));
-        }
-        assert_eq!(Ablation::parse("ablate-nothing"), None);
-    }
 
     const SMALL: EvalParams = EvalParams {
         cores: 4,
@@ -495,10 +388,10 @@ mod tests {
 
     #[test]
     fn granularity_ablation_runs_small() {
-        let f = Ablation::Granularity.run(&SMALL);
-        assert!(f.table.contains("false_sharing"));
+        let (table, json) = granularity(&SMALL, &mut RunStore::new(None, 0));
+        assert!(table.contains("false_sharing"));
         // Line granularity flags false sharing; word does not.
-        let rows = f.json["rows"].as_array().unwrap();
+        let rows = json["rows"].as_array().unwrap();
         let fs = &rows[0];
         assert_eq!(fs["Word"]["exceptions"].as_u64(), Some(0));
         assert!(fs["Line"]["exceptions"].as_u64().unwrap() > 0);
@@ -515,7 +408,6 @@ mod tests {
         );
         let again = readonly(&SMALL, &mut store);
         assert_eq!(store.len(), 15, "re-asking for present keys runs nothing");
-        assert_eq!(first.json, again.json);
-        assert_eq!(first.table, again.table);
+        assert_eq!(first, again);
     }
 }

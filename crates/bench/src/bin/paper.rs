@@ -20,7 +20,7 @@
 use rce_bench::{
     diff::{diff_values, parse_tolerance},
     figures::base_sweep,
-    hotpath, profile, Ablation, EvalParams, Experiment, RunKey,
+    hotpath, profile, EvalParams, Experiment, RunKey,
 };
 use rce_common::{json, ObsConfig, MAX_CORES};
 use rce_core::{find_variant, AccessType, EngineVariant, REGISTRY};
@@ -34,10 +34,10 @@ fn engine_names() -> String {
         .join(", ")
 }
 
-fn ablation_names() -> String {
-    Ablation::ALL
+fn experiment_names(catalog: &[Experiment]) -> String {
+    catalog
         .iter()
-        .map(|a| a.name())
+        .map(|e| e.name())
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -51,24 +51,33 @@ fn usage() -> ! {
          [--top K]\n       paper diff <a.json> <b.json> [--tolerance PCT] [--ignore PATHSUBSTR]...\n       \
          paper trajectory [--out DIR]\nexperiments: {}\n\
          ablations: {}\nengines: {}",
-        Experiment::ALL
-            .iter()
-            .map(|e| e.name())
-            .collect::<Vec<_>>()
-            .join(", "),
-        ablation_names(),
+        experiment_names(&Experiment::ALL),
+        experiment_names(&Experiment::ABLATIONS),
         engine_names()
     );
     std::process::exit(2);
 }
 
-/// Resolve an engine name against the registry, or exit 2 after
-/// listing every valid name.
-fn engine_or_exit(name: &str) -> &'static EngineVariant {
-    find_variant(name).unwrap_or_else(|| {
-        eprintln!("unknown engine '{name}'; valid engines: {}", engine_names());
+/// Resolve a single-run subcommand's workload and engine names into
+/// the engine and the run's key at `params`, or exit 2 naming the bad
+/// operand (and, for an engine, listing every valid name).
+fn resolve_run(
+    workload: &str,
+    engine: &str,
+    params: &EvalParams,
+) -> (&'static EngineVariant, RunKey) {
+    let w = WorkloadSpec::parse(workload).unwrap_or_else(|| {
+        eprintln!("unknown workload '{workload}'");
         std::process::exit(2);
-    })
+    });
+    let v = find_variant(engine).unwrap_or_else(|| {
+        eprintln!(
+            "unknown engine '{engine}'; valid engines: {}",
+            engine_names()
+        );
+        std::process::exit(2);
+    });
+    (v, RunKey::new(w, v.config(params.cores), params))
 }
 
 fn main() {
@@ -179,58 +188,22 @@ fn main() {
     }
 
     if command == "list" {
-        for e in Experiment::ALL {
-            println!("{:<20} {}", e.name(), describe(e));
-        }
-        for a in Ablation::ALL {
-            println!("{:<20} ablation", a.name());
+        for e in Experiment::ALL.iter().chain(&Experiment::ABLATIONS) {
+            println!("{:<24} {:<6} {}", e.name(), e.id(), e.title());
         }
         return;
     }
 
-    // Ablations: one or all.
-    let ablations: Vec<Ablation> = if command == "ablations" {
-        Ablation::ALL.to_vec()
-    } else {
-        let parsed = Ablation::parse(&command);
-        if parsed.is_none() && command.starts_with("ablate-") {
-            eprintln!(
-                "unknown ablation '{command}'; valid ablations: {}",
-                ablation_names()
-            );
-            std::process::exit(2);
-        }
-        parsed.into_iter().collect()
-    };
-    if !ablations.is_empty() {
-        create_dir(&out_dir);
-        profile::enable();
-        for a in ablations {
-            eprintln!("== {} ==", a.name());
-            profile::set_phase(a.name());
-            let start = std::time::Instant::now();
-            let fig = a.run(&params);
-            eprintln!("   done in {:.1}s", start.elapsed().as_secs_f64());
-            println!("{}", fig.table);
-            write_result(&out_dir, &fig, &params);
-        }
-        eprintln!("{}", profile::render());
-        return;
-    }
-
-    let experiments: Vec<Experiment> = if command == "all" {
-        Experiment::ALL.to_vec()
-    } else {
-        match Experiment::parse(&command) {
-            Some(e) => vec![e],
-            None => usage(),
-        }
+    let experiments: Vec<Experiment> = match command.as_str() {
+        "all" => Experiment::ALL.to_vec(),
+        "ablations" => Experiment::ABLATIONS.to_vec(),
+        name => vec![Experiment::find(name).unwrap_or_else(|| usage())],
     };
 
     create_dir(&out_dir);
     profile::enable();
     // `all` runs the base sweep once and seeds every experiment with it.
-    let sweep = if experiments.len() > 1 {
+    let sweep = if command == "all" {
         eprintln!(
             "running base sweep: 13 workloads x 4 designs at {} cores, scale {} ...",
             params.cores, params.scale
@@ -242,7 +215,7 @@ fn main() {
     };
 
     for e in experiments {
-        eprintln!("== {} ({}) ==", e.name(), describe(e));
+        eprintln!("== {} ({}: {}) ==", e.name(), e.id(), e.title());
         profile::set_phase(e.name());
         let start = std::time::Instant::now();
         let fig = e.run(&params, sweep.as_ref());
@@ -261,17 +234,10 @@ fn main() {
 /// with observability off — exiting nonzero if the two reports differ
 /// (the zero-perturbation contract of `rce_common::obs`).
 fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
-    let w = match WorkloadSpec::parse(workload) {
-        Some(w) => w,
-        None => {
-            eprintln!("unknown workload '{workload}'");
-            std::process::exit(2);
-        }
-    };
-    let v = engine_or_exit(engine);
+    let (v, key) = resolve_run(workload, engine, params);
+    let w = key.workload;
     profile::enable();
     profile::set_phase("trace");
-    let key = RunKey::new(w, v.config(params.cores), params);
     let r = key.clone().with_obs(ObsConfig::FULL).run();
     let log = r.trace.as_ref().expect("tracing was requested");
     let timeline = r.timeline.as_ref().expect("sampling was requested");
@@ -335,15 +301,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
 /// file (pretty JSON plus a trailing newline), which is exactly what
 /// `scripts/ci.sh` diffs against.
 fn run_report(workload: &str, engine: &str, params: &EvalParams) {
-    let w = match WorkloadSpec::parse(workload) {
-        Some(w) => w,
-        None => {
-            eprintln!("unknown workload '{workload}'");
-            std::process::exit(2);
-        }
-    };
-    let v = engine_or_exit(engine);
-    let r = RunKey::new(w, v.config(params.cores), params).run();
+    let r = resolve_run(workload, engine, params).1.run();
     println!("{}", json::to_string_pretty(&r));
 }
 
@@ -352,17 +310,9 @@ fn run_report(workload: &str, engine: &str, params: &EvalParams) {
 /// every delivered exception, plus the hottest conflict lines and core
 /// pairs.
 fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
-    let w = match WorkloadSpec::parse(workload) {
-        Some(w) => w,
-        None => {
-            eprintln!("unknown workload '{workload}'");
-            std::process::exit(2);
-        }
-    };
-    let v = engine_or_exit(engine);
-    let r = RunKey::new(w, v.config(params.cores), params)
-        .with_obs(ObsConfig::FORENSICS)
-        .run();
+    let (v, key) = resolve_run(workload, engine, params);
+    let w = key.workload;
+    let r = key.with_obs(ObsConfig::FORENSICS).run();
     let f = r.forensics.expect("forensics was requested");
     println!(
         "{} on {} ({} cores, scale {}, seed {}):",
@@ -616,23 +566,4 @@ fn write_result(out_dir: &str, fig: &rce_bench::FigureOutput, params: &EvalParam
     });
     write_file(&path, &format!("{}\n", json::to_string_pretty(&payload)));
     eprintln!("   wrote {path}");
-}
-
-/// Human description of `e` for `paper list`.
-fn describe(e: Experiment) -> &'static str {
-    match e {
-        Experiment::Table1 => "simulated system configuration",
-        Experiment::Table2 => "workload characteristics",
-        Experiment::FigRuntime => "run time normalized to MESI",
-        Experiment::FigEnergy => "energy normalized to MESI + breakdown",
-        Experiment::FigNoc => "on-chip traffic normalized to MESI",
-        Experiment::FigDram => "off-chip traffic normalized to MESI",
-        Experiment::FigScaling => "geomean run time vs core count",
-        Experiment::FigAim => "AIM size sensitivity",
-        Experiment::Table3 => "conflicts detected vs oracle",
-        Experiment::FigSaturation => "NoC saturation vs core count",
-        Experiment::FigSeeds => "seed sensitivity of headline geomeans",
-        Experiment::FigSaturationTimeline => "per-interval NoC utilization, CE+ vs ARC",
-        Experiment::FigConflictHeatmap => "hottest conflict lines/core pairs, CE+ vs ARC",
-    }
 }

@@ -1,6 +1,8 @@
-//! Experiment implementations: one function per reconstructed table
-//! or figure (see DESIGN.md for the experiment index).
+//! The experiment catalog, [`Experiment`], and one renderer per
+//! reconstructed table or figure (see DESIGN.md for the experiment
+//! index). The ablations' renderers live in the `ablations` module.
 
+use crate::ablations::{aim_sweep, granularity, l1_size, moesi, piggyback, readonly, signature};
 use crate::runner::{EvalParams, RunKey, RunStore, SweepResults};
 use rce_common::json;
 use rce_common::json::JsonValue as Value;
@@ -13,7 +15,7 @@ use std::collections::HashMap;
 /// A rendered experiment: the text table plus machine-readable rows.
 #[derive(Debug, Clone)]
 pub struct FigureOutput {
-    /// Experiment ID (e.g. "R-F1").
+    /// Experiment ID (e.g. `R-F1`).
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,
@@ -23,99 +25,122 @@ pub struct FigureOutput {
     pub json: Value,
 }
 
-/// The experiment catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Experiment {
-    /// R-T1: system configuration.
-    Table1,
-    /// R-T2: workload characteristics.
-    Table2,
-    /// R-F1: normalized run time.
-    FigRuntime,
-    /// R-F2: normalized energy with breakdown.
-    FigEnergy,
-    /// R-F3: normalized on-chip traffic.
-    FigNoc,
-    /// R-F4: normalized off-chip traffic.
-    FigDram,
-    /// R-F5: run time scaling with core count.
-    FigScaling,
-    /// R-F6: AIM size sensitivity.
-    FigAim,
-    /// R-T3: conflict detection vs the oracle.
-    Table3,
-    /// R-F7: NoC saturation.
-    FigSaturation,
-    /// R-F8: seed sensitivity of the headline geomeans.
-    FigSeeds,
-    /// R-F9: per-interval NoC utilization timeline (CE+ vs ARC).
-    FigSaturationTimeline,
-    /// R-F10: conflict heatmap (hottest lines / core pairs) from the
-    /// forensics layer, CE+ vs ARC on racy workloads.
-    FigConflictHeatmap,
+/// An experiment's renderer: it reads every run it needs from the
+/// store and returns the text table and the machine-readable rows.
+type Render = fn(&EvalParams, &mut RunStore) -> (String, Value);
+
+/// One row of the experiment catalog: a reconstructed table or figure,
+/// or an ablation.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    name: &'static str,
+    id: &'static str,
+    title: &'static str,
+    render: Render,
 }
 
 impl Experiment {
-    /// All experiments in presentation order.
-    pub const ALL: [Experiment; 13] = [
-        Experiment::Table1,
-        Experiment::Table2,
-        Experiment::FigRuntime,
-        Experiment::FigEnergy,
-        Experiment::FigNoc,
-        Experiment::FigDram,
-        Experiment::FigScaling,
-        Experiment::FigAim,
-        Experiment::Table3,
-        Experiment::FigSaturation,
-        Experiment::FigSeeds,
-        Experiment::FigSaturationTimeline,
-        Experiment::FigConflictHeatmap,
-    ];
-
-    /// CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Experiment::Table1 => "table1",
-            Experiment::Table2 => "table2",
-            Experiment::FigRuntime => "fig-runtime",
-            Experiment::FigEnergy => "fig-energy",
-            Experiment::FigNoc => "fig-noc",
-            Experiment::FigDram => "fig-dram",
-            Experiment::FigScaling => "fig-scaling",
-            Experiment::FigAim => "fig-aim",
-            Experiment::Table3 => "table3",
-            Experiment::FigSaturation => "fig-saturation",
-            Experiment::FigSeeds => "fig-seeds",
-            Experiment::FigSaturationTimeline => "fig-saturation-timeline",
-            Experiment::FigConflictHeatmap => "fig-conflict-heatmap",
+    const fn new(
+        name: &'static str,
+        id: &'static str,
+        title: &'static str,
+        render: Render,
+    ) -> Self {
+        Experiment {
+            name,
+            id,
+            title,
+            render,
         }
     }
 
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<Experiment> {
-        Experiment::ALL.iter().copied().find(|e| e.name() == s)
+    /// The paper's tables and figures, in presentation order.
+    pub const ALL: [Experiment; 13] = [
+        Experiment::new("table1", "R-T1", "System configuration", table1),
+        Experiment::new("table2", "R-T2", "Workload characteristics", table2),
+        Experiment::new("fig-runtime", "R-F1", "Run time", fig_runtime),
+        Experiment::new("fig-energy", "R-F2", "Energy", fig_energy),
+        Experiment::new("fig-noc", "R-F3", "On-chip network traffic", fig_noc),
+        Experiment::new("fig-dram", "R-F4", "Off-chip memory traffic", fig_dram),
+        Experiment::new(
+            "fig-scaling",
+            "R-F5",
+            "Scaling with core count",
+            fig_scaling,
+        ),
+        Experiment::new("fig-aim", "R-F6", "AIM size sensitivity", fig_aim),
+        Experiment::new("table3", "R-T3", "Conflict detection vs oracle", table3),
+        Experiment::new("fig-saturation", "R-F7", "NoC saturation", fig_saturation),
+        Experiment::new("fig-seeds", "R-F8", "Seed sensitivity", fig_seeds),
+        Experiment::new(
+            "fig-saturation-timeline",
+            "R-F9",
+            "NoC saturation timeline (CE+ vs ARC)",
+            fig_saturation_timeline,
+        ),
+        Experiment::new(
+            "fig-conflict-heatmap",
+            "R-F10",
+            "Conflict heatmap (CE+ vs ARC)",
+            fig_conflict_heatmap,
+        ),
+    ];
+
+    /// The ablations (see `ablations`): each varies one knob of one
+    /// design.
+    pub const ABLATIONS: [Experiment; 7] = [
+        Experiment::new(
+            "ablate-granularity",
+            "R-A1",
+            "Detection granularity",
+            granularity,
+        ),
+        Experiment::new("ablate-readonly", "R-A2", "ARC read-only sharing", readonly),
+        Experiment::new("ablate-piggyback", "R-A3", "CE+ piggyback size", piggyback),
+        Experiment::new("ablate-l1", "R-A4", "CE vs L1 capacity", l1_size),
+        Experiment::new("ablate-signature", "R-A5", "ARC signature size", signature),
+        Experiment::new("ablate-moesi", "R-A6", "MESI vs MOESI", moesi),
+        Experiment::new(
+            "ablate-aim",
+            "R-A7",
+            "AIM capacity x latency sensitivity",
+            aim_sweep,
+        ),
+    ];
+
+    /// The experiment or ablation named `name` on the command line.
+    pub fn find(name: &str) -> Option<Experiment> {
+        Experiment::ALL
+            .into_iter()
+            .chain(Experiment::ABLATIONS)
+            .find(|e| e.name == name)
+    }
+
+    /// CLI name.
+    pub fn name(self) -> &'static str {
+        self.name
+    }
+
+    /// Result ID (e.g. `R-F1`), which names its `results/` file.
+    pub fn id(self) -> &'static str {
+        self.id
+    }
+
+    /// Human title.
+    pub fn title(self) -> &'static str {
+        self.title
     }
 
     /// Run the experiment. Its reports come from a store over `sweep`,
     /// an optional pre-computed base sweep (see [`base_sweep`]); the
     /// experiment simulates only the runs the sweep lacks, each once.
     pub fn run(self, params: &EvalParams, sweep: Option<&SweepResults>) -> FigureOutput {
-        let runs = &mut RunStore::new(sweep, params.jobs);
-        match self {
-            Experiment::Table1 => table1(params),
-            Experiment::Table2 => table2(params),
-            Experiment::FigRuntime => fig_runtime(params, runs),
-            Experiment::FigEnergy => fig_energy(params, runs),
-            Experiment::FigNoc => fig_noc(params, runs),
-            Experiment::FigDram => fig_dram(params, runs),
-            Experiment::FigScaling => fig_scaling(params, runs),
-            Experiment::FigAim => fig_aim(params, runs),
-            Experiment::Table3 => table3(params, runs),
-            Experiment::FigSaturation => fig_saturation(params, runs),
-            Experiment::FigSeeds => fig_seeds(params, runs),
-            Experiment::FigSaturationTimeline => fig_saturation_timeline(params, runs),
-            Experiment::FigConflictHeatmap => fig_conflict_heatmap(params, runs),
+        let (table, json) = (self.render)(params, &mut RunStore::new(sweep, params.jobs));
+        FigureOutput {
+            id: self.id,
+            title: self.title,
+            table,
+            json,
         }
     }
 }
@@ -170,7 +195,7 @@ fn get<'r>(
 }
 
 /// R-T1: the simulated system's parameters.
-fn table1(params: &EvalParams) -> FigureOutput {
+fn table1(params: &EvalParams, _: &mut RunStore) -> (String, Value) {
     let cfg = MachineConfig::paper_default(params.cores, ProtocolKind::MesiBaseline);
     let mut t = Table::new(
         "Table I: simulated system configuration",
@@ -231,16 +256,11 @@ fn table1(params: &EvalParams) -> FigureOutput {
     for (k, v) in &rows {
         t.row(vec![k.clone(), v.clone()]);
     }
-    FigureOutput {
-        id: "R-T1",
-        title: "System configuration",
-        table: t.render(),
-        json: json!(rows),
-    }
+    (t.render(), json!(rows))
 }
 
 /// R-T2: workload characteristics.
-fn table2(params: &EvalParams) -> FigureOutput {
+fn table2(params: &EvalParams, _: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "Table II: workload characteristics",
         &[
@@ -272,23 +292,17 @@ fn table2(params: &EvalParams) -> FigureOutput {
         ]);
         rows.push(json::to_value(&c));
     }
-    FigureOutput {
-        id: "R-T2",
-        title: "Workload characteristics",
-        table: t.render(),
-        json: Value::Array(rows),
-    }
+    (t.render(), Value::Array(rows))
 }
 
 /// Shared scaffolding for the four normalized-metric figures.
 fn normalized_figure(
     params: &EvalParams,
     runs: &mut RunStore,
-    id: &'static str,
-    title: &'static str,
+    title: &str,
     metric_name: &str,
     metric: impl Fn(&SimReport) -> f64,
-) -> FigureOutput {
+) -> (String, Value) {
     let mut t = Table::new(
         format!("{title} (normalized to MESI, {} cores)", params.cores),
         &["workload", "CE", "CE+", "ARC"],
@@ -320,26 +334,19 @@ fn normalized_figure(
     }
     t.row(cells);
     rows.push(row);
-    FigureOutput {
-        id,
-        title,
-        table: t.render(),
-        json: json!({ "metric": metric_name, "cores": params.cores, "rows": rows }),
-    }
+    let json = json!({ "metric": metric_name, "cores": params.cores, "rows": rows });
+    (t.render(), json)
 }
 
 /// R-F1: normalized run time.
-fn fig_runtime(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
-    normalized_figure(params, runs, "R-F1", "Run time", "runtime", |r| {
-        r.cycles.0 as f64
-    })
+fn fig_runtime(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
+    normalized_figure(params, runs, "Run time", "runtime", |r| r.cycles.0 as f64)
 }
 
 /// R-F2: normalized energy, with component breakdown per design.
-fn fig_energy(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
-    let mut out = normalized_figure(params, runs, "R-F2", "Energy", "energy", |r| {
-        r.energy_total().0
-    });
+fn fig_energy(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
+    let (mut table, mut json) =
+        normalized_figure(params, runs, "Energy", "energy", |r| r.energy_total().0);
     // Append a geomean component-share table.
     let mut t = Table::new(
         "Energy breakdown (% of each design's total, geomean workload)",
@@ -368,23 +375,19 @@ fn fig_energy(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         t.row(cells);
         breakdown_rows.push(row);
     }
-    out.table.push('\n');
-    out.table.push_str(&t.render());
-    out.json["breakdown"] = Value::Array(breakdown_rows);
-    out
+    table.push('\n');
+    table.push_str(&t.render());
+    json["breakdown"] = Value::Array(breakdown_rows);
+    (table, json)
 }
 
 /// R-F3: normalized on-chip traffic, plus the metadata/invalidation
 /// decomposition that explains it.
-fn fig_noc(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
-    let mut out = normalized_figure(
-        params,
-        runs,
-        "R-F3",
-        "On-chip network traffic",
-        "noc_bytes",
-        |r| r.noc_bytes().as_f64(),
-    );
+fn fig_noc(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
+    let (mut table, mut json) =
+        normalized_figure(params, runs, "On-chip network traffic", "noc_bytes", |r| {
+            r.noc_bytes().as_f64()
+        });
     let mut t = Table::new(
         "NoC traffic composition (total MiB across PARSEC suite)",
         &["design", "total", "data", "inv+ack", "metadata"],
@@ -413,22 +416,18 @@ fn fig_noc(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
             "inv_ack": inv, "metadata": meta
         }));
     }
-    out.table.push('\n');
-    out.table.push_str(&t.render());
-    out.json["composition"] = Value::Array(comp_rows);
-    out
+    table.push('\n');
+    table.push_str(&t.render());
+    json["composition"] = Value::Array(comp_rows);
+    (table, json)
 }
 
 /// R-F4: normalized off-chip traffic, with the metadata share.
-fn fig_dram(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
-    let mut out = normalized_figure(
-        params,
-        runs,
-        "R-F4",
-        "Off-chip memory traffic",
-        "dram_bytes",
-        |r| r.dram_bytes().as_f64(),
-    );
+fn fig_dram(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
+    let (mut table, mut json) =
+        normalized_figure(params, runs, "Off-chip memory traffic", "dram_bytes", |r| {
+            r.dram_bytes().as_f64()
+        });
     let mut t = Table::new(
         "Off-chip metadata share (MiB across PARSEC suite)",
         &["design", "data", "metadata"],
@@ -449,17 +448,17 @@ fn fig_dram(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         ]);
         comp_rows.push(json!({ "design": p.name(), "data": data, "metadata": meta }));
     }
-    out.table.push('\n');
-    out.table.push_str(&t.render());
-    out.json["composition"] = Value::Array(comp_rows);
-    out
+    table.push('\n');
+    table.push_str(&t.render());
+    json["composition"] = Value::Array(comp_rows);
+    (table, json)
 }
 
 /// Core counts used by the scaling and saturation figures.
 const SCALING_CORES: [usize; 4] = [8, 16, 32, 64];
 
 /// R-F5: geomean normalized run time vs core count.
-fn fig_scaling(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+fn fig_scaling(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     runs.ensure(grid(
         &WorkloadSpec::PARSEC,
         &ProtocolKind::ALL,
@@ -492,12 +491,7 @@ fn fig_scaling(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         t.row(cells);
         rows.push(row);
     }
-    FigureOutput {
-        id: "R-F5",
-        title: "Scaling with core count",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// AIM entry counts for the sensitivity sweep. The interesting knee
@@ -514,7 +508,7 @@ const AIM_WORKLOADS: [WorkloadSpec; 4] = [
 ];
 
 /// R-F6: AIM size sensitivity for CE+ and ARC.
-fn fig_aim(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+fn fig_aim(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "AIM sensitivity (geomean over metadata-heavy workloads)",
         &[
@@ -567,16 +561,11 @@ fn fig_aim(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
         t.row(cells);
         rows.push(row);
     }
-    FigureOutput {
-        id: "R-F6",
-        title: "AIM size sensitivity",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// R-T3: exception delivery — every design must agree with the oracle.
-fn table3(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+fn table3(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     let mut t = Table::new(
         "Table III: region conflicts detected (vs oracle ground truth)",
         &["workload", "oracle", "CE", "CE+", "ARC", "all match"],
@@ -622,12 +611,7 @@ fn table3(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
             "all_match": all_match
         }));
     }
-    FigureOutput {
-        id: "R-T3",
-        title: "Conflict detection vs oracle",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// Workloads whose writes hit widely-shared lines — the invalidation
@@ -640,7 +624,7 @@ const SATURATION_WORKLOADS: [WorkloadSpec; 4] = [
 ];
 
 /// R-F7: NoC saturation vs core count.
-fn fig_saturation(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+fn fig_saturation(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     runs.ensure(grid(
         &SATURATION_WORKLOADS,
         &ProtocolKind::ALL,
@@ -699,12 +683,7 @@ fn fig_saturation(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
             }));
         }
     }
-    FigureOutput {
-        id: "R-F7",
-        title: "NoC saturation",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 /// At most this many timeline rows in the rendered text table (the
@@ -717,7 +696,7 @@ const TIMELINE_TABLE_ROWS: usize = 48;
 /// queue delay around conflicting phases, while ARC — which replaces
 /// invalidation traffic with self-invalidation at region boundaries —
 /// stays comparatively flat.
-fn fig_saturation_timeline(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+fn fig_saturation_timeline(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     const DESIGNS: [ProtocolKind; 2] = [ProtocolKind::CePlus, ProtocolKind::Arc];
     let w = WorkloadSpec::FalseSharing;
     let obs = ObsConfig {
@@ -783,16 +762,14 @@ fn fig_saturation_timeline(params: &EvalParams, runs: &mut RunStore) -> FigureOu
             })
         })
         .collect();
-    FigureOutput {
-        id: "R-F9",
-        title: "NoC saturation timeline (CE+ vs ARC)",
-        table: t.render(),
-        json: json!({
+    (
+        t.render(),
+        json!({
             "workload": w.name(),
             "interval": TIMELINE_INTERVAL,
             "series": series
         }),
-    }
+    )
 }
 
 /// Hottest heatmap entries shown per row of R-F10.
@@ -803,7 +780,7 @@ const HEATMAP_TOP_K: usize = 5;
 /// and do CE+ (eager invalidation detection) and ARC (LLC-side
 /// registration) agree on where the heat is? The detection *sites*
 /// differ by design; the hot lines must not.
-fn fig_conflict_heatmap(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+fn fig_conflict_heatmap(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     const DESIGNS: [ProtocolKind; 2] = [ProtocolKind::CePlus, ProtocolKind::Arc];
     let mut t = Table::new(
         "Conflict heatmap (forensics): hottest lines and core pairs",
@@ -862,17 +839,12 @@ fn fig_conflict_heatmap(params: &EvalParams, runs: &mut RunStore) -> FigureOutpu
             }));
         }
     }
-    FigureOutput {
-        id: "R-F10",
-        title: "Conflict heatmap (CE+ vs ARC)",
-        table: t.render(),
-        json: json!({ "top_k": HEATMAP_TOP_K, "rows": rows }),
-    }
+    (t.render(), json!({ "top_k": HEATMAP_TOP_K, "rows": rows }))
 }
 
 /// R-F8: are the headline geomeans artifacts of one seed? Re-run the
 /// runtime figure's geomean at several seeds and report the spread.
-fn fig_seeds(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
+fn fig_seeds(params: &EvalParams, runs: &mut RunStore) -> (String, Value) {
     const SEEDS: [u64; 3] = [42, 1337, 90210];
     let seeded = SEEDS.map(|seed| EvalParams { seed, ..*params });
     runs.ensure(seeded.iter().flat_map(base_keys));
@@ -915,12 +887,7 @@ fn fig_seeds(params: &EvalParams, runs: &mut RunStore) -> FigureOutput {
     }
     t.row(cells);
     rows.push(row);
-    FigureOutput {
-        id: "R-F8",
-        title: "Seed sensitivity",
-        table: t.render(),
-        json: json!({ "rows": rows }),
-    }
+    (t.render(), json!({ "rows": rows }))
 }
 
 #[cfg(test)]
@@ -936,9 +903,14 @@ mod tests {
         }
     }
 
+    /// The catalog row named `name`.
+    fn experiment(name: &str) -> Experiment {
+        Experiment::find(name).unwrap_or_else(|| panic!("no experiment named {name}"))
+    }
+
     #[test]
     fn conflict_heatmap_localizes_the_racy_pair_race() {
-        let f = Experiment::FigConflictHeatmap.run(&tiny_params(), None);
+        let f = experiment("fig-conflict-heatmap").run(&tiny_params(), None);
         let rows = f.json["rows"].as_array().unwrap();
         assert_eq!(rows.len(), 4, "two workloads x CE+/ARC");
         let racy: Vec<_> = rows
@@ -961,7 +933,7 @@ mod tests {
 
     #[test]
     fn table1_renders() {
-        let f = Experiment::Table1.run(&tiny_params(), None);
+        let f = experiment("table1").run(&tiny_params(), None);
         assert!(f.table.contains("cores"));
         assert!(f.table.contains("AIM"));
         assert_eq!(f.id, "R-T1");
@@ -969,7 +941,7 @@ mod tests {
 
     #[test]
     fn table2_covers_suite() {
-        let f = Experiment::Table2.run(&tiny_params(), None);
+        let f = experiment("table2").run(&tiny_params(), None);
         for w in WorkloadSpec::PARSEC {
             assert!(f.table.contains(w.name()), "{} missing", w.name());
         }
@@ -980,7 +952,7 @@ mod tests {
     fn runtime_figure_has_geomean() {
         let params = tiny_params();
         let sweep = base_sweep(&params);
-        let f = Experiment::FigRuntime.run(&params, Some(&sweep));
+        let f = experiment("fig-runtime").run(&params, Some(&sweep));
         assert!(f.table.contains("geomean"));
         let rows = f.json["rows"].as_array().unwrap();
         assert_eq!(rows.len(), 14); // 13 workloads + geomean
@@ -997,7 +969,7 @@ mod tests {
     fn figure_json_payload_parse_roundtrip() {
         // The `paper` binary writes results/<id>.json in exactly this
         // shape; assert the emitted text parses back to the same value.
-        let f = Experiment::Table2.run(&tiny_params(), None);
+        let f = experiment("table2").run(&tiny_params(), None);
         let payload = json!({
             "id": f.id,
             "title": f.title,
@@ -1018,7 +990,7 @@ mod tests {
 
     #[test]
     fn saturation_timeline_covers_both_designs() {
-        let f = Experiment::FigSaturationTimeline.run(&tiny_params(), None);
+        let f = experiment("fig-saturation-timeline").run(&tiny_params(), None);
         assert_eq!(f.id, "R-F9");
         assert!(f.table.contains("CE+ peak util %"));
         assert!(f.table.contains("ARC peak util %"));
@@ -1046,16 +1018,41 @@ mod tests {
     }
 
     #[test]
-    fn experiment_names_roundtrip() {
-        for e in Experiment::ALL {
-            assert_eq!(Experiment::parse(e.name()), Some(e));
+    fn catalog_matches_committed_results() {
+        let rows: Vec<Experiment> = Experiment::ALL
+            .into_iter()
+            .chain(Experiment::ABLATIONS)
+            .collect();
+        for (i, e) in rows.iter().enumerate() {
+            for other in &rows[i + 1..] {
+                assert_ne!(e.name, other.name, "duplicate name");
+                assert_ne!(e.id, other.id, "duplicate ID");
+            }
+            assert_eq!(Experiment::find(e.name).map(|f| f.id), Some(e.id));
         }
-        assert_eq!(Experiment::parse("nope"), None);
+        assert!(Experiment::find("nope").is_none());
+        assert!(Experiment::ALL.iter().all(|e| !e.id.starts_with("R-A")));
+        assert!(Experiment::ABLATIONS
+            .iter()
+            .all(|e| e.id.starts_with("R-A")));
+        // Every row writes one committed results/ file, and every
+        // committed R-* file comes from one row.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut committed: Vec<String> = std::fs::read_dir(dir)
+            .expect("results/ is committed")
+            .map(|f| f.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.starts_with("R-"))
+            .map(|f| f.trim_end_matches(".json").to_string())
+            .collect();
+        committed.sort();
+        let mut ids: Vec<String> = rows.iter().map(|e| e.id.to_string()).collect();
+        ids.sort();
+        assert_eq!(ids, committed);
     }
 
     #[test]
     fn table3_all_engines_match_their_oracles() {
-        let f = Experiment::Table3.run(&tiny_params(), None);
+        let f = experiment("table3").run(&tiny_params(), None);
         let rows = f.json["rows"].as_array().unwrap();
         assert!(rows.len() >= 4);
         for r in rows {
@@ -1071,7 +1068,7 @@ mod tests {
 
     #[test]
     fn aim_sweep_hit_rates_monotone_nondecreasing() {
-        let f = Experiment::FigAim.run(&tiny_params(), None);
+        let f = experiment("fig-aim").run(&tiny_params(), None);
         let rows = f.json["rows"].as_array().unwrap();
         assert_eq!(rows.len(), 5);
         for design in ["CE+", "ARC"] {
@@ -1092,7 +1089,7 @@ mod tests {
     fn energy_breakdown_shares_sum_to_one() {
         let params = tiny_params();
         let sweep = base_sweep(&params);
-        let f = Experiment::FigEnergy.run(&params, Some(&sweep));
+        let f = experiment("fig-energy").run(&params, Some(&sweep));
         for row in f.json["breakdown"].as_array().unwrap() {
             let total: f64 = ["L1", "LLC", "AIM", "Dir", "NoC", "DRAM", "Static"]
                 .iter()
@@ -1115,16 +1112,14 @@ mod tests {
             ..tiny_params()
         };
         let sweep = base_sweep(&params);
-        type Figure = fn(&EvalParams, &mut RunStore) -> FigureOutput;
-        let figures: [(Figure, usize); 3] = [(fig_aim, 4), (table3, 3), (fig_seeds, 52)];
-        for (figure, base_runs_read) in figures {
+        for (name, base_runs_read) in [("fig-aim", 4), ("table3", 3), ("fig-seeds", 52)] {
+            let render = experiment(name).render;
             let mut alone = RunStore::new(None, 0);
             let mut over_base = RunStore::new(Some(&sweep), 0);
-            let a = figure(&params, &mut alone);
-            let b = figure(&params, &mut over_base);
-            assert_eq!(a.table, b.table, "{}", a.id);
-            assert_eq!(a.json, b.json, "{}", a.id);
-            assert_eq!(alone.len() - over_base.len(), base_runs_read, "{}", a.id);
+            let a = render(&params, &mut alone);
+            let b = render(&params, &mut over_base);
+            assert_eq!(a, b, "{name}");
+            assert_eq!(alone.len() - over_base.len(), base_runs_read, "{name}");
         }
     }
 }

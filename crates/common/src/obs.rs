@@ -177,19 +177,22 @@ impl EventKind {
         }
     }
 
-    /// Byte-address span `[lo, hi)` this event touches, if it has one
-    /// (forensics windows select events by it).
+    /// First and last byte address this event touches, if it has any
+    /// (forensics windows select events by it). The span is inclusive,
+    /// so the last line of the address space has one too.
     pub fn addr_span(&self) -> Option<(u64, u64)> {
-        let line_span = |l: u64| Some((l * 64, l * 64 + 64));
+        let line_span = |l: u64| Some((l * 64, l * 64 + 63));
         match self {
-            EventKind::MemAccess { addr, .. } => Some((*addr, addr + 8)),
+            // The event keeps no access length: one word's span, cut at
+            // the top of the address space.
+            EventKind::MemAccess { addr, .. } => Some((*addr, addr.saturating_add(7))),
             EventKind::L1Evict { line, .. }
             | EventKind::LlcEvict { line, .. }
             | EventKind::AimHit { line }
             | EventKind::AimMiss { line, .. }
             | EventKind::AimSpill { line }
             | EventKind::DramAccess { line, .. } => line_span(*line),
-            EventKind::Conflict { word, .. } => Some((word * 8, word * 8 + 8)),
+            EventKind::Conflict { word, .. } => Some((word * 8, word * 8 + 7)),
             _ => None,
         }
     }

@@ -3,12 +3,14 @@
 //! [`MesiFamilyEngine`] implements the eager write-invalidation family
 //! (MESI baseline, CE, CE+ — one coherence mechanism, pluggable
 //! metadata placements); [`ArcEngine`] implements the
-//! release-consistency + self-invalidation design. Both are
-//! compositions of three layers — coherence (this module), detection
-//! ([`crate::detect`]), metadata placement ([`crate::meta`]) — and the
-//! [`REGISTRY`] names the compositions worth running, including two
-//! that exist only because the layers are orthogonal: CE+ with an
-//! ideal metadata store, and ARC paying CE's off-chip metadata tax.
+//! release-consistency + self-invalidation design. Each engine runs
+//! its own coherence and conflict detection (both check accesses with
+//! `MetaMap::check_and_record` from [`crate::access`]); where displaced
+//! access bits live is the second, orthogonal layer, the metadata
+//! placement ([`crate::meta`]). The [`REGISTRY`] names the compositions
+//! worth running, including two that exist only because the layers are
+//! orthogonal: CE+ with an ideal metadata store, and ARC paying CE's
+//! off-chip metadata tax.
 //! See the crate docs for the design overview and DESIGN.md for the
 //! cost model.
 

@@ -343,11 +343,11 @@ impl Forensics {
 /// conflicting line, returned oldest first by cycle (engines emit
 /// substrate events mid-access, so ring order alone is not cycle order).
 fn window(tracer: &Tracer, line: u64) -> Vec<SimEvent> {
-    let (lo, hi) = (line * 64, line * 64 + 64);
+    let (lo, hi) = (line * 64, line * 64 + 63);
     let mut v: Vec<SimEvent> = tracer
         .events()
         .rev()
-        .filter(|e| matches!(e.kind.addr_span(), Some((a, b)) if a < hi && b > lo))
+        .filter(|e| matches!(e.kind.addr_span(), Some((a, b)) if a <= hi && b >= lo))
         .take(RECENT_WINDOW)
         .cloned()
         .collect();
@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(w.last().unwrap().cycle, 4 * RECENT_WINDOW as u64 - 2);
         for e in &w {
             let (a, b) = e.kind.addr_span().unwrap();
-            assert!(a < 128 && b > 64, "only line-1 events");
+            assert!(a <= 127 && b >= 64, "only line-1 events");
         }
         assert!(window(&t, 500).is_empty());
     }

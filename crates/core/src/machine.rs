@@ -1059,6 +1059,42 @@ mod tests {
     }
 
     #[test]
+    fn race_on_the_last_word_of_the_address_space() {
+        use rce_common::Addr;
+        use rce_trace::Program;
+        let addr = Addr(u64::MAX - 7);
+        let p = Program {
+            name: "top_word".into(),
+            threads: vec![
+                vec![Op::Write { addr, len: 8 }],
+                vec![Op::Read { addr, len: 8 }],
+            ],
+            n_locks: 0,
+            n_barriers: 0,
+            shared_base: Addr(0),
+            shared_end: Addr(0),
+        };
+        for v in &crate::REGISTRY {
+            for obs in [ObsConfig::default(), ObsConfig::FULL] {
+                let r = Machine::new(&v.config(2))
+                    .unwrap()
+                    .with_observability(obs)
+                    .run(&p)
+                    .unwrap();
+                assert_eq!(r.oracle_conflicts.len(), 1, "{}", v.cli_name);
+                if v.protocol == ProtocolKind::MesiBaseline {
+                    continue;
+                }
+                assert!(r.matches_oracle(), "{}", v.cli_name);
+                if let Some(f) = &r.forensics {
+                    assert_eq!(f.records.len(), 1, "{}", v.cli_name);
+                    assert!(!f.records[0].recent.is_empty(), "{}", v.cli_name);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn forensics_windows_hold_in_a_ring_overflowing_run() {
         // Canneal on CE at 4 cores, scale 5 delivers about four times
         // MAX_RECORDS exceptions and overflows the trace ring. Only the
@@ -1086,7 +1122,7 @@ mod tests {
             assert!(w.len() <= RECENT_WINDOW, "{} events", w.len());
             assert!(
                 w.iter()
-                    .all(|e| matches!(e.kind.addr_span(), Some((a, b)) if a < lo + 64 && b > lo)),
+                    .all(|e| matches!(e.kind.addr_span(), Some((a, b)) if a <= lo + 63 && b >= lo)),
                 "a window event misses line {lo:#x}"
             );
             assert!(w.windows(2).all(|p| p[0].cycle <= p[1].cycle));

@@ -80,7 +80,7 @@ pub fn validate(p: &Program) -> RceResult<()> {
                         )));
                     }
                     let first_line = addr.line();
-                    let last_line = rce_common::Addr(addr.0 + len as u64 - 1).line();
+                    let last_line = rce_common::Addr(addr.0 + (len as u64 - 1)).line();
                     if first_line != last_line {
                         return Err(RceError::MalformedProgram(format!(
                             "thread {t} op {i}: access at {addr} len {len} crosses a line"

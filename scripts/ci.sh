@@ -110,9 +110,9 @@ echo "== bad CLI input (paper, tracegen) =="
 # Out-of-range --cores and --scale, a meaningless diff tolerance, a
 # missing or non-JSON trace file, a trace file whose header declares
 # far more barriers than it has synchronization operations (sized by
-# the header, the simulator's tables would take tens of GiB) and an
-# unwritable output directory must print a message and exit 2, not
-# panic.
+# the header, the simulator's tables would take tens of GiB), an
+# unwritable output directory and an unknown experiment, ablation,
+# workload or engine name must print a message and exit 2, not panic.
 expect_exit_2() {
     code=0
     "$@" >/dev/null 2>"$obs_out/stderr.txt" || code=$?
@@ -136,7 +136,11 @@ printf '%s' '{"name":"huge","threads":[[{"Read":{"addr":0,"len":8}}]],"n_locks":
     '"n_barriers":4294967295,"shared_base":0,"shared_end":64}' >"$obs_out/huge-universe.json"
 expect_exit_2 "${tracegen[@]}" run "$obs_out/huge-universe.json"
 expect_exit_2 "${paper[@]}" table1 --out /proc/nope
-echo "ok: bad arguments, trace files and output dirs exit 2 without a panic"
+expect_exit_2 "${paper[@]}" fig-nonesuch
+expect_exit_2 "${paper[@]}" ablate-nonesuch
+expect_exit_2 "${paper[@]}" report nonesuch CE+
+expect_exit_2 "${paper[@]}" report canneal NOPE
+echo "ok: bad arguments, names, trace files and output dirs exit 2 without a panic"
 
 echo "== ablation smoke (paper ablate-aim) =="
 # The AIM sensitivity study must run end to end and write R-A7.json
