@@ -36,13 +36,13 @@
 use crate::exception::{AccessType, ConflictException, ConflictSide};
 use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::MetaStore;
-use crate::protocol::{AccessResult, Engine, Substrate};
+use crate::protocol::{AccessResult, Substrate};
 use crate::report::AimSummary;
 use rce_cache::L1Cache;
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
-    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
-    RceError, RceResult, WordMask,
+    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, LineTable,
+    MachineConfig, RceResult, RegionId, WordMask,
 };
 use rce_noc::MsgClass;
 
@@ -93,11 +93,11 @@ enum Class {
 
 /// The ARC engine.
 pub struct ArcEngine {
-    l1: Vec<L1Cache<ArcLine>>,
+    pub(crate) l1: Vec<L1Cache<ArcLine>>,
     /// Where registration metadata lives (normally the AIM).
     meta: MetaStore,
     /// Short-circuit repeat accesses (see [`ArcLine::repeats`]).
-    fastpath: bool,
+    pub(crate) fastpath: bool,
     /// Engine-local intern table: the flat per-line state below is
     /// indexed by the dense id, so classification and registration
     /// bookkeeping do no hashing after a line's first touch.
@@ -125,7 +125,7 @@ pub struct ArcEngine {
 impl ArcEngine {
     /// Build from configuration; the metadata placement comes from
     /// `cfg.meta_placement`.
-    pub fn new(cfg: &MachineConfig) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
         ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: MetaStore::new(cfg).expect("ARC has a metadata placement"),
@@ -229,14 +229,7 @@ impl ArcEngine {
                     probe,
                 );
                 reply = reply.max(meta_at);
-                let entry = self.meta.entry_mut(line);
-                if !read_words.is_empty() {
-                    entry.record(owner, owner_region, AccessType::Read, read_words);
-                }
-                if !written_words.is_empty() {
-                    entry.record(owner, owner_region, AccessType::Write, written_words);
-                }
-                self.touched[owner.index()].insert(lid);
+                self.record_masks(owner, owner_region, lid, read_words, written_words);
             }
         } else {
             // Owner no longer caches it; its state already reached the
@@ -250,6 +243,27 @@ impl ArcEngine {
             );
         }
         reply
+    }
+
+    /// Record a copy's region masks for `core` at line `lid`'s
+    /// metadata entry, and note that `core` touched the line this
+    /// region.
+    fn record_masks(
+        &mut self,
+        core: CoreId,
+        region: RegionId,
+        lid: LineId,
+        read: WordMask,
+        written: WordMask,
+    ) {
+        let entry = self.meta.entry_mut(self.lines.addr(lid));
+        if !read.is_empty() {
+            entry.record(core, region, AccessType::Read, read);
+        }
+        if !written.is_empty() {
+            entry.record(core, region, AccessType::Write, written);
+        }
+        self.touched[core.index()].insert(lid);
     }
 
     /// Fill `line` into `core`'s L1, handling the victim: dirty-word
@@ -294,65 +308,40 @@ impl ArcEngine {
                     .send(me, vbank, sub.cfg.aim.entry_bytes, MsgClass::Metadata, at);
                 let _ready = self.meta.ensure_at(sub, victim, t1);
                 let region = sub.region_of(core);
-                let entry = self.meta.entry_mut(victim);
-                if !vstate.read_words.is_empty() {
-                    entry.record(core, region, AccessType::Read, vstate.read_words);
-                }
-                if !vstate.written_words.is_empty() {
-                    entry.record(core, region, AccessType::Write, vstate.written_words);
-                }
-                self.touched[core.index()].insert(vid);
+                self.record_masks(core, region, vid, vstate.read_words, vstate.written_words);
             }
         }
     }
 
-    /// Diagnostic invariants: no dirty shared words survive a
-    /// boundary; classification is consistent with residency.
-    #[cfg(test)]
-    pub(crate) fn check_invariants(&self, _sub: &Substrate) -> Result<(), String> {
-        for (c, cache) in self.l1.iter().enumerate() {
-            for (line, st) in cache.iter() {
-                let cls = self
-                    .lines
-                    .lookup(line)
-                    .and_then(|id| self.class.get(id))
-                    .copied()
-                    .flatten();
-                match cls {
-                    Some(Class::Private(owner)) => {
-                        if owner.index() != c {
-                            return Err(format!(
-                                "core {c} caches {line} which is private to {owner}"
-                            ));
-                        }
-                        if st.shared {
-                            return Err(format!(
-                                "core {c} marks {line} shared but LLC says private"
-                            ));
-                        }
-                        if st.ro {
-                            return Err(format!("core {c}: private {line} marked ro"));
-                        }
-                    }
-                    Some(Class::Shared) => {
-                        if !st.shared {
-                            return Err(format!(
-                                "core {c} marks {line} private but LLC says shared"
-                            ));
-                        }
-                    }
-                    None => {
-                        return Err(format!("core {c} caches unclassified {line}"));
-                    }
+    /// `core`'s L1 agrees with the LLC-side classification: every
+    /// resident line is classified, a private line is private to this
+    /// core and marked neither shared nor read-only, and a shared line
+    /// is marked shared.
+    pub(crate) fn check_core(&self, core: CoreId) -> Result<(), String> {
+        for (line, st) in self.l1[core.index()].iter() {
+            let cls = self.lines.lookup(line).and_then(|id| *self.class.get(id)?);
+            let wrong = match cls {
+                None => "is unclassified".to_string(),
+                Some(Class::Private(owner)) if owner != core => format!("is private to {owner}"),
+                Some(Class::Private(_)) if st.shared || st.ro => {
+                    "is marked shared or ro but LLC says private".to_string()
                 }
-            }
+                Some(Class::Shared) if !st.shared => {
+                    "is marked private but LLC says shared".to_string()
+                }
+                Some(_) => continue,
+            };
+            return Err(format!("{core}'s copy of {line} {wrong}"));
         }
         Ok(())
     }
-}
 
-impl Engine for ArcEngine {
-    fn access(
+    /// Every core's L1 agrees with the classification.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        (0..self.l1.len()).try_for_each(|c| self.check_core(CoreId(c as u16)))
+    }
+
+    pub(crate) fn access(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
@@ -429,7 +418,7 @@ impl Engine for ArcEngine {
             MsgClass::Request,
             Cycles(now.0 + l1_lat),
         );
-        sub.dir_access(); // classification lookup at the bank
+        sub.dir_accesses.inc(); // classification lookup at the bank
 
         // Classification update.
         let lid = self.lines.intern(line);
@@ -501,7 +490,7 @@ impl Engine for ArcEngine {
         })
     }
 
-    fn region_boundary(
+    pub(crate) fn region_boundary(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
@@ -510,27 +499,18 @@ impl Engine for ArcEngine {
         let me = sub.core_node(core);
         let mut done = Cycles(now.0 + 10); // flash self-invalidate cost
 
-        // 1. Flush dirty words of shared lines (release semantics) and
-        //    collect the shared lines for self-invalidation.
-        let flushes: Vec<(LineAddr, WordMask)> = self.l1[core.index()]
-            .iter()
-            .filter(|(_, st)| st.shared && !st.dirty.is_empty())
-            .map(|(l, st)| (l, st.dirty))
-            .collect();
-        for (line, dirty) in &flushes {
+        // 1. Flush dirty words of shared lines (release semantics).
+        for (line, st) in self.l1[core.index()].iter_mut() {
+            if !st.shared || st.dirty.is_empty() {
+                continue;
+            }
+            let dirty = std::mem::replace(&mut st.dirty, WordMask::EMPTY);
             self.flushed_words.add(dirty.count() as u64);
             let bytes = sub.cfg.noc.data_header_bytes + 8 * dirty.count() as u64;
             let wb = sub
                 .noc
-                .send(me, sub.bank_node(*line), bytes, MsgClass::Writeback, now);
-            let t = sub.llc_put(*line, wb);
-            done = done.max(t);
-            self.l1[core.index()]
-                .probe_mut(*line)
-                .ok_or_else(|| {
-                    RceError::InvariantViolated(format!("flushed line vanished: {core} {line}"))
-                })?
-                .dirty = WordMask::EMPTY;
+                .send(me, sub.bank_node(line), bytes, MsgClass::Writeback, now);
+            done = done.max(sub.llc_put(line, wb));
         }
 
         // 2. Clear registrations (one signature message per line, in
@@ -586,21 +566,11 @@ impl Engine for ArcEngine {
         Ok(AccessResult::new(done))
     }
 
-    fn set_fastpath(&mut self, on: bool) {
-        self.fastpath = on;
-    }
-
-    fn l1_totals(&self) -> (u64, u64, u64) {
-        self.l1.iter().fold((0, 0, 0), |(h, m, e), c| {
-            (h + c.hits.get(), m + c.misses.get(), e + c.evictions.get())
-        })
-    }
-
-    fn aim_totals(&self) -> Option<AimSummary> {
+    pub(crate) fn aim_totals(&self) -> Option<AimSummary> {
         self.meta.aim_totals()
     }
 
-    fn extra_counters(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn extra_counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("registrations", self.registrations.get()),
             ("recalls", self.recalls.get()),
@@ -665,7 +635,7 @@ mod tests {
         // Still a hit: private data is exempt from self-invalidation.
         let r2 = acc(&mut e, &mut s, 0, 0x1000, R, t);
         assert_eq!(r2.done.0 - t, s.cfg.l1.latency);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -680,7 +650,7 @@ mod tests {
             "shared line must re-fetch after the boundary"
         );
         assert!(e.self_invalidated.get() >= 1);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -761,7 +731,7 @@ mod tests {
         let before = e.flushed_words.get();
         boundary(&mut e, &mut s, 0, w.done.0);
         assert!(e.flushed_words.get() > before);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -797,7 +767,7 @@ mod tests {
         let r = acc(&mut e, &mut s, 0, 0x1000, R, t);
         assert_eq!(r.done.0 - t, s.cfg.l1.latency, "retained ro line must hit");
         assert!(e.ro_retained.get() >= 1);
-        e.check_invariants(&s).unwrap();
+        e.check_invariants().unwrap();
     }
 
     #[test]
@@ -871,5 +841,40 @@ mod tests {
         // The conflict is still caught.
         let w = acc(&mut e, &mut s, 1, base, W, t);
         assert_eq!(w.exceptions.len(), 1);
+    }
+
+    /// A resident line the LLC never classified fails the run at the
+    /// end of the holder's first region, with an error that names the
+    /// run.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn run_fails_on_an_unclassified_line() {
+        use crate::protocol::Engine;
+        use crate::Machine;
+        use rce_common::RceError;
+        use rce_trace::WorkloadSpec;
+        let cfg = MachineConfig::paper_default(2, ProtocolKind::Arc);
+        let p = WorkloadSpec::PingPong.build(2, 1, 42);
+        let line = Addr(0xdead_0000).line();
+        let err = Machine::new(&cfg)
+            .unwrap()
+            .run_tampered(&p, |e| {
+                let Engine::Arc(e) = e else {
+                    unreachable!("ARC has its own engine")
+                };
+                e.l1[1].fill(line, ArcLine::default());
+            })
+            .unwrap_err();
+        let RceError::InvariantViolated(msg) = err else {
+            panic!("expected InvariantViolated, got {err}");
+        };
+        for part in [
+            p.name.as_str(),
+            "ARC",
+            "at the end of c1's region",
+            "is unclassified",
+        ] {
+            assert!(msg.contains(part), "{msg}");
+        }
     }
 }

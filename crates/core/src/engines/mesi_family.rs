@@ -34,13 +34,13 @@ use crate::access::MetaMap;
 use crate::exception::{AccessType, ConflictSide};
 use crate::forensics::DetectSite;
 use crate::meta::MetaStore;
-use crate::protocol::{AccessResult, Engine, Substrate};
+use crate::protocol::{AccessResult, Substrate};
 use crate::report::AimSummary;
 use rce_cache::{DirEntry, L1Cache, MesiState};
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, LineTable,
-    MachineConfig, ProtocolKind, RceError, RceResult, RegionId, WordMask, MAX_CORES,
+    MachineConfig, RceError, RceResult, RegionId, WordMask, MAX_CORES,
 };
 use rce_noc::{MsgClass, NodeId};
 
@@ -89,12 +89,12 @@ pub struct MesiFamilyEngine {
     /// MOESI extension: dirty lines downgrade to Owned instead of
     /// writing back (see `MachineConfig::use_owned_state`).
     moesi: bool,
-    l1: Vec<L1Cache<CeLine>>,
+    pub(crate) l1: Vec<L1Cache<CeLine>>,
     /// Where displaced metadata lives (and what touching it costs);
     /// `None` for the MESI baseline, which detects nothing.
     meta: Option<MetaStore>,
     /// Short-circuit repeat accesses (see [`CeLine::repeats`]).
-    fastpath: bool,
+    pub(crate) fastpath: bool,
     /// All per-line state below is flat, indexed by ids from this one
     /// intern table. Every miss and upgrade interns its line once, and
     /// an L1 victim (interned when it was filled) is found with one
@@ -138,11 +138,7 @@ fn not_resident(what: &str, core: CoreId, line: LineAddr) -> RceError {
 impl MesiFamilyEngine {
     /// Build for the configuration's protocol (must be MESI/CE/CE+);
     /// the metadata placement comes from `cfg.meta_placement`.
-    pub fn new(cfg: &MachineConfig) -> Self {
-        assert!(
-            !matches!(cfg.protocol, ProtocolKind::Arc),
-            "ARC is a separate engine"
-        );
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
         assert!(
             cfg.cores <= MAX_CORES,
             "full-map directory supports up to {MAX_CORES} cores"
@@ -298,7 +294,7 @@ impl MesiFamilyEngine {
             let notice_at = sub
                 .noc
                 .send(me, vbank, sub.cfg.noc.ctrl_bytes, MsgClass::Response, at);
-            sub.dir_access();
+            sub.dir_accesses.inc();
             self.dir.slot(vid).remove_sharer(core);
             if vstate.mesi.may_be_dirty() {
                 let wb = sub.noc.send(
@@ -380,6 +376,27 @@ impl MesiFamilyEngine {
         Ok(())
     }
 
+    /// Send `core`'s request for `line` from its L1 to the line's home
+    /// bank, which looks the line up in the directory. Returns the
+    /// line's id, the requester's and the bank's nodes, when the
+    /// request arrives, and the directory entry it finds there.
+    fn request(
+        &mut self,
+        sub: &mut Substrate,
+        core: CoreId,
+        line: LineAddr,
+        now: Cycles,
+    ) -> (LineId, NodeId, NodeId, Cycles, DirEntry) {
+        let lid = self.lines.intern(line);
+        let (me, bank) = (sub.core_node(core), sub.bank_node(line));
+        let at = Cycles(now.0 + sub.cfg.l1.latency);
+        let t1 = sub
+            .noc
+            .send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Request, at);
+        sub.dir_accesses.inc();
+        (lid, me, bank, t1, *self.dir.slot(lid))
+    }
+
     /// Upgrade an S copy to M (write hit in S). The bits collected on
     /// the way merge into the core's copy.
     fn upgrade(
@@ -390,19 +407,8 @@ impl MesiFamilyEngine {
         now: Cycles,
     ) -> RceResult<Cycles> {
         self.upgrades.inc();
-        let lid = self.lines.intern(line);
-        let me = sub.core_node(core);
-        let bank = sub.bank_node(line);
-        let t1 = sub.noc.send(
-            me,
-            bank,
-            sub.cfg.noc.ctrl_bytes,
-            MsgClass::Request,
-            Cycles(now.0 + sub.cfg.l1.latency),
-        );
-        sub.dir_access();
+        let (lid, me, bank, t1, entry) = self.request(sub, core, line, now);
         let mut incoming = MetaMap::new();
-        let entry = *self.dir.slot(lid);
         let others = entry.sharer_cores().filter(move |s| *s != core);
         let mut t_done = self.invalidate_sharers(sub, lid, others, me, t1, &mut incoming)?;
         let t_meta = self.gather_meta(sub, lid, t1, &mut incoming);
@@ -431,20 +437,8 @@ impl MesiFamilyEngine {
         line: LineAddr,
         now: Cycles,
     ) -> RceResult<Cycles> {
-        let lid = self.lines.intern(line);
-        let me = sub.core_node(core);
-        let bank = sub.bank_node(line);
-        let piggy = self.piggy(sub);
-        let data_bytes = sub.cfg.noc.data_header_bytes + 64 + piggy;
-        let t1 = sub.noc.send(
-            me,
-            bank,
-            sub.cfg.noc.ctrl_bytes,
-            MsgClass::Request,
-            Cycles(now.0 + sub.cfg.l1.latency),
-        );
-        sub.dir_access();
-        let entry = *self.dir.slot(lid);
+        let data_bytes = sub.cfg.noc.data_header_bytes + 64 + self.piggy(sub);
+        let (lid, me, bank, t1, entry) = self.request(sub, core, line, now);
         let mut incoming = MetaMap::new();
         let was_idle = entry.is_idle();
         let t_data;
@@ -535,20 +529,8 @@ impl MesiFamilyEngine {
         line: LineAddr,
         now: Cycles,
     ) -> RceResult<Cycles> {
-        let lid = self.lines.intern(line);
-        let me = sub.core_node(core);
-        let bank = sub.bank_node(line);
-        let piggy = self.piggy(sub);
-        let data_bytes = sub.cfg.noc.data_header_bytes + 64 + piggy;
-        let t1 = sub.noc.send(
-            me,
-            bank,
-            sub.cfg.noc.ctrl_bytes,
-            MsgClass::Request,
-            Cycles(now.0 + sub.cfg.l1.latency),
-        );
-        sub.dir_access();
-        let entry = *self.dir.slot(lid);
+        let data_bytes = sub.cfg.noc.data_header_bytes + 64 + self.piggy(sub);
+        let (lid, me, bank, t1, entry) = self.request(sub, core, line, now);
         let mut incoming = MetaMap::new();
         let mut t_done = if let Some(owner) = entry.owner.filter(|o| *o != core) {
             self.c2c_transfers.inc();
@@ -603,11 +585,35 @@ impl MesiFamilyEngine {
             .unwrap_or_default()
     }
 
-    /// Directory/L1 consistency check, both ways (tests and
-    /// debugging): every directory entry is well formed and names only
-    /// sharers whose L1 holds the line, and every L1 copy's state
-    /// agrees with its directory entry.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// `core`'s L1 agrees with the directory: every copy's state is
+    /// legal (O only under MOESI, never I) and matches its directory
+    /// entry: M and E are the owner's only copy, O is the owner's, and
+    /// S is a sharer's while no other core holds the line exclusively.
+    pub(crate) fn check_core(&self, core: CoreId) -> Result<(), String> {
+        for (line, st) in self.l1[core.index()].iter() {
+            let e = self.dir_entry(line);
+            let owns = e.owner == Some(core);
+            let legal = match st.mesi {
+                MesiState::M | MesiState::E => owns && e.sharer_count() == 1,
+                MesiState::O => self.moesi && owns,
+                MesiState::S => e.has_sharer(core) && !owns && (self.moesi || e.owner.is_none()),
+                MesiState::I => false,
+            };
+            if !legal {
+                return Err(format!(
+                    "{core} holds {line} in {}, but the directory has owner {:?}, sharers {:#x}",
+                    st.mesi, e.owner, e.sharers
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Directory/L1 consistency, both ways: every directory entry is
+    /// well formed and names only sharers whose L1 holds the line, and
+    /// every core's L1 agrees with the directory
+    /// ([`MesiFamilyEngine::check_core`]).
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         for (lid, e) in self.dir.iter() {
             let line = self.lines.addr(lid);
             e.check(self.l1.len(), !self.moesi)
@@ -621,62 +627,10 @@ impl MesiFamilyEngine {
                 ));
             }
         }
-        for (c, cache) in self.l1.iter().enumerate() {
-            let core = CoreId(c as u16);
-            for (line, st) in cache.iter() {
-                let e = self.dir_entry(line);
-                match st.mesi {
-                    MesiState::M | MesiState::E => {
-                        if e.owner != Some(core) {
-                            return Err(format!(
-                                "{core} holds {line} in {} but directory owner is {:?}",
-                                st.mesi, e.owner
-                            ));
-                        }
-                        if e.sharer_count() != 1 {
-                            return Err(format!(
-                                "{core} holds {line} in {} with co-sharers",
-                                st.mesi
-                            ));
-                        }
-                    }
-                    MesiState::O => {
-                        if !self.moesi {
-                            return Err(format!("{core} holds {line} in O without MOESI"));
-                        }
-                        if e.owner != Some(core) {
-                            return Err(format!(
-                                "{core} holds {line} in O but directory owner is {:?}",
-                                e.owner
-                            ));
-                        }
-                    }
-                    MesiState::S => {
-                        if !e.has_sharer(core) {
-                            return Err(format!(
-                                "{core} holds {line} in S but is not a directory sharer"
-                            ));
-                        }
-                        if e.owner == Some(core) {
-                            return Err(format!("{core} holds {line} in S yet owns it"));
-                        }
-                        if !self.moesi && e.owner.is_some() {
-                            return Err(format!(
-                                "{core} holds {line} in S while {:?} owns it",
-                                e.owner
-                            ));
-                        }
-                    }
-                    MesiState::I => return Err(format!("{core} holds {line} in I")),
-                }
-            }
-        }
-        Ok(())
+        (0..self.l1.len()).try_for_each(|c| self.check_core(CoreId(c as u16)))
     }
-}
 
-impl Engine for MesiFamilyEngine {
-    fn access(
+    pub(crate) fn access(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
@@ -743,7 +697,7 @@ impl Engine for MesiFamilyEngine {
         Ok(res)
     }
 
-    fn region_boundary(
+    pub(crate) fn region_boundary(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
@@ -774,21 +728,11 @@ impl Engine for MesiFamilyEngine {
         Ok(AccessResult::new(done))
     }
 
-    fn set_fastpath(&mut self, on: bool) {
-        self.fastpath = on;
-    }
-
-    fn l1_totals(&self) -> (u64, u64, u64) {
-        self.l1.iter().fold((0, 0, 0), |(h, m, e), c| {
-            (h + c.hits.get(), m + c.misses.get(), e + c.evictions.get())
-        })
-    }
-
-    fn aim_totals(&self) -> Option<AimSummary> {
+    pub(crate) fn aim_totals(&self) -> Option<AimSummary> {
         self.meta.as_ref().and_then(MetaStore::aim_totals)
     }
 
-    fn extra_counters(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn extra_counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("invalidations", self.invalidations.get()),
             ("upgrades", self.upgrades.get()),
@@ -805,8 +749,10 @@ impl Engine for MesiFamilyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rce_common::MetaPlacement;
-    use rce_trace::{Op, WorkloadSpec};
+    use crate::protocol::Engine;
+    use crate::{Machine, SimReport};
+    use rce_common::{MetaPlacement, ProtocolKind};
+    use rce_trace::WorkloadSpec;
 
     fn setup(protocol: ProtocolKind, cores: usize) -> (MesiFamilyEngine, Substrate) {
         let cfg = MachineConfig::paper_default(cores, protocol);
@@ -852,7 +798,7 @@ mod tests {
             s.cfg.l1.latency,
             "hit is an L1 access"
         );
-        let (h, m, _) = e.l1_totals();
+        let (h, m, _) = Engine::MesiFamily(e).l1_totals();
         assert_eq!((h, m), (1, 1));
     }
 
@@ -1204,68 +1150,38 @@ mod tests {
         ));
     }
 
-    /// Drive the engine through a whole program, stepping the threads
-    /// round-robin one operation at a time: memory operations go to
-    /// `access`, synchronization operations to `region_boundary` and
-    /// then `advance_region`. The directory and the L1s are checked
-    /// against each other, both ways, at every boundary. Returns the
-    /// engine for its counters.
-    fn run_checked(spec: WorkloadSpec, cfg: &MachineConfig) -> MesiFamilyEngine {
-        let program = spec.build(cfg.cores, 2, 42);
-        let mut e = MesiFamilyEngine::new(cfg);
-        let mut s = Substrate::new(cfg);
-        let mut next = vec![0; cfg.cores];
-        let mut t = Cycles::ZERO;
-        let mut boundaries = 0;
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for (c, ops) in program.threads.iter().enumerate() {
-                let Some(op) = ops.get(next[c]) else {
-                    continue;
-                };
-                next[c] += 1;
-                progressed = true;
-                let core = CoreId(c as u16);
-                let (addr, len, kind) = match *op {
-                    Op::Read { addr, len } => (addr, len, R),
-                    Op::Write { addr, len } => (addr, len, W),
-                    Op::Work { .. } => continue,
-                    Op::Acquire { .. } | Op::Release { .. } | Op::Barrier { .. } => {
-                        t = t.max(e.region_boundary(&mut s, core, t).unwrap().done);
-                        s.advance_region(core);
-                        boundaries += 1;
-                        if let Err(err) = e.check_invariants() {
-                            panic!("{} at boundary {boundaries}: {err}", program.name);
-                        }
-                        continue;
-                    }
-                };
-                let mask = WordMask::span(addr, u64::from(len));
-                t = t.max(e.access(&mut s, core, addr, mask, kind, t).unwrap().done);
-            }
-        }
-        assert!(boundaries > 0, "{} has no region boundaries", program.name);
-        e.check_invariants().unwrap();
-        e
+    /// The value of one of a report's engine counters.
+    fn counter(r: &SimReport, name: &str) -> u64 {
+        r.engine_counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or_else(|| panic!("no counter {name}"), |(_, v)| *v)
     }
 
-    /// `run_checked` under CE+ at 8 and 64 cores, MOESI off and on;
+    /// Run `spec` at scale 2 through the whole machine, on its own
+    /// schedule. Debug builds check the ending core's L1 against the
+    /// directory at every region boundary and the directory and L1s
+    /// against each other, both ways, at run end.
+    fn machine_run(spec: WorkloadSpec, cfg: &MachineConfig) -> SimReport {
+        let program = spec.build(cfg.cores, 2, 42);
+        let r = Machine::new(cfg).unwrap().run(&program).unwrap();
+        assert!(r.sync_ops > 0, "{} has no region boundaries", program.name);
+        r
+    }
+
+    /// `machine_run` under CE+ at 8 and 64 cores, MOESI off and on;
     /// returns the L1 evictions summed over the four runs.
-    fn run_checked_ceplus(spec: WorkloadSpec) -> u64 {
+    fn ceplus_runs(spec: WorkloadSpec) -> u64 {
         let mut evictions = 0;
         for cores in [8, 64] {
             for moesi in [false, true] {
                 let mut cfg = MachineConfig::paper_default(cores, ProtocolKind::CePlus);
                 cfg.use_owned_state = moesi;
-                let e = run_checked(spec, &cfg);
-                assert!(e.invalidations.get() > 0, "{spec:?} at {cores} cores");
-                assert_eq!(
-                    e.owned_downgrades.get() > 0,
-                    moesi,
-                    "{spec:?} at {cores} cores"
-                );
-                evictions += e.l1_totals().2;
+                let r = machine_run(spec, &cfg);
+                let at = format!("{spec:?} at {cores} cores, moesi={moesi}");
+                assert!(counter(&r, "invalidations") > 0, "{at}");
+                assert_eq!(counter(&r, "owned_downgrades") > 0, moesi, "{at}");
+                evictions += r.l1_evictions;
             }
         }
         evictions
@@ -1273,21 +1189,21 @@ mod tests {
 
     #[test]
     fn directory_matches_l1s_through_canneal() {
-        let evictions = run_checked_ceplus(WorkloadSpec::Canneal);
+        let evictions = ceplus_runs(WorkloadSpec::Canneal);
         assert!(evictions > 0, "the L1 victim path must run");
     }
 
     #[test]
     fn directory_matches_l1s_through_streamcluster() {
-        run_checked_ceplus(WorkloadSpec::Streamcluster);
+        ceplus_runs(WorkloadSpec::Streamcluster);
     }
 
     #[test]
     fn directory_matches_l1s_through_migratory_mesi() {
         let cfg = MachineConfig::paper_default(8, ProtocolKind::MesiBaseline);
-        let e = run_checked(WorkloadSpec::Migratory, &cfg);
+        let r = machine_run(WorkloadSpec::Migratory, &cfg);
         assert!(
-            e.c2c_transfers.get() > 0,
+            counter(&r, "c2c_transfers") > 0,
             "migratory data moves cache to cache"
         );
     }

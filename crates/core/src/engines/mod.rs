@@ -1,24 +1,25 @@
-//! The architecture engines and the variant registry.
+//! The engines behind [`crate::Engine`]'s variants, and the registry.
 //!
-//! [`MesiFamilyEngine`] implements the eager write-invalidation family
+//! `MesiFamilyEngine` implements the eager write-invalidation family
 //! (MESI baseline, CE, CE+ — one coherence mechanism, pluggable
-//! metadata placements); [`ArcEngine`] implements the
+//! metadata placements); `ArcEngine` implements the
 //! release-consistency + self-invalidation design. Each engine runs
 //! its own coherence and conflict detection (both check accesses with
-//! `MetaMap::check_and_record` from [`crate::access`]); where displaced
-//! access bits live is the second, orthogonal layer, the metadata
-//! placement ([`crate::meta`]). The [`REGISTRY`] names the compositions
-//! worth running, including two that exist only because the layers are
-//! orthogonal: CE+ with an ideal metadata store, and ARC paying CE's
-//! off-chip metadata tax.
+//! `MetaMap::check_and_record` from `crate::access`), and each checks
+//! its L1s against its own shared state: the sharer directory, or the
+//! line classification. Where displaced access bits live is the
+//! second, orthogonal layer, the metadata placement (`crate::meta`).
+//! The [`REGISTRY`] names the compositions worth running, including
+//! two that exist only because the layers are orthogonal: CE+ with an
+//! ideal metadata store, and ARC paying CE's off-chip metadata tax.
 //! See the crate docs for the design overview and DESIGN.md for the
 //! cost model.
 
 mod arc;
 mod mesi_family;
 
-pub use arc::ArcEngine;
-pub use mesi_family::MesiFamilyEngine;
+pub(crate) use arc::ArcEngine;
+pub(crate) use mesi_family::MesiFamilyEngine;
 
 use rce_common::{MachineConfig, MetaPlacement, ProtocolKind};
 

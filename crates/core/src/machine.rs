@@ -9,11 +9,14 @@
 //! region-clock advance + oracle clear) and then go through the
 //! functional lock/barrier managers. The oracle observes the identical
 //! committed stream, giving ground truth for differential testing.
+//!
+//! Debug builds also check the model's invariants: the ending core's
+//! L1 at every region boundary, the whole machine at run end.
 
 use crate::exception::{sort_region_scoped, AccessType, ConflictException, ExceptionPolicy};
 use crate::forensics::Forensics;
 use crate::oracle::Oracle;
-use crate::protocol::{Engine, Substrate};
+use crate::protocol::{engine_for, Engine, Substrate};
 use crate::report::{CoreStats, SimReport};
 use crate::sched::ReadyQueue;
 use crate::sync::{AcquireOutcome, BarrierManager, BarrierOutcome, LockManager};
@@ -140,7 +143,7 @@ pub struct Machine {
 }
 
 /// Read every cumulative gauge the interval sampler differences.
-fn gauges(sub: &Substrate, engine: &dyn Engine, exceptions: u64) -> GaugeSnapshot {
+fn gauges(sub: &Substrate, engine: &Engine, exceptions: u64) -> GaugeSnapshot {
     let noc = sub.noc.stats();
     let dram = sub.dram.stats();
     let (aim_hits, aim_misses) = engine.aim_totals().map_or((0, 0), |a| (a.hits, a.misses));
@@ -211,32 +214,35 @@ impl Machine {
         program: &Program,
         policy: ExceptionPolicy,
     ) -> RceResult<SimReport> {
-        rce_trace::validate(program)?;
-        if program.n_threads() != self.cfg.cores {
-            return Err(RceError::MalformedProgram(format!(
-                "program has {} threads but the machine has {} cores",
-                program.n_threads(),
-                self.cfg.cores
-            )));
-        }
-        let limit = self
-            .step_limit
-            .unwrap_or_else(|| default_step_limit(program.total_ops() as u64));
-        let mut run = Run::new(self, program);
-        run.drive(program, policy, limit)?;
-        Ok(run.finish(program))
+        Run::new(self, program)?.run(policy)
+    }
+
+    /// Run with `tamper` applied to the engine before the first step:
+    /// tests corrupt engine state with it.
+    #[cfg(test)]
+    pub(crate) fn run_tampered(
+        &self,
+        program: &Program,
+        tamper: impl FnOnce(&mut Engine),
+    ) -> RceResult<SimReport> {
+        let mut run = Run::new(self, program)?;
+        tamper(&mut run.engine);
+        run.run(ExceptionPolicy::CountAndContinue)
     }
 }
 
 /// One run's driver state: the simulated machine, the functional
 /// lock/barrier managers, the scheduler, the oracle, the
 /// observability layers and every counter the report reads.
-struct Run<'m> {
-    cfg: &'m MachineConfig,
+struct Run<'a> {
+    cfg: &'a MachineConfig,
+    program: &'a Program,
+    /// Scheduler steps allowed before the run is declared a livelock.
+    limit: u64,
     /// Whether the caller asked for the event trace (forensics alone
     /// runs an internal ring that never reaches the report).
     export_trace: bool,
-    engine: Box<dyn Engine>,
+    engine: Engine,
     sub: Substrate,
     oracle: Oracle,
     locks: LockManager,
@@ -272,11 +278,19 @@ struct Run<'m> {
     sampler: Option<MetricsSampler>,
 }
 
-impl<'m> Run<'m> {
-    fn new(m: &'m Machine, program: &Program) -> Self {
+impl<'a> Run<'a> {
+    /// Validate `program` for the machine and set up its run.
+    fn new(m: &'a Machine, program: &'a Program) -> RceResult<Self> {
         let cfg = &m.cfg;
         let n = cfg.cores;
-        let mut engine = crate::engine_for(cfg);
+        rce_trace::validate(program)?;
+        if program.n_threads() != n {
+            return Err(RceError::MalformedProgram(format!(
+                "program has {} threads but the machine has {n} cores",
+                program.n_threads(),
+            )));
+        }
+        let mut engine = engine_for(cfg);
         engine.set_fastpath(m.fastpath);
         let mut sub = Substrate::new(cfg);
         // Forensics wants recent-event windows even when the user did
@@ -299,8 +313,12 @@ impl<'m> Run<'m> {
         for c in 0..n {
             ready.push(Cycles::ZERO, c);
         }
-        Run {
+        Ok(Run {
             cfg,
+            program,
+            limit: m
+                .step_limit
+                .unwrap_or_else(|| default_step_limit(program.total_ops() as u64)),
             export_trace: m.obs.trace,
             engine,
             oracle: Oracle::new(&sub.regions),
@@ -326,12 +344,35 @@ impl<'m> Run<'m> {
             forensics: m.obs.forensics.then(Forensics::default),
             region_start: vec![Cycles::ZERO; n],
             sampler: m.obs.timeline.then(MetricsSampler::default),
+        })
+    }
+
+    /// Drive the run to its end, check the whole machine (in debug
+    /// builds), and assemble the report.
+    fn run(mut self, policy: ExceptionPolicy) -> RceResult<SimReport> {
+        self.drive(policy)?;
+        if cfg!(debug_assertions) {
+            self.engine
+                .check_invariants()
+                .map_err(|err| self.violation("at run end", &err))?;
         }
+        Ok(self.finish())
+    }
+
+    /// The error for a broken model invariant, naming the run: its
+    /// workload and its design (protocol and metadata placement).
+    fn violation(&self, when: &str, err: &str) -> RceError {
+        let (cfg, workload) = (self.cfg, &self.program.name);
+        RceError::InvariantViolated(format!(
+            "{workload} on {}/{}, {when}: {err}",
+            cfg.protocol, cfg.meta_placement
+        ))
     }
 
     /// Step the runnable core with the smallest clock (lowest ID on
     /// ties) until every core is done or the policy aborts the run.
-    fn drive(&mut self, program: &Program, policy: ExceptionPolicy, limit: u64) -> RceResult<()> {
+    fn drive(&mut self, policy: ExceptionPolicy) -> RceResult<()> {
+        let (program, limit) = (self.program, self.limit);
         let mut steps = 0u64;
         while !self.aborted {
             steps += 1;
@@ -356,7 +397,7 @@ impl<'m> Run<'m> {
 
             if let Some(s) = &mut self.sampler {
                 if s.due(now.0) {
-                    s.tick(now.0, gauges(&self.sub, &*self.engine, self.delivered));
+                    s.tick(now.0, gauges(&self.sub, &self.engine, self.delivered));
                 }
             }
 
@@ -542,6 +583,11 @@ impl<'m> Run<'m> {
         let c = core.index();
         let old_region = self.sub.region_of(core);
         let b = self.engine.region_boundary(&mut self.sub, core, now)?;
+        if cfg!(debug_assertions) {
+            self.engine.check_core(core).map_err(|err| {
+                self.violation(&format!("at the end of {core}'s region {old_region}"), &err)
+            })?;
+        }
         let new_region = self.sub.advance_region(core);
         self.oracle.region_boundary(core, new_region);
         self.exceptions[c].flush();
@@ -574,9 +620,10 @@ impl<'m> Run<'m> {
     }
 
     /// Close out the run and assemble its report.
-    fn finish(self, program: &Program) -> SimReport {
+    fn finish(self) -> SimReport {
         let Run {
             cfg,
+            program,
             export_trace,
             engine,
             mut sub,
@@ -603,7 +650,7 @@ impl<'m> Run<'m> {
 
         // Close out the observability layers. The tracer is drained
         // (not unwrapped) because the NoC and DRAM still hold clones.
-        let timeline = sampler.map(|s| s.finish(end.0, gauges(&sub, &*engine, delivered)));
+        let timeline = sampler.map(|s| s.finish(end.0, gauges(&sub, &engine, delivered)));
         let trace = if export_trace {
             tracer.map(|t| t.borrow_mut().take_log())
         } else {

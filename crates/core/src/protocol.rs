@@ -1,28 +1,29 @@
-//! The engine interface and the shared substrate.
+//! The engine and the shared substrate.
 //!
 //! A [`Substrate`] bundles everything all four designs share: the NoC,
 //! the DRAM, the shared LLC, the per-core region clocks, and the event
-//! counters the energy model consumes. An [`Engine`] implements one
+//! counters the energy model consumes. An [`Engine`] is one of the two
+//! coherence mechanisms the designs come from, and implements a
 //! design's behavior for the three things designs differ on: memory
 //! accesses, region boundaries, and what state they attach to lines.
 //! The sharer directory is such state: the MESI family keeps one
 //! beside its other per-line tables, while ARC has none (it only
 //! charges classification lookups at the bank to `dir_accesses`).
+//! The enum is closed, so the driver holds it by value, and each of
+//! its methods matches once.
 
-use crate::exception::ConflictException;
+use crate::engines::{ArcEngine, MesiFamilyEngine};
+use crate::exception::{AccessType, ConflictException};
 use crate::forensics::DetectPath;
 use crate::report::AimSummary;
 use rce_cache::Llc;
 use rce_common::obs::{SharedTracer, SimEvent};
 use rce_common::{
-    Addr, CoreId, Counter, Cycles, LineAddr, MachineConfig, RceResult, RegionId, WordMask,
+    Addr, CoreId, Counter, Cycles, LineAddr, MachineConfig, ProtocolKind, RceResult, RegionId,
+    WordMask,
 };
 use rce_dram::{AccessKind as DramKind, Dram};
 use rce_noc::{MsgClass, Noc, NodeId};
-
-/// Read or write, from the engine's perspective (alias of the
-/// exception-side type to avoid two vocabularies).
-pub use crate::exception::AccessType;
 
 /// The completion of one memory access.
 #[derive(Debug, Clone)]
@@ -36,7 +37,7 @@ pub struct AccessResult {
     /// the same check. `Some` exactly when `exceptions` is non-empty.
     pub path: Option<DetectPath>,
     /// True iff the engine short-circuited this access as a repeat its
-    /// L1 line already covers (see [`Engine::set_fastpath`]): the core
+    /// L1 line already covers (see [`crate::Machine::with_fastpath`]): the core
     /// already made the same-kind access to these words this region,
     /// so the machine may also skip the per-word oracle observation,
     /// which would be a no-op.
@@ -83,22 +84,18 @@ pub struct Substrate {
 impl Substrate {
     /// Build from configuration.
     pub fn new(cfg: &MachineConfig) -> Self {
-        let mut s = Substrate {
+        // Core `i` starts in region `i`.
+        Substrate {
             cfg: cfg.clone(),
             noc: Noc::new(cfg.cores, cfg.noc),
             dram: Dram::new(cfg.dram),
             llc: Llc::new(&cfg.llc),
-            regions: Vec::with_capacity(cfg.cores),
+            regions: (0..cfg.cores as u64).map(RegionId).collect(),
             llc_accesses: Counter::default(),
             dir_accesses: Counter::default(),
             tracer: None,
-            next_region: 0,
-        };
-        for _ in 0..cfg.cores {
-            let r = s.fresh_region();
-            s.regions.push(r);
+            next_region: cfg.cores as u64,
         }
-        s
     }
 
     /// Attach an event tracer, shared with the NoC and DRAM so all
@@ -118,12 +115,6 @@ impl Substrate {
         }
     }
 
-    fn fresh_region(&mut self) -> RegionId {
-        let r = RegionId(self.next_region);
-        self.next_region += 1;
-        r
-    }
-
     /// Current region of a core.
     #[inline]
     pub(crate) fn region_of(&self, c: CoreId) -> RegionId {
@@ -132,7 +123,8 @@ impl Substrate {
 
     /// End `c`'s region and start a fresh one; returns the new region.
     pub fn advance_region(&mut self, c: CoreId) -> RegionId {
-        let r = self.fresh_region();
+        let r = RegionId(self.next_region);
+        self.next_region += 1;
         self.regions[c.index()] = r;
         r
     }
@@ -146,7 +138,7 @@ impl Substrate {
 
     /// NoC node of a core.
     #[inline]
-    pub fn core_node(&self, c: CoreId) -> NodeId {
+    pub(crate) fn core_node(&self, c: CoreId) -> NodeId {
         self.noc.core_node(c)
     }
 
@@ -226,24 +218,46 @@ impl Substrate {
             },
         });
     }
-
-    /// Charge a directory access.
-    #[inline]
-    pub(crate) fn dir_access(&mut self) {
-        self.dir_accesses.inc();
-    }
 }
 
-/// One conflict-detection design (or the baseline).
+/// One conflict-detection design (or the baseline): one of the two
+/// coherence mechanisms the paper's four designs come from.
 ///
 /// `access` and `region_boundary` are fallible: a broken model
 /// invariant (e.g. the directory naming a sharer whose L1 lost the
 /// line) surfaces as [`rce_common::RceError::InvariantViolated`]
 /// instead of a panic, so a long sweep fails only the offending run.
-pub trait Engine {
+pub enum Engine {
+    /// Eager write-invalidation: the MESI baseline, CE and CE+.
+    MesiFamily(MesiFamilyEngine),
+    /// Release consistency with self-invalidation.
+    Arc(ArcEngine),
+}
+
+/// Build the engine selected by a configuration.
+pub fn engine_for(cfg: &MachineConfig) -> Engine {
+    use ProtocolKind::*;
+    match cfg.protocol {
+        MesiBaseline | Ce | CePlus => Engine::MesiFamily(MesiFamilyEngine::new(cfg)),
+        Arc => Engine::Arc(ArcEngine::new(cfg)),
+    }
+}
+
+/// Evaluate `$body` with `$e` bound to the engine `$engine` holds: the
+/// one `match` behind each of [`Engine`]'s methods.
+macro_rules! each {
+    ($engine:expr, $e:ident => $body:expr) => {
+        match $engine {
+            Engine::MesiFamily($e) => $body,
+            Engine::Arc($e) => $body,
+        }
+    };
+}
+
+impl Engine {
     /// Perform a memory access of `len` bytes at `addr` by `core`,
     /// starting at `now`. `mask` is the word span within the line.
-    fn access(
+    pub fn access(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
@@ -251,47 +265,68 @@ pub trait Engine {
         mask: WordMask,
         kind: AccessType,
         now: Cycles,
-    ) -> RceResult<AccessResult>;
+    ) -> RceResult<AccessResult> {
+        each!(self, e => e.access(sub, core, addr, mask, kind, now))
+    }
 
     /// The core reached a synchronization operation: finish its
     /// current region (flush/scrub/self-invalidate per design) and
     /// return when the boundary work completes, plus any conflicts
     /// detected during boundary processing. The machine advances the
     /// region clock *after* this returns.
-    fn region_boundary(
+    pub fn region_boundary(
         &mut self,
         sub: &mut Substrate,
         core: CoreId,
         now: Cycles,
-    ) -> RceResult<AccessResult>;
+    ) -> RceResult<AccessResult> {
+        each!(self, e => e.region_boundary(sub, core, now))
+    }
 
-    /// Turn the repeat-access fast path on or off. When on, an L1 hit
-    /// whose line state shows it would change nothing returns the
-    /// L1-hit latency at once, with `fast` set. Reports are
-    /// byte-identical either way; the golden and equivalence tests run
-    /// with the fast path off to keep the slow path honest. Engines
-    /// start with it on.
-    fn set_fastpath(&mut self, on: bool);
+    /// Check `core`'s L1 against the design's shared state: the sharer
+    /// directory in the MESI family, the line classification in ARC.
+    /// The machine runs this at each of the core's region boundaries
+    /// in debug builds.
+    pub(crate) fn check_core(&self, core: CoreId) -> Result<(), String> {
+        each!(self, e => e.check_core(core))
+    }
+
+    /// Check the whole machine: every L1 against the shared state and,
+    /// in the MESI family, every directory entry against the L1s it
+    /// names. The machine runs this at run end in debug builds.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        each!(self, e => e.check_invariants())
+    }
+
+    /// Turn the repeat-access fast path on (engines start with it on)
+    /// or off: an L1 hit whose line state shows it would change
+    /// nothing returns the L1-hit latency at once, with `fast` set.
+    pub(crate) fn set_fastpath(&mut self, on: bool) {
+        each!(self, e => e.fastpath = on)
+    }
 
     /// Aggregate L1 statistics: `(hits, misses, evictions)` summed
     /// over cores.
-    fn l1_totals(&self) -> (u64, u64, u64);
+    pub fn l1_totals(&self) -> (u64, u64, u64) {
+        each!(self, e => e.l1.iter().fold((0, 0, 0), |(h, m, ev), c| {
+            (h + c.hits.get(), m + c.misses.get(), ev + c.evictions.get())
+        }))
+    }
 
     /// AIM statistics if this design's metadata lives in one.
-    fn aim_totals(&self) -> Option<AimSummary> {
-        None
+    pub(crate) fn aim_totals(&self) -> Option<AimSummary> {
+        each!(self, e => e.aim_totals())
     }
 
     /// Design-specific named counters for the report.
-    fn extra_counters(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
+    pub(crate) fn extra_counters(&self) -> Vec<(&'static str, u64)> {
+        each!(self, e => e.extra_counters())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rce_common::ProtocolKind;
 
     fn sub() -> Substrate {
         Substrate::new(&MachineConfig::paper_default(4, ProtocolKind::MesiBaseline))

@@ -3,14 +3,13 @@
 //! cross-protocol cost orderings, and the repeat fast path.
 
 use rce_common::{Addr, CoreId, Cycles, MachineConfig, ProtocolKind, WordMask};
-use rce_core::{AccessType, ArcEngine, Engine, MesiFamilyEngine, Substrate, REGISTRY};
+use rce_core::{engine_for, find_variant, AccessResult, AccessType, Engine, Substrate, REGISTRY};
 
 const R: AccessType = AccessType::Read;
 const W: AccessType = AccessType::Write;
 
-fn mesi_setup(proto: ProtocolKind, cores: usize) -> (MesiFamilyEngine, Substrate) {
-    let cfg = MachineConfig::paper_default(cores, proto);
-    (MesiFamilyEngine::new(&cfg), Substrate::new(&cfg))
+fn setup(cfg: &MachineConfig) -> (Engine, Substrate) {
+    (engine_for(cfg), Substrate::new(cfg))
 }
 
 /// Bytes between consecutive lines of one L1 set (lines map to sets
@@ -19,14 +18,14 @@ fn set_stride(s: &Substrate) -> u64 {
     s.cfg.l1.sets() * 64
 }
 
-fn acc<E: Engine + ?Sized>(
-    e: &mut E,
+fn acc(
+    e: &mut Engine,
     s: &mut Substrate,
     core: u16,
     addr: u64,
     kind: AccessType,
     now: u64,
-) -> rce_core::protocol::AccessResult {
+) -> AccessResult {
     e.access(
         s,
         CoreId(core),
@@ -44,7 +43,7 @@ fn acc<E: Engine + ?Sized>(
 #[test]
 fn upgrade_sees_displaced_metadata() {
     for proto in [ProtocolKind::Ce, ProtocolKind::CePlus] {
-        let (mut e, mut s) = mesi_setup(proto, 3);
+        let (mut e, mut s) = setup(&MachineConfig::paper_default(3, proto));
         let base = 0x20_0000u64;
         // Core 2 reads the word, then thrashes its set to evict the
         // line (read bit displaced to the metadata store).
@@ -73,9 +72,7 @@ fn upgrade_sees_displaced_metadata() {
 /// masks at the AIM still produce the conflict.
 #[test]
 fn arc_recall_of_evicted_owner_uses_spilled_masks() {
-    let cfg = MachineConfig::paper_default(2, ProtocolKind::Arc);
-    let mut e = ArcEngine::new(&cfg);
-    let mut s = Substrate::new(&cfg);
+    let (mut e, mut s) = setup(&MachineConfig::paper_default(2, ProtocolKind::Arc));
     let base = 0x30_0000u64;
     // Core 0 writes (private), then evicts the line.
     let mut t = acc(&mut e, &mut s, 0, base, W, 0).done.0;
@@ -97,8 +94,7 @@ fn tiny_aim_remains_sound() {
     let mut cfg = MachineConfig::paper_default(2, ProtocolKind::CePlus);
     cfg.aim.entries = 64; // absurdly small
     cfg.aim.ways = 4;
-    let mut e = MesiFamilyEngine::new(&cfg);
-    let mut s = Substrate::new(&cfg);
+    let (mut e, mut s) = setup(&cfg);
     let base = 0x40_0000u64;
     // Core 0 writes many lines and evicts them all (bits spill through
     // the tiny AIM to DRAM).
@@ -128,7 +124,7 @@ fn tiny_aim_remains_sound() {
 #[test]
 fn detection_latency_ordering_on_displaced_path() {
     let lat = |proto| {
-        let (mut e, mut s) = mesi_setup(proto, 2);
+        let (mut e, mut s) = setup(&MachineConfig::paper_default(2, proto));
         let base = 0x50_0000u64;
         let mut t = acc(&mut e, &mut s, 0, base, W, 0).done.0;
         let stride = set_stride(&s);
@@ -155,7 +151,7 @@ fn detection_latency_ordering_on_displaced_path() {
 #[test]
 fn scrub_cost_scales_with_displacement() {
     let boundary = |lines: u64| {
-        let (mut e, mut s) = mesi_setup(ProtocolKind::Ce, 2);
+        let (mut e, mut s) = setup(&MachineConfig::paper_default(2, ProtocolKind::Ce));
         let base = 0x60_0000u64;
         let mut t = 0;
         // Write `lines` distinct lines in one region, then evict them
@@ -190,7 +186,7 @@ const REPEAT_BASE: u64 = 0x80_0000;
 
 /// Core 0 reads eight more lines of `REPEAT_BASE`'s set of the 8-way
 /// L1, evicting it.
-fn evict<E: Engine>(e: &mut E, s: &mut Substrate, mut t: u64) -> u64 {
+fn evict(e: &mut Engine, s: &mut Substrate, mut t: u64) -> u64 {
     for i in 1..=8u64 {
         t = acc(e, s, 0, REPEAT_BASE + i * set_stride(s), R, t).done.0;
     }
@@ -199,49 +195,44 @@ fn evict<E: Engine>(e: &mut E, s: &mut Substrate, mut t: u64) -> u64 {
 
 /// Core 1 reads another word of the line: a downgrade of core 0's
 /// copy under CE+, a recall of core 0's private line under ARC.
-fn remote_read<E: Engine>(e: &mut E, s: &mut Substrate, t: u64) -> u64 {
+fn remote_read(e: &mut Engine, s: &mut Substrate, t: u64) -> u64 {
     acc(e, s, 1, REPEAT_BASE + 8, R, t).done.0
 }
 
 /// Core 1 writes another word of the line, invalidating core 0's copy.
-fn remote_write<E: Engine>(e: &mut E, s: &mut Substrate, t: u64) -> u64 {
+fn remote_write(e: &mut Engine, s: &mut Substrate, t: u64) -> u64 {
     acc(e, s, 1, REPEAT_BASE + 8, W, t).done.0
 }
 
 /// Core 0's region ends.
-fn boundary<E: Engine>(e: &mut E, s: &mut Substrate, t: u64) -> u64 {
+fn boundary(e: &mut Engine, s: &mut Substrate, t: u64) -> u64 {
     let b = e.region_boundary(s, CoreId(0), Cycles(t)).unwrap();
     s.advance_region(CoreId(0));
     b.done.0
 }
 
-/// Core 0 writes one word twice: the repeat must take the fast path
-/// at the L1-hit latency. After `disrupt`, the same write must take
-/// the slow path again, with no hook beyond the line state itself.
-fn repeat_loses_fast_path_after<E: Engine>(
-    proto: ProtocolKind,
-    engine: fn(&MachineConfig) -> E,
-    disrupt: fn(&mut E, &mut Substrate, u64) -> u64,
+/// Core 0 writes one word twice on the registry variant `name`: the
+/// repeat must take the fast path (on by default) at the L1-hit
+/// latency. After `disrupt`, the same write must take the slow path
+/// again, with no hook beyond the line state itself.
+fn repeat_loses_fast_path_after(
+    name: &str,
+    disrupt: fn(&mut Engine, &mut Substrate, u64) -> u64,
     what: &str,
 ) {
-    let cfg = MachineConfig::paper_default(2, proto);
-    let mut e = engine(&cfg);
-    e.set_fastpath(true);
-    let mut s = Substrate::new(&cfg);
+    let (mut e, mut s) = setup(&find_variant(name).unwrap().config(2));
     let t = acc(&mut e, &mut s, 0, REPEAT_BASE, W, 0).done.0;
     let r = acc(&mut e, &mut s, 0, REPEAT_BASE, W, t);
-    assert!(r.fast, "{proto}: a private write repeat is fast");
+    assert!(r.fast, "{name}: a private write repeat is fast");
     assert_eq!(r.done.0 - t, s.cfg.l1.latency);
     let t = disrupt(&mut e, &mut s, r.done.0);
     let r = acc(&mut e, &mut s, 0, REPEAT_BASE, W, t);
-    assert!(!r.fast, "{proto}: the repeat after {what} is slow");
+    assert!(!r.fast, "{name}: the repeat after {what} is slow");
 }
 
 #[test]
 fn ceplus_repeat_fast_path_follows_line_state() {
-    let ce = |disrupt, what| {
-        repeat_loses_fast_path_after(ProtocolKind::CePlus, MesiFamilyEngine::new, disrupt, what)
-    };
+    let ce = |disrupt, what| repeat_loses_fast_path_after("CE+", disrupt, what);
     ce(evict, "an L1 eviction");
     ce(remote_read, "a remote read downgrade");
     ce(remote_write, "a remote write invalidation");
@@ -250,9 +241,7 @@ fn ceplus_repeat_fast_path_follows_line_state() {
 
 #[test]
 fn arc_repeat_fast_path_follows_line_state() {
-    let arc = |disrupt, what| {
-        repeat_loses_fast_path_after(ProtocolKind::Arc, ArcEngine::new, disrupt, what)
-    };
+    let arc = |disrupt, what| repeat_loses_fast_path_after("ARC", disrupt, what);
     arc(evict, "an L1 eviction");
     arc(remote_read, "a recall");
     arc(boundary, "a region boundary");
@@ -268,14 +257,12 @@ fn path_is_set_exactly_when_exceptions_are_raised() {
         .iter()
         .filter(|v| v.protocol != ProtocolKind::MesiBaseline)
     {
-        let cfg = v.config(2);
-        let mut e = rce_core::engine_for(&cfg);
-        let mut s = Substrate::new(&cfg);
+        let (mut e, mut s) = setup(&v.config(2));
         let (x, y) = (0x90_0000u64, 0xA0_0000u64);
         let mut t = 0;
         let mut step = |core, addr, kind, what: &str| {
             let hits_before = e.l1_totals().0;
-            let r = acc(&mut *e, &mut s, core, addr, kind, t);
+            let r = acc(&mut e, &mut s, core, addr, kind, t);
             t = r.done.0;
             assert_eq!(
                 r.path.is_some(),

@@ -177,30 +177,51 @@ if ! diff -r "$obs_out/jobs1" "$obs_out/jobs2"; then
 fi
 echo "ok: paper all and ablations write identical output with 1 and 2 workers"
 
-echo "== committed results (paper all + ablations at EXPERIMENTS.md sizes vs results/) =="
-# The committed results/R-*.json must be exactly what the EXPERIMENTS.md
-# commands produce from this tree: rerun both at their sizes and diff
-# every committed file at tolerance 0. A deliberate model change must
-# regenerate results/ in the same change.
-res_out="$obs_out/results"
-cargo run -q --release --offline -p rce-bench --bin paper -- \
-    all --cores 32 --scale 4 --jobs 2 --out "$res_out" >/dev/null 2>&1
-cargo run -q --release --offline -p rce-bench --bin paper -- \
-    ablations --cores 16 --scale 3 --jobs 2 --out "$res_out" >/dev/null 2>&1
-n=0
-for committed in results/R-*.json; do
-    if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
-        diff "$committed" "$res_out/$(basename "$committed")" --tolerance 0 2>/dev/null; then
-        echo "FAIL: $committed differs from a fresh run (regenerate results/ if intended)" >&2
+# Rerun the EXPERIMENTS.md commands with the paper command given after
+# the output directory, then diff every committed results/R-*.json
+# against the fresh file at tolerance 0 and require all 20 to be there.
+compare_results() {
+    local out=$1
+    shift
+    local cmd
+    for cmd in "all --cores 32 --scale 4" "ablations --cores 16 --scale 3"; do
+        # shellcheck disable=SC2086 # $cmd is several words on purpose
+        if ! "$@" $cmd --jobs 2 --out "$out" >/dev/null 2>"$out.err"; then
+            cat "$out.err" >&2
+            echo "FAIL: paper $cmd failed" >&2
+            exit 1
+        fi
+    done
+    local n=0 committed
+    for committed in results/R-*.json; do
+        if ! "$@" diff "$committed" "$out/$(basename "$committed")" --tolerance 0 2>/dev/null; then
+            echo "FAIL: $committed differs from a fresh run (regenerate results/ if intended)" >&2
+            exit 1
+        fi
+        n=$((n + 1))
+    done
+    if [ "$n" -ne 20 ]; then
+        echo "FAIL: expected 20 committed results/R-*.json files, found $n" >&2
         exit 1
     fi
-    n=$((n + 1))
-done
-if [ "$n" -ne 20 ]; then
-    echo "FAIL: expected 20 committed results/R-*.json files, found $n" >&2
-    exit 1
-fi
-echo "ok: all $n committed result files match a fresh run exactly"
+    echo "ok: all $n committed result files match a fresh run exactly"
+}
+
+echo "== committed results (paper all + ablations at EXPERIMENTS.md sizes vs results/) =="
+# The committed results/R-*.json must be exactly what the EXPERIMENTS.md
+# commands produce from this tree. A deliberate model change must
+# regenerate results/ in the same change.
+compare_results "$obs_out/results" "${paper[@]}"
+
+echo "== checked build (committed results with debug assertions and overflow checks) =="
+# Release builds compile out the model's invariant checks (each ending
+# core's L1 at its region boundaries, the whole machine at run end) and
+# wrap silently on integer overflow. Build paper with both turned back
+# on, in its own target directory so the plain release build stays
+# cached, and rerun the same comparison with it at paper scale.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
+    cargo build -q --release --offline -p rce-bench --bin paper --target-dir target/checked
+compare_results "$obs_out/checked" target/checked/release/paper
 
 echo "== oracle agreement at 64 cores (paper table3) =="
 # At the widest machine every core owns a bit of the oracle's 64-bit
