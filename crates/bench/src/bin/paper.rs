@@ -23,7 +23,7 @@ use rce_bench::{
     hotpath, profile, EvalParams, Experiment, RunKey,
 };
 use rce_common::{json, ObsConfig, MAX_CORES};
-use rce_core::{find_variant, AccessType, EngineVariant, REGISTRY};
+use rce_core::{find_variant, AccessType, EngineVariant, SimReport, REGISTRY};
 use rce_trace::WorkloadSpec;
 
 fn engine_names() -> String {
@@ -78,6 +78,14 @@ fn resolve_run(
         std::process::exit(2);
     });
     (v, RunKey::new(w, v.config(params.cores), params))
+}
+
+/// Simulate `key`, or print the run's error and exit 1.
+fn run_or_exit(key: &RunKey) -> SimReport {
+    key.run().unwrap_or_else(|e| {
+        eprintln!("run {key} failed: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn main() {
@@ -238,7 +246,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     let w = key.workload;
     profile::enable();
     profile::set_phase("trace");
-    let r = key.clone().with_obs(ObsConfig::FULL).run();
+    let r = run_or_exit(&key.clone().with_obs(ObsConfig::FULL));
     let log = r.trace.as_ref().expect("tracing was requested");
     let timeline = r.timeline.as_ref().expect("sampling was requested");
 
@@ -285,7 +293,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     stripped.timeline = None;
     stripped.trace = None;
     stripped.forensics = None;
-    let plain = key.run();
+    let plain = run_or_exit(&key);
     if json::to_string(&stripped) != json::to_string(&plain) {
         eprintln!("ERROR: observability perturbed the simulation (reports differ)");
         std::process::exit(1);
@@ -301,7 +309,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
 /// file (pretty JSON plus a trailing newline), which is exactly what
 /// `scripts/ci.sh` diffs against.
 fn run_report(workload: &str, engine: &str, params: &EvalParams) {
-    let r = resolve_run(workload, engine, params).1.run();
+    let r = run_or_exit(&resolve_run(workload, engine, params).1);
     println!("{}", json::to_string_pretty(&r));
 }
 
@@ -312,7 +320,7 @@ fn run_report(workload: &str, engine: &str, params: &EvalParams) {
 fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
     let (v, key) = resolve_run(workload, engine, params);
     let w = key.workload;
-    let r = key.with_obs(ObsConfig::FORENSICS).run();
+    let r = run_or_exit(&key.with_obs(ObsConfig::FORENSICS));
     let f = r.forensics.expect("forensics was requested");
     println!(
         "{} on {} ({} cores, scale {}, seed {}):",
@@ -459,7 +467,7 @@ fn run_trajectory(out_dir: &str) {
     let mut rows = Vec::new();
     for w in TRAJECTORY_WORKLOADS {
         for v in REGISTRY.iter().filter(|v| v.is_paper_design()) {
-            let r = RunKey::new(w, v.config(TRAJECTORY.cores), &TRAJECTORY).run();
+            let r = run_or_exit(&RunKey::new(w, v.config(TRAJECTORY.cores), &TRAJECTORY));
             rows.push(json!({
                 "workload": w.name(),
                 "engine": v.cli_name,

@@ -115,23 +115,23 @@ impl RunKey {
     /// Build the program, simulate it and record the run into the
     /// current [`crate::profile`] phase (a no-op unless profiling was
     /// enabled). Every simulation the harness runs goes through here.
-    pub fn run(&self) -> SimReport {
+    /// A failed run returns the machine's own error: an invalid
+    /// configuration, or a broken model invariant naming the run.
+    pub fn run(&self) -> RceResult<SimReport> {
         let mut program = self.workload.build(self.cores, self.scale, self.seed);
         if self.races > 0 {
             inject_races(&mut program, self.races, self.seed);
         }
         let t0 = Instant::now();
-        let report = Machine::new(&self.cfg)
-            .expect("harness configs are valid")
+        let report = Machine::new(&self.cfg)?
             .with_observability(self.obs)
-            .run(&program)
-            .expect("generated workloads are valid programs");
+            .run(&program)?;
         crate::profile::record_run(
             t0.elapsed(),
             report.mem_ops + report.sync_ops,
             report.cycles.0,
         );
-        report
+        Ok(report)
     }
 }
 
@@ -175,8 +175,9 @@ impl<'a> RunStore<'a> {
 
     /// Simulate every key of `keys` the store (base included) lacks,
     /// each once, in one parallel batch. Returns how many runs
-    /// executed. Panics if a run fails — paper workloads always
-    /// simulate cleanly, so a failure is a harness bug.
+    /// executed. Panics if a run fails, naming its key and the
+    /// machine's error — paper workloads always simulate cleanly, so a
+    /// failure is a bug in the model or the harness.
     pub(crate) fn ensure(&mut self, keys: impl IntoIterator<Item = RunKey>) -> usize {
         let mut missing: Vec<RunKey> = Vec::new();
         for k in keys {
@@ -184,7 +185,7 @@ impl<'a> RunStore<'a> {
                 missing.push(k);
             }
         }
-        let outcomes = run_suite_with(&missing, self.jobs, |k| Ok(k.run()));
+        let outcomes = run_suite_with(&missing, self.jobs, RunKey::run);
         let executed = missing.len();
         for (k, r) in missing.into_iter().zip(outcomes) {
             match r {
@@ -403,8 +404,8 @@ mod tests {
     #[test]
     fn observability_does_not_perturb_the_simulation() {
         let key = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::CePlus, 2, &P);
-        let plain = key.run();
-        let obs = key.with_obs(ObsConfig::FULL).run();
+        let plain = key.run().unwrap();
+        let obs = key.with_obs(ObsConfig::FULL).run().unwrap();
         assert_eq!(plain.cycles, obs.cycles);
         assert_eq!(plain.noc.total_bytes(), obs.noc.total_bytes());
         assert_eq!(plain.exceptions.len(), obs.exceptions.len());
@@ -425,7 +426,7 @@ mod tests {
             if key.protocol == ProtocolKind::Ce && key.workload == WorkloadSpec::PingPong {
                 Err(RceError::LimitExceeded("injected mid-sweep failure".into()))
             } else {
-                Ok(key.run())
+                key.run()
             }
         });
         assert_eq!(out.len(), keys.len());
@@ -457,7 +458,7 @@ mod tests {
             if key.workload == WorkloadSpec::PingPong {
                 panic!("worker died mid-run");
             }
-            Ok(key.run())
+            key.run()
         });
         std::panic::set_hook(prev);
         assert_eq!(out.len(), 2);
@@ -474,11 +475,22 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         let key = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::Ce, 2, &P);
-        let serial = key.run();
+        let serial = key.run().unwrap();
         let mut store = RunStore::new(None, 4);
         store.ensure([key.clone()]);
         let parallel = store.get(&key);
         assert_eq!(serial.cycles, parallel.cycles);
         assert_eq!(serial.noc.total_bytes(), parallel.noc.total_bytes());
+    }
+
+    #[test]
+    fn invalid_config_is_an_error_not_a_panic() {
+        let mut cfg = MachineConfig::paper_default(4, ProtocolKind::Ce);
+        cfg.l1.ways = 3; // 8 KiB is not a multiple of 3 ways of 64 B
+        let key = RunKey::new(WorkloadSpec::PingPong, cfg, &P);
+        match key.run() {
+            Err(RceError::InvalidConfig(msg)) => assert!(msg.contains("L1"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 }

@@ -166,23 +166,26 @@ impl<T> SetAssoc<T> {
             .map(|s| (s.key, &mut s.value))
     }
 
-    /// Remove all entries for which `pred` returns true, returning
-    /// them.
-    pub(crate) fn drain_filter(&mut self, mut pred: impl FnMut(u64, &T) -> bool) -> Vec<(u64, T)> {
-        let mut out = Vec::new();
+    /// Visit every entry once, set by set, and remove those for which
+    /// `pred` returns true; `pred` may also change the entries it
+    /// keeps. Returns how many were removed. A removal moves the set's
+    /// last slot into the freed one (`swap_remove`), and that slot is
+    /// visited next. Allocates nothing.
+    pub(crate) fn remove_where(&mut self, mut pred: impl FnMut(u64, &mut T) -> bool) -> usize {
+        let before = self.len;
         for set in &mut self.slots {
             let mut i = 0;
             while i < set.len() {
-                if pred(set[i].key, &set[i].value) {
-                    let slot = set.swap_remove(i);
-                    out.push((slot.key, slot.value));
+                let slot = &mut set[i];
+                if pred(slot.key, &mut slot.value) {
+                    set.swap_remove(i);
+                    self.len -= 1;
                 } else {
                     i += 1;
                 }
             }
         }
-        self.len -= out.len();
-        out
+        before - self.len
     }
 }
 
@@ -262,15 +265,27 @@ mod tests {
     }
 
     #[test]
-    fn drain_filter_removes_matching() {
+    fn remove_where_removes_matching_and_updates_survivors() {
         let mut a: SetAssoc<u32> = SetAssoc::new(4, 4);
-        for k in 0..8u64 {
+        for k in 0..16u64 {
             a.insert(k, k as u32);
         }
-        let drained = a.drain_filter(|_, v| v % 2 == 0);
-        assert_eq!(drained.len(), 4);
-        assert_eq!(a.len(), 4);
-        assert!(a.iter().all(|(_, v)| v % 2 == 1));
+        let removed = a.remove_where(|_, v| {
+            if *v % 3 == 0 {
+                return true;
+            }
+            *v += 100;
+            false
+        });
+        assert_eq!(removed, 6); // 0, 3, 6, 9, 12, 15
+        assert_eq!(a.len(), 10);
+        assert!(a.iter().all(|(k, v)| k % 3 != 0 && *v == k as u32 + 100));
+        // Set 0 held 0, 4, 8, 12: removing 0 moves 12 into its slot,
+        // and 12 goes too, leaving 8 first. Set 3 held 3, 7, 11, 15:
+        // removing 3 moves 15 in, which goes as well.
+        let order: Vec<u64> = a.iter().map(|(k, _)| k).collect();
+        assert_eq!(order, [8, 4, 1, 5, 13, 2, 14, 10, 11, 7]);
+        assert_eq!(a.remove_where(|_, _| false), 0);
     }
 
     #[test]

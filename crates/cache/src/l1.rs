@@ -85,17 +85,11 @@ impl<S> L1Cache<S> {
         self.array.iter_mut().map(|(k, s)| (LineAddr(k), s))
     }
 
-    /// Remove and return all lines matching `pred` (bulk
-    /// self-invalidation).
-    pub fn drain_filter(
-        &mut self,
-        mut pred: impl FnMut(LineAddr, &S) -> bool,
-    ) -> Vec<(LineAddr, S)> {
-        self.array
-            .drain_filter(|k, s| pred(LineAddr(k), s))
-            .into_iter()
-            .map(|(k, s)| (LineAddr(k), s))
-            .collect()
+    /// Remove every line for which `pred` returns true (bulk
+    /// self-invalidation); `pred` may also update the lines it keeps.
+    /// Returns how many were removed. Allocates nothing.
+    pub fn remove_where(&mut self, mut pred: impl FnMut(LineAddr, &mut S) -> bool) -> usize {
+        self.array.remove_where(|k, s| pred(LineAddr(k), s))
     }
 
     /// Resident line count.
@@ -160,14 +154,25 @@ mod tests {
     }
 
     #[test]
-    fn drain_filter_bulk_invalidation() {
-        let mut c: L1Cache<bool> = L1Cache::new(&geom());
-        for i in 0..8u64 {
-            c.fill(LineAddr(i), i % 2 == 0);
+    fn remove_where_bulk_invalidation() {
+        // State = (shared, region mask): shared lines self-invalidate,
+        // survivors have their mask reset.
+        let mut c: L1Cache<(bool, u8)> = L1Cache::new(&geom());
+        // 16 sets x 4 ways, filled with lines s, s+16, s+32, s+48.
+        for i in 0..64u64 {
+            c.fill(LineAddr(i), ((i / 16) % 2 == 0, 0xff));
         }
-        let drained = c.drain_filter(|_, &shared| shared);
-        assert_eq!(drained.len(), 4);
-        assert_eq!(c.len(), 4);
-        assert!(c.iter().all(|(_, &s)| !s));
+        let removed = c.remove_where(|_, st| {
+            st.1 = 0;
+            st.0
+        });
+        assert_eq!(removed, 32);
+        assert_eq!(c.len(), 32);
+        assert!(c.iter().all(|(_, &(shared, mask))| !shared && mask == 0));
+        // `swap_remove` order: in set s, dropping s moves s+48 into
+        // its slot, then dropping s+32 leaves s+48, s+16.
+        let order: Vec<u64> = c.iter().map(|(l, _)| l.0).collect();
+        let want: Vec<u64> = (0..16).flat_map(|s| [s + 48, s + 16]).collect();
+        assert_eq!(order, want);
     }
 }

@@ -291,16 +291,17 @@ impl LineSet {
         self.members.is_empty()
     }
 
-    /// Remove and return every member in insertion order, leaving the
-    /// set empty. Callers that feed hardware models must sort the
-    /// result by address themselves — insertion order is
-    /// program-dependent, not canonical.
-    pub fn take(&mut self) -> Vec<LineId> {
-        let members = std::mem::take(&mut self.members);
-        for &id in &members {
+    /// Remove every member, yielding them in insertion order, and
+    /// leave the set empty with its capacity kept, so a set refilled
+    /// every region stops allocating once it has grown. Callers that
+    /// feed hardware models must sort the members by address
+    /// themselves — insertion order is program-dependent, not
+    /// canonical.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, LineId> {
+        for &id in &self.members {
             self.flags.remove(id);
         }
-        members
+        self.members.drain(..)
     }
 }
 
@@ -443,7 +444,7 @@ mod tests {
                             // A region flush: drain, map back to
                             // addresses, sort.
                             let mut drained: Vec<u64> =
-                                set.take().into_iter().map(|i| table.addr(i).0).collect();
+                                set.drain().map(|i| table.addr(i).0).collect();
                             let mut want = std::mem::take(&mut ref_set);
                             prop_assert_eq!(&drained, &want, "drain in insertion order");
                             drained.sort_unstable();
@@ -500,10 +501,11 @@ mod tests {
         assert!(!s.insert(LineId(2)));
         assert_eq!(s.len(), 2);
         assert!(s.contains(LineId(0)));
-        let drained = s.take();
+        let drained: Vec<LineId> = s.drain().collect();
         assert_eq!(drained, vec![LineId(2), LineId(0)], "insertion order");
         assert!(s.is_empty());
         assert!(!s.contains(LineId(2)));
-        assert!(s.insert(LineId(2)), "reusable after take");
+        assert!(s.members.capacity() >= 2, "draining keeps the capacity");
+        assert!(s.insert(LineId(2)), "reusable after a drain");
     }
 }

@@ -110,6 +110,9 @@ pub struct ArcEngine {
     /// Per core: lines with registrations this region (cleared at the
     /// boundary).
     touched: Vec<LineSet>,
+    /// A region boundary's registration-clear list, sorted by address;
+    /// empty between boundaries, kept only for its capacity.
+    clear_order: Vec<LineAddr>,
     registrations: Counter,
     recalls: Counter,
     self_invalidated: Counter,
@@ -134,6 +137,7 @@ impl ArcEngine {
             class: LineMap::new(),
             written_ever: LineFlags::new(),
             touched: vec![LineSet::new(); cfg.cores],
+            clear_order: Vec::new(),
             registrations: Counter::default(),
             recalls: Counter::default(),
             self_invalidated: Counter::default(),
@@ -516,14 +520,14 @@ impl ArcEngine {
         // 2. Clear registrations (one signature message per line, in
         //    address order: the sends contend on the NoC, so the order
         //    must not depend on the order lines were first touched).
-        let mut lines: Vec<u64> = self.touched[core.index()]
-            .take()
-            .into_iter()
-            .map(|id| self.lines.addr(id).0)
-            .collect();
+        let mut lines = std::mem::take(&mut self.clear_order);
+        lines.extend(
+            self.touched[core.index()]
+                .drain()
+                .map(|id| self.lines.addr(id)),
+        );
         lines.sort_unstable();
-        for l in lines {
-            let line = LineAddr(l);
+        for &line in &lines {
             let t1 = sub.noc.send(
                 me,
                 sub.bank_node(line),
@@ -534,33 +538,38 @@ impl ArcEngine {
             let t = self.meta.boundary_clear(sub, line, core, t1);
             done = done.max(t);
         }
+        lines.clear();
+        self.clear_order = lines;
 
         // 3. Self-invalidate shared lines (read-only-classified lines
         //    are exempt when the extension is on — `ro` is only ever
         //    set in that mode); reset region masks on every surviving
         //    line.
-        let dropped = self.l1[core.index()].drain_filter(|_, st| st.shared && !st.ro);
-        self.self_invalidated.add(dropped.len() as u64);
-        if !dropped.is_empty() {
+        let dropped = self.l1[core.index()].remove_where(|_, st| {
+            if st.shared && !st.ro {
+                debug_assert!(
+                    st.dirty.is_empty(),
+                    "shared dirty words must have been flushed"
+                );
+                return true;
+            }
+            if st.shared {
+                self.ro_retained.inc();
+            }
+            st.read_words = WordMask::EMPTY;
+            st.written_words = WordMask::EMPTY;
+            false
+        });
+        self.self_invalidated.add(dropped as u64);
+        if dropped > 0 {
             sub.trace(|| SimEvent {
                 cycle: now.0,
                 core: Some(core.0),
                 region: Some(sub.region_of(core).0),
                 kind: EventKind::SelfInvalidate {
-                    lines: dropped.len() as u64,
+                    lines: dropped as u64,
                 },
             });
-        }
-        debug_assert!(
-            dropped.iter().all(|(_, st)| st.dirty.is_empty()),
-            "shared dirty words must have been flushed"
-        );
-        for (_, st) in self.l1[core.index()].iter_mut() {
-            if st.shared && st.ro {
-                self.ro_retained.inc();
-            }
-            st.read_words = WordMask::EMPTY;
-            st.written_words = WordMask::EMPTY;
         }
 
         Ok(AccessResult::new(done))

@@ -117,6 +117,9 @@ pub struct MesiFamilyEngine {
     /// Per core: lines whose bits for that core's current region left
     /// its L1 and must be scrubbed at the region boundary.
     foreign: Vec<LineSet>,
+    /// A region boundary's scrub list, sorted by address; empty between
+    /// boundaries, kept only for its capacity.
+    scrub_order: Vec<(LineAddr, LineId)>,
     // Counters.
     invalidations: Counter,
     upgrades: Counter,
@@ -153,6 +156,7 @@ impl MesiFamilyEngine {
             llc_meta: LineMap::new(),
             displaced: LineFlags::new(),
             foreign: vec![LineSet::new(); cfg.cores],
+            scrub_order: Vec::new(),
             invalidations: Counter::default(),
             upgrades: Counter::default(),
             owned_downgrades: Counter::default(),
@@ -660,22 +664,29 @@ impl MesiFamilyEngine {
         // access, any conflict found involved bits fetched back from
         // the metadata store rather than bits riding the L1 line.
         let lookups_before = self.meta_lookups.get();
-        let done = match (cached, kind) {
-            (Some(_), AccessType::Read) => Cycles(now.0 + l1_lat),
+        // A read hit or a writable write hit checks the line the lookup
+        // returned; a miss or an upgrade finds the line again after
+        // the protocol work. Either way the line is its set's most
+        // recently used, so LRU order is the same.
+        let (done, hit) = match (cached, kind) {
+            (Some(l), AccessType::Read) => (Cycles(now.0 + l1_lat), Some(l)),
             (Some(l), AccessType::Write) if l.mesi.can_write() => {
                 l.mesi = MesiState::M;
-                Cycles(now.0 + l1_lat)
+                (Cycles(now.0 + l1_lat), Some(l))
             }
-            (Some(_), AccessType::Write) => self.upgrade(sub, core, line, now)?,
-            (None, AccessType::Read) => self.fetch_read(sub, core, line, now)?,
-            (None, AccessType::Write) => self.fetch_write(sub, core, line, now)?,
+            (Some(_), AccessType::Write) => (self.upgrade(sub, core, line, now)?, None),
+            (None, AccessType::Read) => (self.fetch_read(sub, core, line, now)?, None),
+            (None, AccessType::Write) => (self.fetch_write(sub, core, line, now)?, None),
         };
 
         let mut res = AccessResult::new(done);
         if let Some(meta) = &self.meta {
-            let lref = self.l1[core.index()]
-                .probe_mut(line)
-                .ok_or_else(|| not_resident("line after access", core, line))?;
+            let lref = match hit {
+                Some(l) => l,
+                None => self.l1[core.index()]
+                    .probe_mut(line)
+                    .ok_or_else(|| not_resident("line after access", core, line))?,
+            };
             let me = ConflictSide { core, region, kind };
             let raised = lref.meta.check_and_record(
                 me,
@@ -715,16 +726,19 @@ impl MesiFamilyEngine {
         // Scrub every line whose bits escaped the L1 this region, in
         // address order: the scrubs contend on the NoC, so the order
         // must not depend on the order lines were first touched.
-        let mut lines: Vec<(LineAddr, LineId)> = self.foreign[core.index()]
-            .take()
-            .into_iter()
-            .map(|id| (self.lines.addr(id), id))
-            .collect();
+        let mut lines = std::mem::take(&mut self.scrub_order);
+        lines.extend(
+            self.foreign[core.index()]
+                .drain()
+                .map(|id| (self.lines.addr(id), id)),
+        );
         lines.sort_unstable();
-        for (_, lid) in lines {
+        for &(_, lid) in &lines {
             let t = self.scrub_displaced(sub, core, lid, now);
             done = done.max(t);
         }
+        lines.clear();
+        self.scrub_order = lines;
         Ok(AccessResult::new(done))
     }
 

@@ -16,7 +16,7 @@
 use crate::exception::{sort_region_scoped, AccessType, ConflictException, ExceptionPolicy};
 use crate::forensics::Forensics;
 use crate::oracle::Oracle;
-use crate::protocol::{engine_for, Engine, Substrate};
+use crate::protocol::{engine_for, AccessResult, Engine, Substrate};
 use crate::report::{CoreStats, SimReport};
 use crate::sched::ReadyQueue;
 use crate::sync::{AcquireOutcome, BarrierManager, BarrierOutcome, LockManager};
@@ -25,7 +25,7 @@ use rce_common::obs::{
 };
 use rce_common::{
     Addr, BarrierId, CoreId, Cycles, FxBuildHasher, Histogram, LockId, MachineConfig, RceError,
-    RceResult, WordMask,
+    RceResult, RegionId, WordMask,
 };
 use rce_energy::{EnergyModel, EventCounts};
 use rce_trace::{Op, Program};
@@ -251,10 +251,11 @@ struct Run<'a> {
     cursor: Vec<usize>,
     clock: Vec<Cycles>,
     status: Vec<Status>,
-    /// Index-min scheduler: every Ready core has exactly one queued
-    /// entry carrying its current clock. Pop order is smallest clock,
-    /// lowest core ID on ties — the driver's deterministic interleaving
-    /// (pinned by `sched::tests` and the golden gate) — in O(log n).
+    /// Index-min scheduler: every Ready core except the running one
+    /// has exactly one queued entry carrying its current clock. Pop
+    /// order is smallest clock, lowest core ID on ties — the driver's
+    /// deterministic interleaving (pinned by `sched::tests` and the
+    /// golden gate) — in O(log n).
     ready: ReadyQueue,
     mem_ops: u64,
     sync_ops: u64,
@@ -374,6 +375,8 @@ impl<'a> Run<'a> {
     fn drive(&mut self, policy: ExceptionPolicy) -> RceResult<()> {
         let (program, limit) = (self.program, self.limit);
         let mut steps = 0u64;
+        // The running core stays out of the queue: `next` is the pick.
+        let mut next = self.ready.pop();
         while !self.aborted {
             steps += 1;
             if steps > limit {
@@ -384,7 +387,7 @@ impl<'a> Run<'a> {
                     mem_ops: self.mem_ops,
                 });
             }
-            let Some((popped_clock, c)) = self.ready.pop() else {
+            let Some((popped_clock, c)) = next else {
                 if self.status.iter().all(|s| *s == Status::Done) {
                     return Ok(());
                 }
@@ -407,6 +410,7 @@ impl<'a> Run<'a> {
                 self.clock[c] = done;
                 self.status[c] = Status::Done;
                 self.per_core[c].finish = done;
+                next = self.ready.pop();
                 continue;
             }
 
@@ -433,9 +437,11 @@ impl<'a> Run<'a> {
             // Re-queue the stepped core at its new clock unless it
             // blocked (or finished, which `continue`s above). Blocked
             // cores are pushed by whoever wakes them.
-            if self.status[c] == Status::Ready {
-                self.ready.push(self.clock[c], c);
-            }
+            next = if self.status[c] == Status::Ready {
+                Some(self.ready.requeue(self.clock[c], c))
+            } else {
+                self.ready.pop()
+            };
         }
         Ok(())
     }
@@ -561,7 +567,7 @@ impl<'a> Run<'a> {
                             self.status[ri] = Status::Ready;
                             self.clock[ri] = self.clock[ri].max(t);
                             // The arriving core is re-queued by the
-                            // generic end-of-step push.
+                            // generic end-of-step requeue.
                             if ri != c {
                                 self.ready.push(self.clock[ri], ri);
                             }
@@ -583,6 +589,7 @@ impl<'a> Run<'a> {
         let c = core.index();
         let old_region = self.sub.region_of(core);
         let b = self.engine.region_boundary(&mut self.sub, core, now)?;
+        self.check_boundary(core, old_region, &b)?;
         if cfg!(debug_assertions) {
             self.engine.check_core(core).map_err(|err| {
                 self.violation(&format!("at the end of {core}'s region {old_region}"), &err)
@@ -617,6 +624,24 @@ impl<'a> Run<'a> {
             kind: EventKind::RegionBegin,
         });
         Ok(done)
+    }
+
+    /// A region boundary raises nothing: conflicts are found on
+    /// accesses, and the driver delivers only an access's exceptions.
+    /// A boundary result that carries exceptions or a detection path
+    /// would lose them, so it fails the run.
+    fn check_boundary(&self, core: CoreId, region: RegionId, b: &AccessResult) -> RceResult<()> {
+        if b.exceptions.is_empty() && b.path.is_none() {
+            return Ok(());
+        }
+        Err(self.violation(
+            &format!("at the end of {core}'s region {region}"),
+            &format!(
+                "the boundary raised {} exceptions (path {:?})",
+                b.exceptions.len(),
+                b.path
+            ),
+        ))
     }
 
     /// Close out the run and assemble its report.
@@ -916,6 +941,54 @@ mod tests {
             }
         }
         assert!(check_live(&sub, &ex(side(0, RegionId(0)), side(1, new_r1))).is_ok());
+    }
+
+    #[test]
+    fn boundary_results_that_raise_fail_the_run() {
+        use crate::exception::ConflictSide;
+        use crate::forensics::{DetectPath, DetectSite};
+        use rce_common::{MetaPlacement, RegionId};
+        let cfg = MachineConfig::paper_default(4, ProtocolKind::CePlus);
+        let m = Machine::new(&cfg).unwrap();
+        let p = WorkloadSpec::RacyPair.build(4, 1, 42);
+        let run = Run::new(&m, &p).unwrap();
+        let (core, region) = (CoreId(1), RegionId(1));
+        let clean = AccessResult::new(Cycles(9));
+        assert!(run.check_boundary(core, region, &clean).is_ok());
+
+        let side = |c: u16| ConflictSide {
+            core: CoreId(c),
+            region: RegionId(c as u64),
+            kind: AccessType::Write,
+        };
+        let path = DetectPath {
+            placement: MetaPlacement::Aim,
+            site: DetectSite::L1Bits,
+            aim: None,
+        };
+        let raised = AccessResult {
+            exceptions: vec![ConflictException::new(side(0), side(1), Addr(8), Cycles(5))],
+            path: Some(path),
+            ..AccessResult::new(Cycles(9))
+        };
+        let path_only = AccessResult {
+            path: Some(path),
+            ..AccessResult::new(Cycles(9))
+        };
+        let lost = AccessResult {
+            path: None,
+            ..raised.clone()
+        };
+        for b in [raised, path_only, lost] {
+            match run.check_boundary(core, region, &b) {
+                Err(RceError::InvariantViolated(msg)) => {
+                    assert!(msg.starts_with("racy_pair on CE+/"), "{msg}");
+                    assert!(msg.contains("at the end of c1's region r1"), "{msg}");
+                    assert!(msg.contains("the boundary raised"), "{msg}");
+                }
+                other => panic!("{b:?}: expected InvariantViolated, got {other:?}"),
+            }
+        }
     }
 
     #[test]

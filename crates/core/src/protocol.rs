@@ -271,9 +271,10 @@ impl Engine {
 
     /// The core reached a synchronization operation: finish its
     /// current region (flush/scrub/self-invalidate per design) and
-    /// return when the boundary work completes, plus any conflicts
-    /// detected during boundary processing. The machine advances the
-    /// region clock *after* this returns.
+    /// return when the boundary work completes. No design detects a
+    /// conflict at a boundary, so the result carries no exceptions and
+    /// no path; the machine fails a run whose boundary result does.
+    /// The machine advances the region clock *after* this returns.
     pub fn region_boundary(
         &mut self,
         sub: &mut Substrate,

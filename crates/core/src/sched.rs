@@ -10,11 +10,15 @@
 //! identical deterministic tie-break (equal clocks resolve to the
 //! lowest core ID) at any core count.
 //!
-//! Invariant maintained by the machine loop: every Ready core has
-//! exactly one queued entry carrying its current clock, and a core's
-//! clock never changes while its entry is queued. Clocks move only
-//! when a core executes (after its entry is popped) or when a wake-up
-//! raises a *blocked* core's clock immediately before its push.
+//! Invariant maintained by the machine loop: the queue holds every
+//! Ready core except the running one, each exactly once and carrying
+//! its current clock, and a core's clock never changes while its entry
+//! is queued. Clocks move only when a core executes (it is out of the
+//! queue then) or when a wake-up raises a *blocked* core's clock
+//! immediately before its push. A stepped core that is still Ready
+//! goes back through [`ReadyQueue::requeue`], which hands it straight
+//! back when it would pop first anyway: after a short step the core
+//! just run is often still the earliest.
 
 use rce_common::Cycles;
 use std::cmp::Reverse;
@@ -65,6 +69,19 @@ impl ReadyQueue {
     pub fn pop(&mut self) -> Option<(Cycles, usize)> {
         self.heap.pop().map(|Reverse(top)| top)
     }
+
+    /// Queue `core` at `clock` and pop the next pick, as `push` then
+    /// `pop` would. The core comes back untouched if it still pops
+    /// first; otherwise it takes the heap top's place, which costs one
+    /// sift instead of a push and a pop.
+    pub(crate) fn requeue(&mut self, clock: Cycles, core: usize) -> (Cycles, usize) {
+        match self.heap.peek_mut() {
+            Some(mut top) if top.0 < (clock, core) => {
+                std::mem::replace(&mut *top, Reverse((clock, core))).0
+            }
+            _ => (clock, core),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -112,42 +129,69 @@ mod tests {
     }
 
     #[test]
-    fn matches_linear_scan_under_random_schedules() {
-        // Simulate the machine's usage pattern: pop-min, advance that
-        // core's clock by a random amount, re-queue — against a vector
-        // the linear scan searches. Both must pick the same core every
-        // step.
-        let mut rng = SplitMix64::new(0xD00D);
-        for cores in [1usize, 2, 3, 8, 64] {
-            let mut q = ReadyQueue::with_capacity(cores);
-            let mut reference: Vec<(Cycles, usize)> = Vec::new();
+    fn requeue_matches_push_then_pop_and_the_scan() {
+        // The machine's loop with the running core held out of the
+        // queue: step the pick, wake random blocked cores mid-step
+        // (at a clock no earlier than theirs), then either requeue the
+        // stepped core, block it, or retire it. The same schedule runs
+        // through a push-then-pop queue and the linear scan; all three
+        // must pick the same core at every step.
+        let mut rng = SplitMix64::new(0x5EED);
+        for cores in 1..=64usize {
+            let mut fast = ReadyQueue::with_capacity(cores);
+            let mut slow = ReadyQueue::with_capacity(cores);
+            let mut scan: Vec<(Cycles, usize)> = Vec::new();
             for c in 0..cores {
-                q.push(Cycles::ZERO, c);
-                reference.push((Cycles::ZERO, c));
+                let t = Cycles(rng.gen_range(8));
+                fast.push(t, c);
+                slow.push(t, c);
+                scan.push((t, c));
             }
-            for _ in 0..2000 {
-                let Some(want) = linear_pick(&reference) else {
-                    assert!(q.is_empty());
+            let mut blocked: Vec<(Cycles, usize)> = Vec::new();
+            let mut next = fast.pop();
+            for _ in 0..400 {
+                let Some((t, c)) = next else {
+                    assert!(slow.pop().is_none() && scan.is_empty());
                     break;
                 };
-                let expected = reference.swap_remove(want);
-                let (t, c) = q.pop().unwrap();
-                assert_eq!((t, c), expected, "heap diverged from the scan");
-                let next = Cycles(t.0 + rng.gen_range(4)); // ties common
-                if rng.gen_bool(0.1) {
-                    // "Blocked": re-queue later (a lock handoff raises
-                    // the clock before the push) or drop entirely.
-                    if rng.gen_bool(0.8) {
-                        let wake = Cycles(next.0 + rng.gen_range(10));
-                        q.push(wake, c);
-                        reference.push((wake, c));
-                    }
-                } else {
-                    q.push(next, c);
-                    reference.push((next, c));
+                let want = scan.swap_remove(linear_pick(&scan).expect("scan has a pick"));
+                assert_eq!(
+                    slow.pop(),
+                    Some(want),
+                    "push-then-pop diverged from the scan"
+                );
+                assert_eq!((t, c), want, "requeue diverged from the scan");
+                // Short steps, so clock ties are common.
+                let now = Cycles(t.0 + rng.gen_range(4));
+                // Mid-step wake-ups: a release or a barrier readies
+                // blocked cores, no earlier than the waker's clock.
+                while !blocked.is_empty() && rng.gen_bool(0.2) {
+                    let (bt, b) = blocked.swap_remove(rng.gen_range(blocked.len() as u64) as usize);
+                    let woke = bt.max(Cycles(now.0 + rng.gen_range(3)));
+                    fast.push(woke, b);
+                    slow.push(woke, b);
+                    scan.push((woke, b));
                 }
-                // The mirror must track the heap exactly.
-                assert_eq!(q.len(), reference.len());
+                let roll = rng.gen_range(20);
+                next = if roll < 2 && scan.len() + 1 < cores {
+                    blocked.push((now, c));
+                    fast.pop()
+                } else if roll < 3 && cores > 1 {
+                    fast.pop() // retired
+                } else {
+                    slow.push(now, c);
+                    scan.push((now, c));
+                    Some(fast.requeue(now, c))
+                };
+                // Every Ready core but the pick is queued, once.
+                assert_eq!(fast.len() + usize::from(next.is_some()), scan.len());
+                if next.is_none() && !blocked.is_empty() {
+                    // Keep the run going: wake one blocked core.
+                    let (bt, b) = blocked.pop().unwrap();
+                    slow.push(bt, b);
+                    scan.push((bt, b));
+                    next = Some((bt, b));
+                }
             }
         }
     }
