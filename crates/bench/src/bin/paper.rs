@@ -49,7 +49,8 @@ fn usage() -> ! {
          [--seed N] [--out DIR]\n       paper report <workload> <engine> [--cores N] [--scale N] \
          [--seed N]\n       paper explain <workload> <engine> [--cores N] [--scale N] [--seed N] \
          [--top K]\n       paper diff <a.json> <b.json> [--tolerance PCT] [--ignore PATHSUBSTR]...\n       \
-         paper trajectory [--out DIR]\nexperiments: {}\n\
+         paper trajectory [--out DIR]\nexperiments: {} (table3, and so all, needs --cores 2 \
+         or more: it injects races between threads)\n\
          ablations: {}\nengines: {}",
         experiment_names(&Experiment::ALL),
         experiment_names(&Experiment::ABLATIONS),
@@ -207,6 +208,10 @@ fn main() {
         "ablations" => Experiment::ABLATIONS.to_vec(),
         name => vec![Experiment::find(name).unwrap_or_else(|| usage())],
     };
+    // Table III injects races, and a race needs two threads.
+    if params.cores < 2 && experiments.iter().any(|e| e.name() == "table3") {
+        usage();
+    }
 
     create_dir(&out_dir);
     profile::enable();

@@ -92,7 +92,7 @@ fn build(name: &str, o: &Opts) -> Program {
     });
     let mut p = w.build(o.cores, o.scale, o.seed);
     if o.races > 0 {
-        inject_races(&mut p, o.races, o.seed);
+        inject_races(&mut p, o.races, o.seed).unwrap_or_else(|e| fail(&e.to_string()));
     }
     p
 }

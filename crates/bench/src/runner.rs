@@ -120,7 +120,7 @@ impl RunKey {
     pub fn run(&self) -> RceResult<SimReport> {
         let mut program = self.workload.build(self.cores, self.scale, self.seed);
         if self.races > 0 {
-            inject_races(&mut program, self.races, self.seed);
+            inject_races(&mut program, self.races, self.seed)?;
         }
         let t0 = Instant::now();
         let report = Machine::new(&self.cfg)?

@@ -387,16 +387,25 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// What the parser is looking at, for an error message: the
+    /// character in backticks, or "end of input".
+    fn found(&self) -> String {
+        match self.peek() {
+            Some(c) => format!("`{}`", c as char),
+            None => "end of input".to_string(),
+        }
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
             Err(format!(
-                "expected `{}` at byte {}, found {:?}",
+                "expected `{}` at byte {}, found {}",
                 b as char,
                 self.pos,
-                self.peek().map(|c| c as char)
+                self.found()
             ))
         }
     }
@@ -423,11 +432,7 @@ impl Parser<'_> {
             Some(b'f') if self.eat_keyword("false") => Ok(JsonValue::Bool(false)),
             Some(b'n') if self.eat_keyword("null") => Ok(JsonValue::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            _ => Err(format!("unexpected {} at byte {}", self.found(), self.pos)),
         };
         self.depth -= 1;
         v
@@ -456,11 +461,11 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Object(pairs));
                 }
-                other => {
+                _ => {
                     return Err(format!(
-                        "expected `,` or `}}` at byte {}, found {:?}",
+                        "expected `,` or `}}` at byte {}, found {}",
                         self.pos,
-                        other.map(|c| c as char)
+                        self.found()
                     ))
                 }
             }
@@ -485,11 +490,11 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Array(items));
                 }
-                other => {
+                _ => {
                     return Err(format!(
-                        "expected `,` or `]` at byte {}, found {:?}",
+                        "expected `,` or `]` at byte {}, found {}",
                         self.pos,
-                        other.map(|c| c as char)
+                        self.found()
                     ))
                 }
             }
@@ -971,6 +976,18 @@ mod tests {
         assert!(JsonValue::parse("nul").is_err());
         assert!(JsonValue::parse(r#""unterminated"#).is_err());
         assert!(JsonValue::parse("1e").is_err());
+    }
+
+    #[test]
+    fn parse_errors_name_what_was_found() {
+        let err = |text: &str| JsonValue::parse(text).unwrap_err();
+        assert_eq!(err(""), "unexpected end of input at byte 0");
+        assert_eq!(
+            err("[1, 2"),
+            "expected `,` or `]` at byte 5, found end of input"
+        );
+        assert_eq!(err("{\"a\" 1}"), "expected `:` at byte 5, found `1`");
+        assert_eq!(err("[x]"), "unexpected `x` at byte 1");
     }
 
     #[test]

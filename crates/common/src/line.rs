@@ -8,6 +8,12 @@
 //! line; consumers then index plain vectors ([`LineMap`]) or bitsets
 //! ([`LineFlags`], [`LineSet`]) by the dense id instead.
 //!
+//! A simulation run keeps one table for its lines (`rce_core`'s
+//! `Substrate::lines`), shared by the engine, its metadata store and
+//! conflict forensics, so one access interns its line once however
+//! many per-line stores it touches. The oracle keeps a second table
+//! over word addresses, because it tracks words, not lines.
+//!
 //! Interning is insertion-ordered (the first line seen gets id 0, the
 //! next new line id 1, ...) and never forgets a line, so a `LineId` is
 //! valid for the lifetime of its table and the table's memory is
@@ -127,11 +133,6 @@ impl LineTable {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.lines.len()
-    }
-
-    /// All ids in interning (first-seen) order.
-    pub fn ids(&self) -> impl Iterator<Item = LineId> {
-        (0..self.lines.len() as u32).map(LineId)
     }
 
     fn grow(&mut self) {
@@ -375,7 +376,6 @@ mod tests {
                 for (i, &a) in first_seen.iter().enumerate() {
                     prop_assert_eq!(t.lookup(LineAddr(a)), Some(LineId(i as u32)));
                     prop_assert_eq!(t.addr(LineId(i as u32)), LineAddr(a));
-                    prop_assert!(t.ids().any(|id| id.index() == i));
                 }
                 Ok(())
             },

@@ -41,8 +41,8 @@ use crate::report::AimSummary;
 use rce_cache::L1Cache;
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
-    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, LineTable,
-    MachineConfig, RceResult, RegionId, WordMask,
+    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, MachineConfig,
+    RceError, RceResult, WordMask,
 };
 use rce_noc::MsgClass;
 
@@ -98,10 +98,8 @@ pub struct ArcEngine {
     meta: MetaStore,
     /// Short-circuit repeat accesses (see [`ArcLine::repeats`]).
     pub(crate) fastpath: bool,
-    /// Engine-local intern table: the flat per-line state below is
-    /// indexed by the dense id, so classification and registration
-    /// bookkeeping do no hashing after a line's first touch.
-    lines: LineTable,
+    // Per-line state below is indexed by the run's `Substrate::lines`
+    // ids: `access` interns its line once and passes the id down.
     /// LLC-side classification (`None` = never touched).
     class: LineMap<Option<Class>>,
     /// Lines that have ever been written (drives the read-only
@@ -112,7 +110,7 @@ pub struct ArcEngine {
     touched: Vec<LineSet>,
     /// A region boundary's registration-clear list, sorted by address;
     /// empty between boundaries, kept only for its capacity.
-    clear_order: Vec<LineAddr>,
+    clear_order: Vec<(LineAddr, LineId)>,
     registrations: Counter,
     recalls: Counter,
     self_invalidated: Counter,
@@ -133,7 +131,6 @@ impl ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: MetaStore::new(cfg).expect("ARC has a metadata placement"),
             fastpath: true,
-            lines: LineTable::new(),
             class: LineMap::new(),
             written_ever: LineFlags::new(),
             touched: vec![LineSet::new(); cfg.cores],
@@ -157,21 +154,20 @@ impl ArcEngine {
         &mut self,
         sub: &Substrate,
         side: ConflictSide,
-        line: LineAddr,
+        lid: LineId,
         mask: WordMask,
         at: Cycles,
         out: &mut Vec<ConflictException>,
     ) -> Option<DetectPath> {
-        let raised = self.meta.entry_mut(line).check_and_record(
+        let raised = self.meta.entry_mut(sub, lid).check_and_record(
             side,
             mask,
-            line,
+            sub.lines.addr(lid),
             at,
             |c, r| sub.is_live(c, r),
             out,
         );
         self.conflict_checks_hit.add(raised as u64);
-        let lid = self.lines.intern(line);
         self.touched[side.core.index()].insert(lid);
         (raised > 0).then(|| self.meta.path(DetectSite::Registration))
     }
@@ -184,11 +180,11 @@ impl ArcEngine {
         &mut self,
         sub: &mut Substrate,
         owner: CoreId,
-        line: LineAddr,
+        lid: LineId,
         t_at_bank: Cycles,
     ) -> Cycles {
         self.recalls.inc();
-        let lid = self.lines.intern(line);
+        let line = sub.lines.addr(lid);
         let bank = sub.bank_node(line);
         let owner_node = sub.core_node(owner);
         let probe = sub.noc.send(
@@ -199,7 +195,6 @@ impl ArcEngine {
             t_at_bank,
         );
         let mut reply = probe;
-        let owner_region = sub.region_of(owner);
         // The owner's surviving copy gets the same classification a
         // fresh fill would: read-only if the line was never written.
         let ro_hint = sub.cfg.arc_readonly_sharing && !self.written_ever.contains(lid);
@@ -233,7 +228,7 @@ impl ArcEngine {
                     probe,
                 );
                 reply = reply.max(meta_at);
-                self.record_masks(owner, owner_region, lid, read_words, written_words);
+                self.record_masks(sub, owner, lid, read_words, written_words);
             }
         } else {
             // Owner no longer caches it; its state already reached the
@@ -249,18 +244,19 @@ impl ArcEngine {
         reply
     }
 
-    /// Record a copy's region masks for `core` at line `lid`'s
-    /// metadata entry, and note that `core` touched the line this
-    /// region.
+    /// Record a copy's region masks for `core`'s current region at line
+    /// `lid`'s metadata entry, and note that `core` touched the line
+    /// this region.
     fn record_masks(
         &mut self,
+        sub: &Substrate,
         core: CoreId,
-        region: RegionId,
         lid: LineId,
         read: WordMask,
         written: WordMask,
     ) {
-        let entry = self.meta.entry_mut(self.lines.addr(lid));
+        let region = sub.region_of(core);
+        let entry = self.meta.entry_mut(sub, lid);
         if !read.is_empty() {
             entry.record(core, region, AccessType::Read, read);
         }
@@ -279,9 +275,13 @@ impl ArcEngine {
         line: LineAddr,
         state: ArcLine,
         at: Cycles,
-    ) {
+    ) -> RceResult<()> {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
+            // The victim was interned when it was filled.
+            let vid = sub.lines.lookup(victim).ok_or_else(|| {
+                RceError::InvariantViolated(format!("{core} evicted never-filled {victim}"))
+            })?;
             sub.trace(|| SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
@@ -300,7 +300,6 @@ impl ArcEngine {
             // A private victim's current-region bits must stay visible
             // for conflict checks: spill them to the metadata layer.
             // (Shared victims registered eagerly; nothing to do.)
-            let vid = self.lines.intern(victim);
             if !vstate.written_words.is_empty() {
                 self.written_ever.insert(vid);
             }
@@ -310,20 +309,20 @@ impl ArcEngine {
                 let t1 = sub
                     .noc
                     .send(me, vbank, sub.cfg.aim.entry_bytes, MsgClass::Metadata, at);
-                let _ready = self.meta.ensure_at(sub, victim, t1);
-                let region = sub.region_of(core);
-                self.record_masks(core, region, vid, vstate.read_words, vstate.written_words);
+                let _ready = self.meta.ensure_at(sub, vid, t1);
+                self.record_masks(sub, core, vid, vstate.read_words, vstate.written_words);
             }
         }
+        Ok(())
     }
 
     /// `core`'s L1 agrees with the LLC-side classification: every
     /// resident line is classified, a private line is private to this
     /// core and marked neither shared nor read-only, and a shared line
     /// is marked shared.
-    pub(crate) fn check_core(&self, core: CoreId) -> Result<(), String> {
+    pub(crate) fn check_core(&self, sub: &Substrate, core: CoreId) -> Result<(), String> {
         for (line, st) in self.l1[core.index()].iter() {
-            let cls = self.lines.lookup(line).and_then(|id| *self.class.get(id)?);
+            let cls = sub.lines.lookup(line).and_then(|id| *self.class.get(id)?);
             let wrong = match cls {
                 None => "is unclassified".to_string(),
                 Some(Class::Private(owner)) if owner != core => format!("is private to {owner}"),
@@ -341,8 +340,8 @@ impl ArcEngine {
     }
 
     /// Every core's L1 agrees with the classification.
-    pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        (0..self.l1.len()).try_for_each(|c| self.check_core(CoreId(c as u16)))
+    pub(crate) fn check_invariants(&self, sub: &Substrate) -> Result<(), String> {
+        (0..self.l1.len()).try_for_each(|c| self.check_core(sub, CoreId(c as u16)))
     }
 
     pub(crate) fn access(
@@ -381,6 +380,7 @@ impl ArcEngine {
                 ..AccessResult::new(Cycles(now.0 + l1_lat))
             });
         }
+        let lid = sub.lines.intern(line);
         if let Some(st) = cached {
             let new_words = match kind {
                 AccessType::Read => dmask.minus(st.read_words),
@@ -396,7 +396,6 @@ impl ArcEngine {
             }
             let is_shared = st.shared;
             if kind == AccessType::Write {
-                let lid = self.lines.intern(line);
                 self.written_ever.insert(lid);
             }
             let mut res = AccessResult::new(Cycles(now.0 + l1_lat));
@@ -407,9 +406,9 @@ impl ArcEngine {
                 let t1 = sub
                     .noc
                     .send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Metadata, now);
-                let t2 = self.meta.ensure_at(sub, line, t1);
+                let t2 = self.meta.ensure_at(sub, lid, t1);
                 res.path =
-                    self.aim_check_record(sub, side, line, new_words, t2, &mut res.exceptions);
+                    self.aim_check_record(sub, side, lid, new_words, t2, &mut res.exceptions);
             }
             return Ok(res);
         }
@@ -425,7 +424,6 @@ impl ArcEngine {
         sub.dir_accesses.inc(); // classification lookup at the bank
 
         // Classification update.
-        let lid = self.lines.intern(line);
         if kind == AccessType::Write {
             self.written_ever.insert(lid);
         }
@@ -434,15 +432,15 @@ impl ArcEngine {
         let is_shared = match cls {
             Class::Private(owner) if owner != core => {
                 // Second core: recall, reclassify shared.
-                let t_aim = self.meta.ensure_at(sub, line, t1);
-                let t_recall = self.recall(sub, owner, line, t1);
+                let t_aim = self.meta.ensure_at(sub, lid, t1);
+                let t_recall = self.recall(sub, owner, lid, t1);
                 *self.class.slot(lid) = Some(Class::Shared);
                 t_ready = t_ready.max(t_aim).max(t_recall);
                 true
             }
             Class::Private(_) => false,
             Class::Shared => {
-                let t_aim = self.meta.ensure_at(sub, line, t1);
+                let t_aim = self.meta.ensure_at(sub, lid, t1);
                 t_ready = t_ready.max(t_aim);
                 true
             }
@@ -456,7 +454,7 @@ impl ArcEngine {
         let mut path = None;
         if is_shared {
             self.registrations.inc();
-            path = self.aim_check_record(sub, side, line, dmask, t_ready, &mut exceptions);
+            path = self.aim_check_record(sub, side, lid, dmask, t_ready, &mut exceptions);
         }
 
         // Data from the LLC (DRAM beneath it if needed).
@@ -484,7 +482,7 @@ impl ArcEngine {
                 st.dirty = mask;
             }
         }
-        self.fill_line(sub, core, line, st, t_data);
+        self.fill_line(sub, core, line, st, t_data)?;
 
         Ok(AccessResult {
             done: Cycles(t_data.0 + l1_lat),
@@ -524,10 +522,10 @@ impl ArcEngine {
         lines.extend(
             self.touched[core.index()]
                 .drain()
-                .map(|id| self.lines.addr(id)),
+                .map(|id| (sub.lines.addr(id), id)),
         );
         lines.sort_unstable();
-        for &line in &lines {
+        for &(line, lid) in &lines {
             let t1 = sub.noc.send(
                 me,
                 sub.bank_node(line),
@@ -535,7 +533,7 @@ impl ArcEngine {
                 MsgClass::Metadata,
                 now,
             );
-            let t = self.meta.boundary_clear(sub, line, core, t1);
+            let t = self.meta.boundary_clear(sub, lid, core, t1);
             done = done.max(t);
         }
         lines.clear();
@@ -644,7 +642,7 @@ mod tests {
         // Still a hit: private data is exempt from self-invalidation.
         let r2 = acc(&mut e, &mut s, 0, 0x1000, R, t);
         assert_eq!(r2.done.0 - t, s.cfg.l1.latency);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -659,7 +657,7 @@ mod tests {
             "shared line must re-fetch after the boundary"
         );
         assert!(e.self_invalidated.get() >= 1);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -740,7 +738,7 @@ mod tests {
         let before = e.flushed_words.get();
         boundary(&mut e, &mut s, 0, w.done.0);
         assert!(e.flushed_words.get() > before);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -776,7 +774,7 @@ mod tests {
         let r = acc(&mut e, &mut s, 0, 0x1000, R, t);
         assert_eq!(r.done.0 - t, s.cfg.l1.latency, "retained ro line must hit");
         assert!(e.ro_retained.get() >= 1);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]

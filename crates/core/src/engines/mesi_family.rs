@@ -39,8 +39,8 @@ use crate::report::AimSummary;
 use rce_cache::{DirEntry, L1Cache, MesiState};
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
-    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, LineTable,
-    MachineConfig, RceError, RceResult, RegionId, WordMask, MAX_CORES,
+    Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, MachineConfig,
+    RceError, RceResult, RegionId, WordMask, MAX_CORES,
 };
 use rce_noc::{MsgClass, NodeId};
 
@@ -95,11 +95,8 @@ pub struct MesiFamilyEngine {
     meta: Option<MetaStore>,
     /// Short-circuit repeat accesses (see [`CeLine::repeats`]).
     pub(crate) fastpath: bool,
-    /// All per-line state below is flat, indexed by ids from this one
-    /// intern table. Every miss and upgrade interns its line once, and
-    /// an L1 victim (interned when it was filled) is found with one
-    /// lookup; nothing else on the access path hashes a line.
-    lines: LineTable,
+    // Per-line state below is indexed by the run's `Substrate::lines`
+    // ids: each miss and upgrade interns its line once.
     /// The full-map sharer directory (an idle entry means no L1 holds
     /// the line).
     dir: LineMap<DirEntry>,
@@ -151,7 +148,6 @@ impl MesiFamilyEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: MetaStore::new(cfg),
             fastpath: true,
-            lines: LineTable::new(),
             dir: LineMap::new(),
             llc_meta: LineMap::new(),
             displaced: LineFlags::new(),
@@ -207,8 +203,7 @@ impl MesiFamilyEngine {
         let mut t_meta = t;
         if self.displaced.remove(lid) {
             self.meta_lookups.inc();
-            let line = self.lines.addr(lid);
-            let (at, displaced) = self.store().fetch(sub, line, t);
+            let (at, displaced) = self.store().fetch(sub, lid, t);
             incoming.merge(&displaced);
             t_meta = at;
         }
@@ -246,8 +241,7 @@ impl MesiFamilyEngine {
         }
         self.meta_pushes.inc();
         self.displaced.insert(lid);
-        let line = self.lines.addr(lid);
-        self.store().push(sub, src, line, meta, at);
+        self.store().push(sub, src, lid, meta, at);
     }
 
     /// Region-end scrub of one displaced line.
@@ -260,8 +254,7 @@ impl MesiFamilyEngine {
     ) -> Cycles {
         self.scrubs.inc();
         let me = sub.core_node(core);
-        let line = self.lines.addr(lid);
-        let (t, entry_gone) = self.store().scrub(sub, me, core, line, at);
+        let (t, entry_gone) = self.store().scrub(sub, me, core, lid, at);
         if entry_gone {
             self.displaced.remove(lid);
         }
@@ -281,7 +274,7 @@ impl MesiFamilyEngine {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
             // The victim was interned when it was filled.
-            let vid = self.lines.lookup(victim).ok_or_else(|| {
+            let vid = sub.lines.lookup(victim).ok_or_else(|| {
                 RceError::InvariantViolated(format!("{core} evicted never-filled {victim}"))
             })?;
             sub.trace(|| SimEvent {
@@ -334,8 +327,7 @@ impl MesiFamilyEngine {
         t1: Cycles,
         incoming: &mut MetaMap,
     ) -> RceResult<Cycles> {
-        let line = self.lines.addr(lid);
-        let bank = sub.bank_node(line);
+        let bank = sub.bank_node(sub.lines.addr(lid));
         let ctrl = sub.cfg.noc.ctrl_bytes;
         let mut inv_at = t1;
         for s in sharers.clone() {
@@ -367,7 +359,7 @@ impl MesiFamilyEngine {
         what: &str,
         incoming: &mut MetaMap,
     ) -> RceResult<()> {
-        let line = self.lines.addr(lid);
+        let line = sub.lines.addr(lid);
         let st = self.l1[core.index()]
             .invalidate(line)
             .ok_or_else(|| not_resident(what, core, line))?;
@@ -391,7 +383,7 @@ impl MesiFamilyEngine {
         line: LineAddr,
         now: Cycles,
     ) -> (LineId, NodeId, NodeId, Cycles, DirEntry) {
-        let lid = self.lines.intern(line);
+        let lid = sub.lines.intern(line);
         let (me, bank) = (sub.core_node(core), sub.bank_node(line));
         let at = Cycles(now.0 + sub.cfg.l1.latency);
         let t1 = sub
@@ -581,8 +573,8 @@ impl MesiFamilyEngine {
     }
 
     /// The directory entry for `line` (idle if never seen).
-    fn dir_entry(&self, line: LineAddr) -> DirEntry {
-        self.lines
+    fn dir_entry(&self, sub: &Substrate, line: LineAddr) -> DirEntry {
+        sub.lines
             .lookup(line)
             .and_then(|lid| self.dir.get(lid))
             .copied()
@@ -593,9 +585,9 @@ impl MesiFamilyEngine {
     /// legal (O only under MOESI, never I) and matches its directory
     /// entry: M and E are the owner's only copy, O is the owner's, and
     /// S is a sharer's while no other core holds the line exclusively.
-    pub(crate) fn check_core(&self, core: CoreId) -> Result<(), String> {
+    pub(crate) fn check_core(&self, sub: &Substrate, core: CoreId) -> Result<(), String> {
         for (line, st) in self.l1[core.index()].iter() {
-            let e = self.dir_entry(line);
+            let e = self.dir_entry(sub, line);
             let owns = e.owner == Some(core);
             let legal = match st.mesi {
                 MesiState::M | MesiState::E => owns && e.sharer_count() == 1,
@@ -617,9 +609,9 @@ impl MesiFamilyEngine {
     /// well formed and names only sharers whose L1 holds the line, and
     /// every core's L1 agrees with the directory
     /// ([`MesiFamilyEngine::check_core`]).
-    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, sub: &Substrate) -> Result<(), String> {
         for (lid, e) in self.dir.iter() {
-            let line = self.lines.addr(lid);
+            let line = sub.lines.addr(lid);
             e.check(self.l1.len(), !self.moesi)
                 .map_err(|err| format!("directory entry for {line}: {err}"))?;
             if let Some(s) = e
@@ -631,7 +623,7 @@ impl MesiFamilyEngine {
                 ));
             }
         }
-        (0..self.l1.len()).try_for_each(|c| self.check_core(CoreId(c as u16)))
+        (0..self.l1.len()).try_for_each(|c| self.check_core(sub, CoreId(c as u16)))
     }
 
     pub(crate) fn access(
@@ -730,7 +722,7 @@ impl MesiFamilyEngine {
         lines.extend(
             self.foreign[core.index()]
                 .drain()
-                .map(|id| (self.lines.addr(id), id)),
+                .map(|id| (sub.lines.addr(id), id)),
         );
         lines.sort_unstable();
         for &(_, lid) in &lines {
@@ -823,7 +815,7 @@ mod tests {
         // First reader got E; writing is a pure L1 hit.
         let w = acc(&mut e, &mut s, 0, 0x1000, W, r.done.0);
         assert_eq!(w.done.0 - r.done.0, s.cfg.l1.latency);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -838,7 +830,7 @@ mod tests {
         // Sharers lost their copies.
         assert!(!e.l1[0].contains(Addr(0x2000).line()));
         assert!(!e.l1[1].contains(Addr(0x2000).line()));
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -852,7 +844,7 @@ mod tests {
         let line = Addr(0x3000).line();
         assert_eq!(e.l1[0].peek(line).unwrap().mesi, MesiState::S);
         assert_eq!(e.l1[1].peek(line).unwrap().mesi, MesiState::S);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -1011,7 +1003,7 @@ mod tests {
                 t = b.done.0.max(t) + 1;
             }
         }
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     fn setup_moesi(protocol: ProtocolKind, cores: usize) -> (MesiFamilyEngine, Substrate) {
@@ -1034,7 +1026,7 @@ mod tests {
         assert_eq!(e.l1[0].peek(line).unwrap().mesi, MesiState::O);
         assert_eq!(e.l1[1].peek(line).unwrap().mesi, MesiState::S);
         assert_eq!(e.owned_downgrades.get(), 1);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -1058,7 +1050,7 @@ mod tests {
         assert!(!e.l1[0].contains(line), "O owner invalidated");
         assert!(!e.l1[1].contains(line), "co-sharer invalidated");
         assert_eq!(e.l1[2].peek(line).unwrap().mesi, MesiState::M);
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -1078,7 +1070,7 @@ mod tests {
         assert!(s.llc.contains(Addr(base).line()));
         // Core 1's copy survives; a fresh reader gets LLC data.
         assert!(e.l1[1].contains(Addr(base).line()));
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
         let _ = t;
     }
 
@@ -1112,7 +1104,7 @@ mod tests {
                 t = b.done.0.max(t) + 1;
             }
         }
-        e.check_invariants().unwrap();
+        e.check_invariants(&s).unwrap();
     }
 
     #[test]
@@ -1144,10 +1136,10 @@ mod tests {
                     s.advance_region(CoreId(core));
                     t = b.done.0.max(t) + 1;
                 }
-                let sharers = e.dir_entry(Addr(addr).line()).sharers;
+                let sharers = e.dir_entry(&s, Addr(addr).line()).sharers;
                 top_shared |= sharers & (1 << 63) != 0 && sharers.count_ones() > 1;
                 if i % 500 == 499 {
-                    e.check_invariants().unwrap();
+                    e.check_invariants(&s).unwrap();
                 }
             }
             assert!(top_shared, "core 63 never shared a line (moesi={moesi})");

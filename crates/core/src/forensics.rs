@@ -218,16 +218,15 @@ impl ForensicsReport {
 /// Every heat table is charged once per materialized detection, so
 /// each accumulates in a flat array and `finish` sorts once, by (count
 /// desc, key asc), a total order over distinct keys. Line heat is a
-/// [`LineMap`] keyed by interned line ids; pair heat a count `Vec`
-/// indexed `a * MAX_CORES + b`; region heat one indexed by region ID,
-/// which is dense from 0 (one substrate counter).
+/// [`LineMap`] keyed by the run's line ids (`Substrate::lines`); pair
+/// heat a count `Vec` indexed `a * MAX_CORES + b`; region heat one
+/// indexed by region ID, which is dense from 0 (one substrate counter).
 #[derive(Debug, Default)]
 pub struct Forensics {
     total: u64,
     delivered: u64,
     truncated: u64,
     records: Vec<ConflictRecord>,
-    lines: LineTable,
     line_heat: LineMap<u64>,
     pair_heat: Vec<u64>,
     region_heat: Vec<u64>,
@@ -245,10 +244,11 @@ fn bump(counts: &mut Vec<u64>, i: usize) {
 impl Forensics {
     /// Feed one materialized detection (called for *every* exception an
     /// access raises, before the machine's delivery dedup, so heatmap
-    /// totals match the detector's counter).
-    pub(crate) fn observe(&mut self, ex: &ConflictException) {
+    /// totals match the detector's counter). The engine interned the
+    /// conflicting line when it accessed it, so `lines` gains nothing.
+    pub(crate) fn observe(&mut self, ex: &ConflictException, lines: &mut LineTable) {
         self.total += 1;
-        let id = self.lines.intern(ex.word_addr.line());
+        let id = lines.intern(ex.word_addr.line());
         *self.line_heat.slot(id) += 1;
         let (a, b) = (ex.a(), ex.b());
         bump(
@@ -288,8 +288,9 @@ impl Forensics {
     }
 
     /// Finish: sort the heatmaps hottest-first (ties by key, so the
-    /// output is deterministic) and assemble the report.
-    pub(crate) fn finish(self) -> ForensicsReport {
+    /// output is deterministic) and assemble the report. `lines` turns
+    /// line heat's ids back into addresses.
+    pub(crate) fn finish(self, lines: &LineTable) -> ForensicsReport {
         // Nonzero slots of a flat table, hottest first (ties by index).
         fn sorted<T>(counts: &[u64], build: impl Fn(usize, u64) -> T) -> Vec<T> {
             let mut v: Vec<(usize, u64)> = counts
@@ -301,18 +302,14 @@ impl Forensics {
             v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             v.into_iter().map(|(i, n)| build(i, n)).collect()
         }
-        // Flat accumulation stores lines in first-touch order; the
-        // (count desc, line asc) sort is a total order over distinct
-        // lines, so the report does not depend on first-touch order.
+        // Line ids follow the run's interning order; the (count desc,
+        // line asc) sort is a total order over distinct lines, so the
+        // report does not depend on that order.
         let mut line_heat: Vec<(u64, u64)> = self
-            .lines
-            .ids()
-            .map(|id| {
-                (
-                    self.lines.addr(id).0,
-                    self.line_heat.get(id).copied().unwrap_or(0),
-                )
-            })
+            .line_heat
+            .iter()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(id, &n)| (lines.addr(id).0, n))
             .collect();
         line_heat.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ForensicsReport {
@@ -394,15 +391,15 @@ mod tests {
 
     #[test]
     fn heatmaps_count_every_observation() {
-        let mut f = Forensics::default();
+        let (mut f, mut lines) = (Forensics::default(), LineTable::new());
         // Same conflict observed twice (e.g. by two coherence actions),
         // plus one on another line.
-        f.observe(&ex(0, 1, 64, 5));
-        f.observe(&ex(0, 1, 64, 9));
-        f.observe(&ex(2, 3, 256, 7));
+        f.observe(&ex(0, 1, 64, 5), &mut lines);
+        f.observe(&ex(0, 1, 64, 9), &mut lines);
+        f.observe(&ex(2, 3, 256, 7), &mut lines);
         f.deliver(ex(0, 1, 64, 5), path(), None, 0);
         f.deliver(ex(2, 3, 256, 7), path(), None, 0);
-        let r = f.finish();
+        let r = f.finish(&lines);
         assert_eq!(r.total_detections, 3);
         assert_eq!(r.delivered, 2);
         assert_eq!(r.heatmap_total(), 3, "heatmap counts pre-dedup detections");
@@ -427,15 +424,32 @@ mod tests {
     }
 
     #[test]
+    fn equal_heat_lists_the_lower_line_first() {
+        // The run's table interns line 9 before line 2, as an engine
+        // that touched 9 first would; both lines get equal heat.
+        let (mut f, mut lines) = (Forensics::default(), LineTable::new());
+        lines.intern(rce_common::LineAddr(9));
+        f.observe(&ex(0, 1, 9 * 64, 1), &mut lines);
+        f.observe(&ex(2, 3, 2 * 64, 2), &mut lines);
+        let heat: Vec<(u64, u64)> = f
+            .finish(&lines)
+            .line_heatmap
+            .iter()
+            .map(|h| (h.line, h.conflicts))
+            .collect();
+        assert_eq!(heat, [(2, 1), (9, 1)], "ties by line, not interning order");
+    }
+
+    #[test]
     fn records_are_bounded_and_truncation_is_counted() {
-        let mut f = Forensics::default();
+        let (mut f, mut lines) = (Forensics::default(), LineTable::new());
         let n = MAX_RECORDS as u64 + 3;
         for i in 0..n {
             let e = ex(0, 1, i * 8, i);
-            f.observe(&e);
+            f.observe(&e, &mut lines);
             f.deliver(e, path(), None, 0);
         }
-        let r = f.finish();
+        let r = f.finish(&lines);
         assert_eq!(r.records.len(), MAX_RECORDS);
         assert_eq!(r.truncated_records, 3);
         assert_eq!(r.delivered, n);
@@ -475,9 +489,9 @@ mod tests {
 
     #[test]
     fn report_serializes_records_and_lifetimes() {
-        let mut f = Forensics::default();
+        let (mut f, mut lines) = (Forensics::default(), LineTable::new());
         let e = ex(1, 3, 128, 42);
-        f.observe(&e);
+        f.observe(&e, &mut lines);
         let mut t = Tracer::default();
         t.emit(SimEvent {
             cycle: 40,
@@ -500,7 +514,7 @@ mod tests {
             2,
         );
         f.region_ended(777);
-        let r = f.finish();
+        let r = f.finish(&lines);
         let v = JsonValue::parse(&rce_common::json::to_string(&r)).unwrap();
         let rec = &v["records"][0];
         assert_eq!(rec["path"]["site"], JsonValue::Str("DisplacedFetch".into()));

@@ -257,8 +257,6 @@ struct Run<'a> {
     /// deterministic interleaving (pinned by `sched::tests` and the
     /// golden gate) — in O(log n).
     ready: ReadyQueue,
-    mem_ops: u64,
-    sync_ops: u64,
     regions: u64,
     access_latency: Histogram,
     region_len: Histogram,
@@ -330,8 +328,6 @@ impl<'a> Run<'a> {
             clock: vec![Cycles::ZERO; n],
             status: vec![Status::Ready; n],
             ready,
-            mem_ops: 0,
-            sync_ops: 0,
             regions: 0,
             access_latency: Histogram::new(),
             region_len: Histogram::new(),
@@ -354,7 +350,7 @@ impl<'a> Run<'a> {
         self.drive(policy)?;
         if cfg!(debug_assertions) {
             self.engine
-                .check_invariants()
+                .check_invariants(&self.sub)
                 .map_err(|err| self.violation("at run end", &err))?;
         }
         Ok(self.finish())
@@ -384,7 +380,7 @@ impl<'a> Run<'a> {
                     steps,
                     limit,
                     cursors: self.cursor.iter().map(|&c| c as u64).collect(),
-                    mem_ops: self.mem_ops,
+                    mem_ops: self.per_core.iter().map(|s| s.mem_ops).sum(),
                 });
             }
             let Some((popped_clock, c)) = next else {
@@ -457,7 +453,6 @@ impl<'a> Run<'a> {
         policy: ExceptionPolicy,
     ) -> RceResult<()> {
         let c = core.index();
-        self.mem_ops += 1;
         let mask = WordMask::span(addr, len as u64);
         let res = self
             .engine
@@ -494,7 +489,7 @@ impl<'a> Run<'a> {
         for ex in res.exceptions {
             check_live(&self.sub, &ex)?;
             if let Some(f) = &mut self.forensics {
-                f.observe(&ex);
+                f.observe(&ex, &mut self.sub.lines);
             }
             let (a, b) = (ex.a(), ex.b());
             if !self.exceptions[a.core.index()].live.insert(ex) {
@@ -536,7 +531,6 @@ impl<'a> Run<'a> {
     /// first, then goes through the functional sync managers.
     fn sync(&mut self, core: CoreId, op: Op, now: Cycles) -> RceResult<()> {
         let c = core.index();
-        self.sync_ops += 1;
         self.per_core[c].sync_ops += 1;
         let done = self.boundary(core, now)?;
         match op {
@@ -591,7 +585,7 @@ impl<'a> Run<'a> {
         let b = self.engine.region_boundary(&mut self.sub, core, now)?;
         self.check_boundary(core, old_region, &b)?;
         if cfg!(debug_assertions) {
-            self.engine.check_core(core).map_err(|err| {
+            self.engine.check_core(&self.sub, core).map_err(|err| {
                 self.violation(&format!("at the end of {core}'s region {old_region}"), &err)
             })?;
         }
@@ -654,8 +648,6 @@ impl<'a> Run<'a> {
             mut sub,
             oracle,
             clock,
-            mem_ops,
-            sync_ops,
             regions,
             access_latency,
             region_len,
@@ -708,8 +700,8 @@ impl<'a> Run<'a> {
             workload: program.name.clone(),
             cores: cfg.cores,
             cycles: end,
-            mem_ops,
-            sync_ops,
+            mem_ops: per_core.iter().map(|s| s.mem_ops).sum(),
+            sync_ops: per_core.iter().map(|s| s.sync_ops).sum(),
             regions,
             l1_hits,
             l1_misses,
@@ -734,7 +726,7 @@ impl<'a> Run<'a> {
             aborted,
             timeline,
             trace,
-            forensics: forensics.map(Forensics::finish),
+            forensics: forensics.map(|f| f.finish(&sub.lines)),
         }
     }
 }

@@ -30,8 +30,8 @@ use crate::report::AimSummary;
 use rce_cache::SetAssoc;
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
-    impl_json_struct, CoreId, Counter, Cycles, LineAddr, LineFlags, LineMap, LineTable,
-    MachineConfig, MetaPlacement,
+    impl_json_struct, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, MachineConfig,
+    MetaPlacement,
 };
 use rce_dram::AccessKind as DramKind;
 use rce_noc::{MsgClass, NodeId};
@@ -89,15 +89,14 @@ fn offchip(
 /// Flat line → [`MetaMap`] store: CE's DRAM table, the AIM's overflow
 /// table, or the ideal store, by placement.
 ///
-/// Lines are interned once into a [`LineTable`] and maps live in a
-/// dense vector, so the per-access path is a hash-free array index
-/// after the first touch of a line. Presence is tracked explicitly,
-/// because "absent" and "present but empty" differ (`ensure_at`
-/// creates present-but-empty entries); a non-present slot always holds
-/// an empty map, so re-inserting a line starts from an empty entry.
+/// Maps live in a dense vector indexed by the run's [`LineId`]s
+/// (`Substrate::lines`), so a touch is a hash-free array index.
+/// Presence is tracked explicitly, because "absent" and "present but
+/// empty" differ (`ensure_at` creates present-but-empty entries); a
+/// non-present slot always holds an empty map, so re-inserting a line
+/// starts from an empty entry.
 #[derive(Debug, Clone, Default)]
 struct FlatMetaTable {
-    table: LineTable,
     maps: LineMap<MetaMap>,
     present: LineFlags,
 }
@@ -109,40 +108,35 @@ impl FlatMetaTable {
         self.present.count()
     }
 
-    /// The entry for `line`, creating an empty present entry if absent
+    /// The entry for `id`, creating an empty present entry if absent
     /// (the flat `entry().or_default()`).
-    fn entry(&mut self, line: LineAddr) -> &mut MetaMap {
-        let id = self.table.intern(line);
+    fn entry(&mut self, id: LineId) -> &mut MetaMap {
         self.present.insert(id);
         self.maps.slot(id)
     }
 
-    /// Remove and return `line`'s entry; `(map, was_present)`.
-    fn take(&mut self, line: LineAddr) -> (MetaMap, bool) {
-        match self.table.lookup(line) {
-            Some(id) if self.present.contains(id) => {
-                self.present.remove(id);
-                (std::mem::take(self.maps.slot(id)), true)
-            }
-            _ => (MetaMap::new(), false),
+    /// Remove and return `id`'s entry; `(map, was_present)`.
+    fn take(&mut self, id: LineId) -> (MetaMap, bool) {
+        if self.present.remove(id) {
+            (std::mem::take(self.maps.slot(id)), true)
+        } else {
+            (MetaMap::new(), false)
         }
     }
 
-    /// Clear `core`'s bits in `line`'s entry, dropping the entry if it
+    /// Clear `core`'s bits in `id`'s entry, dropping the entry if it
     /// empties out; returns whether it did. Absent lines are a no-op.
-    fn clear_core(&mut self, line: LineAddr, core: CoreId) -> bool {
-        match self.table.lookup(line) {
-            Some(id) if self.present.contains(id) => {
-                let m = self.maps.slot(id);
-                m.clear_core(core);
-                let gone = m.is_empty();
-                if gone {
-                    self.present.remove(id);
-                }
-                gone
-            }
-            _ => false,
+    fn clear_core(&mut self, id: LineId, core: CoreId) -> bool {
+        if !self.present.contains(id) {
+            return false;
         }
+        let m = self.maps.slot(id);
+        m.clear_core(core);
+        let gone = m.is_empty();
+        if gone {
+            self.present.remove(id);
+        }
+        gone
     }
 }
 
@@ -151,10 +145,11 @@ impl FlatMetaTable {
 /// The access information memory — the on-chip metadata cache that
 /// turns CE into CE+ and backs ARC's LLC-side detection.
 ///
-/// A set-associative cache of [`MetaMap`]s keyed by line address,
-/// physically distributed alongside the LLC banks (an AIM slice sits
-/// at each line's home bank, so reaching it costs the same NoC trip a
-/// coherence request already makes). Entries evicted from the AIM
+/// A set-associative cache of [`MetaMap`]s keyed by line address (its
+/// set index models the hardware's), physically distributed alongside
+/// the LLC banks (an AIM slice sits at each line's home bank, so
+/// reaching it costs the same NoC trip a coherence request already
+/// makes). Entries evicted from the AIM
 /// spill to the store's DRAM table and are refilled on demand. Its
 /// latency and entry size are read from `cfg.aim` where they are
 /// charged.
@@ -172,26 +167,29 @@ struct Aim {
 }
 
 impl Aim {
-    /// Make `line`'s entry resident (allocating an empty one if truly
-    /// new), refilling it from or spilling a victim to `backing`, and
-    /// trace the outcome at `t`.
+    /// Make line `id`'s entry resident (allocating an empty one if
+    /// truly new), refilling it from or spilling a victim to `table`,
+    /// and trace the outcome at `t`.
     fn ensure(
         &mut self,
-        backing: &mut FlatMetaTable,
+        table: &mut FlatMetaTable,
         sub: &Substrate,
-        line: LineAddr,
+        id: LineId,
         t: Cycles,
     ) -> AimOutcome {
+        let line = sub.lines.addr(id);
         let hit = self.array.get_mut(line.0).is_some();
         let (refilled, spilled) = if hit {
             self.hits.inc();
             (false, false)
         } else {
             self.misses.inc();
-            let (entry, refilled) = backing.take(line);
+            let (entry, refilled) = table.take(id);
             let spilled = match self.array.insert(line.0, entry) {
                 Some((victim, vmeta)) if !vmeta.is_empty() => {
-                    *backing.entry(LineAddr(victim)) = vmeta;
+                    // Every resident entry was ensured through its id.
+                    let vid = sub.lines.lookup(LineAddr(victim)).expect("interned");
+                    *table.entry(vid) = vmeta;
                     self.spills.inc();
                     true
                 }
@@ -236,15 +234,15 @@ impl Aim {
             .expect("AIM entry must be ensured before use")
     }
 
-    /// Clear `core`'s bits for `line`, wherever the entry lives
-    /// (resident, or spilled to `backing`).
-    fn clear_core(&mut self, backing: &mut FlatMetaTable, line: LineAddr, core: CoreId) {
+    /// Clear `core`'s bits for line `id` at `line`, wherever the entry
+    /// lives (resident, or spilled to `table`).
+    fn clear_core(&mut self, table: &mut FlatMetaTable, line: LineAddr, id: LineId, core: CoreId) {
         if let Some(m) = self.array.get_mut(line.0) {
             self.hits.inc();
             m.clear_core(core);
         } else {
             self.misses.inc();
-            backing.clear_core(line, core);
+            table.clear_core(id, core);
         }
     }
 }
@@ -304,21 +302,22 @@ impl MetaStore {
         }
     }
 
-    /// Consult the store for `line`'s displaced bits; the request is
-    /// at the line's home bank at `t`. Returns the ready time and the
-    /// *removed* bits, which ride back into the requesting L1, matching
-    /// CE's bits-travel-with-the-line design.
+    /// Consult the store for line `id`'s displaced bits; the request
+    /// is at the line's home bank at `t`. Returns the ready time and
+    /// the *removed* bits, which ride back into the requesting L1,
+    /// matching CE's bits-travel-with-the-line design.
     pub(crate) fn fetch(
         &mut self,
         sub: &mut Substrate,
-        line: LineAddr,
+        id: LineId,
         t: Cycles,
     ) -> (Cycles, MetaMap) {
         if self.aim.is_some() {
-            let ready = self.ensure_at(sub, line, t);
-            return (ready, std::mem::take(self.entry_mut(line)));
+            let ready = self.ensure_at(sub, id, t);
+            return (ready, std::mem::take(self.entry_mut(sub, id)));
         }
-        let (m, _) = self.table.take(line);
+        let line = sub.lines.addr(id);
+        let (m, _) = self.table.take(id);
         let bank = sub.bank_node(line);
         let ready = self.table_cost(sub, bank, line, DramKind::MetaRead, t, true);
         (ready, m)
@@ -331,17 +330,18 @@ impl MetaStore {
         &mut self,
         sub: &mut Substrate,
         src: NodeId,
-        line: LineAddr,
+        id: LineId,
         meta: MetaMap,
         at: Cycles,
     ) {
+        let line = sub.lines.addr(id);
         match &mut self.aim {
             Some(aim) => {
                 let bank = sub.bank_node(line);
                 let t1 = sub
                     .noc
                     .send(src, bank, META_MSG_BYTES, MsgClass::Metadata, at);
-                let o = aim.ensure(&mut self.table, sub, line, at);
+                let o = aim.ensure(&mut self.table, sub, id, at);
                 if o.spilled {
                     offchip(sub, bank, line, DramKind::MetaWrite, t1, false);
                 }
@@ -352,12 +352,12 @@ impl MetaStore {
             }
             None => {
                 self.table_cost(sub, src, line, DramKind::MetaWrite, at, false);
-                self.table.entry(line).merge(&meta);
+                self.table.entry(id).merge(&meta);
             }
         }
     }
 
-    /// Region-end scrub of one displaced line: clear `core`'s bits
+    /// Region-end scrub of displaced line `id`: clear `core`'s bits
     /// wherever they live, charging the trip from `src`. Returns the
     /// completion time and whether the line's entry emptied out and
     /// was dropped (so the engine can forget the displacement). The AIM
@@ -367,9 +367,10 @@ impl MetaStore {
         sub: &mut Substrate,
         src: NodeId,
         core: CoreId,
-        line: LineAddr,
+        id: LineId,
         at: Cycles,
     ) -> (Cycles, bool) {
+        let line = sub.lines.addr(id);
         match &mut self.aim {
             Some(aim) => {
                 let t1 = sub.noc.send(
@@ -379,25 +380,26 @@ impl MetaStore {
                     MsgClass::Metadata,
                     at,
                 );
-                aim.clear_core(&mut self.table, line, core);
+                aim.clear_core(&mut self.table, line, id, core);
                 (Cycles(t1.0 + sub.cfg.aim.latency), false)
             }
             None => {
-                let gone = self.table.clear_core(line, core);
+                let gone = self.table.clear_core(id, core);
                 let done = self.table_cost(sub, src, line, DramKind::MetaWrite, at, false);
                 (done, gone)
             }
         }
     }
 
-    /// Make `line`'s entry usable for [`MetaStore::entry_mut`]; the
+    /// Make line `id`'s entry usable for [`MetaStore::entry_mut`]; the
     /// request is already at the line's home bank at `t`. Returns when
     /// the entry is ready (after any spill/refill side effects).
-    pub(crate) fn ensure_at(&mut self, sub: &mut Substrate, line: LineAddr, t: Cycles) -> Cycles {
+    pub(crate) fn ensure_at(&mut self, sub: &mut Substrate, id: LineId, t: Cycles) -> Cycles {
+        let line = sub.lines.addr(id);
         let bank = sub.bank_node(line);
         match &mut self.aim {
             Some(aim) => {
-                let o = aim.ensure(&mut self.table, sub, line, t);
+                let o = aim.ensure(&mut self.table, sub, id, t);
                 let mut ready = Cycles(t.0 + sub.cfg.aim.latency);
                 if o.refilled {
                     // The entry itself had spilled to DRAM: fetch it.
@@ -412,39 +414,40 @@ impl MetaStore {
             None => {
                 // The registration consults the table: for CE's, bank
                 // -> memory controller -> DRAM -> back.
-                self.table.entry(line);
+                self.table.entry(id);
                 self.table_cost(sub, bank, line, DramKind::MetaRead, t, true)
             }
         }
     }
 
-    /// The entry for `line`. The AIM requires a prior
+    /// The entry for line `id`. The AIM requires a prior
     /// [`MetaStore::ensure_at`] (the entry must be resident); the
     /// unbounded placements allocate on demand.
-    pub(crate) fn entry_mut(&mut self, line: LineAddr) -> &mut MetaMap {
+    pub(crate) fn entry_mut(&mut self, sub: &Substrate, id: LineId) -> &mut MetaMap {
         match &mut self.aim {
-            Some(aim) => aim.entry(line),
-            None => self.table.entry(line),
+            Some(aim) => aim.entry(sub.lines.addr(id)),
+            None => self.table.entry(id),
         }
     }
 
-    /// ARC region-end registration clear for one line: drop `core`'s
+    /// ARC region-end registration clear for line `id`: drop `core`'s
     /// bits, with the clearing message already at the home bank at
     /// `t`. Returns when the clear completes.
     pub(crate) fn boundary_clear(
         &mut self,
         sub: &mut Substrate,
-        line: LineAddr,
+        id: LineId,
         core: CoreId,
         t: Cycles,
     ) -> Cycles {
+        let line = sub.lines.addr(id);
         match &mut self.aim {
             Some(aim) => {
-                aim.clear_core(&mut self.table, line, core);
+                aim.clear_core(&mut self.table, line, id, core);
                 Cycles(t.0 + sub.cfg.aim.latency)
             }
             None => {
-                self.table.clear_core(line, core);
+                self.table.clear_core(id, core);
                 // CE's table: the clear is forwarded off chip.
                 let bank = sub.bank_node(line);
                 self.table_cost(sub, bank, line, DramKind::MetaWrite, t, false)
@@ -491,6 +494,11 @@ mod tests {
     fn setup(cfg: &MachineConfig) -> (MetaStore, Substrate) {
         let store = MetaStore::new(cfg).expect("a detecting placement");
         (store, Substrate::new(cfg))
+    }
+
+    /// The run's id for line `l`, interning it as an engine would.
+    fn id(s: &mut Substrate, l: u64) -> LineId {
+        s.lines.intern(LineAddr(l))
     }
 
     /// CE+ at 4 cores with an AIM of `entries` entries in `ways` ways.
@@ -546,15 +554,16 @@ mod tests {
     #[test]
     fn ensure_then_entry() {
         let (mut m, mut s) = small_aim();
-        m.ensure_at(&mut s, LineAddr(1), Cycles(0));
+        let l1 = id(&mut s, 1);
+        m.ensure_at(&mut s, l1, Cycles(0));
         assert_eq!(aim(&m).last, Some(AimOutcome::default()), "a cold miss");
-        m.entry_mut(LineAddr(1)).record(
+        m.entry_mut(&s, l1).record(
             CoreId(0),
             RegionId(1),
             AccessType::Write,
             WordMask::single(WordIdx(0)),
         );
-        m.ensure_at(&mut s, LineAddr(1), Cycles(1));
+        m.ensure_at(&mut s, l1, Cycles(1));
         assert!(aim(&m).last.is_some_and(|o| o.hit));
         assert_eq!((aim(&m).hits.get(), aim(&m).misses.get()), (1, 1));
     }
@@ -564,22 +573,20 @@ mod tests {
         let (mut m, mut s) = small_aim();
         // Fill set 0 (lines 0, 4) with live metadata, then overflow it.
         for l in [0u64, 4] {
-            m.ensure_at(&mut s, LineAddr(l), Cycles(0));
-            m.entry_mut(LineAddr(l)).record(
-                CoreId(0),
-                RegionId(1),
-                AccessType::Read,
-                WordMask::FULL,
-            );
+            let l = id(&mut s, l);
+            m.ensure_at(&mut s, l, Cycles(0));
+            m.entry_mut(&s, l)
+                .record(CoreId(0), RegionId(1), AccessType::Read, WordMask::FULL);
         }
-        m.ensure_at(&mut s, LineAddr(8), Cycles(0)); // evicts LRU line 0
+        let (l0, l8) = (id(&mut s, 0), id(&mut s, 8));
+        m.ensure_at(&mut s, l8, Cycles(0)); // evicts LRU line 0
         assert!(aim(&m).last.is_some_and(|o| o.spilled));
         assert_eq!(m.table.len(), 1);
         // Touching line 0 again refills it from the spill table.
-        m.ensure_at(&mut s, LineAddr(0), Cycles(0));
+        m.ensure_at(&mut s, l0, Cycles(0));
         assert!(aim(&m).last.is_some_and(|o| o.refilled));
         assert!(
-            !m.entry_mut(LineAddr(0)).is_empty(),
+            !m.entry_mut(&s, l0).is_empty(),
             "metadata survived the spill"
         );
         assert!(m.table.len() <= 1);
@@ -593,7 +600,8 @@ mod tests {
     fn empty_victims_are_not_spilled() {
         let (mut m, mut s) = small_aim();
         for l in [0u64, 4, 8] {
-            m.ensure_at(&mut s, LineAddr(l), Cycles(0)); // all empty entries
+            let l = id(&mut s, l);
+            m.ensure_at(&mut s, l, Cycles(0)); // all empty entries
         }
         assert_eq!(aim(&m).spills.get(), 0);
         assert_eq!(m.table.len(), 0);
@@ -602,9 +610,9 @@ mod tests {
     #[test]
     fn boundary_clear_resident_and_spilled() {
         let (mut m, mut s) = small_aim();
-        let line = LineAddr(3);
+        let line = id(&mut s, 3);
         m.ensure_at(&mut s, line, Cycles(0));
-        m.entry_mut(line).record(
+        m.entry_mut(&s, line).record(
             CoreId(2),
             RegionId(5),
             AccessType::Write,
@@ -612,17 +620,18 @@ mod tests {
         );
         let t = m.boundary_clear(&mut s, line, CoreId(2), Cycles(10));
         assert_eq!(t, Cycles(10 + s.cfg.aim.latency));
-        assert!(m.entry_mut(line).is_empty(), "resident bits cleared");
+        assert!(m.entry_mut(&s, line).is_empty(), "resident bits cleared");
 
         // Spilled path.
-        m.entry_mut(line).record(
+        m.entry_mut(&s, line).record(
             CoreId(1),
             RegionId(9),
             AccessType::Read,
             WordMask::single(WordIdx(0)),
         );
-        m.ensure_at(&mut s, LineAddr(7), Cycles(20));
-        m.ensure_at(&mut s, LineAddr(11), Cycles(20)); // set 3: 3, 7, 11 -> spills line 3
+        let (l7, l11) = (id(&mut s, 7), id(&mut s, 11));
+        m.ensure_at(&mut s, l7, Cycles(20));
+        m.ensure_at(&mut s, l11, Cycles(20)); // set 3: 3, 7, 11 -> spills line 3
         assert_eq!(m.table.len(), 1);
         m.boundary_clear(&mut s, line, CoreId(1), Cycles(30));
         assert_eq!(m.table.len(), 0, "empty spilled entries are dropped");
@@ -631,14 +640,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "ensured")]
     fn entry_requires_ensure() {
-        let (mut m, _) = small_aim();
-        let _ = m.entry_mut(LineAddr(42));
+        let (mut m, mut s) = small_aim();
+        let l = id(&mut s, 42);
+        let _ = m.entry_mut(&s, l);
     }
 
     #[test]
     fn dram_push_fetch_roundtrip_charges_offchip() {
         let (mut m, mut s) = setup(&MachineConfig::paper_default(4, ProtocolKind::Ce));
-        let line = LineAddr(12);
+        let line = id(&mut s, 12);
         let src = s.core_node(CoreId(0));
         m.push(&mut s, src, line, meta_with_bits(0, 0), Cycles(0));
         assert_eq!(m.table.len(), 1);
@@ -654,7 +664,7 @@ mod tests {
     #[test]
     fn dram_scrub_reports_emptied_entries() {
         let (mut m, mut s) = setup(&MachineConfig::paper_default(4, ProtocolKind::Ce));
-        let line = LineAddr(5);
+        let line = id(&mut s, 5);
         let src = s.core_node(CoreId(1));
         m.push(&mut s, src, line, meta_with_bits(1, 7), Cycles(0));
         let (t, gone) = m.scrub(&mut s, src, CoreId(1), line, Cycles(50));
@@ -670,7 +680,7 @@ mod tests {
     #[test]
     fn ideal_is_free_and_lossless() {
         let (mut m, mut s) = setup(&ideal_cfg());
-        let line = LineAddr(3);
+        let line = id(&mut s, 3);
         let src = s.core_node(CoreId(0));
         let noc0 = s.noc.stats().total_bytes().0;
         let dram0 = s.dram.stats().total_bytes().0;
@@ -691,7 +701,7 @@ mod tests {
     #[test]
     fn aim_fetch_removes_bits_and_counts() {
         let (mut m, mut s) = setup(&MachineConfig::paper_default(4, ProtocolKind::CePlus));
-        let line = LineAddr(9);
+        let line = id(&mut s, 9);
         let src = s.core_node(CoreId(2));
         m.push(&mut s, src, line, meta_with_bits(2, 4), Cycles(0));
         let (ready, bits) = m.fetch(&mut s, line, Cycles(30));
@@ -701,7 +711,7 @@ mod tests {
             "resident: latency only"
         );
         assert_eq!(bits, meta_with_bits(2, 4));
-        assert!(m.entry_mut(line).is_empty(), "fetch drains the entry");
+        assert!(m.entry_mut(&s, line).is_empty(), "fetch drains the entry");
         let a = m.aim_totals().unwrap();
         assert_eq!((a.accesses, a.hits, a.misses, a.spills), (2, 1, 1, 0));
         assert_eq!(
@@ -758,7 +768,7 @@ mod tests {
         let (mut ideal, mut s_ideal) = setup(&ideal_cfg());
         let mut t = 0u64;
         for &(op, line, bits) in ops {
-            let line = LineAddr(line);
+            let (line_r, line_i) = (id(&mut s_real, line), id(&mut s_ideal, line));
             let (core, region, kind, mask) = decode_side(bits);
             t += 10;
             let at = Cycles(t);
@@ -767,41 +777,44 @@ mod tests {
                 0 => {
                     let mut m = MetaMap::new();
                     m.record(core, region, kind, mask);
-                    real.push(&mut s_real, src, line, m.clone(), at);
-                    ideal.push(&mut s_ideal, src, line, m, at);
+                    real.push(&mut s_real, src, line_r, m.clone(), at);
+                    ideal.push(&mut s_ideal, src, line_i, m, at);
                 }
                 1 => {
                     // `gone` flags legitimately differ (the AIM keeps
                     // scrubbed entries resident; the ideal store drops
                     // them): only contents must agree.
-                    real.scrub(&mut s_real, src, core, line, at);
-                    ideal.scrub(&mut s_ideal, src, core, line, at);
+                    real.scrub(&mut s_real, src, core, line_r, at);
+                    ideal.scrub(&mut s_ideal, src, core, line_i, at);
                 }
                 2 => {
-                    real.boundary_clear(&mut s_real, line, core, at);
-                    ideal.boundary_clear(&mut s_ideal, line, core, at);
+                    real.boundary_clear(&mut s_real, line_r, core, at);
+                    ideal.boundary_clear(&mut s_ideal, line_i, core, at);
                 }
                 3 => {
                     // ARC-style registration: ensure, then record in place.
-                    real.ensure_at(&mut s_real, line, at);
-                    ideal.ensure_at(&mut s_ideal, line, at);
-                    real.entry_mut(line).record(core, region, kind, mask);
-                    ideal.entry_mut(line).record(core, region, kind, mask);
+                    real.ensure_at(&mut s_real, line_r, at);
+                    ideal.ensure_at(&mut s_ideal, line_i, at);
+                    real.entry_mut(&s_real, line_r)
+                        .record(core, region, kind, mask);
+                    ideal
+                        .entry_mut(&s_ideal, line_i)
+                        .record(core, region, kind, mask);
                 }
                 _ => {
-                    let (_, got) = real.fetch(&mut s_real, line, at);
-                    let (_, want) = ideal.fetch(&mut s_ideal, line, at);
-                    prop_assert_eq!(got, want, "fetch of {line:?} diverged mid-sequence");
+                    let (_, got) = real.fetch(&mut s_real, line_r, at);
+                    let (_, want) = ideal.fetch(&mut s_ideal, line_i, at);
+                    prop_assert_eq!(got, want, "fetch of line {line} diverged mid-sequence");
                 }
             }
         }
         // Drain everything: the final states must agree line for line.
         for l in 0..LINES {
-            let line = LineAddr(l);
+            let (line_r, line_i) = (id(&mut s_real, l), id(&mut s_ideal, l));
             let at = Cycles(t + 10 + l);
-            let (_, got) = real.fetch(&mut s_real, line, at);
-            let (_, want) = ideal.fetch(&mut s_ideal, line, at);
-            prop_assert_eq!(got, want, "final state of {line:?} diverged");
+            let (_, got) = real.fetch(&mut s_real, line_r, at);
+            let (_, want) = ideal.fetch(&mut s_ideal, line_i, at);
+            prop_assert_eq!(got, want, "final state of line {l} diverged");
         }
         Ok(real)
     }

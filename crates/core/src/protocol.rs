@@ -1,8 +1,9 @@
 //! The engine and the shared substrate.
 //!
 //! A [`Substrate`] bundles everything all four designs share: the NoC,
-//! the DRAM, the shared LLC, the per-core region clocks, and the event
-//! counters the energy model consumes. An [`Engine`] is one of the two
+//! the DRAM, the shared LLC, the run's one line intern table, the
+//! per-core region clocks, and the event counters the energy model
+//! consumes. An [`Engine`] is one of the two
 //! coherence mechanisms the designs come from, and implements a
 //! design's behavior for the three things designs differ on: memory
 //! accesses, region boundaries, and what state they attach to lines.
@@ -19,8 +20,8 @@ use crate::report::AimSummary;
 use rce_cache::Llc;
 use rce_common::obs::{SharedTracer, SimEvent};
 use rce_common::{
-    Addr, CoreId, Counter, Cycles, LineAddr, MachineConfig, ProtocolKind, RceResult, RegionId,
-    WordMask,
+    Addr, CoreId, Counter, Cycles, LineAddr, LineTable, MachineConfig, ProtocolKind, RceResult,
+    RegionId, WordMask,
 };
 use rce_dram::{AccessKind as DramKind, Dram};
 use rce_noc::{MsgClass, Noc, NodeId};
@@ -67,6 +68,10 @@ pub struct Substrate {
     pub dram: Dram,
     /// Shared last-level cache.
     pub llc: Llc,
+    /// The run's one line intern table: engines, the metadata store
+    /// and forensics index their per-line state by its ids. Any line
+    /// resident in an L1 or the AIM has one.
+    pub lines: LineTable,
     /// Current region of each core. An access-bit entry is *live* iff
     /// its region equals the owning core's current region.
     pub regions: Vec<RegionId>,
@@ -90,6 +95,7 @@ impl Substrate {
             noc: Noc::new(cfg.cores, cfg.noc),
             dram: Dram::new(cfg.dram),
             llc: Llc::new(&cfg.llc),
+            lines: LineTable::new(),
             regions: (0..cfg.cores as u64).map(RegionId).collect(),
             llc_accesses: Counter::default(),
             dir_accesses: Counter::default(),
@@ -288,15 +294,15 @@ impl Engine {
     /// directory in the MESI family, the line classification in ARC.
     /// The machine runs this at each of the core's region boundaries
     /// in debug builds.
-    pub(crate) fn check_core(&self, core: CoreId) -> Result<(), String> {
-        each!(self, e => e.check_core(core))
+    pub(crate) fn check_core(&self, sub: &Substrate, core: CoreId) -> Result<(), String> {
+        each!(self, e => e.check_core(sub, core))
     }
 
     /// Check the whole machine: every L1 against the shared state and,
     /// in the MESI family, every directory entry against the L1s it
     /// names. The machine runs this at run end in debug builds.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        each!(self, e => e.check_invariants())
+    pub fn check_invariants(&self, sub: &Substrate) -> Result<(), String> {
+        each!(self, e => e.check_invariants(sub))
     }
 
     /// Turn the repeat-access fast path on (engines start with it on)

@@ -12,7 +12,7 @@
 
 use crate::op::Op;
 use crate::program::Program;
-use rce_common::{Addr, Rng, SplitMix64};
+use rce_common::{Addr, RceError, RceResult, Rng, SplitMix64};
 
 /// Inject `n` guaranteed region conflicts into `p`.
 ///
@@ -21,12 +21,16 @@ use rce_common::{Addr, Rng, SplitMix64};
 /// and a read or write on another. Returns the injected addresses so
 /// tests can check detection provenance.
 ///
-/// Requires at least two threads; panics otherwise.
-pub fn inject_races(p: &mut Program, n: usize, seed: u64) -> Vec<Addr> {
-    assert!(
-        p.n_threads() >= 2,
-        "race injection needs at least two threads"
-    );
+/// A race needs two threads: a one-thread program is a
+/// [`RceError::MalformedProgram`], and is left unchanged.
+pub fn inject_races(p: &mut Program, n: usize, seed: u64) -> RceResult<Vec<Addr>> {
+    if p.n_threads() < 2 {
+        return Err(RceError::MalformedProgram(format!(
+            "race injection needs at least two threads; {} has {}",
+            p.name,
+            p.n_threads()
+        )));
+    }
     let mut rng = SplitMix64::new(seed ^ 0x4acf);
     let mut injected = Vec::with_capacity(n);
     // Fresh line-aligned words beyond the current shared range.
@@ -51,7 +55,7 @@ pub fn inject_races(p: &mut Program, n: usize, seed: u64) -> Vec<Addr> {
     }
     p.shared_end = Addr(base + n as u64 * 64);
     p.name = format!("{}+{}races", p.name, n);
-    injected
+    Ok(injected)
 }
 
 #[cfg(test)]
@@ -63,7 +67,7 @@ mod tests {
     #[test]
     fn injection_preserves_validity() {
         let mut p = WorkloadSpec::Blackscholes.build(4, 1, 1);
-        let addrs = inject_races(&mut p, 3, 9);
+        let addrs = inject_races(&mut p, 3, 9).unwrap();
         assert_eq!(addrs.len(), 3);
         validate(&p).unwrap();
     }
@@ -71,7 +75,7 @@ mod tests {
     #[test]
     fn injected_accesses_precede_all_sync() {
         let mut p = WorkloadSpec::Streamcluster.build(4, 1, 2);
-        let addrs = inject_races(&mut p, 2, 5);
+        let addrs = inject_races(&mut p, 2, 5).unwrap();
         for addr in &addrs {
             let mut touchers = 0;
             for ops in &p.threads {
@@ -91,7 +95,7 @@ mod tests {
     fn injected_addrs_are_fresh() {
         let mut p = WorkloadSpec::Canneal.build(2, 1, 3);
         let before_end = p.shared_end;
-        let addrs = inject_races(&mut p, 4, 11);
+        let addrs = inject_races(&mut p, 4, 11).unwrap();
         for a in addrs {
             assert!(
                 a >= before_end,
@@ -104,14 +108,18 @@ mod tests {
     #[test]
     fn name_records_injection() {
         let mut p = WorkloadSpec::Vips.build(2, 1, 1);
-        inject_races(&mut p, 2, 1);
+        inject_races(&mut p, 2, 1).unwrap();
         assert!(p.name.ends_with("+2races"));
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
     fn single_thread_rejected() {
         let mut p = WorkloadSpec::Swaptions.build(1, 1, 1);
-        inject_races(&mut p, 1, 1);
+        let before = p.clone();
+        match inject_races(&mut p, 1, 1) {
+            Err(RceError::MalformedProgram(m)) => assert!(m.contains("at least two"), "{m}"),
+            other => panic!("expected MalformedProgram, got {other:?}"),
+        }
+        assert_eq!(p, before, "a rejected program is left unchanged");
     }
 }

@@ -21,7 +21,7 @@ fn every_workload_round_trips_through_json() {
 #[test]
 fn injected_races_survive_round_trip() {
     let mut p = WorkloadSpec::Blackscholes.build(4, 1, 7);
-    let addrs = rce_trace::inject_races(&mut p, 3, 7);
+    let addrs = rce_trace::inject_races(&mut p, 3, 7).unwrap();
     let text = json::to_string(&p);
     let back: Program = json::from_str(&text).unwrap();
     assert_eq!(p, back);

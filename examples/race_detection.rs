@@ -36,7 +36,7 @@ fn main() {
 
     // 3. Injecting races into a race-free program.
     let mut seeded = WorkloadSpec::Blackscholes.build(cores, 1, 42);
-    let planted = rce::trace::inject_races(&mut seeded, 3, 42);
+    let planted = rce::trace::inject_races(&mut seeded, 3, 42).expect("8 threads can race");
     println!(
         "\n== {} with {} planted races ==",
         seeded.name,

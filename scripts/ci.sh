@@ -111,8 +111,9 @@ echo "== bad CLI input (paper, tracegen) =="
 # missing or non-JSON trace file, a trace file whose header declares
 # far more barriers than it has synchronization operations (sized by
 # the header, the simulator's tables would take tens of GiB), an
-# unwritable output directory and an unknown experiment, ablation,
-# workload or engine name must print a message and exit 2, not panic.
+# unwritable output directory, an unknown experiment, ablation,
+# workload or engine name, and race injection into a one-thread
+# program must print a message and exit 2, not panic.
 expect_exit_2() {
     code=0
     "$@" >/dev/null 2>"$obs_out/stderr.txt" || code=$?
@@ -140,7 +141,9 @@ expect_exit_2 "${paper[@]}" fig-nonesuch
 expect_exit_2 "${paper[@]}" ablate-nonesuch
 expect_exit_2 "${paper[@]}" report nonesuch CE+
 expect_exit_2 "${paper[@]}" report canneal NOPE
-echo "ok: bad arguments, names, trace files and output dirs exit 2 without a panic"
+expect_exit_2 "${paper[@]}" table3 --cores 1 --scale 1
+expect_exit_2 "${tracegen[@]}" dump canneal --cores 1 --races 2 --out "$obs_out/one.json"
+echo "ok: bad arguments, names, trace files, output dirs and one-thread races exit 2 without a panic"
 
 echo "== ablation smoke (paper ablate-aim) =="
 # The AIM sensitivity study must run end to end and write R-A7.json

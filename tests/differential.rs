@@ -107,7 +107,7 @@ fn eviction_heavy_fuzz_all_engines_match_oracle() {
 fn parsec_with_injected_races_matches_oracle() {
     for w in WorkloadSpec::PARSEC {
         let mut p = w.build(8, 1, 42);
-        rce::trace::inject_races(&mut p, 4, 42);
+        rce::trace::inject_races(&mut p, 4, 42).unwrap();
         for protocol in ProtocolKind::DETECTORS {
             assert_matches_oracle(w.name(), &p, protocol);
         }
