@@ -1,12 +1,15 @@
-//! `paper` — regenerate the paper's tables and figures.
+//! `paper` — regenerate the paper's tables and figures, and run,
+//! replay or export single simulations.
 //!
 //! ```text
 //! paper all                      # every experiment
 //! paper fig-runtime              # one experiment
 //! paper table2 --cores 16 --scale 2 --seed 7 --jobs 8
-//! paper trace ping_pong CE+      # one traced run -> Chrome trace JSON
+//! paper list                     # experiments, workloads and engines
 //! paper report canneal CE+ideal  # one run -> SimReport JSON on stdout
-//! paper list                     # experiment catalog
+//! paper trace ping_pong CE+      # one traced run -> Chrome trace JSON
+//! paper dump canneal --cores 8 --races 4 --out c.json  # program -> JSON
+//! paper explain c.json ARC       # replay a dumped program
 //! ```
 //!
 //! Each experiment prints its text table and writes machine-readable
@@ -16,15 +19,25 @@
 //! format, loadable in Perfetto / `chrome://tracing`) plus a `.ndjson`
 //! event log, then re-runs with observability off and fails loudly if
 //! instrumentation perturbed the simulation.
+//!
+//! `dump` writes a workload's program (every operation of every
+//! thread) as JSON. `report`, `explain` and `trace` take a workload
+//! name or such a file, so any tool that emits the same JSON shape can
+//! drive every engine. A trace file fixes the program: the machine
+//! takes its thread count, and `--cores`, `--scale`, `--seed` and
+//! `--races` apply to workloads only.
+//!
+//! Bad input (an unknown name, an unreadable or invalid trace file, an
+//! out-of-range flag) exits 2; a run the model fails exits 1.
 
 use rce_bench::{
     diff::{diff_values, parse_tolerance},
     figures::base_sweep,
-    hotpath, profile, EvalParams, Experiment, RunKey,
+    hotpath, profile, simulate, EvalParams, Experiment, RunKey,
 };
-use rce_common::{json, ObsConfig, MAX_CORES};
+use rce_common::{json, MachineConfig, ObsConfig, RceResult, MAX_CORES};
 use rce_core::{find_variant, AccessType, EngineVariant, SimReport, REGISTRY};
-use rce_trace::WorkloadSpec;
+use rce_trace::{characterize, Program, WorkloadSpec};
 
 fn engine_names() -> String {
     REGISTRY
@@ -45,13 +58,14 @@ fn experiment_names(catalog: &[Experiment]) -> String {
 fn usage() -> ! {
     eprintln!(
         "usage: paper <experiment|all|ablations|summary|list> [--cores N] [--scale N] [--seed N] \
-         [--jobs N] [--out DIR]\n       paper trace <workload> <engine> [--cores N] [--scale N] \
-         [--seed N] [--out DIR]\n       paper report <workload> <engine> [--cores N] [--scale N] \
-         [--seed N]\n       paper explain <workload> <engine> [--cores N] [--scale N] [--seed N] \
-         [--top K]\n       paper diff <a.json> <b.json> [--tolerance PCT] [--ignore PATHSUBSTR]...\n       \
+         [--jobs N] [--out DIR]\n       paper report|explain|trace <workload|trace.json> <engine> \
+         [--cores N] [--scale N] [--seed N] [--races N] [--top K] [--out DIR]\n       \
+         paper dump <workload> [--cores N] [--scale N] [--seed N] [--races N] [--out FILE]\n       \
+         paper diff <a.json> <b.json> [--tolerance PCT] [--ignore PATHSUBSTR]...\n       \
          paper trajectory [--out DIR]\nexperiments: {} (table3, and so all, needs --cores 2 \
          or more: it injects races between threads)\n\
-         ablations: {}\nengines: {}",
+         ablations: {}\nengines: {}\n\
+         a trace file from `paper dump` sets its own program and core count",
         experiment_names(&Experiment::ALL),
         experiment_names(&Experiment::ABLATIONS),
         engine_names()
@@ -59,151 +73,202 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Resolve a single-run subcommand's workload and engine names into
-/// the engine and the run's key at `params`, or exit 2 naming the bad
-/// operand (and, for an engine, listing every valid name).
-fn resolve_run(
-    workload: &str,
-    engine: &str,
-    params: &EvalParams,
-) -> (&'static EngineVariant, RunKey) {
-    let w = WorkloadSpec::parse(workload).unwrap_or_else(|| {
-        eprintln!("unknown workload '{workload}'");
-        std::process::exit(2);
-    });
-    let v = find_variant(engine).unwrap_or_else(|| {
-        eprintln!(
-            "unknown engine '{engine}'; valid engines: {}",
-            engine_names()
-        );
-        std::process::exit(2);
-    });
-    (v, RunKey::new(w, v.config(params.cores), params))
+/// Print `msg` and exit 2: bad input, not a failed run.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
-/// Simulate `key`, or print the run's error and exit 1.
-fn run_or_exit(key: &RunKey) -> SimReport {
-    key.run().unwrap_or_else(|e| {
-        eprintln!("run {key} failed: {e}");
+/// The report of a run that succeeded; otherwise print that `run`
+/// failed, with the machine's error, and exit 1.
+fn report_or_exit(run: impl std::fmt::Display, r: RceResult<SimReport>) -> SimReport {
+    r.unwrap_or_else(|e| {
+        eprintln!("run {run} failed: {e}");
         std::process::exit(1);
     })
 }
 
+/// A single-run command's resolved operands: the engine, the program
+/// and the machine that runs it.
+struct Subject {
+    variant: &'static EngineVariant,
+    program: Program,
+    cfg: MachineConfig,
+    /// Where the program came from, for `explain`'s header.
+    origin: String,
+}
+
+impl Subject {
+    /// Simulate with `obs`, or print the run's error and exit 1.
+    fn run(&self, obs: ObsConfig) -> SimReport {
+        let name = format!("{} on {}", self.program.name, self.variant.cli_name);
+        report_or_exit(name, simulate(&self.cfg, obs, &self.program))
+    }
+}
+
+/// Resolve a single-run command's operands, or exit 2 naming the bad
+/// one. `operand` is a workload if `WorkloadSpec::parse` knows it and
+/// a trace file otherwise: the file must parse as a `Program` and pass
+/// `rce_trace::validate`, and the machine takes its thread count.
+fn resolve(operand: &str, engine: &str, params: &EvalParams, races: usize) -> Subject {
+    let variant = find_variant(engine).unwrap_or_else(|| {
+        fail(&format!(
+            "unknown engine '{engine}'; valid engines: {}",
+            engine_names()
+        ))
+    });
+    let (program, origin) = match WorkloadSpec::parse(operand) {
+        Some(w) => (
+            build(w, params, races),
+            format!(
+                "{} cores, scale {}, seed {}",
+                params.cores, params.scale, params.seed
+            ),
+        ),
+        None => {
+            let p = load_trace(operand);
+            let origin = format!("{} cores, trace {operand}", p.n_threads());
+            (p, origin)
+        }
+    };
+    let cfg = variant.config(program.n_threads());
+    if let Err(e) = cfg.validate() {
+        fail(&format!("{operand}: cannot simulate: {e}"));
+    }
+    Subject {
+        variant,
+        program,
+        cfg,
+        origin,
+    }
+}
+
+/// Workload `w`'s program at `params` with `races` injected races
+/// (`RunKey::program`), or exit 2 if they cannot be injected. The
+/// program does not depend on the engine, so the key takes the
+/// baseline's configuration.
+fn build(w: WorkloadSpec, params: &EvalParams, races: usize) -> Program {
+    RunKey::new(w, REGISTRY[0].config(params.cores), params)
+        .with_races(races)
+        .program()
+        .unwrap_or_else(|e| fail(&e.to_string()))
+}
+
+/// Read, parse and validate the trace file at `path`, or exit 2.
+fn load_trace(path: &str) -> Program {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        fail(&format!(
+            "'{path}' is neither a workload (see `paper list`) nor a readable trace file: {e}"
+        ))
+    });
+    let p: Program =
+        json::from_str(&text).unwrap_or_else(|e| fail(&format!("{path}: not a trace file: {e}")));
+    rce_trace::validate(&p).unwrap_or_else(|e| fail(&format!("{path}: invalid trace: {e}")));
+    p
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let command = args[0].clone();
+    let Some(command) = args.first().map(String::as_str) else {
+        usage()
+    };
     let mut params = EvalParams::default();
-    let mut out_dir = "results".to_string();
+    let mut out: Option<String> = None;
+    let mut races = 0usize;
     let mut top = 5usize;
     let mut tolerance = 0.0f64;
     let mut ignores: Vec<String> = Vec::new();
-    // `trace`, `report`, `explain` (workload + engine) and `diff`
-    // (two report files) take two positional operands before the flags.
-    let has_operands =
-        command == "trace" || command == "report" || command == "explain" || command == "diff";
-    let mut i = if has_operands { 3 } else { 1 };
-    if has_operands && args.len() < 3 {
+    // Positional operands come before the flags: an operand and an
+    // engine for `report`, `explain` and `trace`, two report files for
+    // `diff`, a workload for `dump`. Every flag takes one value.
+    let operands = match command {
+        "trace" | "report" | "explain" | "diff" => 2,
+        "dump" => 1,
+        _ => 0,
+    };
+    if args.len() <= operands {
         usage();
     }
-    while i < args.len() {
-        let need_val = |i: usize| args.get(i + 1).unwrap_or_else(|| usage()).clone();
-        match args[i].as_str() {
+    for flag in args[operands + 1..].chunks(2) {
+        let val = flag.get(1).cloned().unwrap_or_else(|| usage());
+        match flag[0].as_str() {
             "--cores" => {
-                params.cores = need_val(i)
+                params.cores = val
                     .parse()
                     .ok()
                     .filter(|c| (1..=MAX_CORES).contains(c))
-                    .unwrap_or_else(|| usage());
-                i += 2;
+                    .unwrap_or_else(|| usage())
             }
             "--scale" => {
-                params.scale = need_val(i)
+                params.scale = val
                     .parse()
                     .ok()
                     .filter(|s| *s >= 1)
-                    .unwrap_or_else(|| usage());
-                i += 2;
+                    .unwrap_or_else(|| usage())
             }
-            "--seed" => {
-                params.seed = need_val(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--jobs" => {
-                params.jobs = need_val(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--out" => {
-                out_dir = need_val(i);
-                i += 2;
-            }
-            "--top" => {
-                top = need_val(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--tolerance" => {
-                tolerance = parse_tolerance(&need_val(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--ignore" => {
-                ignores.push(need_val(i));
-                i += 2;
-            }
+            "--seed" => params.seed = val.parse().unwrap_or_else(|_| usage()),
+            "--jobs" => params.jobs = val.parse().unwrap_or_else(|_| usage()),
+            "--races" => races = val.parse().unwrap_or_else(|_| usage()),
+            "--out" => out = Some(val),
+            "--top" => top = val.parse().unwrap_or_else(|_| usage()),
+            "--tolerance" => tolerance = parse_tolerance(&val).unwrap_or_else(|| usage()),
+            "--ignore" => ignores.push(val),
             _ => usage(),
         }
     }
-
-    if command == "trace" {
-        run_trace(&args[1], &args[2], &params, &out_dir);
-        return;
+    let out_dir = out.as_deref().unwrap_or("results");
+    let single = || resolve(&args[1], &args[2], &params, races);
+    match command {
+        "trace" => run_trace(&single(), out_dir),
+        "report" => println!(
+            "{}",
+            json::to_string_pretty(&single().run(ObsConfig::default()))
+        ),
+        "explain" => run_explain(&single(), top),
+        "dump" => run_dump(&args[1], &params, races, out.as_deref()),
+        "diff" => run_diff(&args[1], &args[2], tolerance, &ignores),
+        "trajectory" => run_trajectory(out_dir),
+        "summary" => run_summary(out_dir),
+        "list" => run_list(),
+        _ => run_experiments(command, &params, out_dir),
     }
+}
 
-    if command == "report" {
-        run_report(&args[1], &args[2], &params);
-        return;
+/// `paper list`: the experiment catalog, the workloads (flagging those
+/// whose intended behavior races) and the engines.
+fn run_list() {
+    for e in Experiment::ALL.iter().chain(&Experiment::ABLATIONS) {
+        println!("{:<24} {:<6} {}", e.name(), e.id(), e.title());
     }
-
-    if command == "explain" {
-        run_explain(&args[1], &args[2], &params, top);
-        return;
+    println!("\nworkloads:");
+    for w in WorkloadSpec::PARSEC.iter().chain(&WorkloadSpec::MICRO) {
+        println!(
+            "  {}{}",
+            w.name(),
+            if w.is_racy() { "  (racy)" } else { "" }
+        );
     }
+    println!("\nengines: {}", engine_names());
+}
 
-    if command == "diff" {
-        run_diff(&args[1], &args[2], tolerance, &ignores);
-        return;
+/// `paper summary`: PASS/FAIL each headline claim against the results
+/// in `out_dir`; exits 1 if any claim fails.
+fn run_summary(out_dir: &str) {
+    let claims = rce_bench::summary::evaluate(std::path::Path::new(out_dir)).unwrap_or_else(|| {
+        fail(&format!(
+            "missing results in '{out_dir}/' — run `paper all` first"
+        ))
+    });
+    println!("{}", rce_bench::summary::render(&claims));
+    if claims.iter().any(|c| !c.pass) {
+        std::process::exit(1);
     }
+}
 
-    if command == "trajectory" {
-        run_trajectory(&out_dir);
-        return;
-    }
-
-    if command == "summary" {
-        match rce_bench::summary::evaluate(std::path::Path::new(&out_dir)) {
-            Some(claims) => {
-                println!("{}", rce_bench::summary::render(&claims));
-                if claims.iter().any(|c| !c.pass) {
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("missing results in '{out_dir}/' — run `paper all` first");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    if command == "list" {
-        for e in Experiment::ALL.iter().chain(&Experiment::ABLATIONS) {
-            println!("{:<24} {:<6} {}", e.name(), e.id(), e.title());
-        }
-        return;
-    }
-
-    let experiments: Vec<Experiment> = match command.as_str() {
+/// `paper <experiment|all|ablations>`: run the experiments, print each
+/// table and write each result to `<out_dir>/<id>.json`.
+fn run_experiments(command: &str, params: &EvalParams, out_dir: &str) {
+    let experiments: Vec<Experiment> = match command {
         "all" => Experiment::ALL.to_vec(),
         "ablations" => Experiment::ABLATIONS.to_vec(),
         name => vec![Experiment::find(name).unwrap_or_else(|| usage())],
@@ -213,7 +278,7 @@ fn main() {
         usage();
     }
 
-    create_dir(&out_dir);
+    create_dir(out_dir);
     profile::enable();
     // `all` runs the base sweep once and seeds every experiment with it.
     let sweep = if command == "all" {
@@ -222,7 +287,7 @@ fn main() {
             params.cores, params.scale
         );
         profile::set_phase("base-sweep");
-        Some(base_sweep(&params))
+        Some(base_sweep(params))
     } else {
         None
     };
@@ -231,33 +296,51 @@ fn main() {
         eprintln!("== {} ({}: {}) ==", e.name(), e.id(), e.title());
         profile::set_phase(e.name());
         let start = std::time::Instant::now();
-        let fig = e.run(&params, sweep.as_ref());
+        let fig = e.run(params, sweep.as_ref());
         eprintln!("   done in {:.1}s", start.elapsed().as_secs_f64());
         println!("{}", fig.table);
-        write_result(&out_dir, &fig, &params);
+        write_result(out_dir, &fig, params);
     }
     eprintln!("{}", profile::render());
 }
 
-/// `paper trace <workload> <engine>`: one fully-observed run.
+/// `paper dump <workload>`: write the workload's program as JSON to
+/// `out` (default `<program name>.json`), the format `report`,
+/// `explain` and `trace` read back, and print the program's
+/// characterization (Table II's columns) to stderr.
+fn run_dump(workload: &str, params: &EvalParams, races: usize, out: Option<&str>) {
+    let w = WorkloadSpec::parse(workload)
+        .unwrap_or_else(|| fail(&format!("unknown workload '{workload}'; see `paper list`")));
+    let p = build(w, params, races);
+    let path = out.map_or_else(|| format!("{}.json", p.name), str::to_string);
+    write_file(&path, &json::to_string(&p));
+    eprintln!(
+        "wrote {path}: {} threads, {} ops",
+        p.n_threads(),
+        p.total_ops()
+    );
+    eprintln!("{}", json::to_string_pretty(&characterize(&p)));
+}
+
+/// `paper trace <workload|trace.json> <engine>`: one fully-observed run.
 ///
 /// Writes the Chrome `trace_event` export and an NDJSON event log to
-/// `<out>/trace-<workload>-<engine>.{json,ndjson}`, prints a summary
+/// `<out>/trace-<program>-<engine>.{json,ndjson}`, prints a summary
 /// of what the tracer captured, and then re-runs the same simulation
 /// with observability off — exiting nonzero if the two reports differ
 /// (the zero-perturbation contract of `rce_common::obs`).
-fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
-    let (v, key) = resolve_run(workload, engine, params);
-    let w = key.workload;
+fn run_trace(s: &Subject, out_dir: &str) {
     profile::enable();
     profile::set_phase("trace");
-    let r = run_or_exit(&key.clone().with_obs(ObsConfig::FULL));
+    let r = s.run(ObsConfig::FULL);
     let log = r.trace.as_ref().expect("tracing was requested");
     let timeline = r.timeline.as_ref().expect("sampling was requested");
 
     create_dir(out_dir);
-    let slug = v.cli_name.replace('+', "plus").to_lowercase();
-    let base = format!("{out_dir}/trace-{}-{slug}", w.name());
+    let slug = s.variant.cli_name.replace('+', "plus").to_lowercase();
+    // A trace file names its own program: keep that name inside `out_dir`.
+    let name = s.program.name.replace(['/', '\\'], "_");
+    let base = format!("{out_dir}/trace-{name}-{slug}");
 
     let chrome = log.to_chrome_trace();
     let chrome_text = json::to_string_pretty(&chrome);
@@ -270,10 +353,9 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     write_file(&format!("{base}.ndjson"), &ndjson);
 
     eprintln!(
-        "traced {} on {}: {} events emitted, {} kept (capacity {}), {} dropped; \
+        "traced {name} on {}: {} events emitted, {} kept (capacity {}), {} dropped; \
          {} timeline samples every {} cycles",
-        w.name(),
-        v.cli_name,
+        s.variant.cli_name,
         log.emitted,
         log.events.len(),
         log.capacity,
@@ -298,7 +380,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     stripped.timeline = None;
     stripped.trace = None;
     stripped.forensics = None;
-    let plain = run_or_exit(&key);
+    let plain = s.run(ObsConfig::default());
     if json::to_string(&stripped) != json::to_string(&plain) {
         eprintln!("ERROR: observability perturbed the simulation (reports differ)");
         std::process::exit(1);
@@ -307,33 +389,18 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
     eprintln!("{}", profile::render());
 }
 
-/// `paper report <workload> <engine>`: run one simulation at the
-/// registry configuration and print the `SimReport` JSON to stdout.
-///
-/// The output is byte-identical to the matching `tests/goldens/*.json`
-/// file (pretty JSON plus a trailing newline), which is exactly what
-/// `scripts/ci.sh` diffs against.
-fn run_report(workload: &str, engine: &str, params: &EvalParams) {
-    let r = run_or_exit(&resolve_run(workload, engine, params).1);
-    println!("{}", json::to_string_pretty(&r));
-}
-
-/// `paper explain <workload> <engine>`: replay one run with the
-/// forensics layer on and print a human-readable root-cause report for
-/// every delivered exception, plus the hottest conflict lines and core
-/// pairs.
-fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
-    let (v, key) = resolve_run(workload, engine, params);
-    let w = key.workload;
-    let r = run_or_exit(&key.with_obs(ObsConfig::FORENSICS));
-    let f = r.forensics.expect("forensics was requested");
+/// `paper explain <workload|trace.json> <engine>`: replay one run with
+/// the forensics layer on and print a human-readable root-cause report
+/// for every delivered exception, plus the hottest conflict lines and
+/// core pairs.
+fn run_explain(s: &Subject, top: usize) {
+    let f = s
+        .run(ObsConfig::FORENSICS)
+        .forensics
+        .expect("forensics was requested");
     println!(
-        "{} on {} ({} cores, scale {}, seed {}):",
-        w.name(),
-        v.cli_name,
-        params.cores,
-        params.scale,
-        params.seed
+        "{} on {} ({}):",
+        s.program.name, s.variant.cli_name, s.origin
     );
     println!(
         "  {} conflict detections materialized, {} exceptions delivered\n",
@@ -414,14 +481,9 @@ fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
 /// the trajectory baseline while still gating everything else.
 fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
     let load = |p: &str| -> json::JsonValue {
-        let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("cannot read {p}: {e}");
-            std::process::exit(2);
-        });
-        json::JsonValue::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{p}: not valid JSON: {e}");
-            std::process::exit(2);
-        })
+        let text =
+            std::fs::read_to_string(p).unwrap_or_else(|e| fail(&format!("cannot read {p}: {e}")));
+        json::JsonValue::parse(&text).unwrap_or_else(|e| fail(&format!("{p}: not valid JSON: {e}")))
     };
     let a = load(path_a);
     let b = load(path_b);
@@ -472,7 +534,8 @@ fn run_trajectory(out_dir: &str) {
     let mut rows = Vec::new();
     for w in TRAJECTORY_WORKLOADS {
         for v in REGISTRY.iter().filter(|v| v.is_paper_design()) {
-            let r = run_or_exit(&RunKey::new(w, v.config(TRAJECTORY.cores), &TRAJECTORY));
+            let key = RunKey::new(w, v.config(TRAJECTORY.cores), &TRAJECTORY);
+            let r = report_or_exit(&key, key.run());
             rows.push(json!({
                 "workload": w.name(),
                 "engine": v.cli_name,
@@ -553,18 +616,13 @@ fn run_trajectory(out_dir: &str) {
 
 /// Create `dir` (and its parents), or exit 2 naming it and the error.
 fn create_dir(dir: &str) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        eprintln!("cannot create directory {dir}: {e}");
-        std::process::exit(2);
-    });
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| fail(&format!("cannot create directory {dir}: {e}")));
 }
 
 /// Write `contents` to `path`, or exit 2 naming it and the error.
 fn write_file(path: &str, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    });
+    std::fs::write(path, contents).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
 }
 
 fn write_result(out_dir: &str, fig: &rce_bench::FigureOutput, params: &EvalParams) {

@@ -36,4 +36,4 @@ mod runner;
 pub mod summary;
 
 pub use figures::{Experiment, FigureOutput};
-pub use runner::{EvalParams, RunKey, SweepResults};
+pub use runner::{simulate, EvalParams, RunKey, SweepResults};

@@ -1,7 +1,8 @@
 //! The keyed run store and its parallel batch runner.
 //!
-//! A [`RunKey`] names one simulation completely; [`RunKey::run`] is the
-//! one function that builds its program, simulates it and profiles it.
+//! A [`RunKey`] names one simulation completely; [`RunKey::run`] builds
+//! its program ([`RunKey::program`]) and hands it to [`simulate`], the
+//! one function that simulates and profiles a run.
 //! A [`RunStore`] holds reports by key; every experiment asks its store
 //! for all the runs it reads before rendering, so no experiment
 //! simulates a key twice.
@@ -14,7 +15,7 @@
 
 use rce_common::{MachineConfig, ObsConfig, ProtocolKind, RceError, RceResult};
 use rce_core::{Machine, SimReport};
-use rce_trace::{inject_races, WorkloadSpec};
+use rce_trace::{inject_races, Program, WorkloadSpec};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -103,36 +104,46 @@ impl RunKey {
     }
 
     /// The same run with observability on (see `rce_common::obs`).
-    pub fn with_obs(self, obs: ObsConfig) -> RunKey {
+    pub(crate) fn with_obs(self, obs: ObsConfig) -> RunKey {
         RunKey { obs, ..self }
     }
 
     /// The same run on the program with `races` injected races.
-    pub(crate) fn with_races(self, races: usize) -> RunKey {
+    pub fn with_races(self, races: usize) -> RunKey {
         RunKey { races, ..self }
     }
 
-    /// Build the program, simulate it and record the run into the
-    /// current [`crate::profile`] phase (a no-op unless profiling was
-    /// enabled). Every simulation the harness runs goes through here.
-    /// A failed run returns the machine's own error: an invalid
-    /// configuration, or a broken model invariant naming the run.
-    pub fn run(&self) -> RceResult<SimReport> {
+    /// The run's program: the workload at the key's cores, scale and
+    /// seed, with its races injected. Fails if races are asked of a
+    /// one-thread program.
+    pub fn program(&self) -> RceResult<Program> {
         let mut program = self.workload.build(self.cores, self.scale, self.seed);
         if self.races > 0 {
             inject_races(&mut program, self.races, self.seed)?;
         }
-        let t0 = Instant::now();
-        let report = Machine::new(&self.cfg)?
-            .with_observability(self.obs)
-            .run(&program)?;
-        crate::profile::record_run(
-            t0.elapsed(),
-            report.mem_ops + report.sync_ops,
-            report.cycles.0,
-        );
-        Ok(report)
+        Ok(program)
     }
+
+    /// Build the program and [`simulate`] it. Every simulation the
+    /// harness's experiments run goes through here.
+    pub fn run(&self) -> RceResult<SimReport> {
+        simulate(&self.cfg, self.obs, &self.program()?)
+    }
+}
+
+/// Simulate `program` on `cfg` with `obs` and record the run into the
+/// current [`crate::profile`] phase (a no-op unless profiling was
+/// enabled). A failed run returns the machine's own error: an invalid
+/// configuration, or a broken model invariant naming the run.
+pub fn simulate(cfg: &MachineConfig, obs: ObsConfig, program: &Program) -> RceResult<SimReport> {
+    let t0 = Instant::now();
+    let report = Machine::new(cfg)?.with_observability(obs).run(program)?;
+    crate::profile::record_run(
+        t0.elapsed(),
+        report.mem_ops + report.sync_ops,
+        report.cycles.0,
+    );
+    Ok(report)
 }
 
 impl std::fmt::Display for RunKey {
@@ -481,6 +492,32 @@ mod tests {
         let parallel = store.get(&key);
         assert_eq!(serial.cycles, parallel.cycles);
         assert_eq!(serial.noc.total_bytes(), parallel.noc.total_bytes());
+    }
+
+    #[test]
+    fn a_program_read_back_from_json_simulates_like_its_key_on_every_engine() {
+        use rce_common::json;
+        let w = WorkloadSpec::RacyPair;
+        let key = |v: &rce_core::EngineVariant| RunKey::new(w, v.config(P.cores), &P).with_races(2);
+        let text = json::to_string(&key(&rce_core::REGISTRY[0]).program().unwrap());
+        let back: Program = json::from_str(&text).unwrap();
+        rce_trace::validate(&back).unwrap();
+        for v in &rce_core::REGISTRY {
+            let replay = simulate(&v.config(back.n_threads()), ObsConfig::default(), &back);
+            assert_eq!(
+                json::to_string(&replay.unwrap()),
+                json::to_string(&key(v).run().unwrap()),
+                "{}",
+                v.cli_name
+            );
+        }
+    }
+
+    #[test]
+    fn races_in_a_one_thread_program_are_an_error() {
+        let key = RunKey::paper(WorkloadSpec::PingPong, ProtocolKind::Ce, 1, &P).with_races(2);
+        assert!(matches!(key.program(), Err(RceError::MalformedProgram(_))));
+        assert!(matches!(key.run(), Err(RceError::MalformedProgram(_))));
     }
 
     #[test]

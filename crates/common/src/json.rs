@@ -17,8 +17,8 @@
 //!   inner value, unit enum variants as strings, and data-carrying enum
 //!   variants externally tagged (`{"Acquire": {"lock": 0}}`).
 //!   Reports, configs and results are write-only ([`ToJson`] alone);
-//!   [`FromJson`] serves only trace interchange, where `tracegen run`
-//!   reads programs back.
+//!   [`FromJson`] serves only trace interchange, where `paper` reads
+//!   a dumped program back from its trace file.
 //! * [`to_string`], [`to_string_pretty`], and [`from_str`] are drop-in
 //!   call-site replacements; pretty output uses 2-space indentation.
 //!

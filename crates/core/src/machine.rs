@@ -218,8 +218,9 @@ impl Machine {
     }
 
     /// Run with `tamper` applied to the engine before the first step:
-    /// tests corrupt engine state with it.
-    #[cfg(test)]
+    /// tests of the debug-build invariant checks corrupt engine state
+    /// with it.
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn run_tampered(
         &self,
         program: &Program,

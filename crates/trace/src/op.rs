@@ -82,7 +82,8 @@ impl Op {
 }
 
 // The interchange format is externally tagged, matching the serde
-// convention the `tracegen dump`/`run` contract was pinned against:
+// convention the trace-file contract (`paper dump`, then `paper report`
+// on the file) was pinned against:
 // `{"Read": {"addr": 256, "len": 8}}`, `{"Acquire": {"lock": 0}}`.
 impl ToJson for Op {
     fn to_json(&self) -> JsonValue {

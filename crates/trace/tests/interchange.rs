@@ -1,5 +1,5 @@
 //! Trace interchange: programs serialize to JSON and back without
-//! loss (the contract behind `tracegen dump` / `tracegen run`).
+//! loss (the contract behind `paper dump` and replaying its file).
 
 use rce_common::json;
 use rce_trace::{validate, Program, WorkloadSpec};
@@ -39,8 +39,8 @@ fn injected_races_survive_round_trip() {
 #[test]
 fn foreign_json_is_validated_not_trusted() {
     // A structurally broken program (unbalanced lock) deserializes
-    // fine but must be rejected by validate() — the tracegen `run`
-    // path depends on this.
+    // fine but must be rejected by validate() — `paper`'s trace-file
+    // operands depend on this.
     let text = r#"{
         "name": "hostile",
         "threads": [[{"Acquire": {"lock": 0}}]],

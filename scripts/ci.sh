@@ -13,6 +13,11 @@ cargo fmt --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo clippy --release (warnings are errors) =="
+# Release builds compile out code gated on debug_assertions, so an item
+# only those paths use is dead there; lint that profile too.
+cargo clippy --workspace --all-targets --release --offline -- -D warnings
+
 echo "== cargo doc (warnings are errors) =="
 # A doc link to a deleted or private item is a warning; fail on it.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -85,6 +90,22 @@ for engine in MESI CE CE+ ARC; do
     echo "ok: $engine report is byte-identical to its golden"
 done
 
+echo "== trace interchange (paper dump, then paper report on the file, vs tests/goldens) =="
+# A dumped program replayed from its file must simulate exactly like the
+# workload it was dumped from: each report matches the same golden.
+cargo run -q --release --offline -p rce-bench --bin paper -- \
+    dump canneal --cores 4 --scale 3 --seed 42 --out "$obs_out/canneal.json" 2>/dev/null
+for engine in MESI CE CE+ ARC; do
+    slug=$(printf '%s' "$engine" | sed 's/+/plus/' | tr '[:upper:]' '[:lower:]')
+    if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
+        report "$obs_out/canneal.json" "$engine" |
+        diff -q - "tests/goldens/canneal-4c-$slug.json" >/dev/null; then
+        echo "FAIL: $engine replay of a dumped canneal trace drifted from tests/goldens/canneal-4c-$slug.json" >&2
+        exit 1
+    fi
+    echo "ok: $engine replay of the dumped trace is byte-identical to its golden"
+done
+
 echo "== simbench replay agreement (cargo test, simbench/) =="
 # simbench's replay of the machine loop observes every access in the
 # oracle; Machine::run skips the observe loop for fast-path accesses.
@@ -106,7 +127,7 @@ if ! printf '%s' "$sb_last" | grep -q '"correct":true'; then
 fi
 echo "ok: four 32-core canneal CE+ reports match their digests"
 
-echo "== bad CLI input (paper, tracegen) =="
+echo "== bad CLI input (paper) =="
 # Out-of-range --cores and --scale, a meaningless diff tolerance, a
 # missing or non-JSON trace file, a trace file whose header declares
 # far more barriers than it has synchronization operations (sized by
@@ -123,7 +144,6 @@ expect_exit_2() {
     fi
 }
 paper=(cargo run -q --release --offline -p rce-bench --bin paper --)
-tracegen=(cargo run -q --release --offline -p rce-bench --bin tracegen --)
 for args in "--cores 0" "--cores 65" "--scale 0"; do
     # shellcheck disable=SC2086 # $args is two words on purpose
     expect_exit_2 "${paper[@]}" report canneal CE+ $args
@@ -131,18 +151,19 @@ done
 expect_exit_2 "${paper[@]}" diff tests/goldens/canneal-4c-ce.json \
     tests/goldens/canneal-4c-ce.json --tolerance nan
 echo "not json" >"$obs_out/not-json.txt"
-expect_exit_2 "${tracegen[@]}" run "$obs_out/missing.json"
-expect_exit_2 "${tracegen[@]}" run "$obs_out/not-json.txt"
+expect_exit_2 "${paper[@]}" report "$obs_out/missing.json" CE+
+expect_exit_2 "${paper[@]}" report "$obs_out/not-json.txt" CE+
 printf '%s' '{"name":"huge","threads":[[{"Read":{"addr":0,"len":8}}]],"n_locks":0,' \
     '"n_barriers":4294967295,"shared_base":0,"shared_end":64}' >"$obs_out/huge-universe.json"
-expect_exit_2 "${tracegen[@]}" run "$obs_out/huge-universe.json"
+expect_exit_2 "${paper[@]}" report "$obs_out/huge-universe.json" CE+
 expect_exit_2 "${paper[@]}" table1 --out /proc/nope
 expect_exit_2 "${paper[@]}" fig-nonesuch
 expect_exit_2 "${paper[@]}" ablate-nonesuch
 expect_exit_2 "${paper[@]}" report nonesuch CE+
 expect_exit_2 "${paper[@]}" report canneal NOPE
 expect_exit_2 "${paper[@]}" table3 --cores 1 --scale 1
-expect_exit_2 "${tracegen[@]}" dump canneal --cores 1 --races 2 --out "$obs_out/one.json"
+expect_exit_2 "${paper[@]}" dump canneal --cores 1 --races 2 --out "$obs_out/one.json"
+expect_exit_2 "${paper[@]}" report canneal CE+ --cores 1 --races 2
 echo "ok: bad arguments, names, trace files, output dirs and one-thread races exit 2 without a panic"
 
 echo "== ablation smoke (paper ablate-aim) =="
