@@ -28,7 +28,10 @@
 //! `--races` apply to workloads only.
 //!
 //! Bad input (an unknown name, an unreadable or invalid trace file, an
-//! out-of-range flag) exits 2; a run the model fails exits 1.
+//! out-of-range flag) exits 2; a run the model fails exits 1. Standard
+//! output goes through [`emit`]: a reader that stops early (`paper
+//! report canneal CE+ | head`) ends the program quietly, with exit 0
+//! unless the command had already failed (`summary`, `diff`).
 
 use rce_bench::{
     diff::{diff_values, parse_tolerance},
@@ -38,6 +41,7 @@ use rce_bench::{
 use rce_common::{json, MachineConfig, ObsConfig, RceResult, MAX_CORES};
 use rce_core::{find_variant, AccessType, EngineVariant, SimReport, REGISTRY};
 use rce_trace::{characterize, Program, WorkloadSpec};
+use std::io::{self, Write};
 
 fn engine_names() -> String {
     REGISTRY
@@ -77,6 +81,20 @@ fn usage() -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// Write to a locked standard output with `print`, then flush it. A
+/// closed pipe ends the program at once, without a message, with exit
+/// code `closed`: the reader has all it wanted, so that is the code
+/// the command would have ended with. Any other write error exits 2.
+fn emit(closed: i32, print: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<()>) {
+    let mut out = io::stdout().lock();
+    if let Err(e) = print(&mut out).and_then(|()| out.flush()) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(closed);
+        }
+        fail(&format!("cannot write to standard output: {e}"));
+    }
 }
 
 /// The report of a run that succeeded; otherwise print that `run`
@@ -220,10 +238,10 @@ fn main() {
     let single = || resolve(&args[1], &args[2], &params, races);
     match command {
         "trace" => run_trace(&single(), out_dir),
-        "report" => println!(
-            "{}",
-            json::to_string_pretty(&single().run(ObsConfig::default()))
-        ),
+        "report" => {
+            let r = single().run(ObsConfig::default());
+            emit(0, |o| writeln!(o, "{}", json::to_string_pretty(&r)));
+        }
         "explain" => run_explain(&single(), top),
         "dump" => run_dump(&args[1], &params, races, out.as_deref()),
         "diff" => run_diff(&args[1], &args[2], tolerance, &ignores),
@@ -237,18 +255,17 @@ fn main() {
 /// `paper list`: the experiment catalog, the workloads (flagging those
 /// whose intended behavior races) and the engines.
 fn run_list() {
-    for e in Experiment::ALL.iter().chain(&Experiment::ABLATIONS) {
-        println!("{:<24} {:<6} {}", e.name(), e.id(), e.title());
-    }
-    println!("\nworkloads:");
-    for w in WorkloadSpec::PARSEC.iter().chain(&WorkloadSpec::MICRO) {
-        println!(
-            "  {}{}",
-            w.name(),
-            if w.is_racy() { "  (racy)" } else { "" }
-        );
-    }
-    println!("\nengines: {}", engine_names());
+    emit(0, |o| {
+        for e in Experiment::ALL.iter().chain(&Experiment::ABLATIONS) {
+            writeln!(o, "{:<24} {:<6} {}", e.name(), e.id(), e.title())?;
+        }
+        writeln!(o, "\nworkloads:")?;
+        for w in WorkloadSpec::PARSEC.iter().chain(&WorkloadSpec::MICRO) {
+            let racy = if w.is_racy() { "  (racy)" } else { "" };
+            writeln!(o, "  {}{racy}", w.name())?;
+        }
+        writeln!(o, "\nengines: {}", engine_names())
+    });
 }
 
 /// `paper summary`: PASS/FAIL each headline claim against the results
@@ -259,8 +276,11 @@ fn run_summary(out_dir: &str) {
             "missing results in '{out_dir}/' — run `paper all` first"
         ))
     });
-    println!("{}", rce_bench::summary::render(&claims));
-    if claims.iter().any(|c| !c.pass) {
+    let failed = claims.iter().any(|c| !c.pass);
+    emit(failed.into(), |o| {
+        writeln!(o, "{}", rce_bench::summary::render(&claims))
+    });
+    if failed {
         std::process::exit(1);
     }
 }
@@ -298,7 +318,7 @@ fn run_experiments(command: &str, params: &EvalParams, out_dir: &str) {
         let start = std::time::Instant::now();
         let fig = e.run(params, sweep.as_ref());
         eprintln!("   done in {:.1}s", start.elapsed().as_secs_f64());
-        println!("{}", fig.table);
+        emit(0, |o| writeln!(o, "{}", fig.table));
         write_result(out_dir, &fig, params);
     }
     eprintln!("{}", profile::render());
@@ -398,18 +418,6 @@ fn run_explain(s: &Subject, top: usize) {
         .run(ObsConfig::FORENSICS)
         .forensics
         .expect("forensics was requested");
-    println!(
-        "{} on {} ({}):",
-        s.program.name, s.variant.cli_name, s.origin
-    );
-    println!(
-        "  {} conflict detections materialized, {} exceptions delivered\n",
-        f.total_detections, f.delivered
-    );
-    if f.records.is_empty() {
-        println!("no exceptions delivered: nothing to explain");
-        return;
-    }
     let rw = |k: AccessType| {
         if k == AccessType::Write {
             "write"
@@ -417,60 +425,81 @@ fn run_explain(s: &Subject, top: usize) {
             "read"
         }
     };
-    for (i, rec) in f.records.iter().enumerate() {
-        let ex = &rec.exception;
-        let (a, b) = (ex.a(), ex.b());
-        println!(
-            "#{}: word 0x{:x} (line {}) @ cycle {}",
-            i + 1,
-            ex.word_addr.0,
-            ex.word_addr.line().0,
-            ex.detected_at.0
-        );
-        println!(
-            "    core {} {} in region {}  x  core {} {} in region {}",
-            a.core.0,
-            rw(a.kind),
-            a.region.0,
-            b.core.0,
-            rw(b.kind),
-            b.region.0
-        );
-        println!("    found via: {}", rec.path.describe());
-        if rec.recent.is_empty() {
-            println!("    no earlier events on the line in the window");
-        } else {
-            println!("    recent events on the line:");
-            for e in &rec.recent {
-                let who = e.core.map_or("-".to_string(), |c| c.to_string());
-                println!("      cycle {:<8} core {:<3} {:?}", e.cycle, who, e.kind);
-            }
+    emit(0, |o| {
+        writeln!(
+            o,
+            "{} on {} ({}):",
+            s.program.name, s.variant.cli_name, s.origin
+        )?;
+        writeln!(
+            o,
+            "  {} conflict detections materialized, {} exceptions delivered\n",
+            f.total_detections, f.delivered
+        )?;
+        if f.records.is_empty() {
+            return writeln!(o, "no exceptions delivered: nothing to explain");
         }
-        println!();
-    }
-    if f.truncated_records > 0 {
-        println!(
-            "({} more delivered exceptions truncated from the record list)\n",
-            f.truncated_records
-        );
-    }
-    println!("hottest conflict lines:");
-    for h in f.hottest_lines(top) {
-        println!(
-            "  line {:<8} (bytes {}..{}): {} detections",
-            h.line,
-            h.line * 64,
-            h.line * 64 + 64,
-            h.conflicts
-        );
-    }
-    println!("hottest core pairs:");
-    for h in f.hottest_pairs(top) {
-        println!(
-            "  cores {}-{}: {} detections",
-            h.core_a, h.core_b, h.conflicts
-        );
-    }
+        for (i, rec) in f.records.iter().enumerate() {
+            let ex = &rec.exception;
+            let (a, b) = (ex.a(), ex.b());
+            writeln!(
+                o,
+                "#{}: word 0x{:x} (line {}) @ cycle {}",
+                i + 1,
+                ex.word_addr.0,
+                ex.word_addr.line().0,
+                ex.detected_at.0
+            )?;
+            writeln!(
+                o,
+                "    core {} {} in region {}  x  core {} {} in region {}",
+                a.core.0,
+                rw(a.kind),
+                a.region.0,
+                b.core.0,
+                rw(b.kind),
+                b.region.0
+            )?;
+            writeln!(o, "    found via: {}", rec.path.describe())?;
+            if rec.recent.is_empty() {
+                writeln!(o, "    no earlier events on the line in the window")?;
+            } else {
+                writeln!(o, "    recent events on the line:")?;
+                for e in &rec.recent {
+                    let who = e.core.map_or("-".to_string(), |c| c.to_string());
+                    writeln!(o, "      cycle {:<8} core {:<3} {:?}", e.cycle, who, e.kind)?;
+                }
+            }
+            writeln!(o)?;
+        }
+        if f.truncated_records > 0 {
+            writeln!(
+                o,
+                "({} more delivered exceptions truncated from the record list)\n",
+                f.truncated_records
+            )?;
+        }
+        writeln!(o, "hottest conflict lines:")?;
+        for h in f.hottest_lines(top) {
+            writeln!(
+                o,
+                "  line {:<8} (bytes {}..{}): {} detections",
+                h.line,
+                h.line * 64,
+                h.line * 64 + 64,
+                h.conflicts
+            )?;
+        }
+        writeln!(o, "hottest core pairs:")?;
+        for h in f.hottest_pairs(top) {
+            writeln!(
+                o,
+                "  cores {}-{}: {} detections",
+                h.core_a, h.core_b, h.conflicts
+            )?;
+        }
+        Ok(())
+    });
 }
 
 /// `paper diff <a.json> <b.json>`: structural comparison of two report
@@ -500,9 +529,7 @@ fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
         eprintln!("{path_a} and {path_b} match within {tolerance}% tolerance");
         return;
     }
-    for d in &drifts {
-        println!("{d}");
-    }
+    emit(1, |o| drifts.iter().try_for_each(|d| writeln!(o, "{d}")));
     eprintln!(
         "{} drift(s) beyond {tolerance}% tolerance between {path_a} and {path_b}",
         drifts.len()

@@ -23,7 +23,11 @@
 //!   semantics), clears its registrations (one small message per
 //!   touched line), and *self-invalidates* its shared lines so the
 //!   next region re-fetches fresh data (acquire semantics). Private
-//!   lines — clean or dirty — stay put.
+//!   lines — clean or dirty — stay put, and their region masks need no
+//!   reset: each [`ArcLine`]'s masks are tagged with their region, so
+//!   a new region reads them as empty. The simulator walks the L1 only
+//!   when the core holds a shared line (`shared_lines`), so a boundary
+//!   costs O(shared lines), as the 10-cycle flash operation it models.
 //!
 //! Compared with CE+: no invalidation/ack storms, no per-message
 //! metadata piggybacks, dirty-word (not whole-line) writebacks — at
@@ -42,11 +46,16 @@ use rce_cache::L1Cache;
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, LineSet, MachineConfig,
-    RceError, RceResult, WordMask,
+    RceError, RceResult, RegionId, WordMask,
 };
 use rce_noc::MsgClass;
 
 /// Per-line L1 state for ARC.
+///
+/// The region masks are tagged with the region that wrote them: read
+/// through [`ArcLine::masks`], a tag older than the holder's current
+/// region reads as empty, and [`ArcLine::retag`] resets them before a
+/// write. A region boundary therefore leaves surviving lines alone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ArcLine {
     /// Classification hint delivered with the fill (or flipped by a
@@ -61,24 +70,47 @@ pub(crate) struct ArcLine {
     pub ro: bool,
     /// Dirty words not yet written through to the LLC.
     pub dirty: WordMask,
-    /// Words this core read this region (registration filter).
-    pub read_words: WordMask,
-    /// Words this core wrote this region (registration filter).
-    pub written_words: WordMask,
+    /// The holder's region that `read_words` and `written_words`
+    /// describe.
+    region: RegionId,
+    /// Words this core read in `region` (registration filter).
+    read_words: WordMask,
+    /// Words this core wrote in `region` (registration filter).
+    written_words: WordMask,
 }
 
 impl ArcLine {
-    /// True if an access would change nothing on this resident copy:
-    /// the region masks already cover `dmask` for the access kind (so
-    /// no registration is due), and a write finds its words already
-    /// dirty. The slow hit path would then only charge the L1-hit
-    /// latency. A recall clears `dirty` and a region boundary clears
-    /// the masks, so neither needs a hook to switch this off.
-    fn repeats(&self, kind: AccessType, dmask: WordMask, mask: WordMask) -> bool {
+    /// The words read and written in `region`: empty if the masks were
+    /// last written in another (ended) region.
+    fn masks(&self, region: RegionId) -> (WordMask, WordMask) {
+        if self.region == region {
+            (self.read_words, self.written_words)
+        } else {
+            (WordMask::EMPTY, WordMask::EMPTY)
+        }
+    }
+
+    /// Make the masks describe `region`, dropping an ended region's.
+    fn retag(&mut self, region: RegionId) {
+        if self.region != region {
+            self.region = region;
+            self.read_words = WordMask::EMPTY;
+            self.written_words = WordMask::EMPTY;
+        }
+    }
+
+    /// True if an access in `region` would change nothing on this
+    /// resident copy: the region masks already cover `dmask` for the
+    /// access kind (so no registration is due), and a write finds its
+    /// words already dirty. The slow hit path would then only charge
+    /// the L1-hit latency. A recall clears `dirty` and a new region
+    /// empties the masks, so neither needs a hook to switch this off.
+    fn repeats(&self, region: RegionId, kind: AccessType, dmask: WordMask, mask: WordMask) -> bool {
+        let (read, written) = self.masks(region);
         match kind {
-            AccessType::Read => dmask.minus(self.read_words).is_empty(),
+            AccessType::Read => dmask.minus(read).is_empty(),
             AccessType::Write => {
-                dmask.minus(self.written_words).is_empty() && mask.minus(self.dirty).is_empty()
+                dmask.minus(written).is_empty() && mask.minus(self.dirty).is_empty()
             }
         }
     }
@@ -108,6 +140,9 @@ pub struct ArcEngine {
     /// Per core: lines with registrations this region (cleared at the
     /// boundary).
     touched: Vec<LineSet>,
+    /// Per core: resident L1 lines marked shared. A boundary walks the
+    /// L1 only when this is nonzero.
+    shared_lines: Vec<usize>,
     /// A region boundary's registration-clear list, sorted by address;
     /// empty between boundaries, kept only for its capacity.
     clear_order: Vec<(LineAddr, LineId)>,
@@ -134,6 +169,7 @@ impl ArcEngine {
             class: LineMap::new(),
             written_ever: LineFlags::new(),
             touched: vec![LineSet::new(); cfg.cores],
+            shared_lines: vec![0; cfg.cores],
             clear_order: Vec::new(),
             registrations: Counter::default(),
             recalls: Counter::default(),
@@ -195,16 +231,18 @@ impl ArcEngine {
             t_at_bank,
         );
         let mut reply = probe;
-        // The owner's surviving copy gets the same classification a
-        // fresh fill would: read-only if the line was never written.
-        let ro_hint = sub.cfg.arc_readonly_sharing && !self.written_ever.contains(lid);
         if let Some(st) = self.l1[owner.index()].probe_mut(line) {
+            let (read_words, written_words) = st.masks(sub.region_of(owner));
+            // The copy was private (`check_core` holds it to that).
+            self.shared_lines[owner.index()] += 1;
             st.shared = true;
-            st.ro = ro_hint && st.written_words.is_empty() && st.dirty.is_empty();
+            // The same classification a fresh fill would get: read-only
+            // if the line was never written. Every write marks
+            // `written_ever`, so a copy with written or dirty words is
+            // never read-only.
+            st.ro = sub.cfg.arc_readonly_sharing && !self.written_ever.contains(lid);
             let dirty = st.dirty;
             st.dirty = WordMask::EMPTY;
-            let read_words = st.read_words;
-            let written_words = st.written_words;
             // Flush dirty words.
             if !dirty.is_empty() {
                 self.flushed_words.add(dirty.count() as u64);
@@ -214,9 +252,6 @@ impl ArcEngine {
                     .send(owner_node, bank, bytes, MsgClass::Writeback, probe);
                 sub.llc_put(line, wb);
                 reply = reply.max(wb);
-            }
-            if !written_words.is_empty() {
-                self.written_ever.insert(lid);
             }
             // Merge the owner's current-region bits into the entry.
             if !read_words.is_empty() || !written_words.is_empty() {
@@ -277,7 +312,9 @@ impl ArcEngine {
         at: Cycles,
     ) -> RceResult<()> {
         let me = sub.core_node(core);
+        self.shared_lines[core.index()] += state.shared as usize;
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
+            self.shared_lines[core.index()] -= vstate.shared as usize;
             // The victim was interned when it was filled.
             let vid = sub.lines.lookup(victim).ok_or_else(|| {
                 RceError::InvariantViolated(format!("{core} evicted never-filled {victim}"))
@@ -300,17 +337,14 @@ impl ArcEngine {
             // A private victim's current-region bits must stay visible
             // for conflict checks: spill them to the metadata layer.
             // (Shared victims registered eagerly; nothing to do.)
-            if !vstate.written_words.is_empty() {
-                self.written_ever.insert(vid);
-            }
-            if !vstate.shared && (!vstate.read_words.is_empty() || !vstate.written_words.is_empty())
-            {
+            let (read, written) = vstate.masks(sub.region_of(core));
+            if !vstate.shared && (!read.is_empty() || !written.is_empty()) {
                 self.private_spills.inc();
                 let t1 = sub
                     .noc
                     .send(me, vbank, sub.cfg.aim.entry_bytes, MsgClass::Metadata, at);
                 let _ready = self.meta.ensure_at(sub, vid, t1);
-                self.record_masks(sub, core, vid, vstate.read_words, vstate.written_words);
+                self.record_masks(sub, core, vid, read, written);
             }
         }
         Ok(())
@@ -319,9 +353,19 @@ impl ArcEngine {
     /// `core`'s L1 agrees with the LLC-side classification: every
     /// resident line is classified, a private line is private to this
     /// core and marked neither shared nor read-only, and a shared line
-    /// is marked shared.
+    /// is marked shared. No line's masks are tagged with a region newer
+    /// than the core's, and `shared_lines` counts the shared lines.
     pub(crate) fn check_core(&self, sub: &Substrate, core: CoreId) -> Result<(), String> {
+        let region = sub.region_of(core);
+        let mut shared = 0;
         for (line, st) in self.l1[core.index()].iter() {
+            if st.region > region {
+                return Err(format!(
+                    "{core}'s copy of {line} has masks of region {}, after its region {region}",
+                    st.region
+                ));
+            }
+            shared += st.shared as usize;
             let cls = sub.lines.lookup(line).and_then(|id| *self.class.get(id)?);
             let wrong = match cls {
                 None => "is unclassified".to_string(),
@@ -335,6 +379,12 @@ impl ArcEngine {
                 Some(_) => continue,
             };
             return Err(format!("{core}'s copy of {line} {wrong}"));
+        }
+        let counted = self.shared_lines[core.index()];
+        if counted != shared {
+            return Err(format!(
+                "{core} counts {counted} shared lines but holds {shared}"
+            ));
         }
         Ok(())
     }
@@ -373,7 +423,7 @@ impl ArcEngine {
         if self.fastpath
             && cached
                 .as_deref()
-                .is_some_and(|st| st.repeats(kind, dmask, mask))
+                .is_some_and(|st| st.repeats(side.region, kind, dmask, mask))
         {
             return Ok(AccessResult {
                 fast: true,
@@ -382,6 +432,7 @@ impl ArcEngine {
         }
         let lid = sub.lines.intern(line);
         if let Some(st) = cached {
+            st.retag(side.region);
             let new_words = match kind {
                 AccessType::Read => dmask.minus(st.read_words),
                 AccessType::Write => dmask.minus(st.written_words),
@@ -471,9 +522,8 @@ impl ArcEngine {
         let mut st = ArcLine {
             shared: is_shared,
             ro: ro && kind == AccessType::Read,
-            dirty: WordMask::EMPTY,
-            read_words: WordMask::EMPTY,
-            written_words: WordMask::EMPTY,
+            region: side.region,
+            ..ArcLine::default()
         };
         match kind {
             AccessType::Read => st.read_words = dmask,
@@ -501,18 +551,25 @@ impl ArcEngine {
         let me = sub.core_node(core);
         let mut done = Cycles(now.0 + 10); // flash self-invalidate cost
 
+        // Steps 1 and 3 only touch shared lines: a core that holds none
+        // skips both L1 walks. Private lines need no reset, since the
+        // next region's tag empties their masks.
+        let holds_shared = self.shared_lines[core.index()] > 0;
+
         // 1. Flush dirty words of shared lines (release semantics).
-        for (line, st) in self.l1[core.index()].iter_mut() {
-            if !st.shared || st.dirty.is_empty() {
-                continue;
+        if holds_shared {
+            for (line, st) in self.l1[core.index()].iter_mut() {
+                if !st.shared || st.dirty.is_empty() {
+                    continue;
+                }
+                let dirty = std::mem::replace(&mut st.dirty, WordMask::EMPTY);
+                self.flushed_words.add(dirty.count() as u64);
+                let bytes = sub.cfg.noc.data_header_bytes + 8 * dirty.count() as u64;
+                let wb = sub
+                    .noc
+                    .send(me, sub.bank_node(line), bytes, MsgClass::Writeback, now);
+                done = done.max(sub.llc_put(line, wb));
             }
-            let dirty = std::mem::replace(&mut st.dirty, WordMask::EMPTY);
-            self.flushed_words.add(dirty.count() as u64);
-            let bytes = sub.cfg.noc.data_header_bytes + 8 * dirty.count() as u64;
-            let wb = sub
-                .noc
-                .send(me, sub.bank_node(line), bytes, MsgClass::Writeback, now);
-            done = done.max(sub.llc_put(line, wb));
         }
 
         // 2. Clear registrations (one signature message per line, in
@@ -541,33 +598,33 @@ impl ArcEngine {
 
         // 3. Self-invalidate shared lines (read-only-classified lines
         //    are exempt when the extension is on — `ro` is only ever
-        //    set in that mode); reset region masks on every surviving
-        //    line.
-        let dropped = self.l1[core.index()].remove_where(|_, st| {
-            if st.shared && !st.ro {
-                debug_assert!(
-                    st.dirty.is_empty(),
-                    "shared dirty words must have been flushed"
-                );
-                return true;
-            }
-            if st.shared {
-                self.ro_retained.inc();
-            }
-            st.read_words = WordMask::EMPTY;
-            st.written_words = WordMask::EMPTY;
-            false
-        });
-        self.self_invalidated.add(dropped as u64);
-        if dropped > 0 {
-            sub.trace(|| SimEvent {
-                cycle: now.0,
-                core: Some(core.0),
-                region: Some(sub.region_of(core).0),
-                kind: EventKind::SelfInvalidate {
-                    lines: dropped as u64,
-                },
+        //    set in that mode).
+        if holds_shared {
+            let dropped = self.l1[core.index()].remove_where(|_, st| {
+                if st.shared && !st.ro {
+                    debug_assert!(
+                        st.dirty.is_empty(),
+                        "shared dirty words must have been flushed"
+                    );
+                    return true;
+                }
+                if st.shared {
+                    self.ro_retained.inc();
+                }
+                false
             });
+            self.shared_lines[core.index()] -= dropped;
+            self.self_invalidated.add(dropped as u64);
+            if dropped > 0 {
+                sub.trace(|| SimEvent {
+                    cycle: now.0,
+                    core: Some(core.0),
+                    region: Some(sub.region_of(core).0),
+                    kind: EventKind::SelfInvalidate {
+                        lines: dropped as u64,
+                    },
+                });
+            }
         }
 
         Ok(AccessResult::new(done))
@@ -850,37 +907,109 @@ mod tests {
         assert_eq!(w.exceptions.len(), 1);
     }
 
-    /// A resident line the LLC never classified fails the run at the
-    /// end of the holder's first region, with an error that names the
-    /// run.
-    #[cfg(debug_assertions)]
     #[test]
-    fn run_fails_on_an_unclassified_line() {
+    fn retained_readonly_line_registers_again_in_the_next_region() {
+        let mut cfg = MachineConfig::paper_default(2, ProtocolKind::Arc);
+        cfg.arc_readonly_sharing = true;
+        let mut e = ArcEngine::new(&cfg);
+        let mut s = Substrate::new(&cfg);
+        let a = acc(&mut e, &mut s, 0, 0x1000, R, 0);
+        let b = acc(&mut e, &mut s, 1, 0x1000, R, a.done.0);
+        let t = boundary(&mut e, &mut s, 0, b.done.0);
+        // The retained line's read mask belongs to the ended region, so
+        // the first read of the new region is not a repeat.
+        let before = e.registrations.get();
+        let r = acc(&mut e, &mut s, 0, 0x1000, R, t);
+        assert!(!r.fast, "an ended region's mask must not cover this read");
+        assert_eq!(e.registrations.get(), before + 1);
+        // A second read in the same region is.
+        let r2 = acc(&mut e, &mut s, 0, 0x1000, R, r.done.0);
+        assert!(r2.fast);
+        assert_eq!(e.registrations.get(), before + 1);
+    }
+
+    #[test]
+    fn recall_of_a_line_touched_in_an_ended_region_records_nothing() {
+        let (mut e, mut s) = setup(2);
+        let w = acc(&mut e, &mut s, 0, 0x100, W, 0);
+        let t = boundary(&mut e, &mut s, 0, w.done.0);
+        let metadata_msgs = |s: &Substrate| s.noc.stats().msgs[MsgClass::Metadata.index()].get();
+        let before = metadata_msgs(&s);
+        // Core 1's miss recalls core 0's private copy, whose write mask
+        // belongs to core 0's ended region: there is nothing to merge.
+        let r = acc(&mut e, &mut s, 1, 0x100, R, t);
+        assert_eq!(e.recalls.get(), 1);
+        assert!(r.exceptions.is_empty());
+        assert_eq!(metadata_msgs(&s), before, "no region bits to send");
+        let lid = s.lines.lookup(Addr(0x100).line()).unwrap();
+        assert!(e.meta.entry_mut(&s, lid).get(CoreId(0)).is_none());
+        e.check_invariants(&s).unwrap();
+    }
+
+    #[test]
+    fn evicting_a_private_line_touched_in_an_ended_region_spills_nothing() {
+        let (mut e, mut s) = setup(2);
+        let base = 0x10_0000u64;
+        let w = acc(&mut e, &mut s, 0, base, W, 0);
+        let mut t = boundary(&mut e, &mut s, 0, w.done.0);
+        let stride = set_stride(&s);
+        for i in 1..=8u64 {
+            t = acc(&mut e, &mut s, 0, base + i * stride, R, t).done.0;
+        }
+        assert!(!e.l1[0].contains(Addr(base).line()));
+        assert_eq!(e.private_spills.get(), 0, "the write's region has ended");
+        e.check_invariants(&s).unwrap();
+    }
+
+    /// The error of a two-core ping_pong run on ARC whose engine
+    /// `tamper` corrupted first, checked to be an invariant violation
+    /// that names the run.
+    #[cfg(debug_assertions)]
+    fn tampered_run_error(tamper: impl FnOnce(&mut ArcEngine)) -> String {
         use crate::protocol::Engine;
         use crate::Machine;
-        use rce_common::RceError;
         use rce_trace::WorkloadSpec;
         let cfg = MachineConfig::paper_default(2, ProtocolKind::Arc);
         let p = WorkloadSpec::PingPong.build(2, 1, 42);
-        let line = Addr(0xdead_0000).line();
         let err = Machine::new(&cfg)
             .unwrap()
             .run_tampered(&p, |e| {
                 let Engine::Arc(e) = e else {
                     unreachable!("ARC has its own engine")
                 };
-                e.l1[1].fill(line, ArcLine::default());
+                tamper(e);
             })
             .unwrap_err();
         let RceError::InvariantViolated(msg) = err else {
             panic!("expected InvariantViolated, got {err}");
         };
-        for part in [
-            p.name.as_str(),
-            "ARC",
-            "at the end of c1's region",
-            "is unclassified",
-        ] {
+        for part in [p.name.as_str(), "ARC"] {
+            assert!(msg.contains(part), "{msg}");
+        }
+        msg
+    }
+
+    /// A resident line the LLC never classified fails the run at the
+    /// end of the holder's first region.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn run_fails_on_an_unclassified_line() {
+        let line = Addr(0xdead_0000).line();
+        let msg = tampered_run_error(|e| {
+            e.l1[1].fill(line, ArcLine::default());
+        });
+        for part in ["at the end of c1's region", "is unclassified"] {
+            assert!(msg.contains(part), "{msg}");
+        }
+    }
+
+    /// A shared-line count that disagrees with the L1 fails the run at
+    /// the end of the core's first region.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn run_fails_on_a_miscounted_shared_line() {
+        let msg = tampered_run_error(|e| e.shared_lines[1] += 1);
+        for part in ["at the end of c1's region", "c1 counts", "shared lines"] {
             assert!(msg.contains(part), "{msg}");
         }
     }

@@ -166,6 +166,20 @@ expect_exit_2 "${paper[@]}" dump canneal --cores 1 --races 2 --out "$obs_out/one
 expect_exit_2 "${paper[@]}" report canneal CE+ --cores 1 --races 2
 echo "ok: bad arguments, names, trace files, output dirs and one-thread races exit 2 without a panic"
 
+echo "== early-closing reader (paper report|explain into head -1) =="
+# A reader that stops after the first line closes the pipe while paper
+# still writes: paper must exit 0 quietly, with no panic or backtrace.
+for cmd in report explain; do
+    code=0
+    "${paper[@]}" "$cmd" canneal CE+ 2>"$obs_out/pipe.err" | head -1 >/dev/null || code=$?
+    if [ "$code" -ne 0 ] || grep -qiE "panicked|backtrace" "$obs_out/pipe.err"; then
+        cat "$obs_out/pipe.err" >&2
+        echo "FAIL: paper $cmd canneal CE+ | head -1 exited $code (want 0, no panic)" >&2
+        exit 1
+    fi
+done
+echo "ok: paper report and explain exit 0 when the reader closes the pipe early"
+
 echo "== ablation smoke (paper ablate-aim) =="
 # The AIM sensitivity study must run end to end and write R-A7.json
 # with both AIM-backed designs in it.
