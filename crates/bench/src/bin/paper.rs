@@ -271,11 +271,8 @@ fn run_list() {
 /// `paper summary`: PASS/FAIL each headline claim against the results
 /// in `out_dir`; exits 1 if any claim fails.
 fn run_summary(out_dir: &str) {
-    let claims = rce_bench::summary::evaluate(std::path::Path::new(out_dir)).unwrap_or_else(|| {
-        fail(&format!(
-            "missing results in '{out_dir}/' — run `paper all` first"
-        ))
-    });
+    let claims =
+        rce_bench::summary::evaluate(std::path::Path::new(out_dir)).unwrap_or_else(|e| fail(&e));
     let failed = claims.iter().any(|c| !c.pass);
     emit(failed.into(), |o| {
         writeln!(o, "{}", rce_bench::summary::render(&claims))

@@ -34,41 +34,63 @@ pub struct ClaimResult {
     pub pass: bool,
 }
 
-fn load(dir: &Path, id: &str) -> Option<Value> {
-    let text = std::fs::read_to_string(dir.join(format!("{id}.json"))).ok()?;
-    Value::parse(&text).ok()
+/// Read and parse `<dir>/<id>.json`; the error names the file.
+fn load(dir: &Path, id: &str) -> Result<(Value, String), String> {
+    let path = dir.join(format!("{id}.json"));
+    let name = path.display().to_string();
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("{name}: cannot read ({e}) — run `paper all` first"))?;
+    let fig = Value::parse(&text).map_err(|e| format!("{name}: not valid JSON ({e})"))?;
+    Ok((fig, name))
 }
 
-fn geomean_row(fig: &Value, design: &str) -> Option<f64> {
-    fig["data"]["rows"]
-        .as_array()?
-        .iter()
-        .find(|r| r["workload"] == "geomean")?[design]
+/// The numeric `field` of `row`, or an error naming the file and row.
+fn number(row: &Value, field: &str, file: &str, which: &str) -> Result<f64, String> {
+    row[field]
         .as_f64()
+        .ok_or_else(|| format!("{file}: {which} has no numeric \"{field}\" field"))
 }
 
-/// Evaluate the claims against a results directory. Returns `None` if
-/// the required files are missing (run `paper all` first).
-pub fn evaluate(dir: &Path) -> Option<Vec<ClaimResult>> {
-    let f1 = load(dir, "R-F1")?;
-    let f3 = load(dir, "R-F3")?;
-    let f4 = load(dir, "R-F4")?;
-    let f5 = load(dir, "R-F5")?;
+/// The rows of a figure's `data.rows` array.
+fn rows<'a>(fig: &'a Value, file: &str) -> Result<&'a [Value], String> {
+    fig["data"]["rows"]
+        .as_array()
+        .map(Vec::as_slice)
+        .ok_or_else(|| format!("{file}: no data.rows array"))
+}
 
-    let rt = |d: &str| geomean_row(&f1, d);
-    let noc = |d: &str| geomean_row(&f3, d);
-    let dram = |d: &str| geomean_row(&f4, d);
+/// The CE, CE+ and ARC values of the geomean row of `<dir>/<id>.json`.
+fn geomeans(dir: &Path, id: &str) -> Result<[f64; 3], String> {
+    let (fig, file) = load(dir, id)?;
+    let row = rows(&fig, &file)?
+        .iter()
+        .find(|r| r["workload"] == "geomean")
+        .ok_or_else(|| format!("{file}: no geomean row"))?;
+    let design = |d| number(row, d, &file, "the geomean row");
+    Ok([design("CE")?, design("CE+")?, design("ARC")?])
+}
 
-    let (ce_rt, cep_rt, arc_rt) = (rt("CE")?, rt("CE+")?, rt("ARC")?);
-    let (ce_noc, cep_noc, arc_noc) = (noc("CE")?, noc("CE+")?, noc("ARC")?);
-    let (ce_dram, cep_dram, arc_dram) = (dram("CE")?, dram("CE+")?, dram("ARC")?);
+/// Evaluate the claims against a results directory. The error names
+/// the result file that is missing or malformed and what it lacks.
+pub fn evaluate(dir: &Path) -> Result<Vec<ClaimResult>, String> {
+    let [ce_rt, cep_rt, arc_rt] = geomeans(dir, "R-F1")?;
+    let [ce_noc, cep_noc, arc_noc] = geomeans(dir, "R-F3")?;
+    let [ce_dram, cep_dram, arc_dram] = geomeans(dir, "R-F4")?;
 
     // Scaling rows: CE+ and ARC run-time trend from min to max cores.
-    let scaling = f5["data"]["rows"].as_array()?;
-    let first = scaling.first()?;
-    let last = scaling.last()?;
-    let cep_trend = (first["CE+"].as_f64()?, last["CE+"].as_f64()?);
-    let arc_trend = (first["ARC"].as_f64()?, last["ARC"].as_f64()?);
+    let (f5, f5_file) = load(dir, "R-F5")?;
+    let scaling = rows(&f5, &f5_file)?;
+    let (Some(first), Some(last)) = (scaling.first(), scaling.last()) else {
+        return Err(format!("{f5_file}: no scaling rows"));
+    };
+    let trend = |d| -> Result<(f64, f64), String> {
+        Ok((
+            number(first, d, &f5_file, "the first row")?,
+            number(last, d, &f5_file, "the last row")?,
+        ))
+    };
+    let cep_trend = trend("CE+")?;
+    let arc_trend = trend("ARC")?;
 
     let mut out = Vec::new();
 
@@ -116,7 +138,7 @@ pub fn evaluate(dir: &Path) -> Option<Vec<ClaimResult>> {
         pass: c3,
     });
 
-    Some(out)
+    Ok(out)
 }
 
 /// Render the claims table.
@@ -194,10 +216,36 @@ mod tests {
     }
 
     #[test]
-    fn missing_results_yield_none() {
+    fn missing_or_malformed_results_name_the_file() {
         let dir = std::env::temp_dir().join("rce_summary_missing");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(evaluate(&dir).is_none());
+        let err = evaluate(&dir).unwrap_err();
+        assert!(
+            err.contains("R-F1.json") && err.contains("paper all"),
+            "{err}"
+        );
+
+        // A present but malformed file is named with what it lacks,
+        // not reported as missing.
+        synthetic_results(&dir, 1.105, 1.034, 0.932);
+        write_fig(
+            &dir,
+            "R-F1",
+            json!({"rows": [{"workload": "geomean", "CE": "x"}]}),
+        );
+        let err = evaluate(&dir).unwrap_err();
+        assert!(err.contains("R-F1.json"), "{err}");
+        assert!(
+            err.contains("\"CE\"") && !err.contains("paper all"),
+            "{err}"
+        );
+        synthetic_results(&dir, 1.105, 1.034, 0.932);
+        std::fs::write(dir.join("R-F4.json"), "not json").unwrap();
+        let err = evaluate(&dir).unwrap_err();
+        assert!(
+            err.contains("R-F4.json") && err.contains("not valid JSON"),
+            "{err}"
+        );
     }
 }

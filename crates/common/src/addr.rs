@@ -202,6 +202,8 @@ impl std::ops::BitAnd for WordMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check_n;
+    use crate::{prop_assert, Rng, SplitMix64};
 
     #[test]
     fn line_geometry_is_consistent() {
@@ -274,5 +276,28 @@ mod tests {
         assert_eq!(WordMask::FULL.count(), 8);
         assert!(WordMask::EMPTY.is_empty());
         assert!(WordMask::FULL.intersect(WordMask::EMPTY).is_empty());
+    }
+
+    /// Mask span arithmetic: the mask covers exactly the bytes of the
+    /// access.
+    #[test]
+    fn word_mask_span_covers_access() {
+        check_n(
+            "word_mask_span_covers_access",
+            64,
+            |rng: &mut SplitMix64| (rng.gen_range(1_000_000), 1 + rng.gen_range(63)),
+            |&(addr, len)| {
+                let a = Addr(addr);
+                let line_end = (a.line().0 + 1) << LineGeometry::LINE_SHIFT;
+                let len = len.min(line_end - addr);
+                let mask = WordMask::span(a, len);
+                // First and last byte's words are covered.
+                prop_assert!(mask.contains(a.word()));
+                let last = Addr(addr + len - 1);
+                prop_assert!(mask.contains(last.word()));
+                prop_assert!(mask.count() as u64 <= len / 8 + 2);
+                Ok(())
+            },
+        );
     }
 }

@@ -178,8 +178,8 @@ impl Machine {
     }
 
     /// Turn the engine's repeat-access fast path on (the default) or
-    /// off for subsequent runs. The equivalence and golden tests run
-    /// workloads both ways and require byte-identical reports.
+    /// off for subsequent runs. `tests/fastpath_equiv.rs` and the golden
+    /// tests run programs both ways and require byte-identical reports.
     pub fn with_fastpath(mut self, on: bool) -> Self {
         self.fastpath = on;
         self

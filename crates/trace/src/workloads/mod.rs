@@ -185,6 +185,8 @@ impl std::fmt::Display for WorkloadSpec {
 mod tests {
     use super::*;
     use crate::validate::validate;
+    use rce_common::check::check_n;
+    use rce_common::{prop_assert_eq, Rng, SplitMix64};
 
     #[test]
     fn every_workload_builds_valid_programs() {
@@ -211,6 +213,17 @@ mod tests {
             let b = w.build(4, 2, 7);
             assert_eq!(a, b, "{w} not deterministic");
         }
+        // Dedup draws its work lengths from the seed: 16 more seeds.
+        check_n(
+            "workloads_deterministic",
+            16,
+            |rng: &mut SplitMix64| rng.gen_range(1000),
+            |&seed| {
+                let w = WorkloadSpec::Dedup;
+                prop_assert_eq!(w.build(4, 1, seed), w.build(4, 1, seed));
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Hermetic CI: format, lint, build, test — all offline — plus a
 # dependency hygiene gate that fails if any non-workspace (non rce-*)
-# dependency reappears in a Cargo.toml. The fast-path-off golden and
-# forensics checks run in-process under `cargo test`
-# (tests/golden_reports.rs, crates/core/src/machine.rs).
+# dependency reappears in a Cargo.toml. The fast-path-off checks run
+# in-process under `cargo test`: tests/fastpath_equiv.rs renders the
+# conformance matrix's fast-path cells both ways with forensics on
+# (the matrix is tests/common/conformance.rs), tests/golden_reports.rs
+# renders every golden both ways, and crates/core/src/machine.rs checks
+# forensics provenance both ways.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,8 +56,21 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "ok: all dependencies are in-tree rce-* crates"
 
+echo "== one random-program generator (tests/common/mod.rs) =="
+# The root tests draw random programs from tests/common/mod.rs only, so
+# the conformance matrix stays the one place that says which program
+# runs where. Any other root test file that seeds a SplitMix64 fails.
+own_rngs=$(grep -rln 'SplitMix64' tests --include='*.rs' | grep -vx 'tests/common/mod.rs' || true)
+if [ -n "$own_rngs" ]; then
+    echo "FAIL: root test files seed their own SplitMix64 program stream:" >&2
+    echo "$own_rngs" >&2
+    exit 1
+fi
+echo "ok: tests/common/mod.rs is the only root test file with a SplitMix64"
+
 echo "== library size (information only) =="
-# Non-test lines and pub item declarations per crate; never fails.
+# Non-test lines and pub item declarations per crate, and root test
+# lines; never fails.
 scripts/loc.sh
 
 echo "== observability smoke (paper trace) =="

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Size of the library code: per crate and in total, the lines of each
 # crates/*/src file before its first `#[cfg(test)]` line, and the number
-# of `pub` item declarations in those lines. Information only: it never
-# fails. Run from anywhere: scripts/loc.sh
+# of `pub` item declarations in those lines; then the lines of the root
+# tests (tests/**/*.rs). Information only: it never fails. Run from
+# anywhere: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,3 +34,5 @@ for dir in crates/*/; do
     total_pubs=$((total_pubs + pubs))
 done
 printf '%-10s %7d %5d\n' total "$total_lines" "$total_pubs"
+test_lines=$(find tests -name '*.rs' -exec cat {} + | wc -l)
+printf '%-10s %7d\n' root-tests "$test_lines"

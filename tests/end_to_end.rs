@@ -176,3 +176,63 @@ fn deterministic_across_machine_instances() {
     assert_eq!(reports[0].dram.total_bytes(), reports[1].dram.total_bytes());
     assert_eq!(reports[0].exceptions, reports[1].exceptions);
 }
+
+#[test]
+fn false_sharing_only_flagged_at_line_granularity() {
+    let p = WorkloadSpec::FalseSharing.build(8, 1, 42);
+    for proto in ProtocolKind::DETECTORS {
+        let cfg = MachineConfig::paper_default(8, proto);
+        let r = Machine::new(&cfg).unwrap().run(&p).unwrap();
+        assert!(r.exceptions.is_empty(), "{proto} word granularity");
+
+        let mut cfg = cfg;
+        cfg.granularity = DetectionGranularity::Line;
+        let r = Machine::new(&cfg).unwrap().run(&p).unwrap();
+        assert!(!r.exceptions.is_empty(), "{proto} line granularity");
+        assert!(r.matches_oracle(), "{proto}");
+    }
+}
+
+#[test]
+fn moesi_reduces_writeback_traffic_on_migratory_sharing() {
+    // The point of O: dirty data bounces producer->consumer without
+    // touching the LLC on every handoff.
+    let p = WorkloadSpec::Migratory.build(8, 2, 42);
+    let mesi = {
+        let cfg = MachineConfig::paper_default(8, ProtocolKind::MesiBaseline);
+        Machine::new(&cfg).unwrap().run(&p).unwrap()
+    };
+    let moesi = {
+        let mut cfg = MachineConfig::paper_default(8, ProtocolKind::MesiBaseline);
+        cfg.use_owned_state = true;
+        Machine::new(&cfg).unwrap().run(&p).unwrap()
+    };
+    let wb = |r: &SimReport| r.noc.bytes[rce_noc::MsgClass::Writeback.index()].0;
+    assert!(
+        wb(&moesi) < wb(&mesi),
+        "MOESI {} vs MESI {} writeback bytes",
+        wb(&moesi),
+        wb(&mesi)
+    );
+}
+
+#[test]
+fn readonly_retention_reduces_misses_on_read_shared_data() {
+    let p = WorkloadSpec::Streamcluster.build(8, 2, 42);
+    let off = {
+        let cfg = MachineConfig::paper_default(8, ProtocolKind::Arc);
+        Machine::new(&cfg).unwrap().run(&p).unwrap()
+    };
+    let on = {
+        let mut cfg = MachineConfig::paper_default(8, ProtocolKind::Arc);
+        cfg.arc_readonly_sharing = true;
+        Machine::new(&cfg).unwrap().run(&p).unwrap()
+    };
+    assert!(
+        on.l1_misses < off.l1_misses,
+        "ro retention should cut misses: {} vs {}",
+        on.l1_misses,
+        off.l1_misses
+    );
+    assert_eq!(on.exceptions, off.exceptions, "detection unchanged");
+}
