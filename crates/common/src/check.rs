@@ -153,26 +153,13 @@ fn name_seed(name: &str) -> u64 {
 /// The property returns `Err(description)` to reject a case — use the
 /// [`prop_assert!`](crate::prop_assert!) /
 /// [`prop_assert_eq!`](crate::prop_assert_eq!) macros.
-pub fn check<T, G, P>(name: &str, mut generate: G, property: P)
+pub fn check<T, G, P>(name: &str, generate: G, property: P)
 where
     T: Clone + std::fmt::Debug + Shrink,
     G: FnMut(&mut SplitMix64) -> T,
     P: Fn(&T) -> Result<(), String>,
 {
-    let cases = env_u64("RCE_PROP_CASES").map_or(DEFAULT_CASES, |c| c as u32);
-    let seed = env_u64("RCE_PROP_SEED").unwrap_or_else(|| name_seed(name));
-    let root = SplitMix64::new(seed);
-    for i in 0..cases {
-        let case = generate(&mut root.split(u64::from(i)));
-        if let Err(msg) = property(&case) {
-            let (minimal, final_msg, steps) = shrink_failure(case, msg, &property);
-            panic!(
-                "property `{name}` failed (case {i}/{cases}, seed {seed:#x}, \
-                 {steps} shrink steps)\n  error: {final_msg}\n  minimal case: {minimal:#?}\n\
-                 rerun with RCE_PROP_SEED={seed}"
-            );
-        }
-    }
+    check_n(name, DEFAULT_CASES, generate, property)
 }
 
 /// Like [`check`] but with an explicit case count (for expensive

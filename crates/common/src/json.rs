@@ -25,7 +25,7 @@
 //! Object key order is insertion order, so emitted `results/*.json`
 //! files are stable across runs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed or constructed JSON document.
 ///
@@ -149,10 +149,10 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Int(i) => {
-                out.push_str(&i.to_string());
+                let _ = write!(out, "{i}");
             }
             JsonValue::UInt(u) => {
-                out.push_str(&u.to_string());
+                let _ = write!(out, "{u}");
             }
             JsonValue::Float(f) => write_f64(out, *f),
             JsonValue::Str(s) => write_escaped(out, s),
@@ -216,10 +216,9 @@ impl JsonValue {
     }
 }
 
+/// Append `n` levels of two-space indentation.
 fn push_indent(out: &mut String, n: usize) {
-    for _ in 0..n {
-        out.push_str("  ");
-    }
+    out.extend(std::iter::repeat_n(' ', 2 * n));
 }
 
 fn write_f64(out: &mut String, f: f64) {
@@ -229,9 +228,9 @@ fn write_f64(out: &mut String, f: f64) {
     } else if f == f.trunc() && f.abs() < 1e15 {
         // Integral floats print with a trailing ".0" so the flavor
         // survives a round-trip (serde_json prints 1.0, not 1).
-        out.push_str(&format!("{f:.1}"));
+        let _ = write!(out, "{f:.1}");
     } else {
-        out.push_str(&format!("{f}"));
+        let _ = write!(out, "{f}");
     }
 }
 
@@ -247,7 +246,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -50,8 +50,8 @@ pub use ids::{BarrierId, CoreId, LockId, RegionId, ThreadId};
 pub use json::{FromJson, JsonValue, ToJson};
 pub use line::{LineFlags, LineId, LineMap, LineSet, LineTable};
 pub use obs::{
-    EventKind, GaugeSnapshot, MetricsSampler, MetricsTimeline, ObsConfig, SharedTracer, SimEvent,
-    TraceLog, Tracer,
+    EventKind, GaugeSnapshot, MetricsSampler, MetricsTimeline, ObsConfig, SimEvent, TraceLog,
+    Tracer,
 };
 pub use rng::{Rng, SplitMix64};
 pub use stats::{geomean, Counter, Histogram};

@@ -9,7 +9,11 @@
 //!    conflict exceptions) with cycle timestamps and
 //!    core/region/address provenance. The finished [`TraceLog`] exports as
 //!    NDJSON or as Chrome `trace_event` JSON (loadable in
-//!    `chrome://tracing` / Perfetto).
+//!    `chrome://tracing` / Perfetto). A run's one ring is owned by
+//!    value by its `rce_core::Substrate`, which emits every event,
+//!    the NoC's and DRAM's included: the timing models do not know
+//!    this module, and a cloned substrate gets its own copy of the
+//!    ring.
 //! 2. **Interval metrics** — a [`MetricsSampler`] turns cumulative
 //!    gauge snapshots ([`GaugeSnapshot`]) into a per-interval
 //!    time-series ([`MetricsTimeline`]): NoC link utilization and
@@ -22,7 +26,7 @@
 //!    default is fully off; a simulation run with observability off must
 //!    be *byte-identical* to one that never linked this module (the
 //!    zero-overhead contract — hooks are `Option` checks only, and no
-//!    event is even constructed unless a tracer is attached).
+//!    event is even constructed unless the run has a ring).
 //!
 //! Everything here is deterministic: the same simulated execution
 //! produces the same events and the same timeline, byte for byte.
@@ -37,18 +41,6 @@ pub const TRACE_CAPACITY: usize = 65_536;
 
 /// Metrics-sampling interval, in simulated cycles.
 pub const TIMELINE_INTERVAL: u64 = 4096;
-
-/// A shared handle to one run's tracer. The simulator hands clones to
-/// the NoC, the DRAM controller, and the engine substrate so each can
-/// emit events into the same ring; a run is single-threaded, so
-/// `Rc<RefCell<_>>` suffices and keeps the disabled path to a single
-/// `Option` check.
-pub type SharedTracer = std::rc::Rc<std::cell::RefCell<Tracer>>;
-
-/// Wrap a tracer for sharing across simulator components.
-pub fn shared_tracer(t: Tracer) -> SharedTracer {
-    std::rc::Rc::new(std::cell::RefCell::new(t))
-}
 
 // ---------------------------------------------------------------------------
 // Event taxonomy
@@ -282,7 +274,7 @@ impl ToJson for SimEvent {
 /// A bounded ring buffer of events. When full, the *oldest*
 /// event is dropped and `drops` is incremented — overflow is always
 /// surfaced, never silent.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tracer {
     capacity: usize,
     events: VecDeque<SimEvent>,
@@ -342,14 +334,13 @@ impl Tracer {
         self.emitted
     }
 
-    /// Drain into an exportable log (the tracer is left empty but
-    /// keeps recording, so shared holders stay valid).
-    pub fn take_log(&mut self) -> TraceLog {
+    /// Finish into an exportable log.
+    pub fn into_log(self) -> TraceLog {
         TraceLog {
             capacity: self.capacity as u64,
             emitted: self.emitted,
             drops: self.drops,
-            events: std::mem::take(&mut self.events).into(),
+            events: self.events.into(),
         }
     }
 }
@@ -739,7 +730,7 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.drops(), 6, "drops must be counted, never silent");
         assert_eq!(t.emitted(), 10);
-        let log = t.take_log();
+        let log = t.into_log();
         assert_eq!(log.drops, 6);
         assert_eq!(log.emitted, 10);
         // The newest events are the ones retained.
@@ -763,7 +754,7 @@ mod tests {
                 kinds: "W/R",
             },
         ));
-        let log = t.take_log();
+        let log = t.into_log();
         let nd = log.to_ndjson();
         let lines: Vec<&str> = nd.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -789,7 +780,7 @@ mod tests {
             },
         ));
         t.emit(ev(10, 1, EventKind::RegionEnd { cost: 6 }));
-        let log = t.take_log();
+        let log = t.into_log();
         let v = log.to_chrome_trace();
         let evs = v["traceEvents"].as_array().unwrap();
         assert_eq!(evs.len(), 3);
@@ -875,7 +866,7 @@ mod tests {
         for i in 0..5u64 {
             t.emit(ev(i, 0, EventKind::AimHit { line: i }));
         }
-        let log = t.take_log();
+        let log = t.into_log();
         let footer = log.ndjson_footer();
         assert!(footer.ends_with('\n'));
         let v = JsonValue::parse(footer.trim()).unwrap();

@@ -128,8 +128,6 @@ pub struct ArcEngine {
     pub(crate) l1: Vec<L1Cache<ArcLine>>,
     /// Where registration metadata lives (normally the AIM).
     meta: MetaStore,
-    /// Short-circuit repeat accesses (see [`ArcLine::repeats`]).
-    pub(crate) fastpath: bool,
     // Per-line state below is indexed by the run's `Substrate::lines`
     // ids: `access` interns its line once and passes the id down.
     /// LLC-side classification (`None` = never touched).
@@ -165,7 +163,6 @@ impl ArcEngine {
         ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: MetaStore::new(cfg).expect("ARC has a metadata placement"),
-            fastpath: true,
             class: LineMap::new(),
             written_ever: LineFlags::new(),
             touched: vec![LineSet::new(); cfg.cores],
@@ -223,7 +220,7 @@ impl ArcEngine {
         let line = sub.lines.addr(lid);
         let bank = sub.bank_node(line);
         let owner_node = sub.core_node(owner);
-        let probe = sub.noc.send(
+        let probe = sub.send(
             bank,
             owner_node,
             sub.cfg.noc.ctrl_bytes,
@@ -247,15 +244,13 @@ impl ArcEngine {
             if !dirty.is_empty() {
                 self.flushed_words.add(dirty.count() as u64);
                 let bytes = sub.cfg.noc.data_header_bytes + 8 * dirty.count() as u64;
-                let wb = sub
-                    .noc
-                    .send(owner_node, bank, bytes, MsgClass::Writeback, probe);
+                let wb = sub.send(owner_node, bank, bytes, MsgClass::Writeback, probe);
                 sub.llc_put(line, wb);
                 reply = reply.max(wb);
             }
             // Merge the owner's current-region bits into the entry.
             if !read_words.is_empty() || !written_words.is_empty() {
-                let meta_at = sub.noc.send(
+                let meta_at = sub.send(
                     owner_node,
                     bank,
                     sub.cfg.aim.entry_bytes,
@@ -268,7 +263,7 @@ impl ArcEngine {
         } else {
             // Owner no longer caches it; its state already reached the
             // LLC/AIM on eviction. Just the probe/ack round trip.
-            reply = sub.noc.send(
+            reply = sub.send(
                 owner_node,
                 bank,
                 sub.cfg.noc.ctrl_bytes,
@@ -319,10 +314,10 @@ impl ArcEngine {
             let vid = sub.lines.lookup(victim).ok_or_else(|| {
                 RceError::InvariantViolated(format!("{core} evicted never-filled {victim}"))
             })?;
-            sub.trace(|| SimEvent {
+            sub.trace(|s| SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
-                region: Some(sub.region_of(core).0),
+                region: Some(s.region_of(core).0),
                 kind: EventKind::L1Evict {
                     line: victim.0,
                     dirty: !vstate.dirty.is_empty(),
@@ -331,7 +326,7 @@ impl ArcEngine {
             let vbank = sub.bank_node(victim);
             if !vstate.dirty.is_empty() {
                 let bytes = sub.cfg.noc.data_header_bytes + 8 * vstate.dirty.count() as u64;
-                let wb = sub.noc.send(me, vbank, bytes, MsgClass::Writeback, at);
+                let wb = sub.send(me, vbank, bytes, MsgClass::Writeback, at);
                 sub.llc_put(victim, wb);
             }
             // A private victim's current-region bits must stay visible
@@ -340,9 +335,7 @@ impl ArcEngine {
             let (read, written) = vstate.masks(sub.region_of(core));
             if !vstate.shared && (!read.is_empty() || !written.is_empty()) {
                 self.private_spills.inc();
-                let t1 = sub
-                    .noc
-                    .send(me, vbank, sub.cfg.aim.entry_bytes, MsgClass::Metadata, at);
+                let t1 = sub.send(me, vbank, sub.cfg.aim.entry_bytes, MsgClass::Metadata, at);
                 let _ready = self.meta.ensure_at(sub, vid, t1);
                 self.record_masks(sub, core, vid, read, written);
             }
@@ -420,7 +413,7 @@ impl ArcEngine {
 
         // L1 lookup.
         let cached = self.l1[core.index()].access(line);
-        if self.fastpath
+        if sub.fastpath
             && cached
                 .as_deref()
                 .is_some_and(|st| st.repeats(side.region, kind, dmask, mask))
@@ -454,9 +447,7 @@ impl ArcEngine {
                 // First touch of these words this region: register at
                 // the AIM (asynchronously; the core does not stall).
                 self.registrations.inc();
-                let t1 = sub
-                    .noc
-                    .send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Metadata, now);
+                let t1 = sub.send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Metadata, now);
                 let t2 = self.meta.ensure_at(sub, lid, t1);
                 res.path =
                     self.aim_check_record(sub, side, lid, new_words, t2, &mut res.exceptions);
@@ -465,7 +456,7 @@ impl ArcEngine {
         }
 
         // Miss: request to the home bank.
-        let t1 = sub.noc.send(
+        let t1 = sub.send(
             me,
             bank,
             sub.cfg.noc.ctrl_bytes,
@@ -510,7 +501,7 @@ impl ArcEngine {
 
         // Data from the LLC (DRAM beneath it if needed).
         let t_llc = sub.llc_data(line, t_ready);
-        let t_data = sub.noc.send(
+        let t_data = sub.send(
             bank,
             me,
             sub.cfg.noc.data_header_bytes + 64,
@@ -565,9 +556,7 @@ impl ArcEngine {
                 let dirty = std::mem::replace(&mut st.dirty, WordMask::EMPTY);
                 self.flushed_words.add(dirty.count() as u64);
                 let bytes = sub.cfg.noc.data_header_bytes + 8 * dirty.count() as u64;
-                let wb = sub
-                    .noc
-                    .send(me, sub.bank_node(line), bytes, MsgClass::Writeback, now);
+                let wb = sub.send(me, sub.bank_node(line), bytes, MsgClass::Writeback, now);
                 done = done.max(sub.llc_put(line, wb));
             }
         }
@@ -583,7 +572,7 @@ impl ArcEngine {
         );
         lines.sort_unstable();
         for &(line, lid) in &lines {
-            let t1 = sub.noc.send(
+            let t1 = sub.send(
                 me,
                 sub.bank_node(line),
                 sub.cfg.signature_bytes_per_line.max(1),
@@ -616,10 +605,10 @@ impl ArcEngine {
             self.shared_lines[core.index()] -= dropped;
             self.self_invalidated.add(dropped as u64);
             if dropped > 0 {
-                sub.trace(|| SimEvent {
+                sub.trace(|s| SimEvent {
                     cycle: now.0,
                     core: Some(core.0),
-                    region: Some(sub.region_of(core).0),
+                    region: Some(s.region_of(core).0),
                     kind: EventKind::SelfInvalidate {
                         lines: dropped as u64,
                     },

@@ -93,8 +93,6 @@ pub struct MesiFamilyEngine {
     /// Where displaced metadata lives (and what touching it costs);
     /// `None` for the MESI baseline, which detects nothing.
     meta: Option<MetaStore>,
-    /// Short-circuit repeat accesses (see [`CeLine::repeats`]).
-    pub(crate) fastpath: bool,
     // Per-line state below is indexed by the run's `Substrate::lines`
     // ids: each miss and upgrade interns its line once.
     /// The full-map sharer directory (an idle entry means no L1 holds
@@ -147,7 +145,6 @@ impl MesiFamilyEngine {
             moesi: cfg.use_owned_state,
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: MetaStore::new(cfg),
-            fastpath: true,
             dir: LineMap::new(),
             llc_meta: LineMap::new(),
             displaced: LineFlags::new(),
@@ -277,10 +274,10 @@ impl MesiFamilyEngine {
             let vid = sub.lines.lookup(victim).ok_or_else(|| {
                 RceError::InvariantViolated(format!("{core} evicted never-filled {victim}"))
             })?;
-            sub.trace(|| SimEvent {
+            sub.trace(|s| SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
-                region: Some(sub.region_of(core).0),
+                region: Some(s.region_of(core).0),
                 kind: EventKind::L1Evict {
                     line: victim.0,
                     dirty: vstate.mesi.may_be_dirty(),
@@ -288,13 +285,11 @@ impl MesiFamilyEngine {
             });
             let vbank = sub.bank_node(victim);
             // Eviction notice keeps the directory exact.
-            let notice_at = sub
-                .noc
-                .send(me, vbank, sub.cfg.noc.ctrl_bytes, MsgClass::Response, at);
+            let notice_at = sub.send(me, vbank, sub.cfg.noc.ctrl_bytes, MsgClass::Response, at);
             sub.dir_accesses.inc();
             self.dir.slot(vid).remove_sharer(core);
             if vstate.mesi.may_be_dirty() {
-                let wb = sub.noc.send(
+                let wb = sub.send(
                     me,
                     vbank,
                     sub.cfg.noc.data_header_bytes + 64,
@@ -332,18 +327,14 @@ impl MesiFamilyEngine {
         let mut inv_at = t1;
         for s in sharers.clone() {
             self.invalidations.inc();
-            let at = sub
-                .noc
-                .send(bank, sub.core_node(s), ctrl, MsgClass::Invalidation, t1);
+            let at = sub.send(bank, sub.core_node(s), ctrl, MsgClass::Invalidation, t1);
             inv_at = inv_at.max(at);
         }
         let ack_bytes = ctrl + self.piggy(sub);
         let mut t_done = t1;
         for s in sharers {
             self.drop_copy(sub, s, lid, "directory sharer", incoming)?;
-            let ack = sub
-                .noc
-                .send(sub.core_node(s), me, ack_bytes, MsgClass::Ack, inv_at);
+            let ack = sub.send(sub.core_node(s), me, ack_bytes, MsgClass::Ack, inv_at);
             t_done = t_done.max(ack);
         }
         Ok(t_done)
@@ -386,9 +377,7 @@ impl MesiFamilyEngine {
         let lid = sub.lines.intern(line);
         let (me, bank) = (sub.core_node(core), sub.bank_node(line));
         let at = Cycles(now.0 + sub.cfg.l1.latency);
-        let t1 = sub
-            .noc
-            .send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Request, at);
+        let t1 = sub.send(me, bank, sub.cfg.noc.ctrl_bytes, MsgClass::Request, at);
         sub.dir_accesses.inc();
         (lid, me, bank, t1, *self.dir.slot(lid))
     }
@@ -408,7 +397,7 @@ impl MesiFamilyEngine {
         let others = entry.sharer_cores().filter(move |s| *s != core);
         let mut t_done = self.invalidate_sharers(sub, lid, others, me, t1, &mut incoming)?;
         let t_meta = self.gather_meta(sub, lid, t1, &mut incoming);
-        let grant = sub.noc.send(
+        let grant = sub.send(
             bank,
             me,
             sub.cfg.noc.ctrl_bytes,
@@ -440,7 +429,7 @@ impl MesiFamilyEngine {
         let t_data;
         if let Some(owner) = entry.owner.filter(|o| *o != core) {
             self.c2c_transfers.inc();
-            let t2 = sub.noc.send(
+            let t2 = sub.send(
                 bank,
                 sub.core_node(owner),
                 sub.cfg.noc.ctrl_bytes,
@@ -468,7 +457,7 @@ impl MesiFamilyEngine {
             };
             let owner_node = sub.core_node(owner);
             if needs_writeback {
-                let wb = sub.noc.send(
+                let wb = sub.send(
                     owner_node,
                     bank,
                     sub.cfg.noc.data_header_bytes + 64,
@@ -477,7 +466,7 @@ impl MesiFamilyEngine {
                 );
                 sub.llc_put(line, wb);
             }
-            t_data = sub.noc.send(owner_node, me, data_bytes, MsgClass::Data, t2);
+            t_data = sub.send(owner_node, me, data_bytes, MsgClass::Data, t2);
             let dir = self.dir.slot(lid);
             if owner_stays {
                 self.owned_downgrades.inc();
@@ -488,7 +477,7 @@ impl MesiFamilyEngine {
             }
         } else {
             let t_llc = sub.llc_data(line, t1);
-            t_data = sub.noc.send(bank, me, data_bytes, MsgClass::Data, t_llc);
+            t_data = sub.send(bank, me, data_bytes, MsgClass::Data, t_llc);
             let dir = self.dir.slot(lid);
             if was_idle {
                 // Exclusive grant.
@@ -530,7 +519,7 @@ impl MesiFamilyEngine {
         let mut incoming = MetaMap::new();
         let mut t_done = if let Some(owner) = entry.owner.filter(|o| *o != core) {
             self.c2c_transfers.inc();
-            let t2 = sub.noc.send(
+            let t2 = sub.send(
                 bank,
                 sub.core_node(owner),
                 sub.cfg.noc.ctrl_bytes,
@@ -539,9 +528,7 @@ impl MesiFamilyEngine {
             );
             self.drop_copy(sub, owner, lid, "directory owner", &mut incoming)?;
             // Dirty ownership transfers cache-to-cache.
-            let t_data = sub
-                .noc
-                .send(sub.core_node(owner), me, data_bytes, MsgClass::Data, t2);
+            let t_data = sub.send(sub.core_node(owner), me, data_bytes, MsgClass::Data, t2);
             // Under MOESI the Owned line may have clean co-sharers;
             // they must be invalidated too.
             let co_sharers = entry
@@ -553,7 +540,7 @@ impl MesiFamilyEngine {
             let others = entry.sharer_cores().filter(move |s| *s != core);
             let t_acks = self.invalidate_sharers(sub, lid, others, me, t1, &mut incoming)?;
             let t_llc = sub.llc_data(line, t1);
-            let t_data = sub.noc.send(bank, me, data_bytes, MsgClass::Data, t_llc);
+            let t_data = sub.send(bank, me, data_bytes, MsgClass::Data, t_llc);
             t_acks.max(t_data)
         };
         let t_meta = self.gather_meta(sub, lid, t1, &mut incoming);
@@ -642,7 +629,7 @@ impl MesiFamilyEngine {
         let dmask = sub.cfg.detect_mask(mask);
 
         let cached = self.l1[core.index()].access(line);
-        if self.fastpath
+        if sub.fastpath
             && cached
                 .as_deref()
                 .is_some_and(|l| l.repeats(core, region, kind, dmask, sub))

@@ -23,7 +23,8 @@ use crate::exception::ConflictException;
 use crate::meta::AimOutcome;
 use rce_common::obs::{SimEvent, Tracer};
 use rce_common::{
-    impl_json_struct, impl_json_unit_enum, Histogram, LineMap, LineTable, MetaPlacement, MAX_CORES,
+    impl_json_struct, impl_json_unit_enum, CoreId, Cycles, Histogram, LineMap, LineTable,
+    MetaPlacement, MAX_CORES,
 };
 
 /// Recent trace events kept per provenance record (the window of
@@ -231,6 +232,8 @@ pub struct Forensics {
     pair_heat: Vec<u64>,
     region_heat: Vec<u64>,
     region_lifetime: Histogram,
+    /// When each core's current region began.
+    region_start: Vec<Cycles>,
 }
 
 /// Count one hit at `i`, growing the table to reach it.
@@ -242,6 +245,15 @@ fn bump(counts: &mut Vec<u64>, i: usize) {
 }
 
 impl Forensics {
+    /// An empty collector for a run on `cores` cores, whose first
+    /// regions all begin at cycle 0.
+    pub(crate) fn new(cores: usize) -> Self {
+        Forensics {
+            region_start: vec![Cycles::ZERO; cores],
+            ..Forensics::default()
+        }
+    }
+
     /// Feed one materialized detection (called for *every* exception an
     /// access raises, before the machine's delivery dedup, so heatmap
     /// totals match the detector's counter). The engine interned the
@@ -282,9 +294,11 @@ impl Forensics {
         }
     }
 
-    /// Record one completed region's lifetime in cycles.
-    pub(crate) fn region_ended(&mut self, lifetime: u64) {
-        self.region_lifetime.record(lifetime);
+    /// `core`'s region ended at `end`, and its next one begins there:
+    /// record the ended region's lifetime in cycles.
+    pub(crate) fn region_ended(&mut self, core: CoreId, end: Cycles) {
+        let start = std::mem::replace(&mut self.region_start[core.index()], end);
+        self.region_lifetime.record(end.0.saturating_sub(start.0));
     }
 
     /// Finish: sort the heatmaps hottest-first (ties by key, so the
@@ -489,7 +503,7 @@ mod tests {
 
     #[test]
     fn report_serializes_records_and_lifetimes() {
-        let (mut f, mut lines) = (Forensics::default(), LineTable::new());
+        let (mut f, mut lines) = (Forensics::new(4), LineTable::new());
         let e = ex(1, 3, 128, 42);
         f.observe(&e, &mut lines);
         let mut t = Tracer::default();
@@ -513,7 +527,7 @@ mod tests {
             Some(&t),
             2,
         );
-        f.region_ended(777);
+        f.region_ended(CoreId(2), Cycles(777));
         let r = f.finish(&lines);
         let v = JsonValue::parse(&rce_common::json::to_string(&r)).unwrap();
         let rec = &v["records"][0];

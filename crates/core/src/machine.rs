@@ -20,9 +20,7 @@ use crate::protocol::{engine_for, AccessResult, Engine, Substrate};
 use crate::report::{CoreStats, SimReport};
 use crate::sched::ReadyQueue;
 use crate::sync::{AcquireOutcome, BarrierManager, BarrierOutcome, LockManager};
-use rce_common::obs::{
-    shared_tracer, EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SharedTracer, SimEvent,
-};
+use rce_common::obs::{EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SimEvent, Tracer};
 use rce_common::{
     Addr, BarrierId, CoreId, Cycles, FxBuildHasher, Histogram, LockId, MachineConfig, RceError,
     RceResult, RegionId, WordMask,
@@ -118,6 +116,14 @@ struct CoreExceptions {
     done: Vec<ConflictException>,
 }
 
+/// Exceptions delivered so far, over all cores.
+fn delivered(exceptions: &[CoreExceptions]) -> u64 {
+    exceptions
+        .iter()
+        .map(|e| (e.live.len() + e.done.len()) as u64)
+        .sum()
+}
+
 impl CoreExceptions {
     /// The core's region ended: move its identities, sorted, to `done`.
     fn flush(&mut self) {
@@ -137,8 +143,8 @@ pub struct Machine {
     cfg: MachineConfig,
     step_limit: Option<u64>,
     obs: ObsConfig,
-    /// The engine's repeat-access fast path (on by default). Reports
-    /// are byte-identical either way.
+    /// Each run's `Substrate::fastpath` (on by default). Reports are
+    /// byte-identical either way.
     fastpath: bool,
 }
 
@@ -177,8 +183,9 @@ impl Machine {
         })
     }
 
-    /// Turn the engine's repeat-access fast path on (the default) or
-    /// off for subsequent runs. `tests/fastpath_equiv.rs` and the golden
+    /// Turn the engines' repeat-access fast path on (the default) or
+    /// off for subsequent runs: it sets each run's [`Substrate`]
+    /// switch. `tests/fastpath_equiv.rs` and the golden
     /// tests run programs both ways and require byte-identical reports.
     pub fn with_fastpath(mut self, on: bool) -> Self {
         self.fastpath = on;
@@ -258,7 +265,6 @@ struct Run<'a> {
     /// deterministic interleaving (pinned by `sched::tests` and the
     /// golden gate) — in O(log n).
     ready: ReadyQueue,
-    regions: u64,
     access_latency: Histogram,
     region_len: Histogram,
     boundary_cost: Histogram,
@@ -268,13 +274,8 @@ struct Run<'a> {
     /// Delivered exceptions, per lower core. An identity is delivered
     /// once, the first time an engine raises it.
     exceptions: Vec<CoreExceptions>,
-    /// Number of exceptions delivered so far.
-    delivered: u64,
     aborted: bool,
-    tracer: Option<SharedTracer>,
     forensics: Option<Forensics>,
-    /// When each core's current region began.
-    region_start: Vec<Cycles>,
     sampler: Option<MetricsSampler>,
 }
 
@@ -290,21 +291,20 @@ impl<'a> Run<'a> {
                 program.n_threads(),
             )));
         }
-        let mut engine = engine_for(cfg);
-        engine.set_fastpath(m.fastpath);
+        let engine = engine_for(cfg);
         let mut sub = Substrate::new(cfg);
+        sub.fastpath = m.fastpath;
         // Forensics wants recent-event windows even when the user did
         // not ask for a trace: it runs the same ring, never exported.
-        let tracer = (m.obs.trace || m.obs.forensics).then(|| shared_tracer(Default::default()));
-        if let Some(t) = &tracer {
-            sub.attach_tracer(t.clone());
+        if m.obs.trace || m.obs.forensics {
+            sub.tracer = Some(Tracer::default());
             // Every core's first region opens at t=0.
             for c in 0..n {
                 let core = CoreId(c as u16);
-                sub.trace(|| SimEvent {
+                sub.trace(|s| SimEvent {
                     cycle: 0,
                     core: Some(core.0),
-                    region: Some(sub.region_of(core).0),
+                    region: Some(s.region_of(core).0),
                     kind: EventKind::RegionBegin,
                 });
             }
@@ -329,18 +329,14 @@ impl<'a> Run<'a> {
             clock: vec![Cycles::ZERO; n],
             status: vec![Status::Ready; n],
             ready,
-            regions: 0,
             access_latency: Histogram::new(),
             region_len: Histogram::new(),
             boundary_cost: Histogram::new(),
             region_ops: vec![0; n],
             per_core: vec![CoreStats::default(); n],
             exceptions: (0..n).map(|_| CoreExceptions::default()).collect(),
-            delivered: 0,
             aborted: false,
-            tracer,
-            forensics: m.obs.forensics.then(Forensics::default),
-            region_start: vec![Cycles::ZERO; n],
+            forensics: m.obs.forensics.then(|| Forensics::new(n)),
             sampler: m.obs.timeline.then(MetricsSampler::default),
         })
     }
@@ -397,7 +393,8 @@ impl<'a> Run<'a> {
 
             if let Some(s) = &mut self.sampler {
                 if s.due(now.0) {
-                    s.tick(now.0, gauges(&self.sub, &self.engine, self.delivered));
+                    let delivered = delivered(&self.exceptions);
+                    s.tick(now.0, gauges(&self.sub, &self.engine, delivered));
                 }
             }
 
@@ -458,11 +455,10 @@ impl<'a> Run<'a> {
         let res = self
             .engine
             .access(&mut self.sub, core, addr, mask, kind, now)?;
-        let sub = &self.sub;
-        sub.trace(|| SimEvent {
+        self.sub.trace(|s| SimEvent {
             cycle: now.0,
             core: Some(core.0),
-            region: Some(sub.region_of(core).0),
+            region: Some(s.region_of(core).0),
             kind: EventKind::MemAccess {
                 addr: addr.0,
                 write: kind == AccessType::Write,
@@ -496,14 +492,12 @@ impl<'a> Run<'a> {
             if !self.exceptions[a.core.index()].live.insert(ex) {
                 continue;
             }
-            self.delivered += 1;
-            let sub = &self.sub;
-            sub.trace(|| {
+            self.sub.trace(|s| {
                 let other = if a.core == core { b.core } else { a.core };
                 SimEvent {
                     cycle: now.0,
                     core: Some(core.0),
-                    region: Some(sub.region_of(core).0),
+                    region: Some(s.region_of(core).0),
                     kind: EventKind::Conflict {
                         word: ex.word_addr.0 / 8,
                         other_core: other.0 as u64,
@@ -517,8 +511,7 @@ impl<'a> Run<'a> {
                 }
             });
             if let (Some(f), Some(path)) = (&mut self.forensics, res.path) {
-                let tracer = self.tracer.as_ref().map(|t| t.borrow());
-                f.deliver(ex, path, tracer.as_deref(), line.0);
+                f.deliver(ex, path, self.sub.tracer.as_ref(), line.0);
             }
             if policy == ExceptionPolicy::AbortOnFirst {
                 self.aborted = true;
@@ -593,7 +586,6 @@ impl<'a> Run<'a> {
         let new_region = self.sub.advance_region(core);
         self.oracle.region_boundary(core, new_region);
         self.exceptions[c].flush();
-        self.regions += 1;
         let ops = std::mem::take(&mut self.region_ops[c]);
         if ops > 0 {
             self.region_len.record(ops);
@@ -601,10 +593,9 @@ impl<'a> Run<'a> {
         let done = b.done.max(now);
         self.boundary_cost.record(done.0 - now.0);
         if let Some(f) = self.forensics.as_mut() {
-            f.region_ended(done.0.saturating_sub(self.region_start[c].0));
+            f.region_ended(core, done);
         }
-        self.region_start[c] = done;
-        self.sub.trace(|| SimEvent {
+        self.sub.trace(|_| SimEvent {
             cycle: done.0,
             core: Some(core.0),
             region: Some(old_region.0),
@@ -612,7 +603,7 @@ impl<'a> Run<'a> {
                 cost: done.0 - now.0,
             },
         });
-        self.sub.trace(|| SimEvent {
+        self.sub.trace(|_| SimEvent {
             cycle: done.0,
             core: Some(core.0),
             region: Some(new_region.0),
@@ -649,15 +640,12 @@ impl<'a> Run<'a> {
             mut sub,
             oracle,
             clock,
-            regions,
             access_latency,
             region_len,
             boundary_cost,
             per_core,
             exceptions: per_core_exceptions,
-            delivered,
             aborted,
-            tracer,
             forensics,
             sampler,
             ..
@@ -666,14 +654,14 @@ impl<'a> Run<'a> {
         sub.noc.finalize(end);
         sub.dram.finalize(end);
 
-        // Close out the observability layers. The tracer is drained
-        // (not unwrapped) because the NoC and DRAM still hold clones.
+        // Close out the observability layers.
+        let delivered = delivered(&per_core_exceptions);
         let timeline = sampler.map(|s| s.finish(end.0, gauges(&sub, &engine, delivered)));
-        let trace = if export_trace {
-            tracer.map(|t| t.borrow_mut().take_log())
-        } else {
-            None
-        };
+        let trace = sub
+            .tracer
+            .take()
+            .filter(|_| export_trace)
+            .map(Tracer::into_log);
 
         let (l1_hits, l1_misses, l1_evictions) = engine.l1_totals();
         let aim = engine.aim_totals();
@@ -703,7 +691,7 @@ impl<'a> Run<'a> {
             cycles: end,
             mem_ops: per_core.iter().map(|s| s.mem_ops).sum(),
             sync_ops: per_core.iter().map(|s| s.sync_ops).sum(),
-            regions,
+            regions: sub.regions_ended(),
             l1_hits,
             l1_misses,
             l1_evictions,

@@ -72,13 +72,10 @@ fn offchip(
     reply: bool,
 ) -> Cycles {
     let mem = sub.noc.mem_node(line);
-    let t1 = sub
-        .noc
-        .send(from, mem, META_MSG_BYTES, MsgClass::Metadata, t);
-    let t2 = sub.dram.access(line, sub.cfg.aim.entry_bytes, kind, t1);
+    let t1 = sub.send(from, mem, META_MSG_BYTES, MsgClass::Metadata, t);
+    let t2 = sub.dram_access(line, sub.cfg.aim.entry_bytes, kind, t1);
     if reply {
-        sub.noc
-            .send(mem, from, META_MSG_BYTES, MsgClass::Metadata, t2)
+        sub.send(mem, from, META_MSG_BYTES, MsgClass::Metadata, t2)
     } else {
         t2
     }
@@ -173,7 +170,7 @@ impl Aim {
     fn ensure(
         &mut self,
         table: &mut FlatMetaTable,
-        sub: &Substrate,
+        sub: &mut Substrate,
         id: LineId,
         t: Cycles,
     ) -> AimOutcome {
@@ -203,7 +200,7 @@ impl Aim {
             spilled,
         };
         self.last = Some(o);
-        sub.trace(|| SimEvent {
+        sub.trace(|_| SimEvent {
             cycle: t.0,
             core: None,
             region: None,
@@ -217,7 +214,7 @@ impl Aim {
             },
         });
         if o.spilled {
-            sub.trace(|| SimEvent {
+            sub.trace(|_| SimEvent {
                 cycle: t.0,
                 core: None,
                 region: None,
@@ -338,9 +335,7 @@ impl MetaStore {
         match &mut self.aim {
             Some(aim) => {
                 let bank = sub.bank_node(line);
-                let t1 = sub
-                    .noc
-                    .send(src, bank, META_MSG_BYTES, MsgClass::Metadata, at);
+                let t1 = sub.send(src, bank, META_MSG_BYTES, MsgClass::Metadata, at);
                 let o = aim.ensure(&mut self.table, sub, id, at);
                 if o.spilled {
                     offchip(sub, bank, line, DramKind::MetaWrite, t1, false);
@@ -373,7 +368,7 @@ impl MetaStore {
         let line = sub.lines.addr(id);
         match &mut self.aim {
             Some(aim) => {
-                let t1 = sub.noc.send(
+                let t1 = sub.send(
                     src,
                     sub.bank_node(line),
                     META_MSG_BYTES,

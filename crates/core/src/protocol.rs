@@ -2,8 +2,9 @@
 //!
 //! A [`Substrate`] bundles everything all four designs share: the NoC,
 //! the DRAM, the shared LLC, the run's one line intern table, the
-//! per-core region clocks, and the event counters the energy model
-//! consumes. An [`Engine`] is one of the two
+//! per-core region clocks, the event counters the energy model
+//! consumes, the fast-path switch and the run's one event ring. An
+//! [`Engine`] is one of the two
 //! coherence mechanisms the designs come from, and implements a
 //! design's behavior for the three things designs differ on: memory
 //! accesses, region boundaries, and what state they attach to lines.
@@ -18,7 +19,7 @@ use crate::exception::{AccessType, ConflictException};
 use crate::forensics::DetectPath;
 use crate::report::AimSummary;
 use rce_cache::Llc;
-use rce_common::obs::{SharedTracer, SimEvent};
+use rce_common::obs::{EventKind, SimEvent, Tracer};
 use rce_common::{
     Addr, CoreId, Counter, Cycles, LineAddr, LineTable, MachineConfig, ProtocolKind, RceResult,
     RegionId, WordMask,
@@ -59,6 +60,14 @@ impl AccessResult {
 
 /// Everything shared between designs, and nothing that only some of
 /// them hold.
+///
+/// The substrate owns the run's event ring by value and is the only
+/// thing that writes to it: engines, the metadata store and the LLC
+/// reach the NoC and DRAM through `send` and `dram_access`, which
+/// emit the `CohMsg` and `DramAccess` events the timing models know
+/// nothing of. A clone is a deep copy, ring included, so a forked run
+/// never writes into its parent's trace.
+#[derive(Clone)]
 pub struct Substrate {
     /// Machine configuration.
     pub cfg: MachineConfig,
@@ -80,9 +89,15 @@ pub struct Substrate {
     /// Directory accesses (energy): sharer-directory lookups in the
     /// MESI family, classification lookups in ARC.
     pub dir_accesses: Counter,
-    /// Event tracer, when observability is on. `None` costs one branch
-    /// per emission site (the zero-overhead-when-off contract).
-    pub tracer: Option<SharedTracer>,
+    /// The engines' repeat-access fast path (on unless
+    /// [`crate::Machine::with_fastpath`] turns it off): an L1 hit whose
+    /// line state shows it would change nothing returns the L1-hit
+    /// latency at once, with `fast` set.
+    pub(crate) fastpath: bool,
+    /// The run's event ring, when observability is on. `None` costs
+    /// one branch per emission site (the zero-overhead-when-off
+    /// contract).
+    pub(crate) tracer: Option<Tracer>,
     next_region: u64,
 }
 
@@ -99,32 +114,85 @@ impl Substrate {
             regions: (0..cfg.cores as u64).map(RegionId).collect(),
             llc_accesses: Counter::default(),
             dir_accesses: Counter::default(),
+            fastpath: true,
             tracer: None,
             next_region: cfg.cores as u64,
         }
     }
 
-    /// Attach an event tracer, shared with the NoC and DRAM so all
-    /// layers feed one ring.
-    pub(crate) fn attach_tracer(&mut self, t: SharedTracer) {
-        self.noc.attach_tracer(t.clone());
-        self.dram.attach_tracer(t.clone());
-        self.tracer = Some(t);
+    /// Emit a trace event; the event is only *built* (the closure only
+    /// runs, handed the substrate) if the ring exists.
+    #[inline]
+    pub(crate) fn trace(&mut self, build: impl FnOnce(&Substrate) -> SimEvent) {
+        if self.tracer.is_some() {
+            let ev = build(self);
+            if let Some(tr) = &mut self.tracer {
+                tr.emit(ev);
+            }
+        }
     }
 
-    /// Emit a trace event; the event is only *built* (the closure only
-    /// runs) if a tracer is attached.
+    /// Send a NoC message (see [`Noc::send`]) and trace it if it is
+    /// routed; returns the arrival time.
     #[inline]
-    pub(crate) fn trace(&self, build: impl FnOnce() -> SimEvent) {
-        if let Some(tr) = &self.tracer {
-            tr.borrow_mut().emit(build());
+    pub(crate) fn send(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        class: MsgClass,
+        now: Cycles,
+    ) -> Cycles {
+        let arrival = self.noc.send(src, dst, bytes, class, now);
+        if src != dst {
+            self.trace(|s| SimEvent {
+                cycle: now.0,
+                core: None,
+                region: None,
+                kind: EventKind::CohMsg {
+                    class: class.name(),
+                    src: src.0 as u64,
+                    dst: dst.0 as u64,
+                    bytes: s.noc.wire_bytes(bytes),
+                },
+            });
         }
+        arrival
+    }
+
+    /// Make a DRAM access (see [`Dram::access`]) and trace it; returns
+    /// the completion time.
+    #[inline]
+    pub(crate) fn dram_access(
+        &mut self,
+        line: LineAddr,
+        bytes: u64,
+        kind: DramKind,
+        now: Cycles,
+    ) -> Cycles {
+        let done = self.dram.access(line, bytes, kind, now);
+        self.trace(|_| SimEvent {
+            cycle: now.0,
+            core: None,
+            region: None,
+            kind: EventKind::DramAccess {
+                kind: kind.name(),
+                line: line.0,
+                bytes,
+            },
+        });
+        done
     }
 
     /// Current region of a core.
     #[inline]
     pub(crate) fn region_of(&self, c: CoreId) -> RegionId {
         self.regions[c.index()]
+    }
+
+    /// Regions ended so far, over all cores.
+    pub(crate) fn regions_ended(&self) -> u64 {
+        self.next_region - self.regions.len() as u64
     }
 
     /// End `c`'s region and start a fresh one; returns the new region.
@@ -167,11 +235,9 @@ impl Substrate {
         // Miss: bank -> memory controller -> DRAM -> back.
         let bank = self.bank_node(line);
         let mem = self.noc.mem_node(line);
-        let req_at = self
-            .noc
-            .send(bank, mem, self.cfg.noc.ctrl_bytes, MsgClass::Request, t);
-        let dram_done = self.dram.access(line, 64, DramKind::DataRead, req_at);
-        let back = self.noc.send(
+        let req_at = self.send(bank, mem, self.cfg.noc.ctrl_bytes, MsgClass::Request, t);
+        let dram_done = self.dram_access(line, 64, DramKind::DataRead, req_at);
+        let back = self.send(
             mem,
             bank,
             self.cfg.noc.data_header_bytes + 64,
@@ -205,20 +271,20 @@ impl Substrate {
         };
         if state.dirty {
             let vmem = self.noc.mem_node(victim);
-            let sent = self.noc.send(
+            let sent = self.send(
                 self.bank_node(victim),
                 vmem,
                 self.cfg.noc.data_header_bytes + 64,
                 MsgClass::Writeback,
                 at,
             );
-            let _ = self.dram.access(victim, 64, DramKind::DataWrite, sent);
+            let _ = self.dram_access(victim, 64, DramKind::DataWrite, sent);
         }
-        self.trace(|| SimEvent {
+        self.trace(|_| SimEvent {
             cycle: at.0,
             core: None,
             region: None,
-            kind: rce_common::obs::EventKind::LlcEvict {
+            kind: EventKind::LlcEvict {
                 line: victim.0,
                 dirty: state.dirty,
             },
@@ -305,13 +371,6 @@ impl Engine {
         each!(self, e => e.check_invariants(sub))
     }
 
-    /// Turn the repeat-access fast path on (engines start with it on)
-    /// or off: an L1 hit whose line state shows it would change
-    /// nothing returns the L1-hit latency at once, with `fast` set.
-    pub(crate) fn set_fastpath(&mut self, on: bool) {
-        each!(self, e => e.fastpath = on)
-    }
-
     /// Aggregate L1 statistics: `(hits, misses, evictions)` summed
     /// over cores.
     pub fn l1_totals(&self) -> (u64, u64, u64) {
@@ -361,6 +420,67 @@ mod tests {
         for c in 0..4u16 {
             assert!(seen.insert(s.advance_region(CoreId(c))));
         }
+    }
+
+    /// A substrate with an empty event ring.
+    fn traced_sub() -> Substrate {
+        let mut s = sub();
+        s.tracer = Some(Tracer::default());
+        s
+    }
+
+    #[test]
+    fn tracer_sees_routed_messages_only() {
+        let mut s = traced_sub();
+        let (a, b) = (s.core_node(CoreId(0)), s.core_node(CoreId(3)));
+        s.send(a, a, 64, MsgClass::Data, Cycles(0)); // local: no event
+        s.send(a, b, 64, MsgClass::Data, Cycles(7));
+        let wire = s.noc.wire_bytes(64);
+        let log = s.tracer.take().unwrap().into_log();
+        assert_eq!(log.events.len(), 1);
+        assert_eq!(log.events[0].cycle, 7);
+        match &log.events[0].kind {
+            EventKind::CohMsg {
+                class,
+                src,
+                dst,
+                bytes,
+            } => {
+                assert_eq!(*class, "data");
+                assert_eq!((*src, *dst), (a.0 as u64, b.0 as u64));
+                assert_eq!(*bytes, wire);
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tracer_sees_accesses() {
+        let mut s = traced_sub();
+        s.dram_access(LineAddr(9), 64, DramKind::DataRead, Cycles(3));
+        s.dram_access(LineAddr(9), 16, DramKind::MetaWrite, Cycles(50));
+        let log = s.tracer.take().unwrap().into_log();
+        assert_eq!(log.events.len(), 2);
+        match &log.events[1].kind {
+            EventKind::DramAccess { kind, line, bytes } => {
+                assert_eq!(*kind, "meta-wr");
+                assert_eq!((*line, *bytes), (9, 16));
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cloned_substrate_traces_into_its_own_ring() {
+        let mut s = traced_sub();
+        let (a, b) = (s.core_node(CoreId(0)), s.core_node(CoreId(3)));
+        s.send(a, b, 8, MsgClass::Request, Cycles(1));
+        let mut fork = s.clone();
+        fork.send(b, a, 72, MsgClass::Data, Cycles(2));
+        let ring = |s: &Substrate| s.tracer.as_ref().unwrap().events().count();
+        assert_eq!(ring(&fork), 2);
+        assert_eq!(ring(&s), 1, "the fork wrote into its parent's ring");
+        assert_eq!(s.noc.stats().total_msgs(), 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The memory controller: channels, banks, row buffers, service.
 
 use crate::stats::DramStats;
-use rce_common::obs::{EventKind, SharedTracer, SimEvent};
 use rce_common::{impl_json_unit_enum, Bytes, Cycles, DramConfig, LineAddr};
 
 /// What an access is for — program data or conflict metadata.
@@ -37,8 +36,8 @@ impl AccessKind {
         }
     }
 
-    /// Display name.
-    pub(crate) fn name(self) -> &'static str {
+    /// Short display name (`data-rd`, `meta-wr`, ...).
+    pub fn name(self) -> &'static str {
         match self {
             AccessKind::DataRead => "data-rd",
             AccessKind::DataWrite => "data-wr",
@@ -67,7 +66,6 @@ pub struct Dram {
     banks: Vec<Bank>,
     channels: Vec<Channel>,
     stats: DramStats,
-    trace: Option<SharedTracer>,
 }
 
 impl Dram {
@@ -79,14 +77,7 @@ impl Dram {
             banks: vec![Bank::default(); n_banks],
             channels: vec![Channel::default(); cfg.channels as usize],
             stats: DramStats::default(),
-            trace: None,
         }
-    }
-
-    /// Attach an event tracer; every access emits a
-    /// [`EventKind::DramAccess`] event into it.
-    pub fn attach_tracer(&mut self, t: SharedTracer) {
-        self.trace = Some(t);
     }
 
     fn channel_of(&self, line: LineAddr) -> usize {
@@ -138,18 +129,6 @@ impl Dram {
         bank.open_row = Some(row);
 
         self.stats.record(kind, bytes, row_hit, queue_delay);
-        if let Some(tr) = &self.trace {
-            tr.borrow_mut().emit(SimEvent {
-                cycle: now.0,
-                core: None,
-                region: None,
-                kind: EventKind::DramAccess {
-                    kind: kind.name(),
-                    line: line.0,
-                    bytes,
-                },
-            });
-        }
         Cycles(done)
     }
 
@@ -245,25 +224,6 @@ mod tests {
         let s = d.stats();
         assert!(s.peak_channel_utilization > 0.0);
         assert!(s.peak_channel_utilization <= 1.0);
-    }
-
-    #[test]
-    fn tracer_sees_accesses() {
-        use rce_common::obs::{shared_tracer, Tracer};
-        let mut d = dram();
-        let tr = shared_tracer(Tracer::default());
-        d.attach_tracer(tr.clone());
-        d.access(LineAddr(9), 64, AccessKind::DataRead, Cycles(3));
-        d.access(LineAddr(9), 16, AccessKind::MetaWrite, Cycles(50));
-        let log = tr.borrow_mut().take_log();
-        assert_eq!(log.events.len(), 2);
-        match &log.events[1].kind {
-            EventKind::DramAccess { kind, line, bytes } => {
-                assert_eq!(*kind, "meta-wr");
-                assert_eq!((*line, *bytes), (9, 16));
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 
     #[test]

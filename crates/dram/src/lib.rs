@@ -11,6 +11,10 @@
 //!
 //! Accesses are classified as program data vs. conflict metadata so
 //! the harness can attribute off-chip traffic per design.
+//!
+//! This crate is a pure timing model — channels, banks, row buffers,
+//! accounting. It emits no trace events: `rce-core`'s substrate,
+//! which makes every access through it, records each one.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -15,6 +15,11 @@
 //! classes are accounted separately so the harness can attribute
 //! traffic to coherence requests, data, invalidations, and — the
 //! quantity the paper's designs differ most on — metadata.
+//!
+//! This crate is a pure timing model — routing, link contention,
+//! accounting. It emits no trace events: `rce-core`'s substrate,
+//! which sends every message through it, records each routed one
+//! (with [`Noc::wire_bytes`] as its size).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

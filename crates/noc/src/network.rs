@@ -2,7 +2,6 @@
 
 use crate::mesh::{Mesh, NodeId};
 use crate::stats::NocStats;
-use rce_common::obs::{EventKind, SharedTracer, SimEvent};
 use rce_common::{impl_json_unit_enum, Bytes, CoreId, Cycles, LineAddr, NocConfig};
 
 /// Message classes, accounted separately.
@@ -49,8 +48,8 @@ impl MsgClass {
         }
     }
 
-    /// Display name.
-    pub(crate) fn name(self) -> &'static str {
+    /// Short display name (`req`, `data`, `inv`, ...).
+    pub fn name(self) -> &'static str {
         match self {
             MsgClass::Request => "req",
             MsgClass::Response => "resp",
@@ -81,7 +80,6 @@ pub struct Noc {
     mesh: Mesh,
     links: Vec<Link>,
     stats: NocStats,
-    trace: Option<SharedTracer>,
 }
 
 impl Noc {
@@ -94,14 +92,7 @@ impl Noc {
             mesh,
             links,
             stats: NocStats::default(),
-            trace: None,
         }
-    }
-
-    /// Attach an event tracer; every routed message emits a
-    /// [`EventKind::CohMsg`] event into it.
-    pub fn attach_tracer(&mut self, t: SharedTracer) {
-        self.trace = Some(t);
     }
 
     /// The underlying mesh (for topology queries).
@@ -122,6 +113,18 @@ impl Noc {
     /// Tile of the memory controller serving `line`.
     pub fn mem_node(&self, line: LineAddr) -> NodeId {
         self.mesh.mem_node(line)
+    }
+
+    /// Flits a routed message of `bytes` takes: whole flits, at least
+    /// one.
+    fn flits(&self, bytes: u64) -> u64 {
+        bytes.div_ceil(self.cfg.flit_bytes).max(1)
+    }
+
+    /// What a routed message of `bytes` puts on each link: its flits'
+    /// bytes.
+    pub fn wire_bytes(&self, bytes: u64) -> u64 {
+        self.flits(bytes) * self.cfg.flit_bytes
     }
 
     /// Send `bytes` from `src` to `dst` at time `now`; returns the
@@ -145,8 +148,7 @@ impl Noc {
             return now;
         }
         let hops = self.mesh.hops(src, dst) as u64;
-        // Pad to whole flits.
-        let flits = bytes.div_ceil(self.cfg.flit_bytes).max(1);
+        let flits = self.flits(bytes);
         let wire_bytes = flits * self.cfg.flit_bytes;
         let service = ((wire_bytes as f64) / self.cfg.link_bandwidth).ceil() as u64;
 
@@ -167,19 +169,6 @@ impl Noc {
         let arrival = t + service; // tail arrives after final serialization
         self.stats
             .record_msg(class, wire_bytes, flits * hops, hops, queue_delay);
-        if let Some(tr) = &self.trace {
-            tr.borrow_mut().emit(SimEvent {
-                cycle: now.0,
-                core: None,
-                region: None,
-                kind: EventKind::CohMsg {
-                    class: class.name(),
-                    src: src.0 as u64,
-                    dst: dst.0 as u64,
-                    bytes: wire_bytes,
-                },
-            });
-        }
         Cycles(arrival)
     }
 
@@ -317,28 +306,6 @@ mod tests {
         let mut n = noc16();
         n.send(NodeId(0), NodeId(3), 16, MsgClass::Data, Cycles(0)); // 3 hops, 1 flit
         assert_eq!(n.stats().flit_hops.get(), 3);
-    }
-
-    #[test]
-    fn tracer_sees_routed_messages_only() {
-        use rce_common::obs::{shared_tracer, Tracer};
-        let mut n = noc16();
-        let tr = shared_tracer(Tracer::default());
-        n.attach_tracer(tr.clone());
-        n.send(NodeId(0), NodeId(0), 64, MsgClass::Data, Cycles(0)); // local: no event
-        n.send(NodeId(0), NodeId(5), 64, MsgClass::Data, Cycles(7));
-        let log = tr.borrow_mut().take_log();
-        assert_eq!(log.events.len(), 1);
-        assert_eq!(log.events[0].cycle, 7);
-        match &log.events[0].kind {
-            EventKind::CohMsg {
-                class, src, dst, ..
-            } => {
-                assert_eq!(*class, "data");
-                assert_eq!((*src, *dst), (0, 5));
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 
     #[test]

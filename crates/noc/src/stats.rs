@@ -1,11 +1,10 @@
 //! NoC accounting.
 
 use crate::network::MsgClass;
-use rce_common::json::{JsonValue, ToJson};
-use rce_common::{Bytes, Counter, Histogram};
+use rce_common::{impl_json_struct, Bytes, Counter, Histogram};
 
 /// Accumulated network statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NocStats {
     /// Messages per class (indexed by [`MsgClass::index`]).
     pub msgs: [Counter; 7],
@@ -24,53 +23,23 @@ pub struct NocStats {
     /// Mean utilization over links that carried traffic.
     pub mean_link_utilization: f64,
     /// Distribution of per-message queueing delays (for tail
-    /// percentiles). Runtime-only: deliberately excluded from the JSON
-    /// form so `SimReport` serialization is unchanged by its addition.
+    /// percentiles). Runtime-only: not serialized.
     pub queue_delay_hist: Histogram,
 }
 
-// Hand-written (not `impl_json_struct!`) so `queue_delay_hist` stays
-// out of the serialized form — reports produced with observability off
-// must remain byte-identical to those from before it existed.
-impl ToJson for NocStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("msgs".to_string(), self.msgs.to_json()),
-            ("bytes".to_string(), self.bytes.to_json()),
-            ("flit_hops".to_string(), self.flit_hops.to_json()),
-            ("local_msgs".to_string(), self.local_msgs.to_json()),
-            (
-                "total_queue_delay".to_string(),
-                self.total_queue_delay.to_json(),
-            ),
-            ("hop_hist".to_string(), self.hop_hist.to_json()),
-            (
-                "peak_link_utilization".to_string(),
-                self.peak_link_utilization.to_json(),
-            ),
-            (
-                "mean_link_utilization".to_string(),
-                self.mean_link_utilization.to_json(),
-            ),
-        ])
-    }
-}
-
-impl Default for NocStats {
-    fn default() -> Self {
-        NocStats {
-            msgs: Default::default(),
-            bytes: Default::default(),
-            flit_hops: Counter::default(),
-            local_msgs: Counter::default(),
-            total_queue_delay: Counter::default(),
-            hop_hist: Histogram::new(),
-            peak_link_utilization: 0.0,
-            mean_link_utilization: 0.0,
-            queue_delay_hist: Histogram::new(),
-        }
-    }
-}
+// `queue_delay_hist` is left out of the serialized form: reports
+// produced with observability off stay byte-identical to those from
+// before it existed.
+impl_json_struct!(to_json NocStats {
+    msgs,
+    bytes,
+    flit_hops,
+    local_msgs,
+    total_queue_delay,
+    hop_hist,
+    peak_link_utilization,
+    mean_link_utilization,
+});
 
 impl NocStats {
     /// Record one routed message.

@@ -10,6 +10,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The paper command line, built from this tree in release.
+paper=(cargo run -q --release --offline -p rce-bench --bin paper --)
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -68,6 +71,18 @@ if [ -n "$own_rngs" ]; then
 fi
 echo "ok: tests/common/mod.rs is the only root test file with a SplitMix64"
 
+echo "== pure timing models (crates/noc, crates/dram) =="
+# The substrate in rce-core owns the run's one event ring and emits the
+# NoC and DRAM events itself. Any file of the two timing models that
+# names the observability module fails.
+obs_users=$(grep -rl 'rce_common::obs' crates/noc/src crates/dram/src || true)
+if [ -n "$obs_users" ]; then
+    echo "FAIL: timing-model files name rce_common::obs:" >&2
+    echo "$obs_users" >&2
+    exit 1
+fi
+echo "ok: crates/noc and crates/dram do not name rce_common::obs"
+
 echo "== library size (information only) =="
 # Non-test lines and pub item declarations per crate, and root test
 # lines; never fails.
@@ -79,8 +94,7 @@ echo "== observability smoke (paper trace) =="
 # nonzero if the obs-on report differs from the obs-off report).
 obs_out=$(mktemp -d)
 trap 'rm -rf "$obs_out"' EXIT
-cargo run -q --release --offline -p rce-bench --bin paper -- \
-    trace ping_pong CE+ --cores 4 --scale 1 --out "$obs_out"
+"${paper[@]}" trace ping_pong CE+ --cores 4 --scale 1 --out "$obs_out"
 for f in trace-ping_pong-ceplus.json trace-ping_pong-ceplus.ndjson; do
     if [ ! -s "$obs_out/$f" ]; then
         echo "FAIL: paper trace did not write $f" >&2
@@ -97,8 +111,7 @@ echo "== golden reports (paper report vs tests/goldens) =="
 # tests/golden_reports.rs.)
 for engine in MESI CE CE+ ARC; do
     slug=$(printf '%s' "$engine" | sed 's/+/plus/' | tr '[:upper:]' '[:lower:]')
-    if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
-        report canneal "$engine" --cores 4 --scale 3 --seed 42 |
+    if ! "${paper[@]}" report canneal "$engine" --cores 4 --scale 3 --seed 42 |
         diff -q - "tests/goldens/canneal-4c-$slug.json" >/dev/null; then
         echo "FAIL: $engine report drifted from tests/goldens/canneal-4c-$slug.json" >&2
         exit 1
@@ -109,12 +122,10 @@ done
 echo "== trace interchange (paper dump, then paper report on the file, vs tests/goldens) =="
 # A dumped program replayed from its file must simulate exactly like the
 # workload it was dumped from: each report matches the same golden.
-cargo run -q --release --offline -p rce-bench --bin paper -- \
-    dump canneal --cores 4 --scale 3 --seed 42 --out "$obs_out/canneal.json" 2>/dev/null
+"${paper[@]}" dump canneal --cores 4 --scale 3 --seed 42 --out "$obs_out/canneal.json" 2>/dev/null
 for engine in MESI CE CE+ ARC; do
     slug=$(printf '%s' "$engine" | sed 's/+/plus/' | tr '[:upper:]' '[:lower:]')
-    if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
-        report "$obs_out/canneal.json" "$engine" |
+    if ! "${paper[@]}" report "$obs_out/canneal.json" "$engine" |
         diff -q - "tests/goldens/canneal-4c-$slug.json" >/dev/null; then
         echo "FAIL: $engine replay of a dumped canneal trace drifted from tests/goldens/canneal-4c-$slug.json" >&2
         exit 1
@@ -159,7 +170,6 @@ expect_exit_2() {
         exit 1
     fi
 }
-paper=(cargo run -q --release --offline -p rce-bench --bin paper --)
 for args in "--cores 0" "--cores 65" "--scale 0"; do
     # shellcheck disable=SC2086 # $args is two words on purpose
     expect_exit_2 "${paper[@]}" report canneal CE+ $args
@@ -199,8 +209,7 @@ echo "ok: paper report and explain exit 0 when the reader closes the pipe early"
 echo "== ablation smoke (paper ablate-aim) =="
 # The AIM sensitivity study must run end to end and write R-A7.json
 # with both AIM-backed designs in it.
-cargo run -q --release --offline -p rce-bench --bin paper -- \
-    ablate-aim --cores 4 --scale 1 --out "$obs_out" >/dev/null
+"${paper[@]}" ablate-aim --cores 4 --scale 1 --out "$obs_out" >/dev/null
 if [ ! -s "$obs_out/R-A7.json" ]; then
     echo "FAIL: ablate-aim did not write R-A7.json" >&2
     exit 1
@@ -220,8 +229,7 @@ echo "== worker-order independence (paper all and ablations, --jobs 1 vs 2) =="
 for jobs in 1 2; do
     mkdir -p "$obs_out/jobs$jobs"
     for cmd in all ablations; do
-        cargo run -q --release --offline -p rce-bench --bin paper -- \
-            "$cmd" --cores 4 --scale 1 --jobs "$jobs" --out "$obs_out/jobs$jobs" \
+        "${paper[@]}" "$cmd" --cores 4 --scale 1 --jobs "$jobs" --out "$obs_out/jobs$jobs" \
             >"$obs_out/jobs$jobs/$cmd.txt" 2>"$obs_out/$cmd-jobs$jobs.err"
     done
 done
@@ -296,8 +304,7 @@ echo "== forensics smoke (paper explain) =="
 # A conflict-bearing workload must produce at least one provenance
 # record naming both endpoints and the detecting metadata path.
 for engine in CE CE+ ARC; do
-    out=$(cargo run -q --release --offline -p rce-bench --bin paper -- \
-        explain racy_pair "$engine" --cores 4 --scale 1 --seed 42)
+    out=$("${paper[@]}" explain racy_pair "$engine" --cores 4 --scale 1 --seed 42)
     if ! printf '%s' "$out" | grep -q "found via:"; then
         echo "FAIL: paper explain racy_pair $engine printed no provenance record" >&2
         exit 1
@@ -312,12 +319,10 @@ echo "ok: paper explain names both endpoints and the detection path"
 echo "== report diffing (paper diff) =="
 # Self-diff of a pinned golden must be empty and exit 0; an injected
 # counter drift must be caught with exit 1.
-cargo run -q --release --offline -p rce-bench --bin paper -- \
-    diff tests/goldens/canneal-4c-ce.json tests/goldens/canneal-4c-ce.json 2>/dev/null
+"${paper[@]}" diff tests/goldens/canneal-4c-ce.json tests/goldens/canneal-4c-ce.json 2>/dev/null
 sed 's/"mem_ops": [0-9]*/"mem_ops": 1/' tests/goldens/canneal-4c-ce.json \
     >"$obs_out/drifted.json"
-if cargo run -q --release --offline -p rce-bench --bin paper -- \
-    diff tests/goldens/canneal-4c-ce.json "$obs_out/drifted.json" >/dev/null 2>&1; then
+if "${paper[@]}" diff tests/goldens/canneal-4c-ce.json "$obs_out/drifted.json" >/dev/null 2>&1; then
     echo "FAIL: paper diff did not flag an injected counter drift" >&2
     exit 1
 fi
@@ -337,13 +342,11 @@ echo "== perf trajectory, fast-path and forensics gates (paper trajectory + diff
 # results/bench_trajectory.json). The hot_path.measured section holds
 # wall-time ratios — machine-dependent — so it is excluded here; the
 # floor and the ceiling sit in the exactly-diffed hot_path.pinned section.
-if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
-    trajectory --out "$obs_out"; then
+if ! "${paper[@]}" trajectory --out "$obs_out"; then
     echo "FAIL: paper trajectory failed (fast path below its floor, or forensics above its ceiling?)" >&2
     exit 1
 fi
-if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
-    diff results/bench_trajectory.json "$obs_out/bench_trajectory.json" \
+if ! "${paper[@]}" diff results/bench_trajectory.json "$obs_out/bench_trajectory.json" \
     --tolerance 2 --ignore hot_path.measured; then
     echo "FAIL: bench trajectory drifted beyond 2% of the committed baseline" >&2
     echo "      (regenerate results/bench_trajectory.json if the change is intended)" >&2
