@@ -253,7 +253,7 @@ fn main() {
 }
 
 /// `paper list`: the experiment catalog, the workloads (flagging those
-/// whose intended behavior races) and the engines.
+/// whose intended behavior races) and the engines with their summaries.
 fn run_list() {
     emit(0, |o| {
         for e in Experiment::ALL.iter().chain(&Experiment::ABLATIONS) {
@@ -264,7 +264,11 @@ fn run_list() {
             let racy = if w.is_racy() { "  (racy)" } else { "" };
             writeln!(o, "  {}{racy}", w.name())?;
         }
-        writeln!(o, "\nengines: {}", engine_names())
+        writeln!(o, "\nengines:")?;
+        for v in &REGISTRY {
+            writeln!(o, "  {:<10} {}", v.cli_name, v.summary)?;
+        }
+        Ok(())
     });
 }
 

@@ -21,10 +21,6 @@ pub struct Llc {
     pub hits: Counter,
     /// Lookup misses.
     pub misses: Counter,
-    /// Dirty evictions (require a DRAM writeback).
-    pub dirty_evictions: Counter,
-    /// Clean evictions.
-    pub clean_evictions: Counter,
 }
 
 impl Llc {
@@ -34,8 +30,6 @@ impl Llc {
             array: SetAssoc::new(geom.sets(), geom.ways),
             hits: Counter::default(),
             misses: Counter::default(),
-            dirty_evictions: Counter::default(),
-            clean_evictions: Counter::default(),
         }
     }
 
@@ -66,25 +60,9 @@ impl Llc {
     /// Insert after a DRAM fill. Returns the evicted line if any;
     /// `evicted.1.dirty` tells the caller to charge a DRAM writeback.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<(LineAddr, LlcLine)> {
-        let ev = self.array.insert(line.0, LlcLine { dirty });
-        if let Some((_, l)) = &ev {
-            if l.dirty {
-                self.dirty_evictions.inc();
-            } else {
-                self.clean_evictions.inc();
-            }
-        }
-        ev.map(|(k, l)| (LineAddr(k), l))
-    }
-
-    /// Samplable gauge for the metrics timeline:
-    /// `(hits, misses, evictions)` so far.
-    pub fn gauges(&self) -> (u64, u64, u64) {
-        (
-            self.hits.get(),
-            self.misses.get(),
-            self.dirty_evictions.get() + self.clean_evictions.get(),
-        )
+        self.array
+            .insert(line.0, LlcLine { dirty })
+            .map(|(k, l)| (LineAddr(k), l))
     }
 }
 
@@ -114,12 +92,14 @@ mod tests {
     #[test]
     fn dirty_evictions_counted() {
         let mut l = llc();
-        // 128 sets × 8 ways. Fill 9 lines in one set, dirty.
-        for i in 0..9u64 {
-            l.fill(LineAddr(i * 128), true);
+        // 128 sets × 8 ways. Fill 9 lines in one set, dirty: the 9th
+        // evicts the LRU line, which carries its dirty flag.
+        for i in 0..8u64 {
+            assert!(l.fill(LineAddr(i * 128), true).is_none());
         }
-        assert_eq!(l.dirty_evictions.get(), 1);
-        assert_eq!(l.clean_evictions.get(), 0);
+        let ev = l.fill(LineAddr(8 * 128), true).unwrap();
+        assert_eq!(ev.0, LineAddr(0));
+        assert!(ev.1.dirty);
     }
 
     #[test]

@@ -188,6 +188,13 @@ impl<T: Default> LineMap<T> {
         self.vals.get(id.index())
     }
 
+    /// Mutable access to `id`'s value, if the map has grown that far;
+    /// unlike [`LineMap::slot`], never grows it.
+    #[inline]
+    pub fn get_mut(&mut self, id: LineId) -> Option<&mut T> {
+        self.vals.get_mut(id.index())
+    }
+
     /// All populated slots in id order.
     pub fn iter(&self) -> impl Iterator<Item = (LineId, &T)> {
         self.vals

@@ -278,7 +278,6 @@ impl ToJson for SimEvent {
 pub struct Tracer {
     capacity: usize,
     events: VecDeque<SimEvent>,
-    emitted: u64,
     drops: u64,
 }
 
@@ -295,14 +294,12 @@ impl Tracer {
         Tracer {
             capacity,
             events: VecDeque::new(),
-            emitted: 0,
             drops: 0,
         }
     }
 
     /// Record an event, dropping the oldest one if the ring is full.
     pub fn emit(&mut self, ev: SimEvent) {
-        self.emitted += 1;
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.drops += 1;
@@ -328,17 +325,13 @@ impl Tracer {
         self.events.iter()
     }
 
-    /// Total events emitted (kept + dropped).
-    #[cfg(test)]
-    pub(crate) fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Finish into an exportable log.
+    /// Finish into an exportable log. Every `emit` either grew the
+    /// ring or dropped its oldest event, so the emitted count is kept
+    /// plus dropped.
     pub fn into_log(self) -> TraceLog {
         TraceLog {
             capacity: self.capacity as u64,
-            emitted: self.emitted,
+            emitted: self.events.len() as u64 + self.drops,
             drops: self.drops,
             events: self.events.into(),
         }
@@ -729,7 +722,6 @@ mod tests {
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.drops(), 6, "drops must be counted, never silent");
-        assert_eq!(t.emitted(), 10);
         let log = t.into_log();
         assert_eq!(log.drops, 6);
         assert_eq!(log.emitted, 10);

@@ -223,7 +223,7 @@ impl ForensicsReport {
 /// heat a count `Vec` indexed `a * MAX_CORES + b`; region heat one
 /// indexed by region ID, which is dense from 0 (one substrate counter).
 #[derive(Debug, Default)]
-pub struct Forensics {
+pub(crate) struct Forensics {
     total: u64,
     delivered: u64,
     truncated: u64,

@@ -53,7 +53,6 @@ pub mod sync;
 
 pub use engines::{find_variant, EngineVariant, REGISTRY};
 pub use exception::{AccessType, ConflictException, ExceptionPolicy};
-pub use forensics::Forensics;
 pub use machine::Machine;
 pub use oracle::Oracle;
 pub use protocol::{engine_for, AccessResult, Engine, Substrate};

@@ -153,7 +153,6 @@ fn gauges(sub: &Substrate, engine: &Engine, exceptions: u64) -> GaugeSnapshot {
     let noc = sub.noc.stats();
     let dram = sub.dram.stats();
     let (aim_hits, aim_misses) = engine.aim_totals().map_or((0, 0), |a| (a.hits, a.misses));
-    let (_, llc_misses, _) = sub.llc.gauges();
     let (_, _, l1_evictions) = engine.l1_totals();
     GaugeSnapshot {
         noc_msgs: noc.total_msgs(),
@@ -165,7 +164,7 @@ fn gauges(sub: &Substrate, engine: &Engine, exceptions: u64) -> GaugeSnapshot {
         dram_queue_delay: dram.total_queue_delay.get(),
         aim_hits,
         aim_misses,
-        llc_misses,
+        llc_misses: sub.llc.misses.get(),
         l1_evictions,
         exceptions,
     }

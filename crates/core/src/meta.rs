@@ -30,7 +30,7 @@ use crate::report::AimSummary;
 use rce_cache::SetAssoc;
 use rce_common::obs::{EventKind, SimEvent};
 use rce_common::{
-    impl_json_struct, CoreId, Counter, Cycles, LineAddr, LineFlags, LineId, LineMap, MachineConfig,
+    impl_json_struct, CoreId, Counter, Cycles, LineAddr, LineId, LineMap, MachineConfig,
     MetaPlacement,
 };
 use rce_dram::AccessKind as DramKind;
@@ -87,53 +87,50 @@ fn offchip(
 /// table, or the ideal store, by placement.
 ///
 /// Maps live in a dense vector indexed by the run's [`LineId`]s
-/// (`Substrate::lines`), so a touch is a hash-free array index.
-/// Presence is tracked explicitly, because "absent" and "present but
-/// empty" differ (`ensure_at` creates present-but-empty entries); a
-/// non-present slot always holds an empty map, so re-inserting a line
-/// starts from an empty entry.
+/// (`Substrate::lines`), so a touch is a hash-free array index. An
+/// entry is present exactly when its map is non-empty: a push is
+/// pruned and skipped when empty, an AIM victim spills only when it
+/// carries bits, and ARC's `ensure_at` is always followed by a record.
+/// Lookups use the non-growing `LineMap::get_mut`, so only an insert
+/// grows the vector.
 #[derive(Debug, Clone, Default)]
 struct FlatMetaTable {
     maps: LineMap<MetaMap>,
-    present: LineFlags,
 }
 
 impl FlatMetaTable {
     /// Number of present entries.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.present.count()
+        self.maps.iter().filter(|(_, m)| !m.is_empty()).count()
     }
 
-    /// The entry for `id`, creating an empty present entry if absent
-    /// (the flat `entry().or_default()`).
+    /// The entry for `id`, creating an empty one if absent (the flat
+    /// `entry().or_default()`).
     fn entry(&mut self, id: LineId) -> &mut MetaMap {
-        self.present.insert(id);
         self.maps.slot(id)
+    }
+
+    /// `id`'s entry, if present.
+    fn stored(&mut self, id: LineId) -> Option<&mut MetaMap> {
+        self.maps.get_mut(id).filter(|m| !m.is_empty())
     }
 
     /// Remove and return `id`'s entry; `(map, was_present)`.
     fn take(&mut self, id: LineId) -> (MetaMap, bool) {
-        if self.present.remove(id) {
-            (std::mem::take(self.maps.slot(id)), true)
-        } else {
-            (MetaMap::new(), false)
+        match self.stored(id) {
+            Some(m) => (std::mem::take(m), true),
+            None => (MetaMap::new(), false),
         }
     }
 
     /// Clear `core`'s bits in `id`'s entry, dropping the entry if it
     /// empties out; returns whether it did. Absent lines are a no-op.
     fn clear_core(&mut self, id: LineId, core: CoreId) -> bool {
-        if !self.present.contains(id) {
-            return false;
-        }
-        let m = self.maps.slot(id);
-        m.clear_core(core);
-        let gone = m.is_empty();
-        if gone {
-            self.present.remove(id);
-        }
-        gone
+        self.stored(id).is_some_and(|m| {
+            m.clear_core(core);
+            m.is_empty()
+        })
     }
 }
 

@@ -228,61 +228,7 @@ impl SimReport {
         // detection time.
         self.exceptions == self.oracle_conflicts
     }
-
-    /// Normalize the headline metrics to a baseline run (same
-    /// workload, same cores, MESI).
-    pub fn normalized_to(&self, base: &SimReport) -> NormalizedRow {
-        fn ratio(a: f64, b: f64) -> f64 {
-            if b == 0.0 {
-                if a == 0.0 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                a / b
-            }
-        }
-        NormalizedRow {
-            protocol: self.protocol,
-            workload: self.workload.clone(),
-            cores: self.cores,
-            runtime: ratio(self.cycles.0 as f64, base.cycles.0 as f64),
-            energy: ratio(self.energy_total().0, base.energy_total().0),
-            noc_traffic: ratio(self.noc_bytes().as_f64(), base.noc_bytes().as_f64()),
-            dram_traffic: ratio(self.dram_bytes().as_f64(), base.dram_bytes().as_f64()),
-        }
-    }
 }
-
-/// One figure row: metrics relative to the MESI baseline.
-#[derive(Debug, Clone)]
-pub struct NormalizedRow {
-    /// Design.
-    pub protocol: ProtocolKind,
-    /// Workload.
-    pub workload: String,
-    /// Core count.
-    pub cores: usize,
-    /// Run time / baseline run time.
-    pub runtime: f64,
-    /// Energy / baseline energy.
-    pub energy: f64,
-    /// NoC bytes / baseline NoC bytes.
-    pub noc_traffic: f64,
-    /// DRAM bytes / baseline DRAM bytes.
-    pub dram_traffic: f64,
-}
-
-impl_json_struct!(to_json NormalizedRow {
-    protocol,
-    workload,
-    cores,
-    runtime,
-    energy,
-    noc_traffic,
-    dram_traffic,
-});
 
 #[cfg(test)]
 mod tests {
@@ -343,17 +289,6 @@ mod tests {
         assert_eq!(v["timeline"]["interval"], JsonValue::UInt(8));
         assert_eq!(v["trace"]["drops"], JsonValue::UInt(5));
         assert!(v.get("forensics").is_none());
-    }
-
-    #[test]
-    fn normalization_ratios() {
-        let base = dummy(ProtocolKind::MesiBaseline, 100);
-        let ce = dummy(ProtocolKind::Ce, 150);
-        let row = ce.normalized_to(&base);
-        assert!((row.runtime - 1.5).abs() < 1e-12);
-        // Zero-over-zero traffic normalizes to 1.
-        assert_eq!(row.noc_traffic, 1.0);
-        assert_eq!(row.dram_traffic, 1.0);
     }
 
     #[test]

@@ -20,12 +20,10 @@ pub(crate) const BARRIER_RELEASE_LATENCY: u64 = 100;
 /// FIFO mutexes.
 #[derive(Debug, Clone)]
 pub struct LockManager {
-    /// holder + the time it acquired.
+    /// Each lock's holder.
     holders: Vec<Option<CoreId>>,
     /// FIFO wait queues.
     waiters: Vec<Vec<CoreId>>,
-    /// Total contended acquires (diagnostics).
-    pub contended: u64,
 }
 
 /// Result of an acquire attempt.
@@ -43,7 +41,6 @@ impl LockManager {
         LockManager {
             holders: vec![None; n_locks as usize],
             waiters: vec![Vec::new(); n_locks as usize],
-            contended: 0,
         }
     }
 
@@ -57,7 +54,6 @@ impl LockManager {
             }
             Some(h) => {
                 assert_ne!(h, core, "recursive acquire must be caught by validation");
-                self.contended += 1;
                 self.waiters[i].push(core);
                 AcquireOutcome::Blocked
             }
@@ -94,8 +90,6 @@ impl LockManager {
 pub struct BarrierManager {
     n_cores: usize,
     arrived: Vec<Vec<CoreId>>,
-    /// Completed barrier episodes (diagnostics).
-    pub episodes: u64,
 }
 
 /// Result of a barrier arrival.
@@ -114,7 +108,6 @@ impl BarrierManager {
         BarrierManager {
             n_cores,
             arrived: vec![Vec::new(); n_barriers as usize],
-            episodes: 0,
         }
     }
 
@@ -127,7 +120,6 @@ impl BarrierManager {
         );
         q.push(core);
         if q.len() == self.n_cores {
-            self.episodes += 1;
             let released = std::mem::take(q);
             BarrierOutcome::Released(released, Cycles(now.0 + BARRIER_RELEASE_LATENCY))
         } else {
@@ -167,7 +159,6 @@ mod tests {
             lm.acquire(LockId(0), CoreId(2), Cycles(6)),
             AcquireOutcome::Blocked
         );
-        assert_eq!(lm.contended, 2);
         // FIFO: core 1 first.
         let (next, t) = lm.release(LockId(0), CoreId(0), Cycles(100)).unwrap();
         assert_eq!(next, CoreId(1));
@@ -206,7 +197,6 @@ mod tests {
             }
             _ => panic!("should release"),
         }
-        assert_eq!(bm.episodes, 1);
         assert_eq!(bm.waiting(BarrierId(0)), 0);
     }
 
@@ -220,7 +210,6 @@ mod tests {
             BarrierOutcome::Released(_, _) => {}
             _ => panic!("second episode should release"),
         }
-        assert_eq!(bm.episodes, 2);
     }
 
     #[test]

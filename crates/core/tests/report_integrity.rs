@@ -63,26 +63,6 @@ fn report_json_is_well_formed() {
 }
 
 #[test]
-fn normalized_rows_serialize() {
-    let base = report(WorkloadSpec::Vips, ProtocolKind::MesiBaseline);
-    let arc = report(WorkloadSpec::Vips, ProtocolKind::Arc);
-    let row = arc.normalized_to(&base);
-    let v = json::JsonValue::parse(&json::to_string(&row)).expect("parse");
-    assert_eq!(v["protocol"], json::JsonValue::Str("Arc".into()));
-    assert_eq!(v["workload"], json::JsonValue::Str(row.workload.clone()));
-    assert_eq!(v["cores"].as_u64(), Some(row.cores as u64));
-    for (key, want) in [
-        ("runtime", row.runtime),
-        ("energy", row.energy),
-        ("noc_traffic", row.noc_traffic),
-        ("dram_traffic", row.dram_traffic),
-    ] {
-        let got = v[key].as_f64().unwrap_or_else(|| panic!("{key} missing"));
-        assert!((got - want).abs() < 1e-12, "{key}: {got} vs {want}");
-    }
-}
-
-#[test]
 fn engine_counters_present_per_design() {
     let names = |p| {
         report(WorkloadSpec::Dedup, p)

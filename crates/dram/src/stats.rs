@@ -61,16 +61,6 @@ impl DramStats {
                 + self.bytes[AccessKind::MetaWrite.index()].0,
         )
     }
-
-    /// Row-buffer hit rate in [0, 1].
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits.get() + self.row_misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits.as_f64() / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -85,12 +75,7 @@ mod tests {
         assert_eq!(s.total_accesses(), 2);
         assert_eq!(s.total_bytes(), Bytes(80));
         assert_eq!(s.metadata_bytes(), Bytes(16));
-        assert!((s.row_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((s.row_hits.get(), s.row_misses.get()), (1, 1));
         assert_eq!(s.total_queue_delay.get(), 5);
-    }
-
-    #[test]
-    fn empty_hit_rate_is_zero() {
-        assert_eq!(DramStats::default().row_hit_rate(), 0.0);
     }
 }

@@ -5,9 +5,14 @@
 //! density, dynamic region count and mean size, the footprint in
 //! distinct lines, and what fraction of accesses touch data that more
 //! than one thread touches (true sharing at line granularity).
+//!
+//! A region is the maximal run of operations between a thread's sync
+//! ops (and its start and end); only regions with a memory op count.
+//! Short regions stress ARC (frequent self-invalidation and flush),
+//! long regions with large footprints stress CE (evictions of accessed
+//! lines spill metadata to memory).
 
 use crate::program::Program;
-use crate::regions::region_stats;
 use rce_common::impl_json_struct;
 use std::collections::{HashMap, HashSet};
 
@@ -51,12 +56,21 @@ impl_json_struct!(to_json WorkloadChar {
 
 /// Compute the Table II row for `p`.
 pub fn characterize(p: &Program) -> WorkloadChar {
-    let rs = region_stats(p);
     let mut toucher: HashMap<u64, (usize, bool)> = HashMap::new(); // line -> (first thread, multi)
     let mut mem_ops = 0u64;
     let mut writes = 0u64;
+    let mut regions = 0u64;
+    // The thread whose current region already holds a memory op.
+    let mut open = None;
     for (t, op) in p.iter_ops() {
+        if op.is_sync() {
+            open = None;
+        }
         if let Some(a) = op.addr() {
+            if open != Some(t) {
+                regions += 1;
+                open = Some(t);
+            }
             mem_ops += 1;
             if op.is_write() {
                 writes += 1;
@@ -85,8 +99,12 @@ pub fn characterize(p: &Program) -> WorkloadChar {
         threads: p.n_threads(),
         mem_ops,
         sync_ops: p.total_sync_ops() as u64,
-        regions: rs.regions,
-        mean_region_len: rs.mean_mem_ops_per_region,
+        regions,
+        mean_region_len: if regions == 0 {
+            0.0
+        } else {
+            mem_ops as f64 / regions as f64
+        },
         footprint_lines: toucher.len() as u64,
         shared_lines: shared_lines.len() as u64,
         shared_access_frac: if mem_ops == 0 {
@@ -105,7 +123,81 @@ pub fn characterize(p: &Program) -> WorkloadChar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::Op;
     use crate::workloads::WorkloadSpec;
+    use rce_common::{Addr, LockId};
+
+    fn r(a: u64) -> Op {
+        Op::Read {
+            addr: Addr(a),
+            len: 8,
+        }
+    }
+
+    fn program(threads: Vec<Vec<Op>>) -> Program {
+        Program {
+            name: "x".into(),
+            threads,
+            n_locks: 1,
+            n_barriers: 0,
+            shared_base: Addr(0),
+            shared_end: Addr(0),
+        }
+    }
+
+    /// `(regions, mean_region_len)` of `p`.
+    fn region_counts(p: &Program) -> (u64, f64) {
+        let c = characterize(p);
+        (c.regions, c.mean_region_len)
+    }
+
+    #[test]
+    fn regions_split_at_sync() {
+        let p = program(vec![vec![
+            r(0),
+            r(8),
+            Op::Acquire { lock: LockId(0) },
+            r(16),
+            Op::Release { lock: LockId(0) },
+            r(24),
+            r(32),
+            r(40),
+        ]]);
+        assert_eq!(region_counts(&p), (3, 2.0));
+    }
+
+    #[test]
+    fn empty_regions_not_counted() {
+        let p = program(vec![vec![
+            Op::Acquire { lock: LockId(0) },
+            Op::Release { lock: LockId(0) },
+        ]]);
+        assert_eq!(region_counts(&p), (0, 0.0));
+    }
+
+    #[test]
+    fn work_ops_do_not_count_as_mem() {
+        let p = program(vec![vec![r(0), Op::Work { cycles: 100 }, r(8)]]);
+        assert_eq!(region_counts(&p), (1, 2.0));
+    }
+
+    #[test]
+    fn regions_aggregate_threads() {
+        let p = program(vec![
+            vec![
+                r(0),
+                r(8),
+                Op::Acquire { lock: LockId(0) },
+                r(16),
+                Op::Release { lock: LockId(0) },
+            ],
+            vec![r(24)],
+        ]);
+        let c = characterize(&p);
+        assert_eq!(c.regions, 3);
+        assert_eq!(c.mem_ops, 4);
+        assert!((c.mean_region_len - 4.0 / 3.0).abs() < 1e-12);
+    }
 
     #[test]
     fn swaptions_has_no_sharing() {

@@ -30,7 +30,6 @@ mod chars;
 mod op;
 mod program;
 mod racey;
-mod regions;
 pub mod validate;
 mod workloads;
 

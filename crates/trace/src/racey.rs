@@ -31,29 +31,42 @@ pub fn inject_races(p: &mut Program, n: usize, seed: u64) -> RceResult<Vec<Addr>
             p.n_threads()
         )));
     }
-    let mut rng = SplitMix64::new(seed ^ 0x4acf);
-    let mut injected = Vec::with_capacity(n);
     // Fresh line-aligned words beyond the current shared range.
-    let base = (p.shared_end.0 + 63) & !63;
-    for i in 0..n {
-        let addr = Addr(base + (i as u64) * 64);
+    let base = p.shared_end.0.checked_add(63).map(|a| a & !63);
+    let end = base.and_then(|b| b.checked_add(u64::try_from(n).ok()?.checked_mul(64)?));
+    let (Some(base), Some(end)) = (base, end) else {
+        return Err(RceError::MalformedProgram(format!(
+            "{n} races do not fit above {}'s shared range, which ends at {}",
+            p.name, p.shared_end
+        )));
+    };
+    let mut rng = SplitMix64::new(seed ^ 0x4acf);
+    let mut injected = Vec::new();
+    // Each thread's racy ops, in injection order.
+    let mut prologues: Vec<Vec<Op>> = vec![Vec::new(); p.n_threads()];
+    for i in 0..n as u64 {
+        let addr = Addr(base + i * 64);
         let tw = rng.gen_range(p.n_threads() as u64) as usize;
         let mut tr = rng.gen_range(p.n_threads() as u64) as usize;
         if tr == tw {
             tr = (tr + 1) % p.n_threads();
         }
-        // Prepend (insert at front) so both accesses precede any sync
-        // op of their thread: their enclosing regions must overlap.
-        p.threads[tw].insert(0, Op::Write { addr, len: 8 });
+        prologues[tw].push(Op::Write { addr, len: 8 });
         let second = if rng.gen_bool(0.5) {
             Op::Read { addr, len: 8 }
         } else {
             Op::Write { addr, len: 8 }
         };
-        p.threads[tr].insert(0, second);
+        prologues[tr].push(second);
         injected.push(addr);
     }
-    p.shared_end = Addr(base + n as u64 * 64);
+    // Prepend so both accesses of a race precede any sync op of their
+    // thread: their enclosing regions must overlap. The latest race
+    // comes first, as if each op had been inserted at the front.
+    for (ops, prologue) in p.threads.iter_mut().zip(prologues) {
+        ops.splice(0..0, prologue.into_iter().rev());
+    }
+    p.shared_end = Addr(end);
     p.name = format!("{}+{}races", p.name, n);
     Ok(injected)
 }
@@ -121,5 +134,36 @@ mod tests {
             other => panic!("expected MalformedProgram, got {other:?}"),
         }
         assert_eq!(p, before, "a rejected program is left unchanged");
+    }
+
+    #[test]
+    fn overflowing_injection_rejected() {
+        let mut p = WorkloadSpec::Canneal.build(2, 1, 1);
+        let before = p.clone();
+        // 2^58 races need 2^64 bytes above the shared range.
+        match inject_races(&mut p, 1 << 58, 1) {
+            Err(RceError::MalformedProgram(m)) => assert!(m.contains("do not fit"), "{m}"),
+            other => panic!("expected MalformedProgram, got {other:?}"),
+        }
+        assert_eq!(p, before, "a rejected program is left unchanged");
+        // A shared range ending within a line of 2^64 has no room left.
+        p.shared_end = Addr(u64::MAX - 10);
+        assert!(inject_races(&mut p, 1, 1).is_err());
+        assert!(inject_races(&mut p, 0, 1).is_err());
+    }
+
+    #[test]
+    fn prologues_hold_the_latest_race_first() {
+        let mut p = WorkloadSpec::Streamcluster.build(2, 1, 2);
+        let lens: Vec<usize> = p.threads.iter().map(Vec::len).collect();
+        let addrs = inject_races(&mut p, 5, 3).unwrap();
+        // Two threads: every race touches both, so each thread's
+        // prologue is the five addresses in reverse.
+        let want: Vec<Option<Addr>> = addrs.iter().rev().map(|&a| Some(a)).collect();
+        for (ops, len) in p.threads.iter().zip(lens) {
+            assert_eq!(ops.len(), len + 5);
+            let got: Vec<Option<Addr>> = ops[..5].iter().map(Op::addr).collect();
+            assert_eq!(got, want);
+        }
     }
 }

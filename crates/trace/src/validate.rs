@@ -79,9 +79,10 @@ pub fn validate(p: &Program) -> RceResult<()> {
                             "thread {t} op {i}: access len {len} out of range"
                         )));
                     }
-                    let first_line = addr.line();
-                    let last_line = rce_common::Addr(addr.0 + (len as u64 - 1)).line();
-                    if first_line != last_line {
+                    // An access running past 2^64 crosses out of the
+                    // last line too.
+                    let last = addr.0.checked_add(len as u64 - 1);
+                    if last.map(|a| rce_common::Addr(a).line()) != Some(addr.line()) {
                         return Err(RceError::MalformedProgram(format!(
                             "thread {t} op {i}: access at {addr} len {len} crosses a line"
                         )));
@@ -226,6 +227,22 @@ mod tests {
         );
         let err = validate(&b.finish()).unwrap_err();
         assert!(err.to_string().contains("crosses a line"));
+    }
+
+    #[test]
+    fn access_past_the_address_space_rejected() {
+        let mut b = Builder::new("bad", 1);
+        b.push(
+            0,
+            crate::op::Op::Read {
+                addr: Addr(u64::MAX - 3),
+                len: 8,
+            },
+        );
+        match validate(&b.finish()) {
+            Err(RceError::MalformedProgram(m)) => assert!(m.contains("crosses a line"), "{m}"),
+            other => panic!("expected MalformedProgram, got {other:?}"),
+        }
     }
 
     #[test]

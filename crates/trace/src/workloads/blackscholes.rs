@@ -78,11 +78,11 @@ mod tests {
     #[test]
     fn regions_are_long() {
         let p = build(2, 2, 5);
-        let s = crate::regions::region_stats(&p);
+        let s = crate::chars::characterize(&p);
         assert!(
-            s.mean_mem_ops_per_region > 50.0,
+            s.mean_region_len > 50.0,
             "expected long regions, got {}",
-            s.mean_mem_ops_per_region
+            s.mean_region_len
         );
     }
 }

@@ -105,11 +105,11 @@ mod tests {
     #[test]
     fn regions_are_short() {
         let p = build(4, 1, 2);
-        let s = crate::regions::region_stats(&p);
+        let s = crate::chars::characterize(&p);
         assert!(
-            s.mean_mem_ops_per_region < 8.0,
+            s.mean_region_len < 8.0,
             "expected tiny critical-section regions, got {}",
-            s.mean_mem_ops_per_region
+            s.mean_region_len
         );
     }
 

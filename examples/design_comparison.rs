@@ -22,13 +22,12 @@ fn main() {
         );
         for proto in ProtocolKind::ALL {
             let r = run(workload, proto, cores, scale);
-            let n = r.normalized_to(&base);
             println!(
                 "{:<6} {:>8.3}x {:>8.3}x {:>8.3}x {:>11} {:>11} {:>10}",
                 proto.name(),
-                n.runtime,
-                n.noc_traffic,
-                n.dram_traffic,
+                r.cycles.0 as f64 / base.cycles.0 as f64,
+                r.noc_bytes().as_f64() / base.noc_bytes().as_f64(),
+                r.dram_bytes().as_f64() / base.dram_bytes().as_f64(),
                 r.noc.invalidation_bytes().0,
                 r.noc.metadata_bytes().0 + r.dram.metadata_bytes().0,
                 r.aim

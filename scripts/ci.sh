@@ -160,8 +160,9 @@ echo "== bad CLI input (paper) =="
 # far more barriers than it has synchronization operations (sized by
 # the header, the simulator's tables would take tens of GiB), an
 # unwritable output directory, an unknown experiment, ablation,
-# workload or engine name, and race injection into a one-thread
-# program must print a message and exit 2, not panic.
+# workload or engine name, race injection into a one-thread program,
+# and a race count whose fresh words run past 2^64 must print a message
+# and exit 2, not panic.
 expect_exit_2() {
     code=0
     "$@" >/dev/null 2>"$obs_out/stderr.txt" || code=$?
@@ -190,7 +191,8 @@ expect_exit_2 "${paper[@]}" report canneal NOPE
 expect_exit_2 "${paper[@]}" table3 --cores 1 --scale 1
 expect_exit_2 "${paper[@]}" dump canneal --cores 1 --races 2 --out "$obs_out/one.json"
 expect_exit_2 "${paper[@]}" report canneal CE+ --cores 1 --races 2
-echo "ok: bad arguments, names, trace files, output dirs and one-thread races exit 2 without a panic"
+expect_exit_2 "${paper[@]}" report canneal CE+ --races 288230376151711744
+echo "ok: bad arguments, names, trace files, output dirs, one-thread and overflowing races exit 2 without a panic"
 
 echo "== early-closing reader (paper report|explain into head -1) =="
 # A reader that stops after the first line closes the pipe while paper
