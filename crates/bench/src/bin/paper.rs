@@ -10,6 +10,8 @@
 //! paper trace ping_pong CE+      # one traced run -> Chrome trace JSON
 //! paper dump canneal --cores 8 --races 4 --out c.json  # program -> JSON
 //! paper explain c.json ARC       # replay a dumped program
+//! paper diff a.json b.json       # structural drift between two reports
+//! paper trajectory               # fast-path and forensics ratio gates
 //! ```
 //!
 //! Each experiment prints its text table and writes machine-readable
@@ -35,7 +37,7 @@
 
 use rce_bench::{
     diff::{diff_values, parse_tolerance},
-    figures::base_sweep,
+    figures::{base_sweep, HEATMAP_TOP_K},
     hotpath, profile, simulate, EvalParams, Experiment, RunKey,
 };
 use rce_common::{json, MachineConfig, ObsConfig, RceResult, MAX_CORES};
@@ -63,10 +65,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: paper <experiment|all|ablations|summary|list> [--cores N] [--scale N] [--seed N] \
          [--jobs N] [--out DIR]\n       paper report|explain|trace <workload|trace.json> <engine> \
-         [--cores N] [--scale N] [--seed N] [--races N] [--top K] [--out DIR]\n       \
+         [--cores N] [--scale N] [--seed N] [--races N] [--out DIR]\n       \
          paper dump <workload> [--cores N] [--scale N] [--seed N] [--races N] [--out FILE]\n       \
-         paper diff <a.json> <b.json> [--tolerance PCT] [--ignore PATHSUBSTR]...\n       \
-         paper trajectory [--out DIR]\nexperiments: {} (table3, and so all, needs --cores 2 \
+         paper diff <a.json> <b.json> [--tolerance PCT]\n       \
+         paper trajectory\nexperiments: {} (table3, and so all, needs --cores 2 \
          or more: it injects races between threads)\n\
          ablations: {}\nengines: {}\n\
          a trace file from `paper dump` sets its own program and core count",
@@ -193,9 +195,7 @@ fn main() {
     let mut params = EvalParams::default();
     let mut out: Option<String> = None;
     let mut races = 0usize;
-    let mut top = 5usize;
     let mut tolerance = 0.0f64;
-    let mut ignores: Vec<String> = Vec::new();
     // Positional operands come before the flags: an operand and an
     // engine for `report`, `explain` and `trace`, two report files for
     // `diff`, a workload for `dump`. Every flag takes one value.
@@ -228,9 +228,7 @@ fn main() {
             "--jobs" => params.jobs = val.parse().unwrap_or_else(|_| usage()),
             "--races" => races = val.parse().unwrap_or_else(|_| usage()),
             "--out" => out = Some(val),
-            "--top" => top = val.parse().unwrap_or_else(|_| usage()),
             "--tolerance" => tolerance = parse_tolerance(&val).unwrap_or_else(|| usage()),
-            "--ignore" => ignores.push(val),
             _ => usage(),
         }
     }
@@ -242,10 +240,10 @@ fn main() {
             let r = single().run(ObsConfig::default());
             emit(0, |o| writeln!(o, "{}", json::to_string_pretty(&r)));
         }
-        "explain" => run_explain(&single(), top),
+        "explain" => run_explain(&single()),
         "dump" => run_dump(&args[1], &params, races, out.as_deref()),
-        "diff" => run_diff(&args[1], &args[2], tolerance, &ignores),
-        "trajectory" => run_trajectory(out_dir),
+        "diff" => run_diff(&args[1], &args[2], tolerance),
+        "trajectory" => run_trajectory(),
         "summary" => run_summary(out_dir),
         "list" => run_list(),
         _ => run_experiments(command, &params, out_dir),
@@ -412,9 +410,9 @@ fn run_trace(s: &Subject, out_dir: &str) {
 
 /// `paper explain <workload|trace.json> <engine>`: replay one run with
 /// the forensics layer on and print a human-readable root-cause report
-/// for every delivered exception, plus the hottest conflict lines and
-/// core pairs.
-fn run_explain(s: &Subject, top: usize) {
+/// for every delivered exception, plus the [`HEATMAP_TOP_K`] hottest
+/// conflict lines and core pairs (the lists R-F10 reports).
+fn run_explain(s: &Subject) {
     let f = s
         .run(ObsConfig::FORENSICS)
         .forensics
@@ -481,7 +479,7 @@ fn run_explain(s: &Subject, top: usize) {
             )?;
         }
         writeln!(o, "hottest conflict lines:")?;
-        for h in f.hottest_lines(top) {
+        for h in f.hottest_lines(HEATMAP_TOP_K) {
             writeln!(
                 o,
                 "  line {:<8} (bytes {}..{}): {} detections",
@@ -492,7 +490,7 @@ fn run_explain(s: &Subject, top: usize) {
             )?;
         }
         writeln!(o, "hottest core pairs:")?;
-        for h in f.hottest_pairs(top) {
+        for h in f.hottest_pairs(HEATMAP_TOP_K) {
             writeln!(
                 o,
                 "  cores {}-{}: {} detections",
@@ -505,11 +503,8 @@ fn run_explain(s: &Subject, top: usize) {
 
 /// `paper diff <a.json> <b.json>`: structural comparison of two report
 /// documents. Prints every out-of-tolerance drift with its JSON path
-/// and exits 1 if any exist; a clean comparison exits 0. `--ignore`
-/// (repeatable) drops drifts whose path contains the given substring —
-/// how CI skips the machine-dependent `hot_path.measured` section of
-/// the trajectory baseline while still gating everything else.
-fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
+/// and exits 1 if any exist; a clean comparison exits 0.
+fn run_diff(path_a: &str, path_b: &str, tolerance: f64) {
     let load = |p: &str| -> json::JsonValue {
         let text =
             std::fs::read_to_string(p).unwrap_or_else(|e| fail(&format!("cannot read {p}: {e}")));
@@ -517,15 +512,7 @@ fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
     };
     let a = load(path_a);
     let b = load(path_b);
-    let mut drifts = diff_values(&a, &b, tolerance);
-    let before = drifts.len();
-    drifts.retain(|d| !ignores.iter().any(|s| d.path.contains(s.as_str())));
-    if before > drifts.len() {
-        eprintln!(
-            "({} drift(s) in --ignore'd paths skipped)",
-            before - drifts.len()
-        );
-    }
+    let drifts = diff_values(&a, &b, tolerance);
     if drifts.is_empty() {
         eprintln!("{path_a} and {path_b} match within {tolerance}% tolerance");
         return;
@@ -538,74 +525,13 @@ fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
     std::process::exit(1);
 }
 
-/// Pinned parameters for `paper trajectory`: small enough for a CI
-/// gate, fixed so the committed baseline stays comparable across
-/// machines and sessions.
-const TRAJECTORY: EvalParams = EvalParams {
-    cores: 4,
-    scale: 1,
-    seed: 42,
-    jobs: 1,
-};
-const TRAJECTORY_WORKLOADS: [WorkloadSpec; 4] = [
-    WorkloadSpec::PrivateOnly,
-    WorkloadSpec::FalseSharing,
-    WorkloadSpec::PingPong,
-    WorkloadSpec::RacyPair,
-];
-
-/// `paper trajectory`: run the pinned micro-sweep and write
-/// `<out>/bench_trajectory.json`. CI diffs this against the committed
-/// baseline (`paper diff --tolerance`) to catch silent perf/behavior
-/// drift; the sweep is deterministic, so any drift is a real change.
-fn run_trajectory(out_dir: &str) {
-    let mut rows = Vec::new();
-    for w in TRAJECTORY_WORKLOADS {
-        for v in REGISTRY.iter().filter(|v| v.is_paper_design()) {
-            let key = RunKey::new(w, v.config(TRAJECTORY.cores), &TRAJECTORY);
-            let r = report_or_exit(&key, key.run());
-            rows.push(json!({
-                "workload": w.name(),
-                "engine": v.cli_name,
-                "cycles": r.cycles.0,
-                "mem_ops": r.mem_ops,
-                "noc_bytes": r.noc_bytes().0,
-                "dram_bytes": r.dram_bytes().0,
-                "llc_misses": r.llc_misses,
-                "exceptions": r.exceptions.len(),
-                "energy_pj": r.energy_total().0,
-            }));
-        }
-    }
-    // Simulator throughput rides along in a `hot_path` section: the
-    // `pinned` half (the fast-path floor and the forensics ceiling)
-    // diffs exactly like any other field, while the `measured` half is
-    // wall-time ratios — machine-dependent by nature — so CI compares
-    // with `--ignore hot_path.measured`.
+/// `paper trajectory`: time the two pinned pairs of
+/// [`rce_bench::hotpath`], print each ratio with its bound to stderr,
+/// and exit 1 when either is past its bound. It writes no file: both
+/// ratios are wall time, which varies by machine.
+fn run_trajectory() {
     let speedup_x = hotpath::measure();
     let forensics_x = hotpath::measure_forensics();
-    let payload = json!({
-        "id": "bench_trajectory",
-        "cores": TRAJECTORY.cores,
-        "scale": TRAJECTORY.scale,
-        "seed": TRAJECTORY.seed,
-        "hot_path": json!({
-            "pinned": json!({
-                "min_fastpath_speedup_x": hotpath::MIN_FASTPATH_SPEEDUP_X,
-                "max_forensics_slowdown_x": hotpath::MAX_FORENSICS_SLOWDOWN_X,
-            }),
-            "measured": json!({
-                "fastpath_speedup_x": speedup_x,
-                "forensics_slowdown_x": forensics_x,
-            }),
-        }),
-        "rows": rows,
-    });
-    create_dir(out_dir);
-    let path = format!("{out_dir}/bench_trajectory.json");
-    write_file(&path, &format!("{}\n", json::to_string_pretty(&payload)));
-    eprintln!("   wrote {path}");
-
     eprintln!(
         "   {:<20} {:>8.2}x (floor {}x)",
         "fastpath_speedup_x",

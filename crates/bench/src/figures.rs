@@ -772,8 +772,9 @@ fn fig_saturation_timeline(params: &EvalParams, runs: &mut RunStore) -> (String,
     )
 }
 
-/// Hottest heatmap entries shown per row of R-F10.
-const HEATMAP_TOP_K: usize = 5;
+/// Hottest lines and core pairs shown per row of R-F10, and by
+/// `paper explain`.
+pub const HEATMAP_TOP_K: usize = 5;
 
 /// R-F10: conflict heatmap from the forensics layer. For the racy
 /// workloads, which lines and which core pairs carry the conflicts,

@@ -8,12 +8,11 @@
 //! - conflict forensics on versus off on a conflict-heavy canneal CE+
 //!   run, with a ceiling, [`MAX_FORENSICS_SLOWDOWN_X`].
 //!
-//! `paper trajectory` exits nonzero when either ratio is past its
-//! bound, so a regression fails CI even when reports stay
-//! byte-identical. The work is deterministic (fixed programs); only
-//! the measured wall times vary by machine, which is why
-//! `results/bench_trajectory.json` keeps the ratios in a `measured`
-//! section that the CI diff ignores.
+//! `paper trajectory` prints both ratios with their bounds and exits
+//! nonzero when either is past its bound, so a regression fails CI
+//! even when reports stay byte-identical. The work is deterministic
+//! (fixed programs); only the measured wall times vary by machine, so
+//! the command writes no file.
 
 use rce_common::obs::ObsConfig;
 use rce_common::{MachineConfig, ProtocolKind};

@@ -36,7 +36,6 @@ impl LineGeometry {
 pub struct Addr(pub u64);
 
 impl_json_newtype!(Addr);
-impl_json_newtype!(to_json LineAddr, WordIdx, WordMask);
 
 impl Addr {
     /// The cache line containing this address.

@@ -8,8 +8,8 @@
 //! allows us to reconstruct it (32 cores, 32 KiB L1, 2 MiB-per-bank
 //! shared LLC, 2D mesh, 4 DRAM channels).
 
+use crate::impl_json_unit_enum;
 use crate::units::Bytes;
-use crate::{impl_json_struct, impl_json_unit_enum};
 
 /// Which conflict-detection architecture (or baseline) to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,54 +137,11 @@ impl_json_unit_enum!(to_json ProtocolKind {
     CePlus,
     Arc
 });
-impl_json_unit_enum!(to_json DetectionGranularity { Word, Line });
 impl_json_unit_enum!(to_json MetaPlacement {
     None,
     Dram,
     Aim,
     Ideal
-});
-impl_json_struct!(to_json CacheGeometry {
-    capacity,
-    ways,
-    latency
-});
-impl_json_struct!(to_json NocConfig {
-    hop_latency,
-    link_bandwidth,
-    flit_bytes,
-    ctrl_bytes,
-    data_header_bytes,
-});
-impl_json_struct!(to_json DramConfig {
-    channels,
-    banks_per_channel,
-    row_hit_latency,
-    row_miss_latency,
-    channel_bandwidth,
-    row_bytes,
-});
-impl_json_struct!(to_json AimConfig {
-    entries,
-    ways,
-    latency,
-    entry_bytes
-});
-impl_json_struct!(to_json MachineConfig {
-    cores,
-    l1,
-    llc,
-    noc,
-    dram,
-    aim,
-    protocol,
-    meta_placement,
-    metadata_piggyback_bytes,
-    signature_bytes_per_line,
-    ipc_scale,
-    granularity,
-    arc_readonly_sharing,
-    use_owned_state,
 });
 
 /// Geometry of one set-associative cache.

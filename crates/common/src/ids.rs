@@ -70,7 +70,7 @@ id_type!(
 );
 
 // Only locks and barriers are read back, inside trace files.
-crate::impl_json_newtype!(to_json CoreId, ThreadId, RegionId);
+crate::impl_json_newtype!(to_json CoreId, RegionId);
 crate::impl_json_newtype!(LockId, BarrierId);
 
 #[cfg(test)]

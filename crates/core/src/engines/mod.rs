@@ -42,12 +42,6 @@ impl EngineVariant {
     pub fn config(&self, cores: usize) -> MachineConfig {
         MachineConfig::paper_default(cores, self.protocol).with_meta_placement(self.placement)
     }
-
-    /// True when this is one of the paper's four designs (placement is
-    /// the protocol's default) rather than a cross-composition.
-    pub fn is_paper_design(&self) -> bool {
-        self.placement == self.protocol.default_meta_placement()
-    }
 }
 
 /// Every named engine composition, paper designs first.
@@ -124,8 +118,11 @@ mod tests {
 
     #[test]
     fn paper_designs_lead_the_registry() {
-        assert!(REGISTRY[..4].iter().all(|v| v.is_paper_design()));
-        assert!(REGISTRY[4..].iter().all(|v| !v.is_paper_design()));
+        // A paper design keeps its protocol's default placement; a
+        // cross-composition moves it.
+        let paper = |v: &EngineVariant| v.placement == v.protocol.default_meta_placement();
+        assert!(REGISTRY[..4].iter().all(paper));
+        assert!(REGISTRY[4..].iter().all(|v| !paper(v)));
         // CLI names are unique even case-insensitively.
         for (i, a) in REGISTRY.iter().enumerate() {
             for b in &REGISTRY[i + 1..] {

@@ -1,7 +1,7 @@
 //! The memory controller: channels, banks, row buffers, service.
 
 use crate::stats::DramStats;
-use rce_common::{impl_json_unit_enum, Bytes, Cycles, DramConfig, LineAddr};
+use rce_common::{Bytes, Cycles, DramConfig, LineAddr};
 
 /// What an access is for — program data or conflict metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,13 +17,6 @@ pub enum AccessKind {
     /// overflow).
     MetaWrite,
 }
-
-impl_json_unit_enum!(to_json AccessKind {
-    DataRead,
-    DataWrite,
-    MetaRead,
-    MetaWrite
-});
 
 impl AccessKind {
     /// Stable accounting index.

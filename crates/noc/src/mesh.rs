@@ -1,12 +1,10 @@
 //! Mesh topology and XY routing.
 
-use rce_common::{impl_json_newtype, CoreId, LineAddr};
+use rce_common::{CoreId, LineAddr};
 
 /// A tile index in the mesh (row-major).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
-
-impl_json_newtype!(to_json NodeId);
 
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -2,7 +2,7 @@
 
 use crate::mesh::{Mesh, NodeId};
 use crate::stats::NocStats;
-use rce_common::{impl_json_unit_enum, Bytes, CoreId, Cycles, LineAddr, NocConfig};
+use rce_common::{Bytes, CoreId, Cycles, LineAddr, NocConfig};
 
 /// Message classes, accounted separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,16 +23,6 @@ pub enum MsgClass {
     /// Writeback of evicted dirty data toward LLC/memory.
     Writeback,
 }
-
-impl_json_unit_enum!(to_json MsgClass {
-    Request,
-    Response,
-    Data,
-    Invalidation,
-    Ack,
-    Metadata,
-    Writeback,
-});
 
 impl MsgClass {
     /// Stable index for accounting arrays.

@@ -103,34 +103,28 @@ for f in trace-ping_pong-ceplus.json trace-ping_pong-ceplus.ndjson; do
 done
 echo "ok: trace artifacts written and zero-perturbation check passed"
 
-echo "== golden reports (paper report vs tests/goldens) =="
+echo "== golden reports (paper report on the workload and on its dumped trace vs tests/goldens) =="
 # The four seed engine configurations must emit SimReport JSON that is
 # byte-identical to the pinned goldens. This is the refactor gate: the
 # coherence/detection/metadata layering must never drift the
-# simulation. (The small-AIM spill-path goldens are covered by
-# tests/golden_reports.rs.)
-for engine in MESI CE CE+ ARC; do
-    slug=$(printf '%s' "$engine" | sed 's/+/plus/' | tr '[:upper:]' '[:lower:]')
-    if ! "${paper[@]}" report canneal "$engine" --cores 4 --scale 3 --seed 42 |
-        diff -q - "tests/goldens/canneal-4c-$slug.json" >/dev/null; then
-        echo "FAIL: $engine report drifted from tests/goldens/canneal-4c-$slug.json" >&2
-        exit 1
-    fi
-    echo "ok: $engine report is byte-identical to its golden"
-done
-
-echo "== trace interchange (paper dump, then paper report on the file, vs tests/goldens) =="
-# A dumped program replayed from its file must simulate exactly like the
-# workload it was dumped from: each report matches the same golden.
+# simulation. A dumped program replayed from its file must simulate
+# exactly like the workload it was dumped from, so each engine's report
+# on the dumped trace matches the same golden. (The small-AIM
+# spill-path goldens are covered by tests/golden_reports.rs.)
 "${paper[@]}" dump canneal --cores 4 --scale 3 --seed 42 --out "$obs_out/canneal.json" 2>/dev/null
 for engine in MESI CE CE+ ARC; do
     slug=$(printf '%s' "$engine" | sed 's/+/plus/' | tr '[:upper:]' '[:lower:]')
-    if ! "${paper[@]}" report "$obs_out/canneal.json" "$engine" |
-        diff -q - "tests/goldens/canneal-4c-$slug.json" >/dev/null; then
-        echo "FAIL: $engine replay of a dumped canneal trace drifted from tests/goldens/canneal-4c-$slug.json" >&2
+    golden="tests/goldens/canneal-4c-$slug.json"
+    if ! "${paper[@]}" report canneal "$engine" --cores 4 --scale 3 --seed 42 |
+        diff -q - "$golden" >/dev/null; then
+        echo "FAIL: $engine report drifted from $golden" >&2
         exit 1
     fi
-    echo "ok: $engine replay of the dumped trace is byte-identical to its golden"
+    if ! "${paper[@]}" report "$obs_out/canneal.json" "$engine" | diff -q - "$golden" >/dev/null; then
+        echo "FAIL: $engine replay of a dumped canneal trace drifted from $golden" >&2
+        exit 1
+    fi
+    echo "ok: $engine report and its replay of the dumped trace are byte-identical to $golden"
 done
 
 echo "== simbench replay agreement (cargo test, simbench/) =="
@@ -156,7 +150,8 @@ echo "ok: four 32-core canneal CE+ reports match their digests"
 
 echo "== bad CLI input (paper) =="
 # Out-of-range --cores and --scale, a meaningless diff tolerance, a
-# missing or non-JSON trace file, a trace file whose header declares
+# flag paper does not take (diff --ignore, explain --top), a missing or
+# non-JSON trace file, a trace file whose header declares
 # far more barriers than it has synchronization operations (sized by
 # the header, the simulator's tables would take tens of GiB), an
 # unwritable output directory, an unknown experiment, ablation,
@@ -177,6 +172,9 @@ for args in "--cores 0" "--cores 65" "--scale 0"; do
 done
 expect_exit_2 "${paper[@]}" diff tests/goldens/canneal-4c-ce.json \
     tests/goldens/canneal-4c-ce.json --tolerance nan
+expect_exit_2 "${paper[@]}" diff tests/goldens/canneal-4c-ce.json \
+    tests/goldens/canneal-4c-ce.json --ignore x
+expect_exit_2 "${paper[@]}" explain racy_pair CE+ --top 3
 echo "not json" >"$obs_out/not-json.txt"
 expect_exit_2 "${paper[@]}" report "$obs_out/missing.json" CE+
 expect_exit_2 "${paper[@]}" report "$obs_out/not-json.txt" CE+
@@ -192,7 +190,7 @@ expect_exit_2 "${paper[@]}" table3 --cores 1 --scale 1
 expect_exit_2 "${paper[@]}" dump canneal --cores 1 --races 2 --out "$obs_out/one.json"
 expect_exit_2 "${paper[@]}" report canneal CE+ --cores 1 --races 2
 expect_exit_2 "${paper[@]}" report canneal CE+ --races 288230376151711744
-echo "ok: bad arguments, names, trace files, output dirs, one-thread and overflowing races exit 2 without a panic"
+echo "ok: bad arguments, flags, names, trace files, output dirs, one-thread and overflowing races exit 2 without a panic"
 
 echo "== early-closing reader (paper report|explain into head -1) =="
 # A reader that stops after the first line closes the pipe while paper
@@ -207,22 +205,6 @@ for cmd in report explain; do
     fi
 done
 echo "ok: paper report and explain exit 0 when the reader closes the pipe early"
-
-echo "== ablation smoke (paper ablate-aim) =="
-# The AIM sensitivity study must run end to end and write R-A7.json
-# with both AIM-backed designs in it.
-"${paper[@]}" ablate-aim --cores 4 --scale 1 --out "$obs_out" >/dev/null
-if [ ! -s "$obs_out/R-A7.json" ]; then
-    echo "FAIL: ablate-aim did not write R-A7.json" >&2
-    exit 1
-fi
-for design in "CE+" "ARC"; do
-    if ! grep -q "\"$design\"" "$obs_out/R-A7.json"; then
-        echo "FAIL: R-A7.json has no rows for $design" >&2
-        exit 1
-    fi
-done
-echo "ok: ablate-aim wrote R-A7.json with CE+ and ARC curves"
 
 echo "== worker-order independence (paper all and ablations, --jobs 1 vs 2) =="
 # Each experiment simulates the runs it lacks in one parallel batch.
@@ -241,60 +223,58 @@ if ! diff -r "$obs_out/jobs1" "$obs_out/jobs2"; then
 fi
 echo "ok: paper all and ablations write identical output with 1 and 2 workers"
 
-# Rerun the EXPERIMENTS.md commands with the paper command given after
-# the output directory, then diff every committed results/R-*.json
-# against the fresh file at tolerance 0 and require all 20 to be there.
-compare_results() {
-    local out=$1
-    shift
-    local cmd
-    for cmd in "all --cores 32 --scale 4" "ablations --cores 16 --scale 3"; do
-        # shellcheck disable=SC2086 # $cmd is several words on purpose
-        if ! "$@" $cmd --jobs 2 --out "$out" >/dev/null 2>"$out.err"; then
-            cat "$out.err" >&2
-            echo "FAIL: paper $cmd failed" >&2
-            exit 1
-        fi
-    done
-    local n=0 committed
-    for committed in results/R-*.json; do
-        if ! "$@" diff "$committed" "$out/$(basename "$committed")" --tolerance 0 2>/dev/null; then
-            echo "FAIL: $committed differs from a fresh run (regenerate results/ if intended)" >&2
-            exit 1
-        fi
-        n=$((n + 1))
-    done
-    if [ "$n" -ne 20 ]; then
-        echo "FAIL: expected 20 committed results/R-*.json files, found $n" >&2
-        exit 1
-    fi
-    echo "ok: all $n committed result files match a fresh run exactly"
-}
-
-echo "== committed results (paper all + ablations at EXPERIMENTS.md sizes vs results/) =="
+echo "== committed results (checked paper all + ablations at EXPERIMENTS.md sizes vs results/) =="
 # The committed results/R-*.json must be exactly what the EXPERIMENTS.md
 # commands produce from this tree. A deliberate model change must
-# regenerate results/ in the same change.
-compare_results "$obs_out/results" "${paper[@]}"
-
-echo "== checked build (committed results with debug assertions and overflow checks) =="
-# Release builds compile out the model's invariant checks (each ending
-# core's L1 at its region boundaries, the whole machine at run end) and
-# wrap silently on integer overflow. Build paper with both turned back
-# on, in its own target directory so the plain release build stays
-# cached, and rerun the same comparison with it at paper scale.
+# regenerate results/ in the same change. Release builds compile out
+# the model's invariant checks (each ending core's L1 at its region
+# boundaries, the whole machine at run end) and wrap silently on
+# integer overflow, so paper is built with both turned back on, in its
+# own target directory so the plain release build stays cached. Those
+# checks only read model state, so this build can fail where the plain
+# one passes but never prints other bytes: one comparison covers both.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     cargo build -q --release --offline -p rce-bench --bin paper --target-dir target/checked
-compare_results "$obs_out/checked" target/checked/release/paper
+checked=target/checked/release/paper
+for cmd in "all --cores 32 --scale 4" "ablations --cores 16 --scale 3"; do
+    # shellcheck disable=SC2086 # $cmd is several words on purpose
+    if ! "$checked" $cmd --jobs 2 --out "$obs_out/results" >/dev/null 2>"$obs_out/results.err"; then
+        cat "$obs_out/results.err" >&2
+        echo "FAIL: checked paper $cmd failed" >&2
+        exit 1
+    fi
+done
+n=0
+for committed in results/R-*.json; do
+    if ! "$checked" diff "$committed" "$obs_out/results/$(basename "$committed")" 2>/dev/null; then
+        echo "FAIL: $committed differs from a fresh run (regenerate results/ if intended)" >&2
+        exit 1
+    fi
+    n=$((n + 1))
+done
+if [ "$n" -ne 20 ]; then
+    echo "FAIL: expected 20 committed results/R-*.json files, found $n" >&2
+    exit 1
+fi
+echo "ok: all $n committed result files match a fresh checked run exactly"
+
+echo "== headline claims (paper summary on results/) =="
+# The claim checker reads the committed results and exits 1 if any of
+# the paper's headline claims fails on them.
+if ! "${paper[@]}" summary; then
+    echo "FAIL: paper summary reports a failed headline claim on results/" >&2
+    exit 1
+fi
+echo "ok: every headline claim passes on the committed results"
 
 echo "== oracle agreement at 64 cores (checked paper table3) =="
 # At the widest machine every core owns a bit of the oracle's 64-bit
 # word masks. Every detecting engine must still match the oracle on
 # every R-T3 workload: a NO in the "all match" column fails CI. The
-# checked build from the step above runs it, so the scheduler's
-# stale-entry assertion and the model invariants also run with the
-# widest ready queue.
-target/checked/release/paper table3 --cores 64 --scale 1 --out "$obs_out" >"$obs_out/table3.txt"
+# checked build from the committed-results step runs it, so the
+# scheduler's stale-entry assertion and the model invariants also run
+# with the widest ready queue.
+"$checked" table3 --cores 64 --scale 1 --out "$obs_out" >"$obs_out/table3.txt"
 if grep -qw NO "$obs_out/table3.txt" || ! grep -qw yes "$obs_out/table3.txt"; then
     cat "$obs_out/table3.txt" >&2
     echo "FAIL: an engine disagrees with the oracle at 64 cores" >&2
@@ -330,30 +310,19 @@ if "${paper[@]}" diff tests/goldens/canneal-4c-ce.json "$obs_out/drifted.json" >
 fi
 echo "ok: self-diff is clean, injected drift exits nonzero"
 
-echo "== perf trajectory, fast-path and forensics gates (paper trajectory + diff) =="
-# paper trajectory times two pinned pairs and exits nonzero if either
-# ratio passes its bound — a throughput regression fails CI even when
-# reports stay byte-identical:
+echo "== fast-path and forensics gates (paper trajectory) =="
+# paper trajectory times two pinned pairs, prints each ratio with its
+# bound, and exits nonzero if either ratio is past its bound — a
+# throughput regression fails CI even when reports stay byte-identical:
 # - the repeat fast path on vs off on a repeat-heavy workload, with a
 #   floor (MIN_FASTPATH_SPEEDUP_X);
 # - conflict forensics on vs off on a 32-core, scale-4 canneal CE+ run
 #   (~190k exceptions), with a ceiling (MAX_FORENSICS_SLOWDOWN_X).
-# Then the pinned micro-sweep is compared against the committed
-# baseline. The sweep is deterministic; the tolerance only leaves room
-# for deliberate, reviewed model changes (which must regenerate
-# results/bench_trajectory.json). The hot_path.measured section holds
-# wall-time ratios — machine-dependent — so it is excluded here; the
-# floor and the ceiling sit in the exactly-diffed hot_path.pinned section.
-if ! "${paper[@]}" trajectory --out "$obs_out"; then
+# Wall time varies by machine, so it writes no file to compare.
+if ! "${paper[@]}" trajectory; then
     echo "FAIL: paper trajectory failed (fast path below its floor, or forensics above its ceiling?)" >&2
     exit 1
 fi
-if ! "${paper[@]}" diff results/bench_trajectory.json "$obs_out/bench_trajectory.json" \
-    --tolerance 2 --ignore hot_path.measured; then
-    echo "FAIL: bench trajectory drifted beyond 2% of the committed baseline" >&2
-    echo "      (regenerate results/bench_trajectory.json if the change is intended)" >&2
-    exit 1
-fi
-echo "ok: bench trajectory matches the committed baseline"
+echo "ok: fast path and forensics within their bounds"
 
 echo "== ci passed =="
